@@ -194,7 +194,10 @@ fn bench_engine(c: &mut Criterion) {
 
 fn bench_registry(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/registry");
-    let handle = obs::MetricsHandle::new();
+    let handle = obs::Instruments::new(obs::Setup {
+        metrics: true,
+        ..obs::Setup::default()
+    });
     let counter = handle.counter("bench.counter");
     group.bench_function("counter_inc", |b| {
         b.iter(|| {
@@ -227,8 +230,8 @@ fn bench_registry(c: &mut Criterion) {
     });
     group.bench_function("snapshot_and_merge", |b| {
         b.iter(|| {
-            let mut a = handle.snapshot();
-            let other = handle.snapshot();
+            let mut a = handle.metrics_snapshot();
+            let other = handle.metrics_snapshot();
             a.merge(&other);
             std::hint::black_box(a)
         });

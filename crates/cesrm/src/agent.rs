@@ -66,12 +66,8 @@ pub struct CesrmAgent {
     expedited: BTreeMap<TimerToken, (SeqNo, RecoveryTuple)>,
     /// Reverse index for cancellation: lost packet → armed token.
     pending: BTreeMap<u64, TimerToken>,
-    /// Structured-event trace for cache consults and expedited traffic; off
-    /// by default (see the `obs` crate).
-    trace: obs::TraceHandle,
+    /// Counters pre-registered on the core's observation handle.
     metrics: CesrmMetrics,
-    /// Self-profiler handle timing `on_packet`; off by default.
-    prof: obs::ProfHandle,
 }
 
 /// Pre-registered counters over the expedited layer: cache consult
@@ -87,7 +83,7 @@ struct CesrmMetrics {
 }
 
 impl CesrmMetrics {
-    fn new(metrics: &obs::MetricsHandle) -> Self {
+    fn new(metrics: &obs::Instruments) -> Self {
         CesrmMetrics {
             cache_hits: metrics.counter("cesrm.cache.hits"),
             cache_misses: metrics.counter("cesrm.cache.misses"),
@@ -145,9 +141,7 @@ impl CesrmAgent {
             log,
             expedited: BTreeMap::new(),
             pending: BTreeMap::new(),
-            trace: obs::TraceHandle::off(),
             metrics: CesrmMetrics::default(),
-            prof: obs::ProfHandle::off(),
         }
     }
 
@@ -156,38 +150,18 @@ impl CesrmAgent {
         &self.cache
     }
 
-    /// Builder-style installation of a structured-event trace handle (see
-    /// the `obs` crate): the expedited layer emits cache consults
-    /// (`cache_hit`/`cache_miss`/`cache_update`) and expedited traffic
-    /// (`xreq_sent`/`xrep_sent`); the underlying SRM engine gets a clone for
-    /// its scheduling/suppression events.
-    pub fn with_trace(mut self, trace: obs::TraceHandle) -> Self {
-        self.core.set_trace(trace.clone());
-        self.trace = trace;
-        self
-    }
-
-    /// Builder-style registration of runtime-profiling counters: the
-    /// expedited layer counts cache consults and traffic
-    /// (`cesrm.cache.*`, `cesrm.expedited_*`), and the underlying SRM
-    /// engine registers its suppression-machinery counters (`srm.*`).
-    /// Profiling is off by default.
-    pub fn with_metrics(mut self, metrics: &obs::MetricsHandle) -> Self {
-        self.core.set_metrics(metrics);
-        self.metrics = if metrics.is_enabled() {
-            CesrmMetrics::new(metrics)
-        } else {
-            CesrmMetrics::default()
-        };
-        self
-    }
-
-    /// Builder-style installation of the per-run self-profiler handle:
-    /// every `on_packet` counts into the `cesrm_on_packet` phase (SRM
-    /// core plus the expedited layer), with one in `stride` calls
-    /// wall-clock timed (see `docs/PROFILING.md`). Off by default.
-    pub fn with_prof(mut self, prof: obs::ProfHandle) -> Self {
-        self.prof = prof;
+    /// Builder-style installation of the run's observation handle (see
+    /// the `obs` crate), held by the underlying SRM engine
+    /// ([`SrmCore::set_obs`]) and read from there. The expedited layer
+    /// emits cache consults (`cache_hit`/`cache_miss`/`cache_update`) and
+    /// expedited traffic (`xreq_sent`/`xrep_sent`), counts them
+    /// (`cesrm.cache.*`, `cesrm.expedited_*`), and every `on_packet` counts
+    /// into the `cesrm_on_packet` profiler phase (SRM core plus the
+    /// expedited layer), with one in `stride` calls wall-clock timed
+    /// (`docs/PROFILING.md`). Off by default.
+    pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
+        self.metrics = CesrmMetrics::new(&obs);
+        self.core.set_obs(obs);
         self
     }
 
@@ -233,7 +207,8 @@ impl CesrmAgent {
         let me = self.core.me();
         let Some(tuple) = self.policy.select(&self.cache) else {
             self.metrics.cache_misses.inc();
-            self.trace
+            self.core
+                .obs()
                 .emit(ctx.now().as_nanos(), || obs::Event::CacheMiss {
                     node: me.0,
                     seq: seq.value(),
@@ -241,7 +216,8 @@ impl CesrmAgent {
             return;
         };
         self.metrics.cache_hits.inc();
-        self.trace
+        self.core
+            .obs()
             .emit(ctx.now().as_nanos(), || obs::Event::CacheHit {
                 node: me.0,
                 seq: seq.value(),
@@ -291,7 +267,8 @@ impl CesrmAgent {
         // `tuple` is the pair the cache-consult stored when it emitted
         // `cache_hit`; the cache-coherence monitor (I4, docs/MONITORS.md)
         // flags any expedited request whose replier no prior hit named.
-        self.trace
+        self.core
+            .obs()
             .emit(ctx.now().as_nanos(), || obs::Event::ExpeditedRequestSent {
                 node: me.0,
                 seq: seq.value(),
@@ -338,7 +315,8 @@ impl CesrmAgent {
         };
         let me = self.core.me();
         self.metrics.expedited_replies_sent.inc();
-        self.trace
+        self.core
+            .obs()
             .emit(ctx.now().as_nanos(), || obs::Event::ExpeditedReplySent {
                 node: me.0,
                 seq: seq.value(),
@@ -355,9 +333,9 @@ impl Agent for CesrmAgent {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, meta: &DeliveryMeta) {
-        let stamp = self.prof.begin(obs::Phase::CesrmOnPacket);
+        let stamp = self.core.obs().begin(obs::Phase::CesrmOnPacket);
         self.handle_packet(ctx, packet, meta);
-        self.prof.end(obs::Phase::CesrmOnPacket, stamp);
+        self.core.obs().end(obs::Phase::CesrmOnPacket, stamp);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
@@ -409,7 +387,8 @@ impl CesrmAgent {
                     // The only cache-insertion site: every pair a later
                     // `cache_hit` can name must have been announced here
                     // first (I4, docs/MONITORS.md).
-                    self.trace
+                    self.core
+                        .obs()
                         .emit(ctx.now().as_nanos(), || obs::Event::CacheUpdate {
                             node: me.0,
                             seq: t.id.seq.value(),

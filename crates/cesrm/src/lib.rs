@@ -27,8 +27,8 @@
 //! [`CesrmAgent`] is the complete endpoint: an [`srm::SrmCore`] composed
 //! with the expedited layer.
 //!
-//! With an `obs::TraceHandle` installed ([`CesrmAgent::with_trace`]), the
-//! expedited layer emits structured cache-hit/miss/update and expedited
+//! With the run's `obs::Instruments` installed ([`CesrmAgent::with_obs`]),
+//! the expedited layer emits structured cache-hit/miss/update and expedited
 //! request/reply events for recovery-provenance tracing (§3 decisions made
 //! observable; see `docs/TRACING.md`).
 

@@ -157,25 +157,8 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
-fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn num(n: f64) -> JsonValue {
     JsonValue::Num(n)
-}
-
-fn uint(n: u64) -> JsonValue {
-    JsonValue::Num(n as f64)
-}
-
-fn opt_uint(n: Option<u64>) -> JsonValue {
-    n.map_or(JsonValue::Null, uint)
 }
 
 fn per_sec(events: u64, secs: f64) -> f64 {
@@ -248,13 +231,13 @@ pub fn bench_report_full(
         .max()
         .unwrap_or(0);
 
-    let suite = obj(vec![
+    let suite = JsonValue::obj(vec![
         ("scale", num(cfg.scale)),
-        ("seed", uint(cfg.seed)),
+        ("seed", JsonValue::uint(cfg.seed)),
         (
             "traces",
             cfg.traces.as_ref().map_or(JsonValue::Null, |only| {
-                JsonValue::Arr(only.iter().map(|&t| uint(t as u64)).collect())
+                JsonValue::Arr(only.iter().map(|&t| JsonValue::uint(t as u64)).collect())
             }),
         ),
         (
@@ -265,26 +248,29 @@ pub fn bench_report_full(
             "lossy_recovery",
             JsonValue::Bool(cfg.experiment.lossy_recovery),
         ),
-        ("cache_capacity", uint(cfg.cesrm.cache_capacity as u64)),
+        (
+            "cache_capacity",
+            JsonValue::uint(cfg.cesrm.cache_capacity as u64),
+        ),
         ("router_assist", JsonValue::Bool(cfg.cesrm.router_assist)),
-        ("jobs", uint(result.timing.jobs as u64)),
+        ("jobs", JsonValue::uint(result.timing.jobs as u64)),
     ]);
 
-    let totals = obj(vec![
-        ("runs", uint(result.profiles.len() as u64)),
+    let totals = JsonValue::obj(vec![
+        ("runs", JsonValue::uint(result.profiles.len() as u64)),
         ("wall_s", num(wall_s)),
         ("cpu_s", num(cpu_s)),
         (
             "speedup",
             num(if wall_s > 0.0 { cpu_s / wall_s } else { 0.0 }),
         ),
-        ("events", uint(events)),
+        ("events", JsonValue::uint(events)),
         ("events_per_sec", num(per_sec(events, wall_s))),
-        ("peak_queue_bytes", uint(peak_queue_bytes)),
+        ("peak_queue_bytes", JsonValue::uint(peak_queue_bytes)),
         (
             "monitor_overhead",
             overhead.map_or(JsonValue::Null, |o| {
-                obj(vec![
+                JsonValue::obj(vec![
                     ("wall_off_s", num(o.wall_off_s)),
                     ("wall_on_s", num(o.wall_on_s)),
                     ("cpu_off_s", num(o.cpu_off_s)),
@@ -296,14 +282,14 @@ pub fn bench_report_full(
         (
             "profile",
             profile.map_or(JsonValue::Null, |p| {
-                obj(vec![
-                    ("stride", uint(p.stride)),
-                    ("events", uint(p.events)),
+                JsonValue::obj(vec![
+                    ("stride", JsonValue::uint(p.stride)),
+                    ("events", JsonValue::uint(p.events)),
                     ("attributed_pct", num(p.attributed_pct)),
                     (
                         "profiler_overhead",
                         p.overhead.map_or(JsonValue::Null, |o| {
-                            obj(vec![
+                            JsonValue::obj(vec![
                                 ("wall_off_s", num(o.wall_off_s)),
                                 ("wall_on_s", num(o.wall_on_s)),
                                 ("cpu_off_s", num(o.cpu_off_s)),
@@ -321,7 +307,7 @@ pub fn bench_report_full(
         merged
             .counters
             .iter()
-            .map(|(k, &v)| (k.clone(), uint(v)))
+            .map(|(k, &v)| (k.clone(), JsonValue::uint(v)))
             .collect(),
     );
     let gauges = JsonValue::Obj(
@@ -331,7 +317,7 @@ pub fn bench_report_full(
             .map(|(k, g)| {
                 (
                     k.clone(),
-                    obj(vec![
+                    JsonValue::obj(vec![
                         ("value", num(g.value as f64)),
                         ("high_water", num(g.high_water as f64)),
                     ]),
@@ -346,14 +332,14 @@ pub fn bench_report_full(
             .map(|(k, h)| {
                 (
                     k.clone(),
-                    obj(vec![
-                        ("count", uint(h.count())),
-                        ("sum", uint(h.sum())),
-                        ("min", opt_uint(h.min())),
-                        ("max", opt_uint(h.max())),
-                        ("p50", opt_uint(h.quantile(0.5))),
-                        ("p90", opt_uint(h.quantile(0.9))),
-                        ("p99", opt_uint(h.quantile(0.99))),
+                    JsonValue::obj(vec![
+                        ("count", JsonValue::uint(h.count())),
+                        ("sum", JsonValue::uint(h.sum())),
+                        ("min", JsonValue::opt_uint(h.min())),
+                        ("max", JsonValue::opt_uint(h.max())),
+                        ("p50", JsonValue::opt_uint(h.quantile(0.5))),
+                        ("p90", JsonValue::opt_uint(h.quantile(0.9))),
+                        ("p99", JsonValue::opt_uint(h.quantile(0.99))),
                     ]),
                 )
             })
@@ -366,13 +352,13 @@ pub fn bench_report_full(
             .map(|(k, s)| {
                 (
                     k.clone(),
-                    obj(vec![
-                        ("count", uint(s.count())),
-                        ("k", uint(s.k() as u64)),
-                        ("rank_error_bound", uint(s.rank_error_bound())),
-                        ("p50", opt_uint(s.quantile(0.5))),
-                        ("p90", opt_uint(s.quantile(0.9))),
-                        ("p99", opt_uint(s.quantile(0.99))),
+                    JsonValue::obj(vec![
+                        ("count", JsonValue::uint(s.count())),
+                        ("k", JsonValue::uint(s.k() as u64)),
+                        ("rank_error_bound", JsonValue::uint(s.rank_error_bound())),
+                        ("p50", JsonValue::opt_uint(s.quantile(0.5))),
+                        ("p90", JsonValue::opt_uint(s.quantile(0.9))),
+                        ("p99", JsonValue::opt_uint(s.quantile(0.99))),
                     ]),
                 )
             })
@@ -385,12 +371,12 @@ pub fn bench_report_full(
             .iter()
             .map(|p| {
                 let run_wall = p.wall.as_secs_f64();
-                obj(vec![
-                    ("trace", uint(p.trace as u64)),
+                JsonValue::obj(vec![
+                    ("trace", JsonValue::uint(p.trace as u64)),
                     ("name", JsonValue::Str(p.name.to_string())),
                     ("protocol", JsonValue::Str(p.protocol.to_string())),
-                    ("events", uint(p.events_processed)),
-                    ("peak_queue_bytes", uint(p.peak_queue_bytes())),
+                    ("events", JsonValue::uint(p.events_processed)),
+                    ("peak_queue_bytes", JsonValue::uint(p.peak_queue_bytes())),
                     ("wall_s", num(run_wall)),
                     ("events_per_sec", num(per_sec(p.events_processed, run_wall))),
                 ])
@@ -402,8 +388,8 @@ pub fn bench_report_full(
         .pairs
         .iter()
         .map(|p| {
-            obj(vec![
-                ("trace", uint(p.spec.number as u64)),
+            JsonValue::obj(vec![
+                ("trace", JsonValue::uint(p.spec.number as u64)),
                 ("name", JsonValue::Str(p.spec.name.to_string())),
                 ("latency_ratio", num(p.latency_ratio())),
                 ("retrans_ratio", num(p.retransmission_overhead_ratio())),
@@ -418,7 +404,7 @@ pub fn bench_report_full(
             result.pairs.iter().map(f).sum::<f64>() / result.pairs.len() as f64
         }
     };
-    let headline = obj(vec![
+    let headline = JsonValue::obj(vec![
         ("latency_ratio_mean", num(mean(|p| p.latency_ratio()))),
         (
             "retrans_ratio_mean",
@@ -431,14 +417,14 @@ pub fn bench_report_full(
         ("traces", JsonValue::Arr(headline_traces)),
     ]);
 
-    let doc = obj(vec![
+    let doc = JsonValue::obj(vec![
         ("schema", JsonValue::Str(BENCH_SCHEMA.to_string())),
         ("created", JsonValue::Str(format!("{y:04}-{m:02}-{d:02}"))),
         ("suite", suite),
         ("totals", totals),
         (
             "merged",
-            obj(vec![
+            JsonValue::obj(vec![
                 ("counters", counters),
                 ("gauges", gauges),
                 ("histograms", histograms),
@@ -458,24 +444,8 @@ pub fn bench_report_full(
 /// agree byte-for-byte on this form at any worker count.
 pub fn strip_volatile(json: &str) -> Result<String, String> {
     let mut doc = JsonValue::parse(json)?;
-    scrub(&mut doc);
+    doc.scrub(VOLATILE_FIELDS);
     Ok(doc.to_string_compact())
-}
-
-fn scrub(v: &mut JsonValue) {
-    match v {
-        JsonValue::Obj(members) => {
-            for (k, v) in members.iter_mut() {
-                if VOLATILE_FIELDS.contains(&k.as_str()) {
-                    *v = JsonValue::Null;
-                } else {
-                    scrub(v);
-                }
-            }
-        }
-        JsonValue::Arr(items) => items.iter_mut().for_each(scrub),
-        _ => {}
-    }
 }
 
 fn totals_field(doc: &JsonValue, which: &str, field: &str) -> Result<f64, String> {

@@ -6,13 +6,15 @@
 //!     [--jobs N] [--timings] [--seeds N] [--csv-dir DIR]
 //!     [--trace FILE] [--trace-filter seq=N|receiver=N|ev=NAME]
 //!     [--trace-slowest N]
-//!     [--health FILE] [--monitor-overhead] [--monitor-overhead-max-pct P]
+//!     [--health FILE] [--digest FILE]
 //!     [--bench-report FILE] [--baseline FILE] [--baseline-max-wall-pct P]
 //!     [--baseline-max-throughput-pct P] [--baseline-warn-only]
 //!     [--profile[=json|folded]] [--profile-out FILE]
-//!     [--profile-overhead] [--profile-overhead-max-pct P]
-//!     [--digest FILE] [--digest-overhead] [--digest-overhead-max-pct P]
+//!     [--overhead monitor,profile,digest] [--overhead-max-pct P]
 //! ```
+//!
+//! A malformed or unknown argument prints the problem plus the usage
+//! summary to stderr and exits with status 2.
 //!
 //! At `--scale 1.0` (default) the full Table-1 packet counts are reenacted;
 //! use `--scale 0.1` for a quick pass with the same loss rates. The 28
@@ -37,12 +39,16 @@
 //! `BENCH_<YYYYMMDD>.json` name in the working directory. `--baseline`
 //! compares the fresh report against a previous one and exits with status
 //! 3 when wall-clock or throughput regress past the thresholds (unless
-//! `--baseline-warn-only`). `--monitor-overhead` (requires
-//! `--bench-report`) reenacts the suite a second time with the monitors
-//! toggled the other way, records the on-vs-off cost under
-//! `totals.monitor_overhead`, and exits with status 3 when the CPU-time
-//! overhead exceeds `--monitor-overhead-max-pct` (default 5; deltas under
-//! 50 ms are treated as timer noise).
+//! `--baseline-warn-only`).
+//!
+//! `--overhead LAYER[,LAYER]` gates what an observation layer (`monitor`,
+//! `profile`, `digest`) costs: per layer it reenacts the suite a second
+//! time with that layer toggled the other way and exits with status 3 when
+//! the on-vs-off CPU-time overhead exceeds the layer's limit (monitor 5 %,
+//! profile 5 %, digest 2 %; `--overhead-max-pct P` overrides all three;
+//! deltas under 50 ms are treated as timer noise). With `--bench-report`
+//! the monitor figure lands under `totals.monitor_overhead` and the
+//! profiler figure under `totals.profile.profiler_overhead`.
 //!
 //! `--profile` runs the whole suite under the in-sim self-profiler and
 //! emits the merged `cesrm-prof/1` document (see `docs/PROFILING.md`):
@@ -50,21 +56,13 @@
 //! and the sampling stride. `--profile=folded` emits flamegraph-compatible
 //! folded stacks instead; `--profile-out FILE` writes the report to a file
 //! rather than stdout. When `--bench-report` is also set, the headline
-//! profile figures land under `totals.profile`. `--profile-overhead`
-//! reenacts the suite with the profiler off (the same A/B shape as
-//! `--monitor-overhead`) and exits with status 3 when the CPU-time
-//! overhead exceeds `--profile-overhead-max-pct` (default 5, 50 ms noise
-//! floor).
+//! profile figures land under `totals.profile`.
 //!
 //! `--digest FILE` folds every run's canonical event stream into the
 //! hierarchical `cesrm-digest/1` trail (per-run → per-epoch → per-node ×
 //! time-bucket rolling digests; see `docs/DEBUGGING.md`) and writes it to
 //! `FILE`. The trail is byte-identical at any `--jobs` setting, which
 //! makes two trails a divergence oracle for `reproduce diff`.
-//! `--digest-overhead` reenacts the suite with the digest off (the same
-//! A/B shape as `--monitor-overhead`) and exits with status 3 when the
-//! CPU-time overhead exceeds `--digest-overhead-max-pct` (default 2,
-//! 50 ms noise floor).
 //!
 //! # `reproduce diff` — divergence triage
 //!
@@ -130,6 +128,141 @@ enum ProfFormat {
     Folded,
 }
 
+/// A summary per entry point, printed under every argument error. The
+/// full flag reference is this file's module documentation.
+const USAGE: &str = "\
+usage: reproduce [--scale F] [--seed N] [--traces 1,2,3] [--jobs N] [--csv-dir DIR] [--trace FILE]
+                 [--health FILE] [--digest FILE] [--bench-report FILE] [--profile[=json|folded]]
+                 [--overhead monitor,profile,digest] ...
+       reproduce scale [--rungs N,N,...] [--shards N] [--protocol srm|cesrm] [--csv FILE] ...
+       reproduce diff A.json B.json [--no-replay]";
+
+/// Reports a malformed command line — a missing or unparsable flag value,
+/// an unknown flag, an inconsistent flag combination — and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("reproduce: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The command line being parsed: every accessor either yields a checked
+/// value or ends the process through [`usage_error`].
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value following `flag`; `what` describes it for the error.
+    fn value(&mut self, flag: &str, what: &str) -> &'a str {
+        match self.0.next() {
+            Some(v) => v,
+            None => usage_error(&format!("{flag} requires {what}")),
+        }
+    }
+
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> T {
+        let v = self.value(flag, what);
+        parse_or_usage(v, flag, what, v)
+    }
+
+    /// A comma-separated list, every item parsed.
+    fn list<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Vec<T> {
+        let v = self.value(flag, what);
+        v.split(',')
+            .map(|item| parse_or_usage(item, flag, what, v))
+            .collect()
+    }
+
+    fn path(&mut self, flag: &str) -> std::path::PathBuf {
+        std::path::PathBuf::from(self.value(flag, "a path"))
+    }
+}
+
+/// Parses `item` (all or part of the `given` value of `flag`).
+fn parse_or_usage<T: std::str::FromStr>(item: &str, flag: &str, what: &str, given: &str) -> T {
+    item.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} requires {what}, got {given:?}")))
+}
+
+/// An observation layer whose on-vs-off cost `--overhead` can gate.
+#[derive(Clone, Copy, PartialEq)]
+enum Layer {
+    Monitor,
+    Profile,
+    Digest,
+}
+
+/// CPU deltas below this are timer noise, whatever the percentage.
+const OVERHEAD_NOISE_FLOOR_S: f64 = 0.05;
+
+impl std::str::FromStr for Layer {
+    type Err = ();
+    fn from_str(s: &str) -> Result<Layer, ()> {
+        match s {
+            "monitor" => Ok(Layer::Monitor),
+            "profile" => Ok(Layer::Profile),
+            "digest" => Ok(Layer::Digest),
+            _ => Err(()),
+        }
+    }
+}
+
+impl Layer {
+    fn name(self) -> &'static str {
+        match self {
+            Layer::Monitor => "monitor",
+            Layer::Profile => "profiler",
+            Layer::Digest => "digest",
+        }
+    }
+
+    /// The layer's CPU-overhead budget in percent, unless
+    /// `--overhead-max-pct` overrides it.
+    fn default_max_pct(self) -> f64 {
+        match self {
+            Layer::Monitor | Layer::Profile => 5.0,
+            Layer::Digest => 2.0,
+        }
+    }
+
+    fn switch(self, cfg: &mut SuiteConfig) -> &mut bool {
+        match self {
+            Layer::Monitor => &mut cfg.monitor,
+            Layer::Profile => &mut cfg.profile,
+            Layer::Digest => &mut cfg.digest,
+        }
+    }
+
+    /// Reenacts the suite with this layer toggled the other way; both
+    /// passes share seed and configuration, so the CPU delta is the layer's
+    /// own work.
+    fn measure(self, cfg: &SuiteConfig, result: &harness::SuiteResult) -> harness::MonitorOverhead {
+        let mut alt = cfg.clone();
+        let switch = self.switch(&mut alt);
+        let was_on = std::mem::replace(switch, !*switch);
+        eprintln!(
+            "measuring {} overhead: reenacting the suite with the {} {}...",
+            self.name(),
+            self.name(),
+            if was_on { "off" } else { "on" }
+        );
+        let alt_result = run_suite(&alt);
+        let (on, off) = if was_on {
+            (&result.timing, &alt_result.timing)
+        } else {
+            (&alt_result.timing, &result.timing)
+        };
+        harness::MonitorOverhead {
+            wall_off_s: off.wall.as_secs_f64(),
+            wall_on_s: on.wall.as_secs_f64(),
+            cpu_off_s: off.cpu_total().as_secs_f64(),
+            cpu_on_s: on.cpu_total().as_secs_f64(),
+        }
+    }
+}
+
 fn main() {
     // Any panic below dumps the active flight recorder's tail to stderr
     // before unwinding, so a crashed run still says what the simulation
@@ -142,7 +275,7 @@ fn main() {
         Some("diff") => return diff_main(&argv[1..]),
         _ => {}
     }
-    suite_main(argv);
+    suite_main(&argv);
 }
 
 /// `reproduce diff A B`: compares two `cesrm-digest/1` trails top-down,
@@ -157,15 +290,13 @@ fn diff_main(argv: &[String]) {
         match arg.as_str() {
             "--no-replay" => no_replay = true,
             other if other.starts_with("--") => {
-                eprintln!("unknown diff argument: {other}");
-                std::process::exit(2);
+                usage_error(&format!("unknown diff argument: {other}"))
             }
             other => paths.push(other),
         }
     }
     let [path_a, path_b] = paths[..] else {
-        eprintln!("usage: reproduce diff A.json B.json [--no-replay]");
-        std::process::exit(2);
+        usage_error("diff compares exactly two digest trails");
     };
     let load = |path: &str| -> obs::JsonValue {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -240,7 +371,7 @@ fn replay_divergence(div: &harness::Divergence) -> Option<String> {
     })
 }
 
-fn suite_main(argv: Vec<String>) {
+fn suite_main(argv: &[String]) {
     let mut cfg = SuiteConfig::paper_default();
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut seeds: u32 = 1;
@@ -253,87 +384,49 @@ fn suite_main(argv: Vec<String>) {
     let mut thresholds = BenchThresholds::default();
     let mut baseline_warn_only = false;
     let mut health_path: Option<std::path::PathBuf> = None;
-    let mut monitor_overhead = false;
-    let mut overhead_max_pct: f64 = 5.0;
     let mut profile: Option<ProfFormat> = None;
     let mut profile_out: Option<std::path::PathBuf> = None;
-    let mut profile_overhead = false;
-    let mut profile_overhead_max_pct: f64 = 5.0;
     let mut digest_path: Option<std::path::PathBuf> = None;
-    let mut digest_overhead = false;
-    let mut digest_overhead_max_pct: f64 = 2.0;
-    let mut args = argv.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    let mut overhead_layers: Vec<Layer> = Vec::new();
+    let mut overhead_max_pct: Option<f64> = None;
+    let mut args = Args(argv.iter());
+    while let Some(flag) = args.next_flag() {
+        match flag {
             "--scale" => {
-                cfg.scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale requires a number in (0, 1]");
+                cfg.scale = args.parsed(flag, "a number in (0, 1]");
+                if !(cfg.scale > 0.0 && cfg.scale <= 1.0) {
+                    usage_error("--scale requires a number in (0, 1]");
+                }
             }
-            "--seed" => {
-                cfg.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer");
-            }
+            "--seed" => cfg.seed = args.parsed(flag, "an integer"),
             "--traces" => {
-                let list = args.next().expect("--traces requires e.g. 1,2,3");
-                cfg.traces = Some(
-                    list.split(',')
-                        .map(|t| t.parse().expect("trace numbers are 1..=14"))
-                        .collect(),
-                );
+                let what = "trace numbers 1..=14, e.g. 1,2,3";
+                let traces: Vec<usize> = args.list(flag, what);
+                if !traces.iter().all(|t| (1..=14).contains(t)) {
+                    usage_error(&format!("--traces requires {what}, got {traces:?}"));
+                }
+                cfg.traces = Some(traces);
             }
             "--link-delay-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--link-delay-ms requires an integer");
-                cfg = cfg.with_link_delay_ms(ms);
+                cfg = cfg.with_link_delay_ms(args.parsed(flag, "an integer"));
             }
             "--lossy-recovery" => cfg.experiment.lossy_recovery = true,
-            "--jobs" => {
-                cfg.jobs = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--jobs requires a worker count"),
-                );
-            }
+            "--jobs" => cfg.jobs = Some(args.parsed(flag, "a worker count")),
             "--timings" => timings = true,
-            "--seeds" => {
-                seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds requires a count");
-            }
-            "--csv-dir" => {
-                csv_dir = Some(std::path::PathBuf::from(
-                    args.next().expect("--csv-dir requires a path"),
-                ));
-            }
+            "--seeds" => seeds = args.parsed(flag, "a count"),
+            "--csv-dir" => csv_dir = Some(args.path(flag)),
             "--trace" => {
-                let path = args.next().expect("--trace requires an output path");
-                trace_path = Some(std::path::PathBuf::from(path));
+                trace_path = Some(args.path(flag));
                 cfg.capture_events = true;
             }
             "--trace-filter" => {
-                let expr = args
-                    .next()
-                    .expect("--trace-filter requires seq=N, receiver=N or ev=NAME");
-                trace_filter = TraceFilter::parse(&expr).unwrap_or_else(|e| {
-                    eprintln!("bad --trace-filter: {e}");
-                    std::process::exit(2);
-                });
+                let expr = args.value(flag, "seq=N, receiver=N or ev=NAME");
+                trace_filter = TraceFilter::parse(expr)
+                    .unwrap_or_else(|e| usage_error(&format!("bad --trace-filter: {e}")));
             }
-            "--trace-slowest" => {
-                trace_slowest = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--trace-slowest requires a count");
-            }
+            "--trace-slowest" => trace_slowest = args.parsed(flag, "a count"),
             "--bench-report" => {
-                let path = args.next().expect("--bench-report requires a path or -");
+                let path = args.value(flag, "a path or -");
                 bench_path = Some(if path == "-" {
                     std::path::PathBuf::from(format!("BENCH_{}.json", harness::utc_date_stamp()))
                 } else {
@@ -341,81 +434,35 @@ fn suite_main(argv: Vec<String>) {
                 });
                 cfg.collect_metrics = true;
             }
-            "--baseline" => {
-                baseline_path = Some(std::path::PathBuf::from(
-                    args.next().expect("--baseline requires a file"),
-                ));
-            }
+            "--baseline" => baseline_path = Some(args.path(flag)),
             "--baseline-max-wall-pct" => {
-                thresholds.max_wall_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--baseline-max-wall-pct requires a percentage");
+                thresholds.max_wall_pct = args.parsed(flag, "a percentage")
             }
             "--baseline-max-throughput-pct" => {
-                thresholds.max_throughput_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--baseline-max-throughput-pct requires a percentage");
+                thresholds.max_throughput_pct = args.parsed(flag, "a percentage");
             }
             "--baseline-warn-only" => baseline_warn_only = true,
             "--health" => {
-                health_path = Some(std::path::PathBuf::from(
-                    args.next().expect("--health requires an output path"),
-                ));
+                health_path = Some(args.path(flag));
                 cfg.monitor = true;
-            }
-            "--monitor-overhead" => monitor_overhead = true,
-            "--monitor-overhead-max-pct" => {
-                overhead_max_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--monitor-overhead-max-pct requires a percentage");
             }
             "--profile" | "--profile=json" => profile = Some(ProfFormat::Json),
             "--profile=folded" => profile = Some(ProfFormat::Folded),
-            "--profile-out" => {
-                profile_out = Some(std::path::PathBuf::from(
-                    args.next().expect("--profile-out requires a path"),
-                ));
-            }
-            "--profile-overhead" => profile_overhead = true,
-            "--profile-overhead-max-pct" => {
-                profile_overhead_max_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--profile-overhead-max-pct requires a percentage");
-            }
+            "--profile-out" => profile_out = Some(args.path(flag)),
             "--digest" => {
-                digest_path = Some(std::path::PathBuf::from(
-                    args.next().expect("--digest requires an output path"),
-                ));
+                digest_path = Some(args.path(flag));
                 cfg.digest = true;
             }
-            "--digest-overhead" => digest_overhead = true,
-            "--digest-overhead-max-pct" => {
-                digest_overhead_max_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--digest-overhead-max-pct requires a percentage");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--overhead" => overhead_layers = args.list(flag, "monitor, profile and/or digest"),
+            "--overhead-max-pct" => overhead_max_pct = Some(args.parsed(flag, "a percentage")),
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
-    if monitor_overhead && bench_path.is_none() {
-        eprintln!("--monitor-overhead requires --bench-report (nowhere to record it)");
-        std::process::exit(2);
+    if profile_out.is_some() && profile.is_none() {
+        usage_error("--profile-out requires --profile (nothing is profiled)");
     }
-    if (profile_out.is_some() || profile_overhead) && profile.is_none() {
-        eprintln!("--profile-out / --profile-overhead require --profile (nothing is profiled)");
-        std::process::exit(2);
-    }
-    if digest_overhead && digest_path.is_none() {
-        eprintln!("--digest-overhead requires --digest (nothing is digested)");
-        std::process::exit(2);
+    if baseline_path.is_some() && bench_path.is_none() {
+        usage_error("--baseline requires --bench-report (nothing to compare)");
     }
     cfg.profile = profile.is_some();
     eprintln!(
@@ -509,59 +556,11 @@ fn suite_main(argv: Vec<String>) {
             }
         }
     }
-    // The overhead measurement reenacts the identical suite with the
-    // monitors toggled the other way; both passes share the seed and
-    // configuration, so the only difference is the monitoring work itself.
-    let overhead = monitor_overhead.then(|| {
-        eprintln!(
-            "measuring monitor overhead: reenacting the suite with monitors {}...",
-            if cfg.monitor { "off" } else { "on" }
-        );
-        let mut alt = cfg.clone();
-        alt.monitor = !cfg.monitor;
-        let alt_result = run_suite(&alt);
-        let (on, off) = if cfg.monitor {
-            (&result.timing, &alt_result.timing)
-        } else {
-            (&alt_result.timing, &result.timing)
-        };
-        harness::MonitorOverhead {
-            wall_off_s: off.wall.as_secs_f64(),
-            wall_on_s: on.wall.as_secs_f64(),
-            cpu_off_s: off.cpu_total().as_secs_f64(),
-            cpu_on_s: on.cpu_total().as_secs_f64(),
-        }
-    });
-    // Same A/B shape for the digest: reenact the identical suite with the
-    // digest (and its flight recorder) off; the delta is the per-event
-    // hashing itself, budgeted far tighter than the monitors.
-    let dig_overhead = digest_overhead.then(|| {
-        eprintln!("measuring digest overhead: reenacting the suite with the digest off...");
-        let mut alt = cfg.clone();
-        alt.digest = false;
-        let off = run_suite(&alt);
-        harness::MonitorOverhead {
-            wall_off_s: off.timing.wall.as_secs_f64(),
-            wall_on_s: result.timing.wall.as_secs_f64(),
-            cpu_off_s: off.timing.cpu_total().as_secs_f64(),
-            cpu_on_s: result.timing.cpu_total().as_secs_f64(),
-        }
-    });
-    // Same A/B shape for the profiler: reenact the identical suite with
-    // the profiler off; seed and configuration are shared, so the delta is
-    // the sampling and telemetry work itself.
-    let prof_overhead = profile_overhead.then(|| {
-        eprintln!("measuring profiler overhead: reenacting the suite with the profiler off...");
-        let mut alt = cfg.clone();
-        alt.profile = false;
-        let off = run_suite(&alt);
-        harness::MonitorOverhead {
-            wall_off_s: off.timing.wall.as_secs_f64(),
-            wall_on_s: result.timing.wall.as_secs_f64(),
-            cpu_off_s: off.timing.cpu_total().as_secs_f64(),
-            cpu_on_s: result.timing.cpu_total().as_secs_f64(),
-        }
-    });
+    let overheads: Vec<(Layer, harness::MonitorOverhead)> = overhead_layers
+        .iter()
+        .map(|&layer| (layer, layer.measure(&cfg, &result)))
+        .collect();
+    let overhead_of = |layer: Layer| overheads.iter().find(|(l, _)| *l == layer).map(|(_, o)| *o);
     let merged_prof = harness::merge_suite_profs(&result.profs);
     let profile_totals =
         merged_prof
@@ -570,7 +569,7 @@ fn suite_main(argv: Vec<String>) {
                 stride: snapshot.stride,
                 events: snapshot.events,
                 attributed_pct: snapshot.attributed_pct(*wall_ns),
-                overhead: prof_overhead,
+                overhead: overhead_of(Layer::Profile),
             });
     if let (Some(format), Some((snapshot, wall_ns, engine))) = (profile, merged_prof.as_ref()) {
         let rendered = match format {
@@ -609,7 +608,12 @@ fn suite_main(argv: Vec<String>) {
         }
     }
     if let Some(path) = bench_path {
-        let report = bench_report_full(&cfg, &result, overhead.as_ref(), profile_totals.as_ref());
+        let report = bench_report_full(
+            &cfg,
+            &result,
+            overhead_of(Layer::Monitor).as_ref(),
+            profile_totals.as_ref(),
+        );
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             if let Err(e) = std::fs::create_dir_all(parent) {
                 eprintln!("failed to create {}: {e}", parent.display());
@@ -654,56 +658,21 @@ fn suite_main(argv: Vec<String>) {
                 }
             }
         }
-    } else if baseline_path.is_some() {
-        eprintln!("--baseline requires --bench-report (nothing to compare)");
-        std::process::exit(2);
     }
-    if let Some(o) = &overhead {
+    for (layer, o) in &overheads {
+        let max_pct = overhead_max_pct.unwrap_or(layer.default_max_pct());
         println!(
-            "monitor overhead: cpu {:.3} s off vs {:.3} s on ({:+.1}%, limit +{:.1}%, \
+            "{} overhead: cpu {:.3} s off vs {:.3} s on ({:+.1}%, limit +{max_pct:.1}%, \
              50 ms noise floor)",
+            layer.name(),
             o.cpu_off_s,
             o.cpu_on_s,
             o.overhead_pct(),
-            overhead_max_pct
         );
-        if !o.within(overhead_max_pct, 0.05) {
+        if !o.within(max_pct, OVERHEAD_NOISE_FLOOR_S) {
             eprintln!(
-                "MONITOR OVERHEAD REGRESSION: {:+.1}% exceeds +{overhead_max_pct:.1}%",
-                o.overhead_pct()
-            );
-            std::process::exit(3);
-        }
-    }
-    if let Some(o) = &dig_overhead {
-        println!(
-            "digest overhead: cpu {:.3} s off vs {:.3} s on ({:+.1}%, limit +{:.1}%, \
-             50 ms noise floor)",
-            o.cpu_off_s,
-            o.cpu_on_s,
-            o.overhead_pct(),
-            digest_overhead_max_pct
-        );
-        if !o.within(digest_overhead_max_pct, 0.05) {
-            eprintln!(
-                "DIGEST OVERHEAD REGRESSION: {:+.1}% exceeds +{digest_overhead_max_pct:.1}%",
-                o.overhead_pct()
-            );
-            std::process::exit(3);
-        }
-    }
-    if let Some(o) = &prof_overhead {
-        println!(
-            "profiler overhead: cpu {:.3} s off vs {:.3} s on ({:+.1}%, limit +{:.1}%, \
-             50 ms noise floor)",
-            o.cpu_off_s,
-            o.cpu_on_s,
-            o.overhead_pct(),
-            profile_overhead_max_pct
-        );
-        if !o.within(profile_overhead_max_pct, 0.05) {
-            eprintln!(
-                "PROFILER OVERHEAD REGRESSION: {:+.1}% exceeds +{profile_overhead_max_pct:.1}%",
+                "{} OVERHEAD REGRESSION: {:+.1}% exceeds +{max_pct:.1}%",
+                layer.name().to_uppercase(),
                 o.overhead_pct()
             );
             std::process::exit(3);
@@ -775,10 +744,7 @@ fn protocol_from_name(name: &str) -> harness::Protocol {
     match name {
         "srm" => harness::Protocol::Srm,
         "cesrm" => harness::Protocol::Cesrm(harness::scale_cesrm_config()),
-        other => {
-            eprintln!("unknown protocol {other:?} (use srm or cesrm)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown protocol {other:?} (use srm or cesrm)")),
     }
 }
 
@@ -855,42 +821,28 @@ fn run_rung_in_process(cfg: &harness::ScaleConfig) -> RungOutcome {
 /// JSON line for the parent `scale` invocation to collect.
 fn scale_rung_main(argv: &[String]) {
     let mut cfg = harness::ScaleConfig::rung(1000);
-    let mut protocol = String::from("cesrm");
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        let mut take = |what: &str| -> u64 {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("{what} requires an integer");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
+    let mut protocol = "cesrm";
+    let mut args = Args(argv.iter());
+    while let Some(flag) = args.next_flag() {
+        match flag {
             "--receivers" => {
-                cfg.receivers = take("--receivers");
+                cfg.receivers = args.parsed(flag, "an integer");
                 cfg.losses = harness::default_losses(cfg.receivers);
             }
-            "--shards" => cfg.shards = take("--shards") as u32,
-            "--seed" => cfg.seed = take("--seed"),
-            "--packets" => cfg.packets = take("--packets"),
-            "--losses" => cfg.losses = take("--losses") as u32,
+            "--shards" => cfg.shards = args.parsed(flag, "an integer"),
+            "--seed" => cfg.seed = args.parsed(flag, "an integer"),
+            "--packets" => cfg.packets = args.parsed(flag, "an integer"),
+            "--losses" => cfg.losses = args.parsed(flag, "an integer"),
             "--monitor" => cfg.monitor = true,
             "--profile" => cfg.profile = true,
             "--digest" => cfg.digest = true,
-            "--protocol" => {
-                protocol = args.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--protocol requires srm or cesrm");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown scale-rung argument: {other}");
-                std::process::exit(2);
-            }
+            "--protocol" => protocol = args.value(flag, "srm or cesrm"),
+            other => usage_error(&format!("unknown scale-rung argument: {other}")),
         }
     }
-    cfg.protocol = protocol_from_name(&protocol);
+    cfg.protocol = protocol_from_name(protocol);
     let o = run_rung_in_process(&cfg);
-    let mut doc = rung_json(&o, &protocol);
+    let mut doc = rung_json(&o, protocol);
     // The folded export and the digest trail fragment ride along only on
     // the child→parent line; they are derived data and stay out of the
     // bench document (and out of the locked `rung_json` key set).
@@ -1160,7 +1112,7 @@ fn scale_bench_doc(rungs: &[RungOutcome], protocol: &str, seed: u64) -> String {
 fn scale_main(argv: &[String]) {
     let mut rungs: Vec<u64> = vec![1_000, 10_000, 100_000, 1_000_000];
     let mut shards: Option<u32> = None;
-    let mut protocol = String::from("cesrm");
+    let mut protocol = "cesrm";
     let mut seed: u64 = 7;
     let mut packets: u64 = 12;
     let mut csv_path: Option<std::path::PathBuf> = None;
@@ -1172,48 +1124,27 @@ fn scale_main(argv: &[String]) {
     let mut profile: Option<ProfFormat> = None;
     let mut profile_out: Option<std::path::PathBuf> = None;
     let mut digest_path: Option<std::path::PathBuf> = None;
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    let mut args = Args(argv.iter());
+    while let Some(flag) = args.next_flag() {
+        match flag {
             "--rungs" => {
-                let list = args.next().expect("--rungs requires e.g. 1000,10000");
-                rungs = list
-                    .split(',')
-                    .map(|t| t.parse().expect("rung receiver counts are integers"))
-                    .collect();
+                rungs = args.list(flag, "receiver counts, e.g. 1000,10000");
+                if rungs.iter().any(|&r| r < 2) {
+                    usage_error("--rungs requires receiver counts of at least 2");
+                }
             }
-            "--shards" => {
-                shards = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--shards requires a count"),
-                );
-            }
-            "--protocol" => {
-                protocol = args
-                    .next()
-                    .cloned()
-                    .expect("--protocol requires srm or cesrm");
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer");
-            }
+            "--shards" => shards = Some(args.parsed(flag, "a count")),
+            "--protocol" => protocol = args.value(flag, "srm or cesrm"),
+            "--seed" => seed = args.parsed(flag, "an integer"),
             "--packets" => {
-                packets = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--packets requires a count");
+                packets = args.parsed(flag, "a positive count");
+                if packets == 0 {
+                    usage_error("--packets requires a positive count");
+                }
             }
-            "--csv" => {
-                csv_path = Some(std::path::PathBuf::from(
-                    args.next().expect("--csv requires a path"),
-                ));
-            }
+            "--csv" => csv_path = Some(args.path(flag)),
             "--bench-report" => {
-                let path = args.next().expect("--bench-report requires a path or -");
+                let path = args.value(flag, "a path or -");
                 bench_path = Some(if path == "-" {
                     std::path::PathBuf::from(format!(
                         "BENCH_SCALE_{}.json",
@@ -1228,40 +1159,18 @@ fn scale_main(argv: &[String]) {
             "--in-process" => in_process = true,
             "--profile" | "--profile=json" => profile = Some(ProfFormat::Json),
             "--profile=folded" => profile = Some(ProfFormat::Folded),
-            "--profile-out" => {
-                profile_out = Some(std::path::PathBuf::from(
-                    args.next().expect("--profile-out requires a path"),
-                ));
-            }
-            "--max-rss-mb" => {
-                max_rss_mb = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--max-rss-mb requires a size in MiB"),
-                );
-            }
-            "--digest" => {
-                digest_path = Some(std::path::PathBuf::from(
-                    args.next().expect("--digest requires an output path"),
-                ));
-            }
-            other => {
-                eprintln!("unknown scale argument: {other}");
-                std::process::exit(2);
-            }
+            "--profile-out" => profile_out = Some(args.path(flag)),
+            "--max-rss-mb" => max_rss_mb = Some(args.parsed(flag, "a size in MiB")),
+            "--digest" => digest_path = Some(args.path(flag)),
+            other => usage_error(&format!("unknown scale argument: {other}")),
         }
     }
-    protocol_from_name(&protocol); // validate early
+    protocol_from_name(protocol); // validate early
     if profile_out.is_some() && profile.is_none() {
-        eprintln!("--profile-out requires --profile (nothing is profiled)");
-        std::process::exit(2);
+        usage_error("--profile-out requires --profile (nothing is profiled)");
     }
     rungs.sort_unstable();
     rungs.dedup();
-    if rungs.is_empty() {
-        eprintln!("--rungs must name at least one receiver count");
-        std::process::exit(2);
-    }
 
     // Monitors need the global event order, so rungs up to 10⁴ receivers
     // default to a single shard (and run monitored); the larger rungs fan
@@ -1282,7 +1191,7 @@ fn scale_main(argv: &[String]) {
         let mut cfg = harness::ScaleConfig::rung(receivers);
         cfg.seed = seed;
         cfg.packets = packets;
-        cfg.protocol = protocol_from_name(&protocol);
+        cfg.protocol = protocol_from_name(protocol);
         cfg.shards = auto_shards(receivers);
         cfg.monitor = receivers <= 10_000 && cfg.shards == 1;
         cfg.profile = profile.is_some();
@@ -1292,7 +1201,7 @@ fn scale_main(argv: &[String]) {
             cfg.shards,
             if cfg.monitor { "on" } else { "off" }
         );
-        let outcome = run_rung(&cfg, &protocol, in_process);
+        let outcome = run_rung(&cfg, protocol, in_process);
 
         // Determinism gate: the smallest rung (and with --check-identity
         // every rung but the largest) reruns at a different shard count;
@@ -1307,7 +1216,7 @@ fn scale_main(argv: &[String]) {
                 "scale rung {receivers}: identity check at {} shard(s)...",
                 alt.shards
             );
-            let alt_outcome = run_rung(&alt, &protocol, in_process);
+            let alt_outcome = run_rung(&alt, protocol, in_process);
             // The digest trail is a much finer identity oracle than the
             // aggregate CSV row: when the trails disagree, the bisector
             // names the first divergent (epoch, node, bucket) window and
@@ -1316,7 +1225,7 @@ fn scale_main(argv: &[String]) {
                 (Some(a), Some(b)) => {
                     let wrap = |frag: &obs::JsonValue| {
                         obs::JsonValue::parse(&harness::scale_digest_doc(
-                            &protocol,
+                            protocol,
                             seed,
                             packets,
                             vec![frag.clone()],
@@ -1420,7 +1329,7 @@ fn scale_main(argv: &[String]) {
         );
     }
     if let Some(path) = &bench_path {
-        let doc = scale_bench_doc(&outcomes, &protocol, seed);
+        let doc = scale_bench_doc(&outcomes, protocol, seed);
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("failed to write {}: {e}", path.display());
             std::process::exit(1);
@@ -1438,7 +1347,7 @@ fn scale_main(argv: &[String]) {
             );
             std::process::exit(1);
         }
-        let doc = harness::scale_digest_doc(&protocol, seed, packets, fragments);
+        let doc = harness::scale_digest_doc(protocol, seed, packets, fragments);
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("failed to write {}: {e}", path.display());
             std::process::exit(1);

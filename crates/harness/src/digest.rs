@@ -37,23 +37,6 @@ use crate::Protocol;
 /// changes.
 pub const DIGEST_SCHEMA: &str = "cesrm-digest/1";
 
-fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn uint(n: u64) -> JsonValue {
-    JsonValue::Num(n as f64)
-}
-
-fn str_val(s: &str) -> JsonValue {
-    JsonValue::Str(s.to_string())
-}
-
 /// 64-bit digests as fixed-width hex strings: the `f64`-backed JSON
 /// number model cannot carry them losslessly.
 fn hex(h: u64) -> JsonValue {
@@ -93,32 +76,32 @@ fn levels_members(snap: &DigestSnapshot) -> Vec<(&'static str, JsonValue)> {
                         .iter()
                         .filter(|l| l.epoch == e && l.node == n)
                         .map(|l| {
-                            obj(vec![
-                                ("bucket", uint(l.bucket)),
+                            JsonValue::obj(vec![
+                                ("bucket", JsonValue::uint(l.bucket)),
                                 ("digest", hex(l.hash)),
-                                ("records", uint(l.count)),
+                                ("records", JsonValue::uint(l.count)),
                             ])
                         })
                         .collect();
-                    obj(vec![
-                        ("node", uint(u64::from(n))),
+                    JsonValue::obj(vec![
+                        ("node", JsonValue::uint(u64::from(n))),
                         ("digest", hex(nd.hash)),
-                        ("records", uint(nd.count)),
+                        ("records", JsonValue::uint(nd.count)),
                         ("buckets", JsonValue::Arr(buckets)),
                     ])
                 })
                 .collect();
-            obj(vec![
-                ("epoch", uint(e)),
+            JsonValue::obj(vec![
+                ("epoch", JsonValue::uint(e)),
                 ("digest", hex(d.hash)),
-                ("records", uint(d.count)),
+                ("records", JsonValue::uint(d.count)),
                 ("nodes", JsonValue::Arr(nodes)),
             ])
         })
         .collect();
     vec![
         ("digest", hex(run.hash)),
-        ("records", uint(run.count)),
+        ("records", JsonValue::uint(run.count)),
         ("epochs", JsonValue::Arr(epochs)),
     ]
 }
@@ -147,27 +130,27 @@ pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
         .iter()
         .map(|d| {
             let mut members = vec![
-                ("trace", uint(d.trace as u64)),
-                ("name", str_val(d.name)),
-                ("protocol", str_val(d.protocol)),
+                ("trace", JsonValue::uint(d.trace as u64)),
+                ("name", JsonValue::str_val(d.name)),
+                ("protocol", JsonValue::str_val(d.protocol)),
             ];
             members.extend(levels_members(&d.snapshot));
-            obj(members)
+            JsonValue::obj(members)
         })
         .collect();
     let granularity = &result.digests[0].snapshot;
-    let doc = obj(vec![
-        ("schema", str_val(DIGEST_SCHEMA)),
-        ("mode", str_val("suite")),
+    let doc = JsonValue::obj(vec![
+        ("schema", JsonValue::str_val(DIGEST_SCHEMA)),
+        ("mode", JsonValue::str_val("suite")),
         (
             "suite",
-            obj(vec![
+            JsonValue::obj(vec![
                 ("scale", JsonValue::Num(cfg.scale)),
-                ("seed", uint(cfg.seed)),
+                ("seed", JsonValue::uint(cfg.seed)),
                 (
                     "traces",
                     cfg.traces.as_ref().map_or(JsonValue::Null, |only| {
-                        JsonValue::Arr(only.iter().map(|&t| uint(t as u64)).collect())
+                        JsonValue::Arr(only.iter().map(|&t| JsonValue::uint(t as u64)).collect())
                     }),
                 ),
                 // Deliberately NOT recorded: the worker count (`--jobs`).
@@ -176,10 +159,10 @@ pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
                 // reproduces the same events at any worker count.
             ]),
         ),
-        ("epoch_ns", uint(granularity.epoch_ns)),
-        ("bucket_ns", uint(granularity.bucket_ns)),
+        ("epoch_ns", JsonValue::uint(granularity.epoch_ns)),
+        ("bucket_ns", JsonValue::uint(granularity.bucket_ns)),
         ("digest", hex(top)),
-        ("records", uint(total)),
+        ("records", JsonValue::uint(total)),
         ("runs", JsonValue::Arr(runs)),
     ]);
     let mut text = doc.to_string_pretty();
@@ -213,10 +196,10 @@ pub fn rung_digest_json(cfg: &ScaleConfig, result: &ScaleResult) -> JsonValue {
         .digest_groups
         .iter()
         .map(|&(g, d)| {
-            obj(vec![
-                ("group", uint(u64::from(g))),
+            JsonValue::obj(vec![
+                ("group", JsonValue::uint(u64::from(g))),
                 ("digest", hex(d.hash)),
-                ("records", uint(d.count)),
+                ("records", JsonValue::uint(d.count)),
             ])
         })
         .collect();
@@ -225,14 +208,14 @@ pub fn rung_digest_json(cfg: &ScaleConfig, result: &ScaleResult) -> JsonValue {
     // determinism oracle. A `reproduce diff` replay runs unsharded; the
     // scale identity check pins each side's shard count itself.
     let mut members = vec![
-        ("receivers", uint(cfg.receivers)),
-        ("losses", uint(u64::from(cfg.losses))),
-        ("epoch_ns", uint(snap.epoch_ns)),
-        ("bucket_ns", uint(snap.bucket_ns)),
+        ("receivers", JsonValue::uint(cfg.receivers)),
+        ("losses", JsonValue::uint(u64::from(cfg.losses))),
+        ("epoch_ns", JsonValue::uint(snap.epoch_ns)),
+        ("bucket_ns", JsonValue::uint(snap.bucket_ns)),
     ];
     members.extend(levels_members(snap));
     members.push(("groups", JsonValue::Arr(groups)));
-    obj(members)
+    JsonValue::obj(members)
 }
 
 /// Wraps per-rung fragments ([`rung_digest_json`]) into the scale-mode
@@ -244,19 +227,19 @@ pub fn scale_digest_doc(protocol: &str, seed: u64, packets: u64, rungs: Vec<Json
         top = fold64(top, parse_hex(r.get("digest")).unwrap_or(0));
         total += r.get("records").and_then(JsonValue::as_u64).unwrap_or(0);
     }
-    let doc = obj(vec![
-        ("schema", str_val(DIGEST_SCHEMA)),
-        ("mode", str_val("scale")),
+    let doc = JsonValue::obj(vec![
+        ("schema", JsonValue::str_val(DIGEST_SCHEMA)),
+        ("mode", JsonValue::str_val("scale")),
         (
             "sweep",
-            obj(vec![
-                ("protocol", str_val(protocol)),
-                ("seed", uint(seed)),
-                ("packets", uint(packets)),
+            JsonValue::obj(vec![
+                ("protocol", JsonValue::str_val(protocol)),
+                ("seed", JsonValue::uint(seed)),
+                ("packets", JsonValue::uint(packets)),
             ]),
         ),
         ("digest", hex(top)),
-        ("records", uint(total)),
+        ("records", JsonValue::uint(total)),
         ("rungs", JsonValue::Arr(rungs)),
     ]);
     let mut text = doc.to_string_pretty();
@@ -1054,7 +1037,7 @@ mod tests {
 
     #[test]
     fn window_sink_keeps_only_the_pinned_window() {
-        let handle = obs::TraceHandle::new(Box::new(WindowSink::new(7, 100, 200)));
+        let handle = obs::Instruments::capture(Box::new(WindowSink::new(7, 100, 200)));
         for r in [
             rec(50, 7, 0),
             rec(150, 7, 1),

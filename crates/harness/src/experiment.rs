@@ -165,65 +165,30 @@ impl RunMetrics {
 /// Reenacts `trace` under `protocol` per the paper's §4.3 methodology and
 /// returns the measurements.
 pub fn run_trace(trace: &Trace, protocol: Protocol, cfg: &ExperimentConfig) -> RunMetrics {
-    run_trace_traced(trace, protocol, cfg, &obs::TraceHandle::off())
+    run_trace_with(trace, protocol, cfg, &obs::Instruments::off()).0
 }
 
-/// Like [`run_trace`], but wires a structured-event trace handle (see the
+/// Like [`run_trace`], but wires the run's observation handle (see the
 /// `obs` crate) into the simulator, the recovery log and every protocol
-/// agent. The handle is owned by this one reenactment — pass
-/// [`obs::TraceHandle::off`] (or call [`run_trace`]) for a zero-cost no-op.
-pub fn run_trace_traced(
+/// agent, and returns the engine's always-on telemetry counters alongside
+/// the measurements. The handle is owned by this one reenactment and is
+/// observation-only; read its event sink, registry, digest, monitor
+/// verdict and profile after the call.
+///
+/// When the handle profiles, the three coarse phases
+/// (`setup`/`run`/`teardown`) are timed exactly here, the engine phases are
+/// stride-sampled inside the simulator, and exact per-phase call totals are
+/// folded in from [`netsim::EngineTelemetry`] after the run
+/// (`docs/PROFILING.md`).
+pub fn run_trace_with(
     trace: &Trace,
     protocol: Protocol,
     cfg: &ExperimentConfig,
-    events: &obs::TraceHandle,
-) -> RunMetrics {
-    run_trace_instrumented(trace, protocol, cfg, events, &obs::MetricsHandle::off())
-}
-
-/// Like [`run_trace_traced`], but additionally wires a runtime-metrics
-/// registry (see [`obs::registry`]) into the simulator, the recovery log
-/// and every protocol agent. Both handles are owned by this one
-/// reenactment; the registry is observation-only and never perturbs the
-/// simulation. Snapshot `metrics` after the call to read the run's
-/// profile.
-pub fn run_trace_instrumented(
-    trace: &Trace,
-    protocol: Protocol,
-    cfg: &ExperimentConfig,
-    events: &obs::TraceHandle,
-    metrics: &obs::MetricsHandle,
-) -> RunMetrics {
-    run_trace_profiled(
-        trace,
-        protocol,
-        cfg,
-        events,
-        metrics,
-        &obs::ProfHandle::off(),
-    )
-    .0
-}
-
-/// Like [`run_trace_instrumented`], but additionally threads a self-profiler
-/// handle (see [`obs::prof`], `docs/PROFILING.md`) through the simulator and
-/// every protocol agent, and returns the engine's always-on telemetry
-/// counters alongside the measurements. The three coarse phases
-/// (`setup`/`run`/`teardown`) are timed exactly here; the engine phases are
-/// stride-sampled inside the simulator; exact per-phase call totals are
-/// folded in from [`netsim::EngineTelemetry`] after the run. Snapshot `prof`
-/// after the call to read the profile.
-pub fn run_trace_profiled(
-    trace: &Trace,
-    protocol: Protocol,
-    cfg: &ExperimentConfig,
-    events: &obs::TraceHandle,
-    metrics: &obs::MetricsHandle,
-    prof: &obs::ProfHandle,
+    handle: &obs::Instruments,
 ) -> (RunMetrics, netsim::EngineTelemetry) {
     use obs::Phase;
 
-    let setup_stamp = prof.begin_exact(Phase::Setup);
+    let setup_stamp = handle.begin_exact(Phase::Setup);
     // §4.2: estimate link loss rates and build the link trace
     // representation driving the loss injection.
     let rates = yajnik_rates(trace);
@@ -236,10 +201,6 @@ pub fn run_trace_profiled(
     let net = cfg.net.with_router_assist(router_assist);
     let mut sim = Simulator::new(tree.clone(), net);
     sim.set_scheduler(cfg.scheduler);
-    sim.set_profiler(prof.clone());
-    // Re-bind the trace handle with the profiler attached so monitor feeds
-    // are attributed to the `monitor_feed` phase.
-    let events = &events.clone().with_prof(prof.clone());
     if cfg.lossy_recovery {
         sim.set_loss(Box::new(ProbabilisticLoss::new(
             TraceLoss::new(plan),
@@ -248,11 +209,9 @@ pub fn run_trace_profiled(
     } else {
         sim.set_loss(Box::new(TraceLoss::new(plan)));
     }
-    sim.set_trace(events.clone());
-    sim.set_metrics(metrics);
+    sim.set_obs(handle.clone());
     let log = RecoveryLog::shared();
-    log.borrow_mut().set_trace(events.clone());
-    log.borrow_mut().set_metrics(metrics);
+    log.borrow_mut().set_obs(handle.clone());
     let collector = Rc::new(RefCell::new(TrafficCollector::new()));
     sim.set_observer(Box::new(Rc::clone(&collector)));
 
@@ -270,19 +229,14 @@ pub fn run_trace_profiled(
                 source,
                 Box::new(
                     SrmAgent::source(source, params, source_cfg, log.clone())
-                        .with_trace(events.clone())
-                        .with_metrics(metrics)
-                        .with_prof(prof.clone()),
+                        .with_obs(handle.clone()),
                 ),
             );
             for &r in tree.receivers() {
                 sim.attach_agent(
                     r,
                     Box::new(
-                        SrmAgent::receiver(r, source, params, log.clone())
-                            .with_trace(events.clone())
-                            .with_metrics(metrics)
-                            .with_prof(prof.clone()),
+                        SrmAgent::receiver(r, source, params, log.clone()).with_obs(handle.clone()),
                     ),
                 );
             }
@@ -292,44 +246,29 @@ pub fn run_trace_profiled(
                 source,
                 Box::new(
                     CesrmAgent::source(source, ccfg, source_cfg, log.clone())
-                        .with_trace(events.clone())
-                        .with_metrics(metrics)
-                        .with_prof(prof.clone()),
+                        .with_obs(handle.clone()),
                 ),
             );
             for &r in tree.receivers() {
                 sim.attach_agent(
                     r,
                     Box::new(
-                        CesrmAgent::receiver(r, source, ccfg, log.clone())
-                            .with_trace(events.clone())
-                            .with_metrics(metrics)
-                            .with_prof(prof.clone()),
+                        CesrmAgent::receiver(r, source, ccfg, log.clone()).with_obs(handle.clone()),
                     ),
                 );
             }
         }
     }
-    prof.end(Phase::Setup, setup_stamp);
+    handle.end(Phase::Setup, setup_stamp);
     let end = SimTime::ZERO + cfg.warmup + period * trace.packets() as u32 + cfg.drain;
-    let run_stamp = prof.begin_exact(Phase::Run);
+    let run_stamp = handle.begin_exact(Phase::Run);
     sim.run_until(end);
-    prof.end(Phase::Run, run_stamp);
+    handle.end(Phase::Run, run_stamp);
     let events_processed = sim.events_processed();
-
-    // Exact per-phase call totals come from the engine's always-on
-    // telemetry counters, not per-call increments on the hot path: the
-    // sampled timings recorded during the run are scaled by these totals
-    // when the snapshot estimates per-phase time (see `obs::prof`).
     let telemetry = sim.telemetry();
-    prof.add_calls(Phase::QueuePop, telemetry.queue.pops);
-    prof.add_calls(Phase::QueuePush, telemetry.queue.pushes);
-    prof.add_calls(Phase::LossDraw, telemetry.transmits);
-    prof.add_calls(Phase::Transmit, telemetry.transmits);
-    prof.add_calls(Phase::FanOut, telemetry.fan_outs);
-    prof.add_calls(Phase::Deliver, telemetry.deliveries);
+    crate::observe::fold_engine_calls(handle, &telemetry);
 
-    let teardown_stamp = prof.begin_exact(Phase::Teardown);
+    let teardown_stamp = handle.begin_exact(Phase::Teardown);
     let log = log.borrow();
     let collector = collector.borrow();
     let mut nodes = vec![source];
@@ -380,7 +319,7 @@ pub fn run_trace_profiled(
         expedited_reply_crossings: collector.crossings_any_cast(PacketKind::ExpeditedReply),
         events_processed,
     };
-    prof.end(Phase::Teardown, teardown_stamp);
+    handle.end(Phase::Teardown, teardown_stamp);
     (metrics_out, telemetry)
 }
 

@@ -29,57 +29,39 @@ use crate::suite::{RunHealth, SuiteConfig, SuiteResult};
 /// changes.
 pub const HEALTH_SCHEMA: &str = "cesrm-health/1";
 
-fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn uint(n: u64) -> JsonValue {
-    JsonValue::Num(n as f64)
-}
-
-fn opt_uint(n: Option<u64>) -> JsonValue {
-    n.map_or(JsonValue::Null, uint)
-}
-
-fn str_val(s: &str) -> JsonValue {
-    JsonValue::Str(s.to_string())
-}
-
 fn timeline_json(tl: &RecoveryTimeline) -> JsonValue {
-    obj(vec![
-        ("receiver", uint(tl.receiver as u64)),
-        ("seq", uint(tl.seq)),
+    JsonValue::obj(vec![
+        ("receiver", JsonValue::uint(tl.receiver as u64)),
+        ("seq", JsonValue::uint(tl.seq)),
         (
             "dropped",
             tl.dropped.map_or(JsonValue::Null, |(t_ns, link_to)| {
-                obj(vec![
-                    ("t_ns", uint(t_ns)),
-                    ("link_to", uint(link_to as u64)),
+                JsonValue::obj(vec![
+                    ("t_ns", JsonValue::uint(t_ns)),
+                    ("link_to", JsonValue::uint(link_to as u64)),
                 ])
             }),
         ),
-        ("detected_ns", uint(tl.detected_ns)),
-        ("first_request_ns", opt_uint(tl.first_request_ns)),
-        ("expedited_request_ns", opt_uint(tl.expedited_request_ns)),
-        ("recovered_ns", opt_uint(tl.recovered_ns)),
-        ("requests", uint(tl.requests as u64)),
-        ("path", str_val(tl.path.as_str())),
+        ("detected_ns", JsonValue::uint(tl.detected_ns)),
+        ("first_request_ns", JsonValue::opt_uint(tl.first_request_ns)),
+        (
+            "expedited_request_ns",
+            JsonValue::opt_uint(tl.expedited_request_ns),
+        ),
+        ("recovered_ns", JsonValue::opt_uint(tl.recovered_ns)),
+        ("requests", JsonValue::uint(tl.requests as u64)),
+        ("path", JsonValue::str_val(tl.path.as_str())),
     ])
 }
 
 fn violation_json(v: &Violation) -> JsonValue {
-    obj(vec![
-        ("invariant", str_val(v.invariant.id())),
-        ("name", str_val(v.invariant.name())),
-        ("t_ns", uint(v.t_ns)),
-        ("node", uint(v.node as u64)),
-        ("seq", opt_uint(v.seq)),
-        ("detail", str_val(&v.detail)),
+    JsonValue::obj(vec![
+        ("invariant", JsonValue::str_val(v.invariant.id())),
+        ("name", JsonValue::str_val(v.invariant.name())),
+        ("t_ns", JsonValue::uint(v.t_ns)),
+        ("node", JsonValue::uint(v.node as u64)),
+        ("seq", JsonValue::opt_uint(v.seq)),
+        ("detail", JsonValue::str_val(&v.detail)),
         (
             "timeline",
             v.timeline.as_ref().map_or(JsonValue::Null, timeline_json),
@@ -89,35 +71,38 @@ fn violation_json(v: &Violation) -> JsonValue {
 
 fn run_json(h: &RunHealth) -> JsonValue {
     let s = &h.report.stats;
-    obj(vec![
-        ("trace", uint(h.trace as u64)),
-        ("name", str_val(h.name)),
-        ("protocol", str_val(h.protocol)),
+    JsonValue::obj(vec![
+        ("trace", JsonValue::uint(h.trace as u64)),
+        ("name", JsonValue::str_val(h.name)),
+        ("protocol", JsonValue::str_val(h.protocol)),
         ("healthy", JsonValue::Bool(h.report.is_healthy())),
         (
             "stats",
-            obj(vec![
-                ("events", uint(s.events)),
-                ("violations", uint(s.violations)),
-                ("anomalies", uint(s.anomalies)),
-                ("losses", uint(s.losses)),
-                ("recovered", uint(s.recovered)),
-                ("unrecovered", uint(s.unrecovered)),
-                ("spurious", uint(s.spurious)),
-                ("expedited", uint(s.expedited)),
-                ("fallback", uint(s.fallback)),
-                ("requests_sent", uint(s.requests_sent)),
-                ("requests_suppressed", uint(s.requests_suppressed)),
-                ("replies_sent", uint(s.replies_sent)),
-                ("replies_suppressed", uint(s.replies_suppressed)),
-                ("expedited_requests", uint(s.expedited_requests)),
-                ("expedited_replies", uint(s.expedited_replies)),
-                ("cache_hits", uint(s.cache_hits)),
-                ("cache_misses", uint(s.cache_misses)),
-                ("cache_updates", uint(s.cache_updates)),
-                ("latency_p50_ns", opt_uint(s.latency_p50_ns)),
-                ("latency_p99_ns", opt_uint(s.latency_p99_ns)),
-                ("latency_max_ns", opt_uint(s.latency_max_ns)),
+            JsonValue::obj(vec![
+                ("events", JsonValue::uint(s.events)),
+                ("violations", JsonValue::uint(s.violations)),
+                ("anomalies", JsonValue::uint(s.anomalies)),
+                ("losses", JsonValue::uint(s.losses)),
+                ("recovered", JsonValue::uint(s.recovered)),
+                ("unrecovered", JsonValue::uint(s.unrecovered)),
+                ("spurious", JsonValue::uint(s.spurious)),
+                ("expedited", JsonValue::uint(s.expedited)),
+                ("fallback", JsonValue::uint(s.fallback)),
+                ("requests_sent", JsonValue::uint(s.requests_sent)),
+                (
+                    "requests_suppressed",
+                    JsonValue::uint(s.requests_suppressed),
+                ),
+                ("replies_sent", JsonValue::uint(s.replies_sent)),
+                ("replies_suppressed", JsonValue::uint(s.replies_suppressed)),
+                ("expedited_requests", JsonValue::uint(s.expedited_requests)),
+                ("expedited_replies", JsonValue::uint(s.expedited_replies)),
+                ("cache_hits", JsonValue::uint(s.cache_hits)),
+                ("cache_misses", JsonValue::uint(s.cache_misses)),
+                ("cache_updates", JsonValue::uint(s.cache_updates)),
+                ("latency_p50_ns", JsonValue::opt_uint(s.latency_p50_ns)),
+                ("latency_p99_ns", JsonValue::opt_uint(s.latency_p99_ns)),
+                ("latency_max_ns", JsonValue::opt_uint(s.latency_max_ns)),
             ]),
         ),
         (
@@ -131,12 +116,12 @@ fn run_json(h: &RunHealth) -> JsonValue {
                     .anomalies
                     .iter()
                     .map(|a| {
-                        obj(vec![
-                            ("kind", str_val(a.kind.name())),
-                            ("t_ns", uint(a.t_ns)),
-                            ("node", uint(a.node as u64)),
-                            ("seq", uint(a.seq)),
-                            ("detail", str_val(&a.detail)),
+                        JsonValue::obj(vec![
+                            ("kind", JsonValue::str_val(a.kind.name())),
+                            ("t_ns", JsonValue::uint(a.t_ns)),
+                            ("node", JsonValue::uint(a.node as u64)),
+                            ("seq", JsonValue::uint(a.seq)),
+                            ("detail", JsonValue::str_val(&a.detail)),
                         ])
                     })
                     .collect(),
@@ -170,7 +155,7 @@ pub fn health_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
                 .flat_map(|h| &h.report.violations)
                 .filter(|v| v.invariant == *inv)
                 .count();
-            (inv.id().to_string(), uint(n as u64))
+            (inv.id().to_string(), JsonValue::uint(n as u64))
         })
         .collect();
 
@@ -181,32 +166,32 @@ pub fn health_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
             .map(|h| f(&h.report.stats))
             .sum::<u64>()
     };
-    let doc = obj(vec![
-        ("schema", str_val(HEALTH_SCHEMA)),
+    let doc = JsonValue::obj(vec![
+        ("schema", JsonValue::str_val(HEALTH_SCHEMA)),
         (
             "suite",
-            obj(vec![
+            JsonValue::obj(vec![
                 ("scale", JsonValue::Num(cfg.scale)),
-                ("seed", uint(cfg.seed)),
+                ("seed", JsonValue::uint(cfg.seed)),
                 (
                     "traces",
                     cfg.traces.as_ref().map_or(JsonValue::Null, |only| {
-                        JsonValue::Arr(only.iter().map(|&t| uint(t as u64)).collect())
+                        JsonValue::Arr(only.iter().map(|&t| JsonValue::uint(t as u64)).collect())
                     }),
                 ),
             ]),
         ),
         (
             "totals",
-            obj(vec![
-                ("runs", uint(result.health.len() as u64)),
-                ("events", uint(stat_sum(|s| s.events))),
-                ("losses", uint(stat_sum(|s| s.losses))),
-                ("recovered", uint(stat_sum(|s| s.recovered))),
-                ("unrecovered", uint(stat_sum(|s| s.unrecovered))),
-                ("spurious", uint(stat_sum(|s| s.spurious))),
-                ("violations", uint(result.total_violations())),
-                ("anomalies", uint(result.total_anomalies())),
+            JsonValue::obj(vec![
+                ("runs", JsonValue::uint(result.health.len() as u64)),
+                ("events", JsonValue::uint(stat_sum(|s| s.events))),
+                ("losses", JsonValue::uint(stat_sum(|s| s.losses))),
+                ("recovered", JsonValue::uint(stat_sum(|s| s.recovered))),
+                ("unrecovered", JsonValue::uint(stat_sum(|s| s.unrecovered))),
+                ("spurious", JsonValue::uint(stat_sum(|s| s.spurious))),
+                ("violations", JsonValue::uint(result.total_violations())),
+                ("anomalies", JsonValue::uint(result.total_anomalies())),
                 ("by_invariant", JsonValue::Obj(by_invariant)),
             ]),
         ),

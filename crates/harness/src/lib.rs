@@ -28,7 +28,7 @@
 //! ```
 //!
 //! `--trace FILE` additionally captures every run's structured recovery
-//! events (the `obs` crate; [`run_trace_traced`], [`SuiteConfig`]'s
+//! events (the `obs` crate; [`run_trace_with`], [`SuiteConfig`]'s
 //! `capture_events`) as JSONL and prints the provenance coverage plus the
 //! slowest recoveries ([`tracing`]); schema in `docs/TRACING.md`.
 //!
@@ -52,6 +52,7 @@ mod csv;
 pub mod digest;
 mod experiment;
 pub mod health;
+mod observe;
 mod prof_report;
 mod render;
 pub mod runner;
@@ -70,8 +71,7 @@ pub use digest::{
     write_suite_digest, DiffOutcome, Divergence, ReplaySpec, WindowSink, DIGEST_SCHEMA,
 };
 pub use experiment::{
-    run_trace, run_trace_instrumented, run_trace_profiled, run_trace_traced, ExperimentConfig,
-    Protocol, RecoverySample, RunMetrics,
+    run_trace, run_trace_with, ExperimentConfig, Protocol, RecoverySample, RunMetrics,
 };
 pub use health::{health_json, health_text, write_health, HEALTH_SCHEMA};
 pub use prof_report::{

@@ -43,56 +43,43 @@ pub const PROF_VOLATILE_FIELDS: &[&str] = &[
     "imbalance_ratio",
 ];
 
-fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn uint(n: u64) -> JsonValue {
-    JsonValue::Num(n as f64)
-}
-
 fn engine_json(e: &netsim::EngineTelemetry) -> JsonValue {
-    obj(vec![
+    JsonValue::obj(vec![
         (
             "queue",
-            obj(vec![
-                ("pushes", uint(e.queue.pushes)),
-                ("pops", uint(e.queue.pops)),
-                ("far_pushes", uint(e.queue.far_pushes)),
-                ("promotions", uint(e.queue.promotions)),
-                ("max_bucket_len", uint(e.queue.max_bucket_len)),
-                ("advances", uint(e.queue.advances)),
-                ("skip_ticks", uint(e.queue.skip_ticks)),
-                ("max_skip_ticks", uint(e.queue.max_skip_ticks)),
+            JsonValue::obj(vec![
+                ("pushes", JsonValue::uint(e.queue.pushes)),
+                ("pops", JsonValue::uint(e.queue.pops)),
+                ("far_pushes", JsonValue::uint(e.queue.far_pushes)),
+                ("promotions", JsonValue::uint(e.queue.promotions)),
+                ("max_bucket_len", JsonValue::uint(e.queue.max_bucket_len)),
+                ("advances", JsonValue::uint(e.queue.advances)),
+                ("skip_ticks", JsonValue::uint(e.queue.skip_ticks)),
+                ("max_skip_ticks", JsonValue::uint(e.queue.max_skip_ticks)),
             ]),
         ),
         (
             "arena",
-            obj(vec![
-                ("allocs", uint(e.arena.allocs)),
-                ("recycled", uint(e.arena.recycled)),
-                ("high_water", uint(e.arena.high_water)),
+            JsonValue::obj(vec![
+                ("allocs", JsonValue::uint(e.arena.allocs)),
+                ("recycled", JsonValue::uint(e.arena.recycled)),
+                ("high_water", JsonValue::uint(e.arena.high_water)),
             ]),
         ),
         (
             "loss",
             e.loss.map_or(JsonValue::Null, |l| {
-                obj(vec![
-                    ("dwell_samples", uint(l.dwell_samples)),
-                    ("dwell_sum", uint(l.dwell_sum)),
-                    ("dwell_max", uint(l.dwell_max)),
+                JsonValue::obj(vec![
+                    ("dwell_samples", JsonValue::uint(l.dwell_samples)),
+                    ("dwell_sum", JsonValue::uint(l.dwell_sum)),
+                    ("dwell_max", JsonValue::uint(l.dwell_max)),
                 ])
             }),
         ),
-        ("transmits", uint(e.transmits)),
-        ("deliveries", uint(e.deliveries)),
-        ("fan_outs", uint(e.fan_outs)),
-        ("events", uint(e.events)),
+        ("transmits", JsonValue::uint(e.transmits)),
+        ("deliveries", JsonValue::uint(e.deliveries)),
+        ("fan_outs", JsonValue::uint(e.fan_outs)),
+        ("events", JsonValue::uint(e.events)),
     ])
 }
 
@@ -102,14 +89,14 @@ fn phases_json(snapshot: &ProfSnapshot) -> JsonValue {
             .iter()
             .map(|&phase| {
                 let t = snapshot.phase(phase);
-                obj(vec![
+                JsonValue::obj(vec![
                     ("phase", JsonValue::Str(phase.name().to_string())),
                     ("stack", JsonValue::Str(phase.stack())),
-                    ("calls", uint(t.calls)),
-                    ("timed", uint(t.timed)),
-                    ("sampled_ns", uint(t.nanos)),
-                    ("est_ns", uint(snapshot.estimated_nanos(phase))),
-                    ("self_ns", uint(snapshot.self_nanos(phase))),
+                    ("calls", JsonValue::uint(t.calls)),
+                    ("timed", JsonValue::uint(t.timed)),
+                    ("sampled_ns", JsonValue::uint(t.nanos)),
+                    ("est_ns", JsonValue::uint(snapshot.estimated_nanos(phase))),
+                    ("self_ns", JsonValue::uint(snapshot.self_nanos(phase))),
                 ])
             })
             .collect(),
@@ -132,23 +119,23 @@ pub fn prof_json(
         shards
             .iter()
             .map(|a| {
-                obj(vec![
-                    ("shard", uint(u64::from(a.shard))),
-                    ("epochs", uint(a.epochs)),
-                    ("busy_ns", uint(a.busy_ns)),
-                    ("barrier_ns", uint(a.barrier_ns)),
-                    ("packets_sent", uint(a.packets_sent)),
-                    ("packets_received", uint(a.packets_received)),
+                JsonValue::obj(vec![
+                    ("shard", JsonValue::uint(u64::from(a.shard))),
+                    ("epochs", JsonValue::uint(a.epochs)),
+                    ("busy_ns", JsonValue::uint(a.busy_ns)),
+                    ("barrier_ns", JsonValue::uint(a.barrier_ns)),
+                    ("packets_sent", JsonValue::uint(a.packets_sent)),
+                    ("packets_received", JsonValue::uint(a.packets_received)),
                 ])
             })
             .collect(),
     );
     let imbalance = imbalance_ratio(shards);
-    let doc = obj(vec![
+    let doc = JsonValue::obj(vec![
         ("schema", JsonValue::Str(PROF_SCHEMA.to_string())),
-        ("stride", uint(snapshot.stride)),
-        ("events", uint(snapshot.events)),
-        ("wall_ns", wall_ns.map_or(JsonValue::Null, uint)),
+        ("stride", JsonValue::uint(snapshot.stride)),
+        ("events", JsonValue::uint(snapshot.events)),
+        ("wall_ns", wall_ns.map_or(JsonValue::Null, JsonValue::uint)),
         (
             "attributed_pct",
             wall_ns.map_or(JsonValue::Null, |w| {
@@ -211,24 +198,8 @@ pub fn merge_suite_profs(
 /// (and, for scale runs, at a fixed shard count).
 pub fn strip_prof_volatile(json: &str) -> Result<String, String> {
     let mut doc = JsonValue::parse(json)?;
-    scrub(&mut doc);
+    doc.scrub(PROF_VOLATILE_FIELDS);
     Ok(doc.to_string_compact())
-}
-
-fn scrub(v: &mut JsonValue) {
-    match v {
-        JsonValue::Obj(members) => {
-            for (k, v) in members.iter_mut() {
-                if PROF_VOLATILE_FIELDS.contains(&k.as_str()) {
-                    *v = JsonValue::Null;
-                } else {
-                    scrub(v);
-                }
-            }
-        }
-        JsonValue::Arr(items) => items.iter_mut().for_each(scrub),
-        _ => {}
-    }
 }
 
 #[cfg(test)]

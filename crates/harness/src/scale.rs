@@ -47,6 +47,7 @@ use rand::rngs::StdRng;
 use srm::{SourceConfig, SrmAgent, SrmParams};
 use topology::{scale_tree, LinkId, MulticastTree, NodeId, ScaleShape, ScaleTree};
 
+use crate::observe::{fold_engine_calls, instruments};
 use crate::Protocol;
 
 /// SRM parameters for scale runs: the paper's §4.3 settings with a 2 s
@@ -478,8 +479,8 @@ pub fn build_assignment(tree: &MulticastTree, shards: u16) -> Vec<u16> {
 }
 
 /// What one shard worker ships back to the coordinating thread. Protocol
-/// agents and the recovery log hold `Rc`-based trace handles and are not
-/// `Send`, so workers extract the plain-data measurements before exiting.
+/// agents and the recovery log hold the `Rc`-based observation handle and
+/// are not `Send`, so workers extract the plain-data measurements before exiting.
 struct ShardOutcome {
     events: u64,
     records: Vec<RecoveryRecord>,
@@ -699,19 +700,49 @@ fn run_shard(
     barrier: &Barrier,
     mailboxes: &Mailboxes,
 ) -> ShardOutcome {
-    let prof = if cfg.profile {
-        obs::ProfHandle::new()
-    } else {
-        obs::ProfHandle::off()
-    };
-    let setup_stamp = prof.begin_exact(obs::Phase::Setup);
+    // Monitors replay the structured event stream and assume the global
+    // event order, which only the unsharded runner produces.
+    let monitored = cfg.monitor && shards == 1;
+    let handle = instruments(
+        obs::Setup {
+            // A pinned capture window attaches a filtering sink; the
+            // filter is observation-only, so measurements are unaffected.
+            sink: cfg.capture_window.map(|(node, lo, hi)| {
+                Box::new(crate::digest::WindowSink::new(node, lo, hi)) as Box<dyn obs::EventSink>
+            }),
+            monitors: monitored.then(obs::MonitorSet::standard),
+            // Epoch width = the sharding lookahead (a pure function of the
+            // topology, identical at any shard count); bucket width = the
+            // finer of the default bucket and one epoch, so every epoch has
+            // at least one bucket to bisect into.
+            digest: cfg.digest.then(|| {
+                obs::DigestRecorder::new(lookahead_ns, obs::DEFAULT_BUCKET_NS.min(lookahead_ns))
+            }),
+            profile: cfg.profile,
+            ..obs::Setup::default()
+        },
+        || {
+            format!(
+                "scale rung {} receivers / {}, shard {}/{}, seed {}",
+                cfg.receivers,
+                match cfg.protocol {
+                    Protocol::Srm => "SRM",
+                    Protocol::Cesrm(_) => "CESRM",
+                },
+                me,
+                shards,
+                cfg.seed
+            )
+        },
+    );
+    let setup_stamp = handle.begin_exact(obs::Phase::Setup);
     let router_assist = matches!(cfg.protocol, Protocol::Cesrm(c) if c.router_assist);
     let net = NetConfig::default()
         .with_seed(cfg.seed)
         .with_router_assist(router_assist);
     let mut sim = Simulator::new_shared(Arc::clone(tree), net);
     sim.enable_sharding(Arc::clone(assign), me);
-    sim.set_profiler(prof.clone());
+    sim.set_obs(handle.clone());
     for (i, &delay) in delays.iter().enumerate().skip(1) {
         sim.set_link_delay(LinkId(NodeId(i as u32)), SimDuration::from_nanos(delay));
     }
@@ -727,51 +758,7 @@ fn run_shard(
     let log = RecoveryLog::shared();
     let collector = Rc::new(RefCell::new(TrafficCollector::new()));
     sim.set_observer(Box::new(Rc::clone(&collector)));
-    // Monitors replay the structured event stream and assume the global
-    // event order, which only the unsharded runner produces.
-    let monitored = cfg.monitor && shards == 1;
-    // A pinned capture window swaps the no-op sink for a filtering one;
-    // the filter is observation-only, so measurements are unaffected.
-    let mut events_handle = match cfg.capture_window {
-        Some((node, lo, hi)) => {
-            obs::TraceHandle::new(Box::new(crate::digest::WindowSink::new(node, lo, hi)))
-        }
-        None => obs::TraceHandle::off(),
-    };
-    if monitored {
-        events_handle = events_handle.with_monitors(obs::MonitorSet::standard());
-    }
-    if cfg.digest {
-        // Epoch width = the sharding lookahead (a pure function of the
-        // topology, identical at any shard count); bucket width = the
-        // finer of the default bucket and one epoch, so every epoch has at
-        // least one bucket to bisect into.
-        events_handle = events_handle.with_digest(obs::DigestRecorder::new(
-            lookahead_ns,
-            obs::DEFAULT_BUCKET_NS.min(lookahead_ns),
-        ));
-    }
-    if cfg.digest || monitored {
-        events_handle = events_handle.with_flight(obs::FlightRecorder::new(
-            obs::FLIGHT_CAPACITY,
-            format!(
-                "scale rung {} receivers / {}, shard {}/{}, seed {}",
-                cfg.receivers,
-                match cfg.protocol {
-                    Protocol::Srm => "SRM",
-                    Protocol::Cesrm(_) => "CESRM",
-                },
-                me,
-                shards,
-                cfg.seed
-            ),
-        ));
-    }
-    if let Some(flight) = events_handle.flight() {
-        obs::flight::set_current(flight);
-    }
-    sim.set_trace(events_handle.clone());
-    log.borrow_mut().set_trace(events_handle.clone());
+    log.borrow_mut().set_obs(handle.clone());
 
     let source = tree.root();
     let source_cfg = SourceConfig {
@@ -785,16 +772,14 @@ fn run_shard(
                 source,
                 Box::new(
                     SrmAgent::source(source, scale_srm_params(), source_cfg, log.clone())
-                        .with_trace(events_handle.clone())
-                        .with_prof(prof.clone()),
+                        .with_obs(handle.clone()),
                 ),
             ),
             Protocol::Cesrm(ccfg) => sim.attach_agent(
                 source,
                 Box::new(
                     CesrmAgent::source(source, ccfg, source_cfg, log.clone())
-                        .with_trace(events_handle.clone())
-                        .with_prof(prof.clone()),
+                        .with_obs(handle.clone()),
                 ),
             ),
         }
@@ -807,9 +792,8 @@ fn run_shard(
         match cfg.protocol {
             Protocol::Srm => {
                 let params = widen_receiver_default(scale_srm_params());
-                let mut a = SrmAgent::receiver(r, source, params, log.clone())
-                    .with_trace(events_handle.clone())
-                    .with_prof(prof.clone());
+                let mut a =
+                    SrmAgent::receiver(r, source, params, log.clone()).with_obs(handle.clone());
                 a.core_mut().set_sessions_enabled(false);
                 a.core_mut().seed_distance(source, dist);
                 sim.attach_agent(r, Box::new(a));
@@ -819,9 +803,8 @@ fn run_shard(
                     srm: widen_receiver_default(ccfg.srm),
                     ..ccfg
                 };
-                let mut a = CesrmAgent::receiver(r, source, rcfg, log.clone())
-                    .with_trace(events_handle.clone())
-                    .with_prof(prof.clone());
+                let mut a =
+                    CesrmAgent::receiver(r, source, rcfg, log.clone()).with_obs(handle.clone());
                 a.core_mut().set_sessions_enabled(false);
                 a.core_mut().seed_distance(source, dist);
                 sim.attach_agent(r, Box::new(a));
@@ -834,8 +817,8 @@ fn run_shard(
         shard: u32::from(me),
         ..ShardAccounting::default()
     };
-    prof.end(obs::Phase::Setup, setup_stamp);
-    let run_stamp = prof.begin_exact(obs::Phase::Run);
+    handle.end(obs::Phase::Setup, setup_stamp);
+    let run_stamp = handle.begin_exact(obs::Phase::Run);
     if shards == 1 {
         // simlint: allow(D002, reason = "per-shard busy-time accounting for the imbalance report; never feeds simulation state")
         let busy = Instant::now();
@@ -885,26 +868,14 @@ fn run_shard(
         }
         accounting.epochs = epoch;
     }
-    prof.end(obs::Phase::Run, run_stamp);
-    // Exact per-phase call totals come from the engine's always-on
-    // telemetry, exactly as in the suite path (see
-    // `run_trace_profiled`).
+    handle.end(obs::Phase::Run, run_stamp);
     let engine = sim.telemetry();
-    prof.add_calls(obs::Phase::QueuePop, engine.queue.pops);
-    prof.add_calls(obs::Phase::QueuePush, engine.queue.pushes);
-    prof.add_calls(obs::Phase::LossDraw, engine.transmits);
-    prof.add_calls(obs::Phase::Transmit, engine.transmits);
-    prof.add_calls(obs::Phase::FanOut, engine.fan_outs);
-    prof.add_calls(obs::Phase::Deliver, engine.deliveries);
-    let teardown_stamp = prof.begin_exact(obs::Phase::Teardown);
+    fold_engine_calls(&handle, &engine);
+    let teardown_stamp = handle.begin_exact(obs::Phase::Teardown);
 
-    let violations = if monitored {
-        events_handle
-            .finish_monitors()
-            .map(|report| report.stats.violations)
-    } else {
-        None
-    };
+    let violations = handle
+        .finish_monitors()
+        .map(|report| report.stats.violations);
     let mut state_bytes = 0u64;
     for i in 0..tree.len() {
         if assign[i] != me {
@@ -919,14 +890,10 @@ fn run_shard(
     }
     let records: Vec<RecoveryRecord> = log.borrow().records().copied().collect();
     let traffic = mem::replace(&mut *collector.borrow_mut(), TrafficCollector::new());
-    let digest = events_handle.digest_snapshot();
-    let window = if cfg.capture_window.is_some() {
-        events_handle.drain()
-    } else {
-        Vec::new()
-    };
+    let digest = handle.digest_snapshot();
+    let window = handle.drain();
     obs::flight::clear_current();
-    prof.end(obs::Phase::Teardown, teardown_stamp);
+    handle.end(obs::Phase::Teardown, teardown_stamp);
     ShardOutcome {
         events: sim.events_processed(),
         records,
@@ -934,7 +901,7 @@ fn run_shard(
         state_bytes,
         violations,
         accounting,
-        prof: cfg.profile.then(|| prof.snapshot()),
+        prof: cfg.profile.then(|| handle.prof_snapshot()),
         engine: cfg.profile.then_some(engine),
         digest,
         window,

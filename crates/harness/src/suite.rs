@@ -4,8 +4,9 @@ use cesrm::CesrmConfig;
 use netsim::SimDuration;
 use traces::{table1, LossStats, TraceSpec};
 
+use crate::observe::instruments;
 use crate::runner::{resolve_jobs, run_indexed, RunTiming, SuiteTiming};
-use crate::{run_trace_profiled, ExperimentConfig, Protocol, RunMetrics};
+use crate::{run_trace_with, ExperimentConfig, Protocol, RunMetrics};
 
 /// Configuration of a full evaluation-suite run over the Table-1 traces.
 #[derive(Clone, PartialEq, Debug)]
@@ -33,8 +34,8 @@ pub struct SuiteConfig {
     /// worker count and the measured `pairs` stay byte-identical to a
     /// capture-off run.
     pub capture_events: bool,
-    /// When `true`, every reenactment self-profiles through a per-run
-    /// [`obs::MetricsHandle`] (simulator event/timer/packet counts, SRM
+    /// When `true`, every reenactment self-profiles through its per-run
+    /// metrics registry (simulator event/timer/packet counts, SRM
     /// suppression outcomes, CESRM cache traffic, recovery lifecycle) into
     /// [`SuiteResult::profiles`]. Like event capture, each run owns its
     /// registry, so profiling is race-free under any worker count and the
@@ -48,9 +49,9 @@ pub struct SuiteConfig {
     /// checking is race-free under any worker count and the measured
     /// `pairs` stay byte-identical to a monitors-off run.
     pub monitor: bool,
-    /// When `true`, every reenactment self-profiles through a per-run
-    /// [`obs::ProfHandle`] (stride-sampled phase timings plus the engine's
-    /// always-on telemetry counters; see `docs/PROFILING.md`) into
+    /// When `true`, every reenactment runs the in-sim self-profiler
+    /// (stride-sampled phase timings plus the engine's always-on
+    /// telemetry counters; see `docs/PROFILING.md`) into
     /// [`SuiteResult::profs`]. Each run owns its handle (`!Send` by
     /// design), so profiling is race-free under any worker count and the
     /// measured `pairs` stay byte-identical to a profiler-off run.
@@ -445,63 +446,31 @@ impl RunJob {
             Protocol::Srm => "SRM",
             Protocol::Cesrm(_) => "CESRM",
         };
-        // Each capturing run owns its sink (the handle is `!Send` by
-        // design), so worker threads never share event state. Monitors
-        // ride the same handle: they observe each record at emit time and
-        // hold all their state per-run, so checking composes with capture
-        // and stays race-free at any worker count.
-        let mut handle = if self.capture {
-            obs::TraceHandle::memory()
-        } else {
-            obs::TraceHandle::off()
-        };
-        if self.monitor {
-            handle = handle.with_monitors(obs::MonitorSet::standard());
-        }
-        // The digest recorder and flight recorder are likewise per-run
-        // owned state. The flight ring rides along whenever monitors or
-        // digests are on, so a violation or a panic mid-suite dumps the
-        // last events with this run's label.
-        if self.digest {
-            handle = handle.with_digest(obs::DigestRecorder::default());
-        }
-        if self.digest || self.monitor {
-            handle = handle.with_flight(obs::FlightRecorder::new(
-                obs::FLIGHT_CAPACITY,
+        // Each run builds its observation handle on its own worker thread
+        // (the handle is `!Send` by design) and ships only plain-data
+        // snapshots back through the pool, so worker threads never share
+        // event, registry or profiler state at any worker count.
+        let handle = instruments(
+            obs::Setup {
+                sink: self
+                    .capture
+                    .then(|| Box::new(obs::MemorySink::new()) as Box<dyn obs::EventSink>),
+                monitors: self.monitor.then(obs::MonitorSet::standard),
+                digest: self.digest.then(obs::DigestRecorder::default),
+                metrics: self.profile,
+                profile: self.prof,
+                ..obs::Setup::default()
+            },
+            || {
                 format!(
                     "trace {} {} / {}, seed {}",
                     self.spec.number, self.spec.name, protocol_name, self.seed
-                ),
-            ));
-        }
-        if let Some(flight) = handle.flight() {
-            obs::flight::set_current(flight);
-        }
-        // Likewise for profiling: each run builds its registry on its own
-        // worker thread (the handle is `!Send`), snapshots it, and ships
-        // only the `Send` snapshot back through the pool.
-        let registry = if self.profile {
-            obs::MetricsHandle::new()
-        } else {
-            obs::MetricsHandle::off()
-        };
-        // The self-profiler handle is likewise per-run and `!Send`; only
-        // its plain-data snapshot ships back through the pool.
-        let prof = if self.prof {
-            obs::ProfHandle::new()
-        } else {
-            obs::ProfHandle::off()
-        };
+                )
+            },
+        );
         // simlint: allow(D002, reason = "attribution denominator for the cesrm-prof/1 report; never feeds simulation state")
         let prof_started = Instant::now();
-        let (metrics, engine) = run_trace_profiled(
-            &trace,
-            self.protocol,
-            &self.experiment,
-            &handle,
-            &registry,
-            &prof,
-        );
+        let (metrics, engine) = run_trace_with(&trace, self.protocol, &self.experiment, &handle);
         let prof_wall = prof_started.elapsed();
         obs::flight::clear_current();
         let digest = self.digest.then(|| RunDigest {
@@ -542,13 +511,13 @@ impl RunJob {
             protocol: protocol_name,
             wall,
             events_processed: metrics.events_processed,
-            snapshot: registry.snapshot(),
+            snapshot: handle.metrics_snapshot(),
         });
         let prof_out = self.prof.then(|| RunProf {
             trace: self.spec.number,
             name: self.spec.name,
             protocol: protocol_name,
-            snapshot: prof.snapshot(),
+            snapshot: handle.prof_snapshot(),
             engine,
             wall: prof_wall,
         });

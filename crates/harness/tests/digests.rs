@@ -147,3 +147,118 @@ fn digest_never_perturbs_suite_csv_artifacts() {
     std::fs::remove_dir_all(&dir_off).ok();
     std::fs::remove_dir_all(&dir_on).ok();
 }
+
+/// Prunes a `cesrm-digest/1` trail below the epoch level (drops every
+/// epoch's `nodes` array) and renders it. Each epoch digest is an
+/// order-dependent fold over every (node, bucket) leaf beneath it, so the
+/// pruned trail pins the same event stream as the full one at 1 % of the
+/// size (the full trails behind the fixtures are 5.2 MB).
+fn pruned_to_epochs(trail: &str, scopes: &str) -> String {
+    use obs::JsonValue::{Arr, Obj};
+    let mut doc = obs::JsonValue::parse(trail).expect("trails are well-formed JSON");
+    let Some(Arr(scopes)) = doc.get_mut(scopes) else {
+        panic!("trail has no {scopes} array");
+    };
+    for scope in scopes {
+        let Some(Arr(epochs)) = scope.get_mut("epochs") else {
+            panic!("trail scope has no epochs array");
+        };
+        for epoch in epochs {
+            if let Obj(members) = epoch {
+                members.retain(|(k, _)| k != "nodes");
+            }
+        }
+    }
+    let mut text = doc.to_string_pretty();
+    text.push('\n');
+    text
+}
+
+/// Asserts `got == want`, naming the first differing line.
+fn assert_matches_fixture(got: &str, want: &str, fixture: &str, how: &str) {
+    if got == want {
+        return;
+    }
+    let line = got
+        .lines()
+        .zip(want.lines())
+        .position(|(g, w)| g != w)
+        .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+    panic!(
+        "{how}: event stream diverged from fixtures/{fixture} at line {}:\n  fixture: {}\n  \
+         current: {}\n(fixtures/README.md says how to bisect against a parent-built trail)",
+        line + 1,
+        want.lines().nth(line).unwrap_or("<end of file>"),
+        got.lines().nth(line).unwrap_or("<end of file>"),
+    );
+}
+
+/// Golden event stream, suite path: a tiny suite with monitors, digest and
+/// capture all attached reproduces the trail committed from the parent of
+/// the one-handle refactor, at `--jobs 1` and `2` — and all three
+/// consumers saw the same records. Jobs-invariance alone would still pass
+/// if an emit site lost its handle; this does not.
+#[test]
+fn suite_event_stream_matches_the_committed_golden_trail() {
+    let want = include_str!("fixtures/suite-scale0.02-traces2-4.digest.json");
+    for jobs in [1, 2] {
+        let mut cfg = SuiteConfig::quick(0.02).with_monitor().with_digest();
+        cfg.traces = Some(vec![2, 4]);
+        cfg.capture_events = true;
+        cfg.jobs = Some(jobs);
+        let result = run_suite(&cfg);
+        assert_matches_fixture(
+            &pruned_to_epochs(&suite_digest_json(&cfg, &result), "runs"),
+            want,
+            "suite-scale0.02-traces2-4.digest.json",
+            &format!("--jobs {jobs}"),
+        );
+        for ((digest, events), health) in result
+            .digests
+            .iter()
+            .zip(&result.events)
+            .zip(&result.health)
+        {
+            let mut recorder = obs::DigestRecorder::default();
+            events.records.iter().for_each(|r| recorder.observe(r));
+            assert_eq!(
+                recorder.snapshot(),
+                digest.snapshot,
+                "{}/{}: the capturing sink and the digest saw different records",
+                digest.name,
+                digest.protocol
+            );
+            assert!(
+                events.records.windows(2).all(|w| w[0].t_ns <= w[1].t_ns),
+                "captured records are in emit order"
+            );
+            assert_eq!(
+                health.report.stats.events,
+                digest.snapshot.count(),
+                "{}/{}: the monitors and the digest saw different record counts",
+                digest.name,
+                digest.protocol
+            );
+        }
+    }
+}
+
+/// Golden event stream, scale path: the 10³ rung reproduces the trail
+/// committed from the parent of the one-handle refactor at 1 and 2 shards.
+#[test]
+fn scale_event_stream_matches_the_committed_golden_trail() {
+    let want = include_str!("fixtures/scale-rung1000.digest.json");
+    for shards in [1, 2] {
+        let mut cfg = ScaleConfig::rung(1000);
+        cfg.shards = shards;
+        cfg.digest = true;
+        let fragment = rung_digest_json(&cfg, &run_scale(&cfg));
+        let trail = harness::scale_digest_doc("cesrm", cfg.seed, cfg.packets, vec![fragment]);
+        assert_matches_fixture(
+            &pruned_to_epochs(&trail, "rungs"),
+            want,
+            "scale-rung1000.digest.json",
+            &format!("{shards} shard(s)"),
+        );
+    }
+}

@@ -3,7 +3,7 @@
 //! losses the metrics layer recorded (the ISSUE's ≥95 % bar).
 
 use cesrm::CesrmConfig;
-use harness::{run_trace_traced, ExperimentConfig, Protocol};
+use harness::{run_trace_with, ExperimentConfig, Protocol};
 use obs::provenance::{reduce, RecoveryPath};
 use obs::to_json_line;
 use traces::{table1, Trace};
@@ -37,8 +37,8 @@ fn assert_valid_jsonl(lines: &[String]) {
 #[test]
 fn cesrm_trace_covers_recorded_losses() {
     let trace = small_trace();
-    let handle = obs::TraceHandle::memory();
-    let metrics = run_trace_traced(
+    let handle = obs::Instruments::memory();
+    let (metrics, _) = run_trace_with(
         &trace,
         Protocol::Cesrm(CesrmConfig::paper_default()),
         &ExperimentConfig::paper_default(),
@@ -90,8 +90,8 @@ fn cesrm_trace_covers_recorded_losses() {
 #[test]
 fn srm_trace_is_all_fallback() {
     let trace = small_trace();
-    let handle = obs::TraceHandle::memory();
-    let metrics = run_trace_traced(
+    let handle = obs::Instruments::memory();
+    let (metrics, _) = run_trace_with(
         &trace,
         Protocol::Srm,
         &ExperimentConfig::paper_default(),
@@ -113,8 +113,64 @@ fn off_handle_and_ring_sink_agree_on_metrics() {
     let trace = small_trace();
     let cfg = ExperimentConfig::paper_default();
     let plain = harness::run_trace(&trace, Protocol::Srm, &cfg);
-    let ring = obs::TraceHandle::ring(64);
-    let traced = run_trace_traced(&trace, Protocol::Srm, &cfg, &ring);
+    let ring = obs::Instruments::capture(Box::new(obs::RingSink::new(64)));
+    let (traced, _) = run_trace_with(&trace, Protocol::Srm, &cfg, &ring);
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
     assert!(!ring.drain().is_empty());
+}
+
+/// One handle, cloned into every layer: the simulator, the recovery log,
+/// the SRM core and the CESRM agent all emit into the sink the caller
+/// holds, the registry it snapshots and the profile it reads.
+#[test]
+fn every_layer_observes_through_the_one_handle() {
+    let handle = obs::Instruments::new(obs::Setup {
+        sink: Some(Box::new(obs::MemorySink::new())),
+        metrics: true,
+        profile: true,
+        ..obs::Setup::default()
+    });
+    let (metrics, engine) = run_trace_with(
+        &small_trace(),
+        Protocol::Cesrm(CesrmConfig::paper_default()),
+        &ExperimentConfig::paper_default(),
+        &handle,
+    );
+    let seen: std::collections::BTreeSet<&str> =
+        handle.drain().iter().map(|r| r.event.name()).collect();
+    for (layer, names) in [
+        ("netsim::Simulator", &["sent", "dropped", "delivered"][..]),
+        (
+            "metrics::RecoveryLog",
+            &["loss_detected", "req_sent", "recovered"],
+        ),
+        (
+            "srm::SrmCore",
+            &["req_scheduled", "rep_scheduled", "rep_sent"],
+        ),
+        (
+            "cesrm::CesrmAgent",
+            &["cache_update", "cache_hit", "xreq_sent", "xrep_sent"],
+        ),
+    ] {
+        for name in names {
+            assert!(seen.contains(name), "{layer} emitted no `{name}` event");
+        }
+    }
+    let counters = handle.metrics_snapshot().counters;
+    for name in [
+        "sim.events.hop",
+        "recovery.detected",
+        "srm.request_timers_set",
+        "cesrm.cache.hits",
+    ] {
+        assert!(counters[name] > 0, "`{name}` never counted");
+    }
+    assert_eq!(counters["recovery.detected"], metrics.losses as u64);
+    let prof = handle.prof_snapshot();
+    assert_eq!(
+        prof.phase(obs::Phase::CesrmOnPacket).calls,
+        engine.deliveries,
+        "every delivery went through a profiled CESRM agent"
+    );
 }

@@ -46,9 +46,8 @@ pub struct LmsSource {
     start_at: SimTime,
     sent: u64,
     timers: BTreeMap<TimerToken, SourceTimer>,
-    trace: obs::TraceHandle,
+    obs: obs::Instruments,
     metrics_replies_sent: obs::Counter,
-    prof: obs::ProfHandle,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,33 +74,20 @@ impl LmsSource {
             start_at,
             sent: 0,
             timers: BTreeMap::new(),
-            trace: obs::TraceHandle::off(),
+            obs: obs::Instruments::off(),
             metrics_replies_sent: obs::Counter::off(),
-            prof: obs::ProfHandle::off(),
         }
     }
 
-    /// Builder-style installation of a structured-event trace handle (see
-    /// the `obs` crate); tracing is off by default.
-    pub fn with_trace(mut self, trace: obs::TraceHandle) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Builder-style registration of runtime-profiling counters: the
-    /// source counts the full-tree retransmissions it sends
-    /// (`lms.replies_sent`). Profiling is off by default.
-    pub fn with_metrics(mut self, metrics: &obs::MetricsHandle) -> Self {
-        self.metrics_replies_sent = metrics.counter("lms.replies_sent");
-        self
-    }
-
-    /// Builder-style installation of the per-run self-profiler handle:
-    /// every `on_packet` counts into the `lms_on_packet` phase, with one
-    /// in `stride` calls wall-clock timed (see `docs/PROFILING.md`). Off
-    /// by default.
-    pub fn with_prof(mut self, prof: obs::ProfHandle) -> Self {
-        self.prof = prof;
+    /// Builder-style installation of the run's observation handle (see
+    /// the `obs` crate): the source emits `rep_sent` for the full-tree
+    /// retransmissions it sends and counts them (`lms.replies_sent`), and
+    /// every `on_packet` counts into the `lms_on_packet` profiler phase,
+    /// with one in `stride` calls wall-clock timed (`docs/PROFILING.md`).
+    /// Off by default.
+    pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
+        self.metrics_replies_sent = obs.counter("lms.replies_sent");
+        self.obs = obs;
         self
     }
 
@@ -122,7 +108,7 @@ impl Agent for LmsSource {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, _meta: &DeliveryMeta) {
-        let stamp = self.prof.begin(obs::Phase::LmsOnPacket);
+        let stamp = self.obs.begin(obs::Phase::LmsOnPacket);
         // The source answers any request that reaches it with a root-level
         // subcast (a full-tree retransmission).
         if let PacketBody::ExpeditedRequest {
@@ -154,7 +140,7 @@ impl Agent for LmsSource {
                 // synthesized: the orphan-repair monitor (I2,
                 // docs/MONITORS.md) requires the named node to have a prior
                 // `loss_detected`.
-                self.trace
+                self.obs
                     .emit(ctx.now().as_nanos(), || obs::Event::ReplySent {
                         node: me.0,
                         seq: seq.value(),
@@ -163,7 +149,7 @@ impl Agent for LmsSource {
                     });
             }
         }
-        self.prof.end(obs::Phase::LmsOnPacket, stamp);
+        self.obs.end(obs::Phase::LmsOnPacket, stamp);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
@@ -209,9 +195,8 @@ pub struct LmsReceiver {
     highest: Option<u64>,
     losses: BTreeMap<u64, LmsLoss>,
     timers: BTreeMap<TimerToken, u64>,
-    trace: obs::TraceHandle,
+    obs: obs::Instruments,
     metrics_replies_sent: obs::Counter,
-    prof: obs::ProfHandle,
 }
 
 impl LmsReceiver {
@@ -235,36 +220,22 @@ impl LmsReceiver {
             highest: None,
             losses: BTreeMap::new(),
             timers: BTreeMap::new(),
-            trace: obs::TraceHandle::off(),
+            obs: obs::Instruments::off(),
             metrics_replies_sent: obs::Counter::off(),
-            prof: obs::ProfHandle::off(),
         }
     }
 
-    /// Builder-style installation of a structured-event trace handle (see
-    /// the `obs` crate); tracing is off by default. Loss-detection,
-    /// request and recovery records flow through the shared
-    /// [`metrics::RecoveryLog`], which should be given a clone of the same
-    /// handle; the receiver itself emits `rep_sent` for subcast repairs.
-    pub fn with_trace(mut self, trace: obs::TraceHandle) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Builder-style registration of runtime-profiling counters: the
-    /// receiver counts the subcast repairs it sends
-    /// (`lms.replies_sent`). Profiling is off by default.
-    pub fn with_metrics(mut self, metrics: &obs::MetricsHandle) -> Self {
-        self.metrics_replies_sent = metrics.counter("lms.replies_sent");
-        self
-    }
-
-    /// Builder-style installation of the per-run self-profiler handle:
-    /// every `on_packet` counts into the `lms_on_packet` phase, with one
-    /// in `stride` calls wall-clock timed (see `docs/PROFILING.md`). Off
-    /// by default.
-    pub fn with_prof(mut self, prof: obs::ProfHandle) -> Self {
-        self.prof = prof;
+    /// Builder-style installation of the run's observation handle (see
+    /// the `obs` crate). Loss-detection, request and recovery records flow
+    /// through the shared [`metrics::RecoveryLog`], which should be given a
+    /// clone of the same handle; the receiver itself emits `rep_sent` for
+    /// the subcast repairs it sends and counts them (`lms.replies_sent`),
+    /// and every `on_packet` counts into the `lms_on_packet` profiler
+    /// phase, with one in `stride` calls wall-clock timed
+    /// (`docs/PROFILING.md`). Off by default.
+    pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
+        self.metrics_replies_sent = obs.counter("lms.replies_sent");
+        self.obs = obs;
         self
     }
 
@@ -385,7 +356,7 @@ impl LmsReceiver {
             );
             let me = self.me;
             self.metrics_replies_sent.inc();
-            self.trace
+            self.obs
                 .emit(ctx.now().as_nanos(), || obs::Event::ReplySent {
                     node: me.0,
                     seq: id.seq.value(),
@@ -419,7 +390,7 @@ impl Agent for LmsReceiver {
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, _meta: &DeliveryMeta) {
-        let stamp = self.prof.begin(obs::Phase::LmsOnPacket);
+        let stamp = self.obs.begin(obs::Phase::LmsOnPacket);
         match &packet.body {
             PacketBody::Data { id } if id.source == self.source => {
                 if self.received.insert(id.seq.value()) {
@@ -446,7 +417,7 @@ impl Agent for LmsReceiver {
             }
             _ => {}
         }
-        self.prof.end(obs::Phase::LmsOnPacket, stamp);
+        self.obs.end(obs::Phase::LmsOnPacket, stamp);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {

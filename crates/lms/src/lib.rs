@@ -31,9 +31,9 @@
 //! requestor and replier), so the traffic on every link is identical to a
 //! hop-by-hop implementation.
 //!
-//! With an `obs::TraceHandle` installed (`with_trace` on either endpoint),
-//! subcast repairs are emitted as structured `rep_sent` events for
-//! recovery-provenance tracing (see `docs/TRACING.md`).
+//! With the run's `obs::Instruments` installed (`with_obs` on either
+//! endpoint), subcast repairs are emitted as structured `rep_sent` events
+//! for recovery-provenance tracing (see `docs/TRACING.md`).
 
 mod agent;
 mod table;

@@ -18,8 +18,8 @@
 //! * [`OverheadBreakdown`] — the retransmission/control, multicast/unicast
 //!   overhead split behind Fig. 5.
 //! * [`RecoveryLog`] also forwards its first-win detection/recovery
-//!   decisions as structured `obs` events when a trace handle is installed
-//!   ([`RecoveryLog::set_trace`]) — it is the arbiter that keeps the
+//!   decisions as structured `obs` events when the run's observation handle
+//!   is installed ([`RecoveryLog::set_obs`]) — it is the arbiter that keeps the
 //!   provenance stream duplicate-free (see `docs/TRACING.md`).
 
 mod collector;

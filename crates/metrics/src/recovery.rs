@@ -57,8 +57,9 @@ pub struct RecoveryLog {
     records: BTreeMap<u32, Vec<RecoveryRecord>>,
     /// Total record count across receivers.
     count: usize,
-    /// Structured-event trace for per-loss provenance; off by default.
-    trace: obs::TraceHandle,
+    /// The run's observation handle; off by default.
+    obs: obs::Instruments,
+    /// Counters pre-registered on `obs`.
     metrics: LogMetrics,
 }
 
@@ -89,33 +90,22 @@ impl RecoveryLog {
         Rc::new(RefCell::new(RecoveryLog::new()))
     }
 
-    /// Installs the structured-event trace handle: the log emits
-    /// `loss_detected` / `req_sent` / `recovered` / `spurious` records for
-    /// the state transitions it arbitrates (the log sees them first-win
-    /// across all agents, so emitting here keeps the trace free of
-    /// duplicates the protocols would produce).
-    pub fn set_trace(&mut self, trace: obs::TraceHandle) {
-        self.trace = trace;
-    }
-
-    /// Registers the recovery-lifecycle counters on `metrics`
-    /// (`recovery.detected`, `recovery.recovered`,
-    /// `recovery.recovered_expedited`, `recovery.requests`,
-    /// `recovery.spurious`). Because the log is first-win, the counts are
-    /// free of the duplicates individual agents would produce. A no-op
-    /// when `metrics` is disabled.
-    pub fn set_metrics(&mut self, metrics: &obs::MetricsHandle) {
-        self.metrics = if metrics.is_enabled() {
-            LogMetrics {
-                detected: metrics.counter("recovery.detected"),
-                recovered: metrics.counter("recovery.recovered"),
-                recovered_expedited: metrics.counter("recovery.recovered_expedited"),
-                requests: metrics.counter("recovery.requests"),
-                spurious: metrics.counter("recovery.spurious"),
-            }
-        } else {
-            LogMetrics::default()
+    /// Installs the run's observation handle: the log emits
+    /// `loss_detected` / `req_sent` / `recovered` / `spurious` records and
+    /// counts `recovery.detected`, `recovery.recovered`,
+    /// `recovery.recovered_expedited`, `recovery.requests` and
+    /// `recovery.spurious` for the state transitions it arbitrates. The log
+    /// sees them first-win across all agents, so emitting and counting here
+    /// keeps both free of the duplicates the protocols would produce.
+    pub fn set_obs(&mut self, obs: obs::Instruments) {
+        self.metrics = LogMetrics {
+            detected: obs.counter("recovery.detected"),
+            recovered: obs.counter("recovery.recovered"),
+            recovered_expedited: obs.counter("recovery.recovered_expedited"),
+            requests: obs.counter("recovery.requests"),
+            spurious: obs.counter("recovery.spurious"),
         };
+        self.obs = obs;
     }
 
     /// Records that `receiver` detected the loss of `id` at `now`. Repeat
@@ -146,11 +136,10 @@ impl RecoveryLog {
         };
         if fresh {
             self.metrics.detected.inc();
-            self.trace
-                .emit(now.as_nanos(), || obs::Event::LossDetected {
-                    node: receiver.0,
-                    seq: id.seq.value(),
-                });
+            self.obs.emit(now.as_nanos(), || obs::Event::LossDetected {
+                node: receiver.0,
+                seq: id.seq.value(),
+            });
         }
     }
 
@@ -172,7 +161,7 @@ impl RecoveryLog {
             if expedited {
                 self.metrics.recovered_expedited.inc();
             }
-            self.trace
+            self.obs
                 .emit(now.as_nanos(), || obs::Event::RecoveryCompleted {
                     node: receiver.0,
                     seq: id.seq.value(),
@@ -194,7 +183,7 @@ impl RecoveryLog {
         rec.requests_sent += 1;
         let round = rec.requests_sent;
         self.metrics.requests.inc();
-        self.trace.emit(now.as_nanos(), || obs::Event::RequestSent {
+        self.obs.emit(now.as_nanos(), || obs::Event::RequestSent {
             node: receiver.0,
             seq: id.seq.value(),
             round,
@@ -214,11 +203,10 @@ impl RecoveryLog {
                 row.remove(pos);
                 self.count -= 1;
                 self.metrics.spurious.inc();
-                self.trace
-                    .emit(now.as_nanos(), || obs::Event::SpuriousLoss {
-                        node: receiver.0,
-                        seq: id.seq.value(),
-                    });
+                self.obs.emit(now.as_nanos(), || obs::Event::SpuriousLoss {
+                    node: receiver.0,
+                    seq: id.seq.value(),
+                });
             }
         }
     }

@@ -51,12 +51,14 @@
 //! # }
 //! ```
 //!
-//! # Tracing
+//! # Observation
 //!
-//! [`Simulator::set_trace`] installs a per-simulation `obs::TraceHandle`;
-//! the simulator then emits structured `sent`/`dropped`/`delivered` events
-//! for recovery-relevant packets (see `docs/TRACING.md`). With the default
-//! off-handle the call sites are zero-cost.
+//! [`Simulator::set_obs`] installs the run's `obs::Instruments` handle: the
+//! simulator then emits structured `sent`/`dropped`/`delivered` events for
+//! recovery-relevant packets (`docs/TRACING.md`), counts into the metrics
+//! registry (`docs/METRICS.md`) and stride-samples its engine phases
+//! (`docs/PROFILING.md`) — whichever of the three the handle was built
+//! with. With the default off-handle every call site is one branch.
 //!
 //! # Sharded execution (million-node runs)
 //!
@@ -82,7 +84,6 @@ mod packet;
 mod queue;
 mod sim;
 mod time;
-mod tracer;
 
 pub use agent::{Agent, Context, DeliveryMeta, TimerToken};
 pub use arena::{ArenaTelemetry, PacketArena, PacketHandle};
@@ -95,4 +96,3 @@ pub use packet::{
 pub use queue::{CalendarQueue, Entry, QueueTelemetry, SchedulerKind};
 pub use sim::{scheduled_event_footprint_bytes, CrossShardPacket, EngineTelemetry, Simulator};
 pub use time::{SimDuration, SimTime};
-pub use tracer::{EventTracer, TraceEvent, TraceEventKind};

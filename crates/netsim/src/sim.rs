@@ -130,6 +130,7 @@ struct LinkState {
 /// Pre-registered metrics instruments for the simulator hot paths. All
 /// fields are no-ops when profiling is off, so the per-event cost of a
 /// disabled registry is one `Option` branch per instrument touch.
+#[derive(Default)]
 struct SimMetrics {
     events_start: obs::Counter,
     events_timer: obs::Counter,
@@ -146,23 +147,7 @@ struct SimMetrics {
 }
 
 impl SimMetrics {
-    fn off() -> Self {
-        SimMetrics {
-            events_start: obs::Counter::off(),
-            events_timer: obs::Counter::off(),
-            events_hop: obs::Counter::off(),
-            timers_scheduled: obs::Counter::off(),
-            timers_cancelled: obs::Counter::off(),
-            timers_voided: obs::Counter::off(),
-            timer_delay_ns: obs::Histogram::off(),
-            queue_depth: obs::Gauge::off(),
-            packets_forwarded: obs::Counter::off(),
-            packets_dropped: obs::Counter::off(),
-            link_dropped: Vec::new(),
-        }
-    }
-
-    fn new(metrics: &obs::MetricsHandle, links: usize) -> Self {
+    fn new(metrics: &obs::Instruments, links: usize) -> Self {
         SimMetrics {
             events_start: metrics.counter("sim.events.start"),
             events_timer: metrics.counter("sim.events.timer"),
@@ -178,7 +163,7 @@ impl SimMetrics {
             // topologies; at the 10³–10⁶-receiver scale rungs registering a
             // named counter per link would itself be O(group size) memory,
             // so they are capped and the aggregate counter stands alone.
-            link_dropped: if links <= PER_LINK_METRIC_CAP {
+            link_dropped: if metrics.metrics_enabled() && links <= PER_LINK_METRIC_CAP {
                 (0..links)
                     .map(|i| metrics.counter(&format!("sim.link.{i}.dropped")))
                     .collect()
@@ -309,10 +294,10 @@ pub struct Simulator {
     agents: Vec<Option<Box<dyn Agent>>>,
     loss: Box<dyn LossProcess>,
     observer: Box<dyn SimObserver>,
-    trace: obs::TraceHandle,
+    /// The run's observation handle; [`obs::Instruments::off`] by default.
+    obs: obs::Instruments,
+    /// Instruments pre-registered on `obs`.
     metrics: SimMetrics,
-    /// Per-run self-profiler handle; [`obs::ProfHandle::off`] by default.
-    prof: obs::ProfHandle,
     /// Whether the event currently being dispatched is one of the
     /// stride-sampled events whose engine phases are wall-clock timed.
     /// Always `false` when profiling is off.
@@ -384,9 +369,8 @@ impl Simulator {
             agents: (0..n).map(|_| None).collect(),
             loss: Box::new(NoLoss),
             observer: Box::new(NullObserver),
-            trace: obs::TraceHandle::off(),
-            metrics: SimMetrics::off(),
-            prof: obs::ProfHandle::off(),
+            obs: obs::Instruments::off(),
+            metrics: SimMetrics::default(),
             sampled: false,
             transmits: 0,
             deliveries: 0,
@@ -602,46 +586,24 @@ impl Simulator {
         self.observer = observer;
     }
 
-    /// Installs the structured-event trace handle for this simulation.
+    /// Installs the run's observation handle (the default is
+    /// [`obs::Instruments::off`]). Depending on what the handle was built
+    /// with, the simulator then emits `sent`/`dropped`/`delivered` trace
+    /// records; counts events dispatched per type (`sim.events.*`), queue
+    /// depth with its high-water mark (`sim.queue.depth`), timer
+    /// schedule/cancel/void churn (`sim.timers.*`) with a delay histogram
+    /// (`sim.timer.delay_ns`) and packets forwarded/dropped overall and per
+    /// link (`sim.packets.*`, `sim.link.<i>.dropped`); and wall-clock times
+    /// the engine phases of every stride-sampled event
+    /// (`docs/PROFILING.md`). Clone the same handle into the protocol
+    /// agents and the recovery log so one pipeline sees the whole run.
     ///
-    /// The handle is per-simulation owned state (the default is
-    /// [`obs::TraceHandle::off`]); enabling it makes the simulator emit
-    /// `sent`/`dropped`/`delivered` records. Clone the same handle into the
-    /// protocol agents and the recovery log so one sink sees the whole run.
-    pub fn set_trace(&mut self, trace: obs::TraceHandle) {
-        self.trace = trace;
-    }
-
-    /// Registers this simulation's hot-path instruments on `metrics`:
-    /// events dispatched per type (`sim.events.*`), queue depth with its
-    /// high-water mark (`sim.queue.depth`), timer schedule/cancel/void
-    /// churn (`sim.timers.*`) with a delay histogram
-    /// (`sim.timer.delay_ns`), and packets forwarded/dropped overall and
-    /// per link (`sim.packets.*`, `sim.link.<i>.dropped`).
-    ///
-    /// Like [`set_trace`](Simulator::set_trace), the handle is
-    /// per-simulation owned state; the default ([`obs::MetricsHandle::off`])
-    /// costs one branch per instrument touch and observes nothing.
-    /// Profiling is observation-only: it never touches the rng, the event
-    /// queue order, or any protocol state.
-    pub fn set_metrics(&mut self, metrics: &obs::MetricsHandle) {
-        self.metrics = if metrics.is_enabled() {
-            SimMetrics::new(metrics, self.tree.len())
-        } else {
-            SimMetrics::off()
-        };
-    }
-
-    /// Installs the per-run self-profiler handle (`docs/PROFILING.md`).
-    ///
-    /// Like the trace and metrics handles this is per-simulation owned
-    /// state, [`obs::ProfHandle::off`] by default; the enabled handle
-    /// times the engine phases of every stride-sampled event. Profiling
-    /// is observation-only — it never touches the rng, the event-queue
-    /// order, or any protocol state — so a profiled run's outputs are
-    /// byte-identical to an unprofiled one.
-    pub fn set_profiler(&mut self, prof: obs::ProfHandle) {
-        self.prof = prof;
+    /// Observation never touches the rng, the event-queue order, or any
+    /// protocol state, so an observed run's outputs are byte-identical to
+    /// an unobserved one.
+    pub fn set_obs(&mut self, obs: obs::Instruments) {
+        self.metrics = SimMetrics::new(&obs, self.tree.len());
+        self.obs = obs;
     }
 
     /// The always-on engine counters accumulated so far.
@@ -691,7 +653,7 @@ impl Simulator {
     /// [`inject_packet`](Simulator::inject_packet) this supports
     /// fine-grained protocol state-machine tests.
     pub fn step(&mut self) -> bool {
-        self.sampled = self.prof.tick_event();
+        self.sampled = self.obs.tick_event();
         let Some(entry) = self.queue.pop_at_most(u64::MAX) else {
             return false;
         };
@@ -720,14 +682,10 @@ impl Simulator {
             // One branch per event when profiling is off; on every
             // stride-th event when on, the engine phases below time
             // themselves with Instant pairs (see docs/PROFILING.md).
-            self.sampled = self.prof.tick_event();
-            let pop_stamp = if self.sampled {
-                self.prof.stamp()
-            } else {
-                None
-            };
+            self.sampled = self.obs.tick_event();
+            let pop_stamp = if self.sampled { self.obs.stamp() } else { None };
             let entry = self.queue.pop_at_most(limit);
-            self.prof.record_since(Phase::QueuePop, pop_stamp);
+            self.obs.end(Phase::QueuePop, pop_stamp);
             let Some(entry) = entry else { break };
             debug_assert!(
                 entry.at >= self.now.as_nanos(),
@@ -811,11 +769,7 @@ impl Simulator {
     }
 
     fn push_with_seq(&mut self, at_ns: u64, seq: u64, kind: EventKind) {
-        let stamp = if self.sampled {
-            self.prof.stamp()
-        } else {
-            None
-        };
+        let stamp = if self.sampled { self.obs.stamp() } else { None };
         self.queue.push(
             Entry {
                 at: at_ns,
@@ -824,7 +778,7 @@ impl Simulator {
             },
             self.now.as_nanos(),
         );
-        self.prof.record_since(Phase::QueuePush, stamp);
+        self.obs.end(Phase::QueuePush, stamp);
         self.metrics.queue_depth.set(self.queue.len() as i64);
     }
 
@@ -873,7 +827,7 @@ impl Simulator {
     /// Session traffic is excluded to bound trace volume: it is periodic
     /// background chatter with no per-loss provenance value.
     fn trace_send(&self, origin: NodeId, packet: &Packet) {
-        self.trace.emit(self.now.as_nanos(), || {
+        self.obs.emit(self.now.as_nanos(), || {
             let (class, seq) = trace_class(packet);
             obs::Event::PacketSent {
                 node: origin.0,
@@ -960,11 +914,7 @@ impl Simulator {
         turning_point: Option<NodeId>,
     ) {
         self.fan_outs += 1;
-        let stamp = if self.sampled {
-            self.prof.stamp()
-        } else {
-            None
-        };
+        let stamp = if self.sampled { self.obs.stamp() } else { None };
         let start = self.nbr_start[at.index()] as usize;
         let end = self.nbr_start[at.index() + 1] as usize;
         let parent = self.parent[at.index()];
@@ -983,7 +933,7 @@ impl Simulator {
             };
             self.transmit(at, nb, packet, handle, mode, tp);
         }
-        self.prof.record_since(Phase::FanOut, stamp);
+        self.obs.end(Phase::FanOut, stamp);
     }
 
     fn flood_down(
@@ -994,11 +944,7 @@ impl Simulator {
         turning_point: Option<NodeId>,
     ) {
         self.fan_outs += 1;
-        let stamp = if self.sampled {
-            self.prof.stamp()
-        } else {
-            None
-        };
+        let stamp = if self.sampled { self.obs.stamp() } else { None };
         let has_parent = self.parent[at.index()] != u32::MAX;
         let start = self.nbr_start[at.index()] as usize + usize::from(has_parent);
         let end = self.nbr_start[at.index() + 1] as usize;
@@ -1006,7 +952,7 @@ impl Simulator {
             let c = self.nbrs[i];
             self.transmit(at, c, packet, handle, PropMode::FloodDown, turning_point);
         }
-        self.prof.record_since(Phase::FanOut, stamp);
+        self.obs.end(Phase::FanOut, stamp);
     }
 
     /// Serializes the packet onto the link between adjacent nodes `a` and
@@ -1021,13 +967,9 @@ impl Simulator {
         turning_point: Option<NodeId>,
     ) {
         self.transmits += 1;
-        let stamp = if self.sampled {
-            self.prof.stamp()
-        } else {
-            None
-        };
+        let stamp = if self.sampled { self.obs.stamp() } else { None };
         self.transmit_inner(a, b, packet, handle, mode, turning_point);
-        self.prof.record_since(Phase::Transmit, stamp);
+        self.obs.end(Phase::Transmit, stamp);
     }
 
     fn transmit_inner(
@@ -1059,17 +1001,13 @@ impl Simulator {
             (depart, state.delay)
         };
         self.observer.on_link_crossing(self.now, link, dir, packet);
-        let loss_stamp = if self.sampled {
-            self.prof.stamp()
-        } else {
-            None
-        };
+        let loss_stamp = if self.sampled { self.obs.stamp() } else { None };
         let dropped = self.loss.should_drop(link, packet, &mut self.rng);
-        self.prof.record_since(Phase::LossDraw, loss_stamp);
+        self.obs.end(Phase::LossDraw, loss_stamp);
         if dropped {
             self.observer.on_drop(self.now, link, packet);
             self.metrics.link_dropped(link);
-            self.trace.emit(self.now.as_nanos(), || {
+            self.obs.emit(self.now.as_nanos(), || {
                 let (class, seq) = trace_class(packet);
                 obs::Event::PacketDropped {
                     link: link.0 .0,
@@ -1173,13 +1111,9 @@ impl Simulator {
             return;
         }
         self.deliveries += 1;
-        let stamp = if self.sampled {
-            self.prof.stamp()
-        } else {
-            None
-        };
+        let stamp = if self.sampled { self.obs.stamp() } else { None };
         self.observer.on_delivery(self.now, node, packet);
-        if self.trace.is_enabled() {
+        if self.obs.events_enabled() {
             // Recovery-class deliveries only: original-data and session
             // deliveries are O(receivers × packets) noise for provenance
             // purposes, while the recovery completion itself is emitted by
@@ -1189,7 +1123,7 @@ impl Simulator {
             // (origin, class, seq).
             let (class, seq) = trace_class(packet);
             if !matches!(class, obs::PacketClass::Data | obs::PacketClass::Session) {
-                self.trace
+                self.obs
                     .emit(self.now.as_nanos(), || obs::Event::PacketDelivered {
                         node: node.0,
                         class,
@@ -1207,7 +1141,7 @@ impl Simulator {
             },
         };
         self.with_agent(node, |agent, ctx| agent.on_packet(ctx, packet, &meta));
-        self.prof.record_since(Phase::Deliver, stamp);
+        self.obs.end(Phase::Deliver, stamp);
     }
 }
 
@@ -1688,27 +1622,32 @@ mod tests {
         assert!(reordered, "large jitter should reorder under some seed");
     }
 
+    fn metrics_handle() -> obs::Instruments {
+        obs::Instruments::new(obs::Setup {
+            metrics: true,
+            ..obs::Setup::default()
+        })
+    }
+
     #[test]
     fn metrics_count_events_and_drops_without_perturbing_the_run() {
-        let run = |metrics: Option<&obs::MetricsHandle>| {
+        let run = |obs: &obs::Instruments| {
             let log: Log = Default::default();
             let mut sim = Simulator::new(sample_tree(), NetConfig::default().with_seed(5));
             sim.set_loss(Box::new(TraceLoss::new([(LinkId(NodeId(3)), SeqNo(0))])));
-            if let Some(m) = metrics {
-                sim.set_metrics(m);
-            }
+            sim.set_obs(obs.clone());
             attach_all_receivers(&mut sim, &log);
             sim.attach_agent(NodeId::ROOT, sender(&log, CastKind::Multi, data_body(0)));
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
             let deliveries: Vec<_> = log.borrow().iter().map(|e| (e.0, e.1)).collect();
             (sim.events_processed(), deliveries)
         };
-        let bare = run(None);
-        let handle = obs::MetricsHandle::new();
-        let profiled = run(Some(&handle));
+        let bare = run(&obs::Instruments::off());
+        let handle = metrics_handle();
+        let profiled = run(&handle);
         // Observation-only: identical event count and delivery schedule.
         assert_eq!(bare, profiled);
-        let snap = handle.snapshot();
+        let snap = handle.metrics_snapshot();
         assert_eq!(
             snap.counters["sim.events.start"], 5,
             "one start per attached agent"
@@ -1738,12 +1677,12 @@ mod tests {
             fn on_packet(&mut self, _: &mut Context<'_>, _: &Packet, _: &DeliveryMeta) {}
             fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
         }
-        let handle = obs::MetricsHandle::new();
+        let handle = metrics_handle();
         let mut sim = Simulator::new(sample_tree(), NetConfig::default());
-        sim.set_metrics(&handle);
+        sim.set_obs(handle.clone());
         sim.attach_agent(NodeId(2), Box::new(TimerAgent));
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-        let snap = handle.snapshot();
+        let snap = handle.metrics_snapshot();
         assert_eq!(snap.counters["sim.timers.scheduled"], 2);
         assert_eq!(snap.counters["sim.timers.cancelled"], 1);
         assert_eq!(snap.counters["sim.timers.voided"], 1);

@@ -1,7 +1,7 @@
 //! Hierarchical run digests over the canonical trace-event stream.
 //!
-//! A [`DigestRecorder`] rides a [`crate::TraceHandle`]
-//! ([`crate::TraceHandle::with_digest`]) and folds every emitted
+//! A [`DigestRecorder`] rides the run's [`crate::Instruments`]
+//! ([`crate::Setup::digest`]) and folds every emitted
 //! [`Record`] into a deterministic 64-bit digest at the finest useful
 //! granularity: the *(epoch, node, time-bucket)* leaf. Coarser digests —
 //! per node, per time bucket, per epoch, per run — are derived from the
@@ -29,9 +29,9 @@
 //! `(epoch, node, bucket)` sort happens once, at
 //! [`DigestRecorder::snapshot`]. This is tens of nanoseconds per
 //! *emitted* trace event, never per simulator event; the budget is
-//! audited by `reproduce --digest-overhead` (the same A/B shape and
-//! noise floor as the monitor and profiler gates — `docs/DEBUGGING.md`
-//! has the measured numbers).
+//! audited by `reproduce --overhead digest` (the same A/B loop and noise
+//! floor as the monitor and profiler gates — `docs/DEBUGGING.md` has the
+//! measured numbers).
 
 use std::hash::Hasher;
 
@@ -414,7 +414,7 @@ impl DigestSnapshot {
     }
 }
 
-/// The recorder a [`crate::TraceHandle`] feeds: folds every emitted record
+/// The recorder [`crate::Instruments`] feeds: folds every emitted record
 /// into its `(epoch, node, bucket)` leaf. Per-run owned state, like every
 /// other observability attachment — never shared across runs or shards.
 #[derive(Clone, Debug)]

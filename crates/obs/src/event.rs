@@ -64,7 +64,7 @@ impl Cast {
 /// ids (`u32`), `seq` is the data sequence number the event concerns, and
 /// durations are nanoseconds. Events carry no timestamp themselves — the
 /// enclosing [`Record`] does — so variants stay `Copy` and cheap to build
-/// inside the [`crate::TraceHandle::emit`] closure.
+/// inside the [`crate::Instruments::emit`] closure.
 ///
 /// See `docs/TRACING.md` for the field-by-field schema and the JSONL
 /// encoding of every variant.

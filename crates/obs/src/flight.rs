@@ -1,14 +1,14 @@
 //! The always-on flight recorder: a fixed-size ring of the most recent
 //! trace events, dumped with provenance context when something goes wrong.
 //!
-//! A [`FlightRecorder`] rides a [`crate::TraceHandle`]
-//! ([`crate::TraceHandle::with_flight`]) and keeps the last `capacity`
+//! A [`FlightRecorder`] rides the run's [`crate::Instruments`]
+//! ([`crate::Setup::flight`]) and keeps the last `capacity`
 //! emitted [`Record`]s in a preallocated ring — no allocation in steady
 //! state, a copy of a 40-byte scalar record per event. Its tail is dumped
 //! to stderr:
 //!
 //! * on the run's **first invariant violation** (the emitting
-//!   [`crate::TraceHandle`] triggers the dump when a monitor flags the
+//!   [`crate::Instruments`] triggers the dump when a monitor flags the
 //!   record just fed to it);
 //! * on **panic**, via [`install_panic_hook`] — each worker thread
 //!   registers its current run's recorder ([`set_current`]) so a crash
@@ -146,7 +146,7 @@ thread_local! {
 
 /// Registers `recorder` as this thread's current flight recorder, so a
 /// panic anywhere under the run dumps its tail. Pass the same shared cell
-/// the run's [`crate::TraceHandle`] feeds. Call [`clear_current`] when the
+/// the run's [`crate::Instruments`] feeds. Call [`clear_current`] when the
 /// run finishes.
 pub fn set_current(recorder: Rc<RefCell<FlightRecorder>>) {
     CURRENT.with(|c| *c.borrow_mut() = Some(recorder));
@@ -243,5 +243,36 @@ mod tests {
         });
         clear_current();
         CURRENT.with(|c| assert!(c.borrow().is_none()));
+    }
+
+    /// A consumer blowing up mid-emit must not cost the post-mortem: the
+    /// ring sits in its own cell, released before the consumers run, so the
+    /// panic hook can still borrow and dump it while the consumer cell is
+    /// locked by the unwinding emit.
+    #[test]
+    fn panic_inside_a_consumer_still_dumps_the_tail() {
+        struct Bomb;
+        impl crate::EventSink for Bomb {
+            fn record(&mut self, _: Record) {
+                panic!("sink exploded mid-emit");
+            }
+        }
+        install_panic_hook();
+        let obs = crate::Instruments::new(crate::Setup {
+            sink: Some(Box::new(Bomb)),
+            monitors: Some(crate::MonitorSet::standard()),
+            flight: Some(FlightRecorder::new(4, "panic test run")),
+            ..crate::Setup::default()
+        });
+        let cell = obs.flight().expect("flight was attached");
+        set_current(Rc::clone(&cell));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            obs.emit(7, || Event::LossDetected { node: 3, seq: 9 });
+        }));
+        clear_current();
+        assert!(unwound.is_err(), "the sink's panic propagates");
+        let fr = cell.borrow();
+        assert!(fr.dumped, "the panic hook dumped the ring mid-emit");
+        assert_eq!(fr.seen(), 1, "the record being fed is in its own dump");
     }
 }

@@ -15,16 +15,20 @@
 //!   scheduling and suppression (`srm`), cache consults and expedited
 //!   request/reply traffic (`cesrm`). Every variant is documented in
 //!   `docs/TRACING.md` together with the JSONL wire format.
-//! * [`EventSink`] — where events go: [`NoopSink`] (tracing off, the
-//!   default), [`RingSink`] (bounded in-memory, keeps the most recent
-//!   events), [`MemorySink`] (unbounded in-memory, for reducers), and
-//!   [`JsonlSink`] (streams each event as one JSON line).
-//! * [`TraceHandle`] — the cheap, cloneable handle threaded through one
-//!   simulation. A handle is **per-simulation owned state**, never a global:
-//!   the parallel suite runner builds one per worker-local run, so tracing
-//!   is race-free when on and the disabled handle ([`TraceHandle::off`]) is
-//!   a single branch per call site — runs with tracing off are byte-for-byte
-//!   identical to untraced builds.
+//! * [`Instruments`] — the one cheap, cloneable, pointer-wide handle
+//!   threaded through one simulation, built once per run from a [`Setup`].
+//!   Every emitted event feeds the run's consumers in a fixed order (flight
+//!   recorder → monitors → digest → sink); the same handle hands out the
+//!   metrics instruments and carries the profiler tallies. A handle is
+//!   **per-simulation owned state**, never a global: the parallel suite
+//!   runner builds one per worker-local run, so observation is race-free
+//!   when on and the disabled handle ([`Instruments::off`]) is a single
+//!   branch per call site — runs with it off are byte-for-byte identical to
+//!   uninstrumented builds.
+//! * [`EventSink`] — where captured events go: [`RingSink`] (bounded
+//!   in-memory, keeps the most recent events), [`MemorySink`] (unbounded
+//!   in-memory, for reducers), and [`JsonlSink`] (streams each event as one
+//!   JSON line).
 //! * [`provenance`] — the reducer that joins raw events into per-loss
 //!   [`RecoveryTimeline`]s (loss → detection → first request → repair),
 //!   classified [`RecoveryPath::Expedited`] vs [`RecoveryPath::Fallback`];
@@ -33,15 +37,20 @@
 //!   streaming checkers of the paper's protocol invariants (liveness,
 //!   orphan repairs, suppression health, cache coherence, conservation,
 //!   monotone causality) plus repair-storm and latency-outlier anomaly
-//!   detection, fed at emit time via [`TraceHandle::with_monitors`] and
-//!   reported as a [`MonitorReport`] (catalogue in `docs/MONITORS.md`).
-//! * [`prof`] — the in-sim self-profiler ([`ProfHandle`]): exact,
+//!   detection, fed at emit time ([`Setup::monitors`]) and reported as a
+//!   [`MonitorReport`] (catalogue in `docs/MONITORS.md`).
+//! * [`digest`] and [`flight`] — the divergence-triage pair: a
+//!   hierarchical (epoch, node, time-bucket) digest of the event stream
+//!   ([`DigestRecorder`]) and a ring of the most recent events dumped on
+//!   the first invariant violation or panic ([`FlightRecorder`]); see
+//!   `docs/DEBUGGING.md`.
+//! * [`prof`] — the in-sim self-profiler ([`Setup::profile`]): exact,
 //!   deterministic per-phase call tallies plus stride-sampled wall-clock
 //!   timing, snapshotted into mergeable [`ProfSnapshot`]s and exported as
 //!   the `cesrm-prof/1` report / folded flamegraph stacks
 //!   (`docs/PROFILING.md`).
 //! * [`registry`] — the *runtime* half of observability: a per-simulation
-//!   metrics registry ([`MetricsHandle`]) of counters, high-water gauges,
+//!   metrics registry ([`Setup::metrics`]) of counters, high-water gauges,
 //!   log-scale histograms and a deterministic quantile sketch, snapshotted
 //!   into mergeable [`MetricsSnapshot`]s for the perf baseline
 //!   (`BENCH_*.json`, schema in `docs/METRICS.md`).
@@ -55,18 +64,18 @@
 //! # Examples
 //!
 //! ```
-//! use obs::{provenance, Event, TraceHandle};
+//! use obs::{provenance, Event, Instruments};
 //!
-//! let trace = TraceHandle::memory();
+//! let obs = Instruments::memory();
 //! // Protocol code emits through the handle; the closure is never
-//! // evaluated when tracing is off.
-//! trace.emit(5_000, || Event::LossDetected { node: 2, seq: 7 });
-//! trace.emit(90_000, || Event::RecoveryCompleted {
+//! // evaluated when no event consumer is attached.
+//! obs.emit(5_000, || Event::LossDetected { node: 2, seq: 7 });
+//! obs.emit(90_000, || Event::RecoveryCompleted {
 //!     node: 2,
 //!     seq: 7,
 //!     expedited: true,
 //! });
-//! let timelines = provenance::reduce(&trace.drain());
+//! let timelines = provenance::reduce(&obs.drain());
 //! assert_eq!(timelines.len(), 1);
 //! assert_eq!(timelines[0].latency_ns(), Some(85_000));
 //! ```
@@ -77,6 +86,7 @@ pub mod digest;
 mod event;
 pub mod flight;
 mod fxhash;
+mod instruments;
 mod json;
 pub mod monitor;
 pub mod prof;
@@ -90,18 +100,16 @@ pub use digest::{
 };
 pub use event::{Cast, Event, PacketClass, Record};
 pub use flight::{FlightRecorder, DEFAULT_CAPACITY as FLIGHT_CAPACITY, DUMP_TAIL};
+pub use instruments::{Instruments, Setup};
 pub use json::to_json_line;
 pub use monitor::{
     Anomaly, AnomalyKind, Invariant, MonitorConfig, MonitorReport, MonitorSet, MonitorStats,
     Violation,
 };
-pub use prof::{
-    Phase, PhaseTally, ProfHandle, ProfSnapshot, ProfStamp, DEFAULT_PROF_STRIDE, PHASE_COUNT,
-};
+pub use prof::{Phase, PhaseTally, ProfSnapshot, ProfStamp, DEFAULT_PROF_STRIDE, PHASE_COUNT};
 pub use provenance::{RecoveryPath, RecoveryTimeline, TimelineBuilder};
 pub use registry::{
-    Counter, Gauge, GaugeSnapshot, Histogram, LogHistogram, MetricsHandle, MetricsSnapshot,
-    QuantileSketch, Sketch,
+    Counter, Gauge, GaugeSnapshot, Histogram, LogHistogram, MetricsSnapshot, QuantileSketch, Sketch,
 };
-pub use sink::{EventSink, JsonlSink, MemorySink, NoopSink, RingSink, TraceHandle};
+pub use sink::{EventSink, JsonlSink, MemorySink, RingSink};
 pub use value::JsonValue;

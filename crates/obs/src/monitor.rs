@@ -1,5 +1,5 @@
 //! Online protocol invariant monitors: streaming checkers fed at emit
-//! time through [`crate::TraceHandle`].
+//! time through [`crate::Instruments`].
 //!
 //! The paper's correctness claims (Livadas & Keidar, DSN 2004) are stated
 //! as protocol invariants — every detected loss is eventually recovered,
@@ -8,7 +8,7 @@
 //! cannot tell a violated invariant from ordinary workload drift. A
 //! [`MonitorSet`] watches the raw 17-variant [`Event`] stream as it is
 //! produced (no new instrumentation protocol: monitors are pure consumers
-//! behind the same closure-deferred [`crate::TraceHandle::emit`], so a run
+//! behind the same closure-deferred [`crate::Instruments::emit`], so a run
 //! without monitors pays nothing) and reports:
 //!
 //! * **Violations** — hard invariant breaches, one [`Violation`] each,
@@ -304,7 +304,7 @@ impl MonitorReport {
 ///
 /// Feed it every [`Record`] in emit order via [`MonitorSet::observe`]
 /// (or, in production, attach it to a handle with
-/// [`crate::TraceHandle::with_monitors`], which does the feeding), then
+/// [`crate::Setup::monitors`]; the handle does the feeding), then
 /// call [`MonitorSet::finish`] for the [`MonitorReport`].
 #[derive(Clone, Debug, Default)]
 pub struct MonitorSet {

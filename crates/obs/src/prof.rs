@@ -8,8 +8,8 @@
 //! * **Exact call tallies** — how often each [`Phase`] ran. These are
 //!   either derived from counters the engine keeps anyway (queue
 //!   pushes/pops, transmits, deliveries) and folded in via
-//!   [`ProfHandle::add_calls`] after the run, or counted with a single
-//!   `Cell` increment at the call site ([`ProfHandle::begin`]). Call
+//!   [`crate::Instruments::add_calls`] after the run, or counted with a single
+//!   `Cell` increment at the call site ([`crate::Instruments::begin`]). Call
 //!   counts depend only on the simulated event sequence, so they are
 //!   **deterministic**: byte-identical at any worker or shard count.
 //! * **Sampled timing** — every `stride`-th occurrence of a phase is
@@ -19,12 +19,10 @@
 //!   values are wall-clock and therefore **volatile**: the `cesrm-prof/1`
 //!   report nulls them before any byte-identity comparison.
 //!
-//! A [`ProfHandle`] is per-run owned state exactly like
-//! [`TraceHandle`](crate::TraceHandle) and
-//! [`MetricsHandle`](crate::MetricsHandle): `Rc`-based and `!Send`, one
-//! per simulation, [`ProfHandle::off`] compiling every touch down to a
-//! single predictable branch. [`ProfSnapshot`]s are `Send` and merge
-//! associatively, so the parallel suite runner can combine per-run
+//! The tallies live in the run's [`crate::Instruments`] handle (per-run owned
+//! state, `Rc`-based and `!Send`; [`crate::Instruments::off`] compiles every touch
+//! down to a single predictable branch). [`ProfSnapshot`]s are `Send` and
+//! merge associatively, so the parallel suite runner can combine per-run
 //! profiles in slot order with deterministic results.
 //!
 //! [`ProfSnapshot::folded`] renders the classic folded-stack format
@@ -34,7 +32,6 @@
 //! time in nanoseconds.
 
 use std::cell::Cell;
-use std::rc::Rc;
 use std::time::Instant;
 
 /// Default sampling stride: time one in 256 occurrences of a phase.
@@ -95,7 +92,7 @@ pub enum Phase {
     /// Calendar-queue pushes.
     QueuePush,
     /// Feeding one structured event to the online invariant monitors.
-    MonitorFeed,
+    Monitors,
     /// Post-run metric collection and report assembly.
     Teardown,
 }
@@ -117,7 +114,7 @@ impl Phase {
         Phase::Transmit,
         Phase::LossDraw,
         Phase::QueuePush,
-        Phase::MonitorFeed,
+        Phase::Monitors,
         Phase::Teardown,
     ];
 
@@ -135,7 +132,7 @@ impl Phase {
             Phase::Transmit => "transmit",
             Phase::LossDraw => "loss_draw",
             Phase::QueuePush => "queue_push",
-            Phase::MonitorFeed => "monitor_feed",
+            Phase::Monitors => "monitor_feed",
             Phase::Teardown => "teardown",
         }
     }
@@ -144,9 +141,7 @@ impl Phase {
     pub fn parent(self) -> Option<Phase> {
         match self {
             Phase::Setup | Phase::Run | Phase::Teardown => None,
-            Phase::QueuePop | Phase::Deliver | Phase::FanOut | Phase::MonitorFeed => {
-                Some(Phase::Run)
-            }
+            Phase::QueuePop | Phase::Deliver | Phase::FanOut | Phase::Monitors => Some(Phase::Run),
             Phase::SrmOnPacket | Phase::CesrmOnPacket | Phase::LmsOnPacket => Some(Phase::Deliver),
             Phase::Transmit => Some(Phase::FanOut),
             Phase::LossDraw | Phase::QueuePush => Some(Phase::Transmit),
@@ -166,15 +161,15 @@ impl Phase {
     }
 }
 
-/// A live timestamp returned by [`ProfHandle::begin`] for the sampled
-/// occurrences of a phase; hand it back to [`ProfHandle::end`].
+/// A live timestamp returned by [`crate::Instruments::begin`] for the sampled
+/// occurrences of a phase; hand it back to [`crate::Instruments::end`].
 #[derive(Clone, Copy, Debug)]
 pub struct ProfStamp {
     at: Instant,
 }
 
 impl ProfStamp {
-    fn now() -> ProfStamp {
+    pub(crate) fn now() -> ProfStamp {
         // simlint: allow(D002, reason = "sampled profiler timestamp; reaches only the volatile nanos fields of cesrm-prof/1, never simulation state")
         // simlint: allow(D008, reason = "reachable from Simulator::run_until by design: the in-sim profiler stamps phases, and every nanos field it feeds is PROF_VOLATILE_FIELDS")
         ProfStamp { at: Instant::now() }
@@ -185,159 +180,74 @@ impl ProfStamp {
     }
 }
 
-struct ProfInner {
+/// The profiler's live tallies, owned by the run's
+/// [`Instruments`](crate::Instruments) inner: plain `Cell`s, so every
+/// clone of the handle counts into the same profile without a borrow.
+pub(crate) struct Tallies {
     /// `stride - 1` for a power-of-two stride; `x & mask == 0` samples.
     stride_mask: u64,
-    /// Hot-loop event ticks ([`ProfHandle::tick_event`]).
+    /// Hot-loop event ticks ([`Tallies::tick_event`]).
     events: Cell<u64>,
     calls: [Cell<u64>; PHASE_COUNT],
     timed: [Cell<u64>; PHASE_COUNT],
     nanos: [Cell<u64>; PHASE_COUNT],
 }
 
-/// The per-run profiler handle: cheap to clone, `!Send`, a no-op when
-/// off. One handle is shared by the simulator, the protocol agents and
-/// the harness for a single run; [`ProfHandle::snapshot`] extracts the
-/// mergeable result.
-#[derive(Clone, Default)]
-pub struct ProfHandle(Option<Rc<ProfInner>>);
-
-impl ProfHandle {
-    /// The disabled handle: every touch is a single predictable branch.
-    pub fn off() -> ProfHandle {
-        ProfHandle(None)
-    }
-
-    /// An enabled handle with the default sampling stride
-    /// ([`DEFAULT_PROF_STRIDE`]).
-    pub fn new() -> ProfHandle {
-        ProfHandle::with_stride(DEFAULT_PROF_STRIDE)
-    }
-
-    /// An enabled handle timing every `stride`-th occurrence of each
-    /// phase; `stride` is rounded up to a power of two (minimum 1).
-    pub fn with_stride(stride: u64) -> ProfHandle {
+impl Tallies {
+    /// Tallies timing every `stride`-th occurrence of each phase;
+    /// `stride` is rounded up to a power of two (minimum 1).
+    pub(crate) fn new(stride: u64) -> Tallies {
         let stride = stride.max(1).next_power_of_two();
-        ProfHandle(Some(Rc::new(ProfInner {
+        Tallies {
             stride_mask: stride - 1,
             events: Cell::new(0),
             calls: std::array::from_fn(|_| Cell::new(0)),
             timed: std::array::from_fn(|_| Cell::new(0)),
             nanos: std::array::from_fn(|_| Cell::new(0)),
-        })))
-    }
-
-    /// Whether profiling is on.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// The configured sampling stride (0 when off).
-    pub fn stride(&self) -> u64 {
-        self.0.as_ref().map_or(0, |i| i.stride_mask + 1)
-    }
-
-    /// Hot-loop gate: called once per simulation event; returns `true`
-    /// when *this* event should be timed in detail. Always `false` off.
-    #[inline]
-    pub fn tick_event(&self) -> bool {
-        match &self.0 {
-            Some(inner) => {
-                let n = inner.events.get();
-                inner.events.set(n + 1);
-                n & inner.stride_mask == 0
-            }
-            None => false,
         }
     }
 
-    /// Counts one occurrence of `phase` and, on every `stride`-th call,
-    /// returns a timestamp to pass to [`ProfHandle::end`]. The cheap
-    /// instrumentation for self-sampling call sites (protocol agents).
     #[inline]
-    pub fn begin(&self, phase: Phase) -> Option<ProfStamp> {
-        let inner = self.0.as_ref()?;
-        let i = phase.index();
-        let n = inner.calls[i].get();
-        inner.calls[i].set(n + 1);
-        (n & inner.stride_mask == 0).then(ProfStamp::now)
+    pub(crate) fn tick_event(&self) -> bool {
+        let n = self.events.get();
+        self.events.set(n + 1);
+        n & self.stride_mask == 0
     }
 
-    /// Counts one occurrence of `phase` and *always* times it (for the
-    /// coarse `setup`/`run`/`teardown` spans, whose exact timing anchors
-    /// whole-run attribution).
     #[inline]
-    pub fn begin_exact(&self, phase: Phase) -> Option<ProfStamp> {
-        let inner = self.0.as_ref()?;
+    pub(crate) fn begin(&self, phase: Phase) -> Option<ProfStamp> {
         let i = phase.index();
-        inner.calls[i].set(inner.calls[i].get() + 1);
+        let n = self.calls[i].get();
+        self.calls[i].set(n + 1);
+        (n & self.stride_mask == 0).then(ProfStamp::now)
+    }
+
+    pub(crate) fn begin_exact(&self, phase: Phase) -> Option<ProfStamp> {
+        self.add_calls(phase, 1);
         Some(ProfStamp::now())
     }
 
-    /// Closes a span opened by [`ProfHandle::begin`] /
-    /// [`ProfHandle::begin_exact`]; `None` stamps are no-ops.
     #[inline]
-    pub fn end(&self, phase: Phase, stamp: Option<ProfStamp>) {
-        if let (Some(inner), Some(stamp)) = (&self.0, stamp) {
-            let i = phase.index();
-            inner.nanos[i].set(inner.nanos[i].get() + stamp.elapsed_nanos());
-            inner.timed[i].set(inner.timed[i].get() + 1);
-        }
+    pub(crate) fn end(&self, phase: Phase, stamp: ProfStamp) {
+        let i = phase.index();
+        self.nanos[i].set(self.nanos[i].get() + stamp.elapsed_nanos());
+        self.timed[i].set(self.timed[i].get() + 1);
     }
 
-    /// A raw timestamp with no call counting — for engine call sites
-    /// that decide per *event* (via [`ProfHandle::tick_event`]) which
-    /// occurrences to time and report them with
-    /// [`ProfHandle::record_since`]; their exact call totals arrive
-    /// separately via [`ProfHandle::add_calls`]. `None` when off.
-    #[inline]
-    pub fn stamp(&self) -> Option<ProfStamp> {
-        self.0.as_ref().map(|_| ProfStamp::now())
+    pub(crate) fn add_calls(&self, phase: Phase, n: u64) {
+        let i = phase.index();
+        self.calls[i].set(self.calls[i].get() + n);
     }
 
-    /// Closes a [`ProfHandle::stamp`] into `phase` (one timed sample,
-    /// no call count); `None` stamps are no-ops.
-    #[inline]
-    pub fn record_since(&self, phase: Phase, stamp: Option<ProfStamp>) {
-        if let Some(stamp) = stamp {
-            self.record(phase, stamp.elapsed_nanos());
-        }
-    }
-
-    /// Records one exactly-timed occurrence of `phase` without counting
-    /// a call — for engine spans whose call totals arrive in bulk via
-    /// [`ProfHandle::add_calls`] from always-on telemetry counters.
-    #[inline]
-    pub fn record(&self, phase: Phase, nanos: u64) {
-        if let Some(inner) = &self.0 {
-            let i = phase.index();
-            inner.nanos[i].set(inner.nanos[i].get() + nanos);
-            inner.timed[i].set(inner.timed[i].get() + 1);
-        }
-    }
-
-    /// Folds `n` occurrences of `phase` into the call tally (bulk
-    /// import of exact counts the engine tracked anyway).
-    pub fn add_calls(&self, phase: Phase, n: u64) {
-        if let Some(inner) = &self.0 {
-            let i = phase.index();
-            inner.calls[i].set(inner.calls[i].get() + n);
-        }
-    }
-
-    /// A `Send`able copy of the tallies so far.
-    pub fn snapshot(&self) -> ProfSnapshot {
-        match &self.0 {
-            Some(inner) => ProfSnapshot {
-                stride: inner.stride_mask + 1,
-                events: inner.events.get(),
-                phases: std::array::from_fn(|i| PhaseTally {
-                    calls: inner.calls[i].get(),
-                    timed: inner.timed[i].get(),
-                    nanos: inner.nanos[i].get(),
-                }),
-            },
-            None => ProfSnapshot::default(),
+    pub(crate) fn snapshot(&self) -> ProfSnapshot {
+        ProfSnapshot {
+            stride: self.stride_mask + 1,
+            events: self.events.get(),
+            phases: std::array::from_fn(|i| PhaseTally {
+                calls: self.calls[i].get(),
+                timed: self.timed[i].get(),
+                nanos: self.nanos[i].get(),
+            }),
         }
     }
 }
@@ -457,27 +367,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_handle_is_inert() {
-        let p = ProfHandle::off();
-        assert!(!p.is_enabled());
-        assert!(!p.tick_event());
-        assert!(p.begin(Phase::Transmit).is_none());
-        assert!(p.begin_exact(Phase::Run).is_none());
-        assert!(p.stamp().is_none());
-        p.end(Phase::Transmit, None);
-        p.record_since(Phase::Transmit, None);
-        p.record(Phase::Deliver, 1_000);
-        p.add_calls(Phase::QueuePop, 42);
-        assert!(p.snapshot().is_empty());
-        assert_eq!(p.stride(), 0);
-    }
-
-    #[test]
-    fn stamp_and_record_since_count_samples_but_not_calls() {
-        let p = ProfHandle::new();
-        let s = p.stamp();
-        assert!(s.is_some());
-        p.record_since(Phase::QueuePush, s);
+    fn stamps_count_samples_but_not_calls() {
+        let p = Tallies::new(DEFAULT_PROF_STRIDE);
+        p.end(Phase::QueuePush, ProfStamp::now());
         p.add_calls(Phase::QueuePush, 500);
         let t = p.snapshot().phase(Phase::QueuePush);
         assert_eq!(t.calls, 500);
@@ -486,8 +378,8 @@ mod tests {
 
     #[test]
     fn stride_rounds_to_power_of_two_and_samples_every_nth() {
-        let p = ProfHandle::with_stride(5); // rounds to 8
-        assert_eq!(p.stride(), 8);
+        let p = Tallies::new(5); // rounds to 8
+        assert_eq!(p.snapshot().stride, 8);
         let sampled: Vec<bool> = (0..16).map(|_| p.tick_event()).collect();
         let expected: Vec<bool> = (0..16u64).map(|i| i % 8 == 0).collect();
         assert_eq!(sampled, expected);
@@ -496,19 +388,15 @@ mod tests {
 
     #[test]
     fn begin_counts_every_call_but_times_one_in_stride() {
-        let p = ProfHandle::with_stride(4);
-        let mut timed = 0;
+        let p = Tallies::new(4);
         for _ in 0..10 {
-            let stamp = p.begin(Phase::SrmOnPacket);
-            if stamp.is_some() {
-                timed += 1;
+            if let Some(stamp) = p.begin(Phase::SrmOnPacket) {
+                p.end(Phase::SrmOnPacket, stamp);
             }
-            p.end(Phase::SrmOnPacket, stamp);
         }
         let t = p.snapshot().phase(Phase::SrmOnPacket);
         assert_eq!(t.calls, 10);
         assert_eq!(t.timed, 3, "calls 0, 4 and 8 are sampled");
-        assert_eq!(timed, 3);
     }
 
     #[test]

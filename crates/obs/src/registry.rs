@@ -1,7 +1,8 @@
 //! A lightweight in-process metrics registry for simulator self-profiling.
 //!
-//! The tracing layer ([`TraceHandle`](crate::TraceHandle)) answers *what
-//! happened to one loss*; this module answers *what the runtime did*:
+//! The event stream ([`Instruments::emit`](crate::Instruments::emit))
+//! answers *what happened to one loss*; this module answers *what the
+//! runtime did*:
 //! events dispatched per type, queue pressure, timer churn, cache hit
 //! rates. Four instrument kinds cover the hot paths:
 //!
@@ -14,16 +15,17 @@
 //!   values ([`QuantileSketch`]) that tracks its own worst-case rank-error
 //!   bound.
 //!
-//! Instruments are obtained once from a [`MetricsHandle`] and stored at the
-//! call site, so the hot path is a `Cell` update with no name lookup. Like
-//! `TraceHandle`, a `MetricsHandle` is **per-simulation owned state** and
-//! deliberately `!Send` (`Rc`-based): every run in the parallel suite
-//! builds its own handle on its own worker thread, and the disabled handle
-//! ([`MetricsHandle::off`]) hands out no-op instruments whose updates are a
-//! single `Option` branch — runs with metrics off behave byte-for-byte
-//! like uninstrumented builds.
+//! Instruments are obtained once from the run's
+//! [`Instruments`](crate::Instruments) handle
+//! ([`counter`](crate::Instruments::counter) and friends) and stored at the
+//! call site, so the hot path is a `Cell` update with no name lookup. A
+//! handle built without [`Setup::metrics`](crate::Setup::metrics) hands out
+//! no-op instruments whose updates are a single `Option` branch — runs
+//! with metrics off behave byte-for-byte like uninstrumented builds.
 //!
-//! At the end of a run, [`MetricsHandle::snapshot`] extracts a plain-data
+//! At the end of a run,
+//! [`Instruments::metrics_snapshot`](crate::Instruments::metrics_snapshot)
+//! extracts a plain-data
 //! [`MetricsSnapshot`] (which *is* `Send`) that can cross threads and be
 //! [merged](MetricsSnapshot::merge) deterministically: counters add,
 //! gauge high-waters take the max, histograms add bucket-wise, sketches
@@ -33,16 +35,16 @@
 //! # Examples
 //!
 //! ```
-//! use obs::MetricsHandle;
+//! use obs::{Instruments, Setup};
 //!
-//! let metrics = MetricsHandle::new();
-//! let dispatched = metrics.counter("sim.events.hop");
-//! let depth = metrics.gauge("sim.queue.depth");
+//! let obs = Instruments::new(Setup { metrics: true, ..Setup::default() });
+//! let dispatched = obs.counter("sim.events.hop");
+//! let depth = obs.gauge("sim.queue.depth");
 //! for d in [3i64, 7, 2] {
 //!     dispatched.inc();
 //!     depth.set(d);
 //! }
-//! let snap = metrics.snapshot();
+//! let snap = obs.metrics_snapshot();
 //! assert_eq!(snap.counters["sim.events.hop"], 3);
 //! assert_eq!(snap.gauges["sim.queue.depth"].high_water, 7);
 //! ```
@@ -56,14 +58,14 @@ use std::rc::Rc;
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Default per-level buffer capacity of a [`QuantileSketch`] created
-/// through [`MetricsHandle::sketch`].
+/// through [`Instruments::sketch`](crate::Instruments::sketch).
 pub const DEFAULT_SKETCH_K: usize = 256;
 
 // ---------------------------------------------------------------------
 // Instruments
 // ---------------------------------------------------------------------
 
-/// Writes the `TraceHandle`-style stable `Debug` form (`Name(on)` /
+/// Writes the handle-style stable `Debug` form (`Name(on)` /
 /// `Name(off)`): contents never leak into `Debug` output, so derived
 /// `Debug` on structs embedding instruments stays comparison-safe.
 macro_rules! stable_debug {
@@ -467,8 +469,9 @@ impl QuantileSketch {
     }
 }
 
-/// Shared-cell histogram instrument handed out by a [`MetricsHandle`]; the
-/// default value is a disabled no-op.
+/// Shared-cell histogram instrument handed out by the run's
+/// [`Instruments`](crate::Instruments); the default value is a disabled
+/// no-op.
 #[derive(Clone, Default)]
 pub struct Histogram(Option<Rc<RefCell<LogHistogram>>>);
 
@@ -487,8 +490,9 @@ impl Histogram {
     }
 }
 
-/// Shared-cell quantile-sketch instrument handed out by a
-/// [`MetricsHandle`]; the default value is a disabled no-op.
+/// Shared-cell quantile-sketch instrument handed out by the run's
+/// [`Instruments`](crate::Instruments); the default value is a disabled
+/// no-op.
 #[derive(Clone, Default)]
 pub struct Sketch(Option<Rc<RefCell<QuantileSketch>>>);
 
@@ -511,138 +515,50 @@ impl Sketch {
 // Registry
 // ---------------------------------------------------------------------
 
+/// One run's named instrument cells, owned by the run's
+/// [`Instruments`](crate::Instruments) inner. Registering the same name
+/// twice returns an instrument sharing the same cell, so the simulator,
+/// the protocol agents and the recovery log of one run all accumulate into
+/// one registry.
 #[derive(Default)]
-struct RegistryInner {
+pub(crate) struct Registry {
     counters: BTreeMap<String, Rc<Cell<u64>>>,
     gauges: BTreeMap<String, Rc<Cell<GaugeSnapshot>>>,
     histograms: BTreeMap<String, Rc<RefCell<LogHistogram>>>,
     sketches: BTreeMap<String, Rc<RefCell<QuantileSketch>>>,
 }
 
-/// The per-simulation metrics registry handle.
-///
-/// Mirrors [`TraceHandle`](crate::TraceHandle): cloneable, `!Send`, owned
-/// by exactly one simulation run, with [`MetricsHandle::off`] as the
-/// zero-cost default. Registering the same name twice returns an
-/// instrument sharing the same cell, so the simulator, the protocol agents
-/// and the recovery log of one run all accumulate into one registry.
-#[derive(Clone, Default)]
-pub struct MetricsHandle(Option<Rc<RefCell<RegistryInner>>>);
-
-impl std::fmt::Debug for MetricsHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Stable output regardless of contents so `Debug`-based
-        // determinism comparisons are unaffected by metrics state.
-        f.write_str(if self.0.is_some() {
-            "MetricsHandle(on)"
-        } else {
-            "MetricsHandle(off)"
-        })
-    }
+/// The cell registered under `name`, created on first use.
+fn cell<T: Default>(map: &mut BTreeMap<String, Rc<T>>, name: &str) -> Rc<T> {
+    Rc::clone(map.entry(name.to_string()).or_default())
 }
 
-impl MetricsHandle {
-    /// The disabled handle: every instrument it hands out is a no-op.
-    pub fn off() -> Self {
-        MetricsHandle(None)
+impl Registry {
+    pub(crate) fn counter(&mut self, name: &str) -> Counter {
+        Counter(Some(cell(&mut self.counters, name)))
     }
 
-    /// An enabled handle over a fresh, empty registry.
-    pub fn new() -> Self {
-        MetricsHandle(Some(Rc::new(RefCell::new(RegistryInner::default()))))
+    pub(crate) fn gauge(&mut self, name: &str) -> Gauge {
+        Gauge(Some(cell(&mut self.gauges, name)))
     }
 
-    /// `true` when metrics are being collected.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
+    pub(crate) fn histogram(&mut self, name: &str) -> Histogram {
+        Histogram(Some(cell(&mut self.histograms, name)))
     }
 
-    /// The counter registered under `name` (created on first use).
-    pub fn counter(&self, name: &str) -> Counter {
-        match &self.0 {
-            None => Counter::off(),
-            Some(inner) => Counter(Some(Rc::clone(
-                inner
-                    .borrow_mut()
-                    .counters
-                    .entry(name.to_string())
-                    .or_default(),
-            ))),
+    pub(crate) fn sketch(&mut self, name: &str) -> Sketch {
+        Sketch(Some(cell(&mut self.sketches, name)))
+    }
+
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        fn copied<T, U>(map: &BTreeMap<String, Rc<T>>, f: impl Fn(&T) -> U) -> BTreeMap<String, U> {
+            map.iter().map(|(k, v)| (k.clone(), f(v))).collect()
         }
-    }
-
-    /// The gauge registered under `name` (created on first use).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        match &self.0 {
-            None => Gauge::off(),
-            Some(inner) => Gauge(Some(Rc::clone(
-                inner
-                    .borrow_mut()
-                    .gauges
-                    .entry(name.to_string())
-                    .or_default(),
-            ))),
-        }
-    }
-
-    /// The log-scale histogram registered under `name` (created on first
-    /// use).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        match &self.0 {
-            None => Histogram::off(),
-            Some(inner) => Histogram(Some(Rc::clone(
-                inner
-                    .borrow_mut()
-                    .histograms
-                    .entry(name.to_string())
-                    .or_default(),
-            ))),
-        }
-    }
-
-    /// The quantile sketch registered under `name` (created on first use,
-    /// with [`DEFAULT_SKETCH_K`]).
-    pub fn sketch(&self, name: &str) -> Sketch {
-        match &self.0 {
-            None => Sketch::off(),
-            Some(inner) => Sketch(Some(Rc::clone(
-                inner
-                    .borrow_mut()
-                    .sketches
-                    .entry(name.to_string())
-                    .or_default(),
-            ))),
-        }
-    }
-
-    /// Extracts a plain-data snapshot of every registered instrument.
-    /// Returns an empty snapshot when disabled.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let Some(inner) = &self.0 else {
-            return MetricsSnapshot::default();
-        };
-        let inner = inner.borrow();
         MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.borrow().clone()))
-                .collect(),
-            sketches: inner
-                .sketches
-                .iter()
-                .map(|(k, v)| (k.clone(), v.borrow().clone()))
-                .collect(),
+            counters: copied(&self.counters, Cell::get),
+            gauges: copied(&self.gauges, Cell::get),
+            histograms: copied(&self.histograms, |h| h.borrow().clone()),
+            sketches: copied(&self.sketches, |s| s.borrow().clone()),
         }
     }
 }
@@ -704,39 +620,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_handle_is_a_noop() {
-        let m = MetricsHandle::off();
-        assert!(!m.is_enabled());
-        let c = m.counter("x");
-        let g = m.gauge("y");
-        let h = m.histogram("z");
-        let s = m.sketch("w");
-        c.inc();
-        g.set(5);
-        h.record(10);
-        s.record(10);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.high_water(), 0);
-        assert!(m.snapshot().is_empty());
-        assert_eq!(format!("{m:?}"), "MetricsHandle(off)");
-    }
-
-    #[test]
     fn same_name_shares_one_cell() {
-        let m = MetricsHandle::new();
+        let mut m = Registry::default();
         let a = m.counter("hits");
         let b = m.counter("hits");
         a.add(2);
         b.inc();
         assert_eq!(a.get(), 3);
         assert_eq!(m.snapshot().counters["hits"], 3);
-        assert_eq!(format!("{m:?}"), "MetricsHandle(on)");
     }
 
     #[test]
     fn gauge_tracks_high_water() {
-        let m = MetricsHandle::new();
-        let g = m.gauge("depth");
+        let g = Registry::default().gauge("depth");
         g.add(3);
         g.add(4);
         g.add(-5);
@@ -857,7 +753,7 @@ mod tests {
     #[test]
     fn snapshot_merge_is_associative() {
         let make = |vals: &[u64], level: i64| {
-            let m = MetricsHandle::new();
+            let mut m = Registry::default();
             let c = m.counter("n");
             let g = m.gauge("depth");
             let h = m.histogram("h");

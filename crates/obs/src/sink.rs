@@ -1,23 +1,17 @@
-//! Event sinks and the per-simulation [`TraceHandle`].
+//! Event sinks: where a capturing [`Instruments`](crate::Instruments)
+//! handle stores its records.
 
-use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::rc::Rc;
 
-use crate::digest::{DigestRecorder, DigestSnapshot};
-use crate::event::{Event, Record};
-use crate::flight::FlightRecorder;
+use crate::event::Record;
 use crate::json::to_json_line;
-use crate::monitor::{MonitorReport, MonitorSet};
-use crate::prof::{Phase, ProfHandle};
 
 /// Destination for trace [`Record`]s.
 ///
 /// Implementations decide retention: keep everything ([`MemorySink`]), keep
-/// the most recent N ([`RingSink`]), stream to disk ([`JsonlSink`]), or
-/// discard ([`NoopSink`]).
+/// the most recent N ([`RingSink`]), or stream to disk ([`JsonlSink`]).
 pub trait EventSink {
     /// Accept one record.
     fn record(&mut self, record: Record);
@@ -31,15 +25,6 @@ pub trait EventSink {
 
     /// Flush any underlying writer. Default: nothing to do.
     fn flush(&mut self) {}
-}
-
-/// Discards every record. Used when tracing is structurally required but
-/// semantically off; [`TraceHandle::off`] avoids even this indirection.
-#[derive(Debug, Default)]
-pub struct NoopSink;
-
-impl EventSink for NoopSink {
-    fn record(&mut self, _record: Record) {}
 }
 
 /// Unbounded in-memory sink; feed its [`EventSink::drain`] output to
@@ -165,260 +150,16 @@ impl<W: Write> EventSink for JsonlSink<W> {
     }
 }
 
-/// The cheap, cloneable tracing handle threaded through one simulation.
-///
-/// A handle is either *off* (the default — every [`TraceHandle::emit`] is
-/// a single `Option` branch and the event closure is never evaluated) or
-/// *on*, sharing one [`EventSink`] among every clone handed to the
-/// simulator, the recovery log, and the protocol agents of a single run.
-///
-/// Handles are deliberately `!Send` (`Rc`-based): each simulation in the
-/// parallel suite runner constructs its own handle on its own worker
-/// thread, so enabling tracing can never introduce cross-run sharing or
-/// data races.
-///
-/// Besides a sink, a handle can carry a [`MonitorSet`]
-/// ([`TraceHandle::with_monitors`]): every emitted record is fed to the
-/// monitors *before* the sink, in emit order, with no second
-/// instrumentation protocol. A monitor-only handle (no sink) still counts
-/// as enabled — call sites that gate optional emissions on
-/// [`TraceHandle::is_enabled`] must produce events for monitors too.
-///
-/// Two further attachments follow the same per-run-owned pattern: a
-/// [`DigestRecorder`] ([`TraceHandle::with_digest`]) folding every record
-/// into the hierarchical run digest, and a [`FlightRecorder`]
-/// ([`TraceHandle::with_flight`]) ringing the most recent records for the
-/// crash/violation dumps. Either attachment alone also enables the handle
-/// — the digest must cover the same canonical event stream a capturing
-/// run sees.
-#[derive(Clone, Default)]
-pub struct TraceHandle {
-    sink: Option<Rc<RefCell<Box<dyn EventSink>>>>,
-    monitors: Option<Rc<RefCell<MonitorFeed>>>,
-    digest: Option<Rc<RefCell<DigestRecorder>>>,
-    flight: Option<Rc<RefCell<FlightRecorder>>>,
-}
-
-/// The attached [`MonitorSet`] plus the profiler handle that times its
-/// feeds — kept together behind the shared `Rc` so the handle itself
-/// (embedded in every protocol core, and counted by their `state_bytes`
-/// accounting) stays two pointers wide.
-struct MonitorFeed {
-    set: MonitorSet,
-    prof: ProfHandle,
-}
-
-impl std::fmt::Debug for TraceHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Stable output regardless of sink contents so that `Debug`-based
-        // determinism comparisons are unaffected by tracing state.
-        f.write_str(if self.is_enabled() {
-            "TraceHandle(on)"
-        } else {
-            "TraceHandle(off)"
-        })
-    }
-}
-
-impl TraceHandle {
-    /// The disabled handle: emits are discarded without building events.
-    pub fn off() -> Self {
-        Self::default()
-    }
-
-    /// Wrap an arbitrary sink.
-    pub fn new(sink: Box<dyn EventSink>) -> Self {
-        Self {
-            sink: Some(Rc::new(RefCell::new(sink))),
-            ..Self::default()
-        }
-    }
-
-    /// Enabled handle over an unbounded [`MemorySink`].
-    pub fn memory() -> Self {
-        Self::new(Box::new(MemorySink::new()))
-    }
-
-    /// Enabled handle over a [`RingSink`] keeping the last `capacity`
-    /// records.
-    pub fn ring(capacity: usize) -> Self {
-        Self::new(Box::new(RingSink::new(capacity)))
-    }
-
-    /// Enabled handle streaming JSONL to a freshly created file.
-    pub fn jsonl<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        Ok(Self::new(Box::new(JsonlSink::create(path)?)))
-    }
-
-    /// Attaches an invariant [`MonitorSet`]: every subsequent emit feeds
-    /// the monitors (before the sink, when one is present). Works on any
-    /// handle, including [`TraceHandle::off`] — a monitor-only handle
-    /// evaluates event closures but stores nothing.
-    pub fn with_monitors(mut self, monitors: MonitorSet) -> Self {
-        self.monitors = Some(Rc::new(RefCell::new(MonitorFeed {
-            set: monitors,
-            prof: ProfHandle::off(),
-        })));
-        self
-    }
-
-    /// Attaches a profiler handle: every monitor feed is counted (and
-    /// stride-sampled) under [`Phase::MonitorFeed`]. A no-op when `prof`
-    /// is [`ProfHandle::off`] or when no monitors are attached (nothing
-    /// else is timed through the handle), so call it *after*
-    /// [`TraceHandle::with_monitors`]. The profiler lives behind the
-    /// shared monitor cell, so every clone of the handle times into the
-    /// same profile.
-    pub fn with_prof(self, prof: ProfHandle) -> Self {
-        if let Some(monitors) = &self.monitors {
-            monitors.borrow_mut().prof = prof;
-        }
-        self
-    }
-
-    /// Attaches a [`DigestRecorder`]: every subsequent emit folds into the
-    /// hierarchical run digest. Works on any handle, including
-    /// [`TraceHandle::off`] — a digest-only handle evaluates event closures
-    /// (the digest covers the canonical stream) but stores no records.
-    pub fn with_digest(mut self, digest: DigestRecorder) -> Self {
-        self.digest = Some(Rc::new(RefCell::new(digest)));
-        self
-    }
-
-    /// Attaches a [`FlightRecorder`]: every subsequent emit rings through
-    /// it, and the run's first monitor violation dumps its tail to stderr.
-    /// Returns the shared cell so the caller can register it with
-    /// [`crate::flight::set_current`] for the panic hook.
-    pub fn with_flight(mut self, flight: FlightRecorder) -> Self {
-        self.flight = Some(Rc::new(RefCell::new(flight)));
-        self
-    }
-
-    /// The attached flight recorder's shared cell, for panic-hook
-    /// registration; `None` when no recorder is attached.
-    pub fn flight(&self) -> Option<Rc<RefCell<FlightRecorder>>> {
-        self.flight.clone()
-    }
-
-    /// Snapshot of the attached digest recorder; `None` when the handle
-    /// records no digest.
-    pub fn digest_snapshot(&self) -> Option<DigestSnapshot> {
-        self.digest.as_ref().map(|d| d.borrow().snapshot())
-    }
-
-    /// True when events are being captured, monitored, digested or flight
-    /// recorded (the closure in [`TraceHandle::emit`] will be evaluated).
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
-            || self.monitors.is_some()
-            || self.digest.is_some()
-            || self.flight.is_some()
-    }
-
-    /// True when a [`MonitorSet`] is attached.
-    pub fn has_monitors(&self) -> bool {
-        self.monitors.is_some()
-    }
-
-    /// Record the event built by `f` at simulation time `t_ns`.
-    ///
-    /// The closure is only evaluated when the handle is enabled, keeping
-    /// disabled call sites to a branch on two `Option`s.
-    #[inline]
-    pub fn emit<F: FnOnce() -> Event>(&self, t_ns: u64, f: F) {
-        if !self.is_enabled() {
-            return;
-        }
-        let record = Record { t_ns, event: f() };
-        // The flight ring is fed first so a violation flagged on this very
-        // record appears in its own dump.
-        if let Some(flight) = &self.flight {
-            flight.borrow_mut().push(record);
-        }
-        let mut violated = false;
-        if let Some(monitors) = &self.monitors {
-            let feed = &mut *monitors.borrow_mut();
-            let stamp = feed.prof.begin(Phase::MonitorFeed);
-            let before = feed.set.violations().len();
-            feed.set.observe(&record);
-            violated = feed.set.violations().len() > before;
-            feed.prof.end(Phase::MonitorFeed, stamp);
-        }
-        if violated {
-            if let Some(flight) = &self.flight {
-                flight
-                    .borrow_mut()
-                    .dump_stderr("invariant violation", false);
-            }
-        }
-        if let Some(digest) = &self.digest {
-            digest.borrow_mut().observe(&record);
-        }
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().record(record);
-        }
-    }
-
-    /// Drain buffered records from the underlying sink (empty when off or
-    /// when the sink streams instead of buffering).
-    pub fn drain(&self) -> Vec<Record> {
-        match &self.sink {
-            Some(sink) => sink.borrow_mut().drain(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Flush the underlying sink, if any.
-    pub fn flush(&self) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().flush();
-        }
-    }
-
-    /// Takes the attached monitors out of the handle (and every clone of
-    /// it) and closes them into a [`MonitorReport`]; `None` when the
-    /// handle never had monitors. Call once, after the run completes.
-    pub fn finish_monitors(&self) -> Option<MonitorReport> {
-        self.monitors
-            .as_ref()
-            .map(|m| std::mem::take(&mut m.borrow_mut().set).finish())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
 
     fn rec(t_ns: u64, seq: u64) -> Record {
         Record {
             t_ns,
             event: Event::LossDetected { node: 1, seq },
         }
-    }
-
-    #[test]
-    fn off_handle_never_evaluates_closure() {
-        let h = TraceHandle::off();
-        let mut evaluated = false;
-        h.emit(0, || {
-            evaluated = true;
-            Event::LossDetected { node: 0, seq: 0 }
-        });
-        assert!(!evaluated);
-        assert!(!h.is_enabled());
-        assert!(h.drain().is_empty());
-    }
-
-    #[test]
-    fn memory_sink_preserves_order() {
-        let h = TraceHandle::memory();
-        for i in 0..5 {
-            h.emit(i, || Event::LossDetected { node: 1, seq: i });
-        }
-        let records = h.drain();
-        assert_eq!(records.len(), 5);
-        assert!(records.windows(2).all(|w| w[0].t_ns < w[1].t_ns));
-        assert!(h.drain().is_empty(), "drain empties the sink");
     }
 
     #[test]
@@ -442,15 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_one_sink() {
-        let h = TraceHandle::memory();
-        let h2 = h.clone();
-        h.emit(1, || Event::LossDetected { node: 1, seq: 1 });
-        h2.emit(2, || Event::LossDetected { node: 2, seq: 2 });
-        assert_eq!(h.drain().len(), 2);
-    }
-
-    #[test]
     fn jsonl_sink_writes_one_line_per_record() {
         let mut sink = JsonlSink::new(Vec::new());
         sink.record(rec(10, 3));
@@ -459,81 +191,5 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-    }
-
-    #[test]
-    fn debug_is_stable() {
-        assert_eq!(format!("{:?}", TraceHandle::off()), "TraceHandle(off)");
-        assert_eq!(format!("{:?}", TraceHandle::memory()), "TraceHandle(on)");
-        // Monitor-only handles render as "on" too: the closure IS evaluated.
-        assert_eq!(
-            format!(
-                "{:?}",
-                TraceHandle::off().with_monitors(MonitorSet::standard())
-            ),
-            "TraceHandle(on)"
-        );
-    }
-
-    #[test]
-    fn monitor_only_handle_is_enabled_and_feeds_monitors() {
-        let h = TraceHandle::off().with_monitors(MonitorSet::standard());
-        assert!(h.is_enabled(), "netsim gates delivery events on this");
-        assert!(h.has_monitors());
-        h.emit(1_000, || Event::LossDetected { node: 2, seq: 7 });
-        assert!(h.drain().is_empty(), "no sink: nothing is stored");
-        let report = h.finish_monitors().expect("monitors were attached");
-        assert_eq!(report.stats.events, 1);
-        assert_eq!(report.stats.losses, 1);
-        // The undetected loss is a liveness violation with its timeline.
-        assert_eq!(report.violations.len(), 1);
-        assert!(TraceHandle::off().finish_monitors().is_none());
-    }
-
-    #[test]
-    fn digest_only_handle_is_enabled_and_folds_every_emit() {
-        let h = TraceHandle::off().with_digest(crate::digest::DigestRecorder::default());
-        assert!(h.is_enabled(), "netsim gates delivery events on this");
-        h.emit(1_000, || Event::LossDetected { node: 2, seq: 7 });
-        h.emit(2_000, || Event::LossDetected { node: 3, seq: 8 });
-        assert!(h.drain().is_empty(), "no sink: nothing is stored");
-        let snap = h.digest_snapshot().expect("digest was attached");
-        assert_eq!(snap.count(), 2);
-        assert!(TraceHandle::off().digest_snapshot().is_none());
-    }
-
-    #[test]
-    fn flight_recorder_rings_through_the_handle() {
-        let h =
-            TraceHandle::off().with_flight(crate::flight::FlightRecorder::new(2, "sink test run"));
-        assert!(h.is_enabled());
-        for i in 0..5 {
-            h.emit(i, || Event::LossDetected { node: 1, seq: i });
-        }
-        let cell = h.flight().expect("flight was attached");
-        let fr = cell.borrow();
-        assert_eq!(fr.seen(), 5);
-        assert_eq!(
-            fr.tail(64).iter().map(|r| r.t_ns).collect::<Vec<_>>(),
-            vec![3, 4]
-        );
-        assert!(TraceHandle::off().flight().is_none());
-    }
-
-    #[test]
-    fn monitors_and_sink_both_see_every_emit_through_clones() {
-        let h = TraceHandle::memory().with_monitors(MonitorSet::standard());
-        let h2 = h.clone();
-        h.emit(1_000, || Event::LossDetected { node: 2, seq: 7 });
-        h2.emit(2_000, || Event::RecoveryCompleted {
-            node: 2,
-            seq: 7,
-            expedited: false,
-        });
-        assert_eq!(h.drain().len(), 2);
-        let report = h2.finish_monitors().unwrap();
-        assert_eq!(report.stats.events, 2);
-        assert!(report.is_healthy(), "{:?}", report.violations);
-        assert_eq!(report.stats.recovered, 1);
     }
 }

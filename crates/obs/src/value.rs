@@ -46,6 +46,52 @@ impl JsonValue {
         Ok(value)
     }
 
+    /// An object from `(key, value)` members, in the given order — the
+    /// builder every report emitter uses.
+    pub fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
+        JsonValue::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// An unsigned integer as a JSON number.
+    pub fn uint(n: u64) -> JsonValue {
+        JsonValue::Num(n as f64)
+    }
+
+    /// [`uint`](Self::uint), or `null` for `None`.
+    pub fn opt_uint(n: Option<u64>) -> JsonValue {
+        n.map_or(JsonValue::Null, JsonValue::uint)
+    }
+
+    /// A JSON string.
+    pub fn str_val(s: &str) -> JsonValue {
+        JsonValue::Str(s.to_string())
+    }
+
+    /// Nulls every member named in `volatile`, at any depth. Reports list
+    /// their machine-dependent members (wall-clock readings and figures
+    /// derived from them) so that two runs of one configuration agree
+    /// byte-for-byte once scrubbed.
+    pub fn scrub(&mut self, volatile: &[&str]) {
+        match self {
+            JsonValue::Obj(members) => {
+                for (k, v) in members.iter_mut() {
+                    if volatile.contains(&k.as_str()) {
+                        *v = JsonValue::Null;
+                    } else {
+                        v.scrub(volatile);
+                    }
+                }
+            }
+            JsonValue::Arr(items) => items.iter_mut().for_each(|v| v.scrub(volatile)),
+            _ => {}
+        }
+    }
+
     /// Looks up a member of an object by key.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -292,11 +338,16 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (1–4 bytes).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape. Both
+                // delimiters are ASCII, so the cut never splits a UTF-8
+                // scalar — and validating only the run keeps parsing
+                // linear (re-validating the rest of the input per
+                // character made multi-megabyte trails take minutes).
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -381,6 +432,29 @@ mod tests {
         assert_eq!(v.get("a\n").unwrap().as_arr().unwrap().len(), 2);
         let s = JsonValue::parse(r#""tab\tquote\" end""#).unwrap();
         assert_eq!(s.as_str(), Some("tab\tquote\" end"));
+        let s = JsonValue::parse(r#""10³ → 10⁶\n§4""#).unwrap();
+        assert_eq!(s.as_str(), Some("10³ → 10⁶\n§4"), "multi-byte runs");
+    }
+
+    #[test]
+    fn builders_and_scrub() {
+        let mut doc = JsonValue::obj(vec![
+            ("runs", JsonValue::uint(3)),
+            ("wall_s", JsonValue::Num(0.25)),
+            ("skipped", JsonValue::opt_uint(None)),
+            (
+                "rows",
+                JsonValue::Arr(vec![JsonValue::obj(vec![
+                    ("name", JsonValue::str_val("a")),
+                    ("wall_s", JsonValue::Num(0.5)),
+                ])]),
+            ),
+        ]);
+        doc.scrub(&["wall_s"]);
+        assert_eq!(
+            doc.to_string_compact(),
+            r#"{"runs":3,"wall_s":null,"skipped":null,"rows":[{"name":"a","wall_s":null}]}"#
+        );
     }
 
     #[test]

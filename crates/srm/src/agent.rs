@@ -47,7 +47,6 @@ use crate::{Role, SourceConfig, SrmCore, SrmParams};
 /// ```
 pub struct SrmAgent {
     core: SrmCore,
-    prof: obs::ProfHandle,
 }
 
 impl SrmAgent {
@@ -61,7 +60,6 @@ impl SrmAgent {
     ) -> Self {
         SrmAgent {
             core: SrmCore::new(me, me, params, Role::Source(cfg), log),
-            prof: obs::ProfHandle::off(),
         }
     }
 
@@ -69,7 +67,6 @@ impl SrmAgent {
     pub fn receiver(me: NodeId, source: NodeId, params: SrmParams, log: SharedRecoveryLog) -> Self {
         SrmAgent {
             core: SrmCore::new(me, source, params, Role::Receiver, log),
-            prof: obs::ProfHandle::off(),
         }
     }
 
@@ -84,10 +81,7 @@ impl SrmAgent {
     ) -> Self {
         let mut core = SrmCore::new(me, source, params, Role::Receiver, log);
         core.set_timer_policy(policy);
-        SrmAgent {
-            core,
-            prof: obs::ProfHandle::off(),
-        }
+        SrmAgent { core }
     }
 
     /// Read access to the protocol engine.
@@ -108,26 +102,12 @@ impl SrmAgent {
         self.core.state_bytes()
     }
 
-    /// Builder-style installation of a structured-event trace handle (see
-    /// the `obs` crate); tracing is off by default.
-    pub fn with_trace(mut self, trace: obs::TraceHandle) -> Self {
-        self.core.set_trace(trace);
-        self
-    }
-
-    /// Builder-style registration of runtime-profiling counters (see
-    /// [`SrmCore::set_metrics`]); profiling is off by default.
-    pub fn with_metrics(mut self, metrics: &obs::MetricsHandle) -> Self {
-        self.core.set_metrics(metrics);
-        self
-    }
-
-    /// Builder-style installation of the per-run self-profiler handle:
-    /// every `on_packet` counts into the `srm_on_packet` phase, with one
-    /// in `stride` calls wall-clock timed (see `docs/PROFILING.md`). Off
-    /// by default.
-    pub fn with_prof(mut self, prof: obs::ProfHandle) -> Self {
-        self.prof = prof;
+    /// Builder-style installation of the run's observation handle (see
+    /// [`SrmCore::set_obs`]); additionally every `on_packet` counts into
+    /// the `srm_on_packet` profiler phase, with one in `stride` calls
+    /// wall-clock timed (`docs/PROFILING.md`). Off by default.
+    pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
+        self.core.set_obs(obs);
         self
     }
 }
@@ -138,11 +118,11 @@ impl Agent for SrmAgent {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, meta: &DeliveryMeta) {
-        let stamp = self.prof.begin(obs::Phase::SrmOnPacket);
+        let stamp = self.core.obs().begin(obs::Phase::SrmOnPacket);
         self.core.on_packet(ctx, packet, meta);
         // Plain SRM has no expedited layer; drop the detection events.
         self.core.take_newly_detected();
-        self.prof.end(obs::Phase::SrmOnPacket, stamp);
+        self.core.obs().end(obs::Phase::SrmOnPacket, stamp);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {

@@ -104,9 +104,9 @@ pub struct SrmCore {
     newly_detected: Vec<SeqNo>,
     default_distance_uses: u64,
     spurious_detections: u64,
-    /// Structured-event trace for timer and suppression decisions; off by
-    /// default (see the `obs` crate).
-    trace: obs::TraceHandle,
+    /// The run's observation handle (see the `obs` crate); off by default.
+    obs: obs::Instruments,
+    /// Counters pre-registered on `obs`.
     metrics: SrmMetrics,
 }
 
@@ -124,7 +124,7 @@ struct SrmMetrics {
 }
 
 impl SrmMetrics {
-    fn new(metrics: &obs::MetricsHandle) -> Self {
+    fn new(metrics: &obs::Instruments) -> Self {
         SrmMetrics {
             request_timers_set: metrics.counter("srm.request_timers_set"),
             requests_sent: metrics.counter("srm.requests_sent"),
@@ -173,34 +173,30 @@ impl SrmCore {
             newly_detected: Vec::new(),
             default_distance_uses: 0,
             spurious_detections: 0,
-            trace: obs::TraceHandle::off(),
+            obs: obs::Instruments::off(),
             metrics: SrmMetrics::default(),
         }
     }
 
-    /// Installs the structured-event trace handle. The core emits the
+    /// Installs the run's observation handle. The core emits the
     /// scheduling/suppression decisions only it can see
     /// (`req_scheduled`/`req_suppressed`/`rep_scheduled`/`rep_suppressed`/
-    /// `rep_sent`); detection and completion records come from the shared
+    /// `rep_sent`) and counts them (`srm.request_timers_set`,
+    /// `srm.requests_sent`, `srm.request_suppressed`,
+    /// `srm.reply_timers_set`, `srm.replies_sent`, `srm.reply_suppressed`);
+    /// detection and completion records come from the shared
     /// [`metrics::RecoveryLog`], which should be given a clone of the same
-    /// handle.
-    pub fn set_trace(&mut self, trace: obs::TraceHandle) {
-        self.trace = trace;
+    /// handle. Per-simulation owned and observation-only.
+    pub fn set_obs(&mut self, obs: obs::Instruments) {
+        self.metrics = SrmMetrics::new(&obs);
+        self.obs = obs;
     }
 
-    /// Registers this endpoint's suppression-machinery counters on
-    /// `metrics` (`srm.request_timers_set`, `srm.requests_sent`,
-    /// `srm.request_suppressed`, `srm.reply_timers_set`,
-    /// `srm.replies_sent`, `srm.reply_suppressed`). Per-simulation owned,
-    /// observation-only, and a no-op when `metrics` is disabled — the
-    /// counterpart of [`set_trace`](SrmCore::set_trace) for runtime
-    /// profiling.
-    pub fn set_metrics(&mut self, metrics: &obs::MetricsHandle) {
-        self.metrics = if metrics.is_enabled() {
-            SrmMetrics::new(metrics)
-        } else {
-            SrmMetrics::default()
-        };
+    /// The installed observation handle, for the agent wrapping this core
+    /// to emit and profile through.
+    #[inline]
+    pub fn obs(&self) -> &obs::Instruments {
+        &self.obs
     }
 
     /// This endpoint's node id.
@@ -509,7 +505,7 @@ impl SrmCore {
             expedited: false,
         });
         self.metrics.replies_sent.inc();
-        self.trace
+        self.obs
             .emit(ctx.now().as_nanos(), || obs::Event::ReplySent {
                 node: self.me.0,
                 seq: seq.value(),
@@ -552,7 +548,7 @@ impl SrmCore {
                 // suppression-health monitor (I3, docs/MONITORS.md) treats
                 // a `req_sent` after `req_suppressed` with no intervening
                 // `req_scheduled` as a violation.
-                self.trace
+                self.obs
                     .emit(ctx.now().as_nanos(), || obs::Event::RequestSuppressed {
                         node: self.me.0,
                         seq: seq.value(),
@@ -596,7 +592,7 @@ impl SrmCore {
             ctx.cancel_timer(tok);
             self.timers.remove(&tok);
             self.metrics.reply_suppressed.inc();
-            self.trace
+            self.obs
                 .emit(ctx.now().as_nanos(), || obs::Event::ReplySuppressed {
                     node: self.me.0,
                     seq: seq.value(),
@@ -700,7 +696,7 @@ impl SrmCore {
             delay.as_secs_f64() / d.as_secs_f64()
         };
         self.metrics.request_timers_set.inc();
-        self.trace
+        self.obs
             .emit(ctx.now().as_nanos(), || obs::Event::RequestScheduled {
                 node: self.me.0,
                 seq: seq.value(),
@@ -755,7 +751,7 @@ impl SrmCore {
         entry.requestor = requestor;
         entry.req_dist_src = req_dist_src;
         self.metrics.reply_timers_set.inc();
-        self.trace
+        self.obs
             .emit(ctx.now().as_nanos(), || obs::Event::ReplyScheduled {
                 node: self.me.0,
                 seq: seq.value(),

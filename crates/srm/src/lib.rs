@@ -23,9 +23,11 @@
 //! [`SourceConfig`]/[`Role`] configure the transmission source, which sends
 //! the data stream and participates in recovery as a replier.
 //!
-//! With an `obs::TraceHandle` installed ([`SrmAgent::with_trace`]), the
-//! engine emits structured request/reply scheduling, suppression and send
-//! events for recovery-provenance tracing (see `docs/TRACING.md`).
+//! With the run's `obs::Instruments` installed ([`SrmAgent::with_obs`]),
+//! the engine emits structured request/reply scheduling, suppression and
+//! send events for recovery-provenance tracing (see `docs/TRACING.md`),
+//! counts them (`docs/METRICS.md`) and profiles its packet handler
+//! (`docs/PROFILING.md`).
 
 mod agent;
 mod core;
