@@ -131,8 +131,9 @@ fn bench_sim_flood(c: &mut Criterion) {
 }
 
 /// Engine internals: the calendar queue against the legacy heap it
-/// replaced (same flood workload, only the scheduler differs) and the
-/// packet arena's alloc/retain/release churn.
+/// replaced (same flood workload, only the scheduler differs), the
+/// packet arena's alloc/retain/release churn, and the calendar queue's
+/// bucket storage under a rotating wave of large buckets.
 fn bench_engine(c: &mut Criterion) {
     use netsim::{PacketArena, SchedulerKind};
 
@@ -187,6 +188,38 @@ fn bench_engine(c: &mut Criterion) {
                 }
             }
             std::hint::black_box(arena.capacity())
+        });
+    });
+    // Storage churn without a 10⁵ rung: waves of 100k entries (48 B each,
+    // like the simulator's) spread over 64 ticks and drained, the wave
+    // front rotating across 8 192 ticks — two laps of the calendar ring.
+    // Per-slot bucket storage would grow ~4 096 slots to their own
+    // high-water here; the chunk pool stays at one wave.
+    group.sample_size(3).bench_function("queue_wave_100k", |b| {
+        use netsim::{CalendarQueue, Entry};
+        const TICK_NS: u64 = 1 << 20;
+        b.iter(|| {
+            let mut queue: CalendarQueue<[u64; 4]> = CalendarQueue::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            for wave in 0..8_192 / 64 {
+                let base = wave * 64 * TICK_NS;
+                for i in 0..100_000u64 {
+                    let at = base + (i % 64) * TICK_NS + i % 1_000;
+                    queue.push(
+                        Entry {
+                            at,
+                            seq,
+                            item: [i; 4],
+                        },
+                        now,
+                    );
+                    seq += 1;
+                }
+                while let Some(entry) = queue.pop_at_most(base + 64 * TICK_NS - 1) {
+                    now = entry.at;
+                }
+            }
+            std::hint::black_box(now)
         });
     });
     group.finish();

@@ -8,16 +8,59 @@
 //! arithmetic on the discrete nanosecond timestamps:
 //!
 //! * Time is split into ticks of `2^BUCKET_SHIFT` ns (~1.05 ms). A ring of
-//!   `NUM_BUCKETS` buckets covers the ticks `[cur_tick, cur_tick + NUM_BUCKETS)`
+//!   `NUM_BUCKETS` slots covers the ticks `[cur_tick, cur_tick + NUM_BUCKETS)`
 //!   — about 4.3 simulated seconds; events beyond the window overflow into
 //!   a small far-future heap and are promoted as the window slides.
 //! * Pushes append to their tick's bucket unsorted (O(1)) and set a bit in
 //!   an occupancy bitmap so the pop path can skip empty buckets 64 at a
 //!   time.
-//! * Pops activate the current tick's bucket by sorting it *descending* by
-//!   `(at, seq)` once, then pop from the back (O(1) each). Events pushed
-//!   into the active tick insert at their sorted position — rare, since
-//!   most same-time work lands in later ticks.
+//! * Pops activate the current tick by gathering its bucket into the one
+//!   reusable `active` buffer, sorting that *descending* by `(at, seq)`
+//!   once, then popping from the back (O(1) each). Events pushed into the
+//!   active tick insert at their sorted position — rare, since most
+//!   same-time work lands in later ticks.
+//!
+//! # Bucket storage: one chunk pool
+//!
+//! A ring slot owns no memory. It is a 12-byte head `{first, last, len}`
+//! naming a chain of chunks (`CHUNK` entries each) in a pool shared by
+//! every slot; chunks link by index and free chunks sit on a LIFO list
+//! threaded through the same link field. Activating a tick copies its
+//! chain into `active` and puts the chunks straight back on the free
+//! list, so the next push — usually a few ticks ahead — reuses memory
+//! that is still cache-warm.
+//!
+//! *Why chunks.* A run touches far more ticks than are ever live at once:
+//! the 10⁵-receiver rung sweeps the 4096-slot ring three times with at
+//! most 1 328 slots non-empty at any instant. Storage owned per slot is
+//! kept per slot — every touched slot grows to its own high-water by
+//! realloc-doubling and holds on to it — so queue memory follows *ticks
+//! touched*: 327 MiB of capacity on that rung, for a backlog that never
+//! exceeded 23 MiB. Pooled, it follows *live events*: the pool never
+//! holds more chunks than were linked at one instant, which is at most
+//! `live / CHUNK` full chunks plus one partial chunk per non-empty tick
+//! (32 MiB on the same rung). The pool does not shrink, but that bound is
+//! the run's own peak backlog. (`active` adds up to twice the largest
+//! single tick, the far heap up to twice its own peak.)
+//!
+//! *Why 128.* A chunk caps at 128 × 48 B = 6 KiB for the simulator's
+//! event type. The partial chunk each non-empty tick strands wastes
+//! `CHUNK / 2` entries per tick on average, so smaller is tighter; but
+//! every chunk boundary costs a link hop on push and one `append` call on
+//! activation. The paper suite's buckets (≤ 75 entries) fit one chunk,
+//! so its push path never links; the 10⁵ rung's flood buckets (up to
+//! 18.7k entries) take up to 147 chunks, few enough that activation
+//! stays one sequential gather. 32 and 64 measured no smaller at 10⁵
+//! receivers (228 and 229 MiB against 231) and no faster.
+//!
+//! A chunk's `Vec` is not pre-sized: it doubles up to exactly `CHUNK` the
+//! first time a bucket fills it (at most five reallocations in the
+//! chunk's life) and is reused at that size ever after. Pre-sizing every
+//! chunk was measured too: the same on the scale rungs, but a workload of
+//! thousands of live ticks with two or three events each (a source
+//! queueing 1 000 packets on one link) then first-touches 6 KiB per tick
+//! instead of 192 B, and page-faulted seven times as often as per-slot
+//! `Vec`s did.
 //!
 //! The legacy heap is kept behind [`SchedulerKind::LegacyHeap`] so the
 //! determinism suite can assert byte-identical results between the two
@@ -37,6 +80,10 @@ const BUCKET_SHIFT: u32 = 20;
 /// arm, so the far-future heap is idle in the paper suite.
 const NUM_BUCKETS: u64 = 4096;
 const BUCKET_MASK: u64 = NUM_BUCKETS - 1;
+/// Entries per pool chunk (see the module docs for the sizing argument).
+const CHUNK: usize = 128;
+/// The "no chunk" link value.
+const NIL: u32 = u32::MAX;
 
 /// Which event-queue implementation a simulator uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -126,23 +173,54 @@ impl QueueTelemetry {
     }
 }
 
+/// One ring slot: the chain of pool chunks holding its tick's events, in
+/// push order. Every chunk but `last` is full.
+#[derive(Clone, Copy)]
+struct Head {
+    first: u32,
+    last: u32,
+    len: u32,
+}
+
+const EMPTY_HEAD: Head = Head {
+    first: NIL,
+    last: NIL,
+    len: 0,
+};
+
+/// One pool chunk: up to `CHUNK` entries and the index of the next chunk
+/// in its slot's chain — or, while the chunk is free, in the free list.
+/// The `Vec` starts unallocated, doubles up to exactly `CHUNK` the first
+/// time a bucket fills it, and keeps that capacity through every reuse.
+struct Chunk<T> {
+    items: Vec<Entry<T>>,
+    next: u32,
+}
+
 /// A calendar queue over [`Entry`] values. See the module docs for the
 /// design; the externally visible contract is exactly "pop in `(at,
 /// seq)` order", identical to the legacy heap.
 pub struct CalendarQueue<T> {
-    /// Ring of buckets indexed by `tick & BUCKET_MASK`.
-    buckets: Vec<Vec<Entry<T>>>,
-    /// One bit per ring bucket: set iff the (inactive) bucket is nonempty.
+    /// Ring of chain heads indexed by `tick & BUCKET_MASK`.
+    heads: Vec<Head>,
+    /// The chunk pool every ring slot draws from.
+    chunks: Vec<Chunk<T>>,
+    /// Top of the LIFO free list threaded through `Chunk::next`.
+    free: u32,
+    /// One bit per ring slot: set iff the slot's chain is nonempty.
     occupancy: Vec<u64>,
     /// Events with ticks at or beyond `cur_tick + NUM_BUCKETS`.
     far: BinaryHeap<Reverse<Entry<T>>>,
-    /// The tick whose bucket pops next. Invariant: no queued event has a
+    /// The tick whose events pop next. Invariant: no queued event has a
     /// tick below `cur_tick`, and `cur_tick <= tick(now)` between calls,
     /// so pushes (always `at >= now`) never land behind the cursor.
     cur_tick: u64,
-    /// Whether `buckets[cur_tick & BUCKET_MASK]` is activated (sorted
-    /// descending; popped from the back).
-    active: bool,
+    /// The activated tick's events, sorted descending and popped from the
+    /// back. Empty whenever `activated` is false.
+    active: Vec<Entry<T>>,
+    /// Whether `cur_tick` has been gathered into `active`; pushes into it
+    /// then insert there, sorted, instead of chaining onto the ring slot.
+    activated: bool,
     len: usize,
     telemetry: QueueTelemetry,
 }
@@ -151,11 +229,14 @@ impl<T> CalendarQueue<T> {
     /// Creates an empty queue with its window starting at tick 0.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: vec![EMPTY_HEAD; NUM_BUCKETS as usize],
+            chunks: Vec::new(),
+            free: NIL,
             occupancy: vec![0u64; (NUM_BUCKETS / 64) as usize],
             far: BinaryHeap::new(),
             cur_tick: 0,
-            active: false,
+            active: Vec::new(),
+            activated: false,
             len: 0,
             telemetry: QueueTelemetry::default(),
         }
@@ -178,6 +259,17 @@ impl<T> CalendarQueue<T> {
         self.telemetry
     }
 
+    /// Bytes of event storage the queue currently holds, used or not:
+    /// every pool chunk's capacity (linked or free) with its header, the
+    /// active buffer's capacity and the far-future heap's capacity. The
+    /// fixed ring of heads and the occupancy bitmap (~48 KiB) are not
+    /// counted. For tests and sizing notes; not part of any report.
+    pub fn storage_bytes(&self) -> usize {
+        let pooled: usize = self.chunks.iter().map(|c| c.items.capacity()).sum();
+        (pooled + self.active.capacity() + self.far.capacity()) * std::mem::size_of::<Entry<T>>()
+            + self.chunks.capacity() * std::mem::size_of::<Chunk<T>>()
+    }
+
     #[inline]
     fn tick_of(at: u64) -> u64 {
         at >> BUCKET_SHIFT
@@ -195,6 +287,79 @@ impl<T> CalendarQueue<T> {
         self.occupancy[idx / 64] &= !(1u64 << (idx % 64));
     }
 
+    /// Takes a chunk off the free list, growing the pool when it is empty.
+    fn take_chunk(&mut self) -> u32 {
+        if self.free != NIL {
+            let c = self.free;
+            let chunk = &mut self.chunks[c as usize];
+            self.free = chunk.next;
+            chunk.next = NIL;
+            return c;
+        }
+        let c = u32::try_from(self.chunks.len())
+            .ok()
+            .filter(|&c| c != NIL)
+            .expect("chunk pool outgrew its u32 links");
+        self.chunks.push(Chunk {
+            items: Vec::new(),
+            next: NIL,
+        });
+        c
+    }
+
+    /// Appends to `tick`'s chain, marks the slot occupied and returns the
+    /// chain's new length.
+    #[inline]
+    fn chain_push(&mut self, tick: u64, entry: Entry<T>) -> u64 {
+        let idx = (tick & BUCKET_MASK) as usize;
+        let mut head = self.heads[idx];
+        if (head.len as usize).is_multiple_of(CHUNK) {
+            // Empty chain, or its last chunk just filled: link a new one.
+            let c = self.take_chunk();
+            if head.len == 0 {
+                head.first = c;
+                // Only the empty -> nonempty transition needs the bitmap
+                // write; a nonempty chain is always already marked.
+                self.mark_occupied(tick);
+            } else {
+                self.chunks[head.last as usize].next = c;
+            }
+            head.last = c;
+        }
+        self.chunks[head.last as usize].items.push(entry);
+        head.len += 1;
+        self.heads[idx] = head;
+        u64::from(head.len)
+    }
+
+    /// Moves the chain on `tick`'s slot into `out` (unsorted) and returns
+    /// its chunks to the free list.
+    fn chain_take(&mut self, tick: u64, out: &mut Vec<Entry<T>>) {
+        let idx = (tick & BUCKET_MASK) as usize;
+        let head = std::mem::replace(&mut self.heads[idx], EMPTY_HEAD);
+        out.reserve(head.len as usize);
+        let mut c = head.first;
+        while c != NIL {
+            let chunk = &mut self.chunks[c as usize];
+            out.append(&mut chunk.items);
+            let next = chunk.next;
+            chunk.next = self.free;
+            self.free = c;
+            c = next;
+        }
+        self.clear_occupied(tick);
+    }
+
+    /// The entries chained on `tick`'s slot, in push order. `NIL` indexes
+    /// past any pool, so `get` ends the walk.
+    fn chain_iter(&self, tick: u64) -> impl Iterator<Item = &Entry<T>> {
+        let first = self.heads[(tick & BUCKET_MASK) as usize].first;
+        std::iter::successors(self.chunks.get(first as usize), |chunk| {
+            self.chunks.get(chunk.next as usize)
+        })
+        .flat_map(|chunk| chunk.items.iter())
+    }
+
     /// Schedules an event. `now` is the caller's clock; `entry.at` must not
     /// precede it (the simulator never schedules into the past).
     ///
@@ -209,7 +374,7 @@ impl<T> CalendarQueue<T> {
             let now_tick = Self::tick_of(now);
             debug_assert!(now_tick >= self.cur_tick, "clock behind the cursor");
             self.cur_tick = now_tick;
-            self.active = false;
+            self.activated = false;
         }
         self.len += 1;
         self.telemetry.pushes += 1;
@@ -219,39 +384,30 @@ impl<T> CalendarQueue<T> {
             self.far.push(Reverse(entry));
             return;
         }
-        let idx = (tick & BUCKET_MASK) as usize;
-        let occupied = if tick == self.cur_tick && self.active {
-            // The bucket is mid-drain and sorted descending: insert at the
+        let occupied = if tick == self.cur_tick && self.activated {
+            // The tick is mid-drain and sorted descending: insert at the
             // sorted position so pops stay in (at, seq) order.
-            let bucket = &mut self.buckets[idx];
-            let pos = bucket.partition_point(|e| (e.at, e.seq) > (entry.at, entry.seq));
-            bucket.insert(pos, entry);
-            bucket.len() as u64
+            let pos = self
+                .active
+                .partition_point(|e| (e.at, e.seq) > (entry.at, entry.seq));
+            self.active.insert(pos, entry);
+            self.active.len() as u64
         } else {
-            let bucket = &mut self.buckets[idx];
-            let first = bucket.is_empty();
-            bucket.push(entry);
-            let occupied = bucket.len() as u64;
-            if first {
-                // A nonempty inactive bucket is always already marked; only
-                // the empty -> nonempty transition needs the bitmap write.
-                self.mark_occupied(tick);
-            }
-            occupied
+            self.chain_push(tick, entry)
         };
         if occupied > self.telemetry.max_bucket_len {
             self.telemetry.max_bucket_len = occupied;
         }
     }
 
-    /// Next nonempty inactive tick at or after `cur_tick`, if any, found by
-    /// scanning the occupancy bitmap a 64-bucket word at a time. Any set
+    /// Next nonempty ring slot's tick at or after `cur_tick`, if any, found
+    /// by scanning the occupancy bitmap a 64-slot word at a time. Any set
     /// bit belongs to a tick inside the current window (bits are only set
     /// by in-window pushes and cleared on activation), so the first set
     /// bit encountered going forward is the answer.
     fn next_occupied_tick(&self) -> Option<u64> {
-        if self.len == self.far.len() + self.active_len() {
-            return None; // every ring bucket except the active one is empty
+        if self.len == self.far.len() + self.active.len() {
+            return None; // every ring slot is empty
         }
         let mut tick = self.cur_tick;
         let mut remaining = NUM_BUCKETS;
@@ -271,19 +427,12 @@ impl<T> CalendarQueue<T> {
         None
     }
 
-    #[inline]
-    fn active_len(&self) -> usize {
-        if self.active {
-            self.buckets[(self.cur_tick & BUCKET_MASK) as usize].len()
-        } else {
-            0
-        }
-    }
-
     /// Slides the window so `cur_tick = tick`, promoting far-future events
-    /// that now fall inside it, and activates the new current bucket.
+    /// that now fall inside it, and activates the new current tick. Only
+    /// called with `active` drained.
     fn advance_to(&mut self, tick: u64) {
         debug_assert!(tick >= self.cur_tick);
+        debug_assert!(self.active.is_empty());
         let skip = tick - self.cur_tick;
         self.telemetry.advances += 1;
         self.telemetry.skip_ticks += skip;
@@ -291,25 +440,21 @@ impl<T> CalendarQueue<T> {
             self.telemetry.max_skip_ticks = skip;
         }
         self.cur_tick = tick;
-        self.active = false;
         while let Some(Reverse(head)) = self.far.peek() {
             if Self::tick_of(head.at) >= self.cur_tick + NUM_BUCKETS {
                 break;
             }
             let Reverse(entry) = self.far.pop().expect("peeked entry exists");
-            let t = Self::tick_of(entry.at);
             self.telemetry.promotions += 1;
-            self.buckets[(t & BUCKET_MASK) as usize].push(entry);
-            self.mark_occupied(t);
+            self.chain_push(Self::tick_of(entry.at), entry);
         }
-        let idx = (self.cur_tick & BUCKET_MASK) as usize;
-        if !self.buckets[idx].is_empty() {
-            // (at, seq) keys are unique, so unstable sorting cannot reorder
-            // equal elements — and it skips the merge-buffer allocation.
-            self.buckets[idx].sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-        }
-        self.clear_occupied(self.cur_tick);
-        self.active = true;
+        let mut active = std::mem::take(&mut self.active);
+        self.chain_take(tick, &mut active);
+        // (at, seq) keys are unique, so unstable sorting cannot reorder
+        // equal elements — and it skips the merge-buffer allocation.
+        active.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+        self.active = active;
+        self.activated = true;
     }
 
     /// Pops the earliest event if its timestamp is `<= limit`; `None` when
@@ -321,19 +466,15 @@ impl<T> CalendarQueue<T> {
             if self.len == 0 {
                 return None;
             }
-            if self.active {
-                let idx = (self.cur_tick & BUCKET_MASK) as usize;
-                if let Some(entry) = self.buckets[idx].last() {
-                    if entry.at > limit {
-                        return None;
-                    }
-                    let entry = self.buckets[idx].pop().expect("nonempty bucket");
-                    self.len -= 1;
-                    self.telemetry.pops += 1;
-                    return Some(entry);
+            if let Some(entry) = self.active.last() {
+                if entry.at > limit {
+                    return None;
                 }
+                self.len -= 1;
+                self.telemetry.pops += 1;
+                return self.active.pop();
             }
-            // The active bucket is drained (or none is active): find the
+            // The active tick is drained (or none is active): find the
             // next nonempty tick and check eligibility BEFORE advancing.
             if let Some(tick) = self.next_occupied_tick() {
                 if tick << BUCKET_SHIFT > limit {
@@ -356,19 +497,11 @@ impl<T> CalendarQueue<T> {
 
     /// Timestamp of the earliest queued event without popping it.
     pub fn peek_at(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(entry) = self
-            .active
-            .then(|| self.buckets[(self.cur_tick & BUCKET_MASK) as usize].last())
-            .flatten()
-        {
+        if let Some(entry) = self.active.last() {
             return Some(entry.at);
         }
         if let Some(tick) = self.next_occupied_tick() {
-            let bucket = &self.buckets[(tick & BUCKET_MASK) as usize];
-            return bucket.iter().map(|e| e.at).min();
+            return self.chain_iter(tick).map(|e| e.at).min();
         }
         self.far.peek().map(|Reverse(e)| e.at)
     }
@@ -377,15 +510,13 @@ impl<T> CalendarQueue<T> {
     /// when migrating between scheduler implementations.
     pub fn drain_sorted(&mut self) -> Vec<Entry<T>> {
         let mut all: Vec<Entry<T>> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            all.append(bucket);
+        all.append(&mut self.active);
+        for slot in 0..NUM_BUCKETS {
+            self.chain_take(slot, &mut all);
         }
-        while let Some(Reverse(e)) = self.far.pop() {
-            all.push(e);
-        }
+        all.extend(self.far.drain().map(|Reverse(e)| e));
         all.sort_by_key(|e| (e.at, e.seq));
-        self.occupancy.fill(0);
-        self.active = false;
+        self.activated = false;
         self.len = 0;
         self.telemetry.pops += all.len() as u64;
         all
@@ -488,244 +619,4 @@ impl<T> EventQueue<T> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn drain_order(q: &mut CalendarQueue<u32>) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        while let Some(e) = q.pop_at_most(u64::MAX) {
-            out.push((e.at, e.seq));
-        }
-        out
-    }
-
-    #[test]
-    fn pops_in_time_then_seq_order() {
-        let mut q = CalendarQueue::new();
-        for (seq, at) in [(0u64, 50u64), (1, 10), (2, 50), (3, 7)].into_iter() {
-            q.push(
-                Entry {
-                    at,
-                    seq,
-                    item: 0u32,
-                },
-                0,
-            );
-        }
-        assert_eq!(drain_order(&mut q), vec![(7, 3), (10, 1), (50, 0), (50, 2)]);
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn far_future_events_promote_when_window_slides() {
-        let mut q = CalendarQueue::new();
-        let far = (NUM_BUCKETS + 10) << BUCKET_SHIFT; // outside the window
-        q.push(
-            Entry {
-                at: far,
-                seq: 0,
-                item: 1u32,
-            },
-            0,
-        );
-        q.push(
-            Entry {
-                at: 5,
-                seq: 1,
-                item: 2u32,
-            },
-            0,
-        );
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_at_most(u64::MAX).unwrap().at, 5);
-        let e = q.pop_at_most(u64::MAX).unwrap();
-        assert_eq!((e.at, e.item), (far, 1));
-    }
-
-    #[test]
-    fn pop_respects_limit_and_preserves_cursor() {
-        let mut q = CalendarQueue::new();
-        q.push(
-            Entry {
-                at: 100 << BUCKET_SHIFT,
-                seq: 0,
-                item: 0u32,
-            },
-            0,
-        );
-        // Limit far below the only event: nothing pops, and a later push
-        // at an earlier time must still surface first.
-        assert!(q.pop_at_most(10).is_none());
-        q.push(
-            Entry {
-                at: 50 << BUCKET_SHIFT,
-                seq: 1,
-                item: 1u32,
-            },
-            10,
-        );
-        let e = q.pop_at_most(u64::MAX).unwrap();
-        assert_eq!(e.seq, 1, "earlier late-pushed event pops first");
-    }
-
-    #[test]
-    fn same_tick_push_during_drain_stays_ordered() {
-        let mut q = CalendarQueue::new();
-        q.push(
-            Entry {
-                at: 10,
-                seq: 0,
-                item: 0u32,
-            },
-            0,
-        );
-        q.push(
-            Entry {
-                at: 30,
-                seq: 1,
-                item: 0u32,
-            },
-            0,
-        );
-        assert_eq!(q.pop_at_most(u64::MAX).unwrap().at, 10);
-        // Bucket for tick 0 is now active; push into it mid-drain.
-        q.push(
-            Entry {
-                at: 20,
-                seq: 2,
-                item: 0u32,
-            },
-            10,
-        );
-        assert_eq!(q.pop_at_most(u64::MAX).unwrap().at, 20);
-        assert_eq!(q.pop_at_most(u64::MAX).unwrap().at, 30);
-    }
-
-    #[test]
-    fn push_into_empty_queue_far_ahead_still_pops() {
-        let mut q = CalendarQueue::new();
-        q.push(
-            Entry {
-                at: 3,
-                seq: 0,
-                item: 0u32,
-            },
-            0,
-        );
-        assert_eq!(q.pop_at_most(u64::MAX).unwrap().at, 3);
-        // Queue is empty and the next event is far beyond the window: it
-        // overflows into the far heap and is promoted on demand.
-        let late = (NUM_BUCKETS * 1000) << BUCKET_SHIFT;
-        q.push(
-            Entry {
-                at: late,
-                seq: 1,
-                item: 0u32,
-            },
-            3,
-        );
-        assert_eq!(q.peek_at(), Some(late));
-        assert_eq!(q.pop_at_most(u64::MAX).unwrap().at, late);
-        // After that pop the window has caught up; a near-future push
-        // lands in the ring again.
-        q.push(
-            Entry {
-                at: late + 7,
-                seq: 2,
-                item: 0u32,
-            },
-            late,
-        );
-        assert_eq!(q.pop_at_most(u64::MAX).unwrap().at, late + 7);
-    }
-
-    #[test]
-    fn matches_binary_heap_on_random_storm() {
-        // Deterministic pseudo-random workload interleaving pushes and
-        // limited pops; the calendar queue must agree with the reference
-        // heap exactly, including (at, seq) tie-breaks.
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
-        let mut heap: BinaryHeap<Reverse<Entry<u32>>> = BinaryHeap::new();
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut bits = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut now = 0u64;
-        let mut seq = 0u64;
-        for round in 0..2000 {
-            // A burst of pushes at and after `now`, spanning near ticks,
-            // the active tick, and the far-future overflow heap.
-            for _ in 0..(bits() % 8) {
-                let spread = match bits() % 4 {
-                    0 => bits() % (1 << BUCKET_SHIFT),                 // same tick
-                    1 => bits() % (100 << BUCKET_SHIFT),               // near
-                    2 => bits() % ((NUM_BUCKETS * 4) << BUCKET_SHIFT), // far
-                    _ => bits() % 1000,                                // immediate
-                };
-                let e = Entry {
-                    at: now + spread,
-                    seq,
-                    item: round,
-                };
-                seq += 1;
-                cal.push(e.clone(), now);
-                heap.push(Reverse(e));
-            }
-            // Pop a few events up to a random horizon.
-            let limit = now + bits() % ((NUM_BUCKETS / 2) << BUCKET_SHIFT);
-            for _ in 0..(bits() % 6) {
-                let expect = if heap.peek().is_some_and(|Reverse(e)| e.at <= limit) {
-                    heap.pop().map(|Reverse(e)| e)
-                } else {
-                    None
-                };
-                let got = cal.pop_at_most(limit);
-                match (&expect, &got) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.at, a.seq, a.item), (b.at, b.seq, b.item));
-                        now = now.max(a.at);
-                    }
-                    _ => panic!("divergence: expected {expect:?}, got {got:?}"),
-                }
-            }
-            // Mirrors `Simulator::run_until`: the clock lands on the pop
-            // horizon, so later pushes never fall behind the cursor.
-            now = now.max(limit);
-            assert_eq!(cal.len(), heap.len());
-        }
-        // Full drain must agree too.
-        loop {
-            let expect = heap.pop().map(|Reverse(e)| e);
-            let got = cal.pop_at_most(u64::MAX);
-            match (&expect, &got) {
-                (None, None) => break,
-                (Some(a), Some(b)) => assert_eq!((a.at, a.seq), (b.at, b.seq)),
-                _ => panic!("drain divergence"),
-            }
-        }
-    }
-
-    #[test]
-    fn drain_sorted_returns_everything_in_order() {
-        let mut q = CalendarQueue::new();
-        let far = (NUM_BUCKETS + 3) << BUCKET_SHIFT;
-        for (seq, at) in [(0u64, 9u64), (1, far), (2, 9), (3, 1)].into_iter() {
-            q.push(
-                Entry {
-                    at,
-                    seq,
-                    item: 0u32,
-                },
-                0,
-            );
-        }
-        let order: Vec<(u64, u64)> = q.drain_sorted().iter().map(|e| (e.at, e.seq)).collect();
-        assert_eq!(order, vec![(1, 3), (9, 0), (9, 2), (far, 1)]);
-        assert_eq!(q.len(), 0);
-        assert!(q.pop_at_most(u64::MAX).is_none());
-    }
-}
+mod tests;

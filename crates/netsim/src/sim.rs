@@ -1771,6 +1771,45 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// The same with the calendar queue caught mid-tick: 300 zero-length
+    /// control packets under 15 ms of jitter put dozens of hops in every
+    /// ~1 ms tick, and stopping every 0.3 ms leaves the current tick's
+    /// sorted buffer half-drained at most migrations.
+    #[test]
+    fn set_scheduler_migrates_a_half_drained_tick() {
+        struct Burst;
+        impl Agent for Burst {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                for _ in 0..300 {
+                    ctx.multicast(control_body(NodeId::ROOT));
+                }
+            }
+            fn on_packet(&mut self, _: &mut Context<'_>, _: &Packet, _: &DeliveryMeta) {}
+            fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
+        }
+        let run = |switch: bool| {
+            let log: Log = Default::default();
+            let cfg = NetConfig::default()
+                .with_jitter(SimDuration::from_millis(15))
+                .with_seed(5);
+            let mut sim = Simulator::new(sample_tree(), cfg);
+            attach_all_receivers(&mut sim, &log);
+            sim.attach_agent(NodeId::ROOT, Box::new(Burst));
+            for step in 0..150 {
+                sim.run_until(SimTime::ZERO + SimDuration::from_micros(20_000 + 300 * step));
+                if switch {
+                    sim.set_scheduler(SchedulerKind::LegacyHeap);
+                    sim.set_scheduler(SchedulerKind::Calendar);
+                }
+            }
+            sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
+            let deliveries: Vec<_> = log.borrow().iter().map(|e| (e.0, e.1)).collect();
+            assert_eq!(deliveries.len(), 300 * 4);
+            (sim.events_processed(), deliveries)
+        };
+        assert_eq!(run(false), run(true));
+    }
+
     /// Every arena slot drains back to the free list once its hops settle:
     /// no leaks, no premature recycling, across all propagation modes.
     #[test]
