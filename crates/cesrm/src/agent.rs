@@ -1,11 +1,11 @@
-use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use metrics::SharedRecoveryLog;
 use netsim::{
     Agent, Context, DeliveryMeta, Packet, PacketBody, PacketId, RecoveryTuple, SeqNo, SimDuration,
     TimerToken,
 };
-use srm::{Role, SourceConfig, SrmCore, SrmParams};
+use srm::{btree_node_bytes, Role, SmallMap, SourceConfig, SrmCore, SrmEndpoints, SrmParams};
 use topology::NodeId;
 
 use crate::{ExpeditionPolicy, MostRecentLoss, RecoveryCache};
@@ -50,29 +50,20 @@ impl Default for CesrmConfig {
     }
 }
 
-/// A CESRM endpoint: the full SRM engine composed with the caching-based
-/// expedited recovery layer (paper §3).
-///
-/// See the [crate docs](crate) for the scheme. Attach one
-/// [`source`](CesrmAgent::source) and one [`receiver`](CesrmAgent::receiver)
-/// per receiver leaf to a [`netsim::Simulator`].
-pub struct CesrmAgent {
-    core: SrmCore,
-    cache: RecoveryCache,
-    policy: Box<dyn ExpeditionPolicy>,
+/// What every endpoint made by one [`CesrmEndpoints`] has in common on top
+/// of the SRM engine's shared block: the expedited-recovery knobs, the
+/// expedition policy and the pre-registered counters.
+#[derive(Clone)]
+struct Shared {
     cfg: CesrmConfig,
-    log: SharedRecoveryLog,
-    /// Armed expedited-request timers: token → (lost packet, chosen tuple).
-    expedited: BTreeMap<TimerToken, (SeqNo, RecoveryTuple)>,
-    /// Reverse index for cancellation: lost packet → armed token.
-    pending: BTreeMap<u64, TimerToken>,
+    policy: Rc<dyn ExpeditionPolicy>,
     /// Counters pre-registered on the core's observation handle.
     metrics: CesrmMetrics,
 }
 
 /// Pre-registered counters over the expedited layer: cache consult
 /// outcomes and expedited traffic volumes. All no-ops by default.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct CesrmMetrics {
     cache_hits: obs::Counter,
     cache_misses: obs::Counter,
@@ -95,6 +86,101 @@ impl CesrmMetrics {
     }
 }
 
+/// The one construction path for CESRM endpoints: fixes everything the
+/// endpoints of a stream share — configuration, role, recovery log,
+/// expedition policy, observation handle — then hands out one endpoint per
+/// node, each a pointer away from the shared block instead of carrying its
+/// own copy (see [`srm::SrmEndpoints`]). The
+/// `CesrmAgent::{source, receiver, receiver_with_policy}` constructors are
+/// single-endpoint shorthands over this.
+#[derive(Clone)]
+pub struct CesrmEndpoints {
+    srm: SrmEndpoints,
+    shared: Rc<Shared>,
+}
+
+impl CesrmEndpoints {
+    /// Endpoints of the stream sent by `source`, all in `role`, using the
+    /// *most recent loss* expedition policy evaluated in the paper.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the SRM parameters are invalid or the cache capacity is 0.
+    pub fn new(source: NodeId, cfg: CesrmConfig, role: Role, log: SharedRecoveryLog) -> Self {
+        assert!(cfg.cache_capacity > 0, "cache capacity must be positive");
+        CesrmEndpoints {
+            srm: SrmEndpoints::new(source, cfg.srm, role, log),
+            shared: Rc::new(Shared {
+                cfg,
+                policy: Rc::new(MostRecentLoss),
+                metrics: CesrmMetrics::default(),
+            }),
+        }
+    }
+
+    /// Replaces the expedition policy for every endpoint made from here on.
+    pub fn with_policy(mut self, policy: Box<dyn ExpeditionPolicy>) -> Self {
+        Rc::make_mut(&mut self.shared).policy = policy.into();
+        self
+    }
+
+    /// Installs the run's observation handle for every endpoint made from
+    /// here on (see [`CesrmAgent::with_obs`]).
+    pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
+        Rc::make_mut(&mut self.shared).metrics = CesrmMetrics::new(&obs);
+        self.srm = self.srm.with_obs(obs);
+        self
+    }
+
+    /// The endpoint for host `me`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the role is [`Role::Source`] while `me` is not the source.
+    pub fn agent(&self, me: NodeId) -> CesrmAgent {
+        CesrmAgent {
+            core: self.srm.core(me),
+            cache: RecoveryCache::new(self.shared.cfg.cache_capacity),
+            shared: Rc::clone(&self.shared),
+            expedited: SmallMap::new(),
+            pending: SmallMap::new(),
+        }
+    }
+}
+
+/// An armed expedited request: what firing it needs from the cached tuple.
+#[derive(Clone, Copy, Debug)]
+struct Armed {
+    /// The lost packet.
+    seq: SeqNo,
+    /// The expeditious replier to unicast to.
+    replier: NodeId,
+    /// The cached turning point (router-assisted mode, §3.3).
+    turning_point: Option<NodeId>,
+}
+
+// One expedited request in flight per endpoint fits inline; a burst of
+// detections spills (see `srm::SmallMap`).
+const ARMED_INLINE: usize = 1;
+
+/// A CESRM endpoint: the full SRM engine composed with the caching-based
+/// expedited recovery layer (paper §3).
+///
+/// See the [crate docs](crate) for the scheme. Attach one
+/// [`source`](CesrmAgent::source) and one [`receiver`](CesrmAgent::receiver)
+/// per receiver leaf to a [`netsim::Simulator`]; runs with many receivers
+/// make them from one [`CesrmEndpoints`] so they share their configuration.
+pub struct CesrmAgent {
+    core: SrmCore,
+    cache: RecoveryCache,
+    /// Everything the endpoints of this run have in common.
+    shared: Rc<Shared>,
+    /// Armed expedited-request timers, by token.
+    expedited: SmallMap<TimerToken, Armed, ARMED_INLINE>,
+    /// Reverse index for cancellation: lost packet → armed token.
+    pending: SmallMap<u64, TimerToken, ARMED_INLINE>,
+}
+
 impl CesrmAgent {
     /// Creates the source endpoint. The source never loses packets, so its
     /// CESRM layer only answers expedited requests (it is a popular
@@ -105,14 +191,13 @@ impl CesrmAgent {
         source_cfg: SourceConfig,
         log: SharedRecoveryLog,
     ) -> Self {
-        let core = SrmCore::new(me, me, cfg.srm, Role::Source(source_cfg), log.clone());
-        CesrmAgent::with_core(core, cfg, Box::new(MostRecentLoss), log)
+        CesrmEndpoints::new(me, cfg, Role::Source(source_cfg), log).agent(me)
     }
 
     /// Creates a receiver endpoint using the *most recent loss* expedition
     /// policy evaluated in the paper.
     pub fn receiver(me: NodeId, source: NodeId, cfg: CesrmConfig, log: SharedRecoveryLog) -> Self {
-        Self::receiver_with_policy(me, source, cfg, Box::new(MostRecentLoss), log)
+        CesrmEndpoints::new(source, cfg, Role::Receiver, log).agent(me)
     }
 
     /// Creates a receiver endpoint with an explicit expedition policy.
@@ -123,26 +208,9 @@ impl CesrmAgent {
         policy: Box<dyn ExpeditionPolicy>,
         log: SharedRecoveryLog,
     ) -> Self {
-        let core = SrmCore::new(me, source, cfg.srm, Role::Receiver, log.clone());
-        CesrmAgent::with_core(core, cfg, policy, log)
-    }
-
-    fn with_core(
-        core: SrmCore,
-        cfg: CesrmConfig,
-        policy: Box<dyn ExpeditionPolicy>,
-        log: SharedRecoveryLog,
-    ) -> Self {
-        CesrmAgent {
-            core,
-            cache: RecoveryCache::new(cfg.cache_capacity),
-            policy,
-            cfg,
-            log,
-            expedited: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            metrics: CesrmMetrics::default(),
-        }
+        CesrmEndpoints::new(source, cfg, Role::Receiver, log)
+            .with_policy(policy)
+            .agent(me)
     }
 
     /// Read access to the optimal requestor/replier cache.
@@ -159,8 +227,13 @@ impl CesrmAgent {
     /// into the `cesrm_on_packet` profiler phase (SRM core plus the
     /// expedited layer), with one in `stride` calls wall-clock timed
     /// (`docs/PROFILING.md`). Off by default.
+    ///
+    /// The handle lives in the blocks this endpoint shares with its
+    /// siblings; installing it here gives this endpoint private copies of
+    /// them, so a run with many endpoints installs it once on the factory
+    /// instead ([`CesrmEndpoints::with_obs`]).
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
-        self.metrics = CesrmMetrics::new(&obs);
+        Rc::make_mut(&mut self.shared).metrics = CesrmMetrics::new(&obs);
         self.core.set_obs(obs);
         self
     }
@@ -169,8 +242,8 @@ impl CesrmAgent {
     /// neither to the expedited layer nor to the SRM engine (used by
     /// multi-source composition to route timers to the right endpoint).
     pub fn handle_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) -> bool {
-        if let Some((seq, tuple)) = self.expedited.remove(&token) {
-            self.fire_expedited(ctx, seq, tuple);
+        if let Some(armed) = self.expedited.remove(&token) {
+            self.fire_expedited(ctx, armed);
             return true;
         }
         self.core.on_timer(ctx, token)
@@ -188,25 +261,26 @@ impl CesrmAgent {
         &mut self.core
     }
 
-    /// Estimated heap-resident protocol state in bytes: the SRM engine's
-    /// sparse state plus the expedited layer (recovery cache and armed
-    /// expedited timers). Like `SrmCore::state_bytes` this counts payload
-    /// sizes, not allocator overhead — it is a relative footprint measure
-    /// for the scaling experiment, not an exact heap profile.
+    /// Bytes of memory this endpoint owns: the struct itself, what the SRM
+    /// engine owns on the heap ([`SrmCore::heap_bytes`]), and the expedited
+    /// layer's own heap (the recovery cache's tree and spilled expedited
+    /// timers). Allocator headers and size-class rounding are not included
+    /// — see [`SrmCore::state_bytes`].
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.core.state_bytes()
-            + self.cache.len() * (size_of::<u64>() + size_of::<RecoveryTuple>())
-            + self.expedited.len() * (size_of::<TimerToken>() + size_of::<(SeqNo, RecoveryTuple)>())
-            + self.pending.len() * (size_of::<u64>() + size_of::<TimerToken>())
+        size_of::<Self>()
+            + self.core.heap_bytes()
+            + btree_node_bytes::<u64, RecoveryTuple>(self.cache.len())
+            + self.expedited.heap_bytes()
+            + self.pending.heap_bytes()
     }
 
     /// Upon detecting a loss, decide whether this host is the expeditious
     /// requestor and arm the `REORDER-DELAY` timer if so (§3.2).
     fn consider_expedited(&mut self, ctx: &mut Context<'_>, seq: SeqNo) {
         let me = self.core.me();
-        let Some(tuple) = self.policy.select(&self.cache) else {
-            self.metrics.cache_misses.inc();
+        let Some(tuple) = self.shared.policy.select(&self.cache) else {
+            self.shared.metrics.cache_misses.inc();
             self.core
                 .obs()
                 .emit(ctx.now().as_nanos(), || obs::Event::CacheMiss {
@@ -215,7 +289,7 @@ impl CesrmAgent {
                 });
             return;
         };
-        self.metrics.cache_hits.inc();
+        self.shared.metrics.cache_hits.inc();
         self.core
             .obs()
             .emit(ctx.now().as_nanos(), || obs::Event::CacheHit {
@@ -230,8 +304,15 @@ impl CesrmAgent {
         if self.pending.contains_key(&seq.value()) {
             return;
         }
-        let token = ctx.set_timer(self.cfg.reorder_delay);
-        self.expedited.insert(token, (seq, tuple));
+        let token = ctx.set_timer(self.shared.cfg.reorder_delay);
+        self.expedited.insert(
+            token,
+            Armed {
+                seq,
+                replier: tuple.replier,
+                turning_point: tuple.turning_point,
+            },
+        );
         self.pending.insert(seq.value(), token);
     }
 
@@ -242,7 +323,8 @@ impl CesrmAgent {
         }
     }
 
-    fn fire_expedited(&mut self, ctx: &mut Context<'_>, seq: SeqNo, tuple: RecoveryTuple) {
+    fn fire_expedited(&mut self, ctx: &mut Context<'_>, armed: Armed) {
+        let seq = armed.seq;
         self.pending.remove(&seq.value());
         if !self.core.is_lost(seq) {
             return; // received in the meantime (reordering guard)
@@ -255,16 +337,16 @@ impl CesrmAgent {
             id,
             requestor: self.core.me(),
             dist_req_src: self.core.dist_to_source(),
-            turning_point: if self.cfg.router_assist {
-                tuple.turning_point
+            turning_point: if self.shared.cfg.router_assist {
+                armed.turning_point
             } else {
                 None
             },
         };
-        ctx.unicast(tuple.replier, body);
+        ctx.unicast(armed.replier, body);
         let me = self.core.me();
-        self.metrics.expedited_requests_sent.inc();
-        // `tuple` is the pair the cache-consult stored when it emitted
+        self.shared.metrics.expedited_requests_sent.inc();
+        // `armed` names the pair the cache-consult stored when it emitted
         // `cache_hit`; the cache-coherence monitor (I4, docs/MONITORS.md)
         // flags any expedited request whose replier no prior hit named.
         self.core
@@ -272,7 +354,7 @@ impl CesrmAgent {
             .emit(ctx.now().as_nanos(), || obs::Event::ExpeditedRequestSent {
                 node: me.0,
                 seq: seq.value(),
-                replier: tuple.replier.0,
+                replier: armed.replier.0,
             });
     }
 
@@ -303,7 +385,10 @@ impl CesrmAgent {
             tuple,
             expedited: true,
         };
-        let subcast = match (self.cfg.router_assist && ctx.router_assist(), turning_point) {
+        let subcast = match (
+            self.shared.cfg.router_assist && ctx.router_assist(),
+            turning_point,
+        ) {
             (true, Some(tp)) => {
                 ctx.subcast(tp, body);
                 true
@@ -314,7 +399,7 @@ impl CesrmAgent {
             }
         };
         let me = self.core.me();
-        self.metrics.expedited_replies_sent.inc();
+        self.shared.metrics.expedited_replies_sent.inc();
         self.core
             .obs()
             .emit(ctx.now().as_nanos(), || obs::Event::ExpeditedReplySent {
@@ -369,19 +454,19 @@ impl CesrmAgent {
                 // Cache the recovery tuple if we suffered this loss (§3.1);
                 // under router assistance, the turning point that matters is
                 // the one observed on our own copy of the reply.
-                if self.log.borrow().detected(self.core.me(), tuple.id) {
+                if self.core.log().borrow().detected(self.core.me(), tuple.id) {
                     let mut t = *tuple;
-                    t.turning_point = if self.cfg.router_assist {
+                    t.turning_point = if self.shared.cfg.router_assist {
                         meta.turning_point
                     } else {
                         None
                     };
                     let outcome = self.cache.observe_outcome(t);
                     if outcome.changed() {
-                        self.metrics.cache_updates.inc();
+                        self.shared.metrics.cache_updates.inc();
                     }
                     if outcome == crate::cache::CacheOutcome::InsertedEvicting {
-                        self.metrics.cache_evictions.inc();
+                        self.shared.metrics.cache_evictions.inc();
                     }
                     let me = self.core.me();
                     // The only cache-insertion site: every pair a later

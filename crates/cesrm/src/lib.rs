@@ -38,7 +38,7 @@ mod cache;
 mod group;
 mod policy;
 
-pub use agent::{CesrmAgent, CesrmConfig};
+pub use agent::{CesrmAgent, CesrmConfig, CesrmEndpoints};
 pub use cache::{CacheOutcome, RecoveryCache};
 pub use group::{GroupMember, StreamRole};
 pub use policy::{ExpeditionPolicy, MostFrequentLoss, MostRecentLoss, RecencyWeighted};

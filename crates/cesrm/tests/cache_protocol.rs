@@ -301,3 +301,22 @@ fn reorder_delay_cancels_on_late_arrival() {
         "REORDER-DELAY must cancel the extraneous expedited request"
     );
 }
+
+#[test]
+fn endpoint_fits_its_byte_budget() {
+    // See the SRM twin of this test: the struct is the per-receiver memory
+    // bill at scale, so it only grows on purpose.
+    assert!(
+        std::mem::size_of::<CesrmAgent>() <= 600,
+        "CesrmAgent grew to {} bytes",
+        std::mem::size_of::<CesrmAgent>()
+    );
+    // A fresh endpoint owns nothing but itself.
+    let agent = CesrmAgent::receiver(
+        ME,
+        SOURCE,
+        CesrmConfig::paper_default(),
+        RecoveryLog::shared(),
+    );
+    assert_eq!(agent.state_bytes(), std::mem::size_of::<CesrmAgent>());
+}

@@ -1,7 +1,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cesrm::{CesrmAgent, CesrmConfig};
+use cesrm::{CesrmConfig, CesrmEndpoints};
 use lossmap::{infer_link_drops, yajnik_rates, AttributionStats};
 use metrics::{
     per_receiver_reports, OverheadBreakdown, PacketKind, ReceiverReport, RecoveryLog,
@@ -10,7 +10,7 @@ use metrics::{
 use netsim::{
     NetConfig, ProbabilisticLoss, SchedulerKind, SeqNo, SimDuration, SimTime, Simulator, TraceLoss,
 };
-use srm::{SourceConfig, SrmAgent, SrmParams};
+use srm::{Role, SourceConfig, SrmEndpoints, SrmParams};
 use topology::NodeId;
 use traces::Trace;
 
@@ -222,40 +222,29 @@ pub fn run_trace_with(
         period,
         start_at: SimTime::ZERO + cfg.warmup,
     };
+    // One shared block for the source and one for all receivers.
     match protocol {
         Protocol::Srm => {
-            let params = SrmParams::paper_default();
-            sim.attach_agent(
-                source,
-                Box::new(
-                    SrmAgent::source(source, params, source_cfg, log.clone())
-                        .with_obs(handle.clone()),
-                ),
-            );
+            let endpoints = |role| {
+                SrmEndpoints::new(source, SrmParams::paper_default(), role, log.clone())
+                    .with_obs(handle.clone())
+            };
+            let sources = endpoints(Role::Source(source_cfg));
+            sim.attach_agent(source, Box::new(sources.agent(source)));
+            let receivers = endpoints(Role::Receiver);
             for &r in tree.receivers() {
-                sim.attach_agent(
-                    r,
-                    Box::new(
-                        SrmAgent::receiver(r, source, params, log.clone()).with_obs(handle.clone()),
-                    ),
-                );
+                sim.attach_agent(r, Box::new(receivers.agent(r)));
             }
         }
         Protocol::Cesrm(ccfg) => {
-            sim.attach_agent(
-                source,
-                Box::new(
-                    CesrmAgent::source(source, ccfg, source_cfg, log.clone())
-                        .with_obs(handle.clone()),
-                ),
-            );
+            let endpoints = |role| {
+                CesrmEndpoints::new(source, ccfg, role, log.clone()).with_obs(handle.clone())
+            };
+            let sources = endpoints(Role::Source(source_cfg));
+            sim.attach_agent(source, Box::new(sources.agent(source)));
+            let receivers = endpoints(Role::Receiver);
             for &r in tree.receivers() {
-                sim.attach_agent(
-                    r,
-                    Box::new(
-                        CesrmAgent::receiver(r, source, ccfg, log.clone()).with_obs(handle.clone()),
-                    ),
-                );
+                sim.attach_agent(r, Box::new(receivers.agent(r)));
             }
         }
     }

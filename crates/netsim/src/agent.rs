@@ -1,4 +1,5 @@
 use std::fmt;
+use std::num::NonZeroU64;
 
 use rand::rngs::StdRng;
 
@@ -11,12 +12,33 @@ use crate::{Packet, PacketBody, SimDuration, SimTime};
 ///
 /// Tokens are unique within a simulation; a fired or cancelled token is
 /// never reused, so stale tokens can safely be ignored by agents.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TimerToken(pub(crate) u64);
+///
+/// Protocol state keeps an `Option<TimerToken>` per outstanding loss and
+/// reply; the non-zero representation (index + 1) makes that option free.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TimerToken(NonZeroU64);
+
+impl TimerToken {
+    /// The token for the simulation's `index`-th timer.
+    pub(crate) fn new(index: u64) -> Self {
+        TimerToken(NonZeroU64::MIN.saturating_add(index))
+    }
+
+    /// The sequential index this token was issued with.
+    pub(crate) fn index(self) -> u64 {
+        self.0.get() - 1
+    }
+}
+
+impl fmt::Debug for TimerToken {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "TimerToken({})", self.index())
+    }
+}
 
 impl fmt::Display for TimerToken {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "timer{}", self.0)
+        write!(f, "timer{}", self.index())
     }
 }
 

@@ -266,7 +266,7 @@ pub struct Simulator {
     /// Scale-determinism mode: lazily-seeded per-node generators, so agent
     /// randomness is a function of the node alone rather than of the global
     /// interleaving (which sharding changes).
-    node_rngs: Option<Vec<Option<Box<StdRng>>>>,
+    node_rngs: Option<Vec<Option<StdRng>>>,
     /// Sharded mode: which shard each node lives on, and which one we are.
     shard: Option<ShardView>,
     /// Packets bound for nodes owned by other shards, drained by the
@@ -714,7 +714,9 @@ impl Simulator {
                     self.metrics.timers_voided.inc();
                     return;
                 }
-                self.with_agent(node, |agent, ctx| agent.on_timer(ctx, TimerToken(token)));
+                self.with_agent(node, |agent, ctx| {
+                    agent.on_timer(ctx, TimerToken::new(token))
+                });
             }
             EventKind::Hop {
                 at,
@@ -793,16 +795,16 @@ impl Simulator {
         self.metrics.timers_scheduled.inc();
         self.metrics.timer_delay_ns.record(after.as_nanos());
         self.push(self.now + after, EventKind::Timer { node, token }, node);
-        TimerToken(token)
+        TimerToken::new(token)
     }
 
     pub(crate) fn cancel_timer(&mut self, token: TimerToken) {
         self.metrics.timers_cancelled.inc();
-        let word = (token.0 / 64) as usize;
+        let word = (token.index() / 64) as usize;
         if word >= self.cancelled.len() {
             self.cancelled.resize(word + 1, 0);
         }
-        self.cancelled[word] |= 1u64 << (token.0 % 64);
+        self.cancelled[word] |= 1u64 << (token.index() % 64);
     }
 
     /// The generator backing [`Context::rng`](crate::Context::rng) for the
@@ -816,9 +818,7 @@ impl Simulator {
             .seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(node.0) + 1));
         match &mut self.node_rngs {
-            Some(rngs) => {
-                rngs[node.index()].get_or_insert_with(|| Box::new(StdRng::seed_from_u64(seed)))
-            }
+            Some(rngs) => rngs[node.index()].get_or_insert_with(|| StdRng::seed_from_u64(seed)),
             None => &mut self.rng,
         }
     }

@@ -437,7 +437,7 @@ fn classify_ty(ty: &str) -> Orderedness {
         return Orderedness::Unordered;
     }
     const ORDERED: [&str; 7] = [
-        "Vec", "VecDeque", "BTreeMap", "BTreeSet", "NodeMap", "Range", "Option",
+        "Vec", "VecDeque", "BTreeMap", "BTreeSet", "SmallMap", "Range", "Option",
     ];
     if ORDERED.iter().any(|o| ty.contains(o)) || ty.contains('[') {
         return Orderedness::Ordered;

@@ -2,7 +2,7 @@ use metrics::SharedRecoveryLog;
 use netsim::{Agent, Context, DeliveryMeta, Packet, TimerToken};
 use topology::NodeId;
 
-use crate::{Role, SourceConfig, SrmCore, SrmParams};
+use crate::{Role, SourceConfig, SrmCore, SrmEndpoints, SrmParams};
 
 /// A plain SRM endpoint as a simulator agent: the baseline protocol of the
 /// paper's evaluation.
@@ -58,16 +58,12 @@ impl SrmAgent {
         cfg: SourceConfig,
         log: SharedRecoveryLog,
     ) -> Self {
-        SrmAgent {
-            core: SrmCore::new(me, me, params, Role::Source(cfg), log),
-        }
+        SrmEndpoints::new(me, params, Role::Source(cfg), log).agent(me)
     }
 
     /// Creates a receiver endpoint on node `me`, receiving from `source`.
     pub fn receiver(me: NodeId, source: NodeId, params: SrmParams, log: SharedRecoveryLog) -> Self {
-        SrmAgent {
-            core: SrmCore::new(me, source, params, Role::Receiver, log),
-        }
+        SrmEndpoints::new(source, params, Role::Receiver, log).agent(me)
     }
 
     /// Creates a receiver endpoint with an explicit suppression-window
@@ -79,8 +75,12 @@ impl SrmAgent {
         policy: Box<dyn crate::TimerPolicy>,
         log: SharedRecoveryLog,
     ) -> Self {
-        let mut core = SrmCore::new(me, source, params, Role::Receiver, log);
-        core.set_timer_policy(policy);
+        let mut agent = Self::receiver(me, source, params, log);
+        agent.core.set_timer_policy(policy);
+        agent
+    }
+
+    pub(crate) fn from_core(core: SrmCore) -> Self {
         SrmAgent { core }
     }
 
@@ -96,8 +96,7 @@ impl SrmAgent {
         &mut self.core
     }
 
-    /// Estimated heap-resident protocol state in bytes (see
-    /// [`SrmCore::state_bytes`]).
+    /// Bytes of memory this endpoint owns (see [`SrmCore::state_bytes`]).
     pub fn state_bytes(&self) -> usize {
         self.core.state_bytes()
     }

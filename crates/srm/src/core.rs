@@ -1,4 +1,5 @@
-use std::collections::BTreeMap;
+use std::mem;
+use std::rc::Rc;
 
 use rand::Rng;
 
@@ -9,53 +10,25 @@ use netsim::{
 };
 use topology::NodeId;
 
-use crate::state::{LossState, PeerEcho, ReplyState, Role, TimerKind};
+use crate::endpoints::Shared;
+use crate::smallmap::{btree_node_bytes, SmallMap};
+use crate::state::{LossState, Peer, PeerEcho, ReplyState, Role, TimerKind};
 use crate::timers::{FixedTimers, TimerPolicy};
 use crate::window::ReceivedSet;
-use crate::SrmParams;
+use crate::{SrmEndpoints, SrmParams};
 
-/// Ordered sparse map from node id to `V`: a sorted vector with binary
-/// search. Footprint is O(entries) like a `BTreeMap` — the property that
-/// keeps per-endpoint state off the group size at 10⁶ members
-/// (`docs/SCALING.md`) — but storage is contiguous, so the session hot
-/// path (one update per session message heard) stays a single cache-line
-/// touch for the typical already-present peer, and iteration is a linear
-/// scan in ascending id order (the order the former dense vector and the
-/// interim `BTreeMap` both produced, preserving byte-identical results).
-#[derive(Clone, Debug, Default)]
-struct NodeMap<V> {
-    entries: Vec<(NodeId, V)>,
-}
+// Inline capacities of the per-endpoint maps, sized so that an ordinary
+// receiver of the reference `reproduce scale` rungs never spills: it hears
+// the recoveries of five packets inside one 1.5 s reply abstinence (five
+// live reply entries) while holding up to four reply timers, knows one
+// peer (the source), and loses nothing itself. Measured per receiver at
+// 10³–10⁵; see `docs/SCALING.md`.
+const LOSSES_INLINE: usize = 1;
+const REPLIES_INLINE: usize = 5;
+const TIMERS_INLINE: usize = 4;
+const PEERS_INLINE: usize = 1;
 
-impl<V> NodeMap<V> {
-    fn new() -> Self {
-        NodeMap {
-            entries: Vec::new(),
-        }
-    }
-
-    fn get(&self, node: NodeId) -> Option<&V> {
-        self.entries
-            .binary_search_by_key(&node, |probe| probe.0)
-            .ok()
-            .map(|i| &self.entries[i].1)
-    }
-
-    fn insert(&mut self, node: NodeId, value: V) {
-        match self.entries.binary_search_by_key(&node, |probe| probe.0) {
-            Ok(i) => self.entries[i].1 = value,
-            Err(i) => self.entries.insert(i, (node, value)),
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (NodeId, &V)> {
-        self.entries.iter().map(|(n, v)| (*n, v))
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
+type Replies = SmallMap<u64, ReplyState, REPLIES_INLINE>;
 
 /// The SRM protocol engine (paper §2): session exchange, loss detection,
 /// request scheduling with suppression and back-off, and reply scheduling
@@ -71,29 +44,6 @@ impl<V> NodeMap<V> {
 /// [`note_reply_sent`](SrmCore::note_reply_sent), …).
 pub struct SrmCore {
     me: NodeId,
-    source: NodeId,
-    params: SrmParams,
-    role: Role,
-    log: SharedRecoveryLog,
-    /// Suppression-window policy (fixed weights by default; adaptive for
-    /// ablations).
-    timer_policy: Box<dyn TimerPolicy>,
-    /// Data packets received (receivers only; the source implicitly has all
-    /// packets it sent). Compacted: contiguous prefix + sparse tail.
-    received: ReceivedSet,
-    /// Data packets transmitted so far (source only).
-    sent: u64,
-    /// Highest sequence number known to exist, from any evidence.
-    highest: Option<u64>,
-    losses: BTreeMap<u64, LossState>,
-    replies: BTreeMap<u64, ReplyState>,
-    timers: BTreeMap<TimerToken, TimerKind>,
-    /// Last session echo per peer, sized by the peers actually heard from,
-    /// not the group: at 10⁶ receivers a dense per-member vector per
-    /// endpoint would be O(N²) across the group.
-    peers: NodeMap<PeerEcho>,
-    /// One-way distance estimate per peer; sparse for the same reason.
-    dist: NodeMap<SimDuration>,
     /// Whether this endpoint runs its own session timer. Scale-mode
     /// receivers disable it (see [`set_sessions_enabled`]
     /// (SrmCore::set_sessions_enabled)): with 10⁶ members the all-to-all
@@ -101,43 +51,39 @@ pub struct SrmCore {
     /// `highest_seq` and receiver→source distances are seeded from the
     /// topology instead.
     sessions_enabled: bool,
-    newly_detected: Vec<SeqNo>,
+    /// Whether a loss was detected since the last
+    /// [`take_newly_detected`](SrmCore::take_newly_detected).
+    detected_since_take: bool,
+    /// Everything the endpoints of this run have in common.
+    shared: Rc<Shared>,
+    /// A custom suppression-window policy (adaptive, for ablations);
+    /// `None` means the fixed weights of the shared parameters.
+    timer_policy: Option<Box<dyn TimerPolicy>>,
+    /// Data packets received (receivers only; the source implicitly has all
+    /// packets it sent). Compacted: contiguous prefix + sparse tail.
+    received: ReceivedSet,
+    /// How many sequence numbers are known to exist, from any evidence:
+    /// one past the highest (for the source, the packets sent so far).
+    known: u64,
+    /// `known` as of the last [`take_newly_detected`]
+    /// (SrmCore::take_newly_detected): every loss detected since lies at
+    /// or above it.
+    detection_mark: u64,
+    losses: SmallMap<u64, LossState, LOSSES_INLINE>,
+    replies: Replies,
+    timers: SmallMap<TimerToken, TimerKind, TIMERS_INLINE>,
+    /// What is known about each peer, sized by the peers actually heard
+    /// from (or seeded), not the group: at 10⁶ receivers a dense
+    /// per-member vector per endpoint would be O(N²) across the group.
+    peers: SmallMap<NodeId, Peer, PEERS_INLINE>,
     default_distance_uses: u64,
     spurious_detections: u64,
-    /// The run's observation handle (see the `obs` crate); off by default.
-    obs: obs::Instruments,
-    /// Counters pre-registered on `obs`.
-    metrics: SrmMetrics,
-}
-
-/// Pre-registered counters over the suppression-timer machinery — the
-/// layer the SRM retrospectives single out as where scalability costs
-/// hide. All no-ops by default.
-#[derive(Default)]
-struct SrmMetrics {
-    request_timers_set: obs::Counter,
-    requests_sent: obs::Counter,
-    request_suppressed: obs::Counter,
-    reply_timers_set: obs::Counter,
-    replies_sent: obs::Counter,
-    reply_suppressed: obs::Counter,
-}
-
-impl SrmMetrics {
-    fn new(metrics: &obs::Instruments) -> Self {
-        SrmMetrics {
-            request_timers_set: metrics.counter("srm.request_timers_set"),
-            requests_sent: metrics.counter("srm.requests_sent"),
-            request_suppressed: metrics.counter("srm.request_suppressed"),
-            reply_timers_set: metrics.counter("srm.reply_timers_set"),
-            replies_sent: metrics.counter("srm.replies_sent"),
-            reply_suppressed: metrics.counter("srm.reply_suppressed"),
-        }
-    }
 }
 
 impl SrmCore {
-    /// Creates an SRM endpoint for host `me` receiving from `source`.
+    /// Creates one SRM endpoint for host `me` receiving from `source` —
+    /// shorthand for an [`SrmEndpoints`] factory that makes a single
+    /// endpoint.
     ///
     /// # Panics
     ///
@@ -150,31 +96,31 @@ impl SrmCore {
         role: Role,
         log: SharedRecoveryLog,
     ) -> Self {
-        params.validate();
-        if role.is_source() {
-            assert_eq!(me, source, "the source role must run on the source node");
+        SrmEndpoints::new(source, params, role, log).core(me)
+    }
+
+    pub(crate) fn with_shared(me: NodeId, shared: Rc<Shared>) -> Self {
+        if shared.role.is_source() {
+            assert_eq!(
+                me, shared.source,
+                "the source role must run on the source node"
+            );
         }
         SrmCore {
             me,
-            source,
-            timer_policy: Box::new(FixedTimers::new(params)),
-            params,
-            role,
-            log,
-            received: ReceivedSet::new(),
-            sent: 0,
-            highest: None,
-            losses: BTreeMap::new(),
-            replies: BTreeMap::new(),
-            timers: BTreeMap::new(),
-            peers: NodeMap::new(),
-            dist: NodeMap::new(),
             sessions_enabled: true,
-            newly_detected: Vec::new(),
+            detected_since_take: false,
+            shared,
+            timer_policy: None,
+            received: ReceivedSet::new(),
+            known: 0,
+            detection_mark: 0,
+            losses: SmallMap::new(),
+            replies: SmallMap::new(),
+            timers: SmallMap::new(),
+            peers: SmallMap::new(),
             default_distance_uses: 0,
             spurious_detections: 0,
-            obs: obs::Instruments::off(),
-            metrics: SrmMetrics::default(),
         }
     }
 
@@ -187,16 +133,26 @@ impl SrmCore {
     /// detection and completion records come from the shared
     /// [`metrics::RecoveryLog`], which should be given a clone of the same
     /// handle. Per-simulation owned and observation-only.
+    ///
+    /// The handle lives in the block this endpoint shares with its
+    /// siblings; installing it here gives this endpoint a private copy of
+    /// that block, so a run with many endpoints installs it once on the
+    /// factory instead ([`SrmEndpoints::with_obs`]).
     pub fn set_obs(&mut self, obs: obs::Instruments) {
-        self.metrics = SrmMetrics::new(&obs);
-        self.obs = obs;
+        Rc::make_mut(&mut self.shared).set_obs(obs);
     }
 
     /// The installed observation handle, for the agent wrapping this core
     /// to emit and profile through.
     #[inline]
     pub fn obs(&self) -> &obs::Instruments {
-        &self.obs
+        &self.shared.obs
+    }
+
+    /// The run's recovery log.
+    #[inline]
+    pub fn log(&self) -> &SharedRecoveryLog {
+        &self.shared.log
     }
 
     /// This endpoint's node id.
@@ -208,32 +164,55 @@ impl SrmCore {
     /// The transmission source's node id.
     #[inline]
     pub fn source(&self) -> NodeId {
-        self.source
+        self.shared.source
     }
 
     /// The scheduling parameters.
     #[inline]
     pub fn params(&self) -> &SrmParams {
-        &self.params
+        &self.shared.params
     }
 
     /// Replaces the suppression-window policy (e.g. with
     /// [`AdaptiveTimers`](crate::AdaptiveTimers)). The `C3`/`D3` abstinence
     /// weights stay in [`SrmParams`].
     pub fn set_timer_policy(&mut self, policy: Box<dyn TimerPolicy>) {
-        self.timer_policy = policy;
+        self.timer_policy = Some(policy);
     }
 
     /// Current effective scheduling weights `(c1, c2, d1, d2)`.
     pub fn timer_weights(&self) -> (f64, f64, f64, f64) {
-        self.timer_policy.weights()
+        match &self.timer_policy {
+            Some(policy) => policy.weights(),
+            None => self.fixed_timers().weights(),
+        }
+    }
+
+    /// The paper's fixed-weight policy, computed from the shared parameters
+    /// rather than stored per endpoint.
+    fn fixed_timers(&self) -> FixedTimers {
+        FixedTimers::new(self.shared.params)
+    }
+
+    fn request_window(&self, d: SimDuration) -> (SimDuration, SimDuration) {
+        match &self.timer_policy {
+            Some(policy) => policy.request_window(d),
+            None => self.fixed_timers().request_window(d),
+        }
+    }
+
+    fn reply_window(&self, d: SimDuration) -> (SimDuration, SimDuration) {
+        match &self.timer_policy {
+            Some(policy) => policy.reply_window(d),
+            None => self.fixed_timers().reply_window(d),
+        }
     }
 
     /// `true` iff this endpoint holds packet `seq` (received it, or sent it
     /// as the source).
     pub fn has(&self, seq: SeqNo) -> bool {
-        if self.role.is_source() {
-            seq.value() < self.sent
+        if self.shared.role.is_source() {
+            seq.value() < self.known
         } else {
             self.received.contains(seq.value())
         }
@@ -248,7 +227,7 @@ impl SrmCore {
     /// Estimated one-way distance to `peer` from session exchange (or from
     /// [`seed_distance`](SrmCore::seed_distance)).
     pub fn dist_to(&self, peer: NodeId) -> Option<SimDuration> {
-        self.dist.get(peer).copied()
+        self.peers.get(&peer).and_then(|p| p.dist)
     }
 
     /// Pre-seeds the one-way distance estimate to `peer`, as a session
@@ -256,7 +235,7 @@ impl SrmCore {
     /// topology path delay to the source on every receiver, replacing the
     /// all-to-all session estimation that is infeasible at 10⁶ members.
     pub fn seed_distance(&mut self, peer: NodeId, d: SimDuration) {
-        self.dist.insert(peer, d);
+        self.peers.get_or_insert_with(peer, Peer::default).dist = Some(d);
     }
 
     /// Enables or disables this endpoint's own session timer (on by
@@ -272,7 +251,7 @@ impl SrmCore {
     /// Estimated one-way distance to the source, falling back to
     /// [`SrmParams::default_distance`] when no estimate exists yet.
     pub fn dist_to_source(&mut self) -> SimDuration {
-        self.dist_or_default(self.source)
+        self.dist_or_default(self.shared.source)
     }
 
     /// Estimated one-way distance to `peer`, falling back to
@@ -283,7 +262,7 @@ impl SrmCore {
 
     /// Highest sequence number known to exist.
     pub fn highest(&self) -> Option<SeqNo> {
-        self.highest.map(SeqNo)
+        self.known.checked_sub(1).map(SeqNo)
     }
 
     /// Times the default distance had to substitute for a missing session
@@ -299,11 +278,20 @@ impl SrmCore {
         self.spurious_detections
     }
 
-    /// Drains the sequence numbers whose loss was detected since the last
-    /// call — the hook the CESRM layer uses to trigger expedited
-    /// recoveries.
+    /// The sequence numbers, ascending, whose loss was detected since the
+    /// last call and is still outstanding — the hook the CESRM layer uses
+    /// to trigger expedited recoveries. Detection only ever covers packets
+    /// not previously known to exist, so no buffer is kept: these are the
+    /// outstanding losses at or above the last call's high-water mark.
     pub fn take_newly_detected(&mut self) -> Vec<SeqNo> {
-        std::mem::take(&mut self.newly_detected)
+        let from = mem::replace(&mut self.detection_mark, self.known);
+        if !mem::take(&mut self.detected_since_take) {
+            return Vec::new();
+        }
+        (from..self.known)
+            .filter(|i| self.losses.contains_key(i))
+            .map(SeqNo)
+            .collect()
     }
 
     /// `true` iff a reply for `seq` is scheduled or pending (within the
@@ -312,8 +300,7 @@ impl SrmCore {
     pub fn reply_blocked(&self, seq: SeqNo, now: SimTime) -> bool {
         self.replies
             .get(&seq.value())
-            .map(|r| r.timer.is_some() || now < r.abstinence_until)
-            .unwrap_or(false)
+            .is_some_and(|r| r.is_live(now))
     }
 
     /// Records that this host just sent a (possibly expedited) reply for
@@ -322,17 +309,14 @@ impl SrmCore {
     /// send.
     pub fn note_reply_sent(&mut self, ctx: &mut Context<'_>, seq: SeqNo, requestor: NodeId) {
         let d = self.dist_or_default(requestor);
-        let abstinence = ctx.now() + d.mul_f64(self.params.d3);
-        let entry = self
-            .replies
-            .entry(seq.value())
-            .or_insert_with(|| ReplyState {
-                timer: None,
-                requestor,
-                req_dist_src: SimDuration::ZERO,
-                abstinence_until: abstinence,
-                we_replied: false,
-            });
+        let abstinence = ctx.now() + d.mul_f64(self.shared.params.d3);
+        let entry = reply_entry(&mut self.replies, seq, ctx.now(), || ReplyState {
+            timer: None,
+            requestor,
+            req_dist_src: SimDuration::ZERO,
+            abstinence_until: abstinence,
+            we_replied: false,
+        });
         if let Some(tok) = entry.timer.take() {
             ctx.cancel_timer(tok);
             self.timers.remove(&tok);
@@ -348,12 +332,12 @@ impl SrmCore {
     /// the data transmission.
     pub fn on_start(&mut self, ctx: &mut Context<'_>) {
         if self.sessions_enabled {
-            let period = self.params.session_period;
+            let period = self.shared.params.session_period;
             let jitter = SimDuration::from_nanos(ctx.rng().gen_range(0..period.as_nanos().max(1)));
             let tok = ctx.set_timer(jitter);
             self.timers.insert(tok, TimerKind::Session);
         }
-        if let Role::Source(cfg) = self.role {
+        if let Role::Source(cfg) = self.shared.role {
             let delay = cfg.start_at.saturating_since(ctx.now());
             let tok = ctx.set_timer(delay);
             self.timers.insert(tok, TimerKind::DataTx);
@@ -379,7 +363,7 @@ impl SrmCore {
     pub fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, _meta: &DeliveryMeta) {
         match &packet.body {
             PacketBody::Data { id } => {
-                if id.source == self.source {
+                if id.source == self.shared.source {
                     self.receive_data(ctx, id.seq);
                 }
             }
@@ -388,19 +372,19 @@ impl SrmCore {
                 requestor,
                 dist_req_src,
             } => {
-                if id.source == self.source {
+                if id.source == self.shared.source {
                     self.receive_request(ctx, id.seq, *requestor, *dist_req_src);
                 }
             }
             PacketBody::Reply { tuple, expedited } => {
-                if tuple.id.source == self.source {
+                if tuple.id.source == self.shared.source {
                     self.receive_reply(ctx, tuple, *expedited);
                 }
             }
             PacketBody::ExpeditedRequest { id, .. } => {
                 // Handled by the CESRM layer; the core only notes that the
                 // packet exists (an expedited request is evidence of it).
-                if id.source == self.source {
+                if id.source == self.shared.source {
                     self.note_exists(ctx, id.seq);
                 }
             }
@@ -413,52 +397,50 @@ impl SrmCore {
     // ------------------------------------------------------------------
 
     fn fire_data_tx(&mut self, ctx: &mut Context<'_>) {
-        let Role::Source(cfg) = self.role else {
+        let Role::Source(cfg) = self.shared.role else {
             unreachable!("data timer on non-source");
         };
-        let seq = self.sent;
-        self.sent += 1;
-        self.highest = Some(seq);
+        let seq = self.known;
+        self.known += 1;
         ctx.multicast(PacketBody::Data {
             id: self.pid(SeqNo(seq)),
         });
-        if self.sent < cfg.packets {
+        if self.known < cfg.packets {
             let tok = ctx.set_timer(cfg.period);
             self.timers.insert(tok, TimerKind::DataTx);
         }
     }
 
     fn fire_session(&mut self, ctx: &mut Context<'_>) {
-        let highest_seq = if self.role.is_source() {
-            self.sent.checked_sub(1).map(SeqNo)
+        let highest_seq = if self.shared.role.is_source() {
+            self.known.checked_sub(1).map(SeqNo)
         } else {
             // Report the highest packet actually received, not merely known
             // to exist: the paper uses session state to let others detect
             // losses from packets *received* elsewhere.
             self.received.max().map(SeqNo)
         };
-        let echoes: Vec<SessionEcho> = self
-            .peers
-            .iter()
-            .map(|(peer, e)| SessionEcho {
+        let mut echoes = Vec::with_capacity(self.peers.len());
+        echoes.extend(self.peers.iter().filter_map(|(&peer, p)| {
+            let e = p.echo?;
+            Some(SessionEcho {
                 peer,
                 sent_at: e.sent_at,
                 held_for: ctx.now().saturating_since(e.received_at),
             })
-            .collect();
+        }));
         ctx.multicast(PacketBody::session_about(
             self.me,
             ctx.now(),
-            self.source,
+            self.shared.source,
             highest_seq,
             echoes,
         ));
         // Piggyback state GC on the session tick: reply entries whose
         // abstinence has lapsed (and with no timer pending) are dead.
         let now = ctx.now();
-        self.replies
-            .retain(|_, r| r.timer.is_some() || now < r.abstinence_until);
-        let tok = ctx.set_timer(self.params.session_period);
+        self.replies.retain(|_, r| r.is_live(now));
+        let tok = ctx.set_timer(self.shared.params.session_period);
         self.timers.insert(tok, TimerKind::Session);
     }
 
@@ -466,18 +448,20 @@ impl SrmCore {
         if !self.losses.contains_key(&seq.value()) {
             return; // recovered in the meantime
         }
-        let dist = self.dist_or_default(self.source);
+        let dist = self.dist_or_default(self.shared.source);
         ctx.multicast(PacketBody::Request {
             id: self.pid(seq),
             requestor: self.me,
             dist_req_src: dist,
         });
-        self.metrics.requests_sent.inc();
-        self.log
+        self.shared.metrics.requests_sent.inc();
+        self.shared
+            .log
             .borrow_mut()
             .on_request_sent(self.me, self.pid(seq), ctx.now());
-        if let Some(state) = self.losses.get(&seq.value()) {
-            self.timer_policy.on_request_sent(state.delay_over_d);
+        if let (Some(policy), Some(state)) = (&mut self.timer_policy, self.losses.get(&seq.value()))
+        {
+            policy.on_request_sent(state.delay_over_d);
         }
         // Schedule the next recovery round and observe the back-off
         // abstinence period (§2.1).
@@ -504,8 +488,9 @@ impl SrmCore {
             tuple,
             expedited: false,
         });
-        self.metrics.replies_sent.inc();
-        self.obs
+        self.shared.metrics.replies_sent.inc();
+        self.shared
+            .obs
             .emit(ctx.now().as_nanos(), || obs::Event::ReplySent {
                 node: self.me.0,
                 seq: seq.value(),
@@ -543,12 +528,13 @@ impl SrmCore {
             // request off to the next recovery round, at most once per round
             // (back-off abstinence, §2.1).
             if state.timer.is_some() && ctx.now() >= state.backoff_abstinence_until {
-                self.metrics.request_suppressed.inc();
+                self.shared.metrics.request_suppressed.inc();
                 // Suppress → immediately re-arm, one atomic path: the
                 // suppression-health monitor (I3, docs/MONITORS.md) treats
                 // a `req_sent` after `req_suppressed` with no intervening
                 // `req_scheduled` as a violation.
-                self.obs
+                self.shared
+                    .obs
                     .emit(ctx.now().as_nanos(), || obs::Event::RequestSuppressed {
                         node: self.me.0,
                         seq: seq.value(),
@@ -558,7 +544,9 @@ impl SrmCore {
             } else {
                 // A same-round duplicate of a request we made or heard:
                 // evidence that suppression is too tight.
-                self.timer_policy.on_duplicate_request();
+                if let Some(policy) = &mut self.timer_policy {
+                    policy.on_duplicate_request();
+                }
             }
         }
     }
@@ -572,27 +560,27 @@ impl SrmCore {
         // Receiving a reply cancels a scheduled reply and opens the reply
         // abstinence period (§2.2).
         let d = self.dist_or_default(tuple.requestor);
-        let abstinence = ctx.now() + d.mul_f64(self.params.d3);
-        let entry = self
-            .replies
-            .entry(seq.value())
-            .or_insert_with(|| ReplyState {
-                timer: None,
-                requestor: tuple.requestor,
-                req_dist_src: tuple.dist_req_src,
-                abstinence_until: abstinence,
-                we_replied: false,
-            });
+        let abstinence = ctx.now() + d.mul_f64(self.shared.params.d3);
+        let entry = reply_entry(&mut self.replies, seq, ctx.now(), || ReplyState {
+            timer: None,
+            requestor: tuple.requestor,
+            req_dist_src: tuple.dist_req_src,
+            abstinence_until: abstinence,
+            we_replied: false,
+        });
         if entry.we_replied && ctx.now() < entry.abstinence_until {
             // Someone else retransmitted a packet we had just
             // retransmitted: our reply window was too tight.
-            self.timer_policy.on_duplicate_reply();
+            if let Some(policy) = &mut self.timer_policy {
+                policy.on_duplicate_reply();
+            }
         }
         if let Some(tok) = entry.timer.take() {
             ctx.cancel_timer(tok);
             self.timers.remove(&tok);
-            self.metrics.reply_suppressed.inc();
-            self.obs
+            self.shared.metrics.reply_suppressed.inc();
+            self.shared
+                .obs
                 .emit(ctx.now().as_nanos(), || obs::Event::ReplySuppressed {
                     node: self.me.0,
                     seq: seq.value(),
@@ -605,13 +593,11 @@ impl SrmCore {
     }
 
     fn receive_session(&mut self, ctx: &mut Context<'_>, data: &SessionData) {
-        self.peers.insert(
-            data.member,
-            PeerEcho {
-                sent_at: data.sent_at,
-                received_at: ctx.now(),
-            },
-        );
+        let peer = self.peers.get_or_insert_with(data.member, Peer::default);
+        peer.echo = Some(PeerEcho {
+            sent_at: data.sent_at,
+            received_at: ctx.now(),
+        });
         for echo in &data.echoes {
             if echo.peer == self.me {
                 // d̂ = (now − our_send_time − peer_hold_time) / 2.
@@ -621,13 +607,13 @@ impl SrmCore {
                 } else {
                     SimDuration::ZERO
                 };
-                self.dist.insert(data.member, rtt / 2);
+                peer.dist = Some(rtt / 2);
             }
         }
         if let Some(h) = data.highest_seq {
             // In multi-source groups, only the report about our source is a
             // statement about our sequence space.
-            if data.about.is_none() || data.about == Some(self.source) {
+            if data.about.is_none() || data.about == Some(self.shared.source) {
                 self.note_exists(ctx, h);
             }
         }
@@ -641,13 +627,12 @@ impl SrmCore {
     /// not-yet-received packet up to it (sequence-gap / session-report
     /// detection, §2).
     fn note_exists(&mut self, ctx: &mut Context<'_>, seq: SeqNo) {
-        if self.role.is_source() {
+        if self.shared.role.is_source() {
             return;
         }
-        let from = self.highest.map_or(0, |h| h + 1);
-        if self.highest.is_none() || seq.value() >= from {
-            for i in from..=seq.value() {
-                self.highest = Some(i);
+        if seq.value() >= self.known {
+            for i in self.known..=seq.value() {
+                self.known = i + 1;
                 if !self.received.contains(i) && !self.losses.contains_key(&i) {
                     self.detect_loss(ctx, SeqNo(i));
                 }
@@ -656,7 +641,8 @@ impl SrmCore {
     }
 
     fn detect_loss(&mut self, ctx: &mut Context<'_>, seq: SeqNo) {
-        self.log
+        self.shared
+            .log
             .borrow_mut()
             .on_detect(self.me, self.pid(seq), ctx.now());
         self.losses.insert(
@@ -669,20 +655,20 @@ impl SrmCore {
             },
         );
         self.schedule_request(ctx, seq);
-        self.newly_detected.push(seq);
+        self.detected_since_take = true;
     }
 
     /// Schedules (or first-schedules) the request timer for `seq` in the
     /// current round's interval `2^k · [C1·d̂, (C1+C2)·d̂]` and advances
     /// `k`.
     fn schedule_request(&mut self, ctx: &mut Context<'_>, seq: SeqNo) {
-        let d = self.dist_or_default(self.source);
+        let d = self.dist_or_default(self.shared.source);
+        let (lo, width) = self.request_window(d);
         let state = self
             .losses
             .get_mut(&seq.value())
             .expect("scheduling request for unknown loss");
         let factor = (1u64 << state.k.min(32)) as f64;
-        let (lo, width) = self.timer_policy.request_window(d);
         let (lo, width) = (lo.mul_f64(factor), width.mul_f64(factor));
         let delay = lo + SimDuration::from_nanos(ctx.rng().gen_range(0..=width.as_nanos()));
         let tok = ctx.set_timer(delay);
@@ -695,8 +681,9 @@ impl SrmCore {
         } else {
             delay.as_secs_f64() / d.as_secs_f64()
         };
-        self.metrics.request_timers_set.inc();
-        self.obs
+        self.shared.metrics.request_timers_set.inc();
+        self.shared
+            .obs
             .emit(ctx.now().as_nanos(), || obs::Event::RequestScheduled {
                 node: self.me.0,
                 seq: seq.value(),
@@ -709,7 +696,7 @@ impl SrmCore {
     /// our own request or hearing another host's) and opens the back-off
     /// abstinence period `2^k · C3 · d̂` with the same round factor (§2.1).
     fn reschedule_request(&mut self, ctx: &mut Context<'_>, seq: SeqNo) {
-        let d = self.dist_or_default(self.source);
+        let d = self.dist_or_default(self.shared.source);
         let Some(state) = self.losses.get_mut(&seq.value()) else {
             return;
         };
@@ -718,7 +705,7 @@ impl SrmCore {
             self.timers.remove(&tok);
         }
         let factor = (1u64 << state.k.min(32)) as f64;
-        state.backoff_abstinence_until = ctx.now() + d.mul_f64(self.params.c3 * factor);
+        state.backoff_abstinence_until = ctx.now() + d.mul_f64(self.shared.params.c3 * factor);
         self.schedule_request(ctx, seq);
     }
 
@@ -733,25 +720,23 @@ impl SrmCore {
             return; // scheduled already, or a reply is pending (abstinence)
         }
         let d = self.dist_or_default(requestor);
-        let (lo, width) = self.timer_policy.reply_window(d);
+        let (lo, width) = self.reply_window(d);
         let delay = lo + SimDuration::from_nanos(ctx.rng().gen_range(0..=width.as_nanos()));
         let tok = ctx.set_timer(delay);
         self.timers.insert(tok, TimerKind::Reply(seq.value()));
-        let entry = self
-            .replies
-            .entry(seq.value())
-            .or_insert_with(|| ReplyState {
-                timer: None,
-                requestor,
-                req_dist_src,
-                abstinence_until: ctx.now(),
-                we_replied: false,
-            });
+        let entry = reply_entry(&mut self.replies, seq, ctx.now(), || ReplyState {
+            timer: None,
+            requestor,
+            req_dist_src,
+            abstinence_until: ctx.now(),
+            we_replied: false,
+        });
         entry.timer = Some(tok);
         entry.requestor = requestor;
         entry.req_dist_src = req_dist_src;
-        self.metrics.reply_timers_set.inc();
-        self.obs
+        self.shared.metrics.reply_timers_set.inc();
+        self.shared
+            .obs
             .emit(ctx.now().as_nanos(), || obs::Event::ReplyScheduled {
                 node: self.me.0,
                 seq: seq.value(),
@@ -768,7 +753,7 @@ impl SrmCore {
         via_reply: bool,
         expedited: bool,
     ) {
-        if self.role.is_source() || !self.received.insert(seq.value()) {
+        if self.shared.role.is_source() || !self.received.insert(seq.value()) {
             return;
         }
         // Hot path: most receptions are in-order originals with no loss
@@ -782,15 +767,19 @@ impl SrmCore {
                 self.timers.remove(&tok);
             }
             if via_reply {
-                self.log
-                    .borrow_mut()
-                    .on_recover(self.me, self.pid(seq), ctx.now(), expedited);
+                self.shared.log.borrow_mut().on_recover(
+                    self.me,
+                    self.pid(seq),
+                    ctx.now(),
+                    expedited,
+                );
             } else {
                 // The original arrived after a session message or a
                 // reordered successor made us believe it lost: not a real
                 // loss, void the record.
                 self.spurious_detections += 1;
-                self.log
+                self.shared
+                    .log
                     .borrow_mut()
                     .on_spurious(self.me, self.pid(seq), ctx.now());
             }
@@ -798,45 +787,286 @@ impl SrmCore {
     }
 
     fn dist_or_default(&mut self, peer: NodeId) -> SimDuration {
-        match self.dist.get(peer).copied() {
+        match self.dist_to(peer) {
             Some(d) => d,
             None => {
                 self.default_distance_uses += 1;
-                self.params.default_distance
+                self.shared.params.default_distance
             }
         }
     }
 
-    /// Estimated heap-resident footprint of this endpoint's protocol state,
-    /// in bytes: the fixed struct plus every sparse collection weighted by
-    /// its entry size. Every collection here grows with *activity* (losses
-    /// outstanding, replies pending, peers actually heard from), never with
-    /// group size — the O(active-losses) property `docs/SCALING.md` charts
-    /// across the sweep rungs.
+    /// Bytes of memory this endpoint owns: the struct itself plus
+    /// [`heap_bytes`](SrmCore::heap_bytes). Every part grows with
+    /// *activity* (losses outstanding, replies pending, peers actually
+    /// heard from), never with group size — the O(active-losses) property
+    /// `docs/SCALING.md` charts across the sweep rungs. Allocator headers
+    /// and size-class rounding are not included, and what the endpoints of
+    /// a run share (parameters, log, observation handles) is counted
+    /// nowhere: it is one block per run.
     pub fn state_bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<Self>()
-            + self.received.sparse_len() * size_of::<u64>()
-            + self.losses.len() * (size_of::<u64>() + size_of::<LossState>())
-            + self.replies.len() * (size_of::<u64>() + size_of::<ReplyState>())
-            + self.timers.len() * (size_of::<TimerToken>() + size_of::<TimerKind>())
-            + self.peers.len() * (size_of::<NodeId>() + size_of::<PeerEcho>())
-            + self.dist.len() * (size_of::<NodeId>() + size_of::<SimDuration>())
-            + self.newly_detected.len() * size_of::<SeqNo>()
+        mem::size_of::<Self>() + self.heap_bytes()
+    }
+
+    /// Bytes in heap blocks this endpoint owns besides the one it lives
+    /// in: whatever its maps have spilled, the out-of-order tail of the
+    /// received set and a boxed custom timer policy. Zero for a receiver
+    /// whose concurrent recoveries fit the inline slots. A pure function of
+    /// the endpoint's own history, so it is identical at any shard count.
+    pub fn heap_bytes(&self) -> usize {
+        self.losses.heap_bytes()
+            + self.replies.heap_bytes()
+            + self.timers.heap_bytes()
+            + self.peers.heap_bytes()
+            + btree_node_bytes::<u64, ()>(self.received.sparse_len())
+            + self.timer_policy.as_deref().map_or(0, mem::size_of_val)
     }
 
     fn pid(&self, seq: SeqNo) -> PacketId {
         PacketId {
-            source: self.source,
+            source: self.shared.source,
             seq,
         }
     }
 }
 
+/// The reply state for `seq`, created by `fresh` if absent.
+///
+/// Creating an entry is also when dead ones are collected. Endpoints that
+/// run a session timer collect on every tick, but scale-mode receivers
+/// never tick, and without this each would keep every reply entry it ever
+/// made. A sweep costs O(entries), so it runs only when the inline slots
+/// are full (the insert would otherwise spill) and, once spilled, each time
+/// the length reaches a power of two — amortised O(1) per insert, and the
+/// map stays within twice its live entries.
+fn reply_entry(
+    replies: &mut Replies,
+    seq: SeqNo,
+    now: SimTime,
+    fresh: impl FnOnce() -> ReplyState,
+) -> &mut ReplyState {
+    let len = replies.len();
+    let full = len == REPLIES_INLINE || (len > REPLIES_INLINE && len.is_power_of_two());
+    #[cfg(test)]
+    let full = full && !tests::COLLECT_AT_SESSION_TICKS_ONLY.get();
+    if full && !replies.contains_key(&seq.value()) {
+        replies.retain(|_, r| r.is_live(now));
+    }
+    replies.get_or_insert_with(seq.value(), fresh)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metrics::RecoveryLog;
+    use crate::SrmAgent;
+    use metrics::{PacketKind, RecoveryLog};
+    use netsim::{CastClass, NetConfig, SimObserver, Simulator};
+    use proptest::prelude::*;
+    use std::cell::{Cell, RefCell};
+    use topology::{MulticastTree, TreeBuilder};
+
+    thread_local! {
+        /// Test hook: leave dead reply entries to the session tick alone,
+        /// as before eager collection, so a test can run the same script
+        /// both ways and show that the difference cannot be observed.
+        pub(super) static COLLECT_AT_SESSION_TICKS_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    const ME: NodeId = NodeId(2);
+    const PEER: NodeId = NodeId(3);
+    const SOURCE: NodeId = NodeId::ROOT;
+
+    /// n0 (source) -> n1 (router) -> { n2, n3 }: the endpoint under test
+    /// sits alone at n2 and is fed crafted packets.
+    fn tree() -> MulticastTree {
+        let mut b = TreeBuilder::new();
+        let r = b.add_router(b.root());
+        b.add_receiver(r);
+        b.add_receiver(r);
+        b.build().unwrap()
+    }
+
+    #[derive(Default)]
+    struct Sends(Vec<(SimTime, PacketKind)>);
+
+    impl SimObserver for Sends {
+        fn on_send(&mut self, now: SimTime, _: NodeId, packet: &Packet) {
+            self.0.push((now, PacketKind::of(packet)));
+        }
+    }
+
+    /// A lone receiver at [`ME`] that already holds packets `0..held`.
+    fn lone_receiver(sessions: bool, held: u64) -> (Simulator, Rc<RefCell<Sends>>) {
+        let sends = Rc::new(RefCell::new(Sends::default()));
+        let mut sim = Simulator::new(tree(), NetConfig::default().with_seed(5));
+        sim.set_observer(Box::new(Rc::clone(&sends)));
+        let mut agent = SrmAgent::receiver(
+            ME,
+            SOURCE,
+            SrmParams::paper_default(),
+            RecoveryLog::shared(),
+        );
+        agent.core_mut().set_sessions_enabled(sessions);
+        sim.attach_agent(ME, Box::new(agent));
+        for seq in 0..held {
+            inject(&mut sim, SOURCE, PacketBody::Data { id: pid(seq) });
+        }
+        (sim, sends)
+    }
+
+    fn core(sim: &Simulator) -> &SrmCore {
+        sim.agent_as::<SrmAgent>(ME).unwrap().core()
+    }
+
+    fn pid(seq: u64) -> PacketId {
+        PacketId {
+            source: SOURCE,
+            seq: SeqNo(seq),
+        }
+    }
+
+    fn inject(sim: &mut Simulator, origin: NodeId, body: PacketBody) {
+        let packet = Packet {
+            origin,
+            cast: CastClass::Multicast,
+            body,
+        };
+        sim.inject_packet(ME, NodeId(1), &packet, None);
+    }
+
+    fn request(seq: u64) -> PacketBody {
+        PacketBody::Request {
+            id: pid(seq),
+            requestor: PEER,
+            dist_req_src: SimDuration::from_millis(40),
+        }
+    }
+
+    fn reply(seq: u64) -> PacketBody {
+        PacketBody::Reply {
+            tuple: RecoveryTuple {
+                id: pid(seq),
+                requestor: PEER,
+                dist_req_src: SimDuration::from_millis(40),
+                replier: SOURCE,
+                dist_rep_req: SimDuration::from_millis(40),
+                turning_point: None,
+            },
+            expedited: false,
+        }
+    }
+
+    fn advance(sim: &mut Simulator, by: SimDuration) {
+        sim.run_until(sim.now() + by);
+    }
+
+    #[test]
+    fn session_less_receiver_keeps_its_replies_map_bounded() {
+        // Scale-mode receivers never run the session tick that used to be
+        // the only collector. Replies for 100 packets, each outliving the
+        // 150 ms abstinence of the one before: at most the inline slots are
+        // ever held, and nothing spills.
+        let (mut sim, _) = lone_receiver(false, 100);
+        for seq in 0..100 {
+            inject(&mut sim, SOURCE, reply(seq));
+            assert!(core(&sim).replies.len() <= REPLIES_INLINE);
+            advance(&mut sim, SimDuration::from_millis(200));
+        }
+        assert_eq!(core(&sim).heap_bytes(), 0);
+
+        // A burst of 100 at once is all live, so it must be held (and
+        // spills); once it has lapsed, later inserts collect it again and
+        // the emptied map comes back inline.
+        for seq in 0..100 {
+            inject(&mut sim, SOURCE, reply(seq));
+        }
+        assert_eq!(core(&sim).replies.len(), 100);
+        assert!(core(&sim).heap_bytes() > 0);
+        advance(&mut sim, SimDuration::from_secs(1));
+        for seq in 100..200 {
+            inject(&mut sim, SOURCE, reply(seq));
+            advance(&mut sim, SimDuration::from_millis(200));
+        }
+        assert!(core(&sim).replies.len() <= REPLIES_INLINE);
+        assert_eq!(core(&sim).heap_bytes(), 0);
+    }
+
+    /// Everything about the reply machinery an outside observer (or a
+    /// later protocol step) can see.
+    #[derive(PartialEq, Debug)]
+    struct Observed {
+        now: SimTime,
+        blocked: Vec<bool>,
+        timers: Vec<(TimerToken, TimerKind)>,
+        sends: usize,
+    }
+
+    /// Runs `tape` — (op, seq, gap ms) — against a receiver with sessions
+    /// on, collecting dead reply entries eagerly or only at session ticks.
+    fn observe(tape: &[(u8, u64, u64)], lazy: bool) -> (Vec<Observed>, Vec<(SimTime, PacketKind)>) {
+        const SEQS: u64 = 12;
+        COLLECT_AT_SESSION_TICKS_ONLY.set(lazy);
+        let (mut sim, sends) = lone_receiver(true, SEQS);
+        let mut seen = Vec::new();
+        for &(op, seq, gap_ms) in tape {
+            match op {
+                0 => inject(&mut sim, PEER, request(seq)),
+                1 => inject(&mut sim, SOURCE, reply(seq)),
+                _ => {}
+            }
+            // Timers (reply, session) fire inside the gap.
+            advance(&mut sim, SimDuration::from_millis(gap_ms));
+            let core = core(&sim);
+            seen.push(Observed {
+                now: sim.now(),
+                blocked: (0..SEQS)
+                    .map(|s| core.reply_blocked(SeqNo(s), sim.now()))
+                    .collect(),
+                timers: core.timers.iter().map(|(t, k)| (*t, *k)).collect(),
+                sends: sends.borrow().0.len(),
+            });
+        }
+        COLLECT_AT_SESSION_TICKS_ONLY.set(false);
+        let sends = sends.borrow().0.clone();
+        (seen, sends)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Dropping dead reply entries early cannot be observed: under the
+        /// fixed timer policy `reply_blocked`, the timers armed and the
+        /// packets sent are the same whether dead entries go when the next
+        /// one is inserted or wait for the session tick. Gaps straddle the
+        /// 150 ms abstinence and the 100–200 ms reply window; twelve
+        /// sequence numbers overflow the inline slots.
+        #[test]
+        fn eager_reply_collection_is_unobservable(
+            tape in proptest::collection::vec((0u8..3, 0u64..12, 0u64..260), 1..80)
+        ) {
+            let eager = observe(&tape, false);
+            let lazy = observe(&tape, true);
+            prop_assert_eq!(eager, lazy);
+        }
+    }
+
+    #[test]
+    fn eager_collection_does_drop_entries_the_session_tick_would_keep() {
+        // The property above would hold vacuously if nothing were ever
+        // collected early: six spaced replies inside one session period.
+        let replies_after = |lazy| {
+            COLLECT_AT_SESSION_TICKS_ONLY.set(lazy);
+            let (mut sim, _) = lone_receiver(false, 6);
+            for seq in 0..6 {
+                inject(&mut sim, SOURCE, reply(seq));
+                advance(&mut sim, SimDuration::from_millis(160));
+            }
+            COLLECT_AT_SESSION_TICKS_ONLY.set(false);
+            core(&sim).replies.len()
+        };
+        assert_eq!(replies_after(true), 6);
+        assert_eq!(replies_after(false), 1);
+    }
 
     #[test]
     fn source_role_must_match_node() {

@@ -31,13 +31,17 @@
 
 mod agent;
 mod core;
+mod endpoints;
 mod params;
+mod smallmap;
 mod state;
 mod timers;
 mod window;
 
 pub use agent::SrmAgent;
 pub use core::SrmCore;
+pub use endpoints::SrmEndpoints;
 pub use params::SrmParams;
+pub use smallmap::{btree_node_bytes, SmallMap};
 pub use state::{Role, SourceConfig};
 pub use timers::{AdaptiveTimers, FixedTimers, TimerPolicy};

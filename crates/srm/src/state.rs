@@ -66,6 +66,15 @@ pub(crate) struct ReplyState {
     pub we_replied: bool,
 }
 
+impl ReplyState {
+    /// `true` while the entry still means something: a reply is scheduled
+    /// or the abstinence period is running. A dead entry is
+    /// indistinguishable from an absent one and may be dropped at any time.
+    pub fn is_live(&self, now: SimTime) -> bool {
+        self.timer.is_some() || now < self.abstinence_until
+    }
+}
+
 /// What a fired timer belonging to the SRM core means.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum TimerKind {
@@ -86,6 +95,15 @@ pub(crate) struct PeerEcho {
     pub sent_at: SimTime,
     /// When we received that message.
     pub received_at: SimTime,
+}
+
+/// What an endpoint knows about one peer.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Peer {
+    /// One-way distance estimate, from session exchange or seeded.
+    pub dist: Option<SimDuration>,
+    /// The peer's last session message, to echo back in ours.
+    pub echo: Option<PeerEcho>,
 }
 
 #[cfg(test)]

@@ -348,3 +348,32 @@ fn session_echo_establishes_distance() {
         Some(SimDuration::from_millis(40))
     );
 }
+
+#[test]
+fn endpoint_fits_its_byte_budget() {
+    // At 10⁵ receivers the endpoint struct *is* the memory bill
+    // (docs/SCALING.md): everything run-constant lives in the block the
+    // endpoints share, and the small per-loss maps are inline. Growing the
+    // struct should be a decision, not an accident — raise the bound with
+    // the new `reproduce scale` RSS figure in hand.
+    assert!(
+        std::mem::size_of::<SrmAgent>() <= 488,
+        "SrmAgent grew to {} bytes",
+        std::mem::size_of::<SrmAgent>()
+    );
+}
+
+#[test]
+fn endpoints_from_one_factory_share_their_configuration() {
+    let log = RecoveryLog::shared();
+    let receivers =
+        srm::SrmEndpoints::new(SOURCE, SrmParams::paper_default(), srm::Role::Receiver, log);
+    let (a, b) = (receivers.agent(ME), receivers.agent(NodeId(3)));
+    assert!(std::ptr::eq(a.core().params(), b.core().params()));
+    // Configuring one endpoint after the fact gives it a private copy and
+    // leaves its siblings alone.
+    let c = receivers.agent(NodeId(3)).with_obs(obs::Instruments::off());
+    assert!(!std::ptr::eq(a.core().params(), c.core().params()));
+    assert!(std::ptr::eq(a.core().params(), b.core().params()));
+    assert_eq!(a.state_bytes(), std::mem::size_of::<SrmAgent>());
+}
