@@ -130,31 +130,13 @@ fn bench_sim_flood(c: &mut Criterion) {
     group.finish();
 }
 
-/// Engine internals: the calendar queue against the legacy heap it
-/// replaced (same flood workload, only the scheduler differs), the
-/// packet arena's alloc/retain/release churn, and the calendar queue's
-/// bucket storage under a rotating wave of large buckets.
+/// Engine internals (the flood workload itself is `micro/netsim` above):
+/// the packet arena's alloc/retain/release churn, and the calendar
+/// queue's bucket storage under a rotating wave of large buckets.
 fn bench_engine(c: &mut Criterion) {
-    use netsim::{PacketArena, SchedulerKind};
+    use netsim::PacketArena;
 
-    let mut rng = StdRng::seed_from_u64(5);
-    let tree = random_tree(&mut rng, TreeShape::new(15, 7));
     let mut group = c.benchmark_group("micro/engine");
-    for (name, kind) in [
-        ("flood_1k_calendar", SchedulerKind::Calendar),
-        ("flood_1k_legacy_heap", SchedulerKind::LegacyHeap),
-    ] {
-        let tree = tree.clone();
-        group.bench_function(name, move |b| {
-            b.iter(|| {
-                let mut sim = Simulator::new(tree.clone(), NetConfig::default());
-                sim.set_scheduler(kind);
-                sim.attach_agent(NodeId::ROOT, Box::new(Flooder(1_000)));
-                sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-                std::hint::black_box(sim.events_processed())
-            });
-        });
-    }
     group.bench_function("arena_churn_256", |b| {
         let mut arena = PacketArena::new();
         b.iter(|| {

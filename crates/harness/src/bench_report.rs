@@ -99,7 +99,7 @@ impl MonitorOverhead {
     }
 }
 
-/// Headline numbers of a `cesrm-prof/1` self-profile, folded into the
+/// Headline numbers of a `cesrm-prof/2` self-profile, folded into the
 /// `totals.profile` member of the bench report (the full profile lives in
 /// its own document; see [`crate::prof_json`] and `docs/PROFILING.md`).
 /// The member is volatile: its figures derive from wall-clock samples.
@@ -195,7 +195,7 @@ pub fn bench_report_with(
     bench_report_full(cfg, result, overhead, None)
 }
 
-/// [`bench_report_with`] plus the optional `cesrm-prof/1` headline in
+/// [`bench_report_with`] plus the optional `cesrm-prof/2` headline in
 /// `totals.profile` (null when the run was not self-profiled; the member
 /// is always present and is volatile).
 ///

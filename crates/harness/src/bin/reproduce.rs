@@ -51,7 +51,7 @@
 //! profiler figure under `totals.profile.profiler_overhead`.
 //!
 //! `--profile` runs the whole suite under the in-sim self-profiler and
-//! emits the merged `cesrm-prof/1` document (see `docs/PROFILING.md`):
+//! emits the merged `cesrm-prof/2` document (see `docs/PROFILING.md`):
 //! per-phase time attribution, calendar-queue/arena/loss engine telemetry
 //! and the sampling stride. `--profile=folded` emits flamegraph-compatible
 //! folded stacks instead; `--profile-out FILE` writes the report to a file
@@ -111,7 +111,7 @@
 //! event diff from a pinned replay, instead of just two differing rows.
 //!
 //! `--profile` additionally runs every rung under the self-profiler and
-//! reports, per rung, the `cesrm-prof/1` document — including per-shard
+//! reports, per rung, the `cesrm-prof/2` document — including per-shard
 //! busy/barrier-wait times, cross-shard packet counts and the derived
 //! imbalance ratio on sharded rungs (`docs/SCALING.md` explains how to
 //! read it). With several rungs and `--profile-out FILE`, each rung's
@@ -122,7 +122,7 @@ use harness::{bench_report_full, run_suite, BenchThresholds, SuiteConfig, TraceF
 /// Output format of a `--profile` request.
 #[derive(Clone, Copy, PartialEq)]
 enum ProfFormat {
-    /// The `cesrm-prof/1` JSON document.
+    /// The `cesrm-prof/2` JSON document.
     Json,
     /// Flamegraph-compatible folded stacks.
     Folded,
@@ -408,7 +408,14 @@ fn suite_main(argv: &[String]) {
                 cfg.traces = Some(traces);
             }
             "--link-delay-ms" => {
-                cfg = cfg.with_link_delay_ms(args.parsed(flag, "an integer"));
+                // At zero delay every SRM distance, hence every back-off
+                // window, is zero: timers re-arm at the same instant and
+                // simulated time never advances.
+                let ms: u64 = args.parsed(flag, "a positive integer");
+                if ms == 0 {
+                    usage_error("--link-delay-ms requires a positive integer");
+                }
+                cfg = cfg.with_link_delay_ms(ms);
             }
             "--lossy-recovery" => cfg.experiment.lossy_recovery = true,
             "--jobs" => cfg.jobs = Some(args.parsed(flag, "a worker count")),
@@ -729,7 +736,7 @@ struct RungOutcome {
     wall_s: f64,
     events_per_sec: f64,
     peak_rss_bytes: u64,
-    /// The rung's `cesrm-prof/1` document (parsed), when the rung ran
+    /// The rung's `cesrm-prof/2` document (parsed), when the rung ran
     /// under `--profile`.
     profile: Option<obs::JsonValue>,
     /// The rung's folded-stack export, when the rung ran under
@@ -826,7 +833,10 @@ fn scale_rung_main(argv: &[String]) {
     while let Some(flag) = args.next_flag() {
         match flag {
             "--receivers" => {
-                cfg.receivers = args.parsed(flag, "an integer");
+                cfg.receivers = args.parsed(flag, "a count of at least 2");
+                if cfg.receivers < 2 {
+                    usage_error("--receivers requires a count of at least 2");
+                }
                 cfg.losses = harness::default_losses(cfg.receivers);
             }
             "--shards" => cfg.shards = args.parsed(flag, "an integer"),
@@ -890,7 +900,7 @@ fn rung_json(o: &RungOutcome, protocol: &str) -> obs::JsonValue {
         ("events_per_sec".into(), J::Num(o.events_per_sec)),
         ("peak_rss_bytes".into(), J::Num(o.peak_rss_bytes as f64)),
         // "profile" is in `harness::VOLATILE_FIELDS`, so bench comparison
-        // strips the embedded cesrm-prof/1 document.
+        // strips the embedded cesrm-prof/2 document.
         (
             "profile".into(),
             o.profile.clone().unwrap_or(obs::JsonValue::Null),
@@ -993,7 +1003,7 @@ fn run_rung(cfg: &harness::ScaleConfig, protocol: &str, in_process: bool) -> Run
 
 /// Prints each profiled rung's per-shard accounting summary (busy and
 /// barrier-wait time, cross-shard packets, imbalance ratio) and emits its
-/// `cesrm-prof/1` (or folded-stack) report. With several profiled rungs
+/// `cesrm-prof/2` (or folded-stack) report. With several profiled rungs
 /// and a `--profile-out` base path, each rung's file gets `-<receivers>`
 /// appended to the stem.
 fn emit_scale_profiles(

@@ -7,9 +7,7 @@ use metrics::{
     per_receiver_reports, OverheadBreakdown, PacketKind, ReceiverReport, RecoveryLog,
     TrafficCollector,
 };
-use netsim::{
-    NetConfig, ProbabilisticLoss, SchedulerKind, SeqNo, SimDuration, SimTime, Simulator, TraceLoss,
-};
+use netsim::{NetConfig, ProbabilisticLoss, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
 use srm::{Role, SourceConfig, SrmEndpoints, SrmParams};
 use topology::NodeId;
 use traces::Trace;
@@ -38,11 +36,6 @@ pub struct ExperimentConfig {
     /// loss rates — the paper's side experiment from \[10\]; the main
     /// results use lossless recovery.
     pub lossy_recovery: bool,
-    /// Event-queue implementation to drive the simulation with. Both
-    /// schedulers pop in the same total order, so every derived artifact is
-    /// byte-identical across the choice (the determinism suite asserts
-    /// this); the calendar queue is simply faster.
-    pub scheduler: SchedulerKind,
 }
 
 impl ExperimentConfig {
@@ -53,7 +46,6 @@ impl ExperimentConfig {
             warmup: SimDuration::from_secs(5),
             drain: SimDuration::from_secs(40),
             lossy_recovery: false,
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -168,6 +160,29 @@ pub fn run_trace(trace: &Trace, protocol: Protocol, cfg: &ExperimentConfig) -> R
     run_trace_with(trace, protocol, cfg, &obs::Instruments::off()).0
 }
 
+/// The §4.2 link trace representation of one trace: the estimated link
+/// loss rates, the `(link, seq)` drops that reproduce its loss pattern, and
+/// the attribution's confidence statistics. A pure function of the trace,
+/// so the suite infers it once for the SRM and CESRM runs of a trace.
+#[derive(Debug)]
+pub(crate) struct LossPlan {
+    rates: Vec<f64>,
+    drops: TraceLoss,
+    attribution: AttributionStats,
+}
+
+/// §4.2: estimates the link loss rates of `trace` and attributes every
+/// loss pattern to the links that most likely caused it.
+pub(crate) fn infer_plan(trace: &Trace) -> LossPlan {
+    let rates = yajnik_rates(trace);
+    let (drops, attribution) = infer_link_drops(trace, &rates);
+    LossPlan {
+        drops: TraceLoss::new(drops.pairs().map(|(l, s)| (l, SeqNo(s as u64)))),
+        rates,
+        attribution,
+    }
+}
+
 /// Like [`run_trace`], but wires the run's observation handle (see the
 /// `obs` crate) into the simulator, the recovery log and every protocol
 /// agent, and returns the engine's always-on telemetry counters alongside
@@ -176,12 +191,23 @@ pub fn run_trace(trace: &Trace, protocol: Protocol, cfg: &ExperimentConfig) -> R
 /// verdict and profile after the call.
 ///
 /// When the handle profiles, the three coarse phases
-/// (`setup`/`run`/`teardown`) are timed exactly here, the engine phases are
-/// stride-sampled inside the simulator, and exact per-phase call totals are
-/// folded in from [`netsim::EngineTelemetry`] after the run
-/// (`docs/PROFILING.md`).
+/// (`setup`/`run`/`teardown`) are timed exactly around the reenactment (the
+/// §4.2 inference precedes `setup`), the engine phases are stride-sampled
+/// inside the simulator, and exact per-phase call totals are folded in
+/// from [`netsim::EngineTelemetry`] after the run (`docs/PROFILING.md`).
 pub fn run_trace_with(
     trace: &Trace,
+    protocol: Protocol,
+    cfg: &ExperimentConfig,
+    handle: &obs::Instruments,
+) -> (RunMetrics, netsim::EngineTelemetry) {
+    run_planned(trace, &infer_plan(trace), protocol, cfg, handle)
+}
+
+/// [`run_trace_with`] on an already inferred `plan` of the same `trace`.
+pub(crate) fn run_planned(
+    trace: &Trace,
+    plan: &LossPlan,
     protocol: Protocol,
     cfg: &ExperimentConfig,
     handle: &obs::Instruments,
@@ -189,25 +215,17 @@ pub fn run_trace_with(
     use obs::Phase;
 
     let setup_stamp = handle.begin_exact(Phase::Setup);
-    // §4.2: estimate link loss rates and build the link trace
-    // representation driving the loss injection.
-    let rates = yajnik_rates(trace);
-    let (drops, attribution) = infer_link_drops(trace, &rates);
-    let plan: Vec<(topology::LinkId, SeqNo)> =
-        drops.pairs().map(|(l, s)| (l, SeqNo(s as u64))).collect();
-
     let tree = trace.tree().clone();
     let router_assist = matches!(protocol, Protocol::Cesrm(c) if c.router_assist);
     let net = cfg.net.with_router_assist(router_assist);
     let mut sim = Simulator::new(tree.clone(), net);
-    sim.set_scheduler(cfg.scheduler);
     if cfg.lossy_recovery {
         sim.set_loss(Box::new(ProbabilisticLoss::new(
-            TraceLoss::new(plan),
-            rates,
+            plan.drops.clone(),
+            plan.rates.clone(),
         )));
     } else {
-        sim.set_loss(Box::new(TraceLoss::new(plan)));
+        sim.set_loss(Box::new(plan.drops.clone()));
     }
     sim.set_obs(handle.clone());
     let log = RecoveryLog::shared();
@@ -303,7 +321,7 @@ pub fn run_trace_with(
         expedited_replies: collector.total_sends(PacketKind::ExpeditedReply),
         unrecovered: log.unrecovered(),
         losses: log.len(),
-        attribution,
+        attribution: plan.attribution,
         samples,
         expedited_reply_crossings: collector.crossings_any_cast(PacketKind::ExpeditedReply),
         events_processed,

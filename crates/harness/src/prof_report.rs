@@ -1,4 +1,4 @@
-//! Machine-readable self-profiles: the `cesrm-prof/1` document.
+//! Machine-readable self-profiles: the `cesrm-prof/2` document.
 //!
 //! [`prof_json`] renders one profiled run (suite or scale mode) as a
 //! schema-stable JSON document, [`prof_folded`] as flamegraph-compatible
@@ -26,7 +26,7 @@ use crate::suite::RunProf;
 
 /// Version tag every profile document carries; bump on breaking schema
 /// changes.
-pub const PROF_SCHEMA: &str = "cesrm-prof/1";
+pub const PROF_SCHEMA: &str = "cesrm-prof/2";
 
 /// Member names that hold wall-clock readings (or values derived from
 /// them) and legitimately differ between two runs of the same
@@ -66,16 +66,6 @@ fn engine_json(e: &netsim::EngineTelemetry) -> JsonValue {
                 ("high_water", JsonValue::uint(e.arena.high_water)),
             ]),
         ),
-        (
-            "loss",
-            e.loss.map_or(JsonValue::Null, |l| {
-                JsonValue::obj(vec![
-                    ("dwell_samples", JsonValue::uint(l.dwell_samples)),
-                    ("dwell_sum", JsonValue::uint(l.dwell_sum)),
-                    ("dwell_max", JsonValue::uint(l.dwell_max)),
-                ])
-            }),
-        ),
         ("transmits", JsonValue::uint(e.transmits)),
         ("deliveries", JsonValue::uint(e.deliveries)),
         ("fan_outs", JsonValue::uint(e.fan_outs)),
@@ -103,7 +93,7 @@ fn phases_json(snapshot: &ProfSnapshot) -> JsonValue {
     )
 }
 
-/// Renders one profiled run as a pretty-printed `cesrm-prof/1` document
+/// Renders one profiled run as a pretty-printed `cesrm-prof/2` document
 /// (trailing newline included). `wall_ns` is the whole-run wall-clock
 /// denominator of the attribution figure (`None` when untimed), `engine`
 /// the merged engine telemetry, `shards` the per-shard accounting of a

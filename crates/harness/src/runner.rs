@@ -111,7 +111,9 @@ pub struct RunTiming {
     pub name: &'static str,
     /// `"SRM"` or `"CESRM"`.
     pub protocol: &'static str,
-    /// Wall-clock time of the run (synthesis + reenactment) on its worker.
+    /// Wall-clock time of the run on its worker: the reenactment, plus the
+    /// trace's synthesis and §4.2 inference for whichever of its two
+    /// protocol runs started first (the other waits for or reuses it).
     pub wall: Duration,
 }
 

@@ -1,12 +1,14 @@
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cesrm::CesrmConfig;
 use netsim::SimDuration;
-use traces::{table1, LossStats, TraceSpec};
+use traces::{table1, LossStats, Trace, TraceSpec};
 
+use crate::experiment::{infer_plan, run_planned, LossPlan};
 use crate::observe::instruments;
 use crate::runner::{resolve_jobs, run_indexed, RunTiming, SuiteTiming};
-use crate::{run_trace_with, ExperimentConfig, Protocol, RunMetrics};
+use crate::{ExperimentConfig, Protocol, RunMetrics};
 
 /// Configuration of a full evaluation-suite run over the Table-1 traces.
 #[derive(Clone, PartialEq, Debug)]
@@ -259,7 +261,7 @@ impl RunProfile {
 }
 
 /// The self-profile of one (trace × protocol) reenactment under the
-/// `cesrm-prof/1` profiler (see `docs/PROFILING.md`): stride-sampled phase
+/// `cesrm-prof/2` profiler (see `docs/PROFILING.md`): stride-sampled phase
 /// timings plus the engine's always-on telemetry counters. Call counts and
 /// telemetry are deterministic; only the sampled nanosecond tallies inside
 /// [`RunProf::snapshot`] depend on the machine.
@@ -340,7 +342,7 @@ pub struct SuiteResult {
     /// set. Kept out of [`TracePair`] so monitoring can never perturb the
     /// measurement comparisons.
     pub health: Vec<RunHealth>,
-    /// Per-run self-profiles from the `cesrm-prof/1` profiler, one per run
+    /// Per-run self-profiles from the `cesrm-prof/2` profiler, one per run
     /// in slot order (SRM before CESRM per trace); empty unless
     /// [`SuiteConfig::profile`] was set. Kept out of [`TracePair`] so
     /// profiling can never perturb the measurement comparisons.
@@ -400,6 +402,16 @@ impl SuiteResult {
     }
 }
 
+/// What the SRM and the CESRM job of one (trace × seed) both need and
+/// neither changes: the synthesized trace, its loss statistics and its
+/// §4.2 plan.
+#[derive(Debug)]
+struct Prepared {
+    trace: Trace,
+    stats: LossStats,
+    plan: LossPlan,
+}
+
 /// A fully owned description of one (trace × protocol × seed) reenactment;
 /// `Send`, unlike the simulator it constructs on its worker thread.
 #[derive(Clone, Debug)]
@@ -407,6 +419,10 @@ struct RunJob {
     spec: TraceSpec,
     protocol: Protocol,
     seed: u64,
+    /// Shared by the two jobs of a trace and filled by whichever starts
+    /// first; freed when the second finishes, so at most `workers` traces
+    /// are live at once.
+    prepared: Arc<OnceLock<Prepared>>,
     experiment: ExperimentConfig,
     capture: bool,
     profile: bool,
@@ -419,9 +435,7 @@ struct RunJob {
 struct RunOutput {
     spec: TraceSpec,
     metrics: RunMetrics,
-    /// Computed once per trace, by the SRM job (both protocols reenact the
-    /// identical synthesized trace).
-    trace_stats: Option<LossStats>,
+    trace_stats: LossStats,
     /// The captured structured events, when the suite asked for them.
     events: Option<RunEventLog>,
     /// The run's self-profile, when the suite asked for one.
@@ -439,9 +453,14 @@ impl RunJob {
     fn execute(&self) -> RunOutput {
         // simlint: allow(D002, reason = "per-run wall-clock timing for --timings; never feeds simulation state")
         let started = Instant::now();
-        let (trace, truth) = self.spec.generate_with_truth(self.seed);
-        let trace_stats = matches!(self.protocol, Protocol::Srm)
-            .then(|| LossStats::from_trace(&trace, Some(&truth)));
+        let Prepared { trace, stats, plan } = self.prepared.get_or_init(|| {
+            let (trace, truth) = self.spec.generate_with_truth(self.seed);
+            Prepared {
+                stats: LossStats::from_trace(&trace, Some(&truth)),
+                plan: infer_plan(&trace),
+                trace,
+            }
+        });
         let protocol_name = match self.protocol {
             Protocol::Srm => "SRM",
             Protocol::Cesrm(_) => "CESRM",
@@ -468,9 +487,9 @@ impl RunJob {
                 )
             },
         );
-        // simlint: allow(D002, reason = "attribution denominator for the cesrm-prof/1 report; never feeds simulation state")
+        // simlint: allow(D002, reason = "attribution denominator for the cesrm-prof/2 report; never feeds simulation state")
         let prof_started = Instant::now();
-        let (metrics, engine) = run_trace_with(&trace, self.protocol, &self.experiment, &handle);
+        let (metrics, engine) = run_planned(trace, plan, self.protocol, &self.experiment, &handle);
         let prof_wall = prof_started.elapsed();
         obs::flight::clear_current();
         let digest = self.digest.then(|| RunDigest {
@@ -524,7 +543,7 @@ impl RunJob {
         RunOutput {
             spec: self.spec.clone(),
             metrics,
-            trace_stats,
+            trace_stats: stats.clone(),
             events,
             profile,
             health,
@@ -546,10 +565,12 @@ fn suite_jobs(cfg: &SuiteConfig, seed: u64) -> Vec<RunJob> {
     cfg.selected_specs()
         .into_iter()
         .flat_map(|spec| {
+            let prepared = Arc::new(OnceLock::new());
             [Protocol::Srm, Protocol::Cesrm(cfg.cesrm)].map(|protocol| RunJob {
                 spec: spec.clone(),
                 protocol,
                 seed,
+                prepared: Arc::clone(&prepared),
                 experiment: cfg.experiment,
                 capture: cfg.capture_events,
                 profile: cfg.collect_metrics,
@@ -590,9 +611,7 @@ fn assemble(cfg: &SuiteConfig, outputs: Vec<RunOutput>) -> SuiteResult {
         digests.extend(cesrm.digest.take());
         pairs.push(TracePair {
             spec: srm.spec,
-            trace_stats: srm
-                .trace_stats
-                .expect("the SRM job computes the trace statistics"),
+            trace_stats: srm.trace_stats,
             srm: srm.metrics,
             cesrm: cesrm.metrics,
         });

@@ -23,10 +23,19 @@ fn argument_errors_exit_2_with_usage_and_never_panic() {
         (&["--traces", "15"], "--traces requires trace numbers"),
         (&["--scale", "x"], "--scale requires a number"),
         (&["--overhead", "everything"], "--overhead requires monitor"),
+        // Zero delay makes every back-off window [0, 0]: it never ends.
+        (
+            &["--link-delay-ms", "0", "--scale", "0.01", "--traces", "2"],
+            "--link-delay-ms requires a positive integer",
+        ),
         (&["--frobnicate"], "unknown argument: --frobnicate"),
         (&["scale", "--rungs", "1000,x"], "--rungs requires"),
         (&["scale", "--frobnicate"], "unknown scale argument"),
         (&["scale", "--protocol", "tcp"], "unknown protocol"),
+        (
+            &["scale-rung", "--receivers", "0"],
+            "--receivers requires a count of at least 2",
+        ),
         (&["diff", "only-one.json"], "exactly two digest trails"),
         (&["diff", "--frobnicate", "a", "b"], "unknown diff argument"),
     ];

@@ -1,7 +1,7 @@
 //! The parallel runner's core guarantee: a suite run is a pure function of
 //! its configuration — worker count changes wall-clock only, never results.
 
-use harness::{run_suite, SuiteConfig};
+use harness::{run_suite, run_trace, Protocol, SuiteConfig};
 
 fn scaled_config() -> SuiteConfig {
     let mut cfg = SuiteConfig::quick(0.01);
@@ -98,45 +98,31 @@ fn event_capture_never_perturbs_measurements() {
     );
 }
 
-/// The calendar-queue scheduler is a drop-in replacement for the binary
-/// heap it superseded: with every other knob fixed, running the suite on
-/// `SchedulerKind::LegacyHeap` must reproduce the calendar run exactly —
-/// same measurements field-for-field and byte-identical CSV artifacts.
-/// This is the contract that lets the heap act as a cross-check oracle
-/// for the bucket-queue tick math.
+/// The SRM and CESRM jobs of a trace share one synthesized trace and one
+/// §4.2 plan, prepared by whichever job starts first. Whoever that is, each
+/// row must equal a standalone `run_trace` on a freshly generated trace.
 #[test]
-fn legacy_heap_scheduler_is_byte_identical_to_calendar() {
-    use netsim::SchedulerKind;
-
-    let calendar_cfg = scaled_config().with_jobs(1);
-    assert_eq!(calendar_cfg.experiment.scheduler, SchedulerKind::Calendar);
-    let calendar = run_suite(&calendar_cfg);
-
-    let mut heap_cfg = scaled_config().with_jobs(1);
-    heap_cfg.experiment.scheduler = SchedulerKind::LegacyHeap;
-    let heap = run_suite(&heap_cfg);
-
-    assert_eq!(
-        format!("{:?}", calendar.pairs),
-        format!("{:?}", heap.pairs),
-        "per-trace metrics must not depend on the event-queue implementation"
-    );
-
-    let dir_c = std::env::temp_dir().join("cesrm_determinism_calendar");
-    let dir_h = std::env::temp_dir().join("cesrm_determinism_heap");
-    let files_c = calendar.write_csv_files(&dir_c).unwrap();
-    let files_h = heap.write_csv_files(&dir_h).unwrap();
-    assert_eq!(files_c.len(), files_h.len());
-    for (a, b) in files_c.iter().zip(&files_h) {
-        assert_eq!(
-            std::fs::read(a).unwrap(),
-            std::fs::read(b).unwrap(),
-            "CSV diverged between calendar and legacy-heap schedulers: {}",
-            a.file_name().unwrap().to_string_lossy()
-        );
+fn shared_preparation_matches_standalone_runs() {
+    for jobs in [1, 2] {
+        let mut cfg = SuiteConfig::quick(0.02).with_jobs(jobs);
+        cfg.traces = Some(vec![2, 4]);
+        let suite = run_suite(&cfg);
+        assert_eq!(suite.pairs.len(), 2);
+        for pair in &suite.pairs {
+            let trace = pair.spec.generate(cfg.seed);
+            for (row, protocol) in [
+                (&pair.srm, Protocol::Srm),
+                (&pair.cesrm, Protocol::Cesrm(cfg.cesrm)),
+            ] {
+                assert_eq!(
+                    format!("{row:?}"),
+                    format!("{:?}", run_trace(&trace, protocol, &cfg.experiment)),
+                    "trace {} {protocol:?} at jobs = {jobs}",
+                    pair.spec.number
+                );
+            }
+        }
     }
-    std::fs::remove_dir_all(&dir_c).ok();
-    std::fs::remove_dir_all(&dir_h).ok();
 }
 
 /// The multi-seed batch entry point is deterministic too, seed by seed.

@@ -109,14 +109,14 @@ fn srm_trace_is_all_fallback() {
 }
 
 #[test]
-fn off_handle_and_ring_sink_agree_on_metrics() {
+fn off_handle_and_capturing_handle_agree_on_metrics() {
     let trace = small_trace();
     let cfg = ExperimentConfig::paper_default();
     let plain = harness::run_trace(&trace, Protocol::Srm, &cfg);
-    let ring = obs::Instruments::capture(Box::new(obs::RingSink::new(64)));
-    let (traced, _) = run_trace_with(&trace, Protocol::Srm, &cfg, &ring);
+    let captured = obs::Instruments::memory();
+    let (traced, _) = run_trace_with(&trace, Protocol::Srm, &cfg, &captured);
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-    assert!(!ring.drain().is_empty());
+    assert!(!captured.drain().is_empty());
 }
 
 /// One handle, cloned into every layer: the simulator, the recovery log,

@@ -88,11 +88,11 @@ mod time;
 pub use agent::{Agent, Context, DeliveryMeta, TimerToken};
 pub use arena::{ArenaTelemetry, PacketArena, PacketHandle};
 pub use config::NetConfig;
-pub use loss::{GilbertLoss, LossProcess, LossTelemetry, NoLoss, ProbabilisticLoss, TraceLoss};
+pub use loss::{LossProcess, NoLoss, ProbabilisticLoss, TraceLoss};
 pub use observer::{Direction, NullObserver, SimObserver};
 pub use packet::{
     CastClass, Packet, PacketBody, PacketId, RecoveryTuple, SeqNo, SessionData, SessionEcho,
 };
-pub use queue::{CalendarQueue, Entry, QueueTelemetry, SchedulerKind};
+pub use queue::{CalendarQueue, Entry, QueueTelemetry};
 pub use sim::{scheduled_event_footprint_bytes, CrossShardPacket, EngineTelemetry, Simulator};
 pub use time::{SimDuration, SimTime};

@@ -1,3 +1,8 @@
+//! Link loss processes. Every experiment replays an inferred per-link
+//! drop plan ([`TraceLoss`], §4.2/§4.3), optionally with independent loss
+//! on recovery traffic ([`ProbabilisticLoss`]). Bursty loss is modelled
+//! where traces are synthesised (`traces::GilbertElliott`), not here.
+
 use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
@@ -17,47 +22,6 @@ use crate::{Packet, SeqNo};
 pub trait LossProcess {
     /// Returns `true` iff `packet` is dropped on `link` this crossing.
     fn should_drop(&mut self, link: LinkId, packet: &Packet, rng: &mut StdRng) -> bool;
-
-    /// Batched-sampling counters, for processes that draw dwell times in
-    /// bulk (currently only [`GilbertLoss`]). `None` means the process has
-    /// nothing to report; the default keeps third-party implementations
-    /// source-compatible.
-    fn telemetry(&self) -> Option<LossTelemetry> {
-        None
-    }
-}
-
-/// Dwell-sampling counters of a batched loss process (see
-/// [`GilbertLoss`]): how many geometric dwell lengths were drawn and how
-/// long they ran. `dwell_sum / dwell_samples` is the mean state residency
-/// in link crossings — the number of crossings that consumed *no*
-/// randomness per draw, i.e. the payoff of batching.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub struct LossTelemetry {
-    /// Geometric dwell lengths drawn (state entries across all links).
-    pub dwell_samples: u64,
-    /// Sum of drawn dwell lengths, in link crossings (saturating).
-    pub dwell_sum: u64,
-    /// Longest single dwell drawn.
-    pub dwell_max: u64,
-}
-
-impl LossTelemetry {
-    /// Folds another process's counters in (summing totals, maxing the
-    /// longest dwell), for aggregating across runs or shards.
-    pub fn merge(&mut self, other: &LossTelemetry) {
-        self.dwell_samples += other.dwell_samples;
-        self.dwell_sum = self.dwell_sum.saturating_add(other.dwell_sum);
-        self.dwell_max = self.dwell_max.max(other.dwell_max);
-    }
-
-    fn record(&mut self, dwell: u64) {
-        self.dwell_samples += 1;
-        self.dwell_sum = self.dwell_sum.saturating_add(dwell);
-        if dwell > self.dwell_max {
-            self.dwell_max = dwell;
-        }
-    }
 }
 
 /// A loss process that never drops anything — the paper's "lossless
@@ -187,129 +151,6 @@ impl LossProcess for ProbabilisticLoss {
     }
 }
 
-/// Per-link Gilbert–Elliott state for [`GilbertLoss`].
-#[derive(Clone, Copy, Debug, Default)]
-struct GeState {
-    in_bad: bool,
-    /// Crossings left in the current state, *including* the next one.
-    /// `0` is the "never stepped" sentinel triggering lazy initialization.
-    remaining: u64,
-}
-
-/// Samples a geometric dwell time (support `{1, 2, ...}`, mean `1/p`): the
-/// number of steps a Gilbert–Elliott chain stays in a state whose per-step
-/// exit probability is `p`. One uniform draw replaces up to `1/p`
-/// Bernoulli draws, which is the whole point of the batched sampler.
-fn sample_geo(p: f64, rng: &mut StdRng) -> u64 {
-    if p <= 0.0 {
-        return u64::MAX; // never exits this state
-    }
-    if p >= 1.0 {
-        return 1;
-    }
-    let u: f64 = rng.gen_range(0.0..1.0);
-    // Inverse-CDF: L = 1 + floor(ln(U) / ln(1-p)). U == 0 gives +inf,
-    // which the f64 -> u64 cast saturates to u64::MAX.
-    1u64.saturating_add((u.ln() / (1.0 - p).ln()).floor() as u64)
-}
-
-/// Per-link two-state Gilbert–Elliott loss with *batched* dwell sampling.
-///
-/// Each link runs an independent good/bad Markov chain stepped once per
-/// crossing; packets of **every** class drop while the chain is bad —
-/// unlike [`TraceLoss`]/[`ProbabilisticLoss`] this models a raw lossy
-/// network rather than the paper's trace-replay experiments.
-///
-/// Instead of one Bernoulli draw per crossing (as
-/// `traces::GilbertElliott` deliberately does, to keep trace generation's
-/// randomness consumption constant per step), the dwell time in each state
-/// is drawn once, geometrically, on state entry: consecutive crossings on
-/// a busy link then consume no randomness at all until the next flip. The
-/// per-step distribution of the emitted loss sequence is identical; only
-/// the RNG consumption pattern differs, so the two samplers are *not*
-/// stream-compatible under a shared seed.
-#[derive(Clone, Debug)]
-pub struct GilbertLoss {
-    /// Good -> bad per-crossing transition probability.
-    p_gb: f64,
-    /// Bad -> good per-crossing transition probability.
-    p_bg: f64,
-    /// Chain state per link, indexed by link head node; grown on demand.
-    links: Vec<GeState>,
-    telemetry: LossTelemetry,
-}
-
-impl GilbertLoss {
-    /// Creates the process from raw transition probabilities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either probability lies outside `[0, 1]`.
-    pub fn new(p_gb: f64, p_bg: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p_gb) && (0.0..=1.0).contains(&p_bg),
-            "transition probabilities must lie in [0, 1]"
-        );
-        GilbertLoss {
-            p_gb,
-            p_bg,
-            links: Vec::new(),
-            telemetry: LossTelemetry::default(),
-        }
-    }
-
-    /// Derives transition probabilities from a target stationary loss rate
-    /// and a mean bad-state burst length, mirroring
-    /// `traces::GilbertElliott::from_rate_and_burst`:
-    /// `p_bg = 1 / mean_burst` and `p_gb = loss_rate * p_bg / (1 - loss_rate)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss_rate` is outside `[0, 1)` or `mean_burst < 1`.
-    pub fn from_rate_and_burst(loss_rate: f64, mean_burst: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&loss_rate),
-            "loss rate must lie in [0, 1)"
-        );
-        assert!(mean_burst >= 1.0, "mean burst length must be at least 1");
-        if loss_rate == 0.0 {
-            return GilbertLoss::new(0.0, 1.0);
-        }
-        let p_bg = 1.0 / mean_burst;
-        let p_gb = loss_rate * p_bg / (1.0 - loss_rate);
-        GilbertLoss::new(p_gb.min(1.0), p_bg)
-    }
-}
-
-impl LossProcess for GilbertLoss {
-    fn should_drop(&mut self, link: LinkId, _packet: &Packet, rng: &mut StdRng) -> bool {
-        let idx = link.index();
-        if idx >= self.links.len() {
-            self.links.resize(idx + 1, GeState::default());
-        }
-        let (p_gb, p_bg) = (self.p_gb, self.p_bg);
-        let st = &mut self.links[idx];
-        if st.remaining == 0 {
-            // First crossing on this link: the chain starts good.
-            st.in_bad = false;
-            st.remaining = sample_geo(p_gb, rng);
-            self.telemetry.record(st.remaining);
-        }
-        let drop = st.in_bad;
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            st.in_bad = !st.in_bad;
-            st.remaining = sample_geo(if st.in_bad { p_bg } else { p_gb }, rng);
-            self.telemetry.record(st.remaining);
-        }
-        drop
-    }
-
-    fn telemetry(&self) -> Option<LossTelemetry> {
-        Some(self.telemetry)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,94 +234,6 @@ mod tests {
     #[should_panic(expected = "must lie in [0, 1]")]
     fn invalid_rates_rejected() {
         ProbabilisticLoss::new(TraceLoss::default(), vec![0.0, 1.5]);
-    }
-
-    #[test]
-    fn gilbert_loss_matches_target_rate_and_burst() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut l = GilbertLoss::from_rate_and_burst(0.05, 2.5);
-        let link = LinkId(NodeId(1));
-        let n = 200_000;
-        let mut drops = 0u64;
-        let mut bursts = 0u64;
-        let mut prev = false;
-        for seq in 0..n {
-            let d = l.should_drop(link, &data_packet(seq), &mut rng);
-            if d {
-                drops += 1;
-                if !prev {
-                    bursts += 1;
-                }
-            }
-            prev = d;
-        }
-        let rate = drops as f64 / n as f64;
-        assert!((rate - 0.05).abs() < 0.01, "empirical rate {rate}");
-        let mean_burst = drops as f64 / bursts as f64;
-        assert!(
-            (mean_burst - 2.5).abs() < 0.25,
-            "empirical burst {mean_burst}"
-        );
-    }
-
-    #[test]
-    fn gilbert_loss_drops_all_traffic_classes() {
-        // p_gb = 1 and p_bg = 0: after the single good crossing the chain
-        // locks bad forever, so both data and recovery traffic drop.
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut l = GilbertLoss::new(1.0, 0.0);
-        let link = LinkId(NodeId(1));
-        assert!(!l.should_drop(link, &data_packet(0), &mut rng));
-        assert!(l.should_drop(link, &data_packet(1), &mut rng));
-        assert!(l.should_drop(link, &request_packet(2), &mut rng));
-    }
-
-    #[test]
-    fn gilbert_loss_links_are_independent() {
-        // A chain locked bad on one link must not leak onto another.
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut l = GilbertLoss::new(1.0, 0.0);
-        for seq in 0..10 {
-            let _ = l.should_drop(LinkId(NodeId(1)), &data_packet(seq), &mut rng);
-        }
-        let mut zero = GilbertLoss::new(0.0, 1.0);
-        for seq in 0..1000 {
-            assert!(!zero.should_drop(LinkId(NodeId(2)), &data_packet(seq), &mut rng));
-        }
-        assert!(l.should_drop(LinkId(NodeId(1)), &data_packet(99), &mut rng));
-    }
-
-    #[test]
-    fn gilbert_loss_zero_rate_never_drops_and_consumes_one_draw_per_link() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut l = GilbertLoss::from_rate_and_burst(0.0, 4.0);
-        for seq in 0..10_000 {
-            assert!(!l.should_drop(LinkId(NodeId(1)), &data_packet(seq), &mut rng));
-        }
-    }
-
-    #[test]
-    fn gilbert_loss_is_deterministic_per_seed() {
-        let run = || {
-            let mut rng = StdRng::seed_from_u64(42);
-            let mut l = GilbertLoss::from_rate_and_burst(0.2, 3.0);
-            (0..5_000)
-                .map(|seq| l.should_drop(LinkId(NodeId(1)), &data_packet(seq), &mut rng))
-                .collect::<Vec<bool>>()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "loss rate must lie in [0, 1)")]
-    fn gilbert_loss_rejects_rate_one() {
-        GilbertLoss::from_rate_and_burst(1.0, 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "mean burst length must be at least 1")]
-    fn gilbert_loss_rejects_sub_unit_burst() {
-        GilbertLoss::from_rate_and_burst(0.1, 0.5);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Event schedulers: a calendar (bucket) queue and the legacy binary heap.
+//! The event scheduler: a calendar (bucket) queue.
 //!
 //! The simulator's event queue must pop events in a *total* order — first
 //! by timestamp, ties broken by insertion sequence — because the paper
-//! suite's bit-for-bit reproducibility rests on it. The comparison-based
+//! suite's bit-for-bit reproducibility rests on it. A comparison-based
 //! `BinaryHeap` pays O(log n) comparisons per operation on ~48-byte
 //! elements; the calendar queue replaces that with O(1) amortized bucket
 //! arithmetic on the discrete nanosecond timestamps:
@@ -62,9 +62,9 @@
 //! instead of 192 B, and page-faulted seven times as often as per-slot
 //! `Vec`s did.
 //!
-//! The legacy heap is kept behind [`SchedulerKind::LegacyHeap`] so the
-//! determinism suite can assert byte-identical results between the two
-//! scheduler implementations.
+//! The reference implementation lives with the tests: `queue/tests.rs`
+//! checks every pop against a `BinaryHeap` and a shadow model, and the
+//! harness' golden digest trails pin the end-to-end event order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -84,19 +84,6 @@ const BUCKET_MASK: u64 = NUM_BUCKETS - 1;
 const CHUNK: usize = 128;
 /// The "no chunk" link value.
 const NIL: u32 = u32::MAX;
-
-/// Which event-queue implementation a simulator uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerKind {
-    /// The calendar (bucket) queue — the default, O(1) amortized.
-    #[default]
-    Calendar,
-    /// The comparison-based binary heap the engine used before the
-    /// data-oriented rewrite. Retained so determinism tests can prove the
-    /// two produce byte-identical runs; scheduled for deletion once the
-    /// calendar queue has soaked.
-    LegacyHeap,
-}
 
 /// One scheduled event: a nanosecond timestamp, the insertion sequence
 /// number that breaks ties, and the payload.
@@ -199,7 +186,7 @@ struct Chunk<T> {
 
 /// A calendar queue over [`Entry`] values. See the module docs for the
 /// design; the externally visible contract is exactly "pop in `(at,
-/// seq)` order", identical to the legacy heap.
+/// seq)` order", identical to a binary heap's.
 pub struct CalendarQueue<T> {
     /// Ring of chain heads indexed by `tick & BUCKET_MASK`.
     heads: Vec<Head>,
@@ -505,116 +492,11 @@ impl<T> CalendarQueue<T> {
         }
         self.far.peek().map(|Reverse(e)| e.at)
     }
-
-    /// Removes and returns every queued event in `(at, seq)` order; used
-    /// when migrating between scheduler implementations.
-    pub fn drain_sorted(&mut self) -> Vec<Entry<T>> {
-        let mut all: Vec<Entry<T>> = Vec::with_capacity(self.len);
-        all.append(&mut self.active);
-        for slot in 0..NUM_BUCKETS {
-            self.chain_take(slot, &mut all);
-        }
-        all.extend(self.far.drain().map(|Reverse(e)| e));
-        all.sort_by_key(|e| (e.at, e.seq));
-        self.activated = false;
-        self.len = 0;
-        self.telemetry.pops += all.len() as u64;
-        all
-    }
 }
 
 impl<T> Default for CalendarQueue<T> {
     fn default() -> Self {
         CalendarQueue::new()
-    }
-}
-
-/// The simulator-facing event queue: one of the two scheduler
-/// implementations behind a common push/pop interface.
-pub enum EventQueue<T> {
-    /// Calendar (bucket) queue.
-    Calendar(CalendarQueue<T>),
-    /// Legacy comparison-based heap.
-    Heap(BinaryHeap<Reverse<Entry<T>>>),
-}
-
-impl<T> EventQueue<T> {
-    /// Creates an empty queue of the given kind.
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Calendar => EventQueue::Calendar(CalendarQueue::new()),
-            SchedulerKind::LegacyHeap => EventQueue::Heap(BinaryHeap::new()),
-        }
-    }
-
-    /// Which implementation this queue is.
-    pub fn kind(&self) -> SchedulerKind {
-        match self {
-            EventQueue::Calendar(_) => SchedulerKind::Calendar,
-            EventQueue::Heap(_) => SchedulerKind::LegacyHeap,
-        }
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(q) => q.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-
-    /// Schedules an event; `now` is the caller's clock (see
-    /// [`CalendarQueue::push`]).
-    #[inline]
-    pub fn push(&mut self, entry: Entry<T>, now: u64) {
-        match self {
-            EventQueue::Calendar(q) => q.push(entry, now),
-            EventQueue::Heap(h) => h.push(Reverse(entry)),
-        }
-    }
-
-    /// Pops the earliest event with `at <= limit`, if any.
-    #[inline]
-    pub fn pop_at_most(&mut self, limit: u64) -> Option<Entry<T>> {
-        match self {
-            EventQueue::Calendar(q) => q.pop_at_most(limit),
-            EventQueue::Heap(h) => {
-                if h.peek().is_some_and(|Reverse(e)| e.at <= limit) {
-                    h.pop().map(|Reverse(e)| e)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Timestamp of the earliest queued event.
-    pub fn peek_at(&self) -> Option<u64> {
-        match self {
-            EventQueue::Calendar(q) => q.peek_at(),
-            EventQueue::Heap(h) => h.peek().map(|Reverse(e)| e.at),
-        }
-    }
-
-    /// Lifetime operation counters. The legacy heap is uninstrumented
-    /// (it exists only for determinism cross-checks) and reports zeros.
-    pub fn telemetry(&self) -> QueueTelemetry {
-        match self {
-            EventQueue::Calendar(q) => q.telemetry(),
-            EventQueue::Heap(_) => QueueTelemetry::default(),
-        }
-    }
-
-    /// Removes and returns every queued event in `(at, seq)` order.
-    pub fn drain_sorted(&mut self) -> Vec<Entry<T>> {
-        match self {
-            EventQueue::Calendar(q) => q.drain_sorted(),
-            EventQueue::Heap(h) => {
-                let mut all: Vec<Entry<T>> = std::mem::take(h).into_iter().map(|r| r.0).collect();
-                all.sort_by_key(|e| (e.at, e.seq));
-                all
-            }
-        }
     }
 }
 

@@ -226,26 +226,6 @@ fn matches_binary_heap_on_random_storm() {
     }
 }
 
-#[test]
-fn drain_sorted_returns_everything_in_order() {
-    let mut q = CalendarQueue::new();
-    let far = (NUM_BUCKETS + 3) << BUCKET_SHIFT;
-    for (seq, at) in [(0u64, 9u64), (1, far), (2, 9), (3, 1)].into_iter() {
-        q.push(
-            Entry {
-                at,
-                seq,
-                item: 0u32,
-            },
-            0,
-        );
-    }
-    let order: Vec<(u64, u64)> = q.drain_sorted().iter().map(|e| (e.at, e.seq)).collect();
-    assert_eq!(order, vec![(1, 3), (9, 0), (9, 2), (far, 1)]);
-    assert_eq!(q.len(), 0);
-    assert!(q.pop_at_most(u64::MAX).is_none());
-}
-
 // ---- chunk pool ------------------------------------------------------
 //
 // The tests above never put more than a handful of events in one tick, so
@@ -481,24 +461,6 @@ fn far_burst_promotes_into_a_multi_chunk_chain() {
     s.finish();
 }
 
-#[test]
-fn drain_sorted_with_a_half_drained_active_buffer() {
-    let mut s = Shadow::new();
-    s.burst(1, 2 * CHUNK + 3, 29);
-    s.burst(8, CHUNK + 1, 31);
-    s.burst(2 * NUM_BUCKETS, 4, 37);
-    let mid = s.kth_at(CHUNK).unwrap();
-    s.pop_until(mid);
-    assert!(!s.q.active.is_empty());
-    let order: Vec<(u64, u64)> = s.q.drain_sorted().iter().map(|e| (e.at, e.seq)).collect();
-    assert_eq!(order, s.model.iter().copied().collect::<Vec<_>>());
-    s.model.clear();
-    assert_eq!(s.check(), (0, s.q.chunks.len()));
-    // The emptied queue is reusable from the current clock.
-    s.burst(s.now_tick(), CHUNK + 2, 41);
-    s.finish();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 48 }))]
 
@@ -506,7 +468,7 @@ proptest! {
     /// the shadow model, with chunk conservation checked after every op.
     #[test]
     fn multi_chunk_tapes_match_the_shadow_model(
-        tape in proptest::collection::vec((0u8..8, any::<u64>()), 1..if cfg!(miri) { 8 } else { 40 })
+        tape in proptest::collection::vec((0u8..7, any::<u64>()), 1..if cfg!(miri) { 8 } else { 40 })
     ) {
         let mut s = Shadow::new();
         for &(op, x) in &tape {
@@ -533,16 +495,6 @@ proptest! {
                 4 => s.burst(s.now_tick() + hi % NUM_BUCKETS, 1, x),
                 // Run ahead by up to two windows, promoting far bursts.
                 5 => { s.pop_until(s.now + ((x % (2 * NUM_BUCKETS)) << BUCKET_SHIFT)); }
-                // Migrate out and back in, as `set_scheduler` does.
-                6 => {
-                    let pending = s.q.drain_sorted();
-                    prop_assert!(pending.iter().map(|e| (e.at, e.seq)).eq(s.model.iter().copied()));
-                    prop_assert_eq!(s.q.check_pool(), (0, s.q.chunks.len()));
-                    for entry in pending {
-                        s.q.push(entry, s.now);
-                    }
-                    s.check();
-                }
                 // A horizon that reaches nothing new.
                 _ => { s.pop_until(s.now); }
             }

@@ -7,9 +7,8 @@ use topology::{LinkId, MulticastTree, NodeId};
 
 use crate::agent::{Agent, Context, DeliveryMeta, TimerToken};
 use crate::arena::{ArenaTelemetry, PacketArena, PacketHandle};
-use crate::loss::LossTelemetry;
 use crate::observer::{Direction, NullObserver, SimObserver};
-use crate::queue::{Entry, EventQueue, QueueTelemetry, SchedulerKind};
+use crate::queue::{CalendarQueue, Entry, QueueTelemetry};
 use crate::{CastClass, LossProcess, NetConfig, NoLoss, Packet, PacketBody, SimDuration, SimTime};
 use obs::Phase;
 
@@ -104,7 +103,7 @@ enum EventKind {
 
 /// Approximate heap footprint of one queued event, used by the harness to
 /// turn the queue-depth high-water mark into a peak-memory estimate for
-/// `BENCH_*.json`. Both schedulers store their entries inline; `Hop`
+/// `BENCH_*.json`. The queue stores its entries inline; `Hop`
 /// events additionally reference one arena slot per in-flight packet,
 /// which this deliberately does not count (it is shared, not per-event).
 pub fn scheduled_event_footprint_bytes() -> usize {
@@ -195,9 +194,6 @@ pub struct EngineTelemetry {
     pub queue: QueueTelemetry,
     /// Packet-arena counters (allocations, recycling, high-water).
     pub arena: ArenaTelemetry,
-    /// Batched loss-process dwell counters; `None` unless the installed
-    /// process reports them (currently only `GilbertLoss`).
-    pub loss: Option<LossTelemetry>,
     /// Link transmissions attempted (including ones that dropped or were
     /// diverted to the cross-shard outbox).
     pub transmits: u64,
@@ -218,11 +214,6 @@ impl EngineTelemetry {
     pub fn merge(&mut self, other: &EngineTelemetry) {
         self.queue.merge(&other.queue);
         self.arena.merge(&other.arena);
-        match (&mut self.loss, &other.loss) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (None, Some(theirs)) => self.loss = Some(*theirs),
-            _ => {}
-        }
         self.transmits += other.transmits;
         self.deliveries += other.deliveries;
         self.fan_outs += other.fan_outs;
@@ -243,9 +234,7 @@ impl EngineTelemetry {
 ///
 /// The hot path is data-oriented: in-flight packets live in a
 /// [`PacketArena`] and events carry 8-byte handles; the scheduler is a
-/// calendar queue over discrete nanosecond timestamps (the legacy binary
-/// heap remains available via
-/// [`set_scheduler`](Simulator::set_scheduler)); per-link state is a
+/// calendar queue over discrete nanosecond timestamps; per-link state is a
 /// dense struct-of-arrays and tree adjacency a CSR layout, so a flood hop
 /// touches contiguous memory and allocates nothing.
 pub struct Simulator {
@@ -254,7 +243,7 @@ pub struct Simulator {
     tree: Arc<MulticastTree>,
     cfg: NetConfig,
     now: SimTime,
-    queue: EventQueue<EventKind>,
+    queue: CalendarQueue<EventKind>,
     next_seq: u64,
     /// Scale-determinism mode: per-node event-sequence counters. When
     /// active, an event's key is `(owner_node << 32) | counter[owner]`
@@ -319,8 +308,7 @@ struct ShardView {
 }
 
 impl Simulator {
-    /// Creates a simulator over `tree` with the given configuration, using
-    /// the default calendar-queue scheduler.
+    /// Creates a simulator over `tree` with the given configuration.
     pub fn new(tree: MulticastTree, cfg: NetConfig) -> Self {
         Simulator::new_shared(Arc::new(tree), cfg)
     }
@@ -346,7 +334,7 @@ impl Simulator {
         Simulator {
             rng: StdRng::seed_from_u64(cfg.seed),
             now: SimTime::ZERO,
-            queue: EventQueue::new(SchedulerKind::Calendar),
+            queue: CalendarQueue::new(),
             next_seq: 0,
             node_seq: None,
             node_rngs: None,
@@ -411,30 +399,6 @@ impl Simulator {
         self.arena.live()
     }
 
-    /// The scheduler implementation currently in use.
-    #[inline]
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.queue.kind()
-    }
-
-    /// Switches the event-queue implementation, migrating every pending
-    /// event while preserving its `(time, sequence)` position — the run's
-    /// observable behaviour is unaffected. Exists so determinism tests can
-    /// prove the calendar queue and the legacy heap produce byte-identical
-    /// results.
-    pub fn set_scheduler(&mut self, kind: SchedulerKind) {
-        if self.queue.kind() == kind {
-            return;
-        }
-        let pending = self.queue.drain_sorted();
-        let mut queue = EventQueue::new(kind);
-        let now = self.now.as_nanos();
-        for entry in pending {
-            queue.push(entry, now);
-        }
-        self.queue = queue;
-    }
-
     /// Installs the loss process consulted on every link crossing.
     pub fn set_loss(&mut self, loss: Box<dyn LossProcess>) {
         self.loss = loss;
@@ -462,7 +426,7 @@ impl Simulator {
             return;
         }
         assert!(
-            self.next_seq == 0 && self.events_processed == 0 && self.queue.len() == 0,
+            self.next_seq == 0 && self.events_processed == 0 && self.queue.is_empty(),
             "scale-determinism mode must be enabled before any events exist"
         );
         let n = self.tree.len();
@@ -501,16 +465,6 @@ impl Simulator {
     /// is active.
     pub fn take_outbox(&mut self) -> Vec<CrossShardPacket> {
         std::mem::take(&mut self.outbox)
-    }
-
-    /// Number of packets currently waiting in the cross-shard outbox.
-    pub fn outbox_len(&self) -> usize {
-        self.outbox.len()
-    }
-
-    /// Number of events pending in the scheduler queue.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Enqueues a packet handed over from another shard, reconstructing the
@@ -611,7 +565,6 @@ impl Simulator {
         EngineTelemetry {
             queue: self.queue.telemetry(),
             arena: self.arena.telemetry(),
-            loss: self.loss.telemetry(),
             transmits: self.transmits,
             deliveries: self.deliveries,
             fan_outs: self.fan_outs,
@@ -1709,105 +1662,6 @@ mod tests {
     fn self_unicast_rejected() {
         let mut sim = Simulator::new(sample_tree(), NetConfig::default());
         sim.send_unicast(NodeId(2), NodeId(2), control_body(NodeId(2)));
-    }
-
-    /// A run with plenty of concurrency and jitter must unfold identically
-    /// under the calendar queue and the legacy heap: same event count, same
-    /// delivery schedule, same rng consumption order.
-    #[test]
-    fn schedulers_produce_identical_runs() {
-        let run = |kind: SchedulerKind| {
-            let log: Log = Default::default();
-            let cfg = NetConfig::default()
-                .with_jitter(SimDuration::from_millis(15))
-                .with_seed(11);
-            let mut sim = Simulator::new(sample_tree(), cfg);
-            sim.set_scheduler(kind);
-            assert_eq!(sim.scheduler(), kind);
-            attach_all_receivers(&mut sim, &log);
-            struct Burst;
-            impl Agent for Burst {
-                fn on_start(&mut self, ctx: &mut Context<'_>) {
-                    for seq in 0..20 {
-                        ctx.multicast(data_body(seq));
-                    }
-                }
-                fn on_packet(&mut self, _: &mut Context<'_>, _: &Packet, _: &DeliveryMeta) {}
-                fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
-            }
-            sim.attach_agent(NodeId::ROOT, Box::new(Burst));
-            sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-            let deliveries: Vec<_> = log
-                .borrow()
-                .iter()
-                .map(|e| (e.0, e.1, e.2.clone()))
-                .collect();
-            (sim.events_processed(), deliveries)
-        };
-        assert_eq!(run(SchedulerKind::Calendar), run(SchedulerKind::LegacyHeap));
-    }
-
-    /// Switching schedulers mid-run migrates every pending event without
-    /// changing the run's behaviour.
-    #[test]
-    fn set_scheduler_migrates_pending_events() {
-        let run = |switch: bool| {
-            let log: Log = Default::default();
-            let mut sim = Simulator::new(sample_tree(), NetConfig::default().with_seed(3));
-            attach_all_receivers(&mut sim, &log);
-            sim.attach_agent(NodeId::ROOT, sender(&log, CastKind::Multi, data_body(0)));
-            // Run just past the first link crossings, leaving hops with
-            // live arena handles and timers in the queue.
-            sim.run_until(SimTime::ZERO + SimDuration::from_millis(25));
-            if switch {
-                sim.set_scheduler(SchedulerKind::LegacyHeap);
-                sim.set_scheduler(SchedulerKind::Calendar);
-                sim.set_scheduler(SchedulerKind::LegacyHeap);
-            }
-            sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-            let deliveries: Vec<_> = log.borrow().iter().map(|e| (e.0, e.1)).collect();
-            (sim.events_processed(), deliveries)
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    /// The same with the calendar queue caught mid-tick: 300 zero-length
-    /// control packets under 15 ms of jitter put dozens of hops in every
-    /// ~1 ms tick, and stopping every 0.3 ms leaves the current tick's
-    /// sorted buffer half-drained at most migrations.
-    #[test]
-    fn set_scheduler_migrates_a_half_drained_tick() {
-        struct Burst;
-        impl Agent for Burst {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                for _ in 0..300 {
-                    ctx.multicast(control_body(NodeId::ROOT));
-                }
-            }
-            fn on_packet(&mut self, _: &mut Context<'_>, _: &Packet, _: &DeliveryMeta) {}
-            fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
-        }
-        let run = |switch: bool| {
-            let log: Log = Default::default();
-            let cfg = NetConfig::default()
-                .with_jitter(SimDuration::from_millis(15))
-                .with_seed(5);
-            let mut sim = Simulator::new(sample_tree(), cfg);
-            attach_all_receivers(&mut sim, &log);
-            sim.attach_agent(NodeId::ROOT, Box::new(Burst));
-            for step in 0..150 {
-                sim.run_until(SimTime::ZERO + SimDuration::from_micros(20_000 + 300 * step));
-                if switch {
-                    sim.set_scheduler(SchedulerKind::LegacyHeap);
-                    sim.set_scheduler(SchedulerKind::Calendar);
-                }
-            }
-            sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-            let deliveries: Vec<_> = log.borrow().iter().map(|e| (e.0, e.1)).collect();
-            assert_eq!(deliveries.len(), 300 * 4);
-            (sim.events_processed(), deliveries)
-        };
-        assert_eq!(run(false), run(true));
     }
 
     /// Every arena slot drains back to the free list once its hops settle:

@@ -25,10 +25,8 @@
 //!   when on and the disabled handle ([`Instruments::off`]) is a single
 //!   branch per call site — runs with it off are byte-for-byte identical to
 //!   uninstrumented builds.
-//! * [`EventSink`] — where captured events go: [`RingSink`] (bounded
-//!   in-memory, keeps the most recent events), [`MemorySink`] (unbounded
-//!   in-memory, for reducers), and [`JsonlSink`] (streams each event as one
-//!   JSON line).
+//! * [`EventSink`] — where captured events go: [`MemorySink`] keeps every
+//!   record for the reducers and the JSONL writer ([`to_json_line`]).
 //! * [`provenance`] — the reducer that joins raw events into per-loss
 //!   [`RecoveryTimeline`]s (loss → detection → first request → repair),
 //!   classified [`RecoveryPath::Expedited`] vs [`RecoveryPath::Fallback`];
@@ -47,7 +45,7 @@
 //! * [`prof`] — the in-sim self-profiler ([`Setup::profile`]): exact,
 //!   deterministic per-phase call tallies plus stride-sampled wall-clock
 //!   timing, snapshotted into mergeable [`ProfSnapshot`]s and exported as
-//!   the `cesrm-prof/1` report / folded flamegraph stacks
+//!   the `cesrm-prof/2` report / folded flamegraph stacks
 //!   (`docs/PROFILING.md`).
 //! * [`registry`] — the *runtime* half of observability: a per-simulation
 //!   metrics registry ([`Setup::metrics`]) of counters, high-water gauges,
@@ -111,5 +109,5 @@ pub use provenance::{RecoveryPath, RecoveryTimeline, TimelineBuilder};
 pub use registry::{
     Counter, Gauge, GaugeSnapshot, Histogram, LogHistogram, MetricsSnapshot, QuantileSketch, Sketch,
 };
-pub use sink::{EventSink, JsonlSink, MemorySink, RingSink};
+pub use sink::{EventSink, MemorySink};
 pub use value::JsonValue;

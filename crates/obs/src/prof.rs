@@ -1,4 +1,4 @@
-//! Low-overhead, deterministic-output self-profiler (`cesrm-prof/1`).
+//! Low-overhead, deterministic-output self-profiler (`cesrm-prof/2`).
 //!
 //! The simulator's hot path runs at ~100 ns/event, so per-event
 //! wall-clock instrumentation (two `Instant::now` calls per span) would
@@ -16,7 +16,7 @@
 //!   timed exactly with an `Instant` pair; the per-phase estimate is
 //!   `sampled_nanos × calls / timed_calls`, which self-normalizes (a
 //!   phase that ran only a handful of times is timed exactly). Timing
-//!   values are wall-clock and therefore **volatile**: the `cesrm-prof/1`
+//!   values are wall-clock and therefore **volatile**: the `cesrm-prof/2`
 //!   report nulls them before any byte-identity comparison.
 //!
 //! The tallies live in the run's [`crate::Instruments`] handle (per-run owned
@@ -170,7 +170,7 @@ pub struct ProfStamp {
 
 impl ProfStamp {
     pub(crate) fn now() -> ProfStamp {
-        // simlint: allow(D002, reason = "sampled profiler timestamp; reaches only the volatile nanos fields of cesrm-prof/1, never simulation state")
+        // simlint: allow(D002, reason = "sampled profiler timestamp; reaches only the volatile nanos fields of cesrm-prof/2, never simulation state")
         // simlint: allow(D008, reason = "reachable from Simulator::run_until by design: the in-sim profiler stamps phases, and every nanos field it feeds is PROF_VOLATILE_FIELDS")
         ProfStamp { at: Instant::now() }
     }

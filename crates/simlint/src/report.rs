@@ -31,7 +31,7 @@ use crate::scan::ScanReport;
 pub const SIMLINT_SCHEMA: &str = "simlint/2";
 
 /// `simlint/2` fields that vary across machines/runs: compare-tooling must
-/// ignore them (mirrors `PROF_VOLATILE_FIELDS` in `cesrm-prof/1`).
+/// ignore them (mirrors `PROF_VOLATILE_FIELDS` in `cesrm-prof/2`).
 pub const SIMLINT_VOLATILE_FIELDS: [&str; 1] = ["elapsed_ms"];
 
 /// Renders the human-readable report (one `file:line:` diagnostic per
@@ -161,7 +161,7 @@ mod tests {
                     ok: true,
                 },
                 SchemaStatus {
-                    id: "cesrm-prof/1".into(),
+                    id: "cesrm-prof/2".into(),
                     ok: false,
                 },
             ],
@@ -190,7 +190,7 @@ mod tests {
         assert!(text.contains("\"fns_indexed\": 31"));
         assert!(text.contains("\"elapsed_ms\": 12"));
         assert!(text.contains("{\"id\": \"cesrm-bench/1\", \"ok\": true}"));
-        assert!(text.contains("{\"id\": \"cesrm-prof/1\", \"ok\": false}"));
+        assert!(text.contains("{\"id\": \"cesrm-prof/2\", \"ok\": false}"));
         assert!(render_json(&ScanReport::default()).contains("\"ok\": true"));
     }
 }

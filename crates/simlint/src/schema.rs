@@ -1,7 +1,7 @@
 //! Pass 2, part two: report-schema drift locking (rule D009).
 //!
 //! Every machine-readable report the workspace emits (`cesrm-bench/1`,
-//! `cesrm-health/1`, `cesrm-prof/1`, `cesrm-scale-rung/1`, `simlint/2`) is
+//! `cesrm-health/1`, `cesrm-prof/2`, `cesrm-scale-rung/1`, `simlint/2`) is
 //! hand-rolled JSON with a frozen versioned schema. Downstream tooling —
 //! `bench_compare`, CI artifact consumers, the docs — depends on the key
 //! sets staying put. D009 makes that machine-checked:
