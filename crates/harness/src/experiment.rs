@@ -155,7 +155,8 @@ impl RunMetrics {
 }
 
 /// Reenacts `trace` under `protocol` per the paper's §4.3 methodology and
-/// returns the measurements.
+/// returns the measurements. The simulator is seeded from `cfg.net.seed`
+/// and the trace's inferred drops: each trace draws its own timers.
 pub fn run_trace(trace: &Trace, protocol: Protocol, cfg: &ExperimentConfig) -> RunMetrics {
     run_trace_with(trace, protocol, cfg, &obs::Instruments::off()).0
 }
@@ -169,6 +170,8 @@ pub(crate) struct LossPlan {
     rates: Vec<f64>,
     drops: TraceLoss,
     attribution: AttributionStats,
+    /// FNV-1a of the `(link, seq)` drops, folded into the simulator seed.
+    fingerprint: u64,
 }
 
 /// §4.2: estimates the link loss rates of `trace` and attributes every
@@ -177,6 +180,9 @@ pub(crate) fn infer_plan(trace: &Trace) -> LossPlan {
     let rates = yajnik_rates(trace);
     let (drops, attribution) = infer_link_drops(trace, &rates);
     LossPlan {
+        fingerprint: drops.pairs().fold(0xcbf2_9ce4_8422_2325, |h, (l, s)| {
+            (h ^ ((l.index() as u64) << 32 | s as u64)).wrapping_mul(0x0100_0000_01b3)
+        }),
         drops: TraceLoss::new(drops.pairs().map(|(l, s)| (l, SeqNo(s as u64)))),
         rates,
         attribution,
@@ -217,7 +223,12 @@ pub(crate) fn run_planned(
     let setup_stamp = handle.begin_exact(Phase::Setup);
     let tree = trace.tree().clone();
     let router_assist = matches!(protocol, Protocol::Cesrm(c) if c.router_assist);
-    let net = cfg.net.with_router_assist(router_assist);
+    // A node's stream is a function of the simulator seed and its id alone:
+    // one seed for every reenactment would replay node i's draws in every
+    // trace and at every suite seed. The trace's own fingerprint keeps the
+    // run a pure function of `(trace, cfg)`, the same for SRM and CESRM.
+    let seed = cfg.net.seed ^ plan.fingerprint;
+    let net = cfg.net.with_router_assist(router_assist).with_seed(seed);
     let mut sim = Simulator::new(tree.clone(), net);
     if cfg.lossy_recovery {
         sim.set_loss(Box::new(ProbabilisticLoss::new(

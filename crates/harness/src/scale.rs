@@ -18,13 +18,13 @@
 //!   shard order, the same slot-merge discipline the suite runner uses),
 //!   and repeats. The epoch count is fixed up front from the simulation
 //!   horizon, so no termination consensus is needed.
-//! - **Per-node event keys.** Sharded simulators run in the simulator's
-//!   scale-determinism mode: every event is keyed `(time, owner-node,
-//!   per-node counter)` and randomness is drawn from per-node streams,
-//!   which makes the event total order independent of how nodes are
-//!   distributed over shards. Results are byte-identical at any shard
-//!   count (asserted by `identical_results_at_any_shard_count` below and
-//!   gated by `reproduce scale`'s identity check).
+//! - **Per-node event keys.** The simulator keys every event `(time,
+//!   owner-node, per-node counter)` and draws randomness from per-node
+//!   streams — the same order the suite runs on — which makes the event
+//!   total order independent of how nodes are distributed over shards.
+//!   Results are byte-identical at any shard count (asserted by
+//!   `identical_results_at_any_shard_count` below and gated by
+//!   `reproduce scale`'s identity check).
 //!
 //! Protocol state stays O(active losses) per receiver: receivers run with
 //! session messages disabled (all-to-all session exchange is O(N²) traffic
@@ -41,9 +41,9 @@ use std::time::Instant;
 use cesrm::{CesrmAgent, CesrmConfig, CesrmEndpoints};
 use metrics::{PacketKind, RecoveryLog, RecoveryRecord, TrafficCollector};
 use netsim::{
-    CrossShardPacket, LossProcess, NetConfig, Packet, PacketBody, SimDuration, SimTime, Simulator,
+    CrossShardPacket, LossProcess, NetConfig, NodeRng, Packet, PacketBody, SimDuration, SimTime,
+    Simulator,
 };
-use rand::rngs::StdRng;
 use srm::{Role, SourceConfig, SrmAgent, SrmEndpoints, SrmParams};
 use topology::{scale_tree, LinkId, MulticastTree, NodeId, ScaleShape, ScaleTree};
 
@@ -430,7 +430,7 @@ impl ScaleLoss {
 }
 
 impl LossProcess for ScaleLoss {
-    fn should_drop(&mut self, link: LinkId, packet: &Packet, _rng: &mut StdRng) -> bool {
+    fn should_drop(&mut self, link: LinkId, packet: &Packet, _rng: NodeRng<'_>) -> bool {
         let PacketBody::Data { id } = &packet.body else {
             return false;
         };
@@ -1086,7 +1086,7 @@ mod tests {
         );
         // Re-checking should_drop against the plan, for all (link, seq).
         let mut l = loss;
-        let mut rng = rand::SeedableRng::seed_from_u64(0);
+        let mut slot = None;
         for node in 0..130u32 {
             for seq in 0..8u64 {
                 let pkt = Packet {
@@ -1099,7 +1099,8 @@ mod tests {
                         },
                     },
                 };
-                let dropped = l.should_drop(LinkId(NodeId(node)), &pkt, &mut rng);
+                let rng = NodeRng::new(&mut slot, 0, NodeId(0));
+                let dropped = l.should_drop(LinkId(NodeId(node)), &pkt, rng);
                 let in_plan = planned.contains(&(NodeId(node), seq));
                 assert_eq!(dropped, in_plan, "node {node} seq {seq}");
             }

@@ -13,7 +13,8 @@ use crate::{ExperimentConfig, Protocol, RunMetrics};
 /// Configuration of a full evaluation-suite run over the Table-1 traces.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SuiteConfig {
-    /// Base seed for trace synthesis.
+    /// Base seed for trace synthesis — and with the traces, of the timer
+    /// draws of their reenactments (see [`run_trace`](crate::run_trace)).
     pub seed: u64,
     /// Trace scale factor in `(0, 1]`: 1.0 reenacts the full Table-1 packet
     /// counts (minutes of CPU); smaller values shrink packets and losses

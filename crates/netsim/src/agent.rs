@@ -150,7 +150,10 @@ impl Context<'_> {
         self.sim.send_subcast(self.node, via, body);
     }
 
-    /// The simulation's deterministic random number generator.
+    /// This node's deterministic random stream, seeded from
+    /// ([`NetConfig::seed`](crate::NetConfig::seed), node) on first use.
+    /// What it yields depends on this node's own draws only, never on
+    /// what other nodes drew or when.
     #[inline]
     pub fn rng(&mut self) -> &mut StdRng {
         self.sim.rng_at(self.node)

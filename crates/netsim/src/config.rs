@@ -22,7 +22,9 @@ pub struct NetConfig {
     /// jitter lets packets reorder, which is the failure mode CESRM's
     /// `REORDER-DELAY` guards against (§3.2).
     pub jitter: SimDuration,
-    /// Seed for the simulator's deterministic random number generator.
+    /// Seed of the run: each node's random stream (agent draws, loss
+    /// draws and jitter on its transmissions) is seeded from this and the
+    /// node id.
     pub seed: u64,
 }
 

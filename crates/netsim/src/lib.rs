@@ -18,8 +18,11 @@
 //! * Links serialize packets FIFO per direction at the configured bandwidth
 //!   and add a fixed propagation delay. Control packets are 0 bytes and
 //!   payload packets 1 KB, as in the paper's simulation setup (§4.3).
-//! * Event ordering is total (time, insertion sequence), so a run is
-//!   bit-for-bit reproducible given the same seed.
+//! * Event ordering is total — `(time, owner node, per-node counter)`,
+//!   the owner being the node that created the event — and every node
+//!   draws from its own seeded RNG stream, so a run is bit-for-bit
+//!   reproducible given the same seed, whatever order agents were
+//!   attached in and however nodes are spread over shards.
 //!
 //! # Examples
 //!
@@ -68,12 +71,11 @@
 //! remote node surface in an outbox ([`Simulator::take_outbox`], as
 //! [`CrossShardPacket`]) and are injected on the owning shard
 //! ([`Simulator::inject_cross_shard`]); the harness exchanges them in
-//! conservative-lookahead epochs. Sharding implies *scale-determinism
-//! mode* ([`Simulator::enable_scale_determinism`]): events are keyed by
-//! `(time, owner node, per-node counter)` and every node draws from its
-//! own counted RNG stream, so event order — and therefore every result —
-//! is byte-identical at any shard count. The sharding model and
-//! determinism argument are documented in `docs/SCALING.md`.
+//! conservative-lookahead epochs. Event keys and RNG streams are per
+//! node (see the model above) and each node lives on exactly one shard,
+//! so event order — and therefore every result — is byte-identical at any
+//! shard count. The sharding model and determinism argument are
+//! documented in `docs/SCALING.md`.
 
 mod agent;
 mod arena;
@@ -88,7 +90,7 @@ mod time;
 pub use agent::{Agent, Context, DeliveryMeta, TimerToken};
 pub use arena::{ArenaTelemetry, PacketArena, PacketHandle};
 pub use config::NetConfig;
-pub use loss::{LossProcess, NoLoss, ProbabilisticLoss, TraceLoss};
+pub use loss::{LossProcess, NoLoss, NodeRng, ProbabilisticLoss, TraceLoss};
 pub use observer::{Direction, NullObserver, SimObserver};
 pub use packet::{
     CastClass, Packet, PacketBody, PacketId, RecoveryTuple, SeqNo, SessionData, SessionEcho,

@@ -6,11 +6,43 @@
 use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
-use topology::LinkId;
+use topology::{LinkId, NodeId};
 
 use crate::{Packet, SeqNo};
+
+/// One node's random stream, seeded from `(run seed, node)` on first use.
+///
+/// This is all of the simulator's randomness a [`LossProcess`] (or anything
+/// else acting for a node) can reach: the stream of the node that acts. A
+/// holder that never calls [`get`](NodeRng::get) costs nothing and leaves
+/// the stream unseeded.
+pub struct NodeRng<'a> {
+    slot: &'a mut Option<StdRng>,
+    run_seed: u64,
+    node: NodeId,
+}
+
+impl<'a> NodeRng<'a> {
+    /// The stream of `node` in a run seeded `run_seed`
+    /// ([`NetConfig::seed`](crate::NetConfig::seed)), stored in `slot`.
+    pub fn new(slot: &'a mut Option<StdRng>, run_seed: u64, node: NodeId) -> Self {
+        NodeRng {
+            slot,
+            run_seed,
+            node,
+        }
+    }
+
+    /// The generator itself, seeding it if this is the stream's first draw.
+    pub fn get(self) -> &'a mut StdRng {
+        self.slot.get_or_insert_with(|| {
+            let stride = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(self.node.0) + 1);
+            StdRng::seed_from_u64(self.run_seed.wrapping_add(stride))
+        })
+    }
+}
 
 /// Decides whether a packet is dropped while crossing a link.
 ///
@@ -21,7 +53,8 @@ use crate::{Packet, SeqNo};
 /// paper's link-loss semantics (§4.2).
 pub trait LossProcess {
     /// Returns `true` iff `packet` is dropped on `link` this crossing.
-    fn should_drop(&mut self, link: LinkId, packet: &Packet, rng: &mut StdRng) -> bool;
+    /// `rng` is the transmitting node's stream.
+    fn should_drop(&mut self, link: LinkId, packet: &Packet, rng: NodeRng<'_>) -> bool;
 }
 
 /// A loss process that never drops anything — the paper's "lossless
@@ -30,7 +63,7 @@ pub trait LossProcess {
 pub struct NoLoss;
 
 impl LossProcess for NoLoss {
-    fn should_drop(&mut self, _link: LinkId, _packet: &Packet, _rng: &mut StdRng) -> bool {
+    fn should_drop(&mut self, _link: LinkId, _packet: &Packet, _rng: NodeRng<'_>) -> bool {
         false
     }
 }
@@ -92,7 +125,7 @@ impl TraceLoss {
 }
 
 impl LossProcess for TraceLoss {
-    fn should_drop(&mut self, link: LinkId, packet: &Packet, _rng: &mut StdRng) -> bool {
+    fn should_drop(&mut self, link: LinkId, packet: &Packet, _rng: NodeRng<'_>) -> bool {
         match &packet.body {
             crate::PacketBody::Data { id } => self
                 .index
@@ -140,12 +173,12 @@ impl ProbabilisticLoss {
 }
 
 impl LossProcess for ProbabilisticLoss {
-    fn should_drop(&mut self, link: LinkId, packet: &Packet, rng: &mut StdRng) -> bool {
+    fn should_drop(&mut self, link: LinkId, packet: &Packet, rng: NodeRng<'_>) -> bool {
         match &packet.body {
             crate::PacketBody::Data { .. } => self.trace.should_drop(link, packet, rng),
             _ => {
                 let p = self.rate(link);
-                p > 0.0 && rng.gen_bool(p)
+                p > 0.0 && rng.get().gen_bool(p)
             }
         }
     }
@@ -155,8 +188,10 @@ impl LossProcess for ProbabilisticLoss {
 mod tests {
     use super::*;
     use crate::{CastClass, NetConfig, PacketBody, PacketId, SimDuration, SimTime};
-    use rand::SeedableRng;
-    use topology::NodeId;
+
+    fn rng(slot: &mut Option<StdRng>) -> NodeRng<'_> {
+        NodeRng::new(slot, 1, NodeId(1))
+    }
 
     fn data_packet(seq: u64) -> Packet {
         Packet {
@@ -188,45 +223,48 @@ mod tests {
 
     #[test]
     fn no_loss_never_drops() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut slot = None;
         let mut l = NoLoss;
-        assert!(!l.should_drop(LinkId(NodeId(1)), &data_packet(0), &mut rng));
+        assert!(!l.should_drop(LinkId(NodeId(1)), &data_packet(0), rng(&mut slot)));
     }
 
     #[test]
     fn trace_loss_drops_exactly_planned_data() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut slot = None;
         let link = LinkId(NodeId(2));
         let mut l = TraceLoss::new([(link, SeqNo(5))]);
         assert_eq!(l.len(), 1);
         assert!(!l.is_empty());
         assert!(l.contains(link, SeqNo(5)));
-        assert!(l.should_drop(link, &data_packet(5), &mut rng));
-        assert!(!l.should_drop(link, &data_packet(6), &mut rng));
-        assert!(!l.should_drop(LinkId(NodeId(3)), &data_packet(5), &mut rng));
+        assert!(l.should_drop(link, &data_packet(5), rng(&mut slot)));
+        assert!(!l.should_drop(link, &data_packet(6), rng(&mut slot)));
+        assert!(!l.should_drop(LinkId(NodeId(3)), &data_packet(5), rng(&mut slot)));
         // Requests are never dropped by a trace plan, even on planned pairs.
-        assert!(!l.should_drop(link, &request_packet(5), &mut rng));
+        assert!(!l.should_drop(link, &request_packet(5), rng(&mut slot)));
+        assert!(slot.is_none(), "a trace plan never seeds the stream");
     }
 
     #[test]
     fn probabilistic_loss_affects_only_recovery_traffic() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut slot = None;
         let rates = vec![0.0, 1.0];
         let mut l = ProbabilisticLoss::new(TraceLoss::default(), rates);
         let link = LinkId(NodeId(1));
         assert_eq!(l.rate(link), 1.0);
         // Data is governed by the (empty) trace: never dropped.
-        assert!(!l.should_drop(link, &data_packet(0), &mut rng));
+        assert!(!l.should_drop(link, &data_packet(0), rng(&mut slot)));
         // Recovery traffic on a rate-1.0 link always drops.
-        assert!(l.should_drop(link, &request_packet(0), &mut rng));
+        assert!(slot.is_none(), "planned data draws nothing");
+        assert!(l.should_drop(link, &request_packet(0), rng(&mut slot)));
+        assert!(slot.is_some(), "the first draw seeds the sender's stream");
     }
 
     #[test]
     fn probabilistic_loss_zero_rate_never_drops() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut slot = None;
         let mut l = ProbabilisticLoss::new(TraceLoss::default(), vec![0.0, 0.0]);
         for seq in 0..100 {
-            assert!(!l.should_drop(LinkId(NodeId(1)), &request_packet(seq), &mut rng));
+            assert!(!l.should_drop(LinkId(NodeId(1)), &request_packet(seq), rng(&mut slot)));
         }
     }
 

@@ -1,8 +1,9 @@
 //! The event scheduler: a calendar (bucket) queue.
 //!
 //! The simulator's event queue must pop events in a *total* order — first
-//! by timestamp, ties broken by insertion sequence — because the paper
-//! suite's bit-for-bit reproducibility rests on it. A comparison-based
+//! by timestamp, ties broken by the unique `seq` key the simulator draws
+//! for each event (`(owner node, per-node counter)`) — because every
+//! run's bit-for-bit reproducibility rests on it. A comparison-based
 //! `BinaryHeap` pays O(log n) comparisons per operation on ~48-byte
 //! elements; the calendar queue replaces that with O(1) amortized bucket
 //! arithmetic on the discrete nanosecond timestamps:
@@ -85,13 +86,13 @@ const CHUNK: usize = 128;
 /// The "no chunk" link value.
 const NIL: u32 = u32::MAX;
 
-/// One scheduled event: a nanosecond timestamp, the insertion sequence
-/// number that breaks ties, and the payload.
+/// One scheduled event: a nanosecond timestamp, the key that breaks ties,
+/// and the payload.
 #[derive(Clone, Debug)]
 pub struct Entry<T> {
     /// Absolute simulated time in nanoseconds.
     pub at: u64,
-    /// Global insertion sequence; the second sort key.
+    /// The second sort key; unique among entries of equal `at`.
     pub seq: u64,
     /// The event payload.
     pub item: T,

@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use topology::{LinkId, MulticastTree, NodeId};
 
@@ -9,7 +9,9 @@ use crate::agent::{Agent, Context, DeliveryMeta, TimerToken};
 use crate::arena::{ArenaTelemetry, PacketArena, PacketHandle};
 use crate::observer::{Direction, NullObserver, SimObserver};
 use crate::queue::{CalendarQueue, Entry, QueueTelemetry};
-use crate::{CastClass, LossProcess, NetConfig, NoLoss, Packet, PacketBody, SimDuration, SimTime};
+use crate::{
+    CastClass, LossProcess, NetConfig, NoLoss, NodeRng, Packet, PacketBody, SimDuration, SimTime,
+};
 use obs::Phase;
 
 /// Maps a packet onto the dependency-free tracing vocabulary of the `obs`
@@ -244,18 +246,17 @@ pub struct Simulator {
     cfg: NetConfig,
     now: SimTime,
     queue: CalendarQueue<EventKind>,
-    next_seq: u64,
-    /// Scale-determinism mode: per-node event-sequence counters. When
-    /// active, an event's key is `(owner_node << 32) | counter[owner]`
-    /// instead of the global `next_seq` — every push site has a natural
+    /// Per-node event-sequence counters: an event's key is
+    /// `(owner_node << 32) | counter[owner]`. Every push site has a natural
     /// owner (`Start`/`Timer`: the node; `Hop`: the transmitting node), so
-    /// keys depend only on that node's own causal history and are identical
-    /// at any shard count. See `docs/SCALING.md`.
-    node_seq: Option<Vec<u32>>,
-    /// Scale-determinism mode: lazily-seeded per-node generators, so agent
-    /// randomness is a function of the node alone rather than of the global
-    /// interleaving (which sharding changes).
-    node_rngs: Option<Vec<Option<StdRng>>>,
+    /// keys depend only on that node's own causal history — not on attach
+    /// order, and not on how nodes are spread over shards. See
+    /// `docs/SCALING.md`.
+    node_seq: Vec<u32>,
+    /// Lazily-seeded per-node generators ([`NodeRng`]): agent draws, loss
+    /// draws and link jitter all come from the stream of the node that
+    /// acts, so randomness too is a function of the node's own history.
+    node_rngs: Vec<Option<StdRng>>,
     /// Sharded mode: which shard each node lives on, and which one we are.
     shard: Option<ShardView>,
     /// Packets bound for nodes owned by other shards, drained by the
@@ -295,7 +296,6 @@ pub struct Simulator {
     transmits: u64,
     deliveries: u64,
     fan_outs: u64,
-    rng: StdRng,
     events_processed: u64,
 }
 
@@ -332,12 +332,10 @@ impl Simulator {
         }
         nbr_start.push(u32::try_from(nbrs.len()).expect("adjacency overflow"));
         Simulator {
-            rng: StdRng::seed_from_u64(cfg.seed),
             now: SimTime::ZERO,
             queue: CalendarQueue::new(),
-            next_seq: 0,
-            node_seq: None,
-            node_rngs: None,
+            node_seq: vec![0; n],
+            node_rngs: vec![None; n],
             shard: None,
             outbox: Vec::new(),
             next_timer: 0,
@@ -404,48 +402,17 @@ impl Simulator {
         self.loss = loss;
     }
 
-    /// Switches event keying and agent randomness to *scale-determinism
-    /// mode*: event keys become `(owner_node, per-node counter)` pairs and
-    /// [`Context::rng`](crate::Context::rng) draws from a per-node
-    /// generator seeded from `(config seed, node)`. Both are functions of a
-    /// node's own causal history only, never of the global interleaving —
-    /// the property that makes a sharded run byte-identical to the
-    /// unsharded one (`docs/SCALING.md`). A no-op if already enabled.
-    ///
-    /// The total event order changes from `(time, global counter)` to
-    /// `(time, node, counter)`, so runs in this mode are internally
-    /// deterministic but not comparable event-for-event with default-mode
-    /// runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event was already scheduled or processed — enable the
-    /// mode on a fresh simulator, before attaching agents.
-    pub fn enable_scale_determinism(&mut self) {
-        if self.node_seq.is_some() {
-            return;
-        }
-        assert!(
-            self.next_seq == 0 && self.events_processed == 0 && self.queue.is_empty(),
-            "scale-determinism mode must be enabled before any events exist"
-        );
-        let n = self.tree.len();
-        self.node_seq = Some(vec![0; n]);
-        self.node_rngs = Some(vec![None; n]);
-    }
-
     /// Makes this simulator one worker of a sharded run: `assign[node]`
     /// names the owning shard of every node and `me` is this worker's
-    /// shard id. Implies [`Simulator::enable_scale_determinism`]. Packets
-    /// transmitted to nodes owned elsewhere are diverted to the outbox
-    /// ([`take_outbox`](Simulator::take_outbox)) instead of being enqueued;
-    /// agents must only be attached to owned nodes.
+    /// shard id. Packets transmitted to nodes owned elsewhere are diverted
+    /// to the outbox ([`take_outbox`](Simulator::take_outbox)) instead of
+    /// being enqueued; agents must only be attached to owned nodes.
     ///
     /// # Panics
     ///
     /// Panics if `assign` does not cover the tree, or if the configured
-    /// jitter is non-zero (jitter draws from the global generator on the
-    /// *sending* shard, which would break shard-count invariance).
+    /// jitter is non-zero: nothing shards with jitter today, so the
+    /// byte-identity of such a run across shard counts is untested.
     pub fn enable_sharding(&mut self, assign: Arc<Vec<u16>>, me: u16) {
         assert_eq!(
             assign.len(),
@@ -456,7 +423,6 @@ impl Simulator {
             self.cfg.jitter.is_zero(),
             "sharded runs require zero link jitter"
         );
-        self.enable_scale_determinism();
         self.shard = Some(ShardView { assign, me });
     }
 
@@ -700,27 +666,18 @@ impl Simulator {
         }
     }
 
-    /// Draws the next event key charged to `owner`: the global counter by
-    /// default, or `(owner << 32) | counter[owner]` in scale-determinism
-    /// mode. In sharded runs the owner's counter advances on exactly one
-    /// shard (events are owned by the node that creates them), so the keys
-    /// — and with them the total event order — are layout-invariant.
+    /// Draws the next event key charged to `owner`:
+    /// `(owner << 32) | counter[owner]`. In sharded runs the owner's counter
+    /// advances on exactly one shard (events are owned by the node that
+    /// creates them), so the keys — and with them the total event order —
+    /// are layout-invariant.
     fn alloc_seq(&mut self, owner: NodeId) -> u64 {
-        match &mut self.node_seq {
-            Some(counters) => {
-                let slot = &mut counters[owner.index()];
-                let seq = (u64::from(owner.0) << 32) | u64::from(*slot);
-                *slot = slot
-                    .checked_add(1)
-                    .expect("per-node event counter overflow");
-                seq
-            }
-            None => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                seq
-            }
-        }
+        let slot = &mut self.node_seq[owner.index()];
+        let seq = (u64::from(owner.0) << 32) | u64::from(*slot);
+        *slot = slot
+            .checked_add(1)
+            .expect("per-node event counter overflow");
+        seq
     }
 
     fn push_with_seq(&mut self, at_ns: u64, seq: u64, kind: EventKind) {
@@ -761,19 +718,11 @@ impl Simulator {
     }
 
     /// The generator backing [`Context::rng`](crate::Context::rng) for the
-    /// agent at `node`: the global one by default, a lazily-seeded per-node
-    /// one in scale-determinism mode. Per-node seeding makes an agent's
-    /// draw sequence a function of its own event history, so it survives
-    /// resharding unchanged.
+    /// agent at `node`, and link jitter for its transmissions: the node's
+    /// own lazily-seeded stream, so its draw sequence is a function of its
+    /// own event history and survives re-attaching or resharding unchanged.
     pub(crate) fn rng_at(&mut self, node: NodeId) -> &mut StdRng {
-        let seed = self
-            .cfg
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(node.0) + 1));
-        match &mut self.node_rngs {
-            Some(rngs) => rngs[node.index()].get_or_insert_with(|| StdRng::seed_from_u64(seed)),
-            None => &mut self.rng,
-        }
+        NodeRng::new(&mut self.node_rngs[node.index()], self.cfg.seed, node).get()
     }
 
     /// Emits a `sent` trace record for a packet entering the network.
@@ -955,7 +904,10 @@ impl Simulator {
         };
         self.observer.on_link_crossing(self.now, link, dir, packet);
         let loss_stamp = if self.sampled { self.obs.stamp() } else { None };
-        let dropped = self.loss.should_drop(link, packet, &mut self.rng);
+        // Loss and jitter draw from the transmitting node's stream, which
+        // the shard executing this transmit owns.
+        let rng = NodeRng::new(&mut self.node_rngs[a.index()], self.cfg.seed, a);
+        let dropped = self.loss.should_drop(link, packet, rng);
         self.obs.end(Phase::LossDraw, loss_stamp);
         if dropped {
             self.observer.on_drop(self.now, link, packet);
@@ -974,7 +926,8 @@ impl Simulator {
         let jitter = if self.cfg.jitter.is_zero() {
             SimDuration::ZERO
         } else {
-            SimDuration::from_nanos(self.rng.gen_range(0..=self.cfg.jitter.as_nanos()))
+            let max = self.cfg.jitter.as_nanos();
+            SimDuration::from_nanos(self.rng_at(a).gen_range(0..=max))
         };
         let arrive = depart + base_delay + jitter;
         // The hop event is owned by the transmitting node: its key must be
@@ -1468,6 +1421,67 @@ mod tests {
             (sim.events_processed(), deliveries)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_run_does_not_depend_on_attach_order() {
+        // Each agent draws a timer delay at start and multicasts the next
+        // draw when it fires, three rounds. Event keys and streams are
+        // per node, so neither the `Start` order at t = 0 nor anyone's
+        // draws can see the order agents were attached in.
+        struct Chatter {
+            log: Log,
+            rounds: u32,
+        }
+        impl Chatter {
+            fn arm(&mut self, ctx: &mut Context<'_>) {
+                let ms = ctx.rng().gen_range(1..=50);
+                ctx.set_timer(SimDuration::from_millis(ms));
+            }
+        }
+        impl Agent for Chatter {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                self.arm(ctx);
+            }
+            fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, meta: &DeliveryMeta) {
+                self.log
+                    .borrow_mut()
+                    .push((ctx.me(), ctx.now(), packet.clone(), *meta));
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerToken) {
+                let drawn = SeqNo(ctx.rng().gen_range(0..1000));
+                ctx.multicast(PacketBody::session(
+                    ctx.me(),
+                    ctx.now(),
+                    Some(drawn),
+                    vec![],
+                ));
+                self.rounds -= 1;
+                if self.rounds > 0 {
+                    self.arm(ctx);
+                }
+            }
+        }
+        let run = |descending: bool| {
+            let log: Log = Default::default();
+            let mut sim = Simulator::new(sample_tree(), NetConfig::default().with_seed(5));
+            let mut hosts = sim.tree().receivers().to_vec();
+            hosts.push(NodeId::ROOT);
+            hosts.sort_unstable();
+            if descending {
+                hosts.reverse();
+            }
+            for node in hosts {
+                let log = StdRc::clone(&log);
+                sim.attach_agent(node, Box::new(Chatter { log, rounds: 3 }));
+            }
+            sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
+            let deliveries = log.borrow().clone();
+            (deliveries, sim.events_processed(), sim.telemetry())
+        };
+        let ascending = run(false);
+        assert_eq!(ascending.0.len(), 5 * 3 * 4, "every multicast heard");
+        assert_eq!(ascending, run(true));
     }
 
     #[test]

@@ -247,16 +247,6 @@ impl MulticastTree {
         self.len() - 1
     }
 
-    /// The link from `n`'s parent into `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is the root, which has no incoming link.
-    pub fn link_into(&self, n: NodeId) -> LinkId {
-        assert!(n != NodeId::ROOT, "the root has no incoming link");
-        LinkId(n)
-    }
-
     /// `true` iff `maybe_ancestor` lies on the path from the root to `n`
     /// (inclusive of `n` itself). O(1) via the precomputed Euler-tour
     /// intervals — this sits on the simulator's per-hop unicast routing
