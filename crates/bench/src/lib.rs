@@ -1,55 +1,13 @@
-//! Shared helpers for the Criterion bench targets.
-//!
-//! Each bench target regenerates one of the paper's tables/figures (printed
-//! to stdout, so `cargo bench | tee bench_output.txt` captures the series)
-//! and then times the computation that produces it on scaled-down traces.
+//! Shared helpers for the Criterion bench targets (`micro`, `ablations`).
 
-use cesrm::CesrmConfig;
-use harness::{
-    run_suite, run_trace, ExperimentConfig, Protocol, RunMetrics, SuiteConfig, SuiteResult,
-};
 use traces::{table1, Trace};
-
-/// Trace numbers used for the informational (printed) series: one RFV
-/// session, the deep UCB session and two WRN sessions.
-pub const REPRESENTATIVE_TRACES: [usize; 4] = [1, 3, 7, 13];
 
 /// Scale for the printed series: large enough for stable shapes, small
 /// enough to keep `cargo bench` minutes-fast.
 pub const PRINT_SCALE: f64 = 0.05;
 
-/// Scale for the timed inner loops.
-pub const TIMING_SCALE: f64 = 0.01;
-
-/// Runs the scaled evaluation suite over the representative traces.
-pub fn representative_suite() -> SuiteResult {
-    let mut cfg = SuiteConfig::quick(PRINT_SCALE);
-    cfg.traces = Some(REPRESENTATIVE_TRACES.to_vec());
-    run_suite(&cfg)
-}
-
-/// Config for the serial-vs-parallel suite timing: every Table-1 trace at
-/// timing scale, so the job queue is deep enough to exercise the pool.
-pub fn suite_timing_config() -> SuiteConfig {
-    SuiteConfig::quick(TIMING_SCALE)
-}
-
-/// A small trace for timed loops: Table-1 spec `number`, scaled.
+/// A small trace for timed loops: Table-1 spec `number` at 1 % scale.
 pub fn timing_trace(number: usize) -> Trace {
     let spec = &table1()[number - 1];
-    spec.scaled(TIMING_SCALE).generate(1)
-}
-
-/// Times one full reenactment of `trace` under SRM.
-pub fn reenact_srm(trace: &Trace) -> RunMetrics {
-    run_trace(trace, Protocol::Srm, &ExperimentConfig::paper_default())
-}
-
-/// Times one full reenactment of `trace` under CESRM.
-pub fn reenact_cesrm(trace: &Trace) -> RunMetrics {
-    run_trace(
-        trace,
-        Protocol::Cesrm(CesrmConfig::paper_default()),
-        &ExperimentConfig::paper_default(),
-    )
+    spec.scaled(0.01).generate(1)
 }

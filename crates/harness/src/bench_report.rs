@@ -171,38 +171,16 @@ fn per_sec(events: u64, secs: f64) -> f64 {
 
 /// Renders one profiled suite run as a pretty-printed `cesrm-bench/1`
 /// document (trailing newline included, as committed baseline files want).
+/// `overhead` is an optional monitors-on-vs-off measurement for
+/// `totals.monitor_overhead`, `profile` the optional `cesrm-prof/2`
+/// headline for `totals.profile`; both members are always present (null
+/// when not measured) and volatile — two machines time differently.
 ///
 /// # Panics
 ///
 /// Panics if `result` carries no profiles — run the suite with
 /// [`SuiteConfig::collect_metrics`] (or [`SuiteConfig::with_metrics`]).
-pub fn bench_report(cfg: &SuiteConfig, result: &SuiteResult) -> String {
-    bench_report_with(cfg, result, None)
-}
-
-/// [`bench_report`] plus an optional monitors-on-vs-off measurement in
-/// `totals.monitor_overhead` (null when not measured; the member is
-/// always present and is volatile — two machines time differently).
-///
-/// # Panics
-///
-/// Panics if `result` carries no profiles (see [`bench_report`]).
-pub fn bench_report_with(
-    cfg: &SuiteConfig,
-    result: &SuiteResult,
-    overhead: Option<&MonitorOverhead>,
-) -> String {
-    bench_report_full(cfg, result, overhead, None)
-}
-
-/// [`bench_report_with`] plus the optional `cesrm-prof/2` headline in
-/// `totals.profile` (null when the run was not self-profiled; the member
-/// is always present and is volatile).
-///
-/// # Panics
-///
-/// Panics if `result` carries no profiles (see [`bench_report`]).
-pub fn bench_report_full(
+pub fn bench_report(
     cfg: &SuiteConfig,
     result: &SuiteResult,
     overhead: Option<&MonitorOverhead>,
@@ -469,7 +447,7 @@ fn totals_pair(base: &JsonValue, cand: &JsonValue, field: &str) -> Result<(f64, 
         (Err(_), Ok(_)) => Err(format!(
             "baseline report lacks totals.{field} but the candidate has it — the baseline \
              was written by an older revision of the {BENCH_SCHEMA} schema; regenerate it \
-             with the current binary (reproduce --bench-out <file>)"
+             with the current binary (reproduce --bench-report <file>)"
         )),
         (Err(e), _) | (_, Err(e)) => Err(e),
     }
@@ -560,7 +538,7 @@ mod tests {
     #[test]
     fn report_carries_schema_and_deterministic_sections() {
         let (cfg, result) = profiled_result();
-        let text = bench_report(&cfg, &result);
+        let text = bench_report(&cfg, &result, None, None);
         let doc = JsonValue::parse(&text).unwrap();
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(BENCH_SCHEMA));
         assert_eq!(
@@ -591,9 +569,9 @@ mod tests {
     #[test]
     fn stripping_makes_repeat_runs_byte_identical() {
         let (cfg, result) = profiled_result();
-        let a = bench_report(&cfg, &result);
+        let a = bench_report(&cfg, &result, None, None);
         let (_, again) = profiled_result();
-        let b = bench_report(&cfg, &again);
+        let b = bench_report(&cfg, &again, None, None);
         // Raw documents differ (wall-clock), stripped documents agree.
         assert_eq!(strip_volatile(&a).unwrap(), strip_volatile(&b).unwrap());
         let stripped = strip_volatile(&a).unwrap();
@@ -605,7 +583,7 @@ mod tests {
     #[test]
     fn comparison_flags_only_genuine_regressions() {
         let (cfg, result) = profiled_result();
-        let report = bench_report(&cfg, &result);
+        let report = bench_report(&cfg, &result, None, None);
         let same = compare_reports(&report, &report, &BenchThresholds::default()).unwrap();
         assert!(!same.is_regression(), "{:?}", same.regressions);
 
@@ -628,7 +606,7 @@ mod tests {
     #[test]
     fn baseline_missing_a_candidate_key_gets_a_regenerate_diagnostic() {
         let (cfg, result) = profiled_result();
-        let report = bench_report(&cfg, &result);
+        let report = bench_report(&cfg, &result, None, None);
         // Simulate a baseline written before totals.events_per_sec
         // existed: drop the key entirely (schema intact).
         let mut old = JsonValue::parse(&report).unwrap();
@@ -666,7 +644,7 @@ mod tests {
     #[test]
     fn profile_totals_member_is_present_and_volatile() {
         let (cfg, result) = profiled_result();
-        let plain = bench_report(&cfg, &result);
+        let plain = bench_report(&cfg, &result, None, None);
         let doc = JsonValue::parse(&plain).unwrap();
         assert_eq!(
             doc.get("totals").unwrap().get("profile"),
@@ -684,7 +662,7 @@ mod tests {
                 cpu_on_s: 4.08,
             }),
         };
-        let with = bench_report_full(&cfg, &result, None, Some(&totals));
+        let with = bench_report(&cfg, &result, None, Some(&totals));
         let doc = JsonValue::parse(&with).unwrap();
         let p = doc.get("totals").unwrap().get("profile").unwrap();
         assert_eq!(p.get("stride").unwrap().as_u64(), Some(256));
@@ -711,7 +689,7 @@ mod tests {
     #[test]
     fn monitor_overhead_member_is_present_and_volatile() {
         let (cfg, result) = profiled_result();
-        let plain = bench_report(&cfg, &result);
+        let plain = bench_report(&cfg, &result, None, None);
         let doc = JsonValue::parse(&plain).unwrap();
         assert_eq!(
             doc.get("totals").unwrap().get("monitor_overhead"),
@@ -724,7 +702,7 @@ mod tests {
             cpu_off_s: 4.0,
             cpu_on_s: 4.1,
         };
-        let with = bench_report_with(&cfg, &result, Some(&measured));
+        let with = bench_report(&cfg, &result, Some(&measured), None);
         let doc = JsonValue::parse(&with).unwrap();
         let o = doc.get("totals").unwrap().get("monitor_overhead").unwrap();
         assert!((o.get("overhead_pct").unwrap().as_f64().unwrap() - 2.5).abs() < 1e-9);

@@ -116,6 +116,19 @@ fn history_main(dir: &std::path::Path) {
     }
 }
 
+const USAGE: &str = "\
+usage: bench_compare --baseline FILE --candidate FILE [--max-wall-pct P]
+                     [--max-throughput-pct P] [--warn-only]
+       bench_compare --history [DIR]";
+
+/// Reports a malformed command line and exits 2 (`reproduce`'s contract:
+/// the problem plus the usage summary on stderr, never a panic).
+fn usage_error(msg: &str) -> ! {
+    eprintln!("bench_compare: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut baseline: Option<std::path::PathBuf> = None;
     let mut candidate: Option<std::path::PathBuf> = None;
@@ -125,50 +138,35 @@ fn main() {
     let mut history_dir = std::path::PathBuf::from(".");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = |what: &str| {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} requires {what}")))
+        };
+        let pct = |v: String| -> f64 {
+            v.parse()
+                .unwrap_or_else(|_| usage_error(&format!("{arg} requires a percentage, got {v:?}")))
+        };
         match arg.as_str() {
             "--history" => history = true,
             other if history && !other.starts_with("--") => {
                 history_dir = std::path::PathBuf::from(other);
             }
-            "--baseline" => {
-                baseline = Some(std::path::PathBuf::from(
-                    args.next().expect("--baseline requires a file"),
-                ));
-            }
-            "--candidate" => {
-                candidate = Some(std::path::PathBuf::from(
-                    args.next().expect("--candidate requires a file"),
-                ));
-            }
-            "--max-wall-pct" => {
-                thresholds.max_wall_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-wall-pct requires a percentage");
-            }
-            "--max-throughput-pct" => {
-                thresholds.max_throughput_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-throughput-pct requires a percentage");
-            }
+            "--baseline" => baseline = Some(value("a file").into()),
+            "--candidate" => candidate = Some(value("a file").into()),
+            "--max-wall-pct" => thresholds.max_wall_pct = pct(value("a percentage")),
+            "--max-throughput-pct" => thresholds.max_throughput_pct = pct(value("a percentage")),
             "--warn-only" => warn_only = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
     if history {
         if baseline.is_some() || candidate.is_some() {
-            eprintln!("--history takes a directory, not --baseline/--candidate");
-            std::process::exit(2);
+            usage_error("--history takes a directory, not --baseline/--candidate");
         }
         return history_main(&history_dir);
     }
     let (Some(baseline), Some(candidate)) = (baseline, candidate) else {
-        eprintln!("usage: bench_compare --baseline FILE --candidate FILE | --history [DIR]");
-        std::process::exit(2);
+        usage_error("comparing needs both --baseline and --candidate");
     };
     let read = |path: &std::path::Path| {
         std::fs::read_to_string(path).unwrap_or_else(|e| {

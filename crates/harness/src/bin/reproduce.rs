@@ -7,8 +7,7 @@
 //!     [--trace FILE] [--trace-filter seq=N|receiver=N|ev=NAME]
 //!     [--trace-slowest N]
 //!     [--health FILE] [--digest FILE]
-//!     [--bench-report FILE] [--baseline FILE] [--baseline-max-wall-pct P]
-//!     [--baseline-max-throughput-pct P] [--baseline-warn-only]
+//!     [--bench-report FILE]
 //!     [--profile[=json|folded]] [--profile-out FILE]
 //!     [--overhead monitor,profile,digest] [--overhead-max-pct P]
 //! ```
@@ -36,10 +35,8 @@
 //! `--bench-report FILE` self-profiles every run through the `obs` metrics
 //! registry and writes the merged `cesrm-bench/1` JSON document (see
 //! `docs/METRICS.md`). Pass `-` for `FILE` to use the canonical
-//! `BENCH_<YYYYMMDD>.json` name in the working directory. `--baseline`
-//! compares the fresh report against a previous one and exits with status
-//! 3 when wall-clock or throughput regress past the thresholds (unless
-//! `--baseline-warn-only`).
+//! `BENCH_<YYYYMMDD>.json` name in the working directory. The
+//! `bench_compare` binary diffs two such reports against thresholds.
 //!
 //! `--overhead LAYER[,LAYER]` gates what an observation layer (`monitor`,
 //! `profile`, `digest`) costs: per layer it reenacts the suite a second
@@ -86,7 +83,7 @@
 //! cargo run --release -p harness --bin reproduce -- scale
 //!     [--rungs N,N,...] [--shards N] [--protocol srm|cesrm] [--seed N]
 //!     [--packets N] [--losses N] [--csv FILE] [--bench-report FILE|-]
-//!     [--check-identity] [--no-identity] [--in-process] [--max-rss-mb N]
+//!     [--check-identity] [--no-identity] [--max-rss-mb N]
 //!     [--profile[=json|folded]] [--profile-out FILE] [--digest FILE]
 //! ```
 //!
@@ -95,12 +92,13 @@
 //! tree (default sweep 10³ → 10⁶), with deterministic loss injection,
 //! sharded across worker threads above 10⁴ receivers, invariant-monitored
 //! at the unsharded rungs, and byte-identity-checked between shard counts.
-//! Each rung runs in a child process so peak-RSS figures are isolated
-//! (`--in-process` opts out). Prints a per-rung table (events/s, peak RSS,
-//! bytes per receiver, recovery latency), optionally writes a CSV and a
-//! `cesrm-bench/1` report. Exits 3 when a rung's peak RSS exceeds
-//! `--max-rss-mb`, 4 on an invariant violation or unrecovered loss, and 1
-//! when sharded results diverge from the unsharded canon.
+//! Rungs run in this process, smallest first, and the kernel's peak-RSS
+//! account is restarted before each, so every rung's peak-RSS figure is its
+//! own. Prints a per-rung table (events/s, peak RSS, bytes per receiver,
+//! recovery latency), optionally writes a CSV and a `cesrm-bench/1` report.
+//! Exits 3 when a rung's peak RSS exceeds `--max-rss-mb`, 4 on an invariant
+//! violation or unrecovered loss, and 1 when sharded results diverge from
+//! the unsharded canon.
 //!
 //! `--digest FILE` runs every rung with the hierarchical digest on
 //! (epoch width = the sharding lookahead, so the merged trail is
@@ -117,7 +115,7 @@
 //! read it). With several rungs and `--profile-out FILE`, each rung's
 //! report goes to `FILE` with `-<receivers>` appended to the stem.
 
-use harness::{bench_report_full, run_suite, BenchThresholds, SuiteConfig, TraceFilter};
+use harness::{bench_report, run_suite, SuiteConfig, TraceFilter};
 
 /// Output format of a `--profile` request.
 #[derive(Clone, Copy, PartialEq)]
@@ -271,7 +269,6 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
         Some("scale") => return scale_main(&argv[1..]),
-        Some("scale-rung") => return scale_rung_main(&argv[1..]),
         Some("diff") => return diff_main(&argv[1..]),
         _ => {}
     }
@@ -380,9 +377,6 @@ fn suite_main(argv: &[String]) {
     let mut trace_filter = TraceFilter::default();
     let mut trace_slowest: usize = 10;
     let mut bench_path: Option<std::path::PathBuf> = None;
-    let mut baseline_path: Option<std::path::PathBuf> = None;
-    let mut thresholds = BenchThresholds::default();
-    let mut baseline_warn_only = false;
     let mut health_path: Option<std::path::PathBuf> = None;
     let mut profile: Option<ProfFormat> = None;
     let mut profile_out: Option<std::path::PathBuf> = None;
@@ -441,14 +435,6 @@ fn suite_main(argv: &[String]) {
                 });
                 cfg.collect_metrics = true;
             }
-            "--baseline" => baseline_path = Some(args.path(flag)),
-            "--baseline-max-wall-pct" => {
-                thresholds.max_wall_pct = args.parsed(flag, "a percentage")
-            }
-            "--baseline-max-throughput-pct" => {
-                thresholds.max_throughput_pct = args.parsed(flag, "a percentage");
-            }
-            "--baseline-warn-only" => baseline_warn_only = true,
             "--health" => {
                 health_path = Some(args.path(flag));
                 cfg.monitor = true;
@@ -467,9 +453,6 @@ fn suite_main(argv: &[String]) {
     }
     if profile_out.is_some() && profile.is_none() {
         usage_error("--profile-out requires --profile (nothing is profiled)");
-    }
-    if baseline_path.is_some() && bench_path.is_none() {
-        usage_error("--baseline requires --bench-report (nothing to compare)");
     }
     cfg.profile = profile.is_some();
     eprintln!(
@@ -615,7 +598,7 @@ fn suite_main(argv: &[String]) {
         }
     }
     if let Some(path) = bench_path {
-        let report = bench_report_full(
+        let report = bench_report(
             &cfg,
             &result,
             overhead_of(Layer::Monitor).as_ref(),
@@ -637,34 +620,6 @@ fn suite_main(argv: &[String]) {
             result.total_events(),
             path.display()
         );
-        if let Some(base_path) = baseline_path {
-            let baseline = std::fs::read_to_string(&base_path).unwrap_or_else(|e| {
-                eprintln!("failed to read baseline {}: {e}", base_path.display());
-                std::process::exit(1);
-            });
-            match harness::compare_reports(&baseline, &report, &thresholds) {
-                Ok(verdict) => {
-                    for line in &verdict.lines {
-                        println!("baseline: {line}");
-                    }
-                    if verdict.is_regression() {
-                        for r in &verdict.regressions {
-                            eprintln!("PERF REGRESSION: {r}");
-                        }
-                        if !baseline_warn_only {
-                            std::process::exit(3);
-                        }
-                        eprintln!("(--baseline-warn-only set; not failing)");
-                    } else {
-                        println!("baseline: no perf regression");
-                    }
-                }
-                Err(e) => {
-                    eprintln!("baseline comparison failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
     }
     for (layer, o) in &overheads {
         let max_pct = overhead_max_pct.unwrap_or(layer.default_max_pct());
@@ -715,36 +670,37 @@ fn suite_main(argv: &[String]) {
 // `reproduce scale`: the 10³→10⁶ receiver scaling sweep (docs/SCALING.md).
 // ---------------------------------------------------------------------------
 
-/// One rung's measurements, whether produced in-process or parsed back
-/// from a `scale-rung` child process.
+/// One rung's measurements: the runner's result plus what only this
+/// process can add — wall-clock, peak RSS and the digest trail fragment.
 struct RungOutcome {
-    receivers: u64,
-    shards: u32,
-    epochs: u64,
-    monitored: bool,
-    violations: Option<u64>,
-    csv: String,
-    events: u64,
-    detected: u64,
-    recovered: u64,
-    unrecovered: u64,
-    expedited: u64,
-    mean_latency_ns: u64,
-    control_crossings: u64,
-    state_bytes: u64,
-    state_bytes_per_receiver: u64,
-    wall_s: f64,
-    events_per_sec: f64,
+    /// The run's result, minus the digest snapshot `digest` was built from.
+    result: harness::ScaleResult,
+    wall: std::time::Duration,
     peak_rss_bytes: u64,
-    /// The rung's `cesrm-prof/2` document (parsed), when the rung ran
-    /// under `--profile`.
-    profile: Option<obs::JsonValue>,
-    /// The rung's folded-stack export, when the rung ran under
-    /// `--profile`.
-    folded: Option<String>,
     /// The rung's `cesrm-digest/1` trail fragment (one `rungs[]` entry),
     /// when the rung ran under `--digest`.
     digest: Option<obs::JsonValue>,
+}
+
+impl RungOutcome {
+    fn events_per_sec(&self) -> f64 {
+        let wall_s = self.wall.as_secs_f64();
+        if wall_s > 0.0 {
+            self.result.events as f64 / wall_s
+        } else {
+            0.0
+        }
+    }
+
+    /// The rung's `cesrm-prof/2` document around its profiler `snapshot`.
+    fn profile_doc(&self, snapshot: &obs::ProfSnapshot) -> obs::JsonValue {
+        harness::prof_doc(
+            snapshot,
+            Some(u64::try_from(self.wall.as_nanos()).unwrap_or(u64::MAX)),
+            self.result.engine.as_ref(),
+            &self.result.shard_accounting,
+        )
+    }
 }
 
 fn protocol_from_name(name: &str) -> harness::Protocol {
@@ -753,6 +709,15 @@ fn protocol_from_name(name: &str) -> harness::Protocol {
         "cesrm" => harness::Protocol::Cesrm(harness::scale_cesrm_config()),
         other => usage_error(&format!("unknown protocol {other:?} (use srm or cesrm)")),
     }
+}
+
+/// Restarts the kernel's peak-RSS account of this process, so that the
+/// next [`peak_rss_bytes`] reads the peak since now (the benchmark of
+/// record isolates its readings the same way). Where the kernel refuses,
+/// readings stay the peak since process start — on an ascending sweep,
+/// still the rung's own.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 /// `VmHWM` from `/proc/self/status` in bytes — the process peak resident
@@ -770,235 +735,71 @@ fn peak_rss_bytes() -> u64 {
         .map_or(0, |kb| kb * 1024)
 }
 
-/// Runs one rung in this process and returns its outcome. Peak RSS is the
-/// whole process's high-water mark, which is why `scale` runs each rung in
-/// a child process by default — RSS is monotone and would otherwise carry
-/// over from earlier, larger rungs.
-fn run_rung_in_process(cfg: &harness::ScaleConfig) -> RungOutcome {
+/// Runs one rung and measures it.
+fn run_rung(cfg: &harness::ScaleConfig) -> RungOutcome {
+    reset_peak_rss();
     // simlint: allow(D002, reason = "per-rung wall-clock for the events/s figure; never feeds simulation state")
     let started = std::time::Instant::now();
-    let r = harness::run_scale(cfg);
+    let mut result = harness::run_scale(cfg);
     let wall = started.elapsed();
-    let wall_s = wall.as_secs_f64();
-    let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-    let profile = r.prof.as_ref().map(|snapshot| {
-        let text = harness::prof_json(
-            snapshot,
-            Some(wall_ns),
-            r.engine.as_ref(),
-            &r.shard_accounting,
-        );
-        obs::JsonValue::parse(&text).expect("prof_json emits well-formed JSON")
-    });
-    let folded = r.prof.as_ref().map(harness::prof_folded);
-    let digest = r
+    let peak_rss_bytes = peak_rss_bytes();
+    let digest = result
         .digest
         .is_some()
-        .then(|| harness::rung_digest_json(cfg, &r));
+        .then(|| harness::rung_digest_json(cfg, &result));
+    // The fragment replaces the snapshot: later, larger rungs should not
+    // run on top of both.
+    result.digest = None;
+    result.digest_groups = Vec::new();
     RungOutcome {
-        receivers: r.receivers,
-        shards: r.shards,
-        epochs: r.epochs,
-        monitored: cfg.monitor && r.shards == 1,
-        violations: r.violations,
-        csv: r.csv_row(),
-        events: r.events,
-        detected: r.detected,
-        recovered: r.recovered,
-        unrecovered: r.unrecovered,
-        expedited: r.expedited,
-        mean_latency_ns: r.mean_latency_ns,
-        control_crossings: r.control_crossings,
-        state_bytes: r.state_bytes,
-        state_bytes_per_receiver: r.state_bytes_per_receiver(),
-        wall_s,
-        events_per_sec: if wall_s > 0.0 {
-            r.events as f64 / wall_s
-        } else {
-            0.0
-        },
-        peak_rss_bytes: peak_rss_bytes(),
-        profile,
-        folded,
+        result,
+        wall,
+        peak_rss_bytes,
         digest,
     }
 }
 
-/// Hidden subcommand: runs one rung and prints its outcome as a single
-/// JSON line for the parent `scale` invocation to collect.
-fn scale_rung_main(argv: &[String]) {
-    let mut cfg = harness::ScaleConfig::rung(1000);
-    let mut protocol = "cesrm";
-    let mut args = Args(argv.iter());
-    while let Some(flag) = args.next_flag() {
-        match flag {
-            "--receivers" => {
-                cfg.receivers = args.parsed(flag, "a count of at least 2");
-                if cfg.receivers < 2 {
-                    usage_error("--receivers requires a count of at least 2");
-                }
-                cfg.losses = harness::default_losses(cfg.receivers);
-            }
-            "--shards" => cfg.shards = args.parsed(flag, "an integer"),
-            "--seed" => cfg.seed = args.parsed(flag, "an integer"),
-            "--packets" => cfg.packets = args.parsed(flag, "an integer"),
-            "--losses" => cfg.losses = args.parsed(flag, "an integer"),
-            "--monitor" => cfg.monitor = true,
-            "--profile" => cfg.profile = true,
-            "--digest" => cfg.digest = true,
-            "--protocol" => protocol = args.value(flag, "srm or cesrm"),
-            other => usage_error(&format!("unknown scale-rung argument: {other}")),
-        }
-    }
-    cfg.protocol = protocol_from_name(protocol);
-    let o = run_rung_in_process(&cfg);
-    let mut doc = rung_json(&o, protocol);
-    // The folded export and the digest trail fragment ride along only on
-    // the child→parent line; they are derived data and stay out of the
-    // bench document (and out of the locked `rung_json` key set).
-    if let obs::JsonValue::Obj(members) = &mut doc {
-        if let Some(folded) = &o.folded {
-            members.push(("folded".into(), obs::JsonValue::Str(folded.clone())));
-        }
-        if let Some(digest) = &o.digest {
-            members.push(("digest".into(), digest.clone()));
-        }
-    }
-    println!("{}", doc.to_string_compact());
-}
-
 fn rung_json(o: &RungOutcome, protocol: &str) -> obs::JsonValue {
     use obs::JsonValue as J;
+    let r = &o.result;
     J::Obj(vec![
         ("schema".into(), J::Str("cesrm-scale-rung/1".into())),
-        ("receivers".into(), J::Num(o.receivers as f64)),
-        ("shards".into(), J::Num(f64::from(o.shards))),
-        ("epochs".into(), J::Num(o.epochs as f64)),
+        ("receivers".into(), J::Num(r.receivers as f64)),
+        ("shards".into(), J::Num(f64::from(r.shards))),
+        ("epochs".into(), J::Num(r.epochs as f64)),
         ("protocol".into(), J::Str(protocol.into())),
-        ("monitored".into(), J::Bool(o.monitored)),
+        // The runner attaches the monitors it was asked for only unsharded.
+        ("monitored".into(), J::Bool(r.violations.is_some())),
         (
             "violations".into(),
-            o.violations.map_or(J::Null, |v| J::Num(v as f64)),
+            r.violations.map_or(J::Null, |v| J::Num(v as f64)),
         ),
-        ("csv".into(), J::Str(o.csv.clone())),
-        ("events".into(), J::Num(o.events as f64)),
-        ("detected".into(), J::Num(o.detected as f64)),
-        ("recovered".into(), J::Num(o.recovered as f64)),
-        ("unrecovered".into(), J::Num(o.unrecovered as f64)),
-        ("expedited".into(), J::Num(o.expedited as f64)),
-        ("mean_latency_ns".into(), J::Num(o.mean_latency_ns as f64)),
+        ("csv".into(), J::Str(r.csv_row())),
+        ("events".into(), J::Num(r.events as f64)),
+        ("detected".into(), J::Num(r.detected as f64)),
+        ("recovered".into(), J::Num(r.recovered as f64)),
+        ("unrecovered".into(), J::Num(r.unrecovered as f64)),
+        ("expedited".into(), J::Num(r.expedited as f64)),
+        ("mean_latency_ns".into(), J::Num(r.mean_latency_ns as f64)),
         (
             "control_crossings".into(),
-            J::Num(o.control_crossings as f64),
+            J::Num(r.control_crossings as f64),
         ),
-        ("state_bytes".into(), J::Num(o.state_bytes as f64)),
+        ("state_bytes".into(), J::Num(r.state_bytes as f64)),
         (
             "state_bytes_per_receiver".into(),
-            J::Num(o.state_bytes_per_receiver as f64),
+            J::Num(r.state_bytes_per_receiver() as f64),
         ),
-        ("wall_s".into(), J::Num(o.wall_s)),
-        ("events_per_sec".into(), J::Num(o.events_per_sec)),
+        ("wall_s".into(), J::Num(o.wall.as_secs_f64())),
+        ("events_per_sec".into(), J::Num(o.events_per_sec())),
         ("peak_rss_bytes".into(), J::Num(o.peak_rss_bytes as f64)),
         // "profile" is in `harness::VOLATILE_FIELDS`, so bench comparison
         // strips the embedded cesrm-prof/2 document.
         (
             "profile".into(),
-            o.profile.clone().unwrap_or(obs::JsonValue::Null),
+            r.prof.as_ref().map_or(J::Null, |s| o.profile_doc(s)),
         ),
     ])
-}
-
-fn rung_from_json(doc: &obs::JsonValue) -> Option<RungOutcome> {
-    let u = |k: &str| doc.get(k).and_then(obs::JsonValue::as_u64);
-    let f = |k: &str| doc.get(k).and_then(obs::JsonValue::as_f64);
-    Some(RungOutcome {
-        receivers: u("receivers")?,
-        shards: u("shards")? as u32,
-        epochs: u("epochs")?,
-        monitored: matches!(doc.get("monitored"), Some(obs::JsonValue::Bool(true))),
-        violations: u("violations"),
-        csv: doc.get("csv")?.as_str()?.to_string(),
-        events: u("events")?,
-        detected: u("detected")?,
-        recovered: u("recovered")?,
-        unrecovered: u("unrecovered")?,
-        expedited: u("expedited")?,
-        mean_latency_ns: u("mean_latency_ns")?,
-        control_crossings: u("control_crossings")?,
-        state_bytes: u("state_bytes")?,
-        state_bytes_per_receiver: u("state_bytes_per_receiver")?,
-        wall_s: f("wall_s")?,
-        events_per_sec: f("events_per_sec")?,
-        peak_rss_bytes: u("peak_rss_bytes")?,
-        profile: doc
-            .get("profile")
-            .filter(|v| !matches!(v, obs::JsonValue::Null))
-            .cloned(),
-        folded: doc
-            .get("folded")
-            .and_then(obs::JsonValue::as_str)
-            .map(str::to_string),
-        digest: doc
-            .get("digest")
-            .filter(|v| !matches!(v, obs::JsonValue::Null))
-            .cloned(),
-    })
-}
-
-/// Runs one rung in a fresh child process (for an isolated peak-RSS
-/// reading) and parses its JSON line; falls back to in-process execution
-/// when spawning fails.
-fn run_rung(cfg: &harness::ScaleConfig, protocol: &str, in_process: bool) -> RungOutcome {
-    if !in_process {
-        if let Ok(exe) = std::env::current_exe() {
-            let mut cmd = std::process::Command::new(exe);
-            cmd.arg("scale-rung")
-                .arg("--receivers")
-                .arg(cfg.receivers.to_string())
-                .arg("--shards")
-                .arg(cfg.shards.to_string())
-                .arg("--seed")
-                .arg(cfg.seed.to_string())
-                .arg("--packets")
-                .arg(cfg.packets.to_string())
-                .arg("--losses")
-                .arg(cfg.losses.to_string())
-                .arg("--protocol")
-                .arg(protocol)
-                .stderr(std::process::Stdio::inherit());
-            if cfg.monitor {
-                cmd.arg("--monitor");
-            }
-            if cfg.profile {
-                cmd.arg("--profile");
-            }
-            if cfg.digest {
-                cmd.arg("--digest");
-            }
-            match cmd.output() {
-                Ok(out) if out.status.success() => {
-                    let text = String::from_utf8_lossy(&out.stdout);
-                    if let Some(parsed) = text
-                        .lines()
-                        .last()
-                        .and_then(|line| obs::JsonValue::parse(line).ok())
-                        .and_then(|doc| rung_from_json(&doc))
-                    {
-                        return parsed;
-                    }
-                    eprintln!("scale-rung child produced unparsable output; rerunning in-process");
-                }
-                Ok(out) => {
-                    eprintln!(
-                        "scale-rung child failed with {}; rerunning in-process",
-                        out.status
-                    );
-                }
-                Err(e) => eprintln!("failed to spawn scale-rung child ({e}); running in-process"),
-            }
-        }
-    }
-    run_rung_in_process(cfg)
 }
 
 /// Prints each profiled rung's per-shard accounting summary (busy and
@@ -1011,39 +812,38 @@ fn emit_scale_profiles(
     format: ProfFormat,
     out: Option<&std::path::Path>,
 ) {
-    let multi = outcomes.iter().filter(|o| o.profile.is_some()).count() > 1;
+    let multi = outcomes.iter().filter(|o| o.result.prof.is_some()).count() > 1;
     for o in outcomes {
-        let Some(doc) = &o.profile else { continue };
-        if let Some(obs::JsonValue::Arr(shards)) = doc.get("shards") {
-            if !shards.is_empty() {
-                let ratio = doc.get("imbalance_ratio").and_then(obs::JsonValue::as_f64);
-                eprintln!(
-                    "scale rung {}: per-shard accounting over {} epoch(s), imbalance ratio {}:",
-                    o.receivers,
-                    o.epochs,
-                    ratio.map_or_else(|| "-".to_string(), |r| format!("{r:.2}")),
-                );
-                for s in shards {
-                    let u = |k: &str| s.get(k).and_then(obs::JsonValue::as_u64).unwrap_or(0);
-                    eprintln!(
-                        "  shard {}: busy {:.1} ms, barrier wait {:.1} ms, \
-                         {} sent / {} received cross-shard",
-                        u("shard"),
-                        u("busy_ns") as f64 / 1e6,
-                        u("barrier_ns") as f64 / 1e6,
-                        u("packets_sent"),
-                        u("packets_received"),
-                    );
-                }
-            }
+        let r = &o.result;
+        let Some(snapshot) = &r.prof else { continue };
+        eprintln!(
+            "scale rung {}: per-shard accounting over {} epoch(s), imbalance ratio {}:",
+            r.receivers,
+            r.epochs,
+            if r.shard_accounting.len() > 1 {
+                format!("{:.2}", r.imbalance_ratio())
+            } else {
+                "-".to_string()
+            },
+        );
+        for a in &r.shard_accounting {
+            eprintln!(
+                "  shard {}: busy {:.1} ms, barrier wait {:.1} ms, \
+                 {} sent / {} received cross-shard",
+                a.shard,
+                a.busy_ns as f64 / 1e6,
+                a.barrier_ns as f64 / 1e6,
+                a.packets_sent,
+                a.packets_received,
+            );
         }
         let rendered = match format {
             ProfFormat::Json => {
-                let mut text = doc.to_string_pretty();
+                let mut text = o.profile_doc(snapshot).to_string_pretty();
                 text.push('\n');
                 text
             }
-            ProfFormat::Folded => o.folded.clone().unwrap_or_default(),
+            ProfFormat::Folded => harness::prof_folded(snapshot),
         };
         match out {
             Some(base) => {
@@ -1056,7 +856,7 @@ fn emit_scale_profiles(
                         .extension()
                         .map(|e| format!(".{}", e.to_string_lossy()))
                         .unwrap_or_default();
-                    base.with_file_name(format!("{stem}-{}{ext}", o.receivers))
+                    base.with_file_name(format!("{stem}-{}{ext}", r.receivers))
                 } else {
                     base.to_path_buf()
                 };
@@ -1064,7 +864,7 @@ fn emit_scale_profiles(
                     eprintln!("failed to write {}: {e}", path.display());
                     std::process::exit(1);
                 }
-                eprintln!("wrote rung {} profile to {}", o.receivers, path.display());
+                eprintln!("wrote rung {} profile to {}", r.receivers, path.display());
             }
             None => print!("{rendered}"),
         }
@@ -1078,15 +878,20 @@ fn emit_scale_profiles(
 fn scale_bench_doc(rungs: &[RungOutcome], protocol: &str, seed: u64) -> String {
     use obs::JsonValue as J;
     let num = |n: f64| J::Num(n);
-    let wall_s: f64 = rungs.iter().map(|r| r.wall_s).sum();
-    let events: u64 = rungs.iter().map(|r| r.events).sum();
+    let wall_s: f64 = rungs.iter().map(|r| r.wall.as_secs_f64()).sum();
+    let events: u64 = rungs.iter().map(|r| r.result.events).sum();
     let suite = J::Obj(vec![
         ("mode".into(), J::Str("scale".into())),
         ("protocol".into(), J::Str(protocol.into())),
         ("seed".into(), num(seed as f64)),
         (
             "rungs".into(),
-            J::Arr(rungs.iter().map(|r| num(r.receivers as f64)).collect()),
+            J::Arr(
+                rungs
+                    .iter()
+                    .map(|r| num(r.result.receivers as f64))
+                    .collect(),
+            ),
         ),
     ]);
     let totals = J::Obj(vec![
@@ -1129,7 +934,6 @@ fn scale_main(argv: &[String]) {
     let mut bench_path: Option<std::path::PathBuf> = None;
     let mut check_identity_all = false;
     let mut skip_identity = false;
-    let mut in_process = false;
     let mut max_rss_mb: Option<u64> = None;
     let mut profile: Option<ProfFormat> = None;
     let mut profile_out: Option<std::path::PathBuf> = None;
@@ -1166,7 +970,6 @@ fn scale_main(argv: &[String]) {
             }
             "--check-identity" => check_identity_all = true,
             "--no-identity" => skip_identity = true,
-            "--in-process" => in_process = true,
             "--profile" | "--profile=json" => profile = Some(ProfFormat::Json),
             "--profile=folded" => profile = Some(ProfFormat::Folded),
             "--profile-out" => profile_out = Some(args.path(flag)),
@@ -1211,7 +1014,7 @@ fn scale_main(argv: &[String]) {
             cfg.shards,
             if cfg.monitor { "on" } else { "off" }
         );
-        let outcome = run_rung(&cfg, protocol, in_process);
+        let outcome = run_rung(&cfg);
 
         // Determinism gate: the smallest rung (and with --check-identity
         // every rung but the largest) reruns at a different shard count;
@@ -1219,14 +1022,14 @@ fn scale_main(argv: &[String]) {
         let check_this = !skip_identity && (i == 0 || (check_identity_all && i + 1 < rungs.len()));
         if check_this {
             let mut alt = cfg;
-            alt.shards = if outcome.shards == 1 { 2 } else { 1 };
+            alt.shards = if outcome.result.shards == 1 { 2 } else { 1 };
             alt.monitor = false;
             alt.profile = false;
             eprintln!(
                 "scale rung {receivers}: identity check at {} shard(s)...",
                 alt.shards
             );
-            let alt_outcome = run_rung(&alt, protocol, in_process);
+            let alt_outcome = run_rung(&alt);
             // The digest trail is a much finer identity oracle than the
             // aggregate CSV row: when the trails disagree, the bisector
             // names the first divergent (epoch, node, bucket) window and
@@ -1255,8 +1058,8 @@ fn scale_main(argv: &[String]) {
                                     *shards = n;
                                 }
                             };
-                            pin(&mut div.replay_a, outcome.shards);
-                            pin(&mut div.replay_b, alt_outcome.shards);
+                            pin(&mut div.replay_a, outcome.result.shards);
+                            pin(&mut div.replay_b, alt_outcome.result.shards);
                             if let Some(line) = replay_divergence(&div) {
                                 eprintln!("{line}");
                             }
@@ -1270,15 +1073,13 @@ fn scale_main(argv: &[String]) {
                 }
                 _ => false,
             };
-            if alt_outcome.csv == outcome.csv && !digests_diverge {
-                eprintln!(
-                    "scale rung {receivers}: byte-identical at {} vs {} shards",
-                    outcome.shards, alt_outcome.shards
-                );
+            let (row, alt_row) = (outcome.result.csv_row(), alt_outcome.result.csv_row());
+            let (n, alt_n) = (outcome.result.shards, alt_outcome.result.shards);
+            if alt_row == row && !digests_diverge {
+                eprintln!("scale rung {receivers}: byte-identical at {n} vs {alt_n} shards");
             } else {
                 eprintln!(
-                    "SHARD NONDETERMINISM at {receivers} receivers:\n  {} shards: {}\n  {} shards: {}",
-                    outcome.shards, outcome.csv, alt_outcome.shards, alt_outcome.csv
+                    "SHARD NONDETERMINISM at {receivers} receivers:\n  {n} shards: {row}\n  {alt_n} shards: {alt_row}"
                 );
                 identity_failures += 1;
             }
@@ -1301,18 +1102,19 @@ fn scale_main(argv: &[String]) {
         "violations"
     );
     for o in &outcomes {
+        let r = &o.result;
         println!(
             "{:>10} {:>7} {:>12} {:>12.0} {:>9.2} {:>10.1} {:>8} {:>12.2} {:>11} {:>10}",
-            o.receivers,
-            o.shards,
-            o.events,
-            o.events_per_sec,
-            o.wall_s,
+            r.receivers,
+            r.shards,
+            r.events,
+            o.events_per_sec(),
+            o.wall.as_secs_f64(),
             o.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-            o.state_bytes_per_receiver,
-            o.mean_latency_ns as f64 / 1e6,
-            format!("{}/{}", o.recovered, o.detected),
-            o.violations
+            r.state_bytes_per_receiver(),
+            r.mean_latency_ns as f64 / 1e6,
+            format!("{}/{}", r.recovered, r.detected),
+            r.violations
                 .map_or_else(|| "-".to_string(), |v| v.to_string()),
         );
     }
@@ -1325,7 +1127,7 @@ fn scale_main(argv: &[String]) {
         let mut text = String::from(harness::ScaleResult::csv_header());
         text.push('\n');
         for o in &outcomes {
-            text.push_str(&o.csv);
+            text.push_str(&o.result.csv_row());
             text.push('\n');
         }
         if let Err(e) = std::fs::write(path, text) {
@@ -1375,7 +1177,7 @@ fn scale_main(argv: &[String]) {
         for o in outcomes.iter().filter(|o| o.peak_rss_bytes > limit) {
             eprintln!(
                 "RSS BUDGET EXCEEDED: rung {} peaked at {:.1} MiB (budget {budget} MiB)",
-                o.receivers,
+                o.result.receivers,
                 o.peak_rss_bytes as f64 / (1024.0 * 1024.0)
             );
         }
@@ -1387,12 +1189,12 @@ fn scale_main(argv: &[String]) {
         eprintln!("SHARD NONDETERMINISM: {identity_failures} rung(s) differed across shard counts");
         std::process::exit(1);
     }
-    let violations: u64 = outcomes.iter().filter_map(|o| o.violations).sum();
+    let violations: u64 = outcomes.iter().filter_map(|o| o.result.violations).sum();
     if violations > 0 {
         eprintln!("INVARIANT VIOLATIONS: {violations} across monitored rungs");
         std::process::exit(4);
     }
-    let unrecovered: u64 = outcomes.iter().map(|o| o.unrecovered).sum();
+    let unrecovered: u64 = outcomes.iter().map(|o| o.result.unrecovered).sum();
     if unrecovered > 0 {
         eprintln!("UNRECOVERED LOSSES: {unrecovered} (drain too short for this configuration?)");
         std::process::exit(4);

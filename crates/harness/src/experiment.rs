@@ -200,7 +200,9 @@ pub(crate) fn infer_plan(trace: &Trace) -> LossPlan {
 /// (`setup`/`run`/`teardown`) are timed exactly around the reenactment (the
 /// §4.2 inference precedes `setup`), the engine phases are stride-sampled
 /// inside the simulator, and exact per-phase call totals are folded in
-/// from [`netsim::EngineTelemetry`] after the run (`docs/PROFILING.md`).
+/// from [`netsim::EngineTelemetry`] after the run (`docs/PROFILING.md`) —
+/// the same step that writes the registry's `sim.events.*`,
+/// `sim.packets.*` and `sim.timers.scheduled` counters.
 pub fn run_trace_with(
     trace: &Trace,
     protocol: Protocol,
@@ -284,7 +286,7 @@ pub(crate) fn run_planned(
     handle.end(Phase::Run, run_stamp);
     let events_processed = sim.events_processed();
     let telemetry = sim.telemetry();
-    crate::observe::fold_engine_calls(handle, &telemetry);
+    crate::observe::publish_engine(handle, &telemetry);
 
     let teardown_stamp = handle.begin_exact(Phase::Teardown);
     let log = log.borrow();

@@ -62,9 +62,8 @@ mod sweep;
 pub mod tracing;
 
 pub use bench_report::{
-    bench_report, bench_report_full, bench_report_with, compare_reports, strip_volatile,
-    utc_date_stamp, BenchComparison, BenchThresholds, MonitorOverhead, ProfileTotals, BENCH_SCHEMA,
-    VOLATILE_FIELDS,
+    bench_report, compare_reports, strip_volatile, utc_date_stamp, BenchComparison,
+    BenchThresholds, MonitorOverhead, ProfileTotals, BENCH_SCHEMA, VOLATILE_FIELDS,
 };
 pub use digest::{
     aligned_event_diff, diff_trails, rung_digest_json, scale_digest_doc, suite_digest_json,
@@ -75,7 +74,7 @@ pub use experiment::{
 };
 pub use health::{health_json, health_text, write_health, HEALTH_SCHEMA};
 pub use prof_report::{
-    merge_suite_profs, prof_folded, prof_json, strip_prof_volatile, PROF_SCHEMA,
+    merge_suite_profs, prof_doc, prof_folded, prof_json, strip_prof_volatile, PROF_SCHEMA,
     PROF_VOLATILE_FIELDS,
 };
 pub use runner::{default_parallelism, resolve_jobs, run_indexed, RunTiming, SuiteTiming};

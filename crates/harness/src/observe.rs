@@ -24,17 +24,33 @@ pub(crate) fn instruments(
     handle
 }
 
-/// Folds the engine's always-on counters into the profiler's per-phase call
-/// tallies. Exact call totals come from here, not from per-call increments
-/// on the hot path: the timings sampled during the run are scaled by these
-/// totals when the snapshot estimates per-phase time (see `obs::prof`).
-pub(crate) fn fold_engine_calls(handle: &obs::Instruments, engine: &EngineTelemetry) {
+/// Publishes the engine's always-on counters to the run's handle once the
+/// run is over: exact totals come from here, not from per-call increments
+/// on the hot path. The profiler gets its per-phase call tallies (the
+/// timings sampled during the run are scaled by them when the snapshot
+/// estimates per-phase time; see `obs::prof`), the registry its
+/// `sim.events.*`, `sim.packets.*` and `sim.timers.scheduled` counters
+/// (`docs/METRICS.md`). Each half is a no-op on a handle built without it.
+pub(crate) fn publish_engine(handle: &obs::Instruments, engine: &EngineTelemetry) {
     handle.add_calls(Phase::QueuePop, engine.queue.pops);
     handle.add_calls(Phase::QueuePush, engine.queue.pushes);
     handle.add_calls(Phase::LossDraw, engine.transmits);
     handle.add_calls(Phase::Transmit, engine.transmits);
     handle.add_calls(Phase::FanOut, engine.fan_outs);
     handle.add_calls(Phase::Deliver, engine.deliveries);
+    for (name, value) in [
+        ("sim.events.start", engine.start_events),
+        ("sim.events.timer", engine.timer_events),
+        (
+            "sim.events.hop",
+            engine.events - engine.start_events - engine.timer_events,
+        ),
+        ("sim.timers.scheduled", engine.timers),
+        ("sim.packets.forwarded", engine.transmits - engine.drops),
+        ("sim.packets.dropped", engine.drops),
+    ] {
+        handle.counter(name).add(value);
+    }
 }
 
 #[cfg(test)]
@@ -83,6 +99,90 @@ mod tests {
                 assert_eq!(folded, expected, "scale rung at {shards} shard(s)");
             }
         }
+    }
+
+    /// The registry's `sim.*` counters are derived from the telemetry, not
+    /// counted beside it: pins the published names and the derivations, on
+    /// the suite and against the traffic observer's own drop count.
+    #[test]
+    fn registry_sim_counters_are_published_from_engine_telemetry() {
+        let mut suite = SuiteConfig::quick(0.01).with_metrics().with_profile();
+        suite.traces = Some(vec![4, 13]);
+        let result = run_suite(&suite);
+        assert_eq!(result.profiles.len(), 4);
+        for (profile, prof) in result.profiles.iter().zip(&result.profs) {
+            let (c, e) = (&profile.snapshot.counters, &prof.engine);
+            let run = format!("{} {}", profile.name, profile.protocol);
+            assert_eq!(
+                c["sim.events.start"] + c["sim.events.timer"] + c["sim.events.hop"],
+                e.events,
+                "{run}"
+            );
+            assert_eq!(e.events, profile.events_processed, "{run}");
+            assert_eq!(
+                c["sim.packets.forwarded"] + c["sim.packets.dropped"],
+                e.transmits,
+                "{run}"
+            );
+            assert_eq!(c["sim.timers.scheduled"], e.timers, "{run}");
+            assert!(
+                c["sim.packets.dropped"] > 0 && c["sim.events.timer"] > 0,
+                "{run}"
+            );
+        }
+
+        // One source flooding three packets down a chain, two of them
+        // dropped on the way: the registry, the telemetry and the
+        // per-packet traffic observer agree on the drops.
+        struct Burst;
+        impl netsim::Agent for Burst {
+            fn on_start(&mut self, ctx: &mut netsim::Context<'_>) {
+                for seq in 0..3 {
+                    let id = netsim::PacketId {
+                        source: ctx.me(),
+                        seq: netsim::SeqNo(seq),
+                    };
+                    ctx.multicast(netsim::PacketBody::Data { id });
+                }
+            }
+            fn on_packet(
+                &mut self,
+                _: &mut netsim::Context<'_>,
+                _: &netsim::Packet,
+                _: &netsim::DeliveryMeta,
+            ) {
+            }
+            fn on_timer(&mut self, _: &mut netsim::Context<'_>, _: netsim::TimerToken) {}
+        }
+        let mut b = topology::TreeBuilder::new();
+        let router = b.add_router(b.root());
+        let leaf = b.add_receiver(router);
+        let handle = obs::Instruments::new(obs::Setup {
+            metrics: true,
+            ..obs::Setup::default()
+        });
+        let mut sim =
+            netsim::Simulator::new(b.build().expect("a chain"), netsim::NetConfig::default());
+        sim.set_loss(Box::new(netsim::TraceLoss::new([
+            (topology::LinkId(router), netsim::SeqNo(0)),
+            (topology::LinkId(leaf), netsim::SeqNo(2)),
+        ])));
+        sim.set_obs(handle.clone());
+        let collector = std::rc::Rc::new(std::cell::RefCell::new(metrics::TrafficCollector::new()));
+        sim.set_observer(Box::new(std::rc::Rc::clone(&collector)));
+        sim.attach_agent(topology::NodeId::ROOT, Box::new(Burst));
+        sim.run_until(netsim::SimTime::ZERO + netsim::SimDuration::from_secs(1));
+        publish_engine(&handle, &sim.telemetry());
+        let counters = handle.metrics_snapshot().counters;
+        assert_eq!(counters["sim.packets.dropped"], 2);
+        assert_eq!(
+            counters["sim.packets.dropped"],
+            collector.borrow().drop_count()
+        );
+        assert_eq!(
+            counters["sim.packets.forwarded"], 3,
+            "3 + 2 crossings, 2 lost"
+        );
     }
 
     /// The profiler and the monitors share one inner, so monitor feeds are

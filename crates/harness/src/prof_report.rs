@@ -94,17 +94,29 @@ fn phases_json(snapshot: &ProfSnapshot) -> JsonValue {
 }
 
 /// Renders one profiled run as a pretty-printed `cesrm-prof/2` document
-/// (trailing newline included). `wall_ns` is the whole-run wall-clock
-/// denominator of the attribution figure (`None` when untimed), `engine`
-/// the merged engine telemetry, `shards` the per-shard accounting of a
-/// sharded scale run (empty for suite runs and unsharded rungs — the
-/// member is then an empty array, and `imbalance_ratio` null).
+/// (trailing newline included); see [`prof_doc`] for the arguments.
 pub fn prof_json(
     snapshot: &ProfSnapshot,
     wall_ns: Option<u64>,
     engine: Option<&netsim::EngineTelemetry>,
     shards: &[ShardAccounting],
 ) -> String {
+    let mut text = prof_doc(snapshot, wall_ns, engine, shards).to_string_pretty();
+    text.push('\n');
+    text
+}
+
+/// One profiled run as a `cesrm-prof/2` document. `wall_ns` is the
+/// whole-run wall-clock denominator of the attribution figure (`None` when
+/// untimed), `engine` the merged engine telemetry, `shards` the per-shard
+/// accounting of a scale run (empty for suite runs — the member is then an
+/// empty array, and `imbalance_ratio` null below two shards).
+pub fn prof_doc(
+    snapshot: &ProfSnapshot,
+    wall_ns: Option<u64>,
+    engine: Option<&netsim::EngineTelemetry>,
+    shards: &[ShardAccounting],
+) -> JsonValue {
     let shards_json = JsonValue::Arr(
         shards
             .iter()
@@ -121,7 +133,7 @@ pub fn prof_json(
             .collect(),
     );
     let imbalance = imbalance_ratio(shards);
-    let doc = JsonValue::obj(vec![
+    JsonValue::obj(vec![
         ("schema", JsonValue::Str(PROF_SCHEMA.to_string())),
         ("stride", JsonValue::uint(snapshot.stride)),
         ("events", JsonValue::uint(snapshot.events)),
@@ -139,10 +151,7 @@ pub fn prof_json(
             "imbalance_ratio",
             imbalance.map_or(JsonValue::Null, JsonValue::Num),
         ),
-    ]);
-    let mut text = doc.to_string_pretty();
-    text.push('\n');
-    text
+    ])
 }
 
 /// The busiest shard's busy time over the mean, `None` for fewer than two

@@ -47,7 +47,7 @@ use netsim::{
 use srm::{Role, SourceConfig, SrmAgent, SrmEndpoints, SrmParams};
 use topology::{scale_tree, LinkId, MulticastTree, NodeId, ScaleShape, ScaleTree};
 
-use crate::observe::{fold_engine_calls, instruments};
+use crate::observe::{instruments, publish_engine};
 use crate::Protocol;
 
 /// SRM parameters for scale runs: the paper's §4.3 settings with a 2 s
@@ -871,7 +871,7 @@ fn run_shard(
     }
     handle.end(obs::Phase::Run, run_stamp);
     let engine = sim.telemetry();
-    fold_engine_calls(&handle, &engine);
+    publish_engine(&handle, &engine);
     let teardown_stamp = handle.begin_exact(obs::Phase::Teardown);
 
     let violations = handle

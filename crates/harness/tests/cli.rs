@@ -1,17 +1,35 @@
-//! Drives the real `reproduce` binary with malformed command lines: every
-//! argument error is a usage message and exit status 2, never a panic.
+//! Drives the real `reproduce` and `bench_compare` binaries with malformed
+//! command lines: every argument error is a usage message and exit status
+//! 2, never a panic.
 
 use std::process::Command;
 
-fn reproduce(args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(args)
-        .output()
-        .expect("the reproduce binary runs");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+/// Every case exits 2 with its message and `usage` on stderr, unpanicked.
+fn assert_usage_errors(exe: &str, usage: &str, cases: &[(&[&str], &str)]) {
+    for (args, expected) in cases {
+        let out = Command::new(exe)
+            .args(*args)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} must exit 2, stderr:\n{stderr}"
+        );
+        assert!(
+            stderr.contains(expected),
+            "{args:?}: expected {expected:?} in:\n{stderr}"
+        );
+        assert!(
+            stderr.contains(usage),
+            "{args:?} printed no usage:\n{stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked at"),
+            "{args:?} panicked:\n{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -29,30 +47,33 @@ fn argument_errors_exit_2_with_usage_and_never_panic() {
             "--link-delay-ms requires a positive integer",
         ),
         (&["--frobnicate"], "unknown argument: --frobnicate"),
+        // Comparing reports is `bench_compare`'s job alone.
+        (&["--baseline", "x"], "unknown argument: --baseline"),
         (&["scale", "--rungs", "1000,x"], "--rungs requires"),
         (&["scale", "--frobnicate"], "unknown scale argument"),
+        // Rungs run one way: in this process.
+        (&["scale", "--in-process"], "unknown scale argument"),
         (&["scale", "--protocol", "tcp"], "unknown protocol"),
-        (
-            &["scale-rung", "--receivers", "0"],
-            "--receivers requires a count of at least 2",
-        ),
         (&["diff", "only-one.json"], "exactly two digest trails"),
         (&["diff", "--frobnicate", "a", "b"], "unknown diff argument"),
     ];
-    for (args, expected) in cases {
-        let (code, stderr) = reproduce(args);
-        assert_eq!(code, Some(2), "{args:?} must exit 2, stderr:\n{stderr}");
-        assert!(
-            stderr.contains(expected),
-            "{args:?}: expected {expected:?} in:\n{stderr}"
-        );
-        assert!(
-            stderr.contains("usage: reproduce"),
-            "{args:?} printed no usage:\n{stderr}"
-        );
-        assert!(
-            !stderr.contains("panicked at"),
-            "{args:?} panicked:\n{stderr}"
-        );
-    }
+    assert_usage_errors(env!("CARGO_BIN_EXE_reproduce"), "usage: reproduce", cases);
+}
+
+#[test]
+fn bench_compare_argument_errors_exit_2_with_usage_and_never_panic() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["--max-wall-pct", "abc"],
+            "--max-wall-pct requires a percentage",
+        ),
+        (&["--baseline"], "--baseline requires a file"),
+        (&["--frobnicate"], "unknown argument: --frobnicate"),
+        (&["--baseline", "b.json"], "needs both --baseline and"),
+    ];
+    assert_usage_errors(
+        env!("CARGO_BIN_EXE_bench_compare"),
+        "usage: bench_compare",
+        cases,
+    );
 }

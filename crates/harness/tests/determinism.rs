@@ -225,8 +225,8 @@ fn merged_metrics_and_bench_report_are_worker_count_invariant() {
 
     // The full report agrees byte-for-byte once the documented volatile
     // fields (wall-clock, throughput, jobs, created) are stripped.
-    let report_s = harness::bench_report(&cfg, &serial);
-    let report_p = harness::bench_report(&cfg, &parallel);
+    let report_s = harness::bench_report(&cfg, &serial, None, None);
+    let report_p = harness::bench_report(&cfg, &parallel, None, None);
     assert_eq!(
         harness::strip_volatile(&report_s).unwrap(),
         harness::strip_volatile(&report_p).unwrap(),

@@ -112,10 +112,6 @@ pub fn scheduled_event_footprint_bytes() -> usize {
     std::mem::size_of::<Entry<EventKind>>()
 }
 
-/// Largest topology for which per-link drop counters are registered; see
-/// [`SimMetrics::new`].
-const PER_LINK_METRIC_CAP: usize = 4096;
-
 /// Per-link hot state, struct-of-arrays style: everything `transmit`
 /// touches per crossing sits in one 32-byte record indexed by the link's
 /// head node, instead of being scattered over parallel `Vec`s with an
@@ -128,57 +124,25 @@ struct LinkState {
     delay: SimDuration,
 }
 
-/// Pre-registered metrics instruments for the simulator hot paths. All
-/// fields are no-ops when profiling is off, so the per-event cost of a
-/// disabled registry is one `Option` branch per instrument touch.
+/// The registry instruments nothing else records: queue depth, timer
+/// delays and timer cancel/void churn. No-ops when metrics are off (one
+/// `Option` branch per touch). Every other `sim.*` value is published from
+/// [`EngineTelemetry`] after the run.
 #[derive(Default)]
 struct SimMetrics {
-    events_start: obs::Counter,
-    events_timer: obs::Counter,
-    events_hop: obs::Counter,
-    timers_scheduled: obs::Counter,
     timers_cancelled: obs::Counter,
     timers_voided: obs::Counter,
     timer_delay_ns: obs::Histogram,
     queue_depth: obs::Gauge,
-    packets_forwarded: obs::Counter,
-    packets_dropped: obs::Counter,
-    /// Per-link drop counters indexed by link head node (`LinkId::index`).
-    link_dropped: Vec<obs::Counter>,
 }
 
 impl SimMetrics {
-    fn new(metrics: &obs::Instruments, links: usize) -> Self {
+    fn new(metrics: &obs::Instruments) -> Self {
         SimMetrics {
-            events_start: metrics.counter("sim.events.start"),
-            events_timer: metrics.counter("sim.events.timer"),
-            events_hop: metrics.counter("sim.events.hop"),
-            timers_scheduled: metrics.counter("sim.timers.scheduled"),
             timers_cancelled: metrics.counter("sim.timers.cancelled"),
             timers_voided: metrics.counter("sim.timers.voided"),
             timer_delay_ns: metrics.histogram("sim.timer.delay_ns"),
             queue_depth: metrics.gauge("sim.queue.depth"),
-            packets_forwarded: metrics.counter("sim.packets.forwarded"),
-            packets_dropped: metrics.counter("sim.packets.dropped"),
-            // Per-link counters are a debugging aid for the paper-scale
-            // topologies; at the 10³–10⁶-receiver scale rungs registering a
-            // named counter per link would itself be O(group size) memory,
-            // so they are capped and the aggregate counter stands alone.
-            link_dropped: if metrics.metrics_enabled() && links <= PER_LINK_METRIC_CAP {
-                (0..links)
-                    .map(|i| metrics.counter(&format!("sim.link.{i}.dropped")))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    #[inline]
-    fn link_dropped(&self, link: LinkId) {
-        self.packets_dropped.inc();
-        if let Some(c) = self.link_dropped.get(link.index()) {
-            c.inc();
         }
     }
 }
@@ -187,8 +151,11 @@ impl SimMetrics {
 /// [`Simulator::telemetry`]. Everything here is a pure function of the
 /// simulated event sequence — deterministic at any worker or shard count
 /// — and cheap enough (plain integer adds on already-hot cache lines) to
-/// stay enabled unconditionally. The self-profiler turns these exact
-/// totals into per-phase call tallies (`docs/PROFILING.md`).
+/// stay enabled unconditionally. This is the one count block: after a run
+/// the self-profiler turns these exact totals into per-phase call tallies
+/// (`docs/PROFILING.md`) and the metrics registry takes its `sim.events.*`,
+/// `sim.packets.*` and `sim.timers.scheduled` values from them
+/// (`docs/METRICS.md`), so nothing is counted a second time per event.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct EngineTelemetry {
     /// Calendar-queue counters (occupancy, overflow promotions, bitmap
@@ -205,6 +172,16 @@ pub struct EngineTelemetry {
     pub fan_outs: u64,
     /// Events processed by the dispatch loop.
     pub events: u64,
+    /// Of [`events`](Self::events), agent starts.
+    pub start_events: u64,
+    /// Of [`events`](Self::events), timer expiries (voided ones included);
+    /// every other event is a link hop.
+    pub timer_events: u64,
+    /// Of [`transmits`](Self::transmits), crossings the loss process
+    /// dropped; every other one was forwarded.
+    pub drops: u64,
+    /// Timers scheduled.
+    pub timers: u64,
 }
 
 impl EngineTelemetry {
@@ -220,6 +197,10 @@ impl EngineTelemetry {
         self.deliveries += other.deliveries;
         self.fan_outs += other.fan_outs;
         self.events += other.events;
+        self.start_events += other.start_events;
+        self.timer_events += other.timer_events;
+        self.drops += other.drops;
+        self.timers += other.timers;
     }
 }
 
@@ -297,6 +278,9 @@ pub struct Simulator {
     deliveries: u64,
     fan_outs: u64,
     events_processed: u64,
+    start_events: u64,
+    timer_events: u64,
+    drops: u64,
 }
 
 /// Node-to-shard assignment view of one worker in a sharded run.
@@ -362,6 +346,9 @@ impl Simulator {
             deliveries: 0,
             fan_outs: 0,
             events_processed: 0,
+            start_events: 0,
+            timer_events: 0,
+            drops: 0,
             tree,
             cfg,
         }
@@ -509,20 +496,26 @@ impl Simulator {
     /// Installs the run's observation handle (the default is
     /// [`obs::Instruments::off`]). Depending on what the handle was built
     /// with, the simulator then emits `sent`/`dropped`/`delivered` trace
-    /// records; counts events dispatched per type (`sim.events.*`), queue
-    /// depth with its high-water mark (`sim.queue.depth`), timer
-    /// schedule/cancel/void churn (`sim.timers.*`) with a delay histogram
-    /// (`sim.timer.delay_ns`) and packets forwarded/dropped overall and per
-    /// link (`sim.packets.*`, `sim.link.<i>.dropped`); and wall-clock times
-    /// the engine phases of every stride-sampled event
-    /// (`docs/PROFILING.md`). Clone the same handle into the protocol
-    /// agents and the recovery log so one pipeline sees the whole run.
+    /// records; tracks queue depth with its high-water mark
+    /// (`sim.queue.depth`) and timer cancel/void churn
+    /// (`sim.timers.cancelled`, `.voided`) with a delay histogram
+    /// (`sim.timer.delay_ns`); and wall-clock times the engine phases of
+    /// every stride-sampled event (`docs/PROFILING.md`). Clone the same
+    /// handle into the protocol agents and the recovery log so one pipeline
+    /// sees the whole run.
+    ///
+    /// The simulator itself registers nothing else: `sim.events.*`,
+    /// `sim.packets.*` and `sim.timers.scheduled` are not counted per event
+    /// into the registry. Whoever drives the run writes them from
+    /// [`telemetry`](Simulator::telemetry) when it ends (the harness does,
+    /// for every suite and scale run), so a bare simulator's registry does
+    /// not carry them.
     ///
     /// Observation never touches the rng, the event-queue order, or any
     /// protocol state, so an observed run's outputs are byte-identical to
     /// an unobserved one.
     pub fn set_obs(&mut self, obs: obs::Instruments) {
-        self.metrics = SimMetrics::new(&obs, self.tree.len());
+        self.metrics = SimMetrics::new(&obs);
         self.obs = obs;
     }
 
@@ -535,6 +528,10 @@ impl Simulator {
             deliveries: self.deliveries,
             fan_outs: self.fan_outs,
             events: self.events_processed,
+            start_events: self.start_events,
+            timer_events: self.timer_events,
+            drops: self.drops,
+            timers: self.next_timer,
         }
     }
 
@@ -622,11 +619,11 @@ impl Simulator {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Start { node } => {
-                self.metrics.events_start.inc();
+                self.start_events += 1;
                 self.with_agent(node, |agent, ctx| agent.on_start(ctx));
             }
             EventKind::Timer { node, token } => {
-                self.metrics.events_timer.inc();
+                self.timer_events += 1;
                 let word = (token / 64) as usize;
                 let bit = 1u64 << (token % 64);
                 if self.cancelled.get(word).is_some_and(|w| w & bit != 0) {
@@ -644,7 +641,6 @@ impl Simulator {
                 mode,
                 turning_point,
             } => {
-                self.metrics.events_hop.inc();
                 // Move the packet out of its arena slot for the duration of
                 // the hop so the simulator can be borrowed mutably while
                 // the packet is read; the slot keeps its reference count.
@@ -702,7 +698,6 @@ impl Simulator {
     pub(crate) fn schedule_timer(&mut self, node: NodeId, after: SimDuration) -> TimerToken {
         let token = self.next_timer;
         self.next_timer += 1;
-        self.metrics.timers_scheduled.inc();
         self.metrics.timer_delay_ns.record(after.as_nanos());
         self.push(self.now + after, EventKind::Timer { node, token }, node);
         TimerToken::new(token)
@@ -911,7 +906,7 @@ impl Simulator {
         self.obs.end(Phase::LossDraw, loss_stamp);
         if dropped {
             self.observer.on_drop(self.now, link, packet);
-            self.metrics.link_dropped(link);
+            self.drops += 1;
             self.obs.emit(self.now.as_nanos(), || {
                 let (class, seq) = trace_class(packet);
                 obs::Event::PacketDropped {
@@ -922,7 +917,6 @@ impl Simulator {
             });
             return;
         }
-        self.metrics.packets_forwarded.inc();
         let jitter = if self.cfg.jitter.is_zero() {
             SimDuration::ZERO
         } else {
@@ -1607,29 +1601,26 @@ mod tests {
             sim.attach_agent(NodeId::ROOT, sender(&log, CastKind::Multi, data_body(0)));
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
             let deliveries: Vec<_> = log.borrow().iter().map(|e| (e.0, e.1)).collect();
-            (sim.events_processed(), deliveries)
+            (sim.telemetry(), deliveries)
         };
         let bare = run(&obs::Instruments::off());
         let handle = metrics_handle();
         let profiled = run(&handle);
-        // Observation-only: identical event count and delivery schedule.
+        // Observation-only: identical counts and delivery schedule.
         assert_eq!(bare, profiled);
+        let engine = bare.0;
+        assert_eq!(engine.start_events, 5, "one start per attached agent");
+        assert_eq!(engine.timer_events, 0);
+        // Crossings: n0→n1, n1→n2, n0→n6 survive and each pops as a hop;
+        // n1→n3 is the drop, so the n3 subtree never sees the packet.
+        assert_eq!(engine.transmits, 4);
+        assert_eq!(engine.drops, 1);
+        assert_eq!(engine.events, 5 + 3, "all non-start events are hops");
+        // The registry holds what only it records; the counts above reach
+        // it when the driver publishes them (see `set_obs`).
         let snap = handle.metrics_snapshot();
-        assert_eq!(
-            snap.counters["sim.events.start"], 5,
-            "one start per attached agent"
-        );
-        assert_eq!(
-            snap.counters["sim.events.hop"] + 1,
-            bare.0 - 4,
-            "all non-start events are hops (one was dropped in flight)"
-        );
-        assert_eq!(snap.counters["sim.packets.dropped"], 1);
-        assert_eq!(snap.counters["sim.link.3.dropped"], 1);
-        // Crossings: n0→n1, n1→n2, n0→n6 survive; n1→n3 is the drop, so
-        // the n3 subtree never sees the packet.
-        assert_eq!(snap.counters["sim.packets.forwarded"], 3);
         assert!(snap.gauges["sim.queue.depth"].high_water >= 1);
+        assert!(!snap.counters.contains_key("sim.events.hop"));
     }
 
     #[test]
@@ -1649,11 +1640,12 @@ mod tests {
         sim.set_obs(handle.clone());
         sim.attach_agent(NodeId(2), Box::new(TimerAgent));
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        let engine = sim.telemetry();
+        assert_eq!(engine.timers, 2);
+        assert_eq!(engine.timer_events, 2, "a voided timer still pops");
         let snap = handle.metrics_snapshot();
-        assert_eq!(snap.counters["sim.timers.scheduled"], 2);
         assert_eq!(snap.counters["sim.timers.cancelled"], 1);
         assert_eq!(snap.counters["sim.timers.voided"], 1);
-        assert_eq!(snap.counters["sim.events.timer"], 2);
         assert_eq!(snap.histograms["sim.timer.delay_ns"].count(), 2);
     }
 

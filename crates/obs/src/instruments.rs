@@ -237,12 +237,6 @@ impl Instruments {
     // The metrics registry
     // -----------------------------------------------------------------
 
-    /// `true` when the registry is collecting (instruments handed out are
-    /// live rather than no-ops).
-    pub fn metrics_enabled(&self) -> bool {
-        self.registry().is_some()
-    }
-
     fn registered<T: Default>(&self, register: impl FnOnce(&mut Registry) -> T) -> T {
         match self.registry() {
             Some(registry) => register(&mut registry.borrow_mut()),
@@ -377,7 +371,6 @@ mod tests {
         assert!(h.digest_snapshot().is_none());
         assert!(h.flight().is_none());
 
-        assert!(!h.metrics_enabled());
         let (c, g) = (h.counter("x"), h.gauge("y"));
         c.inc();
         g.set(5);
