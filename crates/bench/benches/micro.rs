@@ -227,22 +227,6 @@ fn bench_registry(c: &mut Criterion) {
             std::hint::black_box(&off);
         });
     });
-    let histogram = handle.histogram("bench.histogram");
-    let mut i = 0u64;
-    group.bench_function("histogram_record", |b| {
-        b.iter(|| {
-            i = i.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            histogram.record(std::hint::black_box(i >> 32));
-        });
-    });
-    let sketch = handle.sketch("bench.sketch");
-    let mut j = 0u64;
-    group.bench_function("sketch_record", |b| {
-        b.iter(|| {
-            j = j.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            sketch.record(std::hint::black_box(j >> 32));
-        });
-    });
     group.bench_function("snapshot_and_merge", |b| {
         b.iter(|| {
             let mut a = handle.metrics_snapshot();

@@ -2,7 +2,7 @@
 //!
 //! [`bench_report`] turns one profiled suite run ([`SuiteConfig`] with
 //! `collect_metrics`) into a schema-stable JSON document
-//! (`"schema": "cesrm-bench/1"`), and [`compare_reports`] diffs two such
+//! (`"schema": "cesrm-bench/2"`), and [`compare_reports`] diffs two such
 //! documents against regression thresholds. The full schema is documented
 //! in `docs/METRICS.md`; the invariants the code enforces are:
 //!
@@ -13,9 +13,8 @@
 //!   wall-clock. [`strip_volatile`] nulls them, and two reports of the
 //!   same configuration at *any* `--jobs` settings are byte-identical
 //!   after stripping (asserted in `tests/determinism.rs`).
-//! - **Everything else is deterministic**: counters, histograms, sketch
-//!   summaries and the headline protocol figures come from the simulation
-//!   alone.
+//! - **Everything else is deterministic**: counters and the headline
+//!   protocol figures come from the simulation alone.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -24,7 +23,10 @@ use obs::JsonValue;
 use crate::suite::{RunProfile, SuiteConfig, SuiteResult};
 
 /// Version tag every report carries; bump on breaking schema changes.
-pub const BENCH_SCHEMA: &str = "cesrm-bench/1";
+/// `/2` dropped `merged.gauges`, `.histograms` and `.sketches` (the
+/// registry holds counters only) and fixed `created` to `YYYY-MM-DD` in
+/// suite and scale reports alike.
+pub const BENCH_SCHEMA: &str = "cesrm-bench/2";
 
 /// Member names that legitimately differ between two runs of the same
 /// configuration: wall-clock readings, derived throughput, and the
@@ -132,14 +134,26 @@ impl BenchComparison {
     }
 }
 
-/// Today's UTC date as `YYYYMMDD`, for the `BENCH_<date>.json` filename.
-pub fn utc_date_stamp() -> String {
-    // simlint: allow(D002, reason = "date stamp for the report filename; not simulation time")
+/// Today's UTC date as (year, month, day).
+fn utc_today() -> (i64, u32, u32) {
+    // simlint: allow(D002, reason = "date stamp for report filenames and the `created` header; not simulation time")
     let secs = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    let (y, m, d) = civil_from_days((secs / 86_400) as i64);
+    civil_from_days((secs / 86_400) as i64)
+}
+
+/// Today's UTC date as `YYYYMMDD`, for the `BENCH_<date>.json` filename.
+pub fn utc_date_stamp() -> String {
+    let (y, m, d) = utc_today();
     format!("{y:04}{m:02}{d:02}")
+}
+
+/// Today's UTC date as `YYYY-MM-DD`, the `created` member of every
+/// `cesrm-bench` report.
+pub fn utc_date_iso() -> String {
+    let (y, m, d) = utc_today();
+    format!("{y:04}-{m:02}-{d:02}")
 }
 
 /// Days-since-1970 to (year, month, day), valid for the Gregorian
@@ -169,7 +183,7 @@ fn per_sec(events: u64, secs: f64) -> f64 {
     }
 }
 
-/// Renders one profiled suite run as a pretty-printed `cesrm-bench/1`
+/// Renders one profiled suite run as a pretty-printed `cesrm-bench/2`
 /// document (trailing newline included, as committed baseline files want).
 /// `overhead` is an optional monitors-on-vs-off measurement for
 /// `totals.monitor_overhead`, `profile` the optional `cesrm-prof/2`
@@ -190,14 +204,6 @@ pub fn bench_report(
         !result.profiles.is_empty(),
         "bench_report needs a suite run with collect_metrics set"
     );
-    let (y, m, d) = {
-        // simlint: allow(D002, reason = "generated_at stamp in the cesrm-bench/1 header; not simulation time")
-        let secs = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |dur| dur.as_secs());
-        civil_from_days((secs / 86_400) as i64)
-    };
-
     let wall_s = result.timing.wall.as_secs_f64();
     let cpu_s = result.timing.cpu_total().as_secs_f64();
     let events = result.total_events();
@@ -288,61 +294,6 @@ pub fn bench_report(
             .map(|(k, &v)| (k.clone(), JsonValue::uint(v)))
             .collect(),
     );
-    let gauges = JsonValue::Obj(
-        merged
-            .gauges
-            .iter()
-            .map(|(k, g)| {
-                (
-                    k.clone(),
-                    JsonValue::obj(vec![
-                        ("value", num(g.value as f64)),
-                        ("high_water", num(g.high_water as f64)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let histograms = JsonValue::Obj(
-        merged
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    JsonValue::obj(vec![
-                        ("count", JsonValue::uint(h.count())),
-                        ("sum", JsonValue::uint(h.sum())),
-                        ("min", JsonValue::opt_uint(h.min())),
-                        ("max", JsonValue::opt_uint(h.max())),
-                        ("p50", JsonValue::opt_uint(h.quantile(0.5))),
-                        ("p90", JsonValue::opt_uint(h.quantile(0.9))),
-                        ("p99", JsonValue::opt_uint(h.quantile(0.99))),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let sketches = JsonValue::Obj(
-        merged
-            .sketches
-            .iter()
-            .map(|(k, s)| {
-                (
-                    k.clone(),
-                    JsonValue::obj(vec![
-                        ("count", JsonValue::uint(s.count())),
-                        ("k", JsonValue::uint(s.k() as u64)),
-                        ("rank_error_bound", JsonValue::uint(s.rank_error_bound())),
-                        ("p50", JsonValue::opt_uint(s.quantile(0.5))),
-                        ("p90", JsonValue::opt_uint(s.quantile(0.9))),
-                        ("p99", JsonValue::opt_uint(s.quantile(0.99))),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-
     let runs = JsonValue::Arr(
         result
             .profiles
@@ -397,18 +348,10 @@ pub fn bench_report(
 
     let doc = JsonValue::obj(vec![
         ("schema", JsonValue::Str(BENCH_SCHEMA.to_string())),
-        ("created", JsonValue::Str(format!("{y:04}-{m:02}-{d:02}"))),
+        ("created", JsonValue::Str(utc_date_iso())),
         ("suite", suite),
         ("totals", totals),
-        (
-            "merged",
-            JsonValue::obj(vec![
-                ("counters", counters),
-                ("gauges", gauges),
-                ("histograms", histograms),
-                ("sketches", sketches),
-            ]),
-        ),
+        ("merged", JsonValue::obj(vec![("counters", counters)])),
         ("runs", runs),
         ("headline", headline),
     ]);
@@ -453,7 +396,7 @@ fn totals_pair(base: &JsonValue, cand: &JsonValue, field: &str) -> Result<(f64, 
     }
 }
 
-/// Diffs `candidate` against `baseline` (both `cesrm-bench/1` documents)
+/// Diffs `candidate` against `baseline` (both `cesrm-bench/2` documents)
 /// and applies `thresholds`. Always returns the comparison lines; the
 /// `regressions` list is non-empty iff a threshold was breached. Errors on
 /// malformed documents or a schema mismatch.
@@ -744,5 +687,6 @@ mod tests {
         assert_eq!(civil_from_days(19_782), (2024, 2, 29));
         assert_eq!(civil_from_days(20_670), (2026, 8, 5));
         assert_eq!(utc_date_stamp().len(), 8);
+        assert_eq!(utc_date_iso().replace('-', ""), utc_date_stamp());
     }
 }

@@ -1,4 +1,4 @@
-//! Compares two `cesrm-bench/1` performance reports (see `docs/METRICS.md`).
+//! Compares two `cesrm-bench/2` performance reports (see `docs/METRICS.md`).
 //!
 //! ```text
 //! cargo run -p harness --bin bench_compare -- \
@@ -11,7 +11,11 @@
 //! the working directory), sorts them oldest → newest by file name (the
 //! canonical names embed the UTC date stamp), and prints the performance
 //! trajectory — events, wall clock and events/s per report, with the
-//! percentage change from the previous report at each step.
+//! percentage change from the previous report at each step. It reads
+//! only `created`, `suite.mode` and four `totals` members, which no
+//! revision of the schema has changed, so it lists `cesrm-bench/*`
+//! reports of every revision; the pairwise comparison accepts only the
+//! current one.
 //!
 //! Exit status: 0 when within thresholds, 3 on a perf regression (unless
 //! `--warn-only`), 1 on malformed input, 2 on bad usage.
@@ -56,8 +60,9 @@ fn history_main(dir: &std::path::Path) {
         .filter_map(|name| {
             let text = std::fs::read_to_string(dir.join(name)).ok()?;
             let doc = obs::JsonValue::parse(&text).ok()?;
-            if doc.get("schema").and_then(obs::JsonValue::as_str) != Some(harness::BENCH_SCHEMA) {
-                eprintln!("skipping {name}: not a {} report", harness::BENCH_SCHEMA);
+            let schema = doc.get("schema").and_then(obs::JsonValue::as_str);
+            if !schema.is_some_and(|s| s.starts_with("cesrm-bench/")) {
+                eprintln!("skipping {name}: not a cesrm-bench report");
                 return None;
             }
             let totals = doc.get("totals")?;

@@ -33,7 +33,7 @@
 //! exits with status 4 if any invariant was violated.
 //!
 //! `--bench-report FILE` self-profiles every run through the `obs` metrics
-//! registry and writes the merged `cesrm-bench/1` JSON document (see
+//! registry and writes the merged `cesrm-bench/2` JSON document (see
 //! `docs/METRICS.md`). Pass `-` for `FILE` to use the canonical
 //! `BENCH_<YYYYMMDD>.json` name in the working directory. The
 //! `bench_compare` binary diffs two such reports against thresholds.
@@ -42,7 +42,8 @@
 //! `profile`, `digest`) costs: per layer it reenacts the suite a second
 //! time with that layer toggled the other way and exits with status 3 when
 //! the on-vs-off CPU-time overhead exceeds the layer's limit (monitor 5 %,
-//! profile 5 %, digest 2 %; `--overhead-max-pct P` overrides all three;
+//! profile 5 %, digest 2 %; `--overhead-max-pct P` overrides all three
+//! and is a usage error without `--overhead`;
 //! deltas under 50 ms are treated as timer noise). With `--bench-report`
 //! the monitor figure lands under `totals.monitor_overhead` and the
 //! profiler figure under `totals.profile.profiler_overhead`.
@@ -95,7 +96,7 @@
 //! Rungs run in this process, smallest first, and the kernel's peak-RSS
 //! account is restarted before each, so every rung's peak-RSS figure is its
 //! own. Prints a per-rung table (events/s, peak RSS, bytes per receiver,
-//! recovery latency), optionally writes a CSV and a `cesrm-bench/1` report.
+//! recovery latency), optionally writes a CSV and a `cesrm-bench/2` report.
 //! Exits 3 when a rung's peak RSS exceeds `--max-rss-mb`, 4 on an invariant
 //! violation or unrecovered loss, and 1 when sharded results diverge from
 //! the unsharded canon.
@@ -453,6 +454,9 @@ fn suite_main(argv: &[String]) {
     }
     if profile_out.is_some() && profile.is_none() {
         usage_error("--profile-out requires --profile (nothing is profiled)");
+    }
+    if overhead_max_pct.is_some() && overhead_layers.is_empty() {
+        usage_error("--overhead-max-pct requires --overhead LAYER (nothing is gated)");
     }
     cfg.profile = profile.is_some();
     eprintln!(
@@ -871,36 +875,30 @@ fn emit_scale_profiles(
     }
 }
 
-/// Builds the `cesrm-bench/1` document for a scale sweep: deterministic
+/// Builds the `cesrm-bench/2` document for a scale sweep: deterministic
 /// per-rung rows plus the volatile wall-clock/throughput/RSS figures
 /// (`wall_s`, `events_per_sec` and `peak_rss_bytes` are in
 /// [`harness::VOLATILE_FIELDS`], so `bench_compare` strips them).
 fn scale_bench_doc(rungs: &[RungOutcome], protocol: &str, seed: u64) -> String {
     use obs::JsonValue as J;
-    let num = |n: f64| J::Num(n);
     let wall_s: f64 = rungs.iter().map(|r| r.wall.as_secs_f64()).sum();
     let events: u64 = rungs.iter().map(|r| r.result.events).sum();
-    let suite = J::Obj(vec![
-        ("mode".into(), J::Str("scale".into())),
-        ("protocol".into(), J::Str(protocol.into())),
-        ("seed".into(), num(seed as f64)),
+    let suite = J::obj(vec![
+        ("mode", J::str_val("scale")),
+        ("protocol", J::str_val(protocol)),
+        ("seed", J::uint(seed)),
         (
-            "rungs".into(),
-            J::Arr(
-                rungs
-                    .iter()
-                    .map(|r| num(r.result.receivers as f64))
-                    .collect(),
-            ),
+            "rungs",
+            J::Arr(rungs.iter().map(|r| J::uint(r.result.receivers)).collect()),
         ),
     ]);
-    let totals = J::Obj(vec![
-        ("runs".into(), num(rungs.len() as f64)),
-        ("wall_s".into(), num(wall_s)),
-        ("events".into(), num(events as f64)),
+    let totals = J::obj(vec![
+        ("runs", J::uint(rungs.len() as u64)),
+        ("wall_s", J::Num(wall_s)),
+        ("events", J::uint(events)),
         (
-            "events_per_sec".into(),
-            num(if wall_s > 0.0 {
+            "events_per_sec",
+            J::Num(if wall_s > 0.0 {
                 events as f64 / wall_s
             } else {
                 0.0
@@ -908,12 +906,12 @@ fn scale_bench_doc(rungs: &[RungOutcome], protocol: &str, seed: u64) -> String {
         ),
     ]);
     let scale = J::Arr(rungs.iter().map(|r| rung_json(r, protocol)).collect());
-    let doc = J::Obj(vec![
-        ("schema".into(), J::Str(harness::BENCH_SCHEMA.into())),
-        ("created".into(), J::Str(harness::utc_date_stamp())),
-        ("suite".into(), suite),
-        ("totals".into(), totals),
-        ("scale".into(), scale),
+    let doc = J::obj(vec![
+        ("schema", J::str_val(harness::BENCH_SCHEMA)),
+        ("created", J::Str(harness::utc_date_iso())),
+        ("suite", suite),
+        ("totals", totals),
+        ("scale", scale),
     ]);
     let mut text = doc.to_string_pretty();
     text.push('\n');

@@ -9,7 +9,7 @@
 //!
 //! - **Member order is fixed** (the `obs::JsonValue` object model is
 //!   ordered), so equal runs produce byte-equal documents.
-//! - **Every field is deterministic**: unlike the `cesrm-bench/1` report,
+//! - **Every field is deterministic**: unlike the `cesrm-bench/2` report,
 //!   nothing in here reads the wall clock or the worker count, so two
 //!   monitored runs of the same configuration are byte-identical at *any*
 //!   `--jobs` setting with no stripping step (asserted in

@@ -62,7 +62,7 @@ mod sweep;
 pub mod tracing;
 
 pub use bench_report::{
-    bench_report, compare_reports, strip_volatile, utc_date_stamp, BenchComparison,
+    bench_report, compare_reports, strip_volatile, utc_date_iso, utc_date_stamp, BenchComparison,
     BenchThresholds, MonitorOverhead, ProfileTotals, BENCH_SCHEMA, VOLATILE_FIELDS,
 };
 pub use digest::{

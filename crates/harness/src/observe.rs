@@ -29,7 +29,7 @@ pub(crate) fn instruments(
 /// on the hot path. The profiler gets its per-phase call tallies (the
 /// timings sampled during the run are scaled by them when the snapshot
 /// estimates per-phase time; see `obs::prof`), the registry its
-/// `sim.events.*`, `sim.packets.*` and `sim.timers.scheduled` counters
+/// `sim.events.*`, `sim.packets.*` and `sim.timers.*` counters
 /// (`docs/METRICS.md`). Each half is a no-op on a handle built without it.
 pub(crate) fn publish_engine(handle: &obs::Instruments, engine: &EngineTelemetry) {
     handle.add_calls(Phase::QueuePop, engine.queue.pops);
@@ -46,6 +46,8 @@ pub(crate) fn publish_engine(handle: &obs::Instruments, engine: &EngineTelemetry
             engine.events - engine.start_events - engine.timer_events,
         ),
         ("sim.timers.scheduled", engine.timers),
+        ("sim.timers.cancelled", engine.timers_cancelled),
+        ("sim.timers.voided", engine.timers_voided),
         ("sim.packets.forwarded", engine.transmits - engine.drops),
         ("sim.packets.dropped", engine.drops),
     ] {
@@ -125,8 +127,20 @@ mod tests {
                 "{run}"
             );
             assert_eq!(c["sim.timers.scheduled"], e.timers, "{run}");
+            assert_eq!(c["sim.timers.cancelled"], e.timers_cancelled, "{run}");
+            assert_eq!(c["sim.timers.voided"], e.timers_voided, "{run}");
             assert!(
                 c["sim.packets.dropped"] > 0 && c["sim.events.timer"] > 0,
+                "{run}"
+            );
+            assert!(
+                0 < e.timers_voided && e.timers_voided <= e.timers_cancelled,
+                "{run}: suppression cancels timers, and only a cancelled timer is voided"
+            );
+            assert!(e.queue.max_len > 0, "{run}");
+            assert_eq!(
+                profile.peak_queue_bytes(),
+                e.queue.max_len * netsim::scheduled_event_footprint_bytes() as u64,
                 "{run}"
             );
         }

@@ -2,7 +2,7 @@
 //!
 //! [`prof_json`] renders one profiled run (suite or scale mode) as a
 //! schema-stable JSON document, [`prof_folded`] as flamegraph-compatible
-//! folded stacks. The same invariants as the `cesrm-bench/1` writer
+//! folded stacks. The same invariants as the `cesrm-bench/2` writer
 //! ([`crate::bench_report`]) apply:
 //!
 //! - **Member order is fixed** (the `obs::JsonValue` object model is

@@ -232,7 +232,10 @@ pub struct RunProfile {
     pub wall: Duration,
     /// Simulator events processed (the events/sec numerator).
     pub events_processed: u64,
-    /// Everything the run's instruments observed.
+    /// High-water length of the simulator event queue
+    /// (`EngineTelemetry::queue.max_len`).
+    pub queue_max_len: u64,
+    /// Every counter the run registered.
     pub snapshot: obs::MetricsSnapshot,
 }
 
@@ -252,12 +255,7 @@ impl RunProfile {
     /// queue-depth high water × the per-event footprint. A deterministic
     /// lower-bound estimate, not an RSS measurement.
     pub fn peak_queue_bytes(&self) -> u64 {
-        let depth = self
-            .snapshot
-            .gauges
-            .get("sim.queue.depth")
-            .map_or(0, |g| g.high_water.max(0) as u64);
-        depth * netsim::scheduled_event_footprint_bytes() as u64
+        self.queue_max_len * netsim::scheduled_event_footprint_bytes() as u64
     }
 }
 
@@ -531,6 +529,7 @@ impl RunJob {
             protocol: protocol_name,
             wall,
             events_processed: metrics.events_processed,
+            queue_max_len: engine.queue.max_len,
             snapshot: handle.metrics_snapshot(),
         });
         let prof_out = self.prof.then(|| RunProf {

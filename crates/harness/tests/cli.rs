@@ -41,6 +41,18 @@ fn argument_errors_exit_2_with_usage_and_never_panic() {
         (&["--traces", "15"], "--traces requires trace numbers"),
         (&["--scale", "x"], "--scale requires a number"),
         (&["--overhead", "everything"], "--overhead requires monitor"),
+        // A limit with no layer to apply it to gates nothing.
+        (
+            &[
+                "--overhead-max-pct",
+                "5",
+                "--scale",
+                "0.01",
+                "--traces",
+                "2",
+            ],
+            "--overhead-max-pct requires --overhead",
+        ),
         // Zero delay makes every back-off window [0, 0]: it never ends.
         (
             &["--link-delay-ms", "0", "--scale", "0.01", "--traces", "2"],
@@ -76,4 +88,42 @@ fn bench_compare_argument_errors_exit_2_with_usage_and_never_panic() {
         "usage: bench_compare",
         cases,
     );
+}
+
+/// `--history` reads members no schema revision changed, so it lists a
+/// `/1` report next to a current one; anything else is skipped by name.
+#[test]
+fn bench_history_lists_every_cesrm_bench_revision() {
+    let dir = std::env::temp_dir().join(format!("cesrm-history-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let report = |schema: &str, created: &str| {
+        format!(
+            r#"{{"schema":"{schema}","created":"{created}","suite":{{}},
+               "totals":{{"runs":2,"events":1000,"wall_s":0.5,"events_per_sec":2000}}}}"#
+        )
+    };
+    for (name, schema, created) in [
+        ("BENCH_20260101.json", "cesrm-bench/1", "2026-01-01"),
+        ("BENCH_20260102.json", harness::BENCH_SCHEMA, "2026-01-02"),
+        ("BENCH_20260103.json", "cesrm-prof/2", "2026-01-03"),
+    ] {
+        std::fs::write(dir.join(name), report(schema, created)).expect("report written");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_compare"))
+        .arg("--history")
+        .arg(&dir)
+        .output()
+        .expect("the binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stdout.contains("2 reports"), "{stdout}");
+    assert!(
+        stdout.contains("BENCH_20260101.json") && stdout.contains("BENCH_20260102.json"),
+        "{stdout}"
+    );
+    assert!(stderr.contains("skipping BENCH_20260103.json"), "{stderr}");
 }

@@ -132,6 +132,8 @@ pub struct QueueTelemetry {
     pub promotions: u64,
     /// High-water occupancy of any single ring bucket.
     pub max_bucket_len: u64,
+    /// High-water of the queue's live length (`pushes - pops`).
+    pub max_len: u64,
     /// Window advances (bitmap skips) performed by the pop path.
     pub advances: u64,
     /// Summed tick distance of those advances (mean skip =
@@ -155,6 +157,7 @@ impl QueueTelemetry {
         self.far_pushes += other.far_pushes;
         self.promotions += other.promotions;
         self.max_bucket_len = self.max_bucket_len.max(other.max_bucket_len);
+        self.max_len = self.max_len.max(other.max_len);
         self.advances += other.advances;
         self.skip_ticks += other.skip_ticks;
         self.max_skip_ticks = self.max_skip_ticks.max(other.max_skip_ticks);
@@ -366,6 +369,7 @@ impl<T> CalendarQueue<T> {
         }
         self.len += 1;
         self.telemetry.pushes += 1;
+        self.telemetry.max_len = self.telemetry.max_len.max(self.len as u64);
         debug_assert!(tick >= self.cur_tick, "push behind the calendar cursor");
         if tick >= self.cur_tick + NUM_BUCKETS {
             self.telemetry.far_pushes += 1;

@@ -160,9 +160,11 @@ fn push_into_empty_queue_far_ahead_still_pops() {
 fn matches_binary_heap_on_random_storm() {
     // Deterministic pseudo-random workload interleaving pushes and
     // limited pops; the calendar queue must agree with the reference
-    // heap exactly, including (at, seq) tie-breaks.
+    // heap exactly, including (at, seq) tie-breaks — and its `max_len`
+    // must be the running maximum of the live length (`pushes - pops`).
     let mut cal: CalendarQueue<u32> = CalendarQueue::new();
     let mut heap: BinaryHeap<Reverse<Entry<u32>>> = BinaryHeap::new();
+    let mut peak = 0u64;
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     let mut bits = move || {
         state ^= state << 13;
@@ -190,6 +192,7 @@ fn matches_binary_heap_on_random_storm() {
             seq += 1;
             cal.push(e.clone(), now);
             heap.push(Reverse(e));
+            peak = peak.max(cal.telemetry().outstanding());
         }
         // Pop a few events up to a random horizon.
         let limit = now + bits() % ((NUM_BUCKETS / 2) << BUCKET_SHIFT);
@@ -213,7 +216,9 @@ fn matches_binary_heap_on_random_storm() {
         // horizon, so later pushes never fall behind the cursor.
         now = now.max(limit);
         assert_eq!(cal.len(), heap.len());
+        assert_eq!(cal.telemetry().max_len, peak);
     }
+    assert!(peak > 8, "the storm builds a backlog deeper than one burst");
     // Full drain must agree too.
     loop {
         let expect = heap.pop().map(|Reverse(e)| e);

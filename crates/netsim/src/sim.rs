@@ -124,29 +124,6 @@ struct LinkState {
     delay: SimDuration,
 }
 
-/// The registry instruments nothing else records: queue depth, timer
-/// delays and timer cancel/void churn. No-ops when metrics are off (one
-/// `Option` branch per touch). Every other `sim.*` value is published from
-/// [`EngineTelemetry`] after the run.
-#[derive(Default)]
-struct SimMetrics {
-    timers_cancelled: obs::Counter,
-    timers_voided: obs::Counter,
-    timer_delay_ns: obs::Histogram,
-    queue_depth: obs::Gauge,
-}
-
-impl SimMetrics {
-    fn new(metrics: &obs::Instruments) -> Self {
-        SimMetrics {
-            timers_cancelled: metrics.counter("sim.timers.cancelled"),
-            timers_voided: metrics.counter("sim.timers.voided"),
-            timer_delay_ns: metrics.histogram("sim.timer.delay_ns"),
-            queue_depth: metrics.gauge("sim.queue.depth"),
-        }
-    }
-}
-
 /// One simulation's always-on engine counters, collected after a run via
 /// [`Simulator::telemetry`]. Everything here is a pure function of the
 /// simulated event sequence — deterministic at any worker or shard count
@@ -154,7 +131,7 @@ impl SimMetrics {
 /// stay enabled unconditionally. This is the one count block: after a run
 /// the self-profiler turns these exact totals into per-phase call tallies
 /// (`docs/PROFILING.md`) and the metrics registry takes its `sim.events.*`,
-/// `sim.packets.*` and `sim.timers.scheduled` values from them
+/// `sim.packets.*` and `sim.timers.*` values from them
 /// (`docs/METRICS.md`), so nothing is counted a second time per event.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct EngineTelemetry {
@@ -182,6 +159,11 @@ pub struct EngineTelemetry {
     pub drops: u64,
     /// Timers scheduled.
     pub timers: u64,
+    /// Timer cancellations requested by agents.
+    pub timers_cancelled: u64,
+    /// Of [`timer_events`](Self::timer_events), expiries voided by an
+    /// earlier cancellation instead of reaching the agent.
+    pub timers_voided: u64,
 }
 
 impl EngineTelemetry {
@@ -201,6 +183,8 @@ impl EngineTelemetry {
         self.timer_events += other.timer_events;
         self.drops += other.drops;
         self.timers += other.timers;
+        self.timers_cancelled += other.timers_cancelled;
+        self.timers_voided += other.timers_voided;
     }
 }
 
@@ -267,8 +251,6 @@ pub struct Simulator {
     observer: Box<dyn SimObserver>,
     /// The run's observation handle; [`obs::Instruments::off`] by default.
     obs: obs::Instruments,
-    /// Instruments pre-registered on `obs`.
-    metrics: SimMetrics,
     /// Whether the event currently being dispatched is one of the
     /// stride-sampled events whose engine phases are wall-clock timed.
     /// Always `false` when profiling is off.
@@ -281,6 +263,8 @@ pub struct Simulator {
     start_events: u64,
     timer_events: u64,
     drops: u64,
+    timers_cancelled: u64,
+    timers_voided: u64,
 }
 
 /// Node-to-shard assignment view of one worker in a sharded run.
@@ -340,7 +324,6 @@ impl Simulator {
             loss: Box::new(NoLoss),
             observer: Box::new(NullObserver),
             obs: obs::Instruments::off(),
-            metrics: SimMetrics::default(),
             sampled: false,
             transmits: 0,
             deliveries: 0,
@@ -349,6 +332,8 @@ impl Simulator {
             start_events: 0,
             timer_events: 0,
             drops: 0,
+            timers_cancelled: 0,
+            timers_voided: 0,
             tree,
             cfg,
         }
@@ -496,26 +481,22 @@ impl Simulator {
     /// Installs the run's observation handle (the default is
     /// [`obs::Instruments::off`]). Depending on what the handle was built
     /// with, the simulator then emits `sent`/`dropped`/`delivered` trace
-    /// records; tracks queue depth with its high-water mark
-    /// (`sim.queue.depth`) and timer cancel/void churn
-    /// (`sim.timers.cancelled`, `.voided`) with a delay histogram
-    /// (`sim.timer.delay_ns`); and wall-clock times the engine phases of
-    /// every stride-sampled event (`docs/PROFILING.md`). Clone the same
-    /// handle into the protocol agents and the recovery log so one pipeline
-    /// sees the whole run.
+    /// records and wall-clock times the engine phases of every
+    /// stride-sampled event (`docs/PROFILING.md`). Clone the same handle
+    /// into the protocol agents and the recovery log so one pipeline sees
+    /// the whole run.
     ///
-    /// The simulator itself registers nothing else: `sim.events.*`,
-    /// `sim.packets.*` and `sim.timers.scheduled` are not counted per event
-    /// into the registry. Whoever drives the run writes them from
-    /// [`telemetry`](Simulator::telemetry) when it ends (the harness does,
-    /// for every suite and scale run), so a bare simulator's registry does
-    /// not carry them.
+    /// The simulator registers no metrics instrument: everything it counts
+    /// lives in [`telemetry`](Simulator::telemetry). Whoever drives the
+    /// run writes the registry's `sim.events.*`, `sim.packets.*` and
+    /// `sim.timers.*` counters from it when the run ends (the harness
+    /// does, for every suite and scale run), so a bare simulator's
+    /// registry does not carry them.
     ///
     /// Observation never touches the rng, the event-queue order, or any
     /// protocol state, so an observed run's outputs are byte-identical to
     /// an unobserved one.
     pub fn set_obs(&mut self, obs: obs::Instruments) {
-        self.metrics = SimMetrics::new(&obs);
         self.obs = obs;
     }
 
@@ -532,6 +513,8 @@ impl Simulator {
             timer_events: self.timer_events,
             drops: self.drops,
             timers: self.next_timer,
+            timers_cancelled: self.timers_cancelled,
+            timers_voided: self.timers_voided,
         }
     }
 
@@ -627,7 +610,7 @@ impl Simulator {
                 let word = (token / 64) as usize;
                 let bit = 1u64 << (token % 64);
                 if self.cancelled.get(word).is_some_and(|w| w & bit != 0) {
-                    self.metrics.timers_voided.inc();
+                    self.timers_voided += 1;
                     return;
                 }
                 self.with_agent(node, |agent, ctx| {
@@ -687,7 +670,6 @@ impl Simulator {
             self.now.as_nanos(),
         );
         self.obs.end(Phase::QueuePush, stamp);
-        self.metrics.queue_depth.set(self.queue.len() as i64);
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind, owner: NodeId) {
@@ -698,13 +680,12 @@ impl Simulator {
     pub(crate) fn schedule_timer(&mut self, node: NodeId, after: SimDuration) -> TimerToken {
         let token = self.next_timer;
         self.next_timer += 1;
-        self.metrics.timer_delay_ns.record(after.as_nanos());
         self.push(self.now + after, EventKind::Timer { node, token }, node);
         TimerToken::new(token)
     }
 
     pub(crate) fn cancel_timer(&mut self, token: TimerToken) {
-        self.metrics.timers_cancelled.inc();
+        self.timers_cancelled += 1;
         let word = (token.index() / 64) as usize;
         if word >= self.cancelled.len() {
             self.cancelled.resize(word + 1, 0);
@@ -1583,13 +1564,6 @@ mod tests {
         assert!(reordered, "large jitter should reorder under some seed");
     }
 
-    fn metrics_handle() -> obs::Instruments {
-        obs::Instruments::new(obs::Setup {
-            metrics: true,
-            ..obs::Setup::default()
-        })
-    }
-
     #[test]
     fn metrics_count_events_and_drops_without_perturbing_the_run() {
         let run = |obs: &obs::Instruments| {
@@ -1604,7 +1578,10 @@ mod tests {
             (sim.telemetry(), deliveries)
         };
         let bare = run(&obs::Instruments::off());
-        let handle = metrics_handle();
+        let handle = obs::Instruments::new(obs::Setup {
+            metrics: true,
+            ..obs::Setup::default()
+        });
         let profiled = run(&handle);
         // Observation-only: identical counts and delivery schedule.
         assert_eq!(bare, profiled);
@@ -1616,15 +1593,16 @@ mod tests {
         assert_eq!(engine.transmits, 4);
         assert_eq!(engine.drops, 1);
         assert_eq!(engine.events, 5 + 3, "all non-start events are hops");
-        // The registry holds what only it records; the counts above reach
-        // it when the driver publishes them (see `set_obs`).
-        let snap = handle.metrics_snapshot();
-        assert!(snap.gauges["sim.queue.depth"].high_water >= 1);
-        assert!(!snap.counters.contains_key("sim.events.hop"));
+        // The root starts first: the four receiver starts are still queued
+        // when its flood pushes a hop toward each child.
+        assert_eq!(engine.queue.max_len, 4 + 2);
+        // The simulator registers nothing itself; the counts above reach
+        // the registry when the driver publishes them (see `set_obs`).
+        assert!(handle.metrics_snapshot().is_empty());
     }
 
     #[test]
-    fn metrics_track_timer_churn() {
+    fn telemetry_tracks_timer_churn() {
         struct TimerAgent;
         impl Agent for TimerAgent {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
@@ -1635,18 +1613,15 @@ mod tests {
             fn on_packet(&mut self, _: &mut Context<'_>, _: &Packet, _: &DeliveryMeta) {}
             fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
         }
-        let handle = metrics_handle();
         let mut sim = Simulator::new(sample_tree(), NetConfig::default());
-        sim.set_obs(handle.clone());
         sim.attach_agent(NodeId(2), Box::new(TimerAgent));
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         let engine = sim.telemetry();
         assert_eq!(engine.timers, 2);
         assert_eq!(engine.timer_events, 2, "a voided timer still pops");
-        let snap = handle.metrics_snapshot();
-        assert_eq!(snap.counters["sim.timers.cancelled"], 1);
-        assert_eq!(snap.counters["sim.timers.voided"], 1);
-        assert_eq!(snap.histograms["sim.timer.delay_ns"].count(), 2);
+        assert_eq!(engine.timers_cancelled, 1);
+        assert_eq!(engine.timers_voided, 1);
+        assert_eq!(engine.queue.max_len, 2, "both timers pending at once");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::event::{Event, Record};
 use crate::flight::FlightRecorder;
 use crate::monitor::{MonitorReport, MonitorSet};
 use crate::prof::{Phase, ProfSnapshot, ProfStamp, Tallies, DEFAULT_PROF_STRIDE};
-use crate::registry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry, Sketch};
+use crate::registry::{Counter, MetricsSnapshot, Registry};
 use crate::sink::{EventSink, MemorySink};
 
 /// What one run wants observed; hand it to [`Instruments::new`]. The
@@ -29,7 +29,7 @@ pub struct Setup {
     pub digest: Option<DigestRecorder>,
     /// Ring the most recent records here for violation and panic dumps.
     pub flight: Option<FlightRecorder>,
-    /// Collect the counter/gauge/histogram registry.
+    /// Collect the counter registry.
     pub metrics: bool,
     /// Run the self-profiler ([`DEFAULT_PROF_STRIDE`]).
     pub profile: bool,
@@ -250,25 +250,8 @@ impl Instruments {
         self.registered(|r| r.counter(name))
     }
 
-    /// The gauge registered under `name` (created on first use).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.registered(|r| r.gauge(name))
-    }
-
-    /// The log-scale histogram registered under `name` (created on first
-    /// use).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.registered(|r| r.histogram(name))
-    }
-
-    /// The quantile sketch registered under `name` (created on first use,
-    /// with [`crate::registry::DEFAULT_SKETCH_K`]).
-    pub fn sketch(&self, name: &str) -> Sketch {
-        self.registered(|r| r.sketch(name))
-    }
-
-    /// Extracts a plain-data snapshot of every registered instrument
-    /// (empty when metrics are off).
+    /// Extracts a plain-data snapshot of every registered counter (empty
+    /// when metrics are off).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.registered(|r| r.snapshot())
     }
@@ -371,12 +354,9 @@ mod tests {
         assert!(h.digest_snapshot().is_none());
         assert!(h.flight().is_none());
 
-        let (c, g) = (h.counter("x"), h.gauge("y"));
+        let c = h.counter("x");
         c.inc();
-        g.set(5);
-        h.histogram("z").record(10);
-        h.sketch("w").record(10);
-        assert_eq!((c.get(), g.high_water()), (0, 0));
+        assert_eq!(c.get(), 0);
         assert!(h.metrics_snapshot().is_empty());
 
         assert!(!h.tick_event());

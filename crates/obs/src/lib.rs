@@ -48,8 +48,7 @@
 //!   the `cesrm-prof/2` report / folded flamegraph stacks
 //!   (`docs/PROFILING.md`).
 //! * [`registry`] — the *runtime* half of observability: a per-simulation
-//!   metrics registry ([`Setup::metrics`]) of counters, high-water gauges,
-//!   log-scale histograms and a deterministic quantile sketch, snapshotted
+//!   metrics registry ([`Setup::metrics`]) of named counters, snapshotted
 //!   into mergeable [`MetricsSnapshot`]s for the perf baseline
 //!   (`BENCH_*.json`, schema in `docs/METRICS.md`).
 //! * [`value`] — a serde-free JSON document model ([`JsonValue`]) used by
@@ -106,8 +105,6 @@ pub use monitor::{
 };
 pub use prof::{Phase, PhaseTally, ProfSnapshot, ProfStamp, DEFAULT_PROF_STRIDE, PHASE_COUNT};
 pub use provenance::{RecoveryPath, RecoveryTimeline, TimelineBuilder};
-pub use registry::{
-    Counter, Gauge, GaugeSnapshot, Histogram, LogHistogram, MetricsSnapshot, QuantileSketch, Sketch,
-};
+pub use registry::{Counter, MetricsSnapshot};
 pub use sink::{EventSink, MemorySink};
 pub use value::JsonValue;

@@ -18,8 +18,8 @@
 //!   catalogued on [`Invariant`] and in `docs/MONITORS.md`.
 //! * **Anomalies** — statistical warnings that are not protocol errors:
 //!   spurious-repair storms (many repairs for one sequence number) and
-//!   recovery-latency outliers flagged against the run's own quantile
-//!   sketch ([`crate::QuantileSketch`]).
+//!   recovery-latency outliers flagged against the run's own exact
+//!   latency percentiles.
 //!
 //! Everything a monitor computes is a pure function of the event stream,
 //! which itself is a pure function of the run configuration — so health
@@ -29,7 +29,6 @@
 use crate::event::{Event, PacketClass, Record};
 use crate::fxhash::{FxMap, FxSet};
 use crate::provenance::{RecoveryPath, RecoveryTimeline, TimelineBuilder};
-use crate::registry::QuantileSketch;
 
 /// Conservation tally (I5) for one (origin, class, seq) packet stream:
 /// how many copies the origin sent, and which receivers have taken their
@@ -706,7 +705,6 @@ impl MonitorSet {
     pub fn finish(mut self) -> MonitorReport {
         let end_ns = self.last_t_ns;
         let timelines = std::mem::take(&mut self.timelines).finish();
-        let mut sketch = QuantileSketch::new(256);
         let mut completed: Vec<(u32, u64, u64, u64)> = Vec::new();
         for tl in &timelines {
             match tl.path {
@@ -736,15 +734,20 @@ impl MonitorSet {
             if matches!(tl.path, RecoveryPath::Expedited | RecoveryPath::Fallback) {
                 self.stats.recovered += 1;
                 if let Some(lat) = tl.latency_ns() {
-                    sketch.record(lat);
                     completed.push((tl.receiver, tl.seq, tl.recovered_ns.unwrap_or(end_ns), lat));
-                    self.stats.latency_max_ns =
-                        Some(self.stats.latency_max_ns.map_or(lat, |m| m.max(lat)));
                 }
             }
         }
-        self.stats.latency_p50_ns = sketch.quantile(0.5);
-        self.stats.latency_p99_ns = sketch.quantile(0.99);
+        let mut latencies: Vec<u64> = completed.iter().map(|c| c.3).collect();
+        latencies.sort_unstable();
+        // Nearest rank: the ⌈q·n⌉-th smallest latency (`None` when empty).
+        let quantile = |q: f64| {
+            let rank = (q * latencies.len() as f64).ceil().max(1.0) as usize;
+            latencies.get(rank - 1).copied()
+        };
+        self.stats.latency_p50_ns = quantile(0.5);
+        self.stats.latency_p99_ns = quantile(0.99);
+        self.stats.latency_max_ns = latencies.last().copied();
         // Outliers need enough mass for the percentiles to mean anything.
         if completed.len() >= 16 {
             let p50 = self.stats.latency_p50_ns.unwrap_or(0).max(1);
@@ -1291,6 +1294,33 @@ mod tests {
             .collect();
         assert_eq!(outliers.len(), 1, "{:?}", report.anomalies);
         assert_eq!(outliers[0].seq, 19);
+    }
+
+    #[test]
+    fn latency_percentiles_are_exact_nearest_rank() {
+        // 1000 recoveries with distinct latencies 1..=1000 µs in a
+        // scrambled order (7919 is coprime to 1000).
+        let n = 1000u64;
+        let mut records = Vec::new();
+        for seq in 0..n {
+            let latency = ((seq * 7919) % n + 1) * 1_000;
+            let detected = seq * 10_000_000;
+            records.push(rec(detected, Event::LossDetected { node: 2, seq }));
+            records.push(rec(
+                detected + latency,
+                Event::RecoveryCompleted {
+                    node: 2,
+                    seq,
+                    expedited: false,
+                },
+            ));
+        }
+        let stats = run(&records).stats;
+        assert_eq!(stats.recovered, n);
+        // ⌈0.5·1000⌉ = 500th and ⌈0.99·1000⌉ = 990th smallest.
+        assert_eq!(stats.latency_p50_ns, Some(500_000));
+        assert_eq!(stats.latency_p99_ns, Some(990_000));
+        assert_eq!(stats.latency_max_ns, Some(1_000_000));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Pass 2, part two: report-schema drift locking (rule D009).
 //!
-//! Every machine-readable report the workspace emits (`cesrm-bench/1`,
+//! Every machine-readable report the workspace emits (`cesrm-bench/2`,
 //! `cesrm-health/1`, `cesrm-prof/2`, `cesrm-scale-rung/1`, `simlint/2`) is
 //! hand-rolled JSON with a frozen versioned schema. Downstream tooling —
 //! `bench_compare`, CI artifact consumers, the docs — depends on the key

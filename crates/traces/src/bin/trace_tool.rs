@@ -8,11 +8,23 @@
 //!
 //! `gen` synthesizes a Table-1 trace (1-based index) and writes it in the
 //! `cesrm-trace v1` text format; `stat` reads such a file back and prints
-//! its loss-locality statistics.
+//! its loss-locality statistics. A malformed command line prints the
+//! problem and the usage summary to stderr and exits 2.
 
 use std::process::ExitCode;
 
-use traces::{table1, LossStats, Trace};
+use traces::{table1, LossStats, Trace, TraceSpec};
+
+const USAGE: &str =
+    "usage: trace-tool table | gen <1..14> [--scale F] [--seed N] [--out FILE] | stat FILE";
+
+/// Reports a malformed command line: the problem plus the usage summary
+/// on stderr, exit status 2.
+fn usage_error(problem: &str) -> ExitCode {
+    eprintln!("trace-tool: {problem}");
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,42 +44,56 @@ fn main() -> ExitCode {
         }
         Some("gen") => gen(&args[1..]),
         Some("stat") => stat(&args[1..]),
-        _ => {
-            eprintln!("usage: trace-tool table | gen <1..14> [--scale F] [--seed N] [--out FILE] | stat FILE");
-            ExitCode::from(2)
-        }
+        Some(other) => usage_error(&format!("unknown command: {other}")),
+        None => usage_error("a command is required"),
     }
 }
 
-fn gen(args: &[String]) -> ExitCode {
-    let Some(number) = args.first().and_then(|v| v.parse::<usize>().ok()) else {
-        eprintln!("gen needs a Table-1 trace number (1..14)");
-        return ExitCode::from(2);
-    };
-    let specs = table1();
-    let Some(spec) = specs.iter().find(|s| s.number == number) else {
-        eprintln!("no Table-1 trace number {number}");
-        return ExitCode::from(2);
-    };
-    let mut scale = 1.0f64;
-    let mut seed = 0u64;
-    let mut out: Option<String> = None;
+/// Parses `gen`'s arguments into (spec, scale, seed, output path).
+fn gen_args(args: &[String]) -> Result<(TraceSpec, f64, u64, Option<String>), String> {
+    let number = args
+        .first()
+        .and_then(|v| v.parse::<usize>().ok())
+        .ok_or("gen needs a Table-1 trace number (1..14)")?;
+    let spec = table1()
+        .into_iter()
+        .find(|s| s.number == number)
+        .ok_or_else(|| format!("no Table-1 trace number {number}"))?;
+    let (mut scale, mut seed, mut out) = (1.0f64, 0u64, None);
     let mut it = args[1..].iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => scale = it.next().and_then(|v| v.parse().ok()).unwrap_or(scale),
-            "--seed" => seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--out" => out = it.next().cloned(),
-            other => {
-                eprintln!("unknown gen option: {other}");
-                return ExitCode::from(2);
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} requires a value"));
+        match flag.as_str() {
+            "--scale" => {
+                let v = value()?;
+                scale = v
+                    .parse()
+                    .ok()
+                    .filter(|s| *s > 0.0 && *s <= 1.0)
+                    .ok_or_else(|| format!("--scale requires a number in (0, 1], got {v:?}"))?;
             }
+            "--seed" => {
+                let v = value()?;
+                seed = v
+                    .parse()
+                    .map_err(|_| format!("--seed requires an integer, got {v:?}"))?;
+            }
+            "--out" => out = Some(value()?.clone()),
+            other => return Err(format!("unknown gen option: {other}")),
         }
     }
+    Ok((spec, scale, seed, out))
+}
+
+fn gen(args: &[String]) -> ExitCode {
+    let (spec, scale, seed, out) = match gen_args(args) {
+        Ok(parsed) => parsed,
+        Err(problem) => return usage_error(&problem),
+    };
     let spec = if scale < 1.0 {
         spec.scaled(scale)
     } else {
-        spec.clone()
+        spec
     };
     eprintln!(
         "generating {} at scale {scale} ({} packets, target {} losses)",
@@ -90,8 +116,7 @@ fn gen(args: &[String]) -> ExitCode {
 
 fn stat(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
-        eprintln!("stat needs a trace file");
-        return ExitCode::from(2);
+        return usage_error("stat needs a trace file");
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
