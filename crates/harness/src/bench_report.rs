@@ -396,18 +396,16 @@ fn totals_pair(base: &JsonValue, cand: &JsonValue, field: &str) -> Result<(f64, 
     }
 }
 
-/// Diffs `candidate` against `baseline` (both `cesrm-bench/2` documents)
-/// and applies `thresholds`. Always returns the comparison lines; the
-/// `regressions` list is non-empty iff a threshold was breached. Errors on
-/// malformed documents or a schema mismatch.
+/// Diffs `candidate` against `baseline` (both parsed `cesrm-bench/2`
+/// documents) and applies `thresholds`. Always returns the comparison
+/// lines; the `regressions` list is non-empty iff a threshold was
+/// breached. Errors on a schema mismatch or a missing member.
 pub fn compare_reports(
-    baseline: &str,
-    candidate: &str,
+    base: &JsonValue,
+    cand: &JsonValue,
     thresholds: &BenchThresholds,
 ) -> Result<BenchComparison, String> {
-    let base = JsonValue::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let cand = JsonValue::parse(candidate).map_err(|e| format!("candidate: {e}"))?;
-    for (doc, which) in [(&base, "baseline"), (&cand, "candidate")] {
+    for (doc, which) in [(base, "baseline"), (cand, "candidate")] {
         let schema = doc.get("schema").and_then(JsonValue::as_str);
         if schema != Some(BENCH_SCHEMA) {
             return Err(format!(
@@ -419,7 +417,7 @@ pub fn compare_reports(
     let mut lines = Vec::new();
     let mut regressions = Vec::new();
 
-    let (base_events, cand_events) = totals_pair(&base, &cand, "events")?;
+    let (base_events, cand_events) = totals_pair(base, cand, "events")?;
     if base_events != cand_events {
         lines.push(format!(
             "note: deterministic event totals differ (baseline {base_events}, candidate \
@@ -428,7 +426,7 @@ pub fn compare_reports(
         ));
     }
 
-    let (base_wall, cand_wall) = totals_pair(&base, &cand, "wall_s")?;
+    let (base_wall, cand_wall) = totals_pair(base, cand, "wall_s")?;
     let wall_pct = if base_wall > 0.0 {
         (cand_wall - base_wall) / base_wall * 100.0
     } else {
@@ -446,7 +444,7 @@ pub fn compare_reports(
         ));
     }
 
-    let (base_eps, cand_eps) = totals_pair(&base, &cand, "events_per_sec")?;
+    let (base_eps, cand_eps) = totals_pair(base, cand, "events_per_sec")?;
     let eps_pct = if base_eps > 0.0 {
         (cand_eps - base_eps) / base_eps * 100.0
     } else {
@@ -526,43 +524,33 @@ mod tests {
     #[test]
     fn comparison_flags_only_genuine_regressions() {
         let (cfg, result) = profiled_result();
-        let report = bench_report(&cfg, &result, None, None);
+        let report = JsonValue::parse(&bench_report(&cfg, &result, None, None)).unwrap();
         let same = compare_reports(&report, &report, &BenchThresholds::default()).unwrap();
         assert!(!same.is_regression(), "{:?}", same.regressions);
 
         // Inflate the candidate's wall-clock 10× and cut throughput 10×.
-        let mut slow = JsonValue::parse(&report).unwrap();
+        let mut slow = report.clone();
         let totals = slow.get_mut("totals").unwrap();
         let wall = totals.get("wall_s").unwrap().as_f64().unwrap();
         *totals.get_mut("wall_s").unwrap() = JsonValue::Num(wall * 10.0);
         let eps = totals.get("events_per_sec").unwrap().as_f64().unwrap();
         *totals.get_mut("events_per_sec").unwrap() = JsonValue::Num(eps / 10.0);
-        let verdict = compare_reports(
-            &report,
-            &slow.to_string_compact(),
-            &BenchThresholds::default(),
-        )
-        .unwrap();
+        let verdict = compare_reports(&report, &slow, &BenchThresholds::default()).unwrap();
         assert_eq!(verdict.regressions.len(), 2, "{:?}", verdict.regressions);
     }
 
     #[test]
     fn baseline_missing_a_candidate_key_gets_a_regenerate_diagnostic() {
         let (cfg, result) = profiled_result();
-        let report = bench_report(&cfg, &result, None, None);
+        let report = JsonValue::parse(&bench_report(&cfg, &result, None, None)).unwrap();
         // Simulate a baseline written before totals.events_per_sec
         // existed: drop the key entirely (schema intact).
-        let mut old = JsonValue::parse(&report).unwrap();
+        let mut old = report.clone();
         let JsonValue::Obj(totals) = old.get_mut("totals").unwrap() else {
             panic!("totals is an object");
         };
         totals.retain(|(k, _)| k != "events_per_sec");
-        let err = compare_reports(
-            &old.to_string_compact(),
-            &report,
-            &BenchThresholds::default(),
-        )
-        .unwrap_err();
+        let err = compare_reports(&old, &report, &BenchThresholds::default()).unwrap_err();
         assert!(
             err.contains("baseline report lacks totals.events_per_sec"),
             "{err}"
@@ -571,12 +559,7 @@ mod tests {
 
         // The candidate missing the same key is a plain candidate error,
         // not a regenerate-the-baseline hint.
-        let err = compare_reports(
-            &report,
-            &old.to_string_compact(),
-            &BenchThresholds::default(),
-        )
-        .unwrap_err();
+        let err = compare_reports(&report, &old, &BenchThresholds::default()).unwrap_err();
         assert!(
             err.contains("candidate report lacks totals.events_per_sec"),
             "{err}"
@@ -620,9 +603,10 @@ mod tests {
 
     #[test]
     fn comparison_rejects_schema_mismatch() {
+        let other = JsonValue::parse(r#"{"schema":"other/9"}"#).unwrap();
         let err = compare_reports(
-            r#"{"schema":"other/9"}"#,
-            r#"{}"#,
+            &other,
+            &JsonValue::Obj(Vec::new()),
             &BenchThresholds::default(),
         )
         .unwrap_err();

@@ -18,7 +18,8 @@
 //! current one.
 //!
 //! Exit status: 0 when within thresholds, 3 on a perf regression (unless
-//! `--warn-only`), 1 on malformed input, 2 on bad usage.
+//! `--warn-only`), 1 on an unreadable file or a report of the wrong shape,
+//! 2 on bad usage or a file that is not JSON.
 
 use harness::{compare_reports, BenchThresholds};
 
@@ -174,10 +175,12 @@ fn main() {
         usage_error("comparing needs both --baseline and --candidate");
     };
     let read = |path: &std::path::Path| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("failed to read {}: {e}", path.display());
             std::process::exit(1);
-        })
+        });
+        obs::JsonValue::parse(&text)
+            .unwrap_or_else(|e| usage_error(&format!("{} is not valid JSON: {e}", path.display())))
     };
     let verdict =
         compare_reports(&read(&baseline), &read(&candidate), &thresholds).unwrap_or_else(|e| {

@@ -166,6 +166,19 @@ impl<'a> Args<'a> {
         parse_or_usage(v, flag, what, v)
     }
 
+    /// A count or size where zero is meaningless.
+    fn positive<T: std::str::FromStr + Default + PartialEq>(
+        &mut self,
+        flag: &str,
+        what: &str,
+    ) -> T {
+        let n: T = self.parsed(flag, what);
+        if n == T::default() {
+            usage_error(&format!("{flag} requires {what}"));
+        }
+        n
+    }
+
     /// A comma-separated list, every item parsed.
     fn list<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Vec<T> {
         let v = self.value(flag, what);
@@ -301,10 +314,8 @@ fn diff_main(argv: &[String]) {
             eprintln!("failed to read {path}: {e}");
             std::process::exit(2);
         });
-        obs::JsonValue::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path} is not valid JSON: {e}");
-            std::process::exit(2);
-        })
+        obs::JsonValue::parse(&text)
+            .unwrap_or_else(|e| usage_error(&format!("{path} is not valid JSON: {e}")))
     };
     let (a, b) = (load(path_a), load(path_b));
     let div = match harness::diff_trails(&a, &b) {
@@ -406,16 +417,12 @@ fn suite_main(argv: &[String]) {
                 // At zero delay every SRM distance, hence every back-off
                 // window, is zero: timers re-arm at the same instant and
                 // simulated time never advances.
-                let ms: u64 = args.parsed(flag, "a positive integer");
-                if ms == 0 {
-                    usage_error("--link-delay-ms requires a positive integer");
-                }
-                cfg = cfg.with_link_delay_ms(ms);
+                cfg = cfg.with_link_delay_ms(args.positive(flag, "a positive integer"));
             }
             "--lossy-recovery" => cfg.experiment.lossy_recovery = true,
             "--jobs" => cfg.jobs = Some(args.parsed(flag, "a worker count")),
             "--timings" => timings = true,
-            "--seeds" => seeds = args.parsed(flag, "a count"),
+            "--seeds" => seeds = args.positive(flag, "a positive count"),
             "--csv-dir" => csv_dir = Some(args.path(flag)),
             "--trace" => {
                 trace_path = Some(args.path(flag));
@@ -945,15 +952,10 @@ fn scale_main(argv: &[String]) {
                     usage_error("--rungs requires receiver counts of at least 2");
                 }
             }
-            "--shards" => shards = Some(args.parsed(flag, "a count")),
+            "--shards" => shards = Some(args.positive(flag, "a positive count")),
             "--protocol" => protocol = args.value(flag, "srm or cesrm"),
             "--seed" => seed = args.parsed(flag, "an integer"),
-            "--packets" => {
-                packets = args.parsed(flag, "a positive count");
-                if packets == 0 {
-                    usage_error("--packets requires a positive count");
-                }
-            }
+            "--packets" => packets = args.positive(flag, "a positive count"),
             "--csv" => csv_path = Some(args.path(flag)),
             "--bench-report" => {
                 let path = args.value(flag, "a path or -");
@@ -990,7 +992,7 @@ fn scale_main(argv: &[String]) {
     // stay off on any sharded rung.
     let auto_shards = |receivers: u64| -> u32 {
         match shards {
-            Some(s) => s.max(1),
+            Some(s) => s,
             None if receivers <= 10_000 => 1,
             None => harness::default_parallelism().clamp(1, 8) as u32,
         }

@@ -688,6 +688,32 @@ fn path_delay_ns(tree: &MulticastTree, delays: &[u64], node: NodeId) -> u64 {
     total
 }
 
+/// Shard `me`'s receivers with their root path delays, in attach order:
+/// sorted by `(path delay, node id)`. Each agent's heap block is allocated
+/// when it is attached, so the blocks land in memory in the order a flood
+/// from the source reaches them and a flood's deliveries walk memory
+/// forward instead of at random. Attach order is invisible to the run
+/// (event keys and random streams are per node), so this moves no event.
+/// The sorted list is freed once the attach loop ends: held through the
+/// run it would add 16 B per receiver to the rung's peak RSS.
+fn attach_order(
+    tree: &MulticastTree,
+    delays: &[u64],
+    assign: &[u16],
+    me: u16,
+) -> impl Iterator<Item = (NodeId, SimDuration)> {
+    let mut owned: Vec<(u64, NodeId)> = tree
+        .receivers()
+        .iter()
+        .filter(|r| assign[r.index()] == me)
+        .map(|&r| (path_delay_ns(tree, delays, r), r))
+        .collect();
+    owned.sort_unstable();
+    owned
+        .into_iter()
+        .map(|(delay, r)| (r, SimDuration::from_nanos(delay)))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
     cfg: &ScaleConfig,
@@ -770,10 +796,6 @@ fn run_shard(
     // receivers: an endpoint is a single heap block with a pointer to it.
     // Receivers run session-less with the true path delay seeded.
     let owns_source = assign[source.index()] == me;
-    let own_receivers = || {
-        let owned = tree.receivers().iter().filter(|r| assign[r.index()] == me);
-        owned.map(|&r| (r, SimDuration::from_nanos(path_delay_ns(tree, delays, r))))
-    };
     match cfg.protocol {
         Protocol::Srm => {
             let endpoints = |params, role| {
@@ -784,7 +806,7 @@ fn run_shard(
                 sim.attach_agent(source, Box::new(sources.agent(source)));
             }
             let receivers = endpoints(widen_receiver_default(scale_srm_params()), Role::Receiver);
-            for (r, dist) in own_receivers() {
+            for (r, dist) in attach_order(tree, delays, assign, me) {
                 let mut a = receivers.agent(r);
                 a.core_mut().set_sessions_enabled(false);
                 a.core_mut().seed_distance(source, dist);
@@ -804,7 +826,7 @@ fn run_shard(
                 ..ccfg
             };
             let receivers = endpoints(rcfg, Role::Receiver);
-            for (r, dist) in own_receivers() {
+            for (r, dist) in attach_order(tree, delays, assign, me) {
                 let mut a = receivers.agent(r);
                 a.core_mut().set_sessions_enabled(false);
                 a.core_mut().seed_distance(source, dist);
@@ -1067,6 +1089,49 @@ mod tests {
         used.sort_unstable();
         used.dedup();
         assert_eq!(used, vec![0, 1, 2], "all shards get work");
+    }
+
+    #[test]
+    fn receivers_attach_in_root_path_delay_order() {
+        let ScaleTree {
+            tree,
+            link_delay_ns,
+        } = scale_tree(7, &ScaleShape::with_target_receivers(1_000));
+        for shards in [1u16, 2] {
+            let assign = build_assignment(&tree, shards);
+            for me in 0..shards {
+                let keys: Vec<(u64, NodeId)> = attach_order(&tree, &link_delay_ns, &assign, me)
+                    .map(|(r, d)| (d.as_nanos(), r))
+                    .collect();
+                for &(delay, r) in &keys {
+                    assert_eq!(delay, path_delay_ns(&tree, &link_delay_ns, r), "{r}");
+                }
+                assert!(
+                    keys.windows(2).all(|w| w[0] < w[1]),
+                    "{shards} shards, shard {me}: sorted by (delay, id)"
+                );
+                assert!(
+                    keys.windows(2).any(|w| w[0].1 > w[1].1),
+                    "{shards} shards, shard {me}: delay order differs from id order"
+                );
+                let mut ids: Vec<NodeId> = keys.iter().map(|&(_, r)| r).collect();
+                ids.sort_unstable();
+                let owned: Vec<NodeId> = tree
+                    .receivers()
+                    .iter()
+                    .copied()
+                    .filter(|r| assign[r.index()] == me)
+                    .collect();
+                assert!(
+                    !owned.is_empty(),
+                    "{shards} shards, shard {me} owns receivers"
+                );
+                assert_eq!(
+                    ids, owned,
+                    "{shards} shards, shard {me}: exactly its receivers"
+                );
+            }
+        }
     }
 
     #[test]

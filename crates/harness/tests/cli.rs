@@ -66,6 +66,12 @@ fn argument_errors_exit_2_with_usage_and_never_panic() {
         // Rungs run one way: in this process.
         (&["scale", "--in-process"], "unknown scale argument"),
         (&["scale", "--protocol", "tcp"], "unknown protocol"),
+        // Zero counts are errors, not a silent 1.
+        (&["--seeds", "0"], "--seeds requires a positive count"),
+        (
+            &["scale", "--rungs", "1000", "--shards", "0"],
+            "--shards requires a positive count",
+        ),
         (&["diff", "only-one.json"], "exactly two digest trails"),
         (&["diff", "--frobnicate", "a", "b"], "unknown diff argument"),
     ];
@@ -88,6 +94,34 @@ fn bench_compare_argument_errors_exit_2_with_usage_and_never_panic() {
         "usage: bench_compare",
         cases,
     );
+}
+
+/// A file of 200 000 `[`s is refused by both readers with a usage error:
+/// the parser caps nesting instead of recursing off the stack.
+#[test]
+fn deeply_nested_json_is_a_usage_error_not_a_stack_overflow() {
+    let dir = std::env::temp_dir().join(format!("cesrm-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).expect("file written");
+    let deep = deep.to_str().expect("utf-8 temp path");
+    assert_usage_errors(
+        env!("CARGO_BIN_EXE_reproduce"),
+        "usage: reproduce",
+        &[(
+            &["diff", deep, deep],
+            "is not valid JSON: nesting deeper than",
+        )],
+    );
+    assert_usage_errors(
+        env!("CARGO_BIN_EXE_bench_compare"),
+        "usage: bench_compare",
+        &[(
+            &["--baseline", deep, "--candidate", deep],
+            "is not valid JSON: nesting deeper than",
+        )],
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `--history` reads members no schema revision changed, so it lists a

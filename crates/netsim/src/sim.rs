@@ -124,6 +124,28 @@ struct LinkState {
     delay: SimDuration,
 }
 
+/// Per-node hot state: everything a hop reads about the node it lands on
+/// or leaves from, in one 32-byte record, so a hop touches one cache line
+/// of node state (two records share a line; none straddles one).
+struct NodeSlot {
+    /// The attached protocol agent, if any.
+    agent: Option<Box<dyn Agent>>,
+    /// The parent's node id, or `u32::MAX` for the root.
+    parent: u32,
+    /// CSR adjacency: the node's neighbours are `nbrs[nbr_start..nbr_end]`,
+    /// parent first then children — the same order as
+    /// [`MulticastTree::neighbors`], which the event sequence numbering
+    /// (and hence determinism) depends on.
+    nbr_start: u32,
+    nbr_end: u32,
+    /// Event-sequence counter: an event's key is `(owner << 32) | seq` of
+    /// its owner. Every push site has a natural owner (`Start`/`Timer`:
+    /// the node; `Hop`: the transmitting node), so keys depend only on that
+    /// node's own causal history — not on attach order, and not on how
+    /// nodes are spread over shards. See `docs/SCALING.md`.
+    seq: u32,
+}
+
 /// One simulation's always-on engine counters, collected after a run via
 /// [`Simulator::telemetry`]. Everything here is a pure function of the
 /// simulated event sequence — deterministic at any worker or shard count
@@ -201,9 +223,14 @@ impl EngineTelemetry {
 ///
 /// The hot path is data-oriented: in-flight packets live in a
 /// [`PacketArena`] and events carry 8-byte handles; the scheduler is a
-/// calendar queue over discrete nanosecond timestamps; per-link state is a
-/// dense struct-of-arrays and tree adjacency a CSR layout, so a flood hop
-/// touches contiguous memory and allocates nothing.
+/// calendar queue over discrete nanosecond timestamps; everything a hop
+/// reads about a node (agent, parent, adjacency range, event counter) sits
+/// in one 32-byte node record, per-link state in one record per link, and
+/// tree adjacency is a CSR layout, so a flood hop touches few cache lines
+/// and allocates nothing. The node records are indexed by node id; the
+/// agents they point to are heap blocks laid out in attach order, which is
+/// why the scale harness attaches receivers in flood-arrival order
+/// (`docs/SCALING.md`).
 pub struct Simulator {
     /// Shared so a sharded run's workers reference one tree instead of
     /// cloning a million-node structure per shard.
@@ -211,13 +238,8 @@ pub struct Simulator {
     cfg: NetConfig,
     now: SimTime,
     queue: CalendarQueue<EventKind>,
-    /// Per-node event-sequence counters: an event's key is
-    /// `(owner_node << 32) | counter[owner]`. Every push site has a natural
-    /// owner (`Start`/`Timer`: the node; `Hop`: the transmitting node), so
-    /// keys depend only on that node's own causal history — not on attach
-    /// order, and not on how nodes are spread over shards. See
-    /// `docs/SCALING.md`.
-    node_seq: Vec<u32>,
+    /// Per-node hot state indexed by node id; see [`NodeSlot`].
+    nodes: Vec<NodeSlot>,
     /// Lazily-seeded per-node generators ([`NodeRng`]): agent draws, loss
     /// draws and link jitter all come from the stream of the node that
     /// acts, so randomness too is a function of the node's own history.
@@ -233,20 +255,14 @@ pub struct Simulator {
     cancelled: Vec<u64>,
     /// Per-link hot state indexed by link head node (`LinkId::index`).
     links: Vec<LinkState>,
-    /// CSR adjacency: the neighbours of node `i` are
-    /// `nbrs[nbr_start[i]..nbr_start[i+1]]`, parent first then children —
-    /// the same order as [`MulticastTree::neighbors`], which the event
-    /// sequence numbering (and hence determinism) depends on.
-    nbr_start: Vec<u32>,
+    /// CSR adjacency targets, sliced by [`NodeSlot::nbr_start`]`..`
+    /// [`NodeSlot::nbr_end`].
     nbrs: Vec<NodeId>,
-    /// `parent[i]` is the parent's node id, or `u32::MAX` for the root.
-    parent: Vec<u32>,
     /// Transmission times precomputed per size class; identical to
     /// [`NetConfig::transmission_time`] of the respective byte counts.
     payload_tx: SimDuration,
     control_tx: SimDuration,
     arena: PacketArena,
-    agents: Vec<Option<Box<dyn Agent>>>,
     loss: Box<dyn LossProcess>,
     observer: Box<dyn SimObserver>,
     /// The run's observation handle; [`obs::Instruments::off`] by default.
@@ -286,23 +302,27 @@ impl Simulator {
     /// million-node tree without cloning it.
     pub fn new_shared(tree: Arc<MulticastTree>, cfg: NetConfig) -> Self {
         let n = tree.len();
-        let mut nbr_start = Vec::with_capacity(n + 1);
+        let mut nodes = Vec::with_capacity(n);
         let mut nbrs = Vec::new();
-        let mut parent = vec![u32::MAX; n];
-        for (i, slot) in parent.iter_mut().enumerate() {
-            nbr_start.push(u32::try_from(nbrs.len()).expect("adjacency overflow"));
+        let csr_len = |nbrs: &Vec<NodeId>| u32::try_from(nbrs.len()).expect("adjacency overflow");
+        for i in 0..n {
             let node = NodeId(u32::try_from(i).expect("node id overflow"));
-            if let Some(p) = tree.parent(node) {
-                *slot = p.0;
-                nbrs.push(p);
-            }
+            let nbr_start = csr_len(&nbrs);
+            let parent = tree.parent(node);
+            nbrs.extend(parent);
             nbrs.extend_from_slice(tree.children(node));
+            nodes.push(NodeSlot {
+                agent: None,
+                parent: parent.map_or(u32::MAX, |p| p.0),
+                nbr_start,
+                nbr_end: csr_len(&nbrs),
+                seq: 0,
+            });
         }
-        nbr_start.push(u32::try_from(nbrs.len()).expect("adjacency overflow"));
         Simulator {
             now: SimTime::ZERO,
             queue: CalendarQueue::new(),
-            node_seq: vec![0; n],
+            nodes,
             node_rngs: vec![None; n],
             shard: None,
             outbox: Vec::new(),
@@ -314,13 +334,10 @@ impl Simulator {
                     delay: cfg.link_delay,
                 })
                 .collect(),
-            nbr_start,
             nbrs,
-            parent,
             payload_tx: cfg.transmission_time(cfg.payload_bytes),
             control_tx: cfg.transmission_time(cfg.control_bytes),
             arena: PacketArena::new(),
-            agents: (0..n).map(|_| None).collect(),
             loss: Box::new(NoLoss),
             observer: Box::new(NullObserver),
             obs: obs::Instruments::off(),
@@ -447,7 +464,7 @@ impl Simulator {
     /// Read access to the agent at `node`, if any. Not available while that
     /// agent is being dispatched (it is temporarily detached).
     pub fn agent(&self, node: NodeId) -> Option<&dyn Agent> {
-        self.agents[node.index()].as_deref()
+        self.nodes[node.index()].agent.as_deref()
     }
 
     /// Read access to the concrete agent type at `node`; `None` when the
@@ -463,7 +480,7 @@ impl Simulator {
     /// node (routing is the network's job) but nothing is delivered or sent
     /// from it anymore; its pending timers fire into the void.
     pub fn detach_agent(&mut self, node: NodeId) -> Option<Box<dyn Agent>> {
-        self.agents[node.index()].take()
+        self.nodes[node.index()].agent.take()
     }
 
     /// Overrides the propagation delay of `link` (both directions),
@@ -525,11 +542,9 @@ impl Simulator {
     ///
     /// Panics if `node` already has an agent.
     pub fn attach_agent(&mut self, node: NodeId, agent: Box<dyn Agent>) {
-        assert!(
-            self.agents[node.index()].is_none(),
-            "node {node} already has an agent"
-        );
-        self.agents[node.index()] = Some(agent);
+        let slot = &mut self.nodes[node.index()].agent;
+        assert!(slot.is_none(), "node {node} already has an agent");
+        *slot = Some(agent);
         self.push(self.now, EventKind::Start { node }, node);
     }
 
@@ -638,20 +653,20 @@ impl Simulator {
     /// Runs `f` with the agent at `node` (if any) temporarily removed so the
     /// context can borrow the simulator mutably.
     fn with_agent<F: FnOnce(&mut dyn Agent, &mut Context<'_>)>(&mut self, node: NodeId, f: F) {
-        if let Some(mut agent) = self.agents[node.index()].take() {
+        if let Some(mut agent) = self.nodes[node.index()].agent.take() {
             let mut ctx = Context { sim: self, node };
             f(agent.as_mut(), &mut ctx);
-            self.agents[node.index()] = Some(agent);
+            self.nodes[node.index()].agent = Some(agent);
         }
     }
 
     /// Draws the next event key charged to `owner`:
-    /// `(owner << 32) | counter[owner]`. In sharded runs the owner's counter
+    /// `(owner << 32) | seq[owner]`. In sharded runs the owner's counter
     /// advances on exactly one shard (events are owned by the node that
     /// creates them), so the keys — and with them the total event order —
     /// are layout-invariant.
     fn alloc_seq(&mut self, owner: NodeId) -> u64 {
-        let slot = &mut self.node_seq[owner.index()];
+        let slot = &mut self.nodes[owner.index()].seq;
         let seq = (u64::from(owner.0) << 32) | u64::from(*slot);
         *slot = slot
             .checked_add(1)
@@ -793,9 +808,8 @@ impl Simulator {
     ) {
         self.fan_outs += 1;
         let stamp = if self.sampled { self.obs.stamp() } else { None };
-        let start = self.nbr_start[at.index()] as usize;
-        let end = self.nbr_start[at.index() + 1] as usize;
-        let parent = self.parent[at.index()];
+        let slot = &self.nodes[at.index()];
+        let (start, end, parent) = (slot.nbr_start as usize, slot.nbr_end as usize, slot.parent);
         for i in start..end {
             let nb = self.nbrs[i];
             if Some(nb) == from {
@@ -823,9 +837,9 @@ impl Simulator {
     ) {
         self.fan_outs += 1;
         let stamp = if self.sampled { self.obs.stamp() } else { None };
-        let has_parent = self.parent[at.index()] != u32::MAX;
-        let start = self.nbr_start[at.index()] as usize + usize::from(has_parent);
-        let end = self.nbr_start[at.index() + 1] as usize;
+        let slot = &self.nodes[at.index()];
+        let start = slot.nbr_start as usize + usize::from(slot.parent != u32::MAX);
+        let end = slot.nbr_end as usize;
         for i in start..end {
             let c = self.nbrs[i];
             self.transmit(at, c, packet, handle, PropMode::FloodDown, turning_point);
@@ -859,9 +873,9 @@ impl Simulator {
         mode: PropMode,
         turning_point: Option<NodeId>,
     ) {
-        let (link, dir, dir_idx) = if self.parent[b.index()] == a.0 {
+        let (link, dir, dir_idx) = if self.nodes[b.index()].parent == a.0 {
             (LinkId(b), Direction::Down, 1)
-        } else if self.parent[a.index()] == b.0 {
+        } else if self.nodes[a.index()].parent == b.0 {
             (LinkId(a), Direction::Up, 0)
         } else {
             panic!("transmit between non-adjacent nodes {a} and {b}");
@@ -988,7 +1002,7 @@ impl Simulator {
         packet: &Packet,
         turning_point: Option<NodeId>,
     ) {
-        if self.agents[node.index()].is_none() {
+        if self.nodes[node.index()].agent.is_none() {
             return;
         }
         self.deliveries += 1;
@@ -1622,6 +1636,18 @@ mod tests {
         assert_eq!(engine.timers_cancelled, 1);
         assert_eq!(engine.timers_voided, 1);
         assert_eq!(engine.queue.max_len, 2, "both timers pending at once");
+    }
+
+    #[test]
+    fn node_slot_fits_its_byte_budget() {
+        // Every hop reads the record of the node it lands on: at 32 bytes
+        // two share a cache line and none straddles one. Growing it should
+        // be a decision, not an accident — re-measure the 10⁵ rung first.
+        assert!(
+            std::mem::size_of::<NodeSlot>() <= 32,
+            "NodeSlot grew to {} bytes",
+            std::mem::size_of::<NodeSlot>()
+        );
     }
 
     #[test]

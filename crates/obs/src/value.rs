@@ -38,7 +38,7 @@ impl JsonValue {
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -258,12 +258,20 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded input (a file of `[`s) would overflow the stack;
+/// every report and trail we write nests fewer than ten levels.
+const MAX_DEPTH: usize = 256;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at offset {pos}"
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_str(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", JsonValue::Bool(false)),
@@ -353,7 +361,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -362,7 +370,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -375,7 +383,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -394,7 +402,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected `:` at offset {pos}"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -469,6 +477,21 @@ mod tests {
         for text in ["{", "[1,", r#"{"a"}"#, "tru", "1 2", ""] {
             assert!(JsonValue::parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep_obj = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&deep_obj).is_err());
+        assert!(JsonValue::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]
