@@ -5,15 +5,15 @@
 //!     [--traces 1,2,3] [--link-delay-ms MS] [--lossy-recovery]
 //!     [--jobs N] [--timings] [--seeds N] [--csv-dir DIR]
 //!     [--trace FILE] [--trace-filter seq=N|receiver=N|ev=NAME]
-//!     [--trace-slowest N]
-//!     [--health FILE] [--digest FILE]
-//!     [--bench-report FILE]
-//!     [--profile[=json|folded]] [--profile-out FILE]
+//!     [--trace-slowest N] [--digest FILE]
+//!     [--report FILE|-] [--profile] [--health]
 //!     [--overhead monitor,profile,digest] [--overhead-max-pct P]
 //! ```
 //!
-//! A malformed or unknown argument prints the problem plus the usage
-//! summary to stderr and exits with status 2.
+//! A malformed or unknown argument, or a flag that would have nothing to
+//! act on, prints the problem plus the usage summary to stderr and exits
+//! with status 2. Every file argument may name a directory that does not
+//! exist yet.
 //!
 //! At `--scale 1.0` (default) the full Table-1 packet counts are reenacted;
 //! use `--scale 0.1` for a quick pass with the same loss rates. The 28
@@ -26,17 +26,23 @@
 //! events (see `docs/TRACING.md`), writes them as JSONL to `FILE`
 //! (optionally narrowed by `--trace-filter`), and prints the provenance
 //! coverage plus the `--trace-slowest` (default 10) slowest recoveries.
+//! Both refinements need `--trace`.
 //!
-//! `--health FILE` runs every reenactment under the online invariant
-//! monitors (see `docs/MONITORS.md`), writes the machine-readable
-//! `cesrm-health/1` document to `FILE`, prints the human summary, and
-//! exits with status 4 if any invariant was violated.
-//!
-//! `--bench-report FILE` self-profiles every run through the `obs` metrics
-//! registry and writes the merged `cesrm-bench/2` JSON document (see
-//! `docs/METRICS.md`). Pass `-` for `FILE` to use the canonical
-//! `BENCH_<YYYYMMDD>.json` name in the working directory. The
+//! `--report FILE` self-profiles every run through the `obs` metrics
+//! registry and writes the one `cesrm-run/1` JSON document of this
+//! invocation (see `docs/METRICS.md`). Pass `-` for `FILE` to use the
+//! canonical `BENCH_<YYYYMMDD>.json` name in the working directory. The
 //! `bench_compare` binary diffs two such reports against thresholds.
+//!
+//! `--profile` runs the whole suite under the in-sim self-profiler and adds
+//! the merged per-phase attribution and engine telemetry to the report as
+//! its `profile` member (see `docs/PROFILING.md`); without `--report`
+//! nothing would be written, so that is a usage error.
+//!
+//! `--health` runs every reenactment under the online invariant monitors
+//! (see `docs/MONITORS.md`), prints the human summary, adds the verdict to
+//! the report as its `health` member, and exits with status 4 if any
+//! invariant was violated.
 //!
 //! `--overhead LAYER[,LAYER]` gates what an observation layer (`monitor`,
 //! `profile`, `digest`) costs: per layer it reenacts the suite a second
@@ -44,17 +50,8 @@
 //! the on-vs-off CPU-time overhead exceeds the layer's limit (monitor 5 %,
 //! profile 5 %, digest 2 %; `--overhead-max-pct P` overrides all three
 //! and is a usage error without `--overhead`;
-//! deltas under 50 ms are treated as timer noise). With `--bench-report`
-//! the monitor figure lands under `totals.monitor_overhead` and the
-//! profiler figure under `totals.profile.profiler_overhead`.
-//!
-//! `--profile` runs the whole suite under the in-sim self-profiler and
-//! emits the merged `cesrm-prof/2` document (see `docs/PROFILING.md`):
-//! per-phase time attribution, calendar-queue/arena/loss engine telemetry
-//! and the sampling stride. `--profile=folded` emits flamegraph-compatible
-//! folded stacks instead; `--profile-out FILE` writes the report to a file
-//! rather than stdout. When `--bench-report` is also set, the headline
-//! profile figures land under `totals.profile`.
+//! deltas under 50 ms are treated as timer noise). With `--report` each
+//! measurement lands under `totals.overhead.<layer>`.
 //!
 //! `--digest FILE` folds every run's canonical event stream into the
 //! hierarchical `cesrm-digest/1` trail (per-run → per-epoch → per-node ×
@@ -83,9 +80,8 @@
 //! ```text
 //! cargo run --release -p harness --bin reproduce -- scale
 //!     [--rungs N,N,...] [--shards N] [--protocol srm|cesrm] [--seed N]
-//!     [--packets N] [--losses N] [--csv FILE] [--bench-report FILE|-]
-//!     [--check-identity] [--no-identity] [--max-rss-mb N]
-//!     [--profile[=json|folded]] [--profile-out FILE] [--digest FILE]
+//!     [--packets N] [--csv FILE] [--report FILE|-] [--profile]
+//!     [--check-identity] [--no-identity] [--max-rss-mb N] [--digest FILE]
 //! ```
 //!
 //! Runs the scaling experiment of `docs/SCALING.md`: each rung simulates
@@ -96,10 +92,11 @@
 //! Rungs run in this process, smallest first, and the kernel's peak-RSS
 //! account is restarted before each, so every rung's peak-RSS figure is its
 //! own. Prints a per-rung table (events/s, peak RSS, bytes per receiver,
-//! recovery latency), optionally writes a CSV and a `cesrm-bench/2` report.
-//! Exits 3 when a rung's peak RSS exceeds `--max-rss-mb`, 4 on an invariant
-//! violation or unrecovered loss, and 1 when sharded results diverge from
-//! the unsharded canon.
+//! recovery latency), optionally writes a CSV and a `cesrm-run/1` report
+//! (`-` names it `BENCH_SCALE_<YYYYMMDD>.json`) with one `runs[]` row per
+//! rung. Exits 3 when a rung's peak RSS exceeds `--max-rss-mb`, 4 on an
+//! invariant violation or unrecovered loss, and 1 when sharded results
+//! diverge from the unsharded canon.
 //!
 //! `--digest FILE` runs every rung with the hierarchical digest on
 //! (epoch width = the sharding lookahead, so the merged trail is
@@ -109,31 +106,23 @@
 //! prints the bisected (epoch, node, bucket) window plus the aligned
 //! event diff from a pinned replay, instead of just two differing rows.
 //!
-//! `--profile` additionally runs every rung under the self-profiler and
-//! reports, per rung, the `cesrm-prof/2` document — including per-shard
-//! busy/barrier-wait times, cross-shard packet counts and the derived
-//! imbalance ratio on sharded rungs (`docs/SCALING.md` explains how to
-//! read it). With several rungs and `--profile-out FILE`, each rung's
-//! report goes to `FILE` with `-<receivers>` appended to the stem.
+//! `--profile` additionally runs every rung under the self-profiler, prints
+//! each rung's per-shard busy/barrier-wait times, cross-shard packet counts
+//! and imbalance ratio, and adds the rung's profile to its report row
+//! (`docs/SCALING.md` explains how to read it); it needs `--report`.
 
-use harness::{bench_report, run_suite, SuiteConfig, TraceFilter};
+use std::path::{Path, PathBuf};
 
-/// Output format of a `--profile` request.
-#[derive(Clone, Copy, PartialEq)]
-enum ProfFormat {
-    /// The `cesrm-prof/2` JSON document.
-    Json,
-    /// Flamegraph-compatible folded stacks.
-    Folded,
-}
+use harness::{run_suite, SuiteConfig, TraceFilter};
 
 /// A summary per entry point, printed under every argument error. The
 /// full flag reference is this file's module documentation.
 const USAGE: &str = "\
 usage: reproduce [--scale F] [--seed N] [--traces 1,2,3] [--jobs N] [--csv-dir DIR] [--trace FILE]
-                 [--health FILE] [--digest FILE] [--bench-report FILE] [--profile[=json|folded]]
+                 [--digest FILE] [--report FILE|-] [--profile] [--health]
                  [--overhead monitor,profile,digest] ...
-       reproduce scale [--rungs N,N,...] [--shards N] [--protocol srm|cesrm] [--csv FILE] ...
+       reproduce scale [--rungs N,N,...] [--shards N] [--protocol srm|cesrm] [--csv FILE]
+                 [--report FILE|-] [--profile] [--digest FILE] ...
        reproduce diff A.json B.json [--no-replay]";
 
 /// Reports a malformed command line — a missing or unparsable flag value,
@@ -187,8 +176,31 @@ impl<'a> Args<'a> {
             .collect()
     }
 
-    fn path(&mut self, flag: &str) -> std::path::PathBuf {
-        std::path::PathBuf::from(self.value(flag, "a path"))
+    fn path(&mut self, flag: &str) -> PathBuf {
+        PathBuf::from(self.value(flag, "a path"))
+    }
+
+    /// A `--report` path; `-` names the canonical `<prefix>_<YYYYMMDD>.json`
+    /// in the working directory.
+    fn report_path(&mut self, flag: &str, prefix: &str) -> PathBuf {
+        match self.value(flag, "a path or -") {
+            "-" => PathBuf::from(format!("{prefix}_{}.json", harness::utc_date_stamp())),
+            path => PathBuf::from(path),
+        }
+    }
+}
+
+/// Writes one output file, creating its missing parent directories; on
+/// failure reports the path and exits 1.
+fn write_output(path: &Path, bytes: impl AsRef<[u8]>) {
+    let written = match path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        Some(parent) => std::fs::create_dir_all(parent),
+        None => Ok(()),
+    }
+    .and_then(|()| std::fs::write(path, bytes));
+    if let Err(e) = written {
+        eprintln!("failed to write {}: {e}", path.display());
+        std::process::exit(1);
     }
 }
 
@@ -199,7 +211,7 @@ fn parse_or_usage<T: std::str::FromStr>(item: &str, flag: &str, what: &str, give
 }
 
 /// An observation layer whose on-vs-off cost `--overhead` can gate.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Layer {
     Monitor,
     Profile,
@@ -212,16 +224,23 @@ const OVERHEAD_NOISE_FLOOR_S: f64 = 0.05;
 impl std::str::FromStr for Layer {
     type Err = ();
     fn from_str(s: &str) -> Result<Layer, ()> {
-        match s {
-            "monitor" => Ok(Layer::Monitor),
-            "profile" => Ok(Layer::Profile),
-            "digest" => Ok(Layer::Digest),
-            _ => Err(()),
-        }
+        [Layer::Monitor, Layer::Profile, Layer::Digest]
+            .into_iter()
+            .find(|layer| layer.key() == s)
+            .ok_or(())
     }
 }
 
 impl Layer {
+    /// The `--overhead` spelling, also the layer's `totals.overhead` member.
+    fn key(self) -> &'static str {
+        match self {
+            Layer::Monitor => "monitor",
+            Layer::Profile => "profile",
+            Layer::Digest => "digest",
+        }
+    }
+
     fn name(self) -> &'static str {
         match self {
             Layer::Monitor => "monitor",
@@ -250,7 +269,7 @@ impl Layer {
     /// Reenacts the suite with this layer toggled the other way; both
     /// passes share seed and configuration, so the CPU delta is the layer's
     /// own work.
-    fn measure(self, cfg: &SuiteConfig, result: &harness::SuiteResult) -> harness::MonitorOverhead {
+    fn measure(self, cfg: &SuiteConfig, result: &harness::SuiteResult) -> harness::Overhead {
         let mut alt = cfg.clone();
         let switch = self.switch(&mut alt);
         let was_on = std::mem::replace(switch, !*switch);
@@ -266,7 +285,7 @@ impl Layer {
         } else {
             (&alt_result.timing, &result.timing)
         };
-        harness::MonitorOverhead {
+        harness::Overhead {
             wall_off_s: off.wall.as_secs_f64(),
             wall_on_s: on.wall.as_secs_f64(),
             cpu_off_s: off.cpu_total().as_secs_f64(),
@@ -382,17 +401,14 @@ fn replay_divergence(div: &harness::Divergence) -> Option<String> {
 
 fn suite_main(argv: &[String]) {
     let mut cfg = SuiteConfig::paper_default();
-    let mut csv_dir: Option<std::path::PathBuf> = None;
+    let mut csv_dir: Option<PathBuf> = None;
     let mut seeds: u32 = 1;
     let mut timings = false;
-    let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut trace_filter = TraceFilter::default();
-    let mut trace_slowest: usize = 10;
-    let mut bench_path: Option<std::path::PathBuf> = None;
-    let mut health_path: Option<std::path::PathBuf> = None;
-    let mut profile: Option<ProfFormat> = None;
-    let mut profile_out: Option<std::path::PathBuf> = None;
-    let mut digest_path: Option<std::path::PathBuf> = None;
+    let mut trace_path: Option<PathBuf> = None;
+    let mut trace_filter: Option<TraceFilter> = None;
+    let mut trace_slowest: Option<usize> = None;
+    let mut report_path: Option<PathBuf> = None;
+    let mut digest_path: Option<PathBuf> = None;
     let mut overhead_layers: Vec<Layer> = Vec::new();
     let mut overhead_max_pct: Option<f64> = None;
     let mut args = Args(argv.iter());
@@ -430,26 +446,18 @@ fn suite_main(argv: &[String]) {
             }
             "--trace-filter" => {
                 let expr = args.value(flag, "seq=N, receiver=N or ev=NAME");
-                trace_filter = TraceFilter::parse(expr)
-                    .unwrap_or_else(|e| usage_error(&format!("bad --trace-filter: {e}")));
+                trace_filter = Some(
+                    TraceFilter::parse(expr)
+                        .unwrap_or_else(|e| usage_error(&format!("bad --trace-filter: {e}"))),
+                );
             }
-            "--trace-slowest" => trace_slowest = args.parsed(flag, "a count"),
-            "--bench-report" => {
-                let path = args.value(flag, "a path or -");
-                bench_path = Some(if path == "-" {
-                    std::path::PathBuf::from(format!("BENCH_{}.json", harness::utc_date_stamp()))
-                } else {
-                    std::path::PathBuf::from(path)
-                });
+            "--trace-slowest" => trace_slowest = Some(args.parsed(flag, "a count")),
+            "--report" => {
+                report_path = Some(args.report_path(flag, "BENCH"));
                 cfg.collect_metrics = true;
             }
-            "--health" => {
-                health_path = Some(args.path(flag));
-                cfg.monitor = true;
-            }
-            "--profile" | "--profile=json" => profile = Some(ProfFormat::Json),
-            "--profile=folded" => profile = Some(ProfFormat::Folded),
-            "--profile-out" => profile_out = Some(args.path(flag)),
+            "--profile" => cfg.profile = true,
+            "--health" => cfg.monitor = true,
             "--digest" => {
                 digest_path = Some(args.path(flag));
                 cfg.digest = true;
@@ -459,13 +467,20 @@ fn suite_main(argv: &[String]) {
             other => usage_error(&format!("unknown argument: {other}")),
         }
     }
-    if profile_out.is_some() && profile.is_none() {
-        usage_error("--profile-out requires --profile (nothing is profiled)");
+    if trace_path.is_none() {
+        if trace_filter.is_some() {
+            usage_error("--trace-filter requires --trace FILE (nothing is captured)");
+        }
+        if trace_slowest.is_some() {
+            usage_error("--trace-slowest requires --trace FILE (nothing is captured)");
+        }
+    }
+    if cfg.profile && report_path.is_none() {
+        usage_error("--profile requires --report FILE (nothing would be written)");
     }
     if overhead_max_pct.is_some() && overhead_layers.is_empty() {
         usage_error("--overhead-max-pct requires --overhead LAYER (nothing is gated)");
     }
-    cfg.profile = profile.is_some();
     eprintln!(
         "running suite: scale {:.3}, seed {}, link delay {}, lossy recovery {}, jobs {}",
         cfg.scale,
@@ -497,7 +512,8 @@ fn suite_main(argv: &[String]) {
         result.timing.cpu_total().as_secs_f64(),
     );
     if let Some(path) = trace_path {
-        match harness::write_jsonl(&path, &result.events, &trace_filter) {
+        let filter = trace_filter.unwrap_or_default();
+        match harness::write_jsonl(&path, &result.events, &filter) {
             Ok(lines) => eprintln!(
                 "wrote {} event lines ({} runs) to {}",
                 lines,
@@ -505,7 +521,7 @@ fn suite_main(argv: &[String]) {
                 path.display()
             ),
             Err(e) => {
-                eprintln!("failed to write trace: {e}");
+                eprintln!("failed to write {}: {e}", path.display());
                 std::process::exit(1);
             }
         }
@@ -519,13 +535,13 @@ fn suite_main(argv: &[String]) {
             cov.expedited,
             cov.fallback
         );
-        println!("{}", harness::slowest_text(&result.events, trace_slowest));
+        println!(
+            "{}",
+            harness::slowest_text(&result.events, trace_slowest.unwrap_or(10))
+        );
     }
     if let Some(path) = &digest_path {
-        if let Err(e) = harness::write_suite_digest(path, &cfg, &result) {
-            eprintln!("failed to write digest trail: {e}");
-            std::process::exit(1);
-        }
+        write_output(path, harness::suite_digest_json(&cfg, &result));
         let digested: u64 = result.digests.iter().map(|d| d.snapshot.count()).sum();
         eprintln!(
             "wrote {} digest trail ({} runs, {digested} records) to {}",
@@ -534,18 +550,7 @@ fn suite_main(argv: &[String]) {
             path.display()
         );
     }
-    let mut health_violations = 0;
-    if let Some(path) = &health_path {
-        if let Err(e) = harness::write_health(path, &cfg, &result) {
-            eprintln!("failed to write health report: {e}");
-            std::process::exit(1);
-        }
-        health_violations = result.total_violations();
-        eprintln!(
-            "wrote health report ({} monitored runs) to {}",
-            result.health.len(),
-            path.display()
-        );
+    if cfg.monitor {
         print!("{}", harness::health_text(&result));
     }
     if let Some(dir) = csv_dir {
@@ -557,76 +562,30 @@ fn suite_main(argv: &[String]) {
             }
         }
     }
-    let overheads: Vec<(Layer, harness::MonitorOverhead)> = overhead_layers
+    let overheads: Vec<(Layer, harness::Overhead)> = overhead_layers
         .iter()
         .map(|&layer| (layer, layer.measure(&cfg, &result)))
         .collect();
-    let overhead_of = |layer: Layer| overheads.iter().find(|(l, _)| *l == layer).map(|(_, o)| *o);
-    let merged_prof = harness::merge_suite_profs(&result.profs);
-    let profile_totals =
-        merged_prof
-            .as_ref()
-            .map(|(snapshot, wall_ns, _)| harness::ProfileTotals {
-                stride: snapshot.stride,
-                events: snapshot.events,
-                attributed_pct: snapshot.attributed_pct(*wall_ns),
-                overhead: overhead_of(Layer::Profile),
-            });
-    if let (Some(format), Some((snapshot, wall_ns, engine))) = (profile, merged_prof.as_ref()) {
-        let rendered = match format {
-            ProfFormat::Json => harness::prof_json(snapshot, Some(*wall_ns), Some(engine), &[]),
-            ProfFormat::Folded => harness::prof_folded(snapshot),
-        };
+    if cfg.profile {
+        let snapshot = result.merged_prof();
+        let wall: std::time::Duration = result.profs.iter().map(|p| p.wall).sum();
+        let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
         eprintln!(
             "profile: {} hot-loop events at stride {}, {:.1}% of the {:.3} s run wall-clock \
              attributed to named phases",
             snapshot.events,
             snapshot.stride,
-            snapshot.attributed_pct(*wall_ns),
-            *wall_ns as f64 / 1e9,
+            snapshot.attributed_pct(wall_ns),
+            wall.as_secs_f64(),
         );
-        if let Some(path) = &profile_out {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("failed to create {}: {e}", parent.display());
-                    std::process::exit(1);
-                }
-            }
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("failed to write profile: {e}");
-                std::process::exit(1);
-            }
-            eprintln!(
-                "wrote {} profile to {}",
-                match format {
-                    ProfFormat::Json => harness::PROF_SCHEMA,
-                    ProfFormat::Folded => "folded-stack",
-                },
-                path.display()
-            );
-        } else {
-            print!("{rendered}");
-        }
     }
-    if let Some(path) = bench_path {
-        let report = bench_report(
-            &cfg,
-            &result,
-            overhead_of(Layer::Monitor).as_ref(),
-            profile_totals.as_ref(),
-        );
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("failed to create {}: {e}", parent.display());
-                std::process::exit(1);
-            }
-        }
-        if let Err(e) = std::fs::write(&path, &report) {
-            eprintln!("failed to write bench report: {e}");
-            std::process::exit(1);
-        }
+    if let Some(path) = report_path {
+        let measured: Vec<(&str, harness::Overhead)> =
+            overheads.iter().map(|&(l, o)| (l.key(), o)).collect();
+        write_output(&path, harness::suite_report(&cfg, &result, &measured));
         eprintln!(
-            "wrote bench report ({} profiled runs, {} events) to {}",
+            "wrote {} report ({} profiled runs, {} events) to {}",
+            harness::RUN_SCHEMA,
             result.profiles.len(),
             result.total_events(),
             path.display()
@@ -671,8 +630,9 @@ fn suite_main(argv: &[String]) {
             sweep.retransmission_pct.mean, sweep.retransmission_pct.sd
         );
     }
-    if health_violations > 0 {
-        eprintln!("INVARIANT VIOLATIONS: {health_violations} (details in the health report)");
+    let violations = result.total_violations();
+    if violations > 0 {
+        eprintln!("INVARIANT VIOLATIONS: {violations} (details in the health summary above)");
         std::process::exit(4);
     }
 }
@@ -680,39 +640,6 @@ fn suite_main(argv: &[String]) {
 // ---------------------------------------------------------------------------
 // `reproduce scale`: the 10³→10⁶ receiver scaling sweep (docs/SCALING.md).
 // ---------------------------------------------------------------------------
-
-/// One rung's measurements: the runner's result plus what only this
-/// process can add — wall-clock, peak RSS and the digest trail fragment.
-struct RungOutcome {
-    /// The run's result, minus the digest snapshot `digest` was built from.
-    result: harness::ScaleResult,
-    wall: std::time::Duration,
-    peak_rss_bytes: u64,
-    /// The rung's `cesrm-digest/1` trail fragment (one `rungs[]` entry),
-    /// when the rung ran under `--digest`.
-    digest: Option<obs::JsonValue>,
-}
-
-impl RungOutcome {
-    fn events_per_sec(&self) -> f64 {
-        let wall_s = self.wall.as_secs_f64();
-        if wall_s > 0.0 {
-            self.result.events as f64 / wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// The rung's `cesrm-prof/2` document around its profiler `snapshot`.
-    fn profile_doc(&self, snapshot: &obs::ProfSnapshot) -> obs::JsonValue {
-        harness::prof_doc(
-            snapshot,
-            Some(u64::try_from(self.wall.as_nanos()).unwrap_or(u64::MAX)),
-            self.result.engine.as_ref(),
-            &self.result.shard_accounting,
-        )
-    }
-}
 
 fn protocol_from_name(name: &str) -> harness::Protocol {
     match name {
@@ -747,7 +674,7 @@ fn peak_rss_bytes() -> u64 {
 }
 
 /// Runs one rung and measures it.
-fn run_rung(cfg: &harness::ScaleConfig) -> RungOutcome {
+fn run_rung(cfg: &harness::ScaleConfig) -> harness::RungOutcome {
     reset_peak_rss();
     // simlint: allow(D002, reason = "per-rung wall-clock for the events/s figure; never feeds simulation state")
     let started = std::time::Instant::now();
@@ -762,7 +689,7 @@ fn run_rung(cfg: &harness::ScaleConfig) -> RungOutcome {
     // run on top of both.
     result.digest = None;
     result.digest_groups = Vec::new();
-    RungOutcome {
+    harness::RungOutcome {
         result,
         wall,
         peak_rss_bytes,
@@ -770,63 +697,14 @@ fn run_rung(cfg: &harness::ScaleConfig) -> RungOutcome {
     }
 }
 
-fn rung_json(o: &RungOutcome, protocol: &str) -> obs::JsonValue {
-    use obs::JsonValue as J;
-    let r = &o.result;
-    J::Obj(vec![
-        ("schema".into(), J::Str("cesrm-scale-rung/1".into())),
-        ("receivers".into(), J::Num(r.receivers as f64)),
-        ("shards".into(), J::Num(f64::from(r.shards))),
-        ("epochs".into(), J::Num(r.epochs as f64)),
-        ("protocol".into(), J::Str(protocol.into())),
-        // The runner attaches the monitors it was asked for only unsharded.
-        ("monitored".into(), J::Bool(r.violations.is_some())),
-        (
-            "violations".into(),
-            r.violations.map_or(J::Null, |v| J::Num(v as f64)),
-        ),
-        ("csv".into(), J::Str(r.csv_row())),
-        ("events".into(), J::Num(r.events as f64)),
-        ("detected".into(), J::Num(r.detected as f64)),
-        ("recovered".into(), J::Num(r.recovered as f64)),
-        ("unrecovered".into(), J::Num(r.unrecovered as f64)),
-        ("expedited".into(), J::Num(r.expedited as f64)),
-        ("mean_latency_ns".into(), J::Num(r.mean_latency_ns as f64)),
-        (
-            "control_crossings".into(),
-            J::Num(r.control_crossings as f64),
-        ),
-        ("state_bytes".into(), J::Num(r.state_bytes as f64)),
-        (
-            "state_bytes_per_receiver".into(),
-            J::Num(r.state_bytes_per_receiver() as f64),
-        ),
-        ("wall_s".into(), J::Num(o.wall.as_secs_f64())),
-        ("events_per_sec".into(), J::Num(o.events_per_sec())),
-        ("peak_rss_bytes".into(), J::Num(o.peak_rss_bytes as f64)),
-        // "profile" is in `harness::VOLATILE_FIELDS`, so bench comparison
-        // strips the embedded cesrm-prof/2 document.
-        (
-            "profile".into(),
-            r.prof.as_ref().map_or(J::Null, |s| o.profile_doc(s)),
-        ),
-    ])
-}
-
-/// Prints each profiled rung's per-shard accounting summary (busy and
-/// barrier-wait time, cross-shard packets, imbalance ratio) and emits its
-/// `cesrm-prof/2` (or folded-stack) report. With several profiled rungs
-/// and a `--profile-out` base path, each rung's file gets `-<receivers>`
-/// appended to the stem.
-fn emit_scale_profiles(
-    outcomes: &[RungOutcome],
-    format: ProfFormat,
-    out: Option<&std::path::Path>,
-) {
-    let multi = outcomes.iter().filter(|o| o.result.prof.is_some()).count() > 1;
-    for o in outcomes {
-        let r = &o.result;
-        let Some(snapshot) = &r.prof else { continue };
+/// Prints each profiled rung's per-shard accounting summary: busy and
+/// barrier-wait time, cross-shard packets and the imbalance ratio.
+fn print_shard_accounting(outcomes: &[harness::RungOutcome]) {
+    for r in outcomes
+        .iter()
+        .map(|o| &o.result)
+        .filter(|r| r.prof.is_some())
+    {
         eprintln!(
             "scale rung {}: per-shard accounting over {} epoch(s), imbalance ratio {}:",
             r.receivers,
@@ -848,81 +726,7 @@ fn emit_scale_profiles(
                 a.packets_received,
             );
         }
-        let rendered = match format {
-            ProfFormat::Json => {
-                let mut text = o.profile_doc(snapshot).to_string_pretty();
-                text.push('\n');
-                text
-            }
-            ProfFormat::Folded => harness::prof_folded(snapshot),
-        };
-        match out {
-            Some(base) => {
-                let path = if multi {
-                    let stem = base
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_default();
-                    let ext = base
-                        .extension()
-                        .map(|e| format!(".{}", e.to_string_lossy()))
-                        .unwrap_or_default();
-                    base.with_file_name(format!("{stem}-{}{ext}", r.receivers))
-                } else {
-                    base.to_path_buf()
-                };
-                if let Err(e) = std::fs::write(&path, &rendered) {
-                    eprintln!("failed to write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-                eprintln!("wrote rung {} profile to {}", r.receivers, path.display());
-            }
-            None => print!("{rendered}"),
-        }
     }
-}
-
-/// Builds the `cesrm-bench/2` document for a scale sweep: deterministic
-/// per-rung rows plus the volatile wall-clock/throughput/RSS figures
-/// (`wall_s`, `events_per_sec` and `peak_rss_bytes` are in
-/// [`harness::VOLATILE_FIELDS`], so `bench_compare` strips them).
-fn scale_bench_doc(rungs: &[RungOutcome], protocol: &str, seed: u64) -> String {
-    use obs::JsonValue as J;
-    let wall_s: f64 = rungs.iter().map(|r| r.wall.as_secs_f64()).sum();
-    let events: u64 = rungs.iter().map(|r| r.result.events).sum();
-    let suite = J::obj(vec![
-        ("mode", J::str_val("scale")),
-        ("protocol", J::str_val(protocol)),
-        ("seed", J::uint(seed)),
-        (
-            "rungs",
-            J::Arr(rungs.iter().map(|r| J::uint(r.result.receivers)).collect()),
-        ),
-    ]);
-    let totals = J::obj(vec![
-        ("runs", J::uint(rungs.len() as u64)),
-        ("wall_s", J::Num(wall_s)),
-        ("events", J::uint(events)),
-        (
-            "events_per_sec",
-            J::Num(if wall_s > 0.0 {
-                events as f64 / wall_s
-            } else {
-                0.0
-            }),
-        ),
-    ]);
-    let scale = J::Arr(rungs.iter().map(|r| rung_json(r, protocol)).collect());
-    let doc = J::obj(vec![
-        ("schema", J::str_val(harness::BENCH_SCHEMA)),
-        ("created", J::Str(harness::utc_date_iso())),
-        ("suite", suite),
-        ("totals", totals),
-        ("scale", scale),
-    ]);
-    let mut text = doc.to_string_pretty();
-    text.push('\n');
-    text
 }
 
 /// `reproduce scale`: sweeps 10³→10⁶ receivers on generated multi-level
@@ -935,14 +739,13 @@ fn scale_main(argv: &[String]) {
     let mut protocol = "cesrm";
     let mut seed: u64 = 7;
     let mut packets: u64 = 12;
-    let mut csv_path: Option<std::path::PathBuf> = None;
-    let mut bench_path: Option<std::path::PathBuf> = None;
+    let mut csv_path: Option<PathBuf> = None;
+    let mut report_path: Option<PathBuf> = None;
     let mut check_identity_all = false;
     let mut skip_identity = false;
     let mut max_rss_mb: Option<u64> = None;
-    let mut profile: Option<ProfFormat> = None;
-    let mut profile_out: Option<std::path::PathBuf> = None;
-    let mut digest_path: Option<std::path::PathBuf> = None;
+    let mut profile = false;
+    let mut digest_path: Option<PathBuf> = None;
     let mut args = Args(argv.iter());
     while let Some(flag) = args.next_flag() {
         match flag {
@@ -957,30 +760,18 @@ fn scale_main(argv: &[String]) {
             "--seed" => seed = args.parsed(flag, "an integer"),
             "--packets" => packets = args.positive(flag, "a positive count"),
             "--csv" => csv_path = Some(args.path(flag)),
-            "--bench-report" => {
-                let path = args.value(flag, "a path or -");
-                bench_path = Some(if path == "-" {
-                    std::path::PathBuf::from(format!(
-                        "BENCH_SCALE_{}.json",
-                        harness::utc_date_stamp()
-                    ))
-                } else {
-                    std::path::PathBuf::from(path)
-                });
-            }
+            "--report" => report_path = Some(args.report_path(flag, "BENCH_SCALE")),
             "--check-identity" => check_identity_all = true,
             "--no-identity" => skip_identity = true,
-            "--profile" | "--profile=json" => profile = Some(ProfFormat::Json),
-            "--profile=folded" => profile = Some(ProfFormat::Folded),
-            "--profile-out" => profile_out = Some(args.path(flag)),
+            "--profile" => profile = true,
             "--max-rss-mb" => max_rss_mb = Some(args.parsed(flag, "a size in MiB")),
             "--digest" => digest_path = Some(args.path(flag)),
             other => usage_error(&format!("unknown scale argument: {other}")),
         }
     }
     protocol_from_name(protocol); // validate early
-    if profile_out.is_some() && profile.is_none() {
-        usage_error("--profile-out requires --profile (nothing is profiled)");
+    if profile && report_path.is_none() {
+        usage_error("--profile requires --report FILE (nothing would be written)");
     }
     rungs.sort_unstable();
     rungs.dedup();
@@ -998,7 +789,7 @@ fn scale_main(argv: &[String]) {
         }
     };
 
-    let mut outcomes: Vec<RungOutcome> = Vec::new();
+    let mut outcomes: Vec<harness::RungOutcome> = Vec::new();
     let mut identity_failures = 0u32;
     for (i, &receivers) in rungs.iter().enumerate() {
         let mut cfg = harness::ScaleConfig::rung(receivers);
@@ -1007,7 +798,7 @@ fn scale_main(argv: &[String]) {
         cfg.protocol = protocol_from_name(protocol);
         cfg.shards = auto_shards(receivers);
         cfg.monitor = receivers <= 10_000 && cfg.shards == 1;
-        cfg.profile = profile.is_some();
+        cfg.profile = profile;
         cfg.digest = digest_path.is_some();
         eprintln!(
             "scale rung {receivers}: shards {}, monitors {}...",
@@ -1119,10 +910,7 @@ fn scale_main(argv: &[String]) {
         );
     }
 
-    if let Some(format) = profile {
-        emit_scale_profiles(&outcomes, format, profile_out.as_deref());
-    }
-
+    print_shard_accounting(&outcomes);
     if let Some(path) = &csv_path {
         let mut text = String::from(harness::ScaleResult::csv_header());
         text.push('\n');
@@ -1130,23 +918,19 @@ fn scale_main(argv: &[String]) {
             text.push_str(&o.result.csv_row());
             text.push('\n');
         }
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        write_output(path, text);
         eprintln!(
             "wrote {} deterministic rows to {}",
             outcomes.len(),
             path.display()
         );
     }
-    if let Some(path) = &bench_path {
-        let doc = scale_bench_doc(&outcomes, protocol, seed);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote scale bench report to {}", path.display());
+    if let Some(path) = &report_path {
+        write_output(
+            path,
+            harness::scale_report(protocol, seed, packets, &outcomes),
+        );
+        eprintln!("wrote {} report to {}", harness::RUN_SCHEMA, path.display());
     }
     if let Some(path) = &digest_path {
         let fragments: Vec<obs::JsonValue> =
@@ -1159,11 +943,10 @@ fn scale_main(argv: &[String]) {
             );
             std::process::exit(1);
         }
-        let doc = harness::scale_digest_doc(protocol, seed, packets, fragments);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        write_output(
+            path,
+            harness::scale_digest_doc(protocol, seed, packets, fragments),
+        );
         eprintln!(
             "wrote {} digest trail ({} rungs) to {}",
             harness::DIGEST_SCHEMA,

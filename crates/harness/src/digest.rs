@@ -12,8 +12,9 @@
 //! two captured streams side by side with the first divergent event
 //! marked. `docs/DEBUGGING.md` walks through the whole flow.
 //!
-//! Schema invariants (the `cesrm-digest/1` contract, locked by simlint
-//! D009):
+//! Schema invariants (the `cesrm-digest/1` contract; `tests/schema_locks.rs`
+//! renders a suite and a scale trail and pins their key paths in
+//! `schemas/cesrm-digest-1.lock`):
 //!
 //! - **Member order is fixed** (the `obs::JsonValue` object model is
 //!   ordered), so equal runs produce byte-equal documents.
@@ -23,9 +24,6 @@
 //!   clock or the worker count, so two runs of the same configuration are
 //!   byte-identical at any `--jobs`/shard setting (asserted in
 //!   `tests/digests.rs`).
-
-use std::io::{self, Write as _};
-use std::path::Path;
 
 use obs::{DigestSnapshot, JsonValue, Record};
 
@@ -168,16 +166,6 @@ pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
     let mut text = doc.to_string_pretty();
     text.push('\n');
     text
-}
-
-/// Writes [`suite_digest_json`] to `path`, creating parent directories.
-pub fn write_suite_digest(path: &Path, cfg: &SuiteConfig, result: &SuiteResult) -> io::Result<()> {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut out = std::fs::File::create(path)?;
-    out.write_all(suite_digest_json(cfg, result).as_bytes())?;
-    out.flush()
 }
 
 /// Renders one scale rung's digest levels as a trail fragment: the rung

@@ -32,11 +32,14 @@
 //! `capture_events`) as JSONL and prints the provenance coverage plus the
 //! slowest recoveries ([`tracing`]); schema in `docs/TRACING.md`.
 //!
-//! `--health FILE` runs every reenactment under the online invariant
-//! monitors (the `obs::monitor` module; [`SuiteConfig`]'s `monitor`),
-//! writes a machine-readable health report ([`health`], schema
-//! `cesrm-health/1` in `docs/MONITORS.md`) and exits non-zero on any
-//! invariant violation.
+//! `--health` runs every reenactment under the online invariant monitors
+//! (the `obs::monitor` module; [`SuiteConfig`]'s `monitor`), prints the
+//! verdict ([`health_text`]) and exits non-zero on any invariant violation.
+//!
+//! `--report FILE` writes the one machine-readable run report
+//! ([`report`], schema `cesrm-run/1` in `docs/METRICS.md`): workload,
+//! totals, counters and per-run rows, plus the `--profile` self-profile
+//! and the `--health` verdict when those ran.
 //!
 //! Beyond the paper's 12-receiver traces, the [`scale`] module runs the
 //! same protocols on 10³–10⁶-receiver trees (`reproduce scale`):
@@ -47,35 +50,30 @@
 //! unsharded rungs) invariant-monitor outcomes. Model and measured
 //! footprints: `docs/SCALING.md`.
 
-pub mod bench_report;
 mod csv;
 pub mod digest;
 mod experiment;
-pub mod health;
+mod health;
 mod observe;
-mod prof_report;
 mod render;
+pub mod report;
 pub mod runner;
 pub mod scale;
 mod suite;
 mod sweep;
 pub mod tracing;
 
-pub use bench_report::{
-    bench_report, compare_reports, strip_volatile, utc_date_iso, utc_date_stamp, BenchComparison,
-    BenchThresholds, MonitorOverhead, ProfileTotals, BENCH_SCHEMA, VOLATILE_FIELDS,
-};
 pub use digest::{
     aligned_event_diff, diff_trails, rung_digest_json, scale_digest_doc, suite_digest_json,
-    write_suite_digest, DiffOutcome, Divergence, ReplaySpec, WindowSink, DIGEST_SCHEMA,
+    DiffOutcome, Divergence, ReplaySpec, WindowSink, DIGEST_SCHEMA,
 };
 pub use experiment::{
     run_trace, run_trace_with, ExperimentConfig, Protocol, RecoverySample, RunMetrics,
 };
-pub use health::{health_json, health_text, write_health, HEALTH_SCHEMA};
-pub use prof_report::{
-    merge_suite_profs, prof_doc, prof_folded, prof_json, strip_prof_volatile, PROF_SCHEMA,
-    PROF_VOLATILE_FIELDS,
+pub use health::health_text;
+pub use report::{
+    scale_report, strip_volatile, suite_report, utc_date_stamp, Overhead, RungOutcome, RUN_SCHEMA,
+    VOLATILE_FIELDS,
 };
 pub use runner::{default_parallelism, resolve_jobs, run_indexed, RunTiming, SuiteTiming};
 pub use scale::{

@@ -119,7 +119,7 @@ pub struct ScaleConfig {
     pub losses: u32,
     /// Attach the I1–I6 invariant monitors (only honoured at `shards: 1`).
     pub monitor: bool,
-    /// Run the `cesrm-prof/2` self-profiler in every shard (see
+    /// Run the self-profiler in every shard (see
     /// `docs/PROFILING.md`). Each shard owns its `!Send` handle and ships
     /// only the plain-data snapshot back; measurements stay byte-identical
     /// to a profiler-off run.
@@ -253,7 +253,7 @@ pub struct ScaleResult {
     /// deterministic for a given shard count. Not part of the
     /// deterministic row or of equality.
     pub shard_accounting: Vec<ShardAccounting>,
-    /// Merged `cesrm-prof/2` profiler snapshot (shard-order fold; `None`
+    /// Merged profiler snapshot (shard-order fold; `None`
     /// unless [`ScaleConfig::profile`] was set). Call counts are
     /// deterministic for a given shard count; sampled nanoseconds are
     /// wall-clock. Not part of equality.

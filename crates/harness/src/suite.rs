@@ -260,7 +260,7 @@ impl RunProfile {
 }
 
 /// The self-profile of one (trace × protocol) reenactment under the
-/// `cesrm-prof/2` profiler (see `docs/PROFILING.md`): stride-sampled phase
+/// in-sim profiler (see `docs/PROFILING.md`): stride-sampled phase
 /// timings plus the engine's always-on telemetry counters. Call counts and
 /// telemetry are deterministic; only the sampled nanosecond tallies inside
 /// [`RunProf::snapshot`] depend on the machine.
@@ -341,7 +341,7 @@ pub struct SuiteResult {
     /// set. Kept out of [`TracePair`] so monitoring can never perturb the
     /// measurement comparisons.
     pub health: Vec<RunHealth>,
-    /// Per-run self-profiles from the `cesrm-prof/2` profiler, one per run
+    /// Per-run self-profiles from the in-sim profiler, one per run
     /// in slot order (SRM before CESRM per trace); empty unless
     /// [`SuiteConfig::profile`] was set. Kept out of [`TracePair`] so
     /// profiling can never perturb the measurement comparisons.
@@ -486,7 +486,7 @@ impl RunJob {
                 )
             },
         );
-        // simlint: allow(D002, reason = "attribution denominator for the cesrm-prof/2 report; never feeds simulation state")
+        // simlint: allow(D002, reason = "attribution denominator for the report's profile member; never feeds simulation state")
         let prof_started = Instant::now();
         let (metrics, engine) = run_planned(trace, plan, self.protocol, &self.experiment, &handle);
         let prof_wall = prof_started.elapsed();

@@ -61,6 +61,46 @@ fn argument_errors_exit_2_with_usage_and_never_panic() {
         (&["--frobnicate"], "unknown argument: --frobnicate"),
         // Comparing reports is `bench_compare`'s job alone.
         (&["--baseline", "x"], "unknown argument: --baseline"),
+        // Trace refinements with nothing captured to refine.
+        (
+            &["--trace-slowest", "3", "--scale", "0.01", "--traces", "2"],
+            "--trace-slowest requires --trace",
+        ),
+        (
+            &[
+                "--trace-filter",
+                "seq=3",
+                "--scale",
+                "0.01",
+                "--traces",
+                "2",
+            ],
+            "--trace-filter requires --trace",
+        ),
+        // A profile goes into the one report, so it needs one.
+        (
+            &["--profile", "--scale", "0.01", "--traces", "2"],
+            "--profile requires --report",
+        ),
+        (
+            &["scale", "--rungs", "1000", "--profile"],
+            "--profile requires --report",
+        ),
+        // One report flag; the profile and health sections are switches.
+        (
+            &["--bench-report", "x.json"],
+            "unknown argument: --bench-report",
+        ),
+        (&["--profile=folded"], "unknown argument: --profile=folded"),
+        (
+            &["--profile-out", "p.json"],
+            "unknown argument: --profile-out",
+        ),
+        (&["--health", "h.json"], "unknown argument: h.json"),
+        (
+            &["scale", "--losses", "4"],
+            "unknown scale argument: --losses",
+        ),
         (&["scale", "--rungs", "1000,x"], "--rungs requires"),
         (&["scale", "--frobnicate"], "unknown scale argument"),
         // Rungs run one way: in this process.
@@ -124,24 +164,53 @@ fn deeply_nested_json_is_a_usage_error_not_a_stack_overflow() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--history` reads members no schema revision changed, so it lists a
-/// `/1` report next to a current one; anything else is skipped by name.
+/// `--history` reads members no schema revision changed, so it lists
+/// `cesrm-bench/*` reports next to `cesrm-run/*` ones, reading the mode
+/// from `workload.mode` or the legacy `suite.mode`; anything else is
+/// skipped by name.
 #[test]
-fn bench_history_lists_every_cesrm_bench_revision() {
+fn bench_history_lists_every_report_revision() {
     let dir = std::env::temp_dir().join(format!("cesrm-history-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let report = |schema: &str, created: &str| {
+    let report = |schema: &str, created: &str, section: &str| {
         format!(
-            r#"{{"schema":"{schema}","created":"{created}","suite":{{}},
+            r#"{{"schema":"{schema}","created":"{created}",{section},
                "totals":{{"runs":2,"events":1000,"wall_s":0.5,"events_per_sec":2000}}}}"#
         )
     };
-    for (name, schema, created) in [
-        ("BENCH_20260101.json", "cesrm-bench/1", "2026-01-01"),
-        ("BENCH_20260102.json", harness::BENCH_SCHEMA, "2026-01-02"),
-        ("BENCH_20260103.json", "cesrm-prof/2", "2026-01-03"),
+    for (name, schema, created, section) in [
+        (
+            "BENCH_20260101.json",
+            "cesrm-bench/1",
+            "2026-01-01",
+            r#""suite":{}"#,
+        ),
+        (
+            "BENCH_20260102.json",
+            "cesrm-bench/2",
+            "2026-01-02",
+            r#""suite":{}"#,
+        ),
+        (
+            "BENCH_20260103.json",
+            "cesrm-prof/2",
+            "2026-01-03",
+            r#""suite":{}"#,
+        ),
+        (
+            "BENCH_SCALE_20260102.json",
+            "cesrm-bench/2",
+            "2026-01-02",
+            r#""suite":{"mode":"scale"}"#,
+        ),
+        (
+            "BENCH_SCALE_20260104.json",
+            harness::RUN_SCHEMA,
+            "2026-01-04",
+            r#""workload":{"mode":"scale"}"#,
+        ),
     ] {
-        std::fs::write(dir.join(name), report(schema, created)).expect("report written");
+        std::fs::write(dir.join(name), report(schema, created, section)).expect("report written");
     }
     let out = Command::new(env!("CARGO_BIN_EXE_bench_compare"))
         .arg("--history")
@@ -154,10 +223,91 @@ fn bench_history_lists_every_cesrm_bench_revision() {
         String::from_utf8_lossy(&out.stderr),
     );
     assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(stdout.contains("2 reports"), "{stdout}");
+    assert!(stdout.contains("4 reports"), "{stdout}");
     assert!(
         stdout.contains("BENCH_20260101.json") && stdout.contains("BENCH_20260102.json"),
         "{stdout}"
     );
+    let scale_rows = stdout.lines().filter(|l| l.contains(" scale ")).count();
+    assert_eq!(scale_rows, 2, "{stdout}");
+    // The cesrm-run/1 scale row's deltas compare against the legacy one.
+    let run_row = stdout
+        .lines()
+        .find(|l| l.starts_with("BENCH_SCALE_20260104.json"))
+        .expect("cesrm-run/1 row listed");
+    assert!(run_row.contains("+0.0%"), "{run_row}");
     assert!(stderr.contains("skipping BENCH_20260103.json"), "{stderr}");
+}
+
+/// A suite baseline against a scale candidate measures two different
+/// workloads: the comparison refuses it (exit 1) and names both modes.
+#[test]
+fn bench_compare_refuses_unlike_workload_modes() {
+    let dir = std::env::temp_dir().join(format!("cesrm-modes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |mode: &str| {
+        let path = dir.join(format!("{mode}.json"));
+        let text = format!(
+            r#"{{"schema":"{}","workload":{{"mode":"{mode}"}},
+               "totals":{{"runs":1,"events":1000,"wall_s":0.5,"events_per_sec":2000}}}}"#,
+            harness::RUN_SCHEMA
+        );
+        std::fs::write(&path, text).expect("report written");
+        path
+    };
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_compare"))
+        .arg("--baseline")
+        .arg(path("suite"))
+        .arg("--candidate")
+        .arg(path("scale"))
+        .output()
+        .expect("the binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("suite-mode") && stderr.contains("scale-mode"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("PERF REGRESSION"), "{stderr}");
+}
+
+/// Every scale-mode writer creates the directories it writes into, as the
+/// suite-mode writers do.
+#[test]
+fn scale_outputs_land_in_fresh_nested_directories() {
+    let dir = std::env::temp_dir().join(format!("cesrm-scale-out-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let csv = dir.join("a/rows.csv");
+    let digest = dir.join("b/c/trail.json");
+    let report = dir.join("d/report.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["scale", "--rungs", "200", "--no-identity", "--profile"])
+        .arg("--csv")
+        .arg(&csv)
+        .arg("--digest")
+        .arg(&digest)
+        .arg("--report")
+        .arg(&report)
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(std::fs::read_to_string(&csv)
+        .expect("csv")
+        .starts_with("receivers,"));
+    let trail = std::fs::read_to_string(&digest).expect("digest trail");
+    assert!(trail.contains(harness::DIGEST_SCHEMA));
+    let doc = obs::JsonValue::parse(&std::fs::read_to_string(&report).expect("report"))
+        .expect("report is JSON");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        doc.get("schema").unwrap().as_str(),
+        Some(harness::RUN_SCHEMA)
+    );
+    let rung = &doc.get("runs").unwrap().as_arr().unwrap()[0];
+    assert!(
+        rung.get("profile").is_some(),
+        "profiled rung carries its profile"
+    );
 }

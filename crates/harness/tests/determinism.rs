@@ -195,12 +195,12 @@ fn monitoring_never_perturbs_measurements() {
     );
 }
 
-/// The suite-wide registry merge is associative, so the
-/// merged snapshot — and with it the whole volatile-stripped BENCH
-/// document — is identical at every worker count.
+/// The suite-wide registry merge is associative, so the merged snapshot
+/// — and with it the whole volatile-stripped run report, profile and
+/// health members included — is identical at every worker count.
 #[test]
-fn merged_metrics_and_bench_report_are_worker_count_invariant() {
-    let cfg = scaled_config().with_metrics();
+fn merged_metrics_and_run_report_are_worker_count_invariant() {
+    let cfg = scaled_config().with_metrics().with_profile().with_monitor();
     let serial = run_suite(&cfg.clone().with_jobs(1));
     let parallel = run_suite(&cfg.clone().with_jobs(4));
 
@@ -221,12 +221,13 @@ fn merged_metrics_and_bench_report_are_worker_count_invariant() {
     assert!(merged_s.counters["sim.events.hop"] > 0);
 
     // The full report agrees byte-for-byte once the documented volatile
-    // fields (wall-clock, throughput, jobs, created) are stripped.
-    let report_s = harness::bench_report(&cfg, &serial, None, None);
-    let report_p = harness::bench_report(&cfg, &parallel, None, None);
+    // fields (wall-clock, throughput, jobs, created, sampled times) are
+    // stripped.
+    let report_s = harness::suite_report(&cfg, &serial, &[]);
+    let report_p = harness::suite_report(&cfg, &parallel, &[]);
     assert_eq!(
         harness::strip_volatile(&report_s).unwrap(),
         harness::strip_volatile(&report_p).unwrap(),
-        "stripped BENCH documents must not depend on the worker count"
+        "stripped run reports must not depend on the worker count"
     );
 }

@@ -1,10 +1,10 @@
 //! End-to-end guarantees of the online invariant monitors: real suite
 //! runs violate none of the six protocol invariants (on every Table-1
-//! topology, across seeds), and the health report is a deterministic pure
-//! observer — byte-identical at any worker count, invisible to the
-//! measurements.
+//! topology, across seeds), and the `health` member of the run report is a
+//! deterministic pure observer — byte-identical at any worker count,
+//! invisible to the measurements.
 
-use harness::{health_json, health_text, run_suite, SuiteConfig};
+use harness::{health_text, run_suite, suite_report, SuiteConfig};
 use proptest::prelude::*;
 
 fn monitored(traces: Option<Vec<usize>>) -> SuiteConfig {
@@ -48,18 +48,22 @@ fn full_suite_is_violation_free_on_every_topology() {
     assert!(cesrm_hits > 0, "no cache traffic was checked");
 }
 
-/// The health document is a pure function of the configuration: same
+/// The `health` member is a pure function of the configuration: same
 /// bytes at `jobs = 1` and `jobs = 4`, with no stripping step (nothing in
-/// the schema reads the wall clock).
+/// it reads the wall clock).
 #[test]
 fn health_report_is_byte_identical_at_any_worker_count() {
-    let cfg = monitored(Some(vec![1, 4, 13]));
+    let cfg = monitored(Some(vec![1, 4, 13])).with_metrics();
     let serial = run_suite(&cfg.clone().with_jobs(1));
     let parallel = run_suite(&cfg.clone().with_jobs(4));
+    let health = |r: &harness::SuiteResult| {
+        let doc = obs::JsonValue::parse(&suite_report(&cfg, r, &[])).unwrap();
+        doc.get("health").unwrap().to_string_pretty()
+    };
     assert_eq!(
-        health_json(&cfg, &serial),
-        health_json(&cfg, &parallel),
-        "health documents must not depend on the worker count"
+        health(&serial),
+        health(&parallel),
+        "health members must not depend on the worker count"
     );
     assert_eq!(health_text(&serial), health_text(&parallel));
 }

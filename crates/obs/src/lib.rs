@@ -45,14 +45,15 @@
 //! * [`prof`] — the in-sim self-profiler ([`Setup::profile`]): exact,
 //!   deterministic per-phase call tallies plus stride-sampled wall-clock
 //!   timing, snapshotted into mergeable [`ProfSnapshot`]s and exported as
-//!   the `cesrm-prof/2` report / folded flamegraph stacks
+//!   the `profile` member of the `cesrm-run/1` report
 //!   (`docs/PROFILING.md`).
 //! * [`registry`] — the *runtime* half of observability: a per-simulation
 //!   metrics registry ([`Setup::metrics`]) of named counters, snapshotted
 //!   into mergeable [`MetricsSnapshot`]s for the perf baseline
 //!   (`BENCH_*.json`, schema in `docs/METRICS.md`).
 //! * [`value`] — a serde-free JSON document model ([`JsonValue`]) used by
-//!   the baseline comparator to read reports back.
+//!   the baseline comparator to read reports back, and [`lock`] — the
+//!   schema locks that pin each report's key paths by rendering it.
 //!
 //! This crate is dependency-free by design (node ids are `u32`, sequence
 //! numbers `u64`, timestamps nanoseconds since simulation start) so every
@@ -85,6 +86,7 @@ pub mod flight;
 mod fxhash;
 mod instruments;
 mod json;
+pub mod lock;
 pub mod monitor;
 pub mod prof;
 pub mod provenance;

@@ -136,7 +136,7 @@ impl Invariant {
         }
     }
 
-    /// Stable lowercase name used in `health.json`.
+    /// Stable lowercase name used in the report's `health` member.
     pub fn name(self) -> &'static str {
         match self {
             Invariant::Liveness => "liveness",
@@ -181,7 +181,7 @@ pub enum AnomalyKind {
 }
 
 impl AnomalyKind {
-    /// Stable lowercase name used in `health.json`.
+    /// Stable lowercase name used in the report's `health` member.
     pub fn name(self) -> &'static str {
         match self {
             AnomalyKind::RepairStorm => "repair-storm",

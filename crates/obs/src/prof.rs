@@ -1,4 +1,5 @@
-//! Low-overhead, deterministic-output self-profiler (`cesrm-prof/2`).
+//! Low-overhead, deterministic-output self-profiler (the `profile` member
+//! of the `cesrm-run/1` report).
 //!
 //! The simulator's hot path runs at ~100 ns/event, so per-event
 //! wall-clock instrumentation (two `Instant::now` calls per span) would
@@ -16,8 +17,8 @@
 //!   timed exactly with an `Instant` pair; the per-phase estimate is
 //!   `sampled_nanos × calls / timed_calls`, which self-normalizes (a
 //!   phase that ran only a handful of times is timed exactly). Timing
-//!   values are wall-clock and therefore **volatile**: the `cesrm-prof/2`
-//!   report nulls them before any byte-identity comparison.
+//!   values are wall-clock and therefore **volatile**: the report nulls
+//!   them before any byte-identity comparison.
 //!
 //! The tallies live in the run's [`crate::Instruments`] handle (per-run owned
 //! state, `Rc`-based and `!Send`; [`crate::Instruments::off`] compiles every touch
@@ -25,11 +26,11 @@
 //! merge associatively, so the parallel suite runner can combine per-run
 //! profiles in slot order with deterministic results.
 //!
-//! [`ProfSnapshot::folded`] renders the classic folded-stack format
-//! (`stack;frames value`) consumed by `flamegraph.pl` and `inferno`;
-//! the stack hierarchy is the static phase nesting of the engine
-//! ([`Phase::parent`]), with each node's value its estimated *self*
-//! time in nanoseconds.
+//! Each phase carries its folded-stack path ([`Phase::stack`], the static
+//! phase nesting of the engine via [`Phase::parent`]) and its estimated
+//! *self* time ([`ProfSnapshot::self_nanos`]), so the report's per-phase
+//! rows project straight onto the `stack;frames value` lines that
+//! `flamegraph.pl` and `inferno` consume (`docs/PROFILING.md`).
 
 use std::cell::Cell;
 use std::time::Instant;
@@ -42,7 +43,7 @@ pub const DEFAULT_PROF_STRIDE: u64 = 256;
 /// The fixed vocabulary of profiled engine phases.
 ///
 /// The enum is closed by design: a schema-stable report needs a stable
-/// phase list, and the folded-stack export needs a static nesting
+/// phase list, and folded stacks need a static nesting
 /// ([`Phase::parent`]). Phases form this tree:
 ///
 /// ```text
@@ -170,8 +171,8 @@ pub struct ProfStamp {
 
 impl ProfStamp {
     pub(crate) fn now() -> ProfStamp {
-        // simlint: allow(D002, reason = "sampled profiler timestamp; reaches only the volatile nanos fields of cesrm-prof/2, never simulation state")
-        // simlint: allow(D008, reason = "reachable from Simulator::run_until by design: the in-sim profiler stamps phases, and every nanos field it feeds is PROF_VOLATILE_FIELDS")
+        // simlint: allow(D002, reason = "sampled profiler timestamp; reaches only the volatile nanos fields of the report's profile member, never simulation state")
+        // simlint: allow(D008, reason = "reachable from Simulator::run_until by design: the in-sim profiler stamps phases, and every nanos field it feeds is in harness::VOLATILE_FIELDS")
         ProfStamp { at: Instant::now() }
     }
 
@@ -343,23 +344,6 @@ impl ProfSnapshot {
         }
         self.attributed_nanos() as f64 / wall_nanos as f64 * 100.0
     }
-
-    /// Folded-stack text (flamegraph-compatible): one line per phase
-    /// with calls, `<stack> <self-nanos>`, in the fixed [`Phase::ALL`]
-    /// order — deterministic line *set* and ordering, volatile values.
-    pub fn folded(&self) -> String {
-        let mut out = String::new();
-        for &phase in &Phase::ALL {
-            if self.phase(phase).calls == 0 {
-                continue;
-            }
-            out.push_str(&phase.stack());
-            out.push(' ');
-            out.push_str(&self.self_nanos(phase).to_string());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -455,24 +439,6 @@ mod tests {
         right.merge(&bc);
         assert_eq!(left, right);
         assert_eq!(left.phase(Phase::Deliver).calls, 2107);
-    }
-
-    #[test]
-    fn folded_export_walks_the_static_hierarchy() {
-        let mut s = ProfSnapshot::default();
-        let exact = |calls, nanos| PhaseTally {
-            calls,
-            timed: calls,
-            nanos,
-        };
-        s.phases[Phase::Run.index()] = exact(1, 10_000);
-        s.phases[Phase::FanOut.index()] = exact(5, 4_000);
-        s.phases[Phase::Transmit.index()] = exact(10, 3_000);
-        let folded = s.folded();
-        assert_eq!(
-            folded,
-            "run 6000\nrun;fan_out 1000\nrun;fan_out;transmit 3000\n"
-        );
     }
 
     #[test]

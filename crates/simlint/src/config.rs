@@ -33,11 +33,6 @@ pub struct Config {
     pub skip: Vec<String>,
     /// Default baseline file path, overridable with `--baseline`.
     pub baseline: Option<String>,
-    /// Directory holding `*.lock` schema snapshots (D009), repo-relative.
-    pub schema_lock_dir: Option<String>,
-    /// `(schema id, emitter scopes)` pairs from `[schemas]`. A scope is
-    /// `path/to/file.rs` or `path/to/file.rs#fn_name`.
-    pub schemas: Vec<(String, Vec<String>)>,
 }
 
 /// A configuration or baseline syntax error with its line number.
@@ -80,7 +75,7 @@ impl Config {
                     .ok_or_else(|| err(lineno, "unterminated section header"))?;
                 section = name.trim().to_string();
                 match section.as_str() {
-                    "simlint" | "allow" | "schemas" => {}
+                    "simlint" | "allow" => {}
                     other => return Err(err(lineno, format!("unknown section [{other}]"))),
                 }
                 continue;
@@ -106,23 +101,6 @@ impl Config {
                 ("simlint", "entry_points") => cfg.entry_points = parse_array(&value, lineno)?,
                 ("simlint", "skip") => cfg.skip = parse_array(&value, lineno)?,
                 ("simlint", "baseline") => cfg.baseline = Some(parse_string(&value, lineno)?),
-                ("schemas", "lock_dir") => {
-                    cfg.schema_lock_dir = Some(parse_string(&value, lineno)?);
-                }
-                ("schemas", id) => {
-                    // Schema ids contain `/`, so they are quoted keys.
-                    let id = id
-                        .strip_prefix('"')
-                        .and_then(|i| i.strip_suffix('"'))
-                        .ok_or_else(|| {
-                            err(
-                                lineno,
-                                format!("schema id must be a quoted key, got `{id}`"),
-                            )
-                        })?;
-                    cfg.schemas
-                        .push((id.to_string(), parse_array(&value, lineno)?));
-                }
                 ("allow", rule) => {
                     let id = RuleId::parse(rule)
                         .ok_or_else(|| err(lineno, format!("unknown rule id `{rule}`")))?;
@@ -333,18 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_sim_and_schema_sections() {
+    fn parses_sim_crates_and_entry_points() {
         let cfg = Config::parse(
             r#"
             [simlint]
             sim_crates = ["netsim", "srm"]
-            entry_points = ["Simulator::run_until", "on_packet"]
-
-            [schemas]
-            lock_dir = "crates/simlint/schemas"
-            "cesrm-bench/1" = ["crates/harness/src/bench_report.rs"]
-            "simlint/2" = [
-              "crates/simlint/src/report.rs",
+            entry_points = [
+              "Simulator::run_until",
+              "on_packet",
             ]
             "#,
         )
@@ -352,15 +326,8 @@ mod tests {
         assert!(cfg.is_sim_crate("netsim"));
         assert!(!cfg.is_sim_crate("harness"));
         assert_eq!(cfg.entry_points, vec!["Simulator::run_until", "on_packet"]);
-        assert_eq!(
-            cfg.schema_lock_dir.as_deref(),
-            Some("crates/simlint/schemas")
-        );
-        assert_eq!(cfg.schemas.len(), 2);
-        assert_eq!(cfg.schemas[0].0, "cesrm-bench/1");
-        assert_eq!(cfg.schemas[1].1, vec!["crates/simlint/src/report.rs"]);
-        // Unquoted schema ids are rejected (they contain `/`).
-        assert!(Config::parse("[schemas]\ncesrm = [\"x.rs\"]").is_err());
+        // Report schemas are locked by rendering them, not by this config.
+        assert!(Config::parse("[schemas]\n").is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! state and easy to break — one iteration over a `HashMap`, one
 //! `Instant::now()` in a simulation path, one `thread_rng()` — and the
 //! Table-1 reenactments, the slot-indexed parallel merge, trace capture,
-//! and the `cesrm-bench/2` baseline gate all silently rot. `simlint`
+//! and the `cesrm-run/1` baseline gate all silently rot. `simlint`
 //! enforces the contract mechanically.
 //!
 //! It is deliberately **dependency-free** (the workspace builds offline, so
@@ -14,17 +14,15 @@
 //! with the hand-rolled [lexer], parses it into a lightweight item/function
 //! [model], and links the whole workspace into a call [graph] with
 //! module-path symbol resolution; pass 2 runs the file-local token rules
-//! (`D001`–`D005`), the flow-aware rules over the graph (`D006` float
+//! (`D001`–`D005`) and the flow-aware rules over the graph (`D006` float
 //! accumulation order, `D007` shard safety, `D008` transitive wall-clock/
-//! entropy reachability), and the report-[schema] drift locks (`D009`).
-//! See `docs/LINTS.md` for the rule catalogue, suppression syntax, and the
-//! baseline/lock workflows.
+//! entropy reachability). See `docs/LINTS.md` for the rule catalogue,
+//! suppression syntax, and the baseline workflow.
 //!
 //! ```text
 //! cargo run --release -p simlint                    # human diagnostics
-//! cargo run --release -p simlint -- --json          # simlint/2 report
+//! cargo run --release -p simlint -- --json          # simlint/3 report
 //! cargo run --release -p simlint -- --explain D008  # rule catalogue entry
-//! cargo run --release -p simlint -- --write-schemas # refresh D009 locks
 //! ```
 //!
 //! The binary exits `0` when no *new* (non-baselined) findings exist, `1`
@@ -38,7 +36,6 @@ pub mod model;
 pub mod report;
 pub mod rules;
 pub mod scan;
-pub mod schema;
 
 pub use config::{Baseline, Config, ConfigError};
 pub use graph::{check_workspace, Workspace};
@@ -49,4 +46,3 @@ pub use rules::{
     apply_suppressions, check_file, crate_of, explain, token_findings, Finding, RuleId,
 };
 pub use scan::{load_workspace, scan_loaded, scan_workspace, LoadedWorkspace, ScanReport};
-pub use schema::{check_schemas, write_schemas, SchemaStatus};

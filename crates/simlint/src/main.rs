@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! simlint [--root DIR] [--config FILE] [--baseline FILE] [--json]
-//!         [--write-baseline] [--write-schemas] [--explain RULE]
+//!         [--write-baseline] [--explain RULE]
 //!         [--max-wall-ms N]
 //! ```
 //!
@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{explain, render_human, render_json, scan_loaded, schema, Baseline, Config, RuleId};
+use simlint::{explain, render_human, render_json, scan_loaded, Baseline, Config, RuleId};
 
 struct Args {
     root: PathBuf,
@@ -26,7 +26,6 @@ struct Args {
     baseline: Option<PathBuf>,
     json: bool,
     write_baseline: bool,
-    write_schemas: bool,
     explain: Option<String>,
     max_wall_ms: Option<u64>,
 }
@@ -38,7 +37,6 @@ fn parse_args() -> Result<Args, String> {
         baseline: None,
         json: false,
         write_baseline: false,
-        write_schemas: false,
         explain: None,
         max_wall_ms: None,
     };
@@ -52,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--json" => args.json = true,
             "--write-baseline" => args.write_baseline = true,
-            "--write-schemas" => args.write_schemas = true,
             "--explain" => {
                 args.explain = Some(it.next().ok_or("--explain requires a rule id")?);
             }
@@ -63,8 +60,8 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: simlint [--root DIR] [--config FILE] [--baseline FILE] \
-                            [--json] [--write-baseline] [--write-schemas] \
-                            [--explain RULE] [--max-wall-ms N]"
+                            [--json] [--write-baseline] [--explain RULE] \
+                            [--max-wall-ms N]"
                         .into(),
                 );
             }
@@ -123,17 +120,7 @@ fn run() -> Result<bool, String> {
     // simlint: allow(D002, reason = "the lint's own --max-wall-ms budget gate; a host-time read that never feeds simulation state")
     let t0 = std::time::Instant::now();
     let loaded = simlint::load_workspace(&args.root, &config)?;
-
-    if args.write_schemas {
-        let written = schema::write_schemas(&args.root, &loaded.ws, &config)?;
-        eprintln!("simlint: wrote {} schema lock(s):", written.len());
-        for w in &written {
-            eprintln!("  {w}");
-        }
-        return Ok(true);
-    }
-
-    let mut report = scan_loaded(&args.root, &loaded, &config, &baseline)?;
+    let mut report = scan_loaded(&loaded, &config, &baseline);
     report.elapsed_ms = t0.elapsed().as_millis() as u64;
 
     if args.write_baseline {

@@ -2,18 +2,17 @@
 //! source file, built from the hand-rolled [`crate::lexer`] token stream.
 //!
 //! This is *not* a parser for Rust — it is the minimum item/function model
-//! the flow rules (D006–D009) need, extracted with the same no-dependency
+//! the flow rules (D006–D008) need, extracted with the same no-dependency
 //! constraint as the lexer:
 //!
 //! - `use` declarations (aliases, nested `{…}` groups, `self::`/`crate::`
 //!   prefixes) feeding the call-graph resolver,
 //! - `fn` items with their impl self-type, parameter names/types, return
 //!   type text, body token span, and the calls made inside the body,
-//! - struct fields and `const NAME: … = ["…", …]` string arrays (the
-//!   schema-lock rule reads `*VOLATILE_FIELDS` through the latter),
+//! - struct fields (typed iteration sources for D006),
 //! - module-level `static mut` items (D007),
 //! - `#[cfg(test)]` item line spans, so test-only code is excluded from
-//!   flow analysis and schema extraction.
+//!   flow analysis.
 //!
 //! The model is intentionally forgiving: anything it cannot classify it
 //! skips, and the flow rules treat unresolved constructs conservatively.
@@ -37,8 +36,6 @@ pub struct FileModel {
     pub fns: Vec<FnModel>,
     /// Struct field name → type text (file-wide; later definitions win).
     pub fields: BTreeMap<String, String>,
-    /// `const NAME: … = ["a", "b"]` string arrays (e.g. `*VOLATILE_FIELDS`).
-    pub consts: BTreeMap<String, Vec<String>>,
     /// Lines of `static mut` items.
     pub static_muts: Vec<u32>,
     /// Inclusive line spans of `#[cfg(test)]` items.
@@ -160,7 +157,10 @@ impl<'m> Builder<'m> {
                 (TokKind::Ident, "impl") => i = self.impl_header(i),
                 (TokKind::Ident, "fn") => i = self.fn_item(i),
                 (TokKind::Ident, "struct") => i = self.struct_item(i),
-                (TokKind::Ident, "const") => i = self.const_item(i),
+                (TokKind::Ident, "const") => {
+                    self.pending_test = false;
+                    i += 1;
+                }
                 (TokKind::Ident, "static") => {
                     if self.tok_is(i + 1, "mut") {
                         self.m.static_muts.push(t.line);
@@ -389,50 +389,6 @@ impl<'m> Builder<'m> {
             .collect::<Vec<_>>()
             .join(" ");
         self.m.fields.insert(name.text.clone(), ty);
-    }
-
-    /// `const NAME: … = ["a", "b"];` — records pure string arrays.
-    fn const_item(&mut self, i: usize) -> usize {
-        let Some(name) = self.ident_at(i + 1).map(str::to_string) else {
-            self.pending_test = false;
-            return i + 1;
-        };
-        // Scan to the top-level `=`, skipping bracketed type groups —
-        // `[&str; 2]` contains both `[` and `;`.
-        let mut j = i + 2;
-        while j < self.m.code.len() && !self.tok_is(j, "=") && !self.tok_is(j, ";") {
-            if self.tok_is(j, "[") {
-                j = match_bracket(&self.m.code, j, "[", "]") + 1;
-            } else if self.tok_is(j, "(") {
-                j = match_bracket(&self.m.code, j, "(", ")") + 1;
-            } else {
-                j += 1;
-            }
-        }
-        // Accept both array (`= [...]`) and slice (`= &[...]`) initializers.
-        let mut open = j + 1;
-        if self.tok_is(open, "&") {
-            open += 1;
-        }
-        if !self.tok_is(j, "=") || !self.tok_is(open, "[") {
-            self.pending_test = false;
-            return i + 1;
-        }
-        let close = match_bracket(&self.m.code, open, "[", "]");
-        let inner = &self.m.code[open + 1..close.min(self.m.code.len())];
-        if inner
-            .iter()
-            .all(|t| t.kind == TokKind::Literal || t.text == ",")
-        {
-            let items: Vec<String> = inner
-                .iter()
-                .filter(|t| t.kind == TokKind::Literal)
-                .map(|t| t.text.clone())
-                .collect();
-            self.m.consts.insert(name, items);
-        }
-        self.pending_test = false;
-        close + 1
     }
 
     /// Any other braced item (`mod`, `enum`, `trait`): record a test span
@@ -793,10 +749,10 @@ mod tests {
     }
 
     #[test]
-    fn fields_consts_and_static_mut() {
+    fn fields_and_static_mut() {
         let m = model(
             "pub struct Acc { pub vals: Vec<f64>, total: f64 }\n\
-             pub const VOLATILE_FIELDS: [&str; 2] = [\"wall_s\", \"cpu_s\"];\n\
+             pub const FIELDS: [&str; 2] = [\"wall_s\", \"cpu_s\"];\n\
              pub const SLICE_FIELDS: &[&str] = &[\"created\"];\n\
              static mut COUNTER: u64 = 0;\n",
         );
@@ -805,14 +761,6 @@ mod tests {
             Some("Vec < f64 >")
         );
         assert_eq!(m.fields.get("total").map(String::as_str), Some("f64"));
-        assert_eq!(
-            m.consts.get("VOLATILE_FIELDS"),
-            Some(&vec!["wall_s".to_string(), "cpu_s".to_string()])
-        );
-        assert_eq!(
-            m.consts.get("SLICE_FIELDS"),
-            Some(&vec!["created".to_string()])
-        );
         assert_eq!(m.static_muts, vec![4]);
     }
 }

@@ -1,37 +1,36 @@
 //! Human-readable and `--json` machine-readable report rendering.
 //!
-//! The JSON schema is versioned as `simlint/2` and hand-rolled (the
+//! The JSON schema is versioned as `simlint/3` and hand-rolled (the
 //! workspace is offline; no serde). Shape:
 //!
 //! ```json
 //! {
-//!   "schema": "simlint/2",
+//!   "schema": "simlint/3",
 //!   "files_scanned": 123,
 //!   "fns_indexed": 456,
 //!   "elapsed_ms": 310,
 //!   "new": [{"rule": "D001", "file": "crates/…", "line": 45, "message": "…"}],
 //!   "baselined": [ …same shape… ],
 //!   "stale_baseline": [{"rule": "D001", "file": "crates/…", "count": 2}],
-//!   "schemas": [{"id": "cesrm-bench/1", "ok": true}],
 //!   "ok": true
 //! }
 //! ```
 //!
-//! `simlint/2` extends `simlint/1` with `fns_indexed` (pass-1 call-graph
-//! coverage), `elapsed_ms` (wall time, machine-dependent), and the per-
-//! schema D009 verdicts. `elapsed_ms` is the only machine-dependent field
-//! (see `SIMLINT_VOLATILE_FIELDS`); everything else is a pure function of
-//! the scanned tree.
+//! `simlint/3` is `simlint/2` without the per-schema `schemas` verdicts
+//! (report schemas are locked by tests that render them, not by a lint
+//! rule). `elapsed_ms` is the only machine-dependent field (see
+//! `SIMLINT_VOLATILE_FIELDS`); everything else is a pure function of the
+//! scanned tree. The key paths are pinned in `schemas/simlint-3.lock`.
 
 use crate::rules::Finding;
 use crate::scan::ScanReport;
 
-/// Version tag the JSON report carries; bump on breaking schema change
-/// (the D009 lock for this id is pinned like every other report format).
-pub const SIMLINT_SCHEMA: &str = "simlint/2";
+/// Version tag the JSON report carries; bump it whenever a key path
+/// changes (the lock test below fails until you do).
+pub const SIMLINT_SCHEMA: &str = "simlint/3";
 
-/// `simlint/2` fields that vary across machines/runs: compare-tooling must
-/// ignore them (mirrors `PROF_VOLATILE_FIELDS` in `cesrm-prof/2`).
+/// `simlint/3` fields that vary across machines/runs: compare-tooling must
+/// ignore them (as `VOLATILE_FIELDS` does for the `cesrm-run/1` report).
 pub const SIMLINT_VOLATILE_FIELDS: [&str; 1] = ["elapsed_ms"];
 
 /// Renders the human-readable report (one `file:line:` diagnostic per
@@ -63,7 +62,7 @@ pub fn render_human(report: &ScanReport) -> String {
     out
 }
 
-/// Renders the `simlint/2` JSON report.
+/// Renders the `simlint/3` JSON report.
 pub fn render_json(report: &ScanReport) -> String {
     let mut out = format!("{{\n  \"schema\": \"{SIMLINT_SCHEMA}\",\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
@@ -81,17 +80,6 @@ pub fn render_json(report: &ScanReport) -> String {
         out.push_str(&format!(
             "{{\"rule\": \"{rule}\", \"file\": \"{}\", \"count\": {count}}}",
             escape(file)
-        ));
-    }
-    out.push_str("],\n  \"schemas\": [");
-    for (i, s) in report.schemas.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"id\": \"{}\", \"ok\": {}}}",
-            escape(&s.id),
-            s.ok
         ));
     }
     out.push_str(&format!(
@@ -141,30 +129,20 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::rules::RuleId;
-    use crate::schema::SchemaStatus;
 
     fn sample() -> ScanReport {
+        let finding = |rule, line| Finding {
+            file: "crates/srm/src/core.rs".into(),
+            line,
+            rule,
+            message: "a \"quoted\" message".into(),
+        };
         ScanReport {
-            new: vec![Finding {
-                file: "crates/srm/src/core.rs".into(),
-                line: 45,
-                rule: RuleId::D001,
-                message: "a \"quoted\" message".into(),
-            }],
-            baselined: vec![],
+            new: vec![finding(RuleId::D001, 45)],
+            baselined: vec![finding(RuleId::D006, 60)],
             stale_baseline: vec![(RuleId::D002, "crates/x.rs".into(), 2)],
             files_scanned: 7,
             fns_indexed: 31,
-            schemas: vec![
-                SchemaStatus {
-                    id: "cesrm-bench/1".into(),
-                    ok: true,
-                },
-                SchemaStatus {
-                    id: "cesrm-prof/2".into(),
-                    ok: false,
-                },
-            ],
             elapsed_ms: 12,
         }
     }
@@ -183,14 +161,23 @@ mod tests {
     #[test]
     fn json_report_is_escaped_and_versioned() {
         let text = render_json(&sample());
-        assert!(text.contains("\"schema\": \"simlint/2\""));
+        assert!(text.contains("\"schema\": \"simlint/3\""));
         assert!(text.contains("\\\"quoted\\\""));
         assert!(text.contains("\"ok\": false"));
         assert!(text.contains("\"line\": 45"));
         assert!(text.contains("\"fns_indexed\": 31"));
         assert!(text.contains("\"elapsed_ms\": 12"));
-        assert!(text.contains("{\"id\": \"cesrm-bench/1\", \"ok\": true}"));
-        assert!(text.contains("{\"id\": \"cesrm-prof/2\", \"ok\": false}"));
         assert!(render_json(&ScanReport::default()).contains("\"ok\": true"));
+    }
+
+    /// The report's key paths and volatile list match the committed
+    /// `schemas/simlint-3.lock` (`obs::lock`, the check the harness
+    /// reports go through): a key change fails until the version moves.
+    #[test]
+    fn json_report_matches_its_lock() {
+        let doc = obs::JsonValue::parse(&render_json(&sample())).expect("the report is JSON");
+        let schemas = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../schemas");
+        obs::lock::check_lock(&schemas, &[doc], &SIMLINT_VOLATILE_FIELDS)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -45,13 +45,11 @@ pub enum RuleId {
     D007,
     /// Wall clock / OS entropy transitively reachable from the simulation.
     D008,
-    /// Report-emitter key set drifted from its committed schema lock.
-    D009,
 }
 
 impl RuleId {
     /// All rules, in id order.
-    pub const ALL: [RuleId; 9] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::D001,
         RuleId::D002,
         RuleId::D003,
@@ -60,10 +58,9 @@ impl RuleId {
         RuleId::D006,
         RuleId::D007,
         RuleId::D008,
-        RuleId::D009,
     ];
 
-    /// Parses `"D001"`…`"D009"`.
+    /// Parses `"D001"`…`"D008"`.
     pub fn parse(s: &str) -> Option<RuleId> {
         match s {
             "D001" => Some(RuleId::D001),
@@ -74,7 +71,6 @@ impl RuleId {
             "D006" => Some(RuleId::D006),
             "D007" => Some(RuleId::D007),
             "D008" => Some(RuleId::D008),
-            "D009" => Some(RuleId::D009),
             _ => None,
         }
     }
@@ -90,7 +86,6 @@ impl RuleId {
             RuleId::D006 => "float accumulation over unordered iteration in a state crate",
             RuleId::D007 => "shared mutable state reachable from a simulation entry point",
             RuleId::D008 => "wall clock or OS entropy reachable from the simulation",
-            RuleId::D009 => "report schema drifted from its committed lock",
         }
     }
 }
@@ -106,7 +101,6 @@ impl fmt::Display for RuleId {
             RuleId::D006 => "D006",
             RuleId::D007 => "D007",
             RuleId::D008 => "D008",
-            RuleId::D009 => "D009",
         })
     }
 }
@@ -172,10 +166,9 @@ struct Suppression {
 pub(crate) const ENTROPY_IDENTS: [&str; 4] = ["thread_rng", "OsRng", "from_entropy", "getrandom"];
 
 /// Evaluates the file-local token rules (D001–D004) against one file and
-/// applies the suppression engine. Flow rules (D006–D008) and schema locks
-/// (D009) live in [`crate::graph`] / [`crate::schema`]; the scan driver
-/// merges their findings into [`apply_suppressions`] so one suppression
-/// syntax covers every rule.
+/// applies the suppression engine. Flow rules (D006–D008) live in
+/// [`crate::graph`]; the scan driver merges their findings into
+/// [`apply_suppressions`] so one suppression syntax covers every rule.
 ///
 /// `rel_path` must be repo-relative with `/` separators (it drives the
 /// config's crate scoping and allowlists). Findings come back sorted by
@@ -258,7 +251,7 @@ pub fn token_findings(rel_path: &str, toks: &[Tok], config: &Config) -> Vec<Find
 /// Runs the suppression engine (D005) over one file: parses its
 /// `// simlint: allow(...)` comments, drops covered findings, and reports
 /// empty-reason / malformed / stale suppressions. `findings` must all
-/// belong to `rel_path` (any rule — token, flow, or schema findings alike).
+/// belong to `rel_path` (any rule — token and flow findings alike).
 pub fn apply_suppressions(
     rel_path: &str,
     toks: &[Tok],

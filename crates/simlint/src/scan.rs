@@ -3,8 +3,8 @@
 //! **Pass 1** lexes every `.rs` file, builds its [`crate::model::FileModel`],
 //! parses each crate's `Cargo.toml` `[dependencies]` table, and assembles the
 //! [`crate::graph::Workspace`] call graph. **Pass 2** runs the file-local
-//! token rules (D001–D004), the flow rules over the graph (D006–D008), and
-//! the schema locks (D009), then applies the suppression engine per file —
+//! token rules (D001–D004) and the flow rules over the graph (D006–D008),
+//! then applies the suppression engine per file —
 //! one `// simlint: allow(...)` syntax covers every rule — and finally
 //! splits the surviving findings against the baseline.
 
@@ -17,7 +17,6 @@ use crate::graph::{check_workspace, Workspace};
 use crate::lexer::{self, Tok};
 use crate::model::build_model;
 use crate::rules::{apply_suppressions, token_findings, Finding, RuleId};
-use crate::schema::{check_schemas, SchemaStatus};
 
 /// The outcome of a full scan, split against the baseline.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -33,8 +32,6 @@ pub struct ScanReport {
     pub files_scanned: usize,
     /// Number of functions in the call graph (pass-1 coverage signal).
     pub fns_indexed: usize,
-    /// Per-schema lock verdicts (D009), in config order.
-    pub schemas: Vec<SchemaStatus>,
     /// Scan wall time, stamped by the driver binary (0 when untimed).
     pub elapsed_ms: u64,
 }
@@ -136,21 +133,14 @@ fn crate_dependencies(root: &Path) -> Result<BTreeMap<String, Vec<String>>, Stri
 }
 
 /// Pass 2 over an already-loaded workspace.
-pub fn scan_loaded(
-    root: &Path,
-    loaded: &LoadedWorkspace,
-    config: &Config,
-    baseline: &Baseline,
-) -> Result<ScanReport, String> {
-    // Raw findings from all three engines, then group per file so one
+pub fn scan_loaded(loaded: &LoadedWorkspace, config: &Config, baseline: &Baseline) -> ScanReport {
+    // Raw findings from both engines, then group per file so one
     // suppression pass sees everything anchored in that file.
     let mut raw: Vec<Finding> = Vec::new();
     for (rel, stream) in &loaded.toks {
         raw.extend(token_findings(rel, stream, config));
     }
     raw.extend(check_workspace(&loaded.ws, config));
-    let (schema_findings, schema_statuses) = check_schemas(root, &loaded.ws, config)?;
-    raw.extend(schema_findings);
 
     let mut per_file: BTreeMap<&str, Vec<Finding>> = BTreeMap::new();
     for f in raw {
@@ -184,7 +174,6 @@ pub fn scan_loaded(
     let mut report = ScanReport {
         files_scanned: loaded.toks.len(),
         fns_indexed: loaded.ws.fn_count(),
-        schemas: schema_statuses,
         ..ScanReport::default()
     };
     for f in all {
@@ -201,7 +190,7 @@ pub fn scan_loaded(
             report.stale_baseline.push((rule, file, left));
         }
     }
-    Ok(report)
+    report
 }
 
 /// Both passes in one call: load, then scan.
@@ -211,7 +200,7 @@ pub fn scan_workspace(
     baseline: &Baseline,
 ) -> Result<ScanReport, String> {
     let loaded = load_workspace(root, config)?;
-    scan_loaded(root, &loaded, config, baseline)
+    Ok(scan_loaded(&loaded, config, baseline))
 }
 
 /// Recursively collects `.rs` files as root-relative paths.

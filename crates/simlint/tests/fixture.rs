@@ -19,8 +19,7 @@ fn fixture_root() -> PathBuf {
 
 /// The config the fixture tree is scanned under: `fixture_crate` is the
 /// only "simulation-state" *and* simulation crate (so `other_crate` proves
-/// D001 scoping), `allowed_clock.rs` is allowlisted for D002, and the
-/// three `fixture-*` schemas exercise the D009 lock diff.
+/// D001 scoping), and `allowed_clock.rs` is allowlisted for D002.
 fn fixture_config() -> Config {
     let mut allow = BTreeMap::new();
     allow.insert(
@@ -32,21 +31,6 @@ fn fixture_config() -> Config {
         sim_crates: vec!["fixture_crate".to_string()],
         entry_points: vec!["Simulator::run_until".to_string(), "on_packet".to_string()],
         allow,
-        schema_lock_dir: Some("schemas".to_string()),
-        schemas: vec![
-            (
-                "fixture-report/1".to_string(),
-                vec!["crates/fixture_crate/src/emit.rs".to_string()],
-            ),
-            (
-                "fixture-ok/1".to_string(),
-                vec!["crates/fixture_crate/src/emit_ok.rs".to_string()],
-            ),
-            (
-                "fixture-supp/1".to_string(),
-                vec!["crates/fixture_crate/src/emit_supp.rs".to_string()],
-            ),
-        ],
         ..Config::default()
     }
 }
@@ -145,7 +129,6 @@ fn fixture_covers_every_rule() {
     let accum = read("accum.rs");
     let sim = read("sim.rs");
     let helpers = read("helpers.rs");
-    let emit_supp = read("emit_supp.rs");
     for (rule, haystack) in [
         ("allow(D001, reason = \"bounded", text.as_str()),
         ("allow(D002, reason = \"fixture", clock.as_str()),
@@ -155,36 +138,12 @@ fn fixture_covers_every_rule() {
         ("allow(D006, reason = \"fixture", accum.as_str()),
         ("allow(D007, reason = \"fixture", sim.as_str()),
         ("allow(D008, reason = \"fixture", helpers.as_str()),
-        ("allow(D009, reason = \"fixture", emit_supp.as_str()),
     ] {
         assert!(
             haystack.contains(rule),
             "fixture must keep the suppressed case for `{rule}`"
         );
     }
-}
-
-#[test]
-fn schema_statuses_track_lock_verdicts() {
-    let root = fixture_root();
-    let report = scan_workspace(&root, &fixture_config(), &Baseline::default())
-        .expect("fixture scan succeeds");
-    let statuses: Vec<(&str, bool)> = report
-        .schemas
-        .iter()
-        .map(|s| (s.id.as_str(), s.ok))
-        .collect();
-    // `fixture-supp/1`'s drift is suppressed as a *finding* but the status
-    // still reports the lock as out of sync — suppression silences the
-    // gate, not the telemetry.
-    assert_eq!(
-        statuses,
-        vec![
-            ("fixture-report/1", false),
-            ("fixture-ok/1", true),
-            ("fixture-supp/1", false),
-        ]
-    );
 }
 
 #[test]
