@@ -144,7 +144,7 @@ fn bench_engine(c: &mut Criterion) {
             // order — the lifecycle `transmit` drives, compressed.
             let mut handles = Vec::with_capacity(256);
             for i in 0..256u64 {
-                let h = arena.alloc();
+                let h = arena.alloc(NodeId::ROOT);
                 arena.fill(
                     h,
                     Packet {

@@ -1,5 +1,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cesrm::{CesrmConfig, CesrmEndpoints};
 use lossmap::{infer_link_drops, yajnik_rates, AttributionStats};
@@ -223,7 +224,6 @@ pub(crate) fn run_planned(
     use obs::Phase;
 
     let setup_stamp = handle.begin_exact(Phase::Setup);
-    let tree = trace.tree().clone();
     let router_assist = matches!(protocol, Protocol::Cesrm(c) if c.router_assist);
     // A node's stream is a function of the simulator seed and its id alone:
     // one seed for every reenactment would replay node i's draws in every
@@ -231,7 +231,9 @@ pub(crate) fn run_planned(
     // run a pure function of `(trace, cfg)`, the same for SRM and CESRM.
     let seed = cfg.net.seed ^ plan.fingerprint;
     let net = cfg.net.with_router_assist(router_assist).with_seed(seed);
-    let mut sim = Simulator::new(tree.clone(), net);
+    // The run's one copy of the trace's tree, shared with the simulator.
+    let tree = Arc::new(trace.tree().clone());
+    let mut sim = Simulator::new_shared(Arc::clone(&tree), net);
     if cfg.lossy_recovery {
         sim.set_loss(Box::new(ProbabilisticLoss::new(
             plan.drops.clone(),

@@ -6,19 +6,23 @@
 //! a pointer chase per dispatch. The arena replaces that with a dense slab
 //! of `Packet` slots addressed by small copyable [`PacketHandle`]s: events
 //! carry an 8-byte handle, slot reuse keeps the working set compact, and
-//! the per-hop cost is an index plus a generation check.
+//! the per-hop cost is an index plus a generation check. A slot also
+//! holds the packet's *route* — a unicast's destination or a subcast's
+//! router — once, so no hop event has to carry it.
 //!
 //! Handles are generation-tagged: every slot carries a generation counter
 //! bumped on free, and a handle is only valid while its generation matches
 //! the slot's. A stale handle (use-after-free of a recycled slot) therefore
 //! panics deterministically instead of silently aliasing another live
-//! packet. No `unsafe` is involved anywhere — the slab is a plain `Vec`
-//! and the free list a `Vec<u32>`.
+//! packet. Generations are never zero, which gives a handle a niche: the
+//! simulator's event enum stores its discriminant there instead of in a
+//! separate tag word. No `unsafe` is involved anywhere — the slab is a
+//! plain `Vec` and the free list a `Vec<u32>`.
 //!
 //! # Lifecycle
 //!
 //! ```text
-//! alloc()            pending = 1, slot holds a placeholder
+//! alloc(route)       pending = 1, slot holds `route` and a placeholder
 //! fill(h, packet)    store the real packet (before control returns to the
 //!                    event loop — scheduled hops dereference the slot)
 //! retain(h)          +1 per scheduled hop event that references the packet
@@ -27,6 +31,8 @@
 //!                    the simulator can be borrowed mutably alongside it
 //! ```
 
+use std::num::NonZeroU32;
+
 use crate::{CastClass, Packet, PacketBody, PacketId, SeqNo};
 use topology::NodeId;
 
@@ -34,7 +40,7 @@ use topology::NodeId;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PacketHandle {
     index: u32,
-    generation: u32,
+    generation: NonZeroU32,
 }
 
 impl PacketHandle {
@@ -45,18 +51,25 @@ impl PacketHandle {
         self.index
     }
 
-    /// The generation the handle was minted under.
+    /// The generation the handle was minted under (never zero).
     #[inline]
     pub fn generation(self) -> u32 {
-        self.generation
+        self.generation.get()
     }
 }
 
+/// The generation a freed slot moves on to: the next non-zero value.
+fn next_generation(g: NonZeroU32) -> NonZeroU32 {
+    g.checked_add(1).unwrap_or(NonZeroU32::MIN)
+}
+
 struct Slot {
-    generation: u32,
+    generation: NonZeroU32,
     /// Live references: the sender's own reference plus one per scheduled
     /// hop event. The slot recycles when this reaches zero.
     pending: u32,
+    /// Where the packet is routed: see [`PacketArena::route`].
+    route: NodeId,
     packet: Packet,
 }
 
@@ -140,11 +153,13 @@ impl PacketArena {
         self.slots.len()
     }
 
-    /// Allocates a slot with `pending = 1`, holding a placeholder until
+    /// Allocates a slot with `pending = 1` for a packet routed towards
+    /// `route` (see [`route`](Self::route)), holding a placeholder until
     /// [`fill`](Self::fill). Split from `fill` so the caller can mint the
     /// handle first, thread it through fan-out (which retains it per
-    /// scheduled hop), and only then move the packet into the slot.
-    pub fn alloc(&mut self) -> PacketHandle {
+    /// scheduled hop), and only then move the packet into the slot. Every
+    /// allocation sets the route, so none survives a slot's recycling.
+    pub fn alloc(&mut self, route: NodeId) -> PacketHandle {
         self.live += 1;
         self.telemetry.allocs += 1;
         if self.live as u64 > self.telemetry.high_water {
@@ -155,6 +170,7 @@ impl PacketArena {
             let slot = &mut self.slots[index as usize];
             debug_assert_eq!(slot.pending, 0, "free-listed slot still referenced");
             slot.pending = 1;
+            slot.route = route;
             PacketHandle {
                 index,
                 generation: slot.generation,
@@ -162,13 +178,14 @@ impl PacketArena {
         } else {
             let index = u32::try_from(self.slots.len()).expect("packet arena overflow");
             self.slots.push(Slot {
-                generation: 0,
+                generation: NonZeroU32::MIN,
                 pending: 1,
+                route,
                 packet: placeholder(),
             });
             PacketHandle {
                 index,
-                generation: 0,
+                generation: NonZeroU32::MIN,
             }
         }
     }
@@ -203,6 +220,18 @@ impl PacketArena {
         &self.slot(h).packet
     }
 
+    /// The route the packet behind `h` was allocated with: a unicast's
+    /// destination or a subcast's router. A multicast's route is its
+    /// origin, which nothing reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is stale.
+    #[inline]
+    pub fn route(&self, h: PacketHandle) -> NodeId {
+        self.slot(h).route
+    }
+
     /// Moves the packet out of its slot, leaving a placeholder. Pair with
     /// [`restore`](Self::restore); the reference count is unaffected.
     #[inline]
@@ -231,7 +260,7 @@ impl PacketArena {
         debug_assert!(slot.pending > 0, "release of unreferenced slot");
         slot.pending -= 1;
         if slot.pending == 0 {
-            slot.generation = slot.generation.wrapping_add(1);
+            slot.generation = next_generation(slot.generation);
             slot.packet = placeholder();
             self.free.push(index);
             self.live -= 1;
@@ -265,9 +294,10 @@ mod tests {
     #[test]
     fn alloc_fill_get_roundtrip() {
         let mut arena = PacketArena::new();
-        let h = arena.alloc();
+        let h = arena.alloc(NodeId(4));
         arena.fill(h, pkt(7));
         assert_eq!(arena.get(h), &pkt(7));
+        assert_eq!(arena.route(h), NodeId(4));
         assert_eq!(arena.live(), 1);
         arena.release(h);
         assert_eq!(arena.live(), 0);
@@ -276,18 +306,23 @@ mod tests {
     #[test]
     fn slots_recycle_with_new_generation() {
         let mut arena = PacketArena::new();
-        let a = arena.alloc();
+        let a = arena.alloc(NodeId(2));
         arena.release(a);
-        let b = arena.alloc();
+        let b = arena.alloc(NodeId(5));
         assert_eq!(a.index(), b.index(), "freed slot should be reused");
         assert_ne!(a.generation(), b.generation());
+        assert_eq!(
+            arena.route(b),
+            NodeId(5),
+            "a recycled slot takes the new route"
+        );
         assert_eq!(arena.capacity(), 1);
     }
 
     #[test]
     fn retain_defers_recycling() {
         let mut arena = PacketArena::new();
-        let h = arena.alloc();
+        let h = arena.alloc(NodeId::ROOT);
         arena.fill(h, pkt(3));
         arena.retain(h);
         arena.release(h); // sender's reference
@@ -300,7 +335,7 @@ mod tests {
     #[test]
     fn take_restore_preserves_contents() {
         let mut arena = PacketArena::new();
-        let h = arena.alloc();
+        let h = arena.alloc(NodeId::ROOT);
         arena.fill(h, pkt(5));
         let moved = arena.take(h);
         assert_eq!(moved, pkt(5));
@@ -312,9 +347,15 @@ mod tests {
     #[should_panic(expected = "stale packet handle")]
     fn stale_handle_rejected() {
         let mut arena = PacketArena::new();
-        let a = arena.alloc();
+        let a = arena.alloc(NodeId::ROOT);
         arena.release(a);
-        let _b = arena.alloc(); // recycles the slot under a new generation
+        let _b = arena.alloc(NodeId::ROOT); // recycles the slot under a new generation
         arena.get(a);
+    }
+
+    #[test]
+    fn generations_skip_zero_when_they_wrap() {
+        assert_eq!(next_generation(NonZeroU32::MAX), NonZeroU32::MIN);
+        assert_eq!(next_generation(NonZeroU32::MIN).get(), 2);
     }
 }

@@ -4,7 +4,7 @@
 //! by timestamp, ties broken by the unique `seq` key the simulator draws
 //! for each event (`(owner node, per-node counter)`) — because every
 //! run's bit-for-bit reproducibility rests on it. A comparison-based
-//! `BinaryHeap` pays O(log n) comparisons per operation on ~48-byte
+//! `BinaryHeap` pays O(log n) comparisons per operation on 32-byte
 //! elements; the calendar queue replaces that with O(1) amortized bucket
 //! arithmetic on the discrete nanosecond timestamps:
 //!
@@ -37,14 +37,16 @@
 //! kept per slot — every touched slot grows to its own high-water by
 //! realloc-doubling and holds on to it — so queue memory follows *ticks
 //! touched*: 327 MiB of capacity on that rung, for a backlog that never
-//! exceeded 23 MiB. Pooled, it follows *live events*: the pool never
-//! holds more chunks than were linked at one instant, which is at most
-//! `live / CHUNK` full chunks plus one partial chunk per non-empty tick
-//! (32 MiB on the same rung). The pool does not shrink, but that bound is
-//! the run's own peak backlog. (`active` adds up to twice the largest
-//! single tick, the far heap up to twice its own peak.)
+//! exceeded 23 MiB (both measured when an entry was 48 bytes). Pooled, it
+//! follows *live events*: the pool never holds more chunks than were
+//! linked at one instant, which is at most `live / CHUNK` full chunks plus
+//! one partial chunk per non-empty tick (21.4 MiB on the same rung, for a
+//! peak backlog of 497 793 entries × 32 B = 15.2 MiB). The pool does not
+//! shrink, but that bound is the run's own peak backlog. (`active` adds up
+//! to twice the largest single tick, the far heap up to twice its own
+//! peak.)
 //!
-//! *Why 128.* A chunk caps at 128 × 48 B = 6 KiB for the simulator's
+//! *Why 128.* A chunk caps at 128 × 32 B = 4 KiB for the simulator's
 //! event type. The partial chunk each non-empty tick strands wastes
 //! `CHUNK / 2` entries per tick on average, so smaller is tighter; but
 //! every chunk boundary costs a link hop on push and one `append` call on
@@ -52,16 +54,17 @@
 //! so its push path never links; the 10⁵ rung's flood buckets (up to
 //! 18.7k entries) take up to 147 chunks, few enough that activation
 //! stays one sequential gather. 32 and 64 measured no smaller at 10⁵
-//! receivers (228 and 229 MiB against 231) and no faster.
+//! receivers (228 and 229 MiB against 231, with 48-byte entries) and no
+//! faster.
 //!
 //! A chunk's `Vec` is not pre-sized: it doubles up to exactly `CHUNK` the
 //! first time a bucket fills it (at most five reallocations in the
 //! chunk's life) and is reused at that size ever after. Pre-sizing every
 //! chunk was measured too: the same on the scale rungs, but a workload of
 //! thousands of live ticks with two or three events each (a source
-//! queueing 1 000 packets on one link) then first-touches 6 KiB per tick
-//! instead of 192 B, and page-faulted seven times as often as per-slot
-//! `Vec`s did.
+//! queueing 1 000 packets on one link) then first-touches a whole chunk
+//! per tick (6 KiB with the 48-byte entries of the time) instead of
+//! 192 B, and page-faulted seven times as often as per-slot `Vec`s did.
 //!
 //! The reference implementation lives with the tests: `queue/tests.rs`
 //! checks every pop against a `BinaryHeap` and a shadow model, and the

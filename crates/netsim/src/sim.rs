@@ -38,32 +38,19 @@ fn trace_cast(cast: CastClass) -> obs::Cast {
     }
 }
 
-/// How a packet copy propagates through the tree.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum PropMode {
-    /// Dense-mode multicast: flood every link once.
-    Flood,
-    /// Hop-by-hop unicast towards the destination.
-    Unicast(NodeId),
-    /// Unicast leg of a subcast, towards the designated router.
-    SubcastLeg(NodeId),
-    /// Downstream-only flood below the subcast router.
-    FloodDown,
-}
-
 /// A packet crossing between shards of a sharded simulation: everything the
 /// owning shard needs to reconstruct the arrival `Hop` event, including the
 /// event key drawn on the sending shard (per-node keys are layout-invariant,
 /// so the reconstructed event sorts exactly where the unsharded run would
-/// have placed it). Produced by [`Simulator::take_outbox`] on the sending
-/// shard and consumed by [`Simulator::inject_cross_shard`] on the owner.
-/// `Send`, so the sharded runner can move batches between worker threads.
+/// have placed it; the key also names the sender) and the packet's arena
+/// route. Produced by [`Simulator::take_outbox`] on the sending shard and
+/// consumed by [`Simulator::inject_cross_shard`] on the owner. `Send`, so
+/// the sharded runner can move batches between worker threads.
 pub struct CrossShardPacket {
     to: NodeId,
-    from: NodeId,
     arrive_ns: u64,
     seq: u64,
-    mode: PropMode,
+    route: NodeId,
     turning_point: Option<NodeId>,
     packet: Packet,
 }
@@ -82,30 +69,47 @@ impl CrossShardPacket {
     }
 }
 
-/// A queued simulator event. `Hop` carries a copyable arena handle rather
-/// than a reference-counted packet: the event payload stays small and POD,
-/// and the packet body lives exactly once in the [`PacketArena`].
+/// The `Wake` token of an agent's start. Timer tokens count up from zero,
+/// so no timer ever carries it.
+const START: u64 = u64::MAX;
+
+/// The `Hop` turning point of a packet that has not turned yet.
+const NO_TURN: u32 = u32::MAX;
+
+fn pack_turn(turning_point: Option<NodeId>) -> u32 {
+    turning_point.map_or(NO_TURN, |n| n.0)
+}
+
+fn unpack_turn(raw: u32) -> Option<NodeId> {
+    (raw != NO_TURN).then_some(NodeId(raw))
+}
+
+/// A queued simulator event: 16 bytes, so a queue [`Entry`] is 32 — half a
+/// cache line. Nothing the key already says is stored again: the node an
+/// event belongs to (the started or woken node, or a hop's transmitting
+/// node) is the owner half of its key, `seq >> 32`. A hop carries a
+/// copyable arena handle rather than a reference-counted packet, and the
+/// packet body lives exactly once in the [`PacketArena`] together with its
+/// route (a unicast's destination, a subcast's router). How the hop
+/// propagates follows from the packet's cast and the turning point (see
+/// [`Simulator::hop`]). The discriminant lives in the handle's never-zero
+/// generation, which is what keeps the enum at 16 bytes.
 #[derive(Clone, Copy, Debug)]
 enum EventKind {
-    Start {
-        node: NodeId,
-    },
-    Timer {
-        node: NodeId,
-        token: u64,
-    },
+    /// The owner's timer `token` fires, or, for [`START`], its agent starts.
+    Wake { token: u64 },
+    /// The packet behind `handle` arrives at `at`, with its turning point
+    /// packed by [`pack_turn`].
     Hop {
         at: NodeId,
-        from: NodeId,
         handle: PacketHandle,
-        mode: PropMode,
-        turning_point: Option<NodeId>,
+        turning_point: u32,
     },
 }
 
 /// Approximate heap footprint of one queued event, used by the harness to
 /// turn the queue-depth high-water mark into a peak-memory estimate for
-/// `BENCH_*.json`. The queue stores its entries inline; `Hop`
+/// `BENCH_*.json`. The queue stores its 32-byte entries inline; `Hop`
 /// events additionally reference one arena slot per in-flight packet,
 /// which this deliberately does not count (it is shared, not per-event).
 pub fn scheduled_event_footprint_bytes() -> usize {
@@ -139,10 +143,11 @@ struct NodeSlot {
     nbr_start: u32,
     nbr_end: u32,
     /// Event-sequence counter: an event's key is `(owner << 32) | seq` of
-    /// its owner. Every push site has a natural owner (`Start`/`Timer`:
-    /// the node; `Hop`: the transmitting node), so keys depend only on that
-    /// node's own causal history — not on attach order, and not on how
-    /// nodes are spread over shards. See `docs/SCALING.md`.
+    /// its owner. Every push site has a natural owner (`Wake`: the node;
+    /// `Hop`: the transmitting node), so keys depend only on that node's
+    /// own causal history — not on attach order, and not on how nodes are
+    /// spread over shards — and dispatch reads the owner back from the key.
+    /// See `docs/SCALING.md`.
     seq: u32,
 }
 
@@ -223,14 +228,14 @@ impl EngineTelemetry {
 ///
 /// The hot path is data-oriented: in-flight packets live in a
 /// [`PacketArena`] and events carry 8-byte handles; the scheduler is a
-/// calendar queue over discrete nanosecond timestamps; everything a hop
-/// reads about a node (agent, parent, adjacency range, event counter) sits
-/// in one 32-byte node record, per-link state in one record per link, and
-/// tree adjacency is a CSR layout, so a flood hop touches few cache lines
-/// and allocates nothing. The node records are indexed by node id; the
-/// agents they point to are heap blocks laid out in attach order, which is
-/// why the scale harness attaches receivers in flood-arrival order
-/// (`docs/SCALING.md`).
+/// calendar queue of 32-byte entries over discrete nanosecond timestamps;
+/// everything a hop reads about a node (agent, parent, adjacency range,
+/// event counter) sits in one 32-byte node record, per-link state in one
+/// record per link, and tree adjacency is a CSR layout, so a flood hop
+/// touches few cache lines and allocates nothing. The node records are
+/// indexed by node id; the agents they point to are heap blocks laid out
+/// in attach order, which is why the scale harness attaches receivers in
+/// flood-arrival order (`docs/SCALING.md`).
 pub struct Simulator {
     /// Shared so a sharded run's workers reference one tree instead of
     /// cloning a million-node structure per shard.
@@ -444,17 +449,15 @@ impl Simulator {
             p.arrive_ns >= self.now.as_nanos(),
             "cross-shard packet arrived in the past: epoch lookahead violated"
         );
-        let handle = self.arena.alloc();
+        let handle = self.arena.alloc(p.route);
         self.arena.retain(handle);
         self.push_with_seq(
             p.arrive_ns,
             p.seq,
             EventKind::Hop {
                 at: p.to,
-                from: p.from,
                 handle,
-                mode: p.mode,
-                turning_point: p.turning_point,
+                turning_point: pack_turn(p.turning_point),
             },
         );
         self.arena.fill(handle, p.packet);
@@ -545,7 +548,7 @@ impl Simulator {
         let slot = &mut self.nodes[node.index()].agent;
         assert!(slot.is_none(), "node {node} already has an agent");
         *slot = Some(agent);
-        self.push(self.now, EventKind::Start { node }, node);
+        self.push(self.now, EventKind::Wake { token: START }, node);
     }
 
     /// Delivers a crafted packet directly to the agent at `node`, as if it
@@ -577,7 +580,7 @@ impl Simulator {
         );
         self.now = SimTime::from_nanos(entry.at);
         self.events_processed += 1;
-        self.dispatch(entry.item);
+        self.dispatch(entry.seq, entry.item);
         true
     }
 
@@ -607,20 +610,23 @@ impl Simulator {
             );
             self.now = SimTime::from_nanos(entry.at);
             self.events_processed += 1;
-            self.dispatch(entry.item);
+            self.dispatch(entry.seq, entry.item);
         }
         if self.now < until {
             self.now = until;
         }
     }
 
-    fn dispatch(&mut self, kind: EventKind) {
+    /// Runs one event; `seq` is its key, whose high half names the node
+    /// the event belongs to.
+    fn dispatch(&mut self, seq: u64, kind: EventKind) {
+        let owner = NodeId((seq >> 32) as u32);
         match kind {
-            EventKind::Start { node } => {
+            EventKind::Wake { token: START } => {
                 self.start_events += 1;
-                self.with_agent(node, |agent, ctx| agent.on_start(ctx));
+                self.with_agent(owner, |agent, ctx| agent.on_start(ctx));
             }
-            EventKind::Timer { node, token } => {
+            EventKind::Wake { token } => {
                 self.timer_events += 1;
                 let word = (token / 64) as usize;
                 let bit = 1u64 << (token % 64);
@@ -628,22 +634,20 @@ impl Simulator {
                     self.timers_voided += 1;
                     return;
                 }
-                self.with_agent(node, |agent, ctx| {
+                self.with_agent(owner, |agent, ctx| {
                     agent.on_timer(ctx, TimerToken::new(token))
                 });
             }
             EventKind::Hop {
                 at,
-                from,
                 handle,
-                mode,
                 turning_point,
             } => {
                 // Move the packet out of its arena slot for the duration of
                 // the hop so the simulator can be borrowed mutably while
                 // the packet is read; the slot keeps its reference count.
                 let packet = self.arena.take(handle);
-                self.hop(at, from, &packet, handle, mode, turning_point);
+                self.hop(at, owner, &packet, handle, unpack_turn(turning_point));
                 self.arena.restore(handle, packet);
                 self.arena.release(handle);
             }
@@ -695,7 +699,8 @@ impl Simulator {
     pub(crate) fn schedule_timer(&mut self, node: NodeId, after: SimDuration) -> TimerToken {
         let token = self.next_timer;
         self.next_timer += 1;
-        self.push(self.now + after, EventKind::Timer { node, token }, node);
+        debug_assert_ne!(token, START, "timer tokens exhausted");
+        self.push(self.now + after, EventKind::Wake { token }, node);
         TimerToken::new(token)
     }
 
@@ -741,8 +746,8 @@ impl Simulator {
         if !matches!(packet.body, PacketBody::Session(_)) {
             self.trace_send(origin, &packet);
         }
-        let handle = self.arena.alloc();
-        self.fan_out(origin, None, &packet, handle, PropMode::Flood, None);
+        let handle = self.arena.alloc(origin);
+        self.fan_out(origin, None, &packet, handle, None);
         self.arena.fill(handle, packet);
         self.arena.release(handle);
     }
@@ -759,8 +764,8 @@ impl Simulator {
             self.trace_send(origin, &packet);
         }
         let next = self.tree.next_hop(origin, dest);
-        let handle = self.arena.alloc();
-        self.transmit(origin, next, &packet, handle, PropMode::Unicast(dest), None);
+        let handle = self.arena.alloc(dest);
+        self.transmit_leg(origin, next, &packet, handle, None);
         self.arena.fill(handle, packet);
         self.arena.release(handle);
     }
@@ -775,25 +780,18 @@ impl Simulator {
         if !matches!(packet.body, PacketBody::Session(_)) {
             self.trace_send(origin, &packet);
         }
-        let handle = self.arena.alloc();
+        let handle = self.arena.alloc(via);
         if origin == via {
             self.flood_down(via, &packet, handle, Some(via));
         } else {
             let next = self.tree.next_hop(origin, via);
-            self.transmit(
-                origin,
-                next,
-                &packet,
-                handle,
-                PropMode::SubcastLeg(via),
-                None,
-            );
+            self.transmit_leg(origin, next, &packet, handle, None);
         }
         self.arena.fill(handle, packet);
         self.arena.release(handle);
     }
 
-    /// Forwards a flood-mode packet from `at` to every neighbour except
+    /// Forwards a multicast packet from `at` to every neighbour except
     /// `from`, computing turning-point transitions per branch. Iterates the
     /// CSR adjacency (parent first, then children — the order event
     /// sequence numbers, and thus determinism, depend on).
@@ -803,27 +801,32 @@ impl Simulator {
         from: Option<NodeId>,
         packet: &Packet,
         handle: PacketHandle,
-        mode: PropMode,
         turning_point: Option<NodeId>,
     ) {
         self.fan_outs += 1;
         let stamp = if self.sampled { self.obs.stamp() } else { None };
         let slot = &self.nodes[at.index()];
         let (start, end, parent) = (slot.nbr_start as usize, slot.nbr_end as usize, slot.parent);
+        // A hop's sender is a neighbour, so a node whose only neighbour is
+        // the sender forwards nothing: every leaf delivery of a flood ends
+        // here, on the node record alone.
+        if end - start == 1 && from.is_some() {
+            self.obs.end(Phase::FanOut, stamp);
+            return;
+        }
         for i in start..end {
             let nb = self.nbrs[i];
             if Some(nb) == from {
                 continue;
             }
-            let going_down = nb.0 != parent;
-            // The packet "turns" at the first node that forwards it onto a
-            // downstream link; the turning point sticks from there on.
-            let tp = if going_down {
-                turning_point.or(Some(at))
+            if nb.0 == parent {
+                self.transmit(at, nb, Direction::Up, packet, handle, turning_point);
             } else {
-                turning_point
-            };
-            self.transmit(at, nb, packet, handle, mode, tp);
+                // The packet "turns" at the first node that forwards it onto
+                // a downstream link; the turning point sticks from there on.
+                let tp = turning_point.or(Some(at));
+                self.transmit(at, nb, Direction::Down, packet, handle, tp);
+            }
         }
         self.obs.end(Phase::FanOut, stamp);
     }
@@ -842,25 +845,47 @@ impl Simulator {
         let end = slot.nbr_end as usize;
         for i in start..end {
             let c = self.nbrs[i];
-            self.transmit(at, c, packet, handle, PropMode::FloodDown, turning_point);
+            self.transmit(at, c, Direction::Down, packet, handle, turning_point);
         }
         self.obs.end(Phase::FanOut, stamp);
     }
 
-    /// Serializes the packet onto the link between adjacent nodes `a` and
-    /// `b`, consults the loss process, and schedules the arrival hop.
-    fn transmit(
+    /// [`transmit`](Self::transmit) for a unicast or subcast leg, which
+    /// knows only the next node: reads the link's direction off the two
+    /// node records.
+    fn transmit_leg(
         &mut self,
         a: NodeId,
         b: NodeId,
         packet: &Packet,
         handle: PacketHandle,
-        mode: PropMode,
+        turning_point: Option<NodeId>,
+    ) {
+        let dir = if self.nodes[b.index()].parent == a.0 {
+            Direction::Down
+        } else if self.nodes[a.index()].parent == b.0 {
+            Direction::Up
+        } else {
+            panic!("transmit between non-adjacent nodes {a} and {b}");
+        };
+        self.transmit(a, b, dir, packet, handle, turning_point);
+    }
+
+    /// Serializes the packet onto the link from `a` to its neighbour `b`
+    /// in direction `dir`, consults the loss process, and schedules the
+    /// arrival hop.
+    fn transmit(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        dir: Direction,
+        packet: &Packet,
+        handle: PacketHandle,
         turning_point: Option<NodeId>,
     ) {
         self.transmits += 1;
         let stamp = if self.sampled { self.obs.stamp() } else { None };
-        self.transmit_inner(a, b, packet, handle, mode, turning_point);
+        self.transmit_inner(a, b, dir, packet, handle, turning_point);
         self.obs.end(Phase::Transmit, stamp);
     }
 
@@ -868,17 +893,14 @@ impl Simulator {
         &mut self,
         a: NodeId,
         b: NodeId,
+        dir: Direction,
         packet: &Packet,
         handle: PacketHandle,
-        mode: PropMode,
         turning_point: Option<NodeId>,
     ) {
-        let (link, dir, dir_idx) = if self.nodes[b.index()].parent == a.0 {
-            (LinkId(b), Direction::Down, 1)
-        } else if self.nodes[a.index()].parent == b.0 {
-            (LinkId(a), Direction::Up, 0)
-        } else {
-            panic!("transmit between non-adjacent nodes {a} and {b}");
+        let (link, dir_idx) = match dir {
+            Direction::Down => (LinkId(b), 1),
+            Direction::Up => (LinkId(a), 0),
         };
         let tx = if packet.body.carries_payload() {
             self.payload_tx
@@ -927,10 +949,9 @@ impl Simulator {
             if sh.assign[b.index()] != sh.me {
                 self.outbox.push(CrossShardPacket {
                     to: b,
-                    from: a,
                     arrive_ns: arrive.as_nanos(),
                     seq,
-                    mode,
+                    route: self.arena.route(handle),
                     turning_point,
                     packet: packet.clone(),
                 });
@@ -943,53 +964,45 @@ impl Simulator {
             seq,
             EventKind::Hop {
                 at: b,
-                from: a,
                 handle,
-                mode,
-                turning_point,
+                turning_point: pack_turn(turning_point),
             },
         );
     }
 
+    /// Handles the arrival of `packet` at `at` from its neighbour `from`.
+    /// How it propagates on follows from its cast: a multicast floods
+    /// every link once; a unicast travels hop by hop to its route (the
+    /// destination); a subcast travels likewise to its route (the router)
+    /// and floods downstream from there. The subcast's two phases need no
+    /// flag: on the leg the packet has not turned, and below the router it
+    /// carries the router as its turning point.
     fn hop(
         &mut self,
         at: NodeId,
         from: NodeId,
         packet: &Packet,
         handle: PacketHandle,
-        mode: PropMode,
         turning_point: Option<NodeId>,
     ) {
-        match mode {
-            PropMode::Flood => {
+        match packet.cast {
+            CastClass::Multicast => {
                 self.deliver(at, from, packet, turning_point);
-                self.fan_out(
-                    at,
-                    Some(from),
-                    packet,
-                    handle,
-                    PropMode::Flood,
-                    turning_point,
-                );
+                self.fan_out(at, Some(from), packet, handle, turning_point);
             }
-            PropMode::FloodDown => {
+            CastClass::Subcast if turning_point.is_some() => {
                 self.deliver(at, from, packet, turning_point);
                 self.flood_down(at, packet, handle, turning_point);
             }
-            PropMode::Unicast(dest) => {
-                if at == dest {
+            CastClass::Unicast | CastClass::Subcast => {
+                let route = self.arena.route(handle);
+                if at != route {
+                    let next = self.tree.next_hop(at, route);
+                    self.transmit_leg(at, next, packet, handle, turning_point);
+                } else if packet.cast == CastClass::Unicast {
                     self.deliver(at, from, packet, turning_point);
                 } else {
-                    let next = self.tree.next_hop(at, dest);
-                    self.transmit(at, next, packet, handle, mode, turning_point);
-                }
-            }
-            PropMode::SubcastLeg(via) => {
-                if at == via {
-                    self.flood_down(via, packet, handle, Some(via));
-                } else {
-                    let next = self.tree.next_hop(at, via);
-                    self.transmit(at, next, packet, handle, mode, turning_point);
+                    self.flood_down(at, packet, handle, Some(at));
                 }
             }
         }
@@ -1416,7 +1429,7 @@ mod tests {
     fn a_run_does_not_depend_on_attach_order() {
         // Each agent draws a timer delay at start and multicasts the next
         // draw when it fires, three rounds. Event keys and streams are
-        // per node, so neither the `Start` order at t = 0 nor anyone's
+        // per node, so neither the start order at t = 0 nor anyone's
         // draws can see the order agents were attached in.
         struct Chatter {
             log: Log,
@@ -1651,8 +1664,71 @@ mod tests {
     }
 
     #[test]
-    fn event_footprint_is_nonzero() {
-        assert!(scheduled_event_footprint_bytes() > 0);
+    fn queue_entry_is_half_a_cache_line() {
+        // The calendar queue holds ~5·10⁵ of these at the peak of the 10⁵
+        // rung: 32 bytes each (16 of key, 16 of event) is what the
+        // `peak_queue_bytes` figures and the CI RSS gate assume.
+        assert_eq!(std::mem::size_of::<EventKind>(), 16);
+        assert_eq!(std::mem::size_of::<Entry<EventKind>>(), 32);
+        assert_eq!(scheduled_event_footprint_bytes(), 32);
+    }
+
+    #[test]
+    fn recycled_arena_slots_carry_no_stale_route() {
+        // n2 sends a unicast to n6, then a subcast via n3, then a unicast to
+        // n4, each after the previous packet has settled: all three reuse
+        // one arena slot, and each must follow its own route.
+        struct Script {
+            log: Log,
+            step: u32,
+        }
+        impl Agent for Script {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.unicast(NodeId(6), data_body(0));
+                ctx.set_timer(SimDuration::from_secs(1));
+            }
+            fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, meta: &DeliveryMeta) {
+                let entry = (ctx.me(), ctx.now(), packet.clone(), *meta);
+                self.log.borrow_mut().push(entry);
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerToken) {
+                self.step += 1;
+                if self.step == 1 {
+                    ctx.subcast(NodeId(3), data_body(1));
+                    ctx.set_timer(SimDuration::from_secs(1));
+                } else {
+                    ctx.unicast(NodeId(4), data_body(2));
+                }
+            }
+        }
+        let log: Log = Default::default();
+        let cfg = NetConfig::default().with_router_assist(true);
+        let mut sim = Simulator::new(sample_tree(), cfg);
+        for &r in &[NodeId(4), NodeId(5), NodeId(6)] {
+            sim.attach_agent(r, recorder(&log));
+        }
+        let script = Script {
+            log: StdRc::clone(&log),
+            step: 0,
+        };
+        sim.attach_agent(NodeId(2), Box::new(script));
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
+        let heard: Vec<(NodeId, u64, CastClass)> = log
+            .borrow()
+            .iter()
+            .map(|e| (e.0, e.2.body.subject().unwrap().seq.value(), e.2.cast))
+            .collect();
+        assert_eq!(
+            heard,
+            vec![
+                (NodeId(6), 0, CastClass::Unicast),
+                (NodeId(4), 1, CastClass::Subcast),
+                (NodeId(5), 1, CastClass::Subcast),
+                (NodeId(4), 2, CastClass::Unicast),
+            ]
+        );
+        let arena = sim.telemetry().arena;
+        assert_eq!((arena.allocs, arena.recycled), (3, 2), "one slot, reused");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! aliases two live packets**. A handle minted by `alloc` must never equal
 //! any handle that was live before it, two concurrently-live handles must
 //! never share a slot index, and every live handle must keep reading back
-//! exactly the packet it was filled with — under arbitrary interleavings
+//! exactly the packet and route it was given — under arbitrary interleavings
 //! of alloc / retain / release. These tests drive the arena with random
 //! operation tapes against an exact shadow model.
 
@@ -26,6 +26,12 @@ fn pkt(ordinal: u64) -> Packet {
             },
         },
     }
+}
+
+/// A distinguishable route per allocation, so a route left behind by a
+/// recycled slot's previous packet shows up as a mismatch.
+fn route(ordinal: u64) -> NodeId {
+    NodeId((ordinal % 89) as u32)
 }
 
 /// Shadow-model entry for one live allocation.
@@ -49,7 +55,7 @@ fn run_tape(tape: &[(u8, u32)]) {
     for &(op, pick) in tape {
         match op % 3 {
             0 => {
-                let handle = arena.alloc();
+                let handle = arena.alloc(route(next_ordinal));
                 arena.fill(handle, pkt(next_ordinal));
                 // A fresh handle must not collide with any live handle's
                 // slot, and must not resurrect any retired handle.
@@ -94,6 +100,7 @@ fn run_tape(tape: &[(u8, u32)]) {
         prop_assert_eq!(arena.live(), live.len());
         for l in &live {
             prop_assert_eq!(arena.get(l.handle), &pkt(l.ordinal));
+            prop_assert_eq!(arena.route(l.handle), route(l.ordinal));
         }
     }
 

@@ -8,7 +8,8 @@
 //!
 //! * [`MulticastTree`] — a validated, immutable source-rooted tree with
 //!   path/ancestor queries, per-node subtree receiver sets, and link
-//!   identities (each link is named by the node it points *into*).
+//!   identities (each link is named by the node it points *into*), stored
+//!   flat: no heap block per node.
 //! * [`TreeBuilder`] — incremental construction with validation at
 //!   [`TreeBuilder::build`].
 //! * [`random_tree`] — random trees with a prescribed receiver count and depth,

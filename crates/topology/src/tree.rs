@@ -12,17 +12,25 @@ use crate::{LinkId, NodeId, NodeKind, TreeError};
 /// * the parent relation forms a single tree rooted at the source.
 ///
 /// Nodes are dense indices, so per-node data is naturally stored in flat
-/// vectors indexed by [`NodeId::index`]. Links are identified by the node
-/// they point into ([`LinkId`]).
+/// vectors indexed by [`NodeId::index`] — no per-node heap block anywhere:
+/// adjacency is one compressed (CSR) children array, and every subtree's
+/// receivers are one range of a single preorder receiver list. Links are
+/// identified by the node they point into ([`LinkId`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MulticastTree {
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    /// CSR offsets: the children of `n` are
+    /// `child_ids[child_start[n]..child_start[n + 1]]`.
+    child_start: Vec<u32>,
+    /// Every non-root node, grouped by parent, each group in creation
+    /// (= id) order.
+    child_ids: Vec<NodeId>,
     kind: Vec<NodeKind>,
     depth_of: Vec<u32>,
     receivers: Vec<NodeId>,
-    /// Receivers in the subtree rooted at each node, sorted by id.
-    receivers_below: Vec<Vec<NodeId>>,
+    /// All receivers in preorder, so each subtree's receivers are one
+    /// contiguous range (located by `tin`/`tout`).
+    receivers_pre: Vec<NodeId>,
     /// Preorder entry index of each node (Euler-tour interval start).
     tin: Vec<u32>,
     /// One past the last preorder index inside each node's subtree, so the
@@ -54,7 +62,10 @@ impl MulticastTree {
         if n == 0 || parent[0].is_some() || kind[0] != NodeKind::Source {
             return Err(TreeError::NotATree);
         }
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        // Counting sort of the nodes by parent into the CSR arrays: count
+        // each parent's children, prefix-sum the counts into offsets, then
+        // place the children in id order.
+        let mut child_start = vec![0u32; n + 1];
         for (i, p) in parent.iter().enumerate() {
             match p {
                 None => {
@@ -70,10 +81,27 @@ impl MulticastTree {
                         // only the root may be the source
                         return Err(TreeError::NotATree);
                     }
-                    children[p.index()].push(NodeId(i as u32));
+                    child_start[p.index() + 1] += 1;
                 }
             }
         }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let child_ids = {
+            let mut ids = vec![NodeId::ROOT; n - 1];
+            let mut next = child_start.clone();
+            for (i, p) in parent.iter().enumerate() {
+                if let Some(p) = p {
+                    ids[next[p.index()] as usize] = NodeId(i as u32);
+                    next[p.index()] += 1;
+                }
+            }
+            ids
+        };
+        let children = |u: NodeId| {
+            &child_ids[child_start[u.index()] as usize..child_start[u.index() + 1] as usize]
+        };
         // Depth-first walk from the root: detects forests/cycles (unreached
         // nodes) and computes depths.
         let mut depth_of = vec![u32::MAX; n];
@@ -81,7 +109,7 @@ impl MulticastTree {
         depth_of[0] = 0;
         let mut seen = 1usize;
         while let Some(u) = stack.pop() {
-            for &c in &children[u.index()] {
+            for &c in children(u) {
                 if depth_of[c.index()] != u32::MAX {
                     return Err(TreeError::NotATree);
                 }
@@ -93,16 +121,16 @@ impl MulticastTree {
         if seen != n {
             return Err(TreeError::NotATree);
         }
-        for i in 0..n {
+        for (i, k) in kind.iter().enumerate() {
             let id = NodeId(i as u32);
-            match kind[i] {
+            match k {
                 NodeKind::Receiver => {
-                    if !children[i].is_empty() {
+                    if !children(id).is_empty() {
                         return Err(TreeError::ReceiverWithChildren(id));
                     }
                 }
                 NodeKind::Router => {
-                    if children[i].is_empty() {
+                    if children(id).is_empty() {
                         return Err(TreeError::ChildlessRouter(id));
                     }
                 }
@@ -118,8 +146,10 @@ impl MulticastTree {
         }
         // Euler-tour intervals: preorder entry per node plus the end of its
         // subtree's preorder range, for O(1) ancestor/subtree membership.
+        // The same walk lists the receivers in preorder.
         let mut tin = vec![0u32; n];
         let mut tout = vec![0u32; n];
+        let mut receivers_pre = Vec::with_capacity(receivers.len());
         let mut clock = 0u32;
         let mut walk: Vec<(NodeId, bool)> = vec![(NodeId::ROOT, false)];
         while let Some((u, expanded)) = walk.pop() {
@@ -128,33 +158,23 @@ impl MulticastTree {
             } else {
                 tin[u.index()] = clock;
                 clock += 1;
+                if kind[u.index()] == NodeKind::Receiver {
+                    receivers_pre.push(u);
+                }
                 walk.push((u, true));
-                for &c in children[u.index()].iter().rev() {
+                for &c in children(u).iter().rev() {
                     walk.push((c, false));
                 }
             }
         }
-        // Post-order accumulation of subtree receiver sets.
-        let mut receivers_below: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let order = post_order(&children);
-        for &u in &order {
-            if kind[u.index()] == NodeKind::Receiver {
-                receivers_below[u.index()].push(u);
-            }
-            let mut acc: Vec<NodeId> = Vec::new();
-            for &c in &children[u.index()] {
-                acc.extend_from_slice(&receivers_below[c.index()]);
-            }
-            receivers_below[u.index()].extend(acc);
-            receivers_below[u.index()].sort_unstable();
-        }
         Ok(MulticastTree {
             parent,
-            children,
+            child_start,
+            child_ids,
             kind,
             depth_of,
             receivers,
-            receivers_below,
+            receivers_pre,
             tin,
             tout,
         })
@@ -188,7 +208,8 @@ impl MulticastTree {
     /// The children of `n` in creation order.
     #[inline]
     pub fn children(&self, n: NodeId) -> &[NodeId] {
-        &self.children[n.index()]
+        let i = n.index();
+        &self.child_ids[self.child_start[i] as usize..self.child_start[i + 1] as usize]
     }
 
     /// The kind of node `n`.
@@ -224,10 +245,16 @@ impl MulticastTree {
             .unwrap_or(0)
     }
 
-    /// The receivers in the subtree rooted at `n`, sorted by id.
-    #[inline]
+    /// The receivers in the subtree rooted at `n`, in preorder (children
+    /// visited in creation order). The slice is a range of one preorder
+    /// list, found by binary search over the subtree's `tin`/`tout`
+    /// interval: O(log receivers), no per-node storage.
     pub fn receivers_below(&self, n: NodeId) -> &[NodeId] {
-        &self.receivers_below[n.index()]
+        let rank = |t: u32| {
+            self.receivers_pre
+                .partition_point(|r| self.tin[r.index()] < t)
+        };
+        &self.receivers_pre[rank(self.tin[n.index()])..rank(self.tout[n.index()])]
     }
 
     /// Iterates over all node ids in index order.
@@ -399,23 +426,6 @@ impl fmt::Display for MulticastTree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
-}
-
-/// Post-order traversal of a children array starting at the root.
-fn post_order(children: &[Vec<NodeId>]) -> Vec<NodeId> {
-    let mut order = Vec::with_capacity(children.len());
-    let mut stack = vec![(NodeId::ROOT, false)];
-    while let Some((u, expanded)) = stack.pop() {
-        if expanded {
-            order.push(u);
-        } else {
-            stack.push((u, true));
-            for &c in &children[u.index()] {
-                stack.push((c, false));
-            }
-        }
-    }
-    order
 }
 
 #[cfg(test)]
