@@ -223,10 +223,7 @@ impl CesrmAgent {
     /// ([`SrmCore::set_obs`]) and read from there. The expedited layer
     /// emits cache consults (`cache_hit`/`cache_miss`/`cache_update`) and
     /// expedited traffic (`xreq_sent`/`xrep_sent`), counts them
-    /// (`cesrm.cache.*`, `cesrm.expedited_*`), and every `on_packet` counts
-    /// into the `cesrm_on_packet` profiler phase (SRM core plus the
-    /// expedited layer), with one in `stride` calls wall-clock timed
-    /// (`docs/PROFILING.md`). Off by default.
+    /// (`cesrm.cache.*`, `cesrm.expedited_*`). Off by default.
     ///
     /// The handle lives in the blocks this endpoint shares with its
     /// siblings; installing it here gives this endpoint private copies of
@@ -418,9 +415,7 @@ impl Agent for CesrmAgent {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, meta: &DeliveryMeta) {
-        let stamp = self.core.obs().begin(obs::Phase::CesrmOnPacket);
         self.handle_packet(ctx, packet, meta);
-        self.core.obs().end(obs::Phase::CesrmOnPacket, stamp);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {

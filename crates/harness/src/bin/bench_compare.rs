@@ -1,4 +1,4 @@
-//! Compares two `cesrm-run/1` reports (see `docs/METRICS.md`).
+//! Compares two `cesrm-run/2` reports (see `docs/METRICS.md`).
 //!
 //! ```text
 //! cargo run -p harness --bin bench_compare -- \
@@ -20,7 +20,8 @@
 //! only `created`, the workload mode (`workload.mode`, or `suite.mode` in
 //! the older `cesrm-bench/*` reports) and four `totals` members, which no
 //! revision has changed, so it lists `cesrm-bench/*` and `cesrm-run/*`
-//! reports alike; the pairwise comparison accepts only the current schema.
+//! reports alike; the pairwise comparison accepts only the current schema
+//! and names the command that regenerates an older report.
 //!
 //! Exit status: 0 when within thresholds, 3 on a perf regression (unless
 //! `--warn-only`), 1 on an unreadable file or a report of the wrong shape,
@@ -75,9 +76,14 @@ fn compare_reports(
     for (doc, which) in [(base, "baseline"), (cand, "candidate")] {
         let schema = doc.get("schema").and_then(JsonValue::as_str);
         if schema != Some(harness::RUN_SCHEMA) {
+            let command = if mode(doc) == "scale" {
+                "reproduce scale --report <file>"
+            } else {
+                "reproduce --report <file>"
+            };
             return Err(format!(
                 "{which} schema is {schema:?}, expected {:?} — regenerate it with the current \
-                 binary (reproduce --report <file>)",
+                 binary ({command})",
                 harness::RUN_SCHEMA
             ));
         }
@@ -356,7 +362,15 @@ mod tests {
         let current = report("suite", 1.0, 1000.0);
         let err = compare_reports(&old, &current, 50.0, 30.0).unwrap_err();
         assert!(
-            err.contains("baseline schema") && err.contains("regenerate"),
+            err.contains("baseline schema") && err.contains("(reproduce --report <file>)"),
+            "{err}"
+        );
+        let old_scale =
+            JsonValue::parse(r#"{"schema":"cesrm-run/1","workload":{"mode":"scale"},"totals":{}}"#)
+                .unwrap();
+        let err = compare_reports(&report("scale", 1.0, 1.0), &old_scale, 50.0, 30.0).unwrap_err();
+        assert!(
+            err.contains("candidate schema") && err.contains("reproduce scale --report <file>"),
             "{err}"
         );
         let mut partial = current.clone();

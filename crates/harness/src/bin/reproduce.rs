@@ -7,7 +7,7 @@
 //!     [--trace FILE] [--trace-filter seq=N|receiver=N|ev=NAME]
 //!     [--trace-slowest N] [--digest FILE]
 //!     [--report FILE|-] [--profile] [--health]
-//!     [--overhead monitor,profile,digest] [--overhead-max-pct P]
+//!     [--overhead monitor,digest] [--overhead-max-pct P]
 //! ```
 //!
 //! A malformed or unknown argument, or a flag that would have nothing to
@@ -29,15 +29,15 @@
 //! Both refinements need `--trace`.
 //!
 //! `--report FILE` self-profiles every run through the `obs` metrics
-//! registry and writes the one `cesrm-run/1` JSON document of this
+//! registry and writes the one `cesrm-run/2` JSON document of this
 //! invocation (see `docs/METRICS.md`). Pass `-` for `FILE` to use the
 //! canonical `BENCH_<YYYYMMDD>.json` name in the working directory. The
 //! `bench_compare` binary diffs two such reports against thresholds.
 //!
-//! `--profile` runs the whole suite under the in-sim self-profiler and adds
-//! the merged per-phase attribution and engine telemetry to the report as
-//! its `profile` member (see `docs/PROFILING.md`); without `--report`
-//! nothing would be written, so that is a usage error.
+//! `--profile` adds the suite's merged engine telemetry (exact event,
+//! queue, arena and packet counts) to the report as its `profile` member
+//! (see `docs/PROFILING.md`); without `--report` nothing would be written,
+//! so that is a usage error.
 //!
 //! `--health` runs every reenactment under the online invariant monitors
 //! (see `docs/MONITORS.md`), prints the human summary, adds the verdict to
@@ -45,11 +45,11 @@
 //! invariant was violated.
 //!
 //! `--overhead LAYER[,LAYER]` gates what an observation layer (`monitor`,
-//! `profile`, `digest`) costs: per layer it reenacts the suite a second
-//! time with that layer toggled the other way and exits with status 3 when
-//! the on-vs-off CPU-time overhead exceeds the layer's limit (monitor 5 %,
-//! profile 5 %, digest 2 %; `--overhead-max-pct P` overrides all three
-//! and is a usage error without `--overhead`;
+//! `digest`) costs: per layer it reenacts the suite a second time with
+//! that layer toggled the other way and exits with status 3 when the
+//! on-vs-off CPU-time overhead exceeds the layer's limit (monitor 5 %,
+//! digest 2 %; `--overhead-max-pct P` overrides both and is a usage error
+//! without `--overhead`;
 //! deltas under 50 ms are treated as timer noise). With `--report` each
 //! measurement lands under `totals.overhead.<layer>`.
 //!
@@ -92,7 +92,7 @@
 //! Rungs run in this process, smallest first, and the kernel's peak-RSS
 //! account is restarted before each, so every rung's peak-RSS figure is its
 //! own. Prints a per-rung table (events/s, peak RSS, bytes per receiver,
-//! recovery latency), optionally writes a CSV and a `cesrm-run/1` report
+//! recovery latency), optionally writes a CSV and a `cesrm-run/2` report
 //! (`-` names it `BENCH_SCALE_<YYYYMMDD>.json`) with one `runs[]` row per
 //! rung. Exits 3 when a rung's peak RSS exceeds `--max-rss-mb`, 4 on an
 //! invariant violation or unrecovered loss, and 1 when sharded results
@@ -106,9 +106,9 @@
 //! prints the bisected (epoch, node, bucket) window plus the aligned
 //! event diff from a pinned replay, instead of just two differing rows.
 //!
-//! `--profile` additionally runs every rung under the self-profiler, prints
-//! each rung's per-shard busy/barrier-wait times, cross-shard packet counts
-//! and imbalance ratio, and adds the rung's profile to its report row
+//! `--profile` additionally prints each rung's per-shard busy/barrier-wait
+//! times, cross-shard packet counts and imbalance ratio, and adds them with
+//! the rung's engine telemetry to its report row as its `profile` member
 //! (`docs/SCALING.md` explains how to read it); it needs `--report`.
 
 use std::path::{Path, PathBuf};
@@ -120,7 +120,7 @@ use harness::{run_suite, SuiteConfig, TraceFilter};
 const USAGE: &str = "\
 usage: reproduce [--scale F] [--seed N] [--traces 1,2,3] [--jobs N] [--csv-dir DIR] [--trace FILE]
                  [--digest FILE] [--report FILE|-] [--profile] [--health]
-                 [--overhead monitor,profile,digest] ...
+                 [--overhead monitor,digest] ...
        reproduce scale [--rungs N,N,...] [--shards N] [--protocol srm|cesrm] [--csv FILE]
                  [--report FILE|-] [--profile] [--digest FILE] ...
        reproduce diff A.json B.json [--no-replay]";
@@ -214,7 +214,6 @@ fn parse_or_usage<T: std::str::FromStr>(item: &str, flag: &str, what: &str, give
 #[derive(Clone, Copy)]
 enum Layer {
     Monitor,
-    Profile,
     Digest,
 }
 
@@ -224,7 +223,7 @@ const OVERHEAD_NOISE_FLOOR_S: f64 = 0.05;
 impl std::str::FromStr for Layer {
     type Err = ();
     fn from_str(s: &str) -> Result<Layer, ()> {
-        [Layer::Monitor, Layer::Profile, Layer::Digest]
+        [Layer::Monitor, Layer::Digest]
             .into_iter()
             .find(|layer| layer.key() == s)
             .ok_or(())
@@ -236,15 +235,6 @@ impl Layer {
     fn key(self) -> &'static str {
         match self {
             Layer::Monitor => "monitor",
-            Layer::Profile => "profile",
-            Layer::Digest => "digest",
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Layer::Monitor => "monitor",
-            Layer::Profile => "profiler",
             Layer::Digest => "digest",
         }
     }
@@ -253,7 +243,7 @@ impl Layer {
     /// `--overhead-max-pct` overrides it.
     fn default_max_pct(self) -> f64 {
         match self {
-            Layer::Monitor | Layer::Profile => 5.0,
+            Layer::Monitor => 5.0,
             Layer::Digest => 2.0,
         }
     }
@@ -261,7 +251,6 @@ impl Layer {
     fn switch(self, cfg: &mut SuiteConfig) -> &mut bool {
         match self {
             Layer::Monitor => &mut cfg.monitor,
-            Layer::Profile => &mut cfg.profile,
             Layer::Digest => &mut cfg.digest,
         }
     }
@@ -275,8 +264,8 @@ impl Layer {
         let was_on = std::mem::replace(switch, !*switch);
         eprintln!(
             "measuring {} overhead: reenacting the suite with the {} {}...",
-            self.name(),
-            self.name(),
+            self.key(),
+            self.key(),
             if was_on { "off" } else { "on" }
         );
         let alt_result = run_suite(&alt);
@@ -462,7 +451,7 @@ fn suite_main(argv: &[String]) {
                 digest_path = Some(args.path(flag));
                 cfg.digest = true;
             }
-            "--overhead" => overhead_layers = args.list(flag, "monitor, profile and/or digest"),
+            "--overhead" => overhead_layers = args.list(flag, "monitor and/or digest"),
             "--overhead-max-pct" => overhead_max_pct = Some(args.parsed(flag, "a percentage")),
             other => usage_error(&format!("unknown argument: {other}")),
         }
@@ -566,19 +555,6 @@ fn suite_main(argv: &[String]) {
         .iter()
         .map(|&layer| (layer, layer.measure(&cfg, &result)))
         .collect();
-    if cfg.profile {
-        let snapshot = result.merged_prof();
-        let wall: std::time::Duration = result.profs.iter().map(|p| p.wall).sum();
-        let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-        eprintln!(
-            "profile: {} hot-loop events at stride {}, {:.1}% of the {:.3} s run wall-clock \
-             attributed to named phases",
-            snapshot.events,
-            snapshot.stride,
-            snapshot.attributed_pct(wall_ns),
-            wall.as_secs_f64(),
-        );
-    }
     if let Some(path) = report_path {
         let measured: Vec<(&str, harness::Overhead)> =
             overheads.iter().map(|&(l, o)| (l.key(), o)).collect();
@@ -596,7 +572,7 @@ fn suite_main(argv: &[String]) {
         println!(
             "{} overhead: cpu {:.3} s off vs {:.3} s on ({:+.1}%, limit +{max_pct:.1}%, \
              50 ms noise floor)",
-            layer.name(),
+            layer.key(),
             o.cpu_off_s,
             o.cpu_on_s,
             o.overhead_pct(),
@@ -604,7 +580,7 @@ fn suite_main(argv: &[String]) {
         if !o.within(max_pct, OVERHEAD_NOISE_FLOOR_S) {
             eprintln!(
                 "{} OVERHEAD REGRESSION: {:+.1}% exceeds +{max_pct:.1}%",
-                layer.name().to_uppercase(),
+                layer.key().to_uppercase(),
                 o.overhead_pct()
             );
             std::process::exit(3);
@@ -703,7 +679,7 @@ fn print_shard_accounting(outcomes: &[harness::RungOutcome]) {
     for r in outcomes
         .iter()
         .map(|o| &o.result)
-        .filter(|r| r.prof.is_some())
+        .filter(|r| r.engine.is_some())
     {
         eprintln!(
             "scale rung {}: per-shard accounting over {} epoch(s), imbalance ratio {}:",

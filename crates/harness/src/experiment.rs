@@ -194,16 +194,10 @@ pub(crate) fn infer_plan(trace: &Trace) -> LossPlan {
 /// `obs` crate) into the simulator, the recovery log and every protocol
 /// agent, and returns the engine's always-on telemetry counters alongside
 /// the measurements. The handle is owned by this one reenactment and is
-/// observation-only; read its event sink, registry, digest, monitor
-/// verdict and profile after the call.
-///
-/// When the handle profiles, the three coarse phases
-/// (`setup`/`run`/`teardown`) are timed exactly around the reenactment (the
-/// §4.2 inference precedes `setup`), the engine phases are stride-sampled
-/// inside the simulator, and exact per-phase call totals are folded in
-/// from [`netsim::EngineTelemetry`] after the run (`docs/PROFILING.md`) —
-/// the same step that writes the registry's `sim.events.*`,
-/// `sim.packets.*` and `sim.timers.scheduled` counters.
+/// observation-only; read its event sink, registry, digest and monitor
+/// verdict after the call. The registry's `sim.events.*`, `sim.packets.*`
+/// and `sim.timers.*` counters are written from the returned telemetry
+/// when the run ends.
 pub fn run_trace_with(
     trace: &Trace,
     protocol: Protocol,
@@ -221,9 +215,6 @@ pub(crate) fn run_planned(
     cfg: &ExperimentConfig,
     handle: &obs::Instruments,
 ) -> (RunMetrics, netsim::EngineTelemetry) {
-    use obs::Phase;
-
-    let setup_stamp = handle.begin_exact(Phase::Setup);
     let router_assist = matches!(protocol, Protocol::Cesrm(c) if c.router_assist);
     // A node's stream is a function of the simulator seed and its id alone:
     // one seed for every reenactment would replay node i's draws in every
@@ -281,16 +272,12 @@ pub(crate) fn run_planned(
             }
         }
     }
-    handle.end(Phase::Setup, setup_stamp);
     let end = SimTime::ZERO + cfg.warmup + period * trace.packets() as u32 + cfg.drain;
-    let run_stamp = handle.begin_exact(Phase::Run);
     sim.run_until(end);
-    handle.end(Phase::Run, run_stamp);
     let events_processed = sim.events_processed();
     let telemetry = sim.telemetry();
     crate::observe::publish_engine(handle, &telemetry);
 
-    let teardown_stamp = handle.begin_exact(Phase::Teardown);
     let log = log.borrow();
     let collector = collector.borrow();
     let mut nodes = vec![source];
@@ -341,7 +328,6 @@ pub(crate) fn run_planned(
         expedited_reply_crossings: collector.crossings_any_cast(PacketKind::ExpeditedReply),
         events_processed,
     };
-    handle.end(Phase::Teardown, teardown_stamp);
     (metrics_out, telemetry)
 }
 

@@ -3,7 +3,7 @@
 //! [`health_text`] renders a monitored suite run ([`crate::SuiteConfig`]
 //! with `monitor`): one headline verdict, then every violation and anomaly
 //! with its run context. The machine-readable form of the same verdict is
-//! the `health` member of the `cesrm-run/1` report ([`crate::report`];
+//! the `health` member of the `cesrm-run/2` report ([`crate::report`];
 //! schema in `docs/MONITORS.md`).
 
 use crate::suite::SuiteResult;

@@ -37,9 +37,9 @@
 //! verdict ([`health_text`]) and exits non-zero on any invariant violation.
 //!
 //! `--report FILE` writes the one machine-readable run report
-//! ([`report`], schema `cesrm-run/1` in `docs/METRICS.md`): workload,
-//! totals, counters and per-run rows, plus the `--profile` self-profile
-//! and the `--health` verdict when those ran.
+//! ([`report`], schema `cesrm-run/2` in `docs/METRICS.md`): workload,
+//! totals, counters and per-run rows, plus the `--profile` engine
+//! telemetry and the `--health` verdict when those ran.
 //!
 //! Beyond the paper's 12-receiver traces, the [`scale`] module runs the
 //! same protocols on 10³–10⁶-receiver trees (`reproduce scale`):

@@ -1,4 +1,4 @@
-//! The run report: one `cesrm-run/1` JSON document per `reproduce` or
+//! The run report: one `cesrm-run/2` JSON document per `reproduce` or
 //! `reproduce scale` invocation (`BENCH_<YYYYMMDD>.json` /
 //! `BENCH_SCALE_<YYYYMMDD>.json`).
 //!
@@ -8,7 +8,7 @@
 //! profile?, health?}`, where a `?` member is present only when the run
 //! produced it. `docs/METRICS.md` documents the members;
 //! `tests/schema_locks.rs` renders every section and pins the key paths in
-//! `schemas/cesrm-run-1.lock`.
+//! `schemas/cesrm-run-2.lock`.
 //!
 //! - **Member order is fixed** (the `obs::JsonValue` object model is
 //!   ordered), so equal runs produce byte-equal documents.
@@ -19,23 +19,23 @@
 //!   (`tests/determinism.rs`) and, for scale reports, at a fixed shard
 //!   count.
 //! - **Everything else is deterministic**: counters, headline figures,
-//!   the profiler's call counts and engine telemetry, and the whole
+//!   engine telemetry, shard epochs and packet counts, and the whole
 //!   `health` member, which needs no stripping at all.
 
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use obs::{Invariant, JsonValue, Phase, ProfSnapshot, RecoveryTimeline, Violation};
+use obs::{Invariant, JsonValue, RecoveryTimeline, Violation};
 
 use crate::scale::ScaleResult;
 use crate::suite::{RunHealth, RunProfile, SuiteConfig, SuiteResult, TracePair};
 
 /// Version tag every report carries; bump it whenever a key path changes.
-pub const RUN_SCHEMA: &str = "cesrm-run/1";
+pub const RUN_SCHEMA: &str = "cesrm-run/2";
 
 /// Member names that legitimately differ between two runs of one
 /// configuration: the date, the worker count, wall-clock readings and
 /// everything derived from them (throughput, RSS, the `--overhead`
-/// timings, the profiler's sampled times and shard waits).
+/// timings and shard busy and barrier times).
 /// [`strip_volatile`] nulls these wherever they appear in the document.
 pub const VOLATILE_FIELDS: &[&str] = &[
     "created",
@@ -46,11 +46,6 @@ pub const VOLATILE_FIELDS: &[&str] = &[
     "events_per_sec",
     "overhead",
     "peak_rss_bytes",
-    "wall_ns",
-    "attributed_pct",
-    "sampled_ns",
-    "est_ns",
-    "self_ns",
     "busy_ns",
     "barrier_ns",
     "imbalance_ratio",
@@ -173,7 +168,7 @@ fn per_sec(events: u64, secs: f64) -> f64 {
     }
 }
 
-/// The members of one `cesrm-run/1` document after `schema` and
+/// The members of one `cesrm-run/2` document after `schema` and
 /// `created`; `None` members are left out.
 struct RunDoc {
     workload: JsonValue,
@@ -206,9 +201,9 @@ impl RunDoc {
     }
 }
 
-/// Renders one suite run as a `cesrm-run/1` document. `overhead` holds
+/// Renders one suite run as a `cesrm-run/2` document. `overhead` holds
 /// the `--overhead` measurements as `(layer, measurement)` pairs (layers
-/// `monitor`, `profile`, `digest`) for `totals.overhead`, which is left
+/// `monitor`, `digest`) for `totals.overhead`, which is left
 /// out when empty. The `profile` and `health` members appear when the
 /// suite ran with [`SuiteConfig::profile`] / [`SuiteConfig::monitor`].
 ///
@@ -308,8 +303,7 @@ pub fn suite_report(
         for p in &result.profs {
             engine.merge(&p.engine);
         }
-        let wall: Duration = result.profs.iter().map(|p| p.wall).sum();
-        profile_json(&result.merged_prof(), wall, Some(&engine), None)
+        profile_json(&engine, None)
     });
     RunDoc {
         workload,
@@ -323,7 +317,7 @@ pub fn suite_report(
     .render()
 }
 
-/// Renders a scale sweep as a `cesrm-run/1` document: one `runs[]` row per
+/// Renders a scale sweep as a `cesrm-run/2` document: one `runs[]` row per
 /// rung (the deterministic CSV row, its parts, and the rung's wall-clock,
 /// throughput and peak RSS), each with its own `profile` when the rung
 /// ran profiled.
@@ -390,12 +384,11 @@ fn rung_json(o: &RungOutcome, protocol: &str) -> JsonValue {
         ("events_per_sec", num(o.events_per_sec())),
         ("peak_rss_bytes", JsonValue::uint(o.peak_rss_bytes)),
     ];
-    members.extend(r.prof.as_ref().map(|s| {
-        (
-            "profile",
-            profile_json(s, o.wall, r.engine.as_ref(), Some(r)),
-        )
-    }));
+    members.extend(
+        r.engine
+            .as_ref()
+            .map(|e| ("profile", profile_json(e, Some(r)))),
+    );
     JsonValue::obj(members)
 }
 
@@ -433,32 +426,10 @@ fn headline_json(pairs: &[TracePair]) -> JsonValue {
     ])
 }
 
-/// The `profile` member: a profiler snapshot, the wall-clock it is
-/// attributed against, the engine telemetry and — for a scale rung — the
-/// per-shard accounting and imbalance ratio (null below two shards; a
+/// The `profile` member: the engine telemetry and — for a scale rung —
+/// the per-shard accounting and imbalance ratio (null below two shards; a
 /// suite profile has no shards).
-fn profile_json(
-    snapshot: &ProfSnapshot,
-    wall: Duration,
-    engine: Option<&netsim::EngineTelemetry>,
-    rung: Option<&ScaleResult>,
-) -> JsonValue {
-    let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-    let phases = Phase::ALL
-        .iter()
-        .map(|&phase| {
-            let t = snapshot.phase(phase);
-            JsonValue::obj(vec![
-                ("phase", JsonValue::str_val(phase.name())),
-                ("stack", JsonValue::Str(phase.stack())),
-                ("calls", JsonValue::uint(t.calls)),
-                ("timed", JsonValue::uint(t.timed)),
-                ("sampled_ns", JsonValue::uint(t.nanos)),
-                ("est_ns", JsonValue::uint(snapshot.estimated_nanos(phase))),
-                ("self_ns", JsonValue::uint(snapshot.self_nanos(phase))),
-            ])
-        })
-        .collect();
+fn profile_json(engine: &netsim::EngineTelemetry, rung: Option<&ScaleResult>) -> JsonValue {
     let shards = rung.map_or(&[][..], |r| &r.shard_accounting);
     let shards_json = shards
         .iter()
@@ -477,12 +448,7 @@ fn profile_json(
         .filter(|_| shards.len() >= 2)
         .map(ScaleResult::imbalance_ratio);
     JsonValue::obj(vec![
-        ("stride", JsonValue::uint(snapshot.stride)),
-        ("events", JsonValue::uint(snapshot.events)),
-        ("wall_ns", JsonValue::uint(wall_ns)),
-        ("attributed_pct", num(snapshot.attributed_pct(wall_ns))),
-        ("phases", JsonValue::Arr(phases)),
-        ("engine", engine.map_or(JsonValue::Null, engine_json)),
+        ("engine", engine_json(engine)),
         ("shards", JsonValue::Arr(shards_json)),
         ("imbalance_ratio", imbalance.map_or(JsonValue::Null, num)),
     ])
@@ -746,11 +712,11 @@ mod tests {
     #[test]
     fn every_overhead_layer_has_one_shape_and_is_volatile() {
         let (cfg, result) = suite(SuiteConfig::quick(0.01));
-        let layers = [("monitor", SAMPLE), ("profile", SAMPLE), ("digest", SAMPLE)];
+        let layers = [("monitor", SAMPLE), ("digest", SAMPLE)];
         let text = suite_report(&cfg, &result, &layers);
         let doc = parse(&text);
         let overhead = doc.get("totals").unwrap().get("overhead").unwrap();
-        for layer in ["monitor", "profile", "digest"] {
+        for layer in ["monitor", "digest"] {
             let o = overhead.get(layer).unwrap();
             assert!((o.get("overhead_pct").unwrap().as_f64().unwrap() - 2.5).abs() < 1e-9);
         }
@@ -783,30 +749,27 @@ mod tests {
     }
 
     #[test]
-    fn suite_profile_member_attributes_the_run_and_matches_engine_counts() {
+    fn suite_profile_member_is_the_merged_engine_telemetry() {
         let (cfg, result) = suite(SuiteConfig::quick(0.01).with_profile());
         assert_eq!(result.profs.len(), 2, "SRM and CESRM runs");
         let doc = parse(&suite_report(&cfg, &result, &[]));
         let profile = doc.get("profile").unwrap();
-        assert_eq!(profile.get("stride").unwrap().as_u64(), Some(256));
-        let phases = profile.get("phases").unwrap().as_arr().unwrap();
-        assert_eq!(phases.len(), obs::PHASE_COUNT, "all phases always present");
-        let pops = phases
-            .iter()
-            .find(|p| p.get("phase").unwrap().as_str() == Some("queue_pop"))
+        let JsonValue::Obj(members) = profile else {
+            panic!("profile is an object")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["engine", "shards", "imbalance_ratio"]);
+        let pops = profile
+            .get("engine")
             .unwrap()
-            .get("calls")
+            .get("queue")
             .unwrap()
-            .as_u64()
-            .unwrap();
-        assert!(pops > 0);
-        let engine = profile.get("engine").unwrap();
-        let engine_pops = engine.get("queue").unwrap().get("pops").unwrap().as_u64();
-        assert_eq!(engine_pops, Some(pops));
-        // Whole-run attribution: the three exact root spans cover nearly
-        // all of the measured wall-clock.
-        let pct = profile.get("attributed_pct").unwrap().as_f64().unwrap();
-        assert!((90.0..=110.0).contains(&pct), "{pct:.1}% attributed");
+            .get("pops")
+            .unwrap()
+            .as_u64();
+        let total: u64 = result.profs.iter().map(|p| p.engine.queue.pops).sum();
+        assert!(total > 0);
+        assert_eq!(pops, Some(total));
         // A suite profile has no shards.
         assert!(profile.get("shards").unwrap().as_arr().unwrap().is_empty());
         assert_eq!(profile.get("imbalance_ratio"), Some(&JsonValue::Null));

@@ -47,7 +47,7 @@ use netsim::{
 use srm::{Role, SourceConfig, SrmAgent, SrmEndpoints, SrmParams};
 use topology::{scale_tree, LinkId, MulticastTree, NodeId, ScaleShape, ScaleTree};
 
-use crate::observe::{instruments, publish_engine};
+use crate::observe::instruments;
 use crate::Protocol;
 
 /// SRM parameters for scale runs: the paper's §4.3 settings with a 2 s
@@ -119,10 +119,9 @@ pub struct ScaleConfig {
     pub losses: u32,
     /// Attach the I1–I6 invariant monitors (only honoured at `shards: 1`).
     pub monitor: bool,
-    /// Run the self-profiler in every shard (see
-    /// `docs/PROFILING.md`). Each shard owns its `!Send` handle and ships
-    /// only the plain-data snapshot back; measurements stay byte-identical
-    /// to a profiler-off run.
+    /// Keep the engine telemetry of every shard, merged into
+    /// [`ScaleResult::engine`] (see `docs/PROFILING.md`). The counts are
+    /// exact and keeping them touches no simulation state.
     pub profile: bool,
     /// Fold the canonical event stream into a hierarchical digest in every
     /// shard (see `docs/DEBUGGING.md`), with a flight recorder riding
@@ -253,11 +252,6 @@ pub struct ScaleResult {
     /// deterministic for a given shard count. Not part of the
     /// deterministic row or of equality.
     pub shard_accounting: Vec<ShardAccounting>,
-    /// Merged profiler snapshot (shard-order fold; `None`
-    /// unless [`ScaleConfig::profile`] was set). Call counts are
-    /// deterministic for a given shard count; sampled nanoseconds are
-    /// wall-clock. Not part of equality.
-    pub prof: Option<obs::ProfSnapshot>,
     /// Merged engine telemetry counters (`None` unless
     /// [`ScaleConfig::profile`] was set). Per-queue high-water figures
     /// depend on the shard count; totals do not. Not part of equality.
@@ -488,7 +482,6 @@ struct ShardOutcome {
     state_bytes: u64,
     violations: Option<u64>,
     accounting: ShardAccounting,
-    prof: Option<obs::ProfSnapshot>,
     engine: Option<netsim::EngineTelemetry>,
     digest: Option<obs::DigestSnapshot>,
     window: Vec<obs::Record>,
@@ -563,7 +556,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
     let mut traffic = TrafficCollector::new();
     let mut violations: Option<u64> = None;
     let mut shard_accounting: Vec<ShardAccounting> = Vec::with_capacity(shards);
-    let mut prof: Option<obs::ProfSnapshot> = None;
     let mut engine: Option<netsim::EngineTelemetry> = None;
     let mut digest: Option<obs::DigestSnapshot> = None;
     let mut window_events: Vec<obs::Record> = Vec::new();
@@ -576,10 +568,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
             violations = Some(violations.unwrap_or(0) + v);
         }
         shard_accounting.push(o.accounting);
-        if let Some(s) = o.prof {
-            prof.get_or_insert_with(obs::ProfSnapshot::default)
-                .merge(&s);
-        }
         if let Some(e) = o.engine {
             match &mut engine {
                 Some(merged) => merged.merge(&e),
@@ -650,7 +638,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
         violations,
         epochs,
         shard_accounting,
-        prof,
         engine,
         digest,
         digest_groups,
@@ -744,7 +731,6 @@ fn run_shard(
             digest: cfg.digest.then(|| {
                 obs::DigestRecorder::new(lookahead_ns, obs::DEFAULT_BUCKET_NS.min(lookahead_ns))
             }),
-            profile: cfg.profile,
             ..obs::Setup::default()
         },
         || {
@@ -761,7 +747,6 @@ fn run_shard(
             )
         },
     );
-    let setup_stamp = handle.begin_exact(obs::Phase::Setup);
     let router_assist = matches!(cfg.protocol, Protocol::Cesrm(c) if c.router_assist);
     let net = NetConfig::default()
         .with_seed(cfg.seed)
@@ -840,8 +825,6 @@ fn run_shard(
         shard: u32::from(me),
         ..ShardAccounting::default()
     };
-    handle.end(obs::Phase::Setup, setup_stamp);
-    let run_stamp = handle.begin_exact(obs::Phase::Run);
     if shards == 1 {
         // simlint: allow(D002, reason = "per-shard busy-time accounting for the imbalance report; never feeds simulation state")
         let busy = Instant::now();
@@ -891,10 +874,6 @@ fn run_shard(
         }
         accounting.epochs = epoch;
     }
-    handle.end(obs::Phase::Run, run_stamp);
-    let engine = sim.telemetry();
-    publish_engine(&handle, &engine);
-    let teardown_stamp = handle.begin_exact(obs::Phase::Teardown);
 
     let violations = handle
         .finish_monitors()
@@ -916,7 +895,6 @@ fn run_shard(
     let digest = handle.digest_snapshot();
     let window = handle.drain();
     obs::flight::clear_current();
-    handle.end(obs::Phase::Teardown, teardown_stamp);
     ShardOutcome {
         events: sim.events_processed(),
         records,
@@ -924,8 +902,7 @@ fn run_shard(
         state_bytes,
         violations,
         accounting,
-        prof: cfg.profile.then(|| handle.prof_snapshot()),
-        engine: cfg.profile.then_some(engine),
+        engine: cfg.profile.then(|| sim.telemetry()),
         digest,
         window,
     }

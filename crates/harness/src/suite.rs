@@ -52,12 +52,10 @@ pub struct SuiteConfig {
     /// checking is race-free under any worker count and the measured
     /// `pairs` stay byte-identical to a monitors-off run.
     pub monitor: bool,
-    /// When `true`, every reenactment runs the in-sim self-profiler
-    /// (stride-sampled phase timings plus the engine's always-on
-    /// telemetry counters; see `docs/PROFILING.md`) into
-    /// [`SuiteResult::profs`]. Each run owns its handle (`!Send` by
-    /// design), so profiling is race-free under any worker count and the
-    /// measured `pairs` stay byte-identical to a profiler-off run.
+    /// When `true`, every reenactment keeps the engine's always-on
+    /// telemetry counters (see `docs/PROFILING.md`) in
+    /// [`SuiteResult::profs`]. The counts are exact and deterministic, and
+    /// keeping them touches no simulation state.
     pub profile: bool,
     /// When `true`, every reenactment folds its canonical event stream
     /// into a hierarchical [`obs::DigestRecorder`] (per-run → per-epoch →
@@ -119,7 +117,7 @@ impl SuiteConfig {
         self
     }
 
-    /// Turns on the per-run self-profiler (see [`SuiteResult::profs`] and
+    /// Keeps every run's engine telemetry (see [`SuiteResult::profs`] and
     /// `docs/PROFILING.md`).
     pub fn with_profile(mut self) -> Self {
         self.profile = true;
@@ -259,11 +257,8 @@ impl RunProfile {
     }
 }
 
-/// The self-profile of one (trace × protocol) reenactment under the
-/// in-sim profiler (see `docs/PROFILING.md`): stride-sampled phase
-/// timings plus the engine's always-on telemetry counters. Call counts and
-/// telemetry are deterministic; only the sampled nanosecond tallies inside
-/// [`RunProf::snapshot`] depend on the machine.
+/// The engine telemetry of one (trace × protocol) reenactment (see
+/// `docs/PROFILING.md`): exact counts, deterministic at every worker count.
 #[derive(Clone, Debug)]
 pub struct RunProf {
     /// Table-1 trace number (1-based).
@@ -272,15 +267,8 @@ pub struct RunProf {
     pub name: &'static str,
     /// `"SRM"` or `"CESRM"`.
     pub protocol: &'static str,
-    /// Per-phase call counts, timed-sample counts and sampled cycle
-    /// tallies.
-    pub snapshot: obs::ProfSnapshot,
     /// Calendar-queue, arena and loss-model counters from the engine.
     pub engine: netsim::EngineTelemetry,
-    /// Wall-clock time of the reenactment itself (setup through teardown,
-    /// excluding trace synthesis) — the denominator of the attribution
-    /// figure. Volatile.
-    pub wall: Duration,
 }
 
 /// The invariant-monitor verdict of one (trace × protocol) reenactment:
@@ -341,10 +329,8 @@ pub struct SuiteResult {
     /// set. Kept out of [`TracePair`] so monitoring can never perturb the
     /// measurement comparisons.
     pub health: Vec<RunHealth>,
-    /// Per-run self-profiles from the in-sim profiler, one per run
-    /// in slot order (SRM before CESRM per trace); empty unless
-    /// [`SuiteConfig::profile`] was set. Kept out of [`TracePair`] so
-    /// profiling can never perturb the measurement comparisons.
+    /// Per-run engine telemetry, one per run in slot order (SRM before
+    /// CESRM per trace); empty unless [`SuiteConfig::profile`] was set.
     pub profs: Vec<RunProf>,
     /// Per-run hierarchical digests, one per run in slot order (SRM before
     /// CESRM per trace); empty unless [`SuiteConfig::digest`] was set.
@@ -385,19 +371,6 @@ impl SuiteResult {
     /// monitored run.
     pub fn total_anomalies(&self) -> u64 {
         self.health.iter().map(|h| h.report.stats.anomalies).sum()
-    }
-
-    /// Folds every per-run profiler snapshot into one suite-wide snapshot,
-    /// in slot order. Merging is associative and the fold order is fixed,
-    /// so the deterministic members (calls, timed-sample counts) are
-    /// identical at every worker count. Empty when the suite ran without
-    /// [`SuiteConfig::profile`].
-    pub fn merged_prof(&self) -> obs::ProfSnapshot {
-        let mut merged = obs::ProfSnapshot::default();
-        for prof in &self.profs {
-            merged.merge(&prof.snapshot);
-        }
-        merged
     }
 }
 
@@ -441,7 +414,7 @@ struct RunOutput {
     profile: Option<RunProfile>,
     /// The run's invariant-monitor verdict, when the suite asked for one.
     health: Option<RunHealth>,
-    /// The run's self-profile, when the suite asked for one.
+    /// The run's engine telemetry, when the suite asked for it.
     prof: Option<RunProf>,
     /// The run's hierarchical digest, when the suite asked for one.
     digest: Option<RunDigest>,
@@ -467,7 +440,7 @@ impl RunJob {
         // Each run builds its observation handle on its own worker thread
         // (the handle is `!Send` by design) and ships only plain-data
         // snapshots back through the pool, so worker threads never share
-        // event, registry or profiler state at any worker count.
+        // event or registry state at any worker count.
         let handle = instruments(
             obs::Setup {
                 sink: self
@@ -476,7 +449,6 @@ impl RunJob {
                 monitors: self.monitor.then(obs::MonitorSet::standard),
                 digest: self.digest.then(obs::DigestRecorder::default),
                 metrics: self.profile,
-                profile: self.prof,
                 ..obs::Setup::default()
             },
             || {
@@ -486,10 +458,7 @@ impl RunJob {
                 )
             },
         );
-        // simlint: allow(D002, reason = "attribution denominator for the report's profile member; never feeds simulation state")
-        let prof_started = Instant::now();
         let (metrics, engine) = run_planned(trace, plan, self.protocol, &self.experiment, &handle);
-        let prof_wall = prof_started.elapsed();
         obs::flight::clear_current();
         let digest = self.digest.then(|| RunDigest {
             trace: self.spec.number,
@@ -532,13 +501,11 @@ impl RunJob {
             queue_max_len: engine.queue.max_len,
             snapshot: handle.metrics_snapshot(),
         });
-        let prof_out = self.prof.then(|| RunProf {
+        let prof_out = self.prof.then_some(RunProf {
             trace: self.spec.number,
             name: self.spec.name,
             protocol: protocol_name,
-            snapshot: handle.prof_snapshot(),
             engine,
-            wall: prof_wall,
         });
         RunOutput {
             spec: self.spec.clone(),

@@ -41,6 +41,11 @@ fn argument_errors_exit_2_with_usage_and_never_panic() {
         (&["--traces", "15"], "--traces requires trace numbers"),
         (&["--scale", "x"], "--scale requires a number"),
         (&["--overhead", "everything"], "--overhead requires monitor"),
+        // `--profile` only reports counts that always exist: no layer to gate.
+        (
+            &["--overhead", "profile", "--scale", "0.01", "--traces", "2"],
+            "--overhead requires monitor and/or digest, got \"profile\"",
+        ),
         // A limit with no layer to apply it to gates nothing.
         (
             &[
@@ -205,8 +210,14 @@ fn bench_history_lists_every_report_revision() {
         ),
         (
             "BENCH_SCALE_20260104.json",
-            harness::RUN_SCHEMA,
+            "cesrm-run/1",
             "2026-01-04",
+            r#""workload":{"mode":"scale"}"#,
+        ),
+        (
+            "BENCH_SCALE_20260105.json",
+            harness::RUN_SCHEMA,
+            "2026-01-05",
             r#""workload":{"mode":"scale"}"#,
         ),
     ] {
@@ -223,19 +234,21 @@ fn bench_history_lists_every_report_revision() {
         String::from_utf8_lossy(&out.stderr),
     );
     assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(stdout.contains("4 reports"), "{stdout}");
+    assert!(stdout.contains("5 reports"), "{stdout}");
     assert!(
         stdout.contains("BENCH_20260101.json") && stdout.contains("BENCH_20260102.json"),
         "{stdout}"
     );
     let scale_rows = stdout.lines().filter(|l| l.contains(" scale ")).count();
-    assert_eq!(scale_rows, 2, "{stdout}");
-    // The cesrm-run/1 scale row's deltas compare against the legacy one.
-    let run_row = stdout
-        .lines()
-        .find(|l| l.starts_with("BENCH_SCALE_20260104.json"))
-        .expect("cesrm-run/1 row listed");
-    assert!(run_row.contains("+0.0%"), "{run_row}");
+    assert_eq!(scale_rows, 3, "{stdout}");
+    // Each cesrm-run scale row's deltas compare against the one before.
+    for name in ["BENCH_SCALE_20260104.json", "BENCH_SCALE_20260105.json"] {
+        let run_row = stdout
+            .lines()
+            .find(|l| l.starts_with(name))
+            .expect("cesrm-run row listed");
+        assert!(run_row.contains("+0.0%"), "{run_row}");
+    }
     assert!(stderr.contains("skipping BENCH_20260103.json"), "{stderr}");
 }
 
@@ -270,6 +283,41 @@ fn bench_compare_refuses_unlike_workload_modes() {
         "{stderr}"
     );
     assert!(!stderr.contains("PERF REGRESSION"), "{stderr}");
+}
+
+/// A report of an earlier schema revision is refused pairwise (exit 1)
+/// with the command that regenerates it.
+#[test]
+fn bench_compare_refuses_a_previous_schema_revision() {
+    let dir = std::env::temp_dir().join(format!("cesrm-revision-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str, schema: &str| {
+        let path = dir.join(name);
+        let text = format!(
+            r#"{{"schema":"{schema}","workload":{{"mode":"suite"}},
+               "totals":{{"runs":1,"events":1000,"wall_s":0.5,"events_per_sec":2000}}}}"#
+        );
+        std::fs::write(&path, text).expect("report written");
+        path
+    };
+    let old = path("old.json", "cesrm-run/1");
+    let current = path("current.json", harness::RUN_SCHEMA);
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_compare"))
+        .arg("--baseline")
+        .arg(&old)
+        .arg("--candidate")
+        .arg(&current)
+        .output()
+        .expect("the binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("baseline schema is Some(\"cesrm-run/1\")")
+            && stderr.contains("reproduce --report <file>"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "{stderr}");
 }
 
 /// Every scale-mode writer creates the directories it writes into, as the

@@ -89,11 +89,7 @@ fn run_report_matches_its_lock() {
         cpu_off_s: 4.0,
         cpu_on_s: 4.1,
     };
-    let layers = [
-        ("monitor", measured),
-        ("profile", measured),
-        ("digest", measured),
-    ];
+    let layers = [("monitor", measured), ("digest", measured)];
     let mut suite = parse(&suite_report(&cfg, &result, &layers));
     // Counter names are the registry's inventory — data, not schema.
     *suite.get_mut("counters").expect("counters member") = JsonValue::Obj(Vec::new());

@@ -121,13 +121,12 @@ fn off_handle_and_capturing_handle_agree_on_metrics() {
 
 /// One handle, cloned into every layer: the simulator, the recovery log,
 /// the SRM core and the CESRM agent all emit into the sink the caller
-/// holds, the registry it snapshots and the profile it reads.
+/// holds and count into the registry it snapshots.
 #[test]
 fn every_layer_observes_through_the_one_handle() {
     let handle = obs::Instruments::new(obs::Setup {
         sink: Some(Box::new(obs::MemorySink::new())),
         metrics: true,
-        profile: true,
         ..obs::Setup::default()
     });
     let (metrics, engine) = run_trace_with(
@@ -167,10 +166,9 @@ fn every_layer_observes_through_the_one_handle() {
         assert!(counters[name] > 0, "`{name}` never counted");
     }
     assert_eq!(counters["recovery.detected"], metrics.losses as u64);
-    let prof = handle.prof_snapshot();
     assert_eq!(
-        prof.phase(obs::Phase::CesrmOnPacket).calls,
-        engine.deliveries,
-        "every delivery went through a profiled CESRM agent"
+        counters["sim.events.hop"],
+        engine.events - engine.start_events - engine.timer_events,
+        "the registry's engine counts are the returned telemetry's"
     );
 }

@@ -81,10 +81,8 @@ impl LmsSource {
 
     /// Builder-style installation of the run's observation handle (see
     /// the `obs` crate): the source emits `rep_sent` for the full-tree
-    /// retransmissions it sends and counts them (`lms.replies_sent`), and
-    /// every `on_packet` counts into the `lms_on_packet` profiler phase,
-    /// with one in `stride` calls wall-clock timed (`docs/PROFILING.md`).
-    /// Off by default.
+    /// retransmissions it sends and counts them (`lms.replies_sent`). Off by
+    /// default.
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
         self.metrics_replies_sent = obs.counter("lms.replies_sent");
         self.obs = obs;
@@ -108,7 +106,6 @@ impl Agent for LmsSource {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, _meta: &DeliveryMeta) {
-        let stamp = self.obs.begin(obs::Phase::LmsOnPacket);
         // The source answers any request that reaches it with a root-level
         // subcast (a full-tree retransmission).
         if let PacketBody::ExpeditedRequest {
@@ -149,7 +146,6 @@ impl Agent for LmsSource {
                     });
             }
         }
-        self.obs.end(obs::Phase::LmsOnPacket, stamp);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
@@ -229,10 +225,8 @@ impl LmsReceiver {
     /// the `obs` crate). Loss-detection, request and recovery records flow
     /// through the shared [`metrics::RecoveryLog`], which should be given a
     /// clone of the same handle; the receiver itself emits `rep_sent` for
-    /// the subcast repairs it sends and counts them (`lms.replies_sent`),
-    /// and every `on_packet` counts into the `lms_on_packet` profiler
-    /// phase, with one in `stride` calls wall-clock timed
-    /// (`docs/PROFILING.md`). Off by default.
+    /// the subcast repairs it sends and counts them (`lms.replies_sent`).
+    /// Off by default.
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
         self.metrics_replies_sent = obs.counter("lms.replies_sent");
         self.obs = obs;
@@ -390,7 +384,6 @@ impl Agent for LmsReceiver {
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, _meta: &DeliveryMeta) {
-        let stamp = self.obs.begin(obs::Phase::LmsOnPacket);
         match &packet.body {
             PacketBody::Data { id } if id.source == self.source => {
                 if self.received.insert(id.seq.value()) {
@@ -417,7 +410,6 @@ impl Agent for LmsReceiver {
             }
             _ => {}
         }
-        self.obs.end(obs::Phase::LmsOnPacket, stamp);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {

@@ -58,10 +58,11 @@
 //!
 //! [`Simulator::set_obs`] installs the run's `obs::Instruments` handle: the
 //! simulator then emits structured `sent`/`dropped`/`delivered` events for
-//! recovery-relevant packets (`docs/TRACING.md`), counts into the metrics
-//! registry (`docs/METRICS.md`) and stride-samples its engine phases
-//! (`docs/PROFILING.md`) — whichever of the three the handle was built
-//! with. With the default off-handle every call site is one branch.
+//! recovery-relevant packets (`docs/TRACING.md`) when the handle has an
+//! event consumer. With the default off-handle every call site is one
+//! branch. What the engine counts is always on and exact
+//! ([`Simulator::telemetry`], `docs/PROFILING.md`); it never reads the
+//! host clock.
 //!
 //! # Sharded execution (million-node runs)
 //!

@@ -12,7 +12,6 @@ use crate::queue::{CalendarQueue, Entry, QueueTelemetry};
 use crate::{
     CastClass, LossProcess, NetConfig, NoLoss, NodeRng, Packet, PacketBody, SimDuration, SimTime,
 };
-use obs::Phase;
 
 /// Maps a packet onto the dependency-free tracing vocabulary of the `obs`
 /// crate: a body classification plus the data sequence number it concerns.
@@ -155,11 +154,11 @@ struct NodeSlot {
 /// [`Simulator::telemetry`]. Everything here is a pure function of the
 /// simulated event sequence — deterministic at any worker or shard count
 /// — and cheap enough (plain integer adds on already-hot cache lines) to
-/// stay enabled unconditionally. This is the one count block: after a run
-/// the self-profiler turns these exact totals into per-phase call tallies
-/// (`docs/PROFILING.md`) and the metrics registry takes its `sim.events.*`,
-/// `sim.packets.*` and `sim.timers.*` values from them
-/// (`docs/METRICS.md`), so nothing is counted a second time per event.
+/// stay enabled unconditionally. This is the one count block: it is the
+/// run report's `profile.engine` member (`docs/PROFILING.md`), and after a
+/// run the metrics registry takes its `sim.events.*`, `sim.packets.*` and
+/// `sim.timers.*` values from it (`docs/METRICS.md`), so nothing is
+/// counted a second time per event.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct EngineTelemetry {
     /// Calendar-queue counters (occupancy, overflow promotions, bitmap
@@ -272,10 +271,6 @@ pub struct Simulator {
     observer: Box<dyn SimObserver>,
     /// The run's observation handle; [`obs::Instruments::off`] by default.
     obs: obs::Instruments,
-    /// Whether the event currently being dispatched is one of the
-    /// stride-sampled events whose engine phases are wall-clock timed.
-    /// Always `false` when profiling is off.
-    sampled: bool,
     /// Always-on engine counters; see [`EngineTelemetry`].
     transmits: u64,
     deliveries: u64,
@@ -346,7 +341,6 @@ impl Simulator {
             loss: Box::new(NoLoss),
             observer: Box::new(NullObserver),
             obs: obs::Instruments::off(),
-            sampled: false,
             transmits: 0,
             deliveries: 0,
             fan_outs: 0,
@@ -501,8 +495,7 @@ impl Simulator {
     /// Installs the run's observation handle (the default is
     /// [`obs::Instruments::off`]). Depending on what the handle was built
     /// with, the simulator then emits `sent`/`dropped`/`delivered` trace
-    /// records and wall-clock times the engine phases of every
-    /// stride-sampled event (`docs/PROFILING.md`). Clone the same handle
+    /// records. Clone the same handle
     /// into the protocol agents and the recovery log so one pipeline sees
     /// the whole run.
     ///
@@ -570,7 +563,6 @@ impl Simulator {
     /// [`inject_packet`](Simulator::inject_packet) this supports
     /// fine-grained protocol state-machine tests.
     pub fn step(&mut self) -> bool {
-        self.sampled = self.obs.tick_event();
         let Some(entry) = self.queue.pop_at_most(u64::MAX) else {
             return false;
         };
@@ -595,15 +587,7 @@ impl Simulator {
     /// events at exactly `until` were processed).
     pub fn run_until(&mut self, until: SimTime) {
         let limit = until.as_nanos();
-        loop {
-            // One branch per event when profiling is off; on every
-            // stride-th event when on, the engine phases below time
-            // themselves with Instant pairs (see docs/PROFILING.md).
-            self.sampled = self.obs.tick_event();
-            let pop_stamp = if self.sampled { self.obs.stamp() } else { None };
-            let entry = self.queue.pop_at_most(limit);
-            self.obs.end(Phase::QueuePop, pop_stamp);
-            let Some(entry) = entry else { break };
+        while let Some(entry) = self.queue.pop_at_most(limit) {
             debug_assert!(
                 entry.at >= self.now.as_nanos(),
                 "event queue went backwards"
@@ -679,7 +663,6 @@ impl Simulator {
     }
 
     fn push_with_seq(&mut self, at_ns: u64, seq: u64, kind: EventKind) {
-        let stamp = if self.sampled { self.obs.stamp() } else { None };
         self.queue.push(
             Entry {
                 at: at_ns,
@@ -688,7 +671,6 @@ impl Simulator {
             },
             self.now.as_nanos(),
         );
-        self.obs.end(Phase::QueuePush, stamp);
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind, owner: NodeId) {
@@ -804,14 +786,12 @@ impl Simulator {
         turning_point: Option<NodeId>,
     ) {
         self.fan_outs += 1;
-        let stamp = if self.sampled { self.obs.stamp() } else { None };
         let slot = &self.nodes[at.index()];
         let (start, end, parent) = (slot.nbr_start as usize, slot.nbr_end as usize, slot.parent);
         // A hop's sender is a neighbour, so a node whose only neighbour is
         // the sender forwards nothing: every leaf delivery of a flood ends
         // here, on the node record alone.
         if end - start == 1 && from.is_some() {
-            self.obs.end(Phase::FanOut, stamp);
             return;
         }
         for i in start..end {
@@ -828,7 +808,6 @@ impl Simulator {
                 self.transmit(at, nb, Direction::Down, packet, handle, tp);
             }
         }
-        self.obs.end(Phase::FanOut, stamp);
     }
 
     fn flood_down(
@@ -839,7 +818,6 @@ impl Simulator {
         turning_point: Option<NodeId>,
     ) {
         self.fan_outs += 1;
-        let stamp = if self.sampled { self.obs.stamp() } else { None };
         let slot = &self.nodes[at.index()];
         let start = slot.nbr_start as usize + usize::from(slot.parent != u32::MAX);
         let end = slot.nbr_end as usize;
@@ -847,7 +825,6 @@ impl Simulator {
             let c = self.nbrs[i];
             self.transmit(at, c, Direction::Down, packet, handle, turning_point);
         }
-        self.obs.end(Phase::FanOut, stamp);
     }
 
     /// [`transmit`](Self::transmit) for a unicast or subcast leg, which
@@ -884,20 +861,6 @@ impl Simulator {
         turning_point: Option<NodeId>,
     ) {
         self.transmits += 1;
-        let stamp = if self.sampled { self.obs.stamp() } else { None };
-        self.transmit_inner(a, b, dir, packet, handle, turning_point);
-        self.obs.end(Phase::Transmit, stamp);
-    }
-
-    fn transmit_inner(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        dir: Direction,
-        packet: &Packet,
-        handle: PacketHandle,
-        turning_point: Option<NodeId>,
-    ) {
         let (link, dir_idx) = match dir {
             Direction::Down => (LinkId(b), 1),
             Direction::Up => (LinkId(a), 0),
@@ -915,13 +878,10 @@ impl Simulator {
             (depart, state.delay)
         };
         self.observer.on_link_crossing(self.now, link, dir, packet);
-        let loss_stamp = if self.sampled { self.obs.stamp() } else { None };
         // Loss and jitter draw from the transmitting node's stream, which
         // the shard executing this transmit owns.
         let rng = NodeRng::new(&mut self.node_rngs[a.index()], self.cfg.seed, a);
-        let dropped = self.loss.should_drop(link, packet, rng);
-        self.obs.end(Phase::LossDraw, loss_stamp);
-        if dropped {
+        if self.loss.should_drop(link, packet, rng) {
             self.observer.on_drop(self.now, link, packet);
             self.drops += 1;
             self.obs.emit(self.now.as_nanos(), || {
@@ -1019,7 +979,6 @@ impl Simulator {
             return;
         }
         self.deliveries += 1;
-        let stamp = if self.sampled { self.obs.stamp() } else { None };
         self.observer.on_delivery(self.now, node, packet);
         if self.obs.events_enabled() {
             // Recovery-class deliveries only: original-data and session
@@ -1049,7 +1008,6 @@ impl Simulator {
             },
         };
         self.with_agent(node, |agent, ctx| agent.on_packet(ctx, packet, &meta));
-        self.obs.end(Phase::Deliver, stamp);
     }
 }
 
@@ -1609,9 +1567,9 @@ mod tests {
             metrics: true,
             ..obs::Setup::default()
         });
-        let profiled = run(&handle);
+        let observed = run(&handle);
         // Observation-only: identical counts and delivery schedule.
-        assert_eq!(bare, profiled);
+        assert_eq!(bare, observed);
         let engine = bare.0;
         assert_eq!(engine.start_events, 5, "one start per attached agent");
         assert_eq!(engine.timer_events, 0);

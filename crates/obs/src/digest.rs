@@ -30,7 +30,7 @@
 //! [`DigestRecorder::snapshot`]. This is tens of nanoseconds per
 //! *emitted* trace event, never per simulator event; the budget is
 //! audited by `reproduce --overhead digest` (the same A/B loop and noise
-//! floor as the monitor and profiler gates — `docs/DEBUGGING.md` has the
+//! floor as the monitor gate — `docs/DEBUGGING.md` has the
 //! measured numbers).
 
 use std::hash::Hasher;

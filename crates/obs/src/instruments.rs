@@ -2,7 +2,7 @@
 //!
 //! Everything that watches a simulation — the structured event stream with
 //! its consumers (flight recorder, invariant monitors, digest, capturing
-//! sink), the metrics registry and the self-profiler — hangs off a single
+//! sink) and the metrics registry — hangs off a single
 //! shared inner, built once per run from a [`Setup`] and cloned into the
 //! simulator, the recovery log and every protocol agent.
 
@@ -13,7 +13,6 @@ use crate::digest::{DigestRecorder, DigestSnapshot};
 use crate::event::{Event, Record};
 use crate::flight::FlightRecorder;
 use crate::monitor::{MonitorReport, MonitorSet};
-use crate::prof::{Phase, ProfSnapshot, ProfStamp, Tallies, DEFAULT_PROF_STRIDE};
 use crate::registry::{Counter, MetricsSnapshot, Registry};
 use crate::sink::{EventSink, MemorySink};
 
@@ -31,8 +30,6 @@ pub struct Setup {
     pub flight: Option<FlightRecorder>,
     /// Collect the counter registry.
     pub metrics: bool,
-    /// Run the self-profiler ([`DEFAULT_PROF_STRIDE`]).
-    pub profile: bool,
 }
 
 /// The event consumers behind one `RefCell`, fed by [`Inner::feed`].
@@ -43,7 +40,7 @@ struct Consumers {
 }
 
 struct Inner {
-    /// `None` when the run observes no events (metrics/profile only), so
+    /// `None` when the run observes no events (metrics only), so
     /// emit closures are never evaluated.
     events: Option<RefCell<Consumers>>,
     /// In its own cell, not among the consumers: the panic hook reads it
@@ -51,7 +48,6 @@ struct Inner {
     /// mid-`observe`.
     flight: Option<Rc<RefCell<FlightRecorder>>>,
     registry: Option<RefCell<Registry>>,
-    prof: Option<Tallies>,
 }
 
 impl Inner {
@@ -65,14 +61,9 @@ impl Inner {
         }
         let consumers = &mut *events.borrow_mut();
         if let Some(monitors) = &mut consumers.monitors {
-            let stamp = self.prof.as_ref().and_then(|p| p.begin(Phase::Monitors));
             let before = monitors.violations().len();
             monitors.observe(&record);
-            let violated = monitors.violations().len() > before;
-            if let (Some(prof), Some(stamp)) = (&self.prof, stamp) {
-                prof.end(Phase::Monitors, stamp);
-            }
-            if violated {
+            if monitors.violations().len() > before {
                 if let Some(flight) = &self.flight {
                     flight
                         .borrow_mut()
@@ -134,10 +125,9 @@ impl Instruments {
             digest,
             flight,
             metrics,
-            profile,
         } = setup;
         let events = sink.is_some() || monitors.is_some() || digest.is_some() || flight.is_some();
-        if !(events || metrics || profile) {
+        if !(events || metrics) {
             return Instruments::off();
         }
         Instruments(Some(Rc::new(Inner {
@@ -150,7 +140,6 @@ impl Instruments {
             }),
             flight: flight.map(|f| Rc::new(RefCell::new(f))),
             registry: metrics.then(RefCell::default),
-            prof: profile.then(|| Tallies::new(DEFAULT_PROF_STRIDE)),
         })))
     }
 
@@ -174,10 +163,6 @@ impl Instruments {
 
     fn registry(&self) -> Option<&RefCell<Registry>> {
         self.0.as_deref()?.registry.as_ref()
-    }
-
-    fn prof(&self) -> Option<&Tallies> {
-        self.0.as_deref()?.prof.as_ref()
     }
 
     // -----------------------------------------------------------------
@@ -255,68 +240,6 @@ impl Instruments {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.registered(|r| r.snapshot())
     }
-
-    // -----------------------------------------------------------------
-    // The self-profiler
-    // -----------------------------------------------------------------
-
-    /// Hot-loop gate: called once per simulation event; returns `true`
-    /// when *this* event should be timed in detail. Always `false` off.
-    #[inline]
-    pub fn tick_event(&self) -> bool {
-        self.prof().is_some_and(Tallies::tick_event)
-    }
-
-    /// Counts one occurrence of `phase` and, on every `stride`-th call,
-    /// returns a timestamp to pass to [`Instruments::end`]. The cheap
-    /// instrumentation for self-sampling call sites (protocol agents).
-    #[inline]
-    pub fn begin(&self, phase: Phase) -> Option<ProfStamp> {
-        self.prof()?.begin(phase)
-    }
-
-    /// Counts one occurrence of `phase` and *always* times it (for the
-    /// coarse `setup`/`run`/`teardown` spans, whose exact timing anchors
-    /// whole-run attribution).
-    pub fn begin_exact(&self, phase: Phase) -> Option<ProfStamp> {
-        self.prof()?.begin_exact(phase)
-    }
-
-    /// A raw timestamp with no call counting — for engine call sites that
-    /// decide per *event* (via [`Instruments::tick_event`]) which
-    /// occurrences to time; their exact call totals arrive separately via
-    /// [`Instruments::add_calls`]. `None` when off.
-    #[inline]
-    pub fn stamp(&self) -> Option<ProfStamp> {
-        self.prof().map(|_| ProfStamp::now())
-    }
-
-    /// Closes a span opened by [`Instruments::begin`],
-    /// [`Instruments::begin_exact`] or [`Instruments::stamp`] into `phase`
-    /// (one timed sample); `None` stamps are no-ops.
-    #[inline]
-    pub fn end(&self, phase: Phase, stamp: Option<ProfStamp>) {
-        // Stamp first: `None` is the common case even when profiling.
-        if let Some(stamp) = stamp {
-            if let Some(prof) = self.prof() {
-                prof.end(phase, stamp);
-            }
-        }
-    }
-
-    /// Folds `n` occurrences of `phase` into the call tally (bulk import
-    /// of exact counts the engine tracked anyway).
-    pub fn add_calls(&self, phase: Phase, n: u64) {
-        if let Some(prof) = self.prof() {
-            prof.add_calls(phase, n);
-        }
-    }
-
-    /// A `Send`able copy of the profiler tallies so far (empty when the
-    /// profiler is off).
-    pub fn prof_snapshot(&self) -> ProfSnapshot {
-        self.prof().map(Tallies::snapshot).unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -358,29 +281,18 @@ mod tests {
         c.inc();
         assert_eq!(c.get(), 0);
         assert!(h.metrics_snapshot().is_empty());
-
-        assert!(!h.tick_event());
-        assert!(h.begin(Phase::Transmit).is_none());
-        assert!(h.begin_exact(Phase::Run).is_none());
-        assert!(h.stamp().is_none());
-        h.end(Phase::Transmit, None);
-        h.add_calls(Phase::QueuePop, 42);
-        assert!(h.prof_snapshot().is_empty());
     }
 
     #[test]
-    fn metrics_or_profile_only_handle_never_evaluates_event_closures() {
+    fn metrics_only_handle_never_evaluates_event_closures() {
         let h = Instruments::new(Setup {
             metrics: true,
-            profile: true,
             ..Setup::default()
         });
         assert!(!h.events_enabled());
         h.emit(0, || unreachable!("no event consumer is attached"));
         h.counter("hits").add(3);
         assert_eq!(h.metrics_snapshot().counters["hits"], 3);
-        assert!(h.tick_event(), "event 0 is the first stride sample");
-        assert_eq!(h.prof_snapshot().stride, DEFAULT_PROF_STRIDE);
     }
 
     #[test]
@@ -389,7 +301,6 @@ mod tests {
             sink: Some(Box::new(MemorySink::new())),
             monitors: Some(MonitorSet::standard()),
             metrics: true,
-            profile: true,
             ..Setup::default()
         });
         let h2 = h.clone();
@@ -409,8 +320,6 @@ mod tests {
         );
         assert!(h.drain().is_empty(), "drain empties the shared sink");
         assert_eq!(h.metrics_snapshot().counters["n"], 2);
-        // Each monitor feed counted into the shared profile.
-        assert_eq!(h2.prof_snapshot().phase(Phase::Monitors).calls, 2);
         let report = h2.finish_monitors().expect("monitors were attached");
         assert_eq!(report.stats.events, 2);
         assert_eq!(report.stats.recovered, 1);

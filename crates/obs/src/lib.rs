@@ -19,7 +19,7 @@
 //!   threaded through one simulation, built once per run from a [`Setup`].
 //!   Every emitted event feeds the run's consumers in a fixed order (flight
 //!   recorder → monitors → digest → sink); the same handle hands out the
-//!   metrics instruments and carries the profiler tallies. A handle is
+//!   metrics instruments. A handle is
 //!   **per-simulation owned state**, never a global: the parallel suite
 //!   runner builds one per worker-local run, so observation is race-free
 //!   when on and the disabled handle ([`Instruments::off`]) is a single
@@ -42,11 +42,6 @@
 //!   ([`DigestRecorder`]) and a ring of the most recent events dumped on
 //!   the first invariant violation or panic ([`FlightRecorder`]); see
 //!   `docs/DEBUGGING.md`.
-//! * [`prof`] — the in-sim self-profiler ([`Setup::profile`]): exact,
-//!   deterministic per-phase call tallies plus stride-sampled wall-clock
-//!   timing, snapshotted into mergeable [`ProfSnapshot`]s and exported as
-//!   the `profile` member of the `cesrm-run/1` report
-//!   (`docs/PROFILING.md`).
 //! * [`registry`] — the *runtime* half of observability: a per-simulation
 //!   metrics registry ([`Setup::metrics`]) of named counters, snapshotted
 //!   into mergeable [`MetricsSnapshot`]s for the perf baseline
@@ -88,7 +83,6 @@ mod instruments;
 mod json;
 pub mod lock;
 pub mod monitor;
-pub mod prof;
 pub mod provenance;
 pub mod registry;
 mod sink;
@@ -105,7 +99,6 @@ pub use monitor::{
     Anomaly, AnomalyKind, Invariant, MonitorConfig, MonitorReport, MonitorSet, MonitorStats,
     Violation,
 };
-pub use prof::{Phase, PhaseTally, ProfSnapshot, ProfStamp, DEFAULT_PROF_STRIDE, PHASE_COUNT};
 pub use provenance::{RecoveryPath, RecoveryTimeline, TimelineBuilder};
 pub use registry::{Counter, MetricsSnapshot};
 pub use sink::{EventSink, MemorySink};

@@ -1,9 +1,10 @@
 //! Schema locks: the key set of a report, pinned by rendering it.
 //!
-//! Every versioned JSON document the workspace writes (`cesrm-run/1`,
+//! Every versioned JSON document the workspace writes (`cesrm-run/2`,
 //! `cesrm-digest/1`, `simlint/3`) has a committed lock under `schemas/`:
 //! the sorted key paths of a document that exercises every section (e.g.
-//! `runs[].profile.phases[].calls`), plus the names of its volatile members. Tests render the real documents
+//! `runs[].profile.engine.events`), plus the names of its volatile
+//! members. Tests render the real documents
 //! and [`check_lock`] them, so the lock follows what the emitter writes,
 //! not what a reader of its source guesses it writes. Changing a key
 //! without changing the schema id fails; changing the id fails too (the
@@ -17,7 +18,7 @@ use crate::JsonValue;
 
 /// Every member path of `doc`, sorted: `a.b` for member `b` of object
 /// member `a`, `a[].b` for member `b` of the elements of array `a`
-/// (e.g. `runs[].profile.phases[].calls`). Containers list their own path
+/// (e.g. `runs[].profile.shards[].epochs`). Containers list their own path
 /// as well as their members', so the leaf names of the set are exactly the
 /// keys the document uses.
 fn key_paths(doc: &JsonValue) -> BTreeSet<String> {
@@ -46,7 +47,7 @@ fn key_paths(doc: &JsonValue) -> BTreeSet<String> {
     out
 }
 
-/// `cesrm-run/1` → `cesrm-run-1.lock`.
+/// `cesrm-run/2` → `cesrm-run-2.lock`.
 fn lock_file_name(id: &str) -> String {
     format!("{}.lock", id.replace('/', "-"))
 }

@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::lexer::{Tok, TokKind};
 use crate::model::{match_bracket, CallKind, FileModel};
-use crate::rules::{Finding, RuleId, ENTROPY_IDENTS};
+use crate::rules::{entropy_source, Finding, RuleId};
 use crate::Config;
 
 /// The fully resolved workspace model: every file, an id per function, and
@@ -301,16 +301,24 @@ pub fn check_workspace(ws: &Workspace, config: &Config) -> Vec<Finding> {
         if !config.is_sim_crate(krate) || !file.rel_path.contains("/src/") {
             continue;
         }
-        // Module-level `static mut` is reachable from everything in the
-        // crate by definition; no call chain needed.
-        for &line in &file.static_muts {
-            if !file.in_test_span(line) {
+        // A `static` that is `mut`, or holds a lock or an atomic, is
+        // reachable from everything in the crate by definition; no call
+        // chain needed.
+        for s in &file.statics {
+            let what = if s.mutable {
+                Some("`static mut`".to_string())
+            } else {
+                banned_sites(&file.code, s.decl, &SHARED_STATE_IDENTS)
+                    .first()
+                    .map(|(_, name)| format!("`static` holding `{name}`"))
+            };
+            if let Some(what) = what.filter(|_| !file.in_test_span(s.line)) {
                 push(
                     RuleId::D007,
                     &file.rel_path,
-                    line,
+                    s.line,
                     format!(
-                        "`static mut` in simulation crate `{krate}`: shared mutable \
+                        "{what} in simulation crate `{krate}`: shared mutable \
                          state breaks the sharded runner's determinism argument"
                     ),
                 );
@@ -416,8 +424,8 @@ fn clock_entropy_sites(code: &[Tok], body: (usize, usize)) -> Vec<(u32, String)>
         {
             out.push((t.line, format!("{}::now()", t.text)));
         }
-        if ENTROPY_IDENTS.contains(&t.text.as_str()) {
-            out.push((t.line, t.text.clone()));
+        if let Some(name) = entropy_source(code, j) {
+            out.push((t.line, name.to_string()));
         }
     }
     out
@@ -952,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn d007_requires_reachability_except_static_mut() {
+    fn d007_requires_reachability_except_shared_statics() {
         let ws = ws_of(&[(
             "crates/netsim/src/sim.rs",
             "static mut GLOBAL: u64 = 0;\n\
@@ -961,13 +969,16 @@ mod tests {
                  pub fn run_until(&mut self) { self.step(); }\n\
                  fn step(&mut self) { let _m = std::sync::Mutex::new(0u64); }\n\
                  fn idle(&mut self) { let _m = std::sync::Mutex::new(1u64); }\n\
-             }\n",
+             }\n\
+             static HITS: AtomicU64 = AtomicU64::new(0);\n\
+             static NAME: &str = \"sim\";\n",
         )]);
         let found = check_workspace(&ws, &sim_config());
         assert_eq!(
             rules_of(&found),
             vec![
                 (RuleId::D007, "crates/netsim/src/sim.rs", 1),
+                (RuleId::D007, "crates/netsim/src/sim.rs", 8),
                 (RuleId::D007, "crates/netsim/src/sim.rs", 5),
             ]
         );

@@ -6,7 +6,7 @@
 //! state and easy to break — one iteration over a `HashMap`, one
 //! `Instant::now()` in a simulation path, one `thread_rng()` — and the
 //! Table-1 reenactments, the slot-indexed parallel merge, trace capture,
-//! and the `cesrm-run/1` baseline gate all silently rot. `simlint`
+//! and the `cesrm-run/2` baseline gate all silently rot. `simlint`
 //! enforces the contract mechanically.
 //!
 //! It is deliberately **dependency-free** (the workspace builds offline, so

@@ -10,7 +10,7 @@
 //! - `fn` items with their impl self-type, parameter names/types, return
 //!   type text, body token span, and the calls made inside the body,
 //! - struct fields (typed iteration sources for D006),
-//! - module-level `static mut` items (D007),
+//! - `static` items with their declared type (D007),
 //! - `#[cfg(test)]` item line spans, so test-only code is excluded from
 //!   flow analysis.
 //!
@@ -36,8 +36,8 @@ pub struct FileModel {
     pub fns: Vec<FnModel>,
     /// Struct field name → type text (file-wide; later definitions win).
     pub fields: BTreeMap<String, String>,
-    /// Lines of `static mut` items.
-    pub static_muts: Vec<u32>,
+    /// Every `static` item.
+    pub statics: Vec<StaticItem>,
     /// Inclusive line spans of `#[cfg(test)]` items.
     pub test_spans: Vec<(u32, u32)>,
     /// The file's code tokens (comments stripped), for span-based scans.
@@ -49,6 +49,17 @@ impl FileModel {
     pub fn in_test_span(&self, line: u32) -> bool {
         self.test_spans.iter().any(|&(a, b)| line >= a && line <= b)
     }
+}
+
+/// One `static` item.
+#[derive(Clone, Debug)]
+pub struct StaticItem {
+    /// Line of the `static` keyword.
+    pub line: u32,
+    /// `static mut`.
+    pub mutable: bool,
+    /// Code-token span of the declaration before its `=` (name and type).
+    pub decl: (usize, usize),
 }
 
 /// One function item.
@@ -162,9 +173,16 @@ impl<'m> Builder<'m> {
                     i += 1;
                 }
                 (TokKind::Ident, "static") => {
-                    if self.tok_is(i + 1, "mut") {
-                        self.m.static_muts.push(t.line);
-                    }
+                    let code = &self.m.code;
+                    let end = code[i..]
+                        .iter()
+                        .position(|t| t.text == "=" || t.text == ";")
+                        .map_or(code.len(), |n| i + n);
+                    self.m.statics.push(StaticItem {
+                        line: t.line,
+                        mutable: self.tok_is(i + 1, "mut"),
+                        decl: (i, end),
+                    });
                     self.pending_test = false;
                     i += 1;
                 }
@@ -669,7 +687,7 @@ mod tests {
     fn use_aliases_and_groups() {
         let m = model(
             "use std::time::Instant;\n\
-             use obs::prof::ProfStamp as Stamp;\n\
+             use hostclock::stamp::Reading as Stamp;\n\
              use crate::helpers::{poll_clock, nested::thing};\n",
         );
         assert_eq!(
@@ -678,7 +696,7 @@ mod tests {
         );
         assert_eq!(
             m.uses.get("Stamp"),
-            Some(&vec!["obs".into(), "prof".into(), "ProfStamp".into()])
+            Some(&vec!["hostclock".into(), "stamp".into(), "Reading".into()])
         );
         assert_eq!(
             m.uses.get("poll_clock"),
@@ -700,7 +718,7 @@ mod tests {
         let m = model(
             "fn f(x: &Thing) -> u64 {\n\
                  x.poll();\n\
-                 obs::ProfStamp::now();\n\
+                 hostclock::Reading::now();\n\
                  let v = x.items().iter().sum::<u64>();\n\
                  v\n\
              }\n",
@@ -709,8 +727,8 @@ mod tests {
         let segs: Vec<Vec<String>> = f.calls.iter().map(|c| c.segs.clone()).collect();
         assert!(segs.contains(&vec!["poll".to_string()]));
         assert!(segs.contains(&vec![
-            "obs".to_string(),
-            "ProfStamp".to_string(),
+            "hostclock".to_string(),
+            "Reading".to_string(),
             "now".to_string()
         ]));
         assert!(segs.contains(&vec!["sum".to_string()]));
@@ -749,18 +767,34 @@ mod tests {
     }
 
     #[test]
-    fn fields_and_static_mut() {
+    fn fields_and_statics() {
         let m = model(
             "pub struct Acc { pub vals: Vec<f64>, total: f64 }\n\
              pub const FIELDS: [&str; 2] = [\"wall_s\", \"cpu_s\"];\n\
              pub const SLICE_FIELDS: &[&str] = &[\"created\"];\n\
-             static mut COUNTER: u64 = 0;\n",
+             static mut COUNTER: u64 = 0;\n\
+             static NAME: &'static str = \"x\";\n",
         );
         assert_eq!(
             m.fields.get("vals").map(String::as_str),
             Some("Vec < f64 >")
         );
         assert_eq!(m.fields.get("total").map(String::as_str), Some("f64"));
-        assert_eq!(m.static_muts, vec![4]);
+        let statics: Vec<(u32, bool, String)> = m
+            .statics
+            .iter()
+            .map(|s| {
+                let decl = &m.code[s.decl.0..s.decl.1];
+                let text: Vec<&str> = decl.iter().map(|t| t.text.as_str()).collect();
+                (s.line, s.mutable, text.join(" "))
+            })
+            .collect();
+        assert_eq!(
+            statics,
+            vec![
+                (4, true, "static mut COUNTER : u64".to_string()),
+                (5, false, "static NAME : & 'static str".to_string()),
+            ]
+        );
     }
 }

@@ -30,7 +30,7 @@ use crate::scan::ScanReport;
 pub const SIMLINT_SCHEMA: &str = "simlint/3";
 
 /// `simlint/3` fields that vary across machines/runs: compare-tooling must
-/// ignore them (as `VOLATILE_FIELDS` does for the `cesrm-run/1` report).
+/// ignore them (as `VOLATILE_FIELDS` does for the `cesrm-run/2` report).
 pub const SIMLINT_VOLATILE_FIELDS: [&str; 1] = ["elapsed_ms"];
 
 /// Renders the human-readable report (one `file:line:` diagnostic per

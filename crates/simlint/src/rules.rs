@@ -5,7 +5,7 @@
 //! |------|----------------------|
 //! | D001 | No `HashMap`/`HashSet` in simulation-state crates: a run must be a pure function of (topology, trace, seed), and per-instance hash seeds make iteration order a hidden input. |
 //! | D002 | No wall clock (`Instant::now`, `SystemTime::now`) outside harness-side bench/profiling code: simulation time is `netsim::SimTime`, host time must never leak in. |
-//! | D003 | No OS entropy (`thread_rng`, `OsRng`, `from_entropy`, `getrandom`): all randomness flows through the seeded, vendored `rand` shim. |
+//! | D003 | No OS entropy (`thread_rng`, `rand::rng`, `OsRng`, `from_entropy`, `getrandom`, `RandomState`): all randomness flows through the seeded, vendored `rand` shim. |
 //! | D004 | No `unsafe` outside an explicit allowlist. |
 //! | D005 | Every suppression carries a non-empty reason, and stale suppressions are themselves errors. |
 //!
@@ -162,8 +162,29 @@ struct Suppression {
 
 /// Identifiers whose mere presence D003 flags. `from_entropy` and
 /// `thread_rng` are the rand-crate entry points; `OsRng`/`getrandom` the
-/// raw OS interfaces.
-pub(crate) const ENTROPY_IDENTS: [&str; 4] = ["thread_rng", "OsRng", "from_entropy", "getrandom"];
+/// raw OS interfaces; `RandomState` seeds std's hashers from the OS.
+const ENTROPY_IDENTS: [&str; 5] = [
+    "thread_rng",
+    "OsRng",
+    "from_entropy",
+    "getrandom",
+    "RandomState",
+];
+
+/// The OS-entropy source `code[i]` names, if any: an [`ENTROPY_IDENTS`]
+/// identifier, or the path `rand::rng` (rand ≥ 0.9's name for
+/// `thread_rng`). A method call `.rng()` is not a path: netsim's
+/// `Context::rng` hands out the node's seeded stream.
+pub(crate) fn entropy_source<T: std::borrow::Borrow<Tok>>(code: &[T], i: usize) -> Option<&str> {
+    let text = |k: usize| code.get(k).map(|t| t.borrow().text.as_str());
+    let name = text(i)?;
+    if ENTROPY_IDENTS.contains(&name) {
+        return Some(name);
+    }
+    let rand_path =
+        name == "rng" && i >= 2 && text(i - 1) == Some("::") && text(i - 2) == Some("rand");
+    rand_path.then_some("rand::rng")
+}
 
 /// Evaluates the file-local token rules (D001–D004) against one file and
 /// applies the suppression engine. Flow rules (D006–D008) live in
@@ -223,7 +244,7 @@ pub fn token_findings(rel_path: &str, toks: &[Tok], config: &Config) -> Vec<Find
                     ),
                 );
             }
-            if ENTROPY_IDENTS.contains(&name) {
+            if let Some(name) = entropy_source(&code, i) {
                 push(
                     RuleId::D003,
                     tok.line,
@@ -530,6 +551,17 @@ mod tests {
             check("examples/x.rs", "let r = rand::thread_rng();", &cfg),
             vec![(RuleId::D003, 1)]
         );
+        // rand ≥ 0.9 spells it `rand::rng`; std's hashers seed from the OS.
+        for src in [
+            "let n = rand::rng().random_range(0..9);",
+            "use rand::rng;",
+            "let s = std::collections::hash_map::RandomState::new();",
+        ] {
+            assert_eq!(check("x.rs", src, &cfg), vec![(RuleId::D003, 1)], "{src}");
+        }
+        // A method `.rng()` is the simulator's seeded per-node stream.
+        assert!(check("x.rs", "let n = ctx.rng().gen_range(0..9);", &cfg).is_empty());
+        assert!(check("x.rs", "fn rng(&mut self) -> &mut StdRng { x }", &cfg).is_empty());
         assert_eq!(
             check(
                 "src/lib.rs",

@@ -102,9 +102,7 @@ impl SrmAgent {
     }
 
     /// Builder-style installation of the run's observation handle (see
-    /// [`SrmCore::set_obs`]); additionally every `on_packet` counts into
-    /// the `srm_on_packet` profiler phase, with one in `stride` calls
-    /// wall-clock timed (`docs/PROFILING.md`). Off by default.
+    /// [`SrmCore::set_obs`]). Off by default.
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
         self.core.set_obs(obs);
         self
@@ -117,11 +115,9 @@ impl Agent for SrmAgent {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: &Packet, meta: &DeliveryMeta) {
-        let stamp = self.core.obs().begin(obs::Phase::SrmOnPacket);
         self.core.on_packet(ctx, packet, meta);
         // Plain SRM has no expedited layer; drop the detection events.
         self.core.take_newly_detected();
-        self.core.obs().end(obs::Phase::SrmOnPacket, stamp);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {

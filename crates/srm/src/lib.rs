@@ -25,9 +25,8 @@
 //!
 //! With the run's `obs::Instruments` installed ([`SrmAgent::with_obs`]),
 //! the engine emits structured request/reply scheduling, suppression and
-//! send events for recovery-provenance tracing (see `docs/TRACING.md`),
-//! counts them (`docs/METRICS.md`) and profiles its packet handler
-//! (`docs/PROFILING.md`).
+//! send events for recovery-provenance tracing (see `docs/TRACING.md`) and
+//! counts them (`docs/METRICS.md`).
 
 mod agent;
 mod core;

@@ -141,7 +141,7 @@ impl Trace {
         }
         let mut name: Option<String> = None;
         let mut period_ms: Option<u64> = None;
-        let mut packets: Option<usize> = None;
+        let mut packets: Option<(usize, usize)> = None;
         let mut parents: Vec<Option<NodeId>> = Vec::new();
         let mut kinds: Vec<NodeKind> = Vec::new();
         let mut loss_lines: Vec<(usize, usize, Vec<usize>)> = Vec::new();
@@ -174,12 +174,11 @@ impl Trace {
                     );
                 }
                 Some("packets") => {
-                    packets = Some(
-                        parts
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| malformed("packets needs an integer"))?,
-                    );
+                    let n = parts
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| malformed("packets needs an integer"))?;
+                    packets = Some((line_no, n));
                 }
                 Some("node") => {
                     let id: usize = parts
@@ -219,36 +218,43 @@ impl Trace {
         }
         let name = name.ok_or(ParseTraceError::MissingHeader("name"))?;
         let period_ms = period_ms.ok_or(ParseTraceError::MissingHeader("period_ms"))?;
-        let packets = packets.ok_or(ParseTraceError::MissingHeader("packets"))?;
+        let (packets_line, packets) = packets.ok_or(ParseTraceError::MissingHeader("packets"))?;
         let tree = MulticastTree::from_parents(parents, kinds)
             .map_err(|e| ParseTraceError::BadTree(e.to_string()))?;
-        let mut rows: Vec<BitSeq> = tree
-            .receivers()
-            .iter()
-            .map(|_| BitSeq::new(packets))
-            .collect();
+        // Every loss line is checked before the first bitmap is allocated:
+        // a header must not cost `receivers × packets` bits of memory
+        // before the lines that use them are known to fit it.
+        let mut lost_runs = Vec::with_capacity(loss_lines.len());
         for (line, id, runs) in loss_lines {
-            let node = NodeId(id as u32);
-            let row = tree
-                .receivers()
-                .binary_search(&node)
-                .map_err(|_| ParseTraceError::BadReceiver { line })?;
-            let mut pos = 0usize;
-            let mut lost = false;
-            for run in runs {
-                if lost {
-                    for i in pos..pos + run {
-                        if i >= packets {
-                            return Err(ParseTraceError::BadRunLength { line });
-                        }
-                        rows[row].set(i);
-                    }
+            let row = u32::try_from(id)
+                .ok()
+                .and_then(|id| tree.receivers().binary_search(&NodeId(id)).ok())
+                .ok_or(ParseTraceError::BadReceiver { line })?;
+            let total = runs
+                .iter()
+                .try_fold(0usize, |pos, &run| pos.checked_add(run));
+            if total != Some(packets) {
+                return Err(ParseTraceError::BadRunLength { line });
+            }
+            lost_runs.push((row, runs));
+        }
+        let mut rows = Vec::with_capacity(tree.receivers().len());
+        for _ in tree.receivers() {
+            rows.push(
+                BitSeq::try_new(packets).ok_or_else(|| ParseTraceError::Malformed {
+                    line: packets_line,
+                    what: format!("{packets} packets do not fit in memory"),
+                })?,
+            );
+        }
+        for (row, runs) in lost_runs {
+            let mut pos = 0;
+            // Runs alternate received, lost, received, …
+            for (i, run) in runs.into_iter().enumerate() {
+                if i % 2 == 1 {
+                    (pos..pos + run).for_each(|bit| rows[row].set(bit));
                 }
                 pos += run;
-                lost = !lost;
-            }
-            if pos != packets {
-                return Err(ParseTraceError::BadRunLength { line });
             }
         }
         let losses = rows.iter().map(BitSeq::count_ones).sum();
@@ -340,6 +346,35 @@ mod tests {
         assert!(matches!(
             Trace::from_text(bad_tree),
             Err(ParseTraceError::BadTree(_))
+        ));
+        let two_receivers = |packets: &str, loss: &str| {
+            format!(
+                "cesrm-trace v1\nname X\nperiod_ms 80\npackets {packets}\n\
+                 node 0 source -\nnode 1 router 0\nnode 2 receiver 1\nnode 3 receiver 1\n\
+                 {loss}\n"
+            )
+        };
+        // 2^32 + 2 is not receiver 2: ids are not truncated to 32 bits.
+        assert_eq!(
+            Trace::from_text(&two_receivers("4", "loss 4294967298 1 2 1")),
+            Err(ParseTraceError::BadReceiver { line: 9 })
+        );
+        // A huge header is refused by the loss line that does not fill it,
+        // before any bitmap is allocated.
+        assert_eq!(
+            Trace::from_text(&two_receivers("999999999999999", "loss 2 1 2 1")),
+            Err(ParseTraceError::BadRunLength { line: 9 })
+        );
+        // Run lengths whose sum overflows are a bad sum, not a panic.
+        assert_eq!(
+            Trace::from_text(&two_receivers("4", "loss 2 18446744073709551615 1")),
+            Err(ParseTraceError::BadRunLength { line: 9 })
+        );
+        // Lossless receivers still need their bitmaps: 2^61 bytes each is
+        // past any address space, so the header is refused, not aborted on.
+        assert!(matches!(
+            Trace::from_text(&two_receivers("18446744073709551615", "")),
+            Err(ParseTraceError::Malformed { line: 4, .. })
         ));
     }
 

@@ -20,6 +20,15 @@ impl BitSeq {
         }
     }
 
+    /// [`new`](Self::new), or `None` when the allocator refuses the bits
+    /// (where `new` would abort the process).
+    pub(crate) fn try_new(len: usize) -> Option<Self> {
+        // Ask without touching the memory, then let `new` allocate it
+        // zeroed: untouched zero pages cost no resident memory.
+        Vec::<u64>::new().try_reserve_exact(len.div_ceil(64)).ok()?;
+        Some(BitSeq::new(len))
+    }
+
     /// Number of bits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -317,6 +326,12 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn bitseq_and_length_checked() {
         BitSeq::new(10).and(&BitSeq::new(11));
+    }
+
+    #[test]
+    fn bitseq_try_new_refuses_what_cannot_be_allocated() {
+        assert_eq!(BitSeq::try_new(130), Some(BitSeq::new(130)));
+        assert_eq!(BitSeq::try_new(usize::MAX), None);
     }
 
     #[test]
