@@ -502,12 +502,18 @@ fn suite_main(argv: &[String]) {
     );
     if let Some(path) = trace_path {
         let filter = trace_filter.unwrap_or_default();
+        let (records, bytes) = result.events.iter().fold((0, 0), |(n, b), e| {
+            (n + e.records.len(), b + e.records.byte_len())
+        });
         match harness::write_jsonl(&path, &result.events, &filter) {
             Ok(lines) => eprintln!(
-                "wrote {} event lines ({} runs) to {}",
+                "wrote {} event lines ({} runs) to {}; {} records were held packed in {:.1} MiB ({:.2} B/record)",
                 lines,
                 result.events.len(),
-                path.display()
+                path.display(),
+                records,
+                bytes as f64 / (1024.0 * 1024.0),
+                bytes as f64 / records.max(1) as f64
             ),
             Err(e) => {
                 eprintln!("failed to write {}: {e}", path.display());

@@ -331,7 +331,6 @@ impl ReplaySpec {
                             .filter(|r| {
                                 r.event.node() == node && r.t_ns >= t_lo_ns && r.t_ns < t_hi_ns
                             })
-                            .copied()
                             .collect()
                     })
                     .unwrap_or_default()
@@ -767,7 +766,7 @@ pub struct WindowSink {
     node: u32,
     t_lo_ns: u64,
     t_hi_ns: u64,
-    kept: Vec<Record>,
+    kept: obs::RecordLog,
 }
 
 impl WindowSink {
@@ -778,7 +777,7 @@ impl WindowSink {
             node,
             t_lo_ns,
             t_hi_ns,
-            kept: Vec::new(),
+            kept: obs::RecordLog::new(),
         }
     }
 }
@@ -793,7 +792,7 @@ impl obs::EventSink for WindowSink {
         }
     }
 
-    fn drain(&mut self) -> Vec<Record> {
+    fn drain(&mut self) -> obs::RecordLog {
         std::mem::take(&mut self.kept)
     }
 }
@@ -1034,7 +1033,7 @@ mod tests {
         ] {
             handle.emit(r.t_ns, || r.event);
         }
-        let kept = handle.drain();
+        let kept: Vec<Record> = handle.drain().iter().collect();
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].t_ns, 150);
     }

@@ -484,7 +484,7 @@ struct ShardOutcome {
     accounting: ShardAccounting,
     engine: Option<netsim::EngineTelemetry>,
     digest: Option<obs::DigestSnapshot>,
-    window: Vec<obs::Record>,
+    window: obs::RecordLog,
 }
 
 /// Mailboxes for the barrier exchange, indexed `[destination][sender]` so
@@ -581,7 +581,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
                 .get_or_insert_with(obs::DigestSnapshot::default)
                 .merge(&d);
         }
-        window_events.extend(o.window);
+        window_events.extend(o.window.iter());
     }
     window_events.sort_by_key(|r| r.t_ns);
     // The per-subtree digest level: group every node under the root child

@@ -210,8 +210,8 @@ pub struct RunEventLog {
     /// Per-receiver round-trip time to the source in nanoseconds, for
     /// normalizing recovery latencies into RTT units.
     pub rtt_ns: Vec<(u32, u64)>,
-    /// The captured events in simulation-time order.
-    pub records: Vec<obs::Record>,
+    /// The captured events in simulation-time order, packed.
+    pub records: obs::RecordLog,
 }
 
 /// The self-profile of one (trace × protocol) reenactment: the run's

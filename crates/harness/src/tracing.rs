@@ -108,7 +108,7 @@ pub fn write_jsonl(path: &Path, events: &[RunEventLog], filter: &TraceFilter) ->
             writeln!(out, "{{\"rtt\":{{\"node\":{node},\"rtt_ns\":{rtt_ns}}}}}")?;
         }
         for record in run.records.iter().filter(|r| filter.matches(r)) {
-            writeln!(out, "{}", to_json_line(record))?;
+            writeln!(out, "{}", to_json_line(&record))?;
             written += 1;
         }
     }
@@ -313,7 +313,7 @@ mod tests {
             name: "T",
             protocol: "CESRM",
             rtt_ns: vec![(2, 10_000)],
-            records: vec![
+            records: [
                 rec(10, Event::LossDetected { node: 2, seq: 1 }),
                 rec(
                     50,
@@ -333,7 +333,9 @@ mod tests {
                     },
                 ),
                 rec(30, Event::LossDetected { node: 2, seq: 3 }),
-            ],
+            ]
+            .into_iter()
+            .collect(),
         };
         let cov = coverage(&[run]);
         assert_eq!(cov.losses, 3);
@@ -350,7 +352,7 @@ mod tests {
             name: "WRN",
             protocol: "SRM",
             rtt_ns: vec![(2, 10_000), (3, 10_000)],
-            records: vec![
+            records: [
                 rec(0, Event::LossDetected { node: 2, seq: 1 }),
                 rec(
                     5_000,
@@ -369,7 +371,9 @@ mod tests {
                         expedited: false,
                     },
                 ),
-            ],
+            ]
+            .into_iter()
+            .collect(),
         };
         let text = slowest_text(&[run], 1);
         assert!(text.contains("Slowest 1"));
@@ -384,7 +388,9 @@ mod tests {
             name: "T",
             protocol: "SRM",
             rtt_ns: vec![(2, 10_000)],
-            records: vec![rec(10, Event::LossDetected { node: 2, seq: 1 })],
+            records: [rec(10, Event::LossDetected { node: 2, seq: 1 })]
+                .into_iter()
+                .collect(),
         };
         let dir = std::env::temp_dir().join(format!(
             "cesrm-jsonl-{}-{:?}",

@@ -78,7 +78,7 @@ fn one_flipped_event_is_pinpointed_to_its_exact_window() {
     // The digest recorder observed exactly the records the capture sink
     // kept, so rebuilding a recorder over the captured stream reproduces
     // the run's snapshot bit for bit.
-    let records = result.events[0].records.clone();
+    let records: Vec<obs::Record> = result.events[0].records.iter().collect();
     assert!(!records.is_empty());
     let rebuild = |records: &[obs::Record]| {
         let mut recorder = obs::DigestRecorder::default();
@@ -220,7 +220,7 @@ fn suite_event_stream_matches_the_committed_golden_trail() {
             .zip(&result.health)
         {
             let mut recorder = obs::DigestRecorder::default();
-            events.records.iter().for_each(|r| recorder.observe(r));
+            events.records.iter().for_each(|r| recorder.observe(&r));
             assert_eq!(
                 recorder.snapshot(),
                 digest.snapshot,
@@ -229,7 +229,11 @@ fn suite_event_stream_matches_the_committed_golden_trail() {
                 digest.protocol
             );
             assert!(
-                events.records.windows(2).all(|w| w[0].t_ns <= w[1].t_ns),
+                events
+                    .records
+                    .iter()
+                    .zip(events.records.iter().skip(1))
+                    .all(|(a, b)| a.t_ns <= b.t_ns),
                 "captured records are in emit order"
             );
             assert_eq!(

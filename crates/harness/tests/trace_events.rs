@@ -44,16 +44,17 @@ fn cesrm_trace_covers_recorded_losses() {
         &ExperimentConfig::paper_default(),
         &handle,
     );
-    let records = handle.drain();
-    assert!(!records.is_empty());
+    let log = handle.drain();
+    assert!(!log.is_empty());
 
-    let lines: Vec<String> = records.iter().map(to_json_line).collect();
+    let lines: Vec<String> = log.iter().map(|r| to_json_line(&r)).collect();
     assert_valid_jsonl(&lines);
 
     // Timestamps are non-decreasing: events come out in simulation order.
+    let records: Vec<obs::Record> = log.iter().collect();
     assert!(records.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
 
-    let timelines = reduce(&records);
+    let timelines = reduce(&log);
     let complete = timelines
         .iter()
         .filter(|tl| tl.latency_ns().is_some())
@@ -170,5 +171,26 @@ fn every_layer_observes_through_the_one_handle() {
         counters["sim.events.hop"],
         engine.events - engine.start_events - engine.timer_events,
         "the registry's engine counts are the returned telemetry's"
+    );
+}
+
+/// The capture log packs a suite run's records into a few bytes each. A
+/// captured `obs::Record` is 40 bytes in memory; keeping records in that
+/// form again (or a fatter encoding) fails here, not only in a noisy
+/// peak-RSS reading.
+#[test]
+fn captured_records_pack_into_at_most_ten_bytes_each() {
+    let mut cfg = harness::SuiteConfig::quick(0.02);
+    cfg.traces = Some(vec![1, 4, 13]);
+    cfg.capture_events = true;
+    let result = harness::run_suite(&cfg);
+    assert_eq!(result.events.len(), 6, "3 traces x {{SRM, CESRM}}");
+    let records: usize = result.events.iter().map(|e| e.records.len()).sum();
+    let bytes: usize = result.events.iter().map(|e| e.records.byte_len()).sum();
+    assert!(records > 10_000, "only {records} records captured");
+    let per_record = bytes as f64 / records as f64;
+    assert!(
+        per_record <= 10.0,
+        "{bytes} bytes for {records} records = {per_record:.2} B/record"
     );
 }

@@ -12,6 +12,7 @@ use std::rc::Rc;
 use crate::digest::{DigestRecorder, DigestSnapshot};
 use crate::event::{Event, Record};
 use crate::flight::FlightRecorder;
+use crate::log::RecordLog;
 use crate::monitor::{MonitorReport, MonitorSet};
 use crate::registry::{Counter, MetricsSnapshot, Registry};
 use crate::sink::{EventSink, MemorySink};
@@ -190,7 +191,7 @@ impl Instruments {
 
     /// Drain buffered records from the sink (empty when there is none or
     /// it streams instead of buffering).
-    pub fn drain(&self) -> Vec<Record> {
+    pub fn drain(&self) -> RecordLog {
         self.events()
             .and_then(|(_, e)| e.borrow_mut().sink.as_mut().map(|s| s.drain()))
             .unwrap_or_default()

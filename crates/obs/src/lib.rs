@@ -26,7 +26,8 @@
 //!   branch per call site — runs with it off are byte-for-byte identical to
 //!   uninstrumented builds.
 //! * [`EventSink`] — where captured events go: [`MemorySink`] keeps every
-//!   record for the reducers and the JSONL writer ([`to_json_line`]).
+//!   record, packed about 7 bytes each in a [`RecordLog`], for the
+//!   reducers and the JSONL writer ([`to_json_line`]).
 //! * [`provenance`] — the reducer that joins raw events into per-loss
 //!   [`RecoveryTimeline`]s (loss → detection → first request → repair),
 //!   classified [`RecoveryPath::Expedited`] vs [`RecoveryPath::Fallback`];
@@ -68,7 +69,9 @@
 //!     seq: 7,
 //!     expedited: true,
 //! });
-//! let timelines = provenance::reduce(&obs.drain());
+//! let log = obs.drain();
+//! assert_eq!(log.len(), 2);
+//! let timelines = provenance::reduce(&log);
 //! assert_eq!(timelines.len(), 1);
 //! assert_eq!(timelines[0].latency_ns(), Some(85_000));
 //! ```
@@ -82,6 +85,7 @@ mod fxhash;
 mod instruments;
 mod json;
 pub mod lock;
+mod log;
 pub mod monitor;
 pub mod provenance;
 pub mod registry;
@@ -95,6 +99,7 @@ pub use event::{Cast, Event, PacketClass, Record};
 pub use flight::{FlightRecorder, DEFAULT_CAPACITY as FLIGHT_CAPACITY, DUMP_TAIL};
 pub use instruments::{Instruments, Setup};
 pub use json::to_json_line;
+pub use log::{RecordIter, RecordLog};
 pub use monitor::{
     Anomaly, AnomalyKind, Invariant, MonitorConfig, MonitorReport, MonitorSet, MonitorStats,
     Violation,

@@ -272,10 +272,10 @@ impl TimelineBuilder {
 /// `loss_detected` event; output is sorted by `(receiver, seq)`. Records
 /// need not be globally sorted, but milestones honour "first event wins"
 /// using each record's timestamp.
-pub fn reduce(records: &[Record]) -> Vec<RecoveryTimeline> {
+pub fn reduce(records: impl IntoIterator<Item = Record>) -> Vec<RecoveryTimeline> {
     let mut builder = TimelineBuilder::new();
     for record in records {
-        builder.observe(record);
+        builder.observe(&record);
     }
     builder.finish()
 }
@@ -349,7 +349,7 @@ mod tests {
                 },
             ),
         ];
-        let timelines = reduce(&records);
+        let timelines = reduce(records);
         assert_eq!(timelines.len(), 1);
         let tl = &timelines[0];
         assert_eq!(tl.path, RecoveryPath::Expedited);
@@ -396,7 +396,7 @@ mod tests {
                 },
             ),
         ];
-        let timelines = reduce(&records);
+        let timelines = reduce(records);
         assert_eq!(timelines.len(), 1);
         let tl = &timelines[0];
         assert_eq!(tl.path, RecoveryPath::Fallback);
@@ -415,7 +415,7 @@ mod tests {
             rec(2, Event::LossDetected { node: 2, seq: 2 }),
             rec(9, Event::SpuriousLoss { node: 2, seq: 2 }),
         ];
-        let timelines = reduce(&records);
+        let timelines = reduce(records);
         assert_eq!(timelines[0].path, RecoveryPath::Unrecovered);
         assert_eq!(timelines[0].latency_ns(), None);
         assert_eq!(timelines[1].path, RecoveryPath::Spurious);
@@ -442,7 +442,7 @@ mod tests {
                 },
             ),
         ];
-        let timelines = reduce(&records);
+        let timelines = reduce(records);
         assert_eq!(timelines[0].path, RecoveryPath::Expedited);
         assert_eq!(timelines[0].recovered_ns, Some(10));
     }
@@ -457,7 +457,7 @@ mod tests {
                 round: 1,
             },
         )];
-        assert!(reduce(&records).is_empty());
+        assert!(reduce(records).is_empty());
     }
 
     #[test]
@@ -483,7 +483,7 @@ mod tests {
                 },
             ),
         ];
-        let timelines = reduce(&records);
+        let timelines = reduce(records);
         let slow = slowest(&timelines, 5);
         assert_eq!(slow.len(), 2, "unrecovered losses are excluded");
         assert_eq!((slow[0].receiver, slow[0].seq), (1, 1));

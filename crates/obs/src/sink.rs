@@ -5,6 +5,7 @@
 //! [`to_json_line`](crate::to_json_line).
 
 use crate::event::Record;
+use crate::log::RecordLog;
 
 /// Destination for trace [`Record`]s.
 ///
@@ -15,17 +16,18 @@ pub trait EventSink {
     fn record(&mut self, record: Record);
 
     /// Remove and return every buffered record, oldest first. Sinks that
-    /// keep nothing return an empty vec.
-    fn drain(&mut self) -> Vec<Record> {
-        Vec::new()
+    /// keep nothing return an empty log.
+    fn drain(&mut self) -> RecordLog {
+        RecordLog::new()
     }
 }
 
-/// Unbounded in-memory sink; feed its [`EventSink::drain`] output to
+/// Unbounded in-memory sink keeping every record packed in a
+/// [`RecordLog`]; feed its [`EventSink::drain`] output to
 /// [`crate::provenance::reduce`].
 #[derive(Debug, Default)]
 pub struct MemorySink {
-    records: Vec<Record>,
+    records: RecordLog,
 }
 
 impl MemorySink {
@@ -40,7 +42,9 @@ impl EventSink for MemorySink {
         self.records.push(record);
     }
 
-    fn drain(&mut self) -> Vec<Record> {
-        std::mem::take(&mut self.records)
+    fn drain(&mut self) -> RecordLog {
+        let mut records = std::mem::take(&mut self.records);
+        records.shrink_to_fit();
+        records
     }
 }

@@ -239,7 +239,10 @@ impl Baseline {
             if parts.next().is_some() {
                 return Err(err(lineno, "trailing tokens after count"));
             }
-            *entries.entry((rule, path)).or_insert(0) += count;
+            let total = entries.entry((rule, path)).or_insert(0usize);
+            *total = total
+                .checked_add(count)
+                .ok_or_else(|| err(lineno, format!("count `{count}` overflows the total")))?;
         }
         Ok(Baseline { entries })
     }
@@ -358,5 +361,14 @@ mod tests {
         assert_eq!(again, b);
         assert!(Baseline::parse("D001\n").is_err());
         assert!(Baseline::parse("D001 f.rs x\n").is_err());
+    }
+
+    #[test]
+    fn repeated_baseline_counts_that_overflow_are_an_error() {
+        let e = Baseline::parse("D001 a.rs 18446744073709551615\nD001 a.rs 1\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("overflows"), "{e}");
+        let b = Baseline::parse("D001 a.rs 2\nD001 a.rs 3\n").expect("sums fit");
+        assert_eq!(b.entries.get(&(RuleId::D001, "a.rs".into())), Some(&5));
     }
 }
