@@ -3,8 +3,6 @@
 //! on recovery traffic ([`ProbabilisticLoss`]). Bursty loss is modelled
 //! where traces are synthesised (`traces::GilbertElliott`), not here.
 
-use std::collections::BTreeSet;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,64 +72,65 @@ impl LossProcess for NoLoss {
 /// traffic (requests, replies, session messages) passes unharmed, matching
 /// the paper's main lossless-recovery experiments.
 ///
-/// Internally the plan is indexed per link as a dense bitmap over the
-/// (0-based, contiguous) sequence-number space, so the per-crossing check
-/// is one bounds-checked word load and a bit test instead of a `BTreeSet`
-/// walk over the whole plan. Table 1's worst case (~149k packets) costs
-/// ~19 KB per lossy link.
+/// The plan is stored per link as a dense bitmap over the (0-based,
+/// contiguous) sequence-number space, so the per-crossing check is one
+/// bounds-checked word load and a bit test. Table 1's worst case (~149k
+/// packets) costs ~19 KB per lossy link.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLoss {
-    drops: BTreeSet<(LinkId, SeqNo)>,
     /// `index[i]` is the drop bitmap of the link into node `i` (bit `s` set
     /// iff sequence `s` is doomed there); empty for loss-free links.
-    /// Rebuilt in [`new`](Self::new), never mutated afterwards.
+    /// Built in [`new`](Self::new), never mutated afterwards.
     index: Vec<Box<[u64]>>,
+    /// Distinct `(link, seq)` drops in the plan.
+    len: usize,
 }
 
 impl TraceLoss {
-    /// Creates the loss plan from `(link, seq)` drop instructions.
+    /// Creates the loss plan from `(link, seq)` drop instructions; a
+    /// repeated instruction counts once.
     pub fn new<I: IntoIterator<Item = (LinkId, SeqNo)>>(drops: I) -> Self {
-        let drops: BTreeSet<(LinkId, SeqNo)> = drops.into_iter().collect();
         let mut bits: Vec<Vec<u64>> = Vec::new();
-        for &(link, seq) in &drops {
+        let mut len = 0;
+        for (link, seq) in drops {
             let i = link.index();
             if i >= bits.len() {
                 bits.resize_with(i + 1, Vec::new);
             }
-            let (word, bit) = ((seq.0 / 64) as usize, seq.0 % 64);
+            let (word, bit) = ((seq.0 / 64) as usize, 1u64 << (seq.0 % 64));
             if word >= bits[i].len() {
                 bits[i].resize(word + 1, 0);
             }
-            bits[i][word] |= 1u64 << bit;
+            len += usize::from(bits[i][word] & bit == 0);
+            bits[i][word] |= bit;
         }
         let index = bits.into_iter().map(Vec::into_boxed_slice).collect();
-        TraceLoss { drops, index }
+        TraceLoss { index, len }
     }
 
     /// Number of scheduled drops.
     pub fn len(&self) -> usize {
-        self.drops.len()
+        self.len
     }
 
     /// `true` iff no drops are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.drops.is_empty()
+        self.len == 0
     }
 
     /// `true` iff the plan drops sequence `seq` on `link`.
     pub fn contains(&self, link: LinkId, seq: SeqNo) -> bool {
-        self.drops.contains(&(link, seq))
+        self.index
+            .get(link.index())
+            .and_then(|bits| bits.get((seq.0 / 64) as usize))
+            .is_some_and(|word| word & (1u64 << (seq.0 % 64)) != 0)
     }
 }
 
 impl LossProcess for TraceLoss {
     fn should_drop(&mut self, link: LinkId, packet: &Packet, _rng: NodeRng<'_>) -> bool {
         match &packet.body {
-            crate::PacketBody::Data { id } => self
-                .index
-                .get(link.index())
-                .and_then(|bits| bits.get((id.seq.0 / 64) as usize))
-                .is_some_and(|word| word & (1u64 << (id.seq.0 % 64)) != 0),
+            crate::PacketBody::Data { id } => self.contains(link, id.seq),
             _ => false,
         }
     }
@@ -232,10 +231,11 @@ mod tests {
     fn trace_loss_drops_exactly_planned_data() {
         let mut slot = None;
         let link = LinkId(NodeId(2));
-        let mut l = TraceLoss::new([(link, SeqNo(5))]);
-        assert_eq!(l.len(), 1);
+        let mut l = TraceLoss::new([(link, SeqNo(5)), (link, SeqNo(5))]);
+        assert_eq!(l.len(), 1, "a repeated drop counts once");
         assert!(!l.is_empty());
         assert!(l.contains(link, SeqNo(5)));
+        assert!(!l.contains(link, SeqNo(6)) && !l.contains(LinkId(NodeId(9)), SeqNo(5)));
         assert!(l.should_drop(link, &data_packet(5), rng(&mut slot)));
         assert!(!l.should_drop(link, &data_packet(6), rng(&mut slot)));
         assert!(!l.should_drop(LinkId(NodeId(3)), &data_packet(5), rng(&mut slot)));

@@ -35,7 +35,7 @@
 
 use std::hash::Hasher;
 
-use crate::event::{Cast, Event, PacketClass, Record};
+use crate::event::{Field, Record};
 use crate::fxhash::FxHasher;
 
 /// Default epoch width for unsharded (suite) runs: 1 s of simulation time.
@@ -49,35 +49,6 @@ pub const DEFAULT_EPOCH_NS: u64 = 1_000_000_000;
 /// that the leaf set stays sparse.
 pub const DEFAULT_BUCKET_NS: u64 = 100_000_000;
 
-fn class_tag(c: PacketClass) -> u64 {
-    match c {
-        PacketClass::Data => 0,
-        PacketClass::Request => 1,
-        PacketClass::Reply => 2,
-        PacketClass::ExpeditedRequest => 3,
-        PacketClass::ExpeditedReply => 4,
-        PacketClass::Session => 5,
-    }
-}
-
-fn cast_tag(c: Cast) -> u64 {
-    match c {
-        Cast::Multicast => 0,
-        Cast::Unicast => 1,
-        Cast::Subcast => 2,
-    }
-}
-
-fn opt_seq(h: &mut FxHasher, seq: Option<u64>) {
-    match seq {
-        Some(s) => {
-            h.write_u64(1);
-            h.write_u64(s);
-        }
-        None => h.write_u64(0),
-    }
-}
-
 /// Canonical 64-bit hash of one record: simulation time, variant tag, and
 /// every field, folded through the deterministic `FxHasher`. Any change
 /// to any field of any event yields a different hash (up to 64-bit
@@ -85,157 +56,21 @@ fn opt_seq(h: &mut FxHasher, seq: Option<u64>) {
 pub fn hash_record(record: &Record) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(record.t_ns);
-    match record.event {
-        Event::PacketSent {
-            node,
-            class,
-            seq,
-            cast,
-        } => {
-            h.write_u64(0);
-            h.write_u32(node);
-            h.write_u64(class_tag(class));
-            opt_seq(&mut h, seq);
-            h.write_u64(cast_tag(cast));
+    h.write_u64(record.event.kind() as u64);
+    record.event.fields(|_, field| match field {
+        Field::Id(v) => h.write_u32(v),
+        Field::U64(v) => h.write_u64(v),
+        // The presence tag keeps `None` and `Some(0)` apart.
+        Field::Seq(seq) => {
+            h.write_u64(u64::from(seq.is_some()));
+            if let Some(v) = seq {
+                h.write_u64(v);
+            }
         }
-        Event::PacketDropped { link, class, seq } => {
-            h.write_u64(1);
-            h.write_u32(link);
-            h.write_u64(class_tag(class));
-            opt_seq(&mut h, seq);
-        }
-        Event::PacketDelivered {
-            node,
-            class,
-            seq,
-            origin,
-        } => {
-            h.write_u64(2);
-            h.write_u32(node);
-            h.write_u64(class_tag(class));
-            opt_seq(&mut h, seq);
-            h.write_u32(origin);
-        }
-        Event::LossDetected { node, seq } => {
-            h.write_u64(3);
-            h.write_u32(node);
-            h.write_u64(seq);
-        }
-        Event::RequestScheduled {
-            node,
-            seq,
-            round,
-            delay_ns,
-        } => {
-            h.write_u64(4);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u32(round);
-            h.write_u64(delay_ns);
-        }
-        Event::RequestSuppressed { node, seq, by } => {
-            h.write_u64(5);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u32(by);
-        }
-        Event::RequestSent { node, seq, round } => {
-            h.write_u64(6);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u32(round);
-        }
-        Event::ReplyScheduled {
-            node,
-            seq,
-            requestor,
-        } => {
-            h.write_u64(7);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u32(requestor);
-        }
-        Event::ReplySuppressed { node, seq, by } => {
-            h.write_u64(8);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u32(by);
-        }
-        Event::ReplySent {
-            node,
-            seq,
-            requestor,
-            expedited,
-        } => {
-            h.write_u64(9);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u32(requestor);
-            h.write_u64(u64::from(expedited));
-        }
-        Event::ExpeditedRequestSent { node, seq, replier } => {
-            h.write_u64(10);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u32(replier);
-        }
-        Event::ExpeditedReplySent {
-            node,
-            seq,
-            requestor,
-            subcast,
-        } => {
-            h.write_u64(11);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u32(requestor);
-            h.write_u64(u64::from(subcast));
-        }
-        Event::CacheHit {
-            node,
-            seq,
-            requestor,
-            replier,
-        } => {
-            h.write_u64(12);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u32(requestor);
-            h.write_u32(replier);
-        }
-        Event::CacheMiss { node, seq } => {
-            h.write_u64(13);
-            h.write_u32(node);
-            h.write_u64(seq);
-        }
-        Event::CacheUpdate {
-            node,
-            seq,
-            requestor,
-            replier,
-        } => {
-            h.write_u64(14);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u32(requestor);
-            h.write_u32(replier);
-        }
-        Event::RecoveryCompleted {
-            node,
-            seq,
-            expedited,
-        } => {
-            h.write_u64(15);
-            h.write_u32(node);
-            h.write_u64(seq);
-            h.write_u64(u64::from(expedited));
-        }
-        Event::SpuriousLoss { node, seq } => {
-            h.write_u64(16);
-            h.write_u32(node);
-            h.write_u64(seq);
-        }
-    }
+        Field::Class(class) => h.write_u64(class as u64),
+        Field::Cast(cast) => h.write_u64(cast as u64),
+        Field::Flag(v) => h.write_u64(u64::from(v)),
+    });
     h.finish()
 }
 
@@ -245,7 +80,7 @@ pub fn hash_record(record: &Record) -> u64 {
 pub struct LeafDigest {
     /// Epoch index (`t_ns / epoch_ns`).
     pub epoch: u64,
-    /// Node the records were attributed to ([`Event::node`]).
+    /// Node the records were attributed to ([`crate::Event::node`]).
     pub node: u32,
     /// Time-bucket index (`t_ns / bucket_ns`; buckets are global, not
     /// relative to the epoch).
@@ -344,21 +179,6 @@ impl DigestSnapshot {
             i = j;
         }
         out
-    }
-
-    /// Per-time-bucket digests within one epoch, sorted by bucket index.
-    pub fn buckets_in_epoch(&self, epoch: u64) -> Vec<(u64, LevelDigest)> {
-        let mut spans: Vec<(u64, Vec<&LeafDigest>)> = Vec::new();
-        for leaf in self.leaves.iter().filter(|l| l.epoch == epoch) {
-            match spans.binary_search_by_key(&leaf.bucket, |&(b, _)| b) {
-                Ok(i) => spans[i].1.push(leaf),
-                Err(i) => spans.insert(i, (leaf.bucket, vec![leaf])),
-            }
-        }
-        spans
-            .into_iter()
-            .map(|(bucket, leaves)| (bucket, fold_level(leaves.into_iter())))
-            .collect()
     }
 
     /// Digests grouped by an arbitrary node partition (e.g. the scale
@@ -568,6 +388,7 @@ impl DigestRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Event, PacketClass};
 
     fn rec(t_ns: u64, node: u32, seq: u64) -> Record {
         Record {
@@ -624,7 +445,6 @@ mod tests {
         assert_eq!(snap.count(), 3);
         assert_eq!(snap.epochs(), vec![0, 1]);
         assert_eq!(snap.nodes_in_epoch(0).len(), 1);
-        assert_eq!(snap.buckets_in_epoch(0).len(), 2);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl FlightRecorder {
         }
     }
 
-    /// The run label given at construction.
-    pub fn context(&self) -> &str {
-        &self.context
-    }
-
     /// Total records ever pushed (including those evicted).
     pub fn seen(&self) -> u64 {
         self.seen

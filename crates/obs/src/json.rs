@@ -3,16 +3,18 @@
 //! The container image vendors no serde, and every value we serialise is a
 //! scalar (integers, booleans, static strings), so a small hand-written
 //! encoder keeps the crate dependency-free. The wire format is documented
-//! in `docs/TRACING.md`; event and field names here are the stable schema.
+//! in `docs/TRACING.md`; the event and field names it writes are the
+//! stable schema, read from [`crate::Event::fields`].
 
 use std::fmt::Write as _;
 
-use crate::event::{Event, Record};
+use crate::event::{Field, Record};
 
 /// Encode one record as a single JSON object (no trailing newline).
 ///
-/// Every line has the shape `{"t":<ns>,"ev":"<name>",...fields}` with
-/// field order fixed per variant, so output is byte-stable across runs.
+/// Every line has the shape `{"t":<ns>,"ev":"<name>",...fields}` with the
+/// fields in [`crate::Event::fields`] order, so output is byte-stable
+/// across runs.
 pub fn to_json_line(record: &Record) -> String {
     let mut s = String::with_capacity(96);
     let _ = write!(
@@ -21,161 +23,29 @@ pub fn to_json_line(record: &Record) -> String {
         record.t_ns,
         record.event.name()
     );
-    match record.event {
-        Event::PacketSent {
-            node,
-            class,
-            seq,
-            cast,
-        } => {
-            push_u32(&mut s, "node", node);
-            push_str(&mut s, "class", class.as_str());
-            push_opt_u64(&mut s, "seq", seq);
-            push_str(&mut s, "cast", cast.as_str());
-        }
-        Event::PacketDropped { link, class, seq } => {
-            push_u32(&mut s, "link", link);
-            push_str(&mut s, "class", class.as_str());
-            push_opt_u64(&mut s, "seq", seq);
-        }
-        Event::PacketDelivered {
-            node,
-            class,
-            seq,
-            origin,
-        } => {
-            push_u32(&mut s, "node", node);
-            push_str(&mut s, "class", class.as_str());
-            push_opt_u64(&mut s, "seq", seq);
-            push_u32(&mut s, "origin", origin);
-        }
-        Event::LossDetected { node, seq } | Event::SpuriousLoss { node, seq } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-        }
-        Event::RequestScheduled {
-            node,
-            seq,
-            round,
-            delay_ns,
-        } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-            push_u32(&mut s, "round", round);
-            push_u64(&mut s, "delay_ns", delay_ns);
-        }
-        Event::RequestSuppressed { node, seq, by } | Event::ReplySuppressed { node, seq, by } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-            push_u32(&mut s, "by", by);
-        }
-        Event::RequestSent { node, seq, round } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-            push_u32(&mut s, "round", round);
-        }
-        Event::ReplyScheduled {
-            node,
-            seq,
-            requestor,
-        } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-            push_u32(&mut s, "requestor", requestor);
-        }
-        Event::ReplySent {
-            node,
-            seq,
-            requestor,
-            expedited,
-        } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-            push_u32(&mut s, "requestor", requestor);
-            push_bool(&mut s, "expedited", expedited);
-        }
-        Event::ExpeditedRequestSent { node, seq, replier } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-            push_u32(&mut s, "replier", replier);
-        }
-        Event::ExpeditedReplySent {
-            node,
-            seq,
-            requestor,
-            subcast,
-        } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-            push_u32(&mut s, "requestor", requestor);
-            push_bool(&mut s, "subcast", subcast);
-        }
-        Event::CacheHit {
-            node,
-            seq,
-            requestor,
-            replier,
-        }
-        | Event::CacheUpdate {
-            node,
-            seq,
-            requestor,
-            replier,
-        } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-            push_u32(&mut s, "requestor", requestor);
-            push_u32(&mut s, "replier", replier);
-        }
-        Event::CacheMiss { node, seq } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-        }
-        Event::RecoveryCompleted {
-            node,
-            seq,
-            expedited,
-        } => {
-            push_u32(&mut s, "node", node);
-            push_u64(&mut s, "seq", seq);
-            push_bool(&mut s, "expedited", expedited);
-        }
-    }
-    s.push('}');
-    s
-}
-
-fn push_u32(s: &mut String, key: &str, v: u32) {
-    let _ = write!(s, ",\"{key}\":{v}");
-}
-
-fn push_u64(s: &mut String, key: &str, v: u64) {
-    let _ = write!(s, ",\"{key}\":{v}");
-}
-
-fn push_opt_u64(s: &mut String, key: &str, v: Option<u64>) {
-    match v {
-        Some(v) => push_u64(s, key, v),
-        None => {
-            let _ = write!(s, ",\"{key}\":null");
-        }
-    }
-}
-
-fn push_bool(s: &mut String, key: &str, v: bool) {
-    let _ = write!(s, ",\"{key}\":{v}");
-}
-
-fn push_str(s: &mut String, key: &str, v: &str) {
     // All strings in the schema are static identifiers ([a-z_]+), so no
     // escaping is required.
-    let _ = write!(s, ",\"{key}\":\"{v}\"");
+    record.event.fields(|key, field| {
+        s.push_str(",\"");
+        s.push_str(key);
+        s.push_str("\":");
+        let _ = match field {
+            Field::Id(v) => write!(s, "{v}"),
+            Field::U64(v) | Field::Seq(Some(v)) => write!(s, "{v}"),
+            Field::Seq(None) => write!(s, "null"),
+            Field::Class(class) => write!(s, "\"{}\"", class.as_str()),
+            Field::Cast(cast) => write!(s, "\"{}\"", cast.as_str()),
+            Field::Flag(v) => write!(s, "{v}"),
+        };
+    });
+    s.push('}');
+    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Cast, PacketClass};
+    use crate::event::{Cast, Event, PacketClass};
 
     #[test]
     fn encodes_packet_sent() {

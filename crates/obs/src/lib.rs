@@ -14,7 +14,9 @@
 //!   detection and recovery completion (`metrics`), request/reply
 //!   scheduling and suppression (`srm`), cache consults and expedited
 //!   request/reply traffic (`cesrm`). Every variant is documented in
-//!   `docs/TRACING.md` together with the JSONL wire format.
+//!   `docs/TRACING.md` together with the JSONL wire format. One field walk
+//!   per variant, [`Event::fields`], is that wire form: the JSONL writer,
+//!   the digest hash and the packed [`RecordLog`] all encode from it.
 //! * [`Instruments`] — the one cheap, cloneable, pointer-wide handle
 //!   threaded through one simulation, built once per run from a [`Setup`].
 //!   Every emitted event feeds the run's consumers in a fixed order (flight
@@ -95,7 +97,7 @@ pub mod value;
 pub use digest::{
     DigestRecorder, DigestSnapshot, LeafDigest, LevelDigest, DEFAULT_BUCKET_NS, DEFAULT_EPOCH_NS,
 };
-pub use event::{Cast, Event, PacketClass, Record};
+pub use event::{Cast, Event, Field, PacketClass, Record};
 pub use flight::{FlightRecorder, DEFAULT_CAPACITY as FLIGHT_CAPACITY, DUMP_TAIL};
 pub use instruments::{Instruments, Setup};
 pub use json::to_json_line;

@@ -1,8 +1,9 @@
 //! The packed, append-only store of one run's captured records.
 
 use std::fmt;
+use std::sync::OnceLock;
 
-use crate::event::{Cast, Event, PacketClass, Record};
+use crate::event::{Cast, Event, Field, FieldSource, PacketClass, Record};
 
 /// One run's captured [`Record`]s, packed into a byte string.
 ///
@@ -10,12 +11,12 @@ use crate::event::{Cast, Event, PacketClass, Record};
 /// them, and a capturing run holds every one until it is written out. The
 /// log stores each record as
 ///
-/// 1. one tag byte naming the variant, plus what fits beside it: a packet
-///    event's class, cast and whether it carries a `seq`, or a variant's
-///    one `bool`;
+/// 1. one tag byte naming the variant, plus the fields that fit beside it:
+///    a packet event's class, cast and whether it carries a `seq`, or a
+///    variant's one `bool`;
 /// 2. the time since the previous record as a zigzag LEB128 varint, so a
 ///    decreasing `t_ns` stays lossless;
-/// 3. the remaining fields in declaration order as LEB128 varints.
+/// 3. the remaining fields in [`Event::fields`] order as LEB128 varints.
 ///
 /// On the Table-1 suite that is about 7 bytes per record. The encoding is
 /// lossless over every field's full domain: [`RecordLog::iter`] returns
@@ -27,62 +28,45 @@ pub struct RecordLog {
     last_t_ns: u64,
 }
 
-// Each enum in declaration order, so `class as u8` / `cast as u8` index
-// them back.
-const CLASSES: [PacketClass; 6] = [
-    PacketClass::Data,
-    PacketClass::Request,
-    PacketClass::Reply,
-    PacketClass::ExpeditedRequest,
-    PacketClass::ExpeditedReply,
-    PacketClass::Session,
-];
-const CASTS: [Cast; 3] = [Cast::Multicast, Cast::Unicast, Cast::Subcast];
-
-// The tag code space. A packet event takes one code per (class, [cast],
-// seq present); a variant with a `bool` takes two; every other variant
-// takes one.
-const SENT: u8 = 0;
-const DROPPED: u8 = SENT + 6 * 3 * 2;
-const DELIVERED: u8 = DROPPED + 6 * 2;
-const LOSS_DETECTED: u8 = DELIVERED + 6 * 2;
-const REQ_SCHEDULED: u8 = LOSS_DETECTED + 1;
-const REQ_SUPPRESSED: u8 = REQ_SCHEDULED + 1;
-const REQ_SENT: u8 = REQ_SUPPRESSED + 1;
-const REP_SCHEDULED: u8 = REQ_SENT + 1;
-const REP_SUPPRESSED: u8 = REP_SCHEDULED + 1;
-const REP_SENT: u8 = REP_SUPPRESSED + 1;
-const XREQ_SENT: u8 = REP_SENT + 2;
-const XREP_SENT: u8 = XREQ_SENT + 1;
-const CACHE_HIT: u8 = XREP_SENT + 2;
-const CACHE_MISS: u8 = CACHE_HIT + 1;
-const CACHE_UPDATE: u8 = CACHE_MISS + 1;
-const RECOVERED: u8 = CACHE_UPDATE + 1;
-const SPURIOUS: u8 = RECOVERED + 2;
-
-fn tag(event: &Event) -> u8 {
-    let seq_bit = |seq: Option<u64>| u8::from(seq.is_some());
-    match *event {
-        Event::PacketSent {
-            class, seq, cast, ..
-        } => SENT + (class as u8 * 3 + cast as u8) * 2 + seq_bit(seq),
-        Event::PacketDropped { class, seq, .. } => DROPPED + class as u8 * 2 + seq_bit(seq),
-        Event::PacketDelivered { class, seq, .. } => DELIVERED + class as u8 * 2 + seq_bit(seq),
-        Event::LossDetected { .. } => LOSS_DETECTED,
-        Event::RequestScheduled { .. } => REQ_SCHEDULED,
-        Event::RequestSuppressed { .. } => REQ_SUPPRESSED,
-        Event::RequestSent { .. } => REQ_SENT,
-        Event::ReplyScheduled { .. } => REP_SCHEDULED,
-        Event::ReplySuppressed { .. } => REP_SUPPRESSED,
-        Event::ReplySent { expedited, .. } => REP_SENT + u8::from(expedited),
-        Event::ExpeditedRequestSent { .. } => XREQ_SENT,
-        Event::ExpeditedReplySent { subcast, .. } => XREP_SENT + u8::from(subcast),
-        Event::CacheHit { .. } => CACHE_HIT,
-        Event::CacheMiss { .. } => CACHE_MISS,
-        Event::CacheUpdate { .. } => CACHE_UPDATE,
-        Event::RecoveryCompleted { expedited, .. } => RECOVERED + u8::from(expedited),
-        Event::SpuriousLoss { .. } => SPURIOUS,
+/// A field's digit in the tag byte and how many digits it has; a field
+/// written as a varint has one.
+fn tag_digit(field: Field) -> (u8, u8) {
+    match field {
+        Field::Id(_) | Field::U64(_) => (0, 1),
+        Field::Seq(seq) => (u8::from(seq.is_some()), 2),
+        Field::Class(class) => (class as u8, PacketClass::ALL.len() as u8),
+        Field::Cast(cast) => (cast as u8, Cast::ALL.len() as u8),
+        Field::Flag(v) => (u8::from(v), 2),
     }
+}
+
+/// The tag code space: variant `k` owns the codes `first[k]..first[k + 1]`,
+/// one per combination of the digits its fields put in the tag, and
+/// `kind[tag]` names the variant that owns `tag`.
+struct Codes {
+    first: [u8; Event::NAMES.len() + 1],
+    kind: [u8; 256],
+}
+
+fn codes() -> &'static Codes {
+    static CODES: OnceLock<Codes> = OnceLock::new();
+    CODES.get_or_init(|| {
+        let mut codes = Codes {
+            first: [0; Event::NAMES.len() + 1],
+            kind: [u8::MAX; 256],
+        };
+        for kind in 0..Event::NAMES.len() {
+            // Decoding zero bytes with a zero code yields an instance of
+            // the variant; its walk tells how many codes the variant needs.
+            let blank = Event::from_fields(kind, &mut RecordIter::new(&[0; 8], 0));
+            let mut count = 1;
+            blank.fields(|_, field| count *= tag_digit(field).1);
+            let (start, end) = (codes.first[kind], codes.first[kind] + count);
+            codes.first[kind + 1] = end;
+            codes.kind[usize::from(start)..usize::from(end)].fill(kind as u8);
+        }
+        codes
+    })
 }
 
 fn put(bytes: &mut Vec<u8>, mut v: u64) {
@@ -104,96 +88,27 @@ impl RecordLog {
         let delta = record.t_ns.wrapping_sub(self.last_t_ns) as i64;
         self.last_t_ns = record.t_ns;
         self.len += 1;
+        // The tag's digits form a mixed-radix number, first field lowest.
+        // The tag leads the record but is known only after the walk, so
+        // the walk buffers the varints (no variant has more than four).
+        let (mut code, mut place) = (0, 1);
+        let (mut varints, mut n) = ([0; 4], 0);
+        record.event.fields(|_, field| {
+            let (digit, radix) = tag_digit(field);
+            code += digit * place;
+            place *= radix;
+            varints[n] = match field {
+                Field::Id(v) => v.into(),
+                Field::U64(v) | Field::Seq(Some(v)) => v,
+                _ => return,
+            };
+            n += 1;
+        });
         let out = &mut self.bytes;
-        out.push(tag(&record.event));
+        out.push(codes().first[record.event.kind()] + code);
         put(out, ((delta << 1) ^ (delta >> 63)) as u64);
-        match record.event {
-            Event::PacketSent { node, seq, .. }
-            | Event::PacketDropped {
-                link: node, seq, ..
-            } => {
-                put(out, node.into());
-                if let Some(seq) = seq {
-                    put(out, seq);
-                }
-            }
-            Event::PacketDelivered {
-                node, seq, origin, ..
-            } => {
-                put(out, node.into());
-                if let Some(seq) = seq {
-                    put(out, seq);
-                }
-                put(out, origin.into());
-            }
-            Event::LossDetected { node, seq }
-            | Event::CacheMiss { node, seq }
-            | Event::RecoveryCompleted { node, seq, .. }
-            | Event::SpuriousLoss { node, seq } => {
-                put(out, node.into());
-                put(out, seq);
-            }
-            Event::RequestSuppressed { node, seq, by: id }
-            | Event::RequestSent {
-                node,
-                seq,
-                round: id,
-            }
-            | Event::ReplyScheduled {
-                node,
-                seq,
-                requestor: id,
-            }
-            | Event::ReplySuppressed { node, seq, by: id }
-            | Event::ReplySent {
-                node,
-                seq,
-                requestor: id,
-                ..
-            }
-            | Event::ExpeditedRequestSent {
-                node,
-                seq,
-                replier: id,
-            }
-            | Event::ExpeditedReplySent {
-                node,
-                seq,
-                requestor: id,
-                ..
-            } => {
-                put(out, node.into());
-                put(out, seq);
-                put(out, id.into());
-            }
-            Event::RequestScheduled {
-                node,
-                seq,
-                round,
-                delay_ns,
-            } => {
-                put(out, node.into());
-                put(out, seq);
-                put(out, round.into());
-                put(out, delay_ns);
-            }
-            Event::CacheHit {
-                node,
-                seq,
-                requestor,
-                replier,
-            }
-            | Event::CacheUpdate {
-                node,
-                seq,
-                requestor,
-                replier,
-            } => {
-                put(out, node.into());
-                put(out, seq);
-                put(out, requestor.into());
-                put(out, replier.into());
-            }
+        for v in &varints[..n] {
+            put(out, *v);
         }
     }
 
@@ -219,11 +134,7 @@ impl RecordLog {
 
     /// Decodes the records, oldest first.
     pub fn iter(&self) -> RecordIter<'_> {
-        RecordIter {
-            bytes: &self.bytes,
-            left: self.len,
-            t_ns: 0,
-        }
+        RecordIter::new(&self.bytes, self.len)
     }
 }
 
@@ -256,9 +167,20 @@ pub struct RecordIter<'a> {
     bytes: &'a [u8],
     left: usize,
     t_ns: u64,
+    /// The tag digits of the record being decoded not yet read.
+    code: u8,
 }
 
-impl RecordIter<'_> {
+impl<'a> RecordIter<'a> {
+    fn new(bytes: &'a [u8], left: usize) -> Self {
+        RecordIter {
+            bytes,
+            left,
+            t_ns: 0,
+            code: 0,
+        }
+    }
+
     fn take(&mut self) -> u64 {
         let mut v = 0u64;
         let mut shift = 0;
@@ -276,13 +198,39 @@ impl RecordIter<'_> {
         }
     }
 
-    /// A node id, round or other `u32` field; the log wrote it from one.
+    /// The tag's next digit of a field with `radix` values.
+    fn digit(&mut self, radix: usize) -> usize {
+        let radix = radix as u8;
+        let digit = self.code % radix;
+        self.code /= radix;
+        usize::from(digit)
+    }
+}
+
+impl FieldSource for RecordIter<'_> {
+    /// The log wrote this varint from a `u32`.
     fn id(&mut self) -> u32 {
         self.take() as u32
     }
 
-    fn seq_if(&mut self, present: bool) -> Option<u64> {
-        present.then(|| self.take())
+    fn u64(&mut self) -> u64 {
+        self.take()
+    }
+
+    fn seq(&mut self) -> Option<u64> {
+        (self.digit(2) == 1).then(|| self.take())
+    }
+
+    fn class(&mut self) -> PacketClass {
+        PacketClass::ALL[self.digit(PacketClass::ALL.len())]
+    }
+
+    fn cast(&mut self) -> Cast {
+        Cast::ALL[self.digit(Cast::ALL.len())]
+    }
+
+    fn flag(&mut self) -> bool {
+        self.digit(2) == 1
     }
 }
 
@@ -296,114 +244,12 @@ impl Iterator for RecordIter<'_> {
         let zigzag = self.take();
         let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
         self.t_ns = self.t_ns.wrapping_add(delta as u64);
-        let event = match tag {
-            SENT..DROPPED => {
-                let code = usize::from(tag - SENT);
-                let node = self.id();
-                let seq = self.seq_if(code & 1 == 1);
-                Event::PacketSent {
-                    node,
-                    class: CLASSES[code / 6],
-                    seq,
-                    cast: CASTS[code / 2 % 3],
-                }
-            }
-            DROPPED..DELIVERED => {
-                let code = usize::from(tag - DROPPED);
-                let link = self.id();
-                let seq = self.seq_if(code & 1 == 1);
-                Event::PacketDropped {
-                    link,
-                    class: CLASSES[code / 2],
-                    seq,
-                }
-            }
-            DELIVERED..LOSS_DETECTED => {
-                let code = usize::from(tag - DELIVERED);
-                let node = self.id();
-                let seq = self.seq_if(code & 1 == 1);
-                let origin = self.id();
-                Event::PacketDelivered {
-                    node,
-                    class: CLASSES[code / 2],
-                    seq,
-                    origin,
-                }
-            }
-            _ => {
-                let node = self.id();
-                let seq = self.take();
-                match tag {
-                    LOSS_DETECTED => Event::LossDetected { node, seq },
-                    REQ_SCHEDULED => Event::RequestScheduled {
-                        node,
-                        seq,
-                        round: self.id(),
-                        delay_ns: self.take(),
-                    },
-                    REQ_SUPPRESSED => Event::RequestSuppressed {
-                        node,
-                        seq,
-                        by: self.id(),
-                    },
-                    REQ_SENT => Event::RequestSent {
-                        node,
-                        seq,
-                        round: self.id(),
-                    },
-                    REP_SCHEDULED => Event::ReplyScheduled {
-                        node,
-                        seq,
-                        requestor: self.id(),
-                    },
-                    REP_SUPPRESSED => Event::ReplySuppressed {
-                        node,
-                        seq,
-                        by: self.id(),
-                    },
-                    REP_SENT..XREQ_SENT => Event::ReplySent {
-                        node,
-                        seq,
-                        requestor: self.id(),
-                        expedited: tag != REP_SENT,
-                    },
-                    XREQ_SENT => Event::ExpeditedRequestSent {
-                        node,
-                        seq,
-                        replier: self.id(),
-                    },
-                    XREP_SENT..CACHE_HIT => Event::ExpeditedReplySent {
-                        node,
-                        seq,
-                        requestor: self.id(),
-                        subcast: tag != XREP_SENT,
-                    },
-                    CACHE_HIT => Event::CacheHit {
-                        node,
-                        seq,
-                        requestor: self.id(),
-                        replier: self.id(),
-                    },
-                    CACHE_MISS => Event::CacheMiss { node, seq },
-                    CACHE_UPDATE => Event::CacheUpdate {
-                        node,
-                        seq,
-                        requestor: self.id(),
-                        replier: self.id(),
-                    },
-                    RECOVERED..SPURIOUS => Event::RecoveryCompleted {
-                        node,
-                        seq,
-                        expedited: tag != RECOVERED,
-                    },
-                    SPURIOUS => Event::SpuriousLoss { node, seq },
-                    _ => unreachable!("RecordLog writes no tag {tag}"),
-                }
-            }
-        };
+        let codes = codes();
+        let kind = usize::from(codes.kind[usize::from(tag)]);
+        self.code = tag - codes.first[kind];
         Some(Record {
             t_ns: self.t_ns,
-            event,
+            event: Event::from_fields(kind, self),
         })
     }
 

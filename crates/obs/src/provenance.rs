@@ -280,26 +280,6 @@ pub fn reduce(records: impl IntoIterator<Item = Record>) -> Vec<RecoveryTimeline
     builder.finish()
 }
 
-/// The `n` slowest *completed* recoveries (expedited or fallback), by
-/// detection-to-recovery latency, slowest first.
-pub fn slowest(timelines: &[RecoveryTimeline], n: usize) -> Vec<&RecoveryTimeline> {
-    let mut done: Vec<&RecoveryTimeline> = timelines
-        .iter()
-        .filter(|tl| {
-            matches!(tl.path, RecoveryPath::Expedited | RecoveryPath::Fallback)
-                && tl.latency_ns().is_some()
-        })
-        .collect();
-    done.sort_by(|a, b| {
-        b.latency_ns()
-            .cmp(&a.latency_ns())
-            .then(a.receiver.cmp(&b.receiver))
-            .then(a.seq.cmp(&b.seq))
-    });
-    done.truncate(n);
-    done
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,36 +438,5 @@ mod tests {
             },
         )];
         assert!(reduce(records).is_empty());
-    }
-
-    #[test]
-    fn slowest_orders_by_latency_desc() {
-        let records = vec![
-            rec(0, Event::LossDetected { node: 1, seq: 1 }),
-            rec(0, Event::LossDetected { node: 2, seq: 2 }),
-            rec(0, Event::LossDetected { node: 3, seq: 3 }),
-            rec(
-                30,
-                Event::RecoveryCompleted {
-                    node: 1,
-                    seq: 1,
-                    expedited: false,
-                },
-            ),
-            rec(
-                10,
-                Event::RecoveryCompleted {
-                    node: 2,
-                    seq: 2,
-                    expedited: true,
-                },
-            ),
-        ];
-        let timelines = reduce(records);
-        let slow = slowest(&timelines, 5);
-        assert_eq!(slow.len(), 2, "unrecovered losses are excluded");
-        assert_eq!((slow[0].receiver, slow[0].seq), (1, 1));
-        assert_eq!((slow[1].receiver, slow[1].seq), (2, 2));
-        assert_eq!(slowest(&timelines, 1).len(), 1);
     }
 }

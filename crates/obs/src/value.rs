@@ -226,7 +226,11 @@ fn indent(out: &mut String, depth: usize) {
 }
 
 fn write_num(out: &mut String, n: f64) {
-    if n.fract() == 0.0 && n.abs() < 9e15 {
+    if !n.is_finite() {
+        // JSON has no NaN or infinity; `null` keeps the document readable
+        // by `JsonValue::parse`.
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9e15 {
         let _ = write!(out, "{}", n as i64);
     } else {
         // `{:?}` is Rust's shortest round-trip float formatting.
@@ -502,6 +506,20 @@ mod tests {
         let f = JsonValue::parse("0.25").unwrap();
         assert_eq!(f.to_string_compact(), "0.25");
         assert_eq!(f.as_u64(), None);
+    }
+
+    #[test]
+    fn non_finite_numbers_write_as_null_and_read_back() {
+        let doc = JsonValue::Arr(vec![
+            JsonValue::Num(f64::NAN),
+            JsonValue::Num(f64::INFINITY),
+            JsonValue::Num(f64::NEG_INFINITY),
+            JsonValue::Num(1.5),
+        ]);
+        for text in [doc.to_string_compact(), doc.to_string_pretty()] {
+            let back = JsonValue::parse(&text).expect("a written report reads back");
+            assert_eq!(back.to_string_compact(), "[null,null,null,1.5]");
+        }
     }
 
     #[test]

@@ -6,16 +6,6 @@ use obs::{Cast, Event, PacketClass, Record, RecordLog};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-const CLASSES: [PacketClass; 6] = [
-    PacketClass::Data,
-    PacketClass::Request,
-    PacketClass::Reply,
-    PacketClass::ExpeditedRequest,
-    PacketClass::ExpeditedReply,
-    PacketClass::Session,
-];
-const CASTS: [Cast; 3] = [Cast::Multicast, Cast::Unicast, Cast::Subcast];
-
 /// The `variant`-th `Event` (declaration order) built from the given
 /// field values; `ids` feed the `u32` fields, `seq` and `delay_ns` the
 /// `u64` ones.
@@ -26,14 +16,14 @@ fn build(
     delay_ns: u64,
     (class, cast, flag, has_seq): (usize, usize, bool, bool),
 ) -> Event {
-    let class = CLASSES[class];
+    let class = PacketClass::ALL[class];
     let opt = has_seq.then_some(seq);
     match variant {
         0 => Event::PacketSent {
             node,
             class,
             seq: opt,
-            cast: CASTS[cast],
+            cast: Cast::ALL[cast],
         },
         1 => Event::PacketDropped {
             link: node,
@@ -156,8 +146,8 @@ fn every_variant_at_its_extremes_round_trips() {
             ([0; 3], 0, true),
             ([0; 3], 0, false),
         ] {
-            for class in 0..CLASSES.len() {
-                for cast in 0..CASTS.len() {
+            for class in 0..PacketClass::ALL.len() {
+                for cast in 0..Cast::ALL.len() {
                     for flag in [false, true] {
                         let event = build(variant, ids, value, value, (class, cast, flag, has_seq));
                         assert_eq!(event.name(), Event::NAMES[variant]);
