@@ -457,24 +457,25 @@ impl CesrmAgent {
                         None
                     };
                     let outcome = self.cache.observe_outcome(t);
-                    if outcome.changed() {
-                        self.shared.metrics.cache_updates.inc();
-                    }
                     if outcome == crate::cache::CacheOutcome::InsertedEvicting {
                         self.shared.metrics.cache_evictions.inc();
                     }
-                    let me = self.core.me();
-                    // The only cache-insertion site: every pair a later
-                    // `cache_hit` can name must have been announced here
-                    // first (I4, docs/MONITORS.md).
-                    self.core
-                        .obs()
-                        .emit(ctx.now().as_nanos(), || obs::Event::CacheUpdate {
-                            node: me.0,
-                            seq: t.id.seq.value(),
-                            requestor: t.requestor.0,
-                            replier: t.replier.0,
-                        });
+                    if outcome.changed() {
+                        self.shared.metrics.cache_updates.inc();
+                        let me = self.core.me();
+                        // The only cache-insertion site: every pair a later
+                        // `cache_hit` can name must have been announced
+                        // here first (I4, docs/MONITORS.md), and only a
+                        // tuple the cache stored is announced.
+                        self.core
+                            .obs()
+                            .emit(ctx.now().as_nanos(), || obs::Event::CacheUpdate {
+                                node: me.0,
+                                seq: t.id.seq.value(),
+                                requestor: t.requestor.0,
+                                replier: t.replier.0,
+                            });
+                    }
                 }
             }
             PacketBody::Data { id } => {
@@ -771,6 +772,81 @@ mod tests {
             a_cross < p_cross,
             "assisted exposure {a_cross:.2} should undercut plain {p_cross:.2}"
         );
+    }
+
+    /// `cache_update` announces a change of the cache, not an offered
+    /// tuple: replaying a receiver's `cache_update` records through the
+    /// §3.1 rule (without the delays, which the records do not carry)
+    /// rebuilds exactly the cache the agent ends with. A record for a tuple
+    /// the cache rejected — stale, or worse than the cached pair — shows up
+    /// as an eviction of a newer entry or as a pair the cache never held.
+    #[test]
+    fn cache_updates_replay_to_the_final_cache() {
+        let cfg = CesrmConfig {
+            cache_capacity: 2,
+            ..CesrmConfig::paper_default()
+        };
+        let mut drops: Vec<(LinkId, SeqNo)> =
+            (10..30).map(|i| (LinkId(NodeId(3)), SeqNo(i))).collect();
+        drops.extend(spaced_drops());
+        drops.push((LinkId(NodeId(1)), SeqNo(35)));
+        let handle = obs::Instruments::memory();
+        let tree = tree();
+        let log = RecoveryLog::shared();
+        log.borrow_mut().set_obs(handle.clone());
+        let mut sim = Simulator::new(tree.clone(), NetConfig::default().with_seed(11));
+        sim.set_loss(Box::new(TraceLoss::new(drops)));
+        let src = NodeId::ROOT;
+        let endpoints =
+            |role| CesrmEndpoints::new(src, cfg, role, log.clone()).with_obs(handle.clone());
+        sim.attach_agent(
+            src,
+            Box::new(endpoints(Role::Source(source_cfg(70))).agent(src)),
+        );
+        let receivers = endpoints(Role::Receiver);
+        for &r in tree.receivers() {
+            sim.attach_agent(r, Box::new(receivers.agent(r)));
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(80));
+        assert_eq!(log.borrow().unrecovered(), 0);
+
+        let records = handle.drain();
+        let mut updates = 0;
+        for &r in tree.receivers() {
+            let mut replay: std::collections::BTreeMap<u64, (u32, u32)> = Default::default();
+            for record in records.iter() {
+                let obs::Event::CacheUpdate {
+                    node,
+                    seq,
+                    requestor,
+                    replier,
+                } = record.event
+                else {
+                    continue;
+                };
+                if node != r.0 {
+                    continue;
+                }
+                updates += 1;
+                if !replay.contains_key(&seq) && replay.len() == cfg.cache_capacity {
+                    let (&oldest, _) = replay.first_key_value().expect("full");
+                    assert!(
+                        seq > oldest,
+                        "node {node}: cache_update for seq {seq} with seq {oldest} cached \
+                         and the cache full: the tuple was stale, nothing changed"
+                    );
+                    replay.remove(&oldest);
+                }
+                replay.insert(seq, (requestor, replier));
+            }
+            let agent = sim.agent_as::<CesrmAgent>(r).expect("a CESRM receiver");
+            let cached: std::collections::BTreeMap<u64, (u32, u32)> = (0..70)
+                .filter_map(|s| agent.cache().get(SeqNo(s)))
+                .map(|t| (t.id.seq.value(), (t.requestor.0, t.replier.0)))
+                .collect();
+            assert_eq!(replay, cached, "node {r:?}");
+        }
+        assert!(updates > 10, "only {updates} cache updates");
     }
 
     #[test]
