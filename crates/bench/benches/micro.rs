@@ -1,7 +1,6 @@
 //! Micro-benchmarks of the building blocks: recovery cache, loss-pattern
 //! attribution DP, Gilbert–Elliott stepping, estimators, raw simulator
-//! flooding throughput, and the metrics-registry instruments that ride on
-//! the simulator's hot paths.
+//! flooding throughput and the engine's event queue.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lossmap::{yajnik_rates, Attributor};
@@ -207,37 +206,6 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_registry(c: &mut Criterion) {
-    let mut group = c.benchmark_group("micro/registry");
-    let handle = obs::Instruments::new(obs::Setup {
-        metrics: true,
-        ..obs::Setup::default()
-    });
-    let counter = handle.counter("bench.counter");
-    group.bench_function("counter_inc", |b| {
-        b.iter(|| {
-            counter.inc();
-            std::hint::black_box(&counter);
-        });
-    });
-    let off = obs::Counter::off();
-    group.bench_function("counter_inc_disabled", |b| {
-        b.iter(|| {
-            off.inc();
-            std::hint::black_box(&off);
-        });
-    });
-    group.bench_function("snapshot_and_merge", |b| {
-        b.iter(|| {
-            let mut a = handle.metrics_snapshot();
-            let other = handle.metrics_snapshot();
-            a.merge(&other);
-            std::hint::black_box(a)
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_cache,
@@ -246,6 +214,5 @@ criterion_group!(
     bench_estimator,
     bench_sim_flood,
     bench_engine,
-    bench_registry
 );
 criterion_main!(benches);

@@ -51,39 +51,12 @@ impl Default for CesrmConfig {
 }
 
 /// What every endpoint made by one [`CesrmEndpoints`] has in common on top
-/// of the SRM engine's shared block: the expedited-recovery knobs, the
-/// expedition policy and the pre-registered counters.
+/// of the SRM engine's shared block: the expedited-recovery knobs and the
+/// expedition policy.
 #[derive(Clone)]
 struct Shared {
     cfg: CesrmConfig,
     policy: Rc<dyn ExpeditionPolicy>,
-    /// Counters pre-registered on the core's observation handle.
-    metrics: CesrmMetrics,
-}
-
-/// Pre-registered counters over the expedited layer: cache consult
-/// outcomes and expedited traffic volumes. All no-ops by default.
-#[derive(Clone, Default)]
-struct CesrmMetrics {
-    cache_hits: obs::Counter,
-    cache_misses: obs::Counter,
-    cache_updates: obs::Counter,
-    cache_evictions: obs::Counter,
-    expedited_requests_sent: obs::Counter,
-    expedited_replies_sent: obs::Counter,
-}
-
-impl CesrmMetrics {
-    fn new(metrics: &obs::Instruments) -> Self {
-        CesrmMetrics {
-            cache_hits: metrics.counter("cesrm.cache.hits"),
-            cache_misses: metrics.counter("cesrm.cache.misses"),
-            cache_updates: metrics.counter("cesrm.cache.updates"),
-            cache_evictions: metrics.counter("cesrm.cache.evictions"),
-            expedited_requests_sent: metrics.counter("cesrm.expedited_requests_sent"),
-            expedited_replies_sent: metrics.counter("cesrm.expedited_replies_sent"),
-        }
-    }
 }
 
 /// The one construction path for CESRM endpoints: fixes everything the
@@ -113,7 +86,6 @@ impl CesrmEndpoints {
             shared: Rc::new(Shared {
                 cfg,
                 policy: Rc::new(MostRecentLoss),
-                metrics: CesrmMetrics::default(),
             }),
         }
     }
@@ -127,7 +99,6 @@ impl CesrmEndpoints {
     /// Installs the run's observation handle for every endpoint made from
     /// here on (see [`CesrmAgent::with_obs`]).
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
-        Rc::make_mut(&mut self.shared).metrics = CesrmMetrics::new(&obs);
         self.srm = self.srm.with_obs(obs);
         self
     }
@@ -222,15 +193,14 @@ impl CesrmAgent {
     /// the `obs` crate), held by the underlying SRM engine
     /// ([`SrmCore::set_obs`]) and read from there. The expedited layer
     /// emits cache consults (`cache_hit`/`cache_miss`/`cache_update`) and
-    /// expedited traffic (`xreq_sent`/`xrep_sent`), counts them
-    /// (`cesrm.cache.*`, `cesrm.expedited_*`). Off by default.
+    /// expedited traffic (`xreq_sent`/`xrep_sent`), whose counts are the
+    /// handle's `cesrm.*` counters. Off by default.
     ///
     /// The handle lives in the blocks this endpoint shares with its
     /// siblings; installing it here gives this endpoint private copies of
     /// them, so a run with many endpoints installs it once on the factory
     /// instead ([`CesrmEndpoints::with_obs`]).
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
-        Rc::make_mut(&mut self.shared).metrics = CesrmMetrics::new(&obs);
         self.core.set_obs(obs);
         self
     }
@@ -277,7 +247,6 @@ impl CesrmAgent {
     fn consider_expedited(&mut self, ctx: &mut Context<'_>, seq: SeqNo) {
         let me = self.core.me();
         let Some(tuple) = self.shared.policy.select(&self.cache) else {
-            self.shared.metrics.cache_misses.inc();
             self.core
                 .obs()
                 .emit(ctx.now().as_nanos(), || obs::Event::CacheMiss {
@@ -286,7 +255,6 @@ impl CesrmAgent {
                 });
             return;
         };
-        self.shared.metrics.cache_hits.inc();
         self.core
             .obs()
             .emit(ctx.now().as_nanos(), || obs::Event::CacheHit {
@@ -342,7 +310,6 @@ impl CesrmAgent {
         };
         ctx.unicast(armed.replier, body);
         let me = self.core.me();
-        self.shared.metrics.expedited_requests_sent.inc();
         // `armed` names the pair the cache-consult stored when it emitted
         // `cache_hit`; the cache-coherence monitor (I4, docs/MONITORS.md)
         // flags any expedited request whose replier no prior hit named.
@@ -396,7 +363,6 @@ impl CesrmAgent {
             }
         };
         let me = self.core.me();
-        self.shared.metrics.expedited_replies_sent.inc();
         self.core
             .obs()
             .emit(ctx.now().as_nanos(), || obs::Event::ExpeditedReplySent {
@@ -456,12 +422,7 @@ impl CesrmAgent {
                     } else {
                         None
                     };
-                    let outcome = self.cache.observe_outcome(t);
-                    if outcome == crate::cache::CacheOutcome::InsertedEvicting {
-                        self.shared.metrics.cache_evictions.inc();
-                    }
-                    if outcome.changed() {
-                        self.shared.metrics.cache_updates.inc();
+                    if self.cache.observe(t) {
                         let me = self.core.me();
                         // The only cache-insertion site: every pair a later
                         // `cache_hit` can name must have been announced

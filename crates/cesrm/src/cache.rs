@@ -18,33 +18,6 @@ pub struct RecoveryCache {
     entries: BTreeMap<u64, RecoveryTuple>,
 }
 
-/// Which branch of the §3.1 update rule an observed tuple took.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CacheOutcome {
-    /// Replaced the cached pair for an already-cached packet with a
-    /// lower-delay one.
-    Improved,
-    /// An already-cached packet had an equal-or-better pair: no change.
-    RejectedWorse,
-    /// Inserted a new packet with room to spare.
-    Inserted,
-    /// Inserted a new packet, evicting the least recent entry.
-    InsertedEvicting,
-    /// The cache was full and the packet was less recent than everything
-    /// cached: discarded.
-    RejectedStale,
-}
-
-impl CacheOutcome {
-    /// `true` iff the cache changed.
-    pub fn changed(self) -> bool {
-        matches!(
-            self,
-            CacheOutcome::Improved | CacheOutcome::Inserted | CacheOutcome::InsertedEvicting
-        )
-    }
-}
-
 impl RecoveryCache {
     /// Creates an empty cache holding at most `capacity` tuples.
     ///
@@ -82,34 +55,25 @@ impl RecoveryCache {
     /// responsible for only passing tuples of packets this host actually
     /// lost (replies for packets received normally are discarded upstream).
     pub fn observe(&mut self, tuple: RecoveryTuple) -> bool {
-        self.observe_outcome(tuple).changed()
-    }
-
-    /// Like [`observe`](RecoveryCache::observe) but reports *which* branch
-    /// of the update rule fired, so the profiling layer can count updates,
-    /// evictions and rejections separately.
-    pub fn observe_outcome(&mut self, tuple: RecoveryTuple) -> CacheOutcome {
         let seq = tuple.id.seq.value();
         if let Some(existing) = self.entries.get_mut(&seq) {
             // Keep the optimal pair for this packet.
             if tuple.recovery_delay() < existing.recovery_delay() {
                 *existing = tuple;
-                return CacheOutcome::Improved;
+                return true;
             }
-            return CacheOutcome::RejectedWorse;
+            return false;
         }
         if self.entries.len() >= self.capacity {
             let &oldest = self.entries.keys().next().expect("cache is non-empty");
             if seq < oldest {
                 // Less recent than everything cached: discard.
-                return CacheOutcome::RejectedStale;
+                return false;
             }
             self.entries.remove(&oldest);
-            self.entries.insert(seq, tuple);
-            return CacheOutcome::InsertedEvicting;
         }
         self.entries.insert(seq, tuple);
-        CacheOutcome::Inserted
+        true
     }
 
     /// The tuple of the most recent recovered loss, if any — the selection
@@ -244,34 +208,16 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_classify_every_branch() {
+    fn observe_reports_every_branch() {
         let mut c = RecoveryCache::new(2);
-        assert_eq!(
-            c.observe_outcome(tuple(5, 1, 2, 40, 40)),
-            CacheOutcome::Inserted
-        );
-        assert_eq!(
-            c.observe_outcome(tuple(5, 3, 4, 60, 60)),
-            CacheOutcome::RejectedWorse
-        );
-        assert_eq!(
-            c.observe_outcome(tuple(5, 5, 6, 20, 20)),
-            CacheOutcome::Improved
-        );
-        assert_eq!(
-            c.observe_outcome(tuple(6, 1, 2, 40, 40)),
-            CacheOutcome::Inserted
-        );
-        assert_eq!(
-            c.observe_outcome(tuple(7, 1, 2, 40, 40)),
-            CacheOutcome::InsertedEvicting
-        );
-        assert_eq!(
-            c.observe_outcome(tuple(3, 1, 2, 40, 40)),
-            CacheOutcome::RejectedStale
-        );
-        assert!(CacheOutcome::Improved.changed());
-        assert!(!CacheOutcome::RejectedStale.changed());
+        assert!(c.observe(tuple(5, 1, 2, 40, 40)), "inserted");
+        assert!(!c.observe(tuple(5, 3, 4, 60, 60)), "worse pair rejected");
+        assert!(c.observe(tuple(5, 5, 6, 20, 20)), "improved");
+        assert!(c.observe(tuple(6, 1, 2, 40, 40)), "inserted");
+        assert!(c.observe(tuple(7, 1, 2, 40, 40)), "inserted, evicting 5");
+        assert!(!c.observe(tuple(3, 1, 2, 40, 40)), "stale packet discarded");
+        let seqs: Vec<u64> = c.iter().map(|t| t.id.seq.value()).collect();
+        assert_eq!(seqs, vec![6, 7]);
     }
 
     #[test]

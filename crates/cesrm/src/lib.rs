@@ -39,6 +39,6 @@ mod group;
 mod policy;
 
 pub use agent::{CesrmAgent, CesrmConfig, CesrmEndpoints};
-pub use cache::{CacheOutcome, RecoveryCache};
+pub use cache::RecoveryCache;
 pub use group::{GroupMember, StreamRole};
 pub use policy::{ExpeditionPolicy, MostFrequentLoss, MostRecentLoss, RecencyWeighted};

@@ -28,8 +28,8 @@
 //! coverage plus the `--trace-slowest` (default 10) slowest recoveries.
 //! Both refinements need `--trace`.
 //!
-//! `--report FILE` self-profiles every run through the `obs` metrics
-//! registry and writes the one `cesrm-run/2` JSON document of this
+//! `--report FILE` counts every run's events by kind (the `obs` tally)
+//! and writes the one `cesrm-run/2` JSON document of this
 //! invocation (see `docs/METRICS.md`). Pass `-` for `FILE` to use the
 //! canonical `BENCH_<YYYYMMDD>.json` name in the working directory. The
 //! `bench_compare` binary diffs two such reports against thresholds.

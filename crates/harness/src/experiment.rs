@@ -194,10 +194,9 @@ pub(crate) fn infer_plan(trace: &Trace) -> LossPlan {
 /// `obs` crate) into the simulator, the recovery log and every protocol
 /// agent, and returns the engine's always-on telemetry counters alongside
 /// the measurements. The handle is owned by this one reenactment and is
-/// observation-only; read its event sink, registry, digest and monitor
-/// verdict after the call. The registry's `sim.events.*`, `sim.packets.*`
-/// and `sim.timers.*` counters are written from the returned telemetry
-/// when the run ends.
+/// observation-only; read its event sink, digest and monitor verdict after
+/// the call, and its counters through [`crate::run_snapshot`], which adds
+/// the `sim.*` counters from the returned telemetry.
 pub fn run_trace_with(
     trace: &Trace,
     protocol: Protocol,
@@ -276,7 +275,6 @@ pub(crate) fn run_planned(
     sim.run_until(end);
     let events_processed = sim.events_processed();
     let telemetry = sim.telemetry();
-    crate::observe::publish_engine(handle, &telemetry);
 
     let log = log.borrow();
     let collector = collector.borrow();

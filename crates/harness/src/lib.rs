@@ -71,6 +71,7 @@ pub use experiment::{
     run_trace, run_trace_with, ExperimentConfig, Protocol, RecoverySample, RunMetrics,
 };
 pub use health::health_text;
+pub use observe::run_snapshot;
 pub use report::{
     scale_report, strip_volatile, suite_report, utc_date_stamp, Overhead, RungOutcome, RUN_SCHEMA,
     VOLATILE_FIELDS,

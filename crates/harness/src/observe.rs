@@ -1,6 +1,7 @@
 //! Where a run's observation request becomes its one [`obs::Instruments`]
 //! handle — shared by the suite runner (`RunJob::execute`) and the scale
 //! runner (`run_shard`), so both build, register and fold the same way.
+//! [`run_snapshot`] assembles a finished suite run's named counters.
 
 use netsim::EngineTelemetry;
 
@@ -23,12 +24,16 @@ pub(crate) fn instruments(
     handle
 }
 
-/// Publishes the engine's always-on counters to the run's registry once
-/// the run is over, as its `sim.events.*`, `sim.packets.*` and
-/// `sim.timers.*` counters (`docs/METRICS.md`): exact totals come from
-/// here, not from per-call increments on the hot path. A no-op on a handle
-/// built without metrics.
-pub(crate) fn publish_engine(handle: &obs::Instruments, engine: &EngineTelemetry) {
+/// One finished run's named counters: the handle's event counts
+/// ([`obs::Instruments::metrics_snapshot`]) plus the engine's
+/// `sim.events.*`, `sim.packets.*` and `sim.timers.*`, read from its
+/// always-on telemetry (`docs/METRICS.md`) rather than counted per call on
+/// the hot path. Empty when the handle was built without metrics.
+pub fn run_snapshot(handle: &obs::Instruments, engine: &EngineTelemetry) -> obs::MetricsSnapshot {
+    let mut snapshot = handle.metrics_snapshot();
+    if snapshot.is_empty() {
+        return snapshot;
+    }
     for (name, value) in [
         ("sim.events.start", engine.start_events),
         ("sim.events.timer", engine.timer_events),
@@ -42,8 +47,9 @@ pub(crate) fn publish_engine(handle: &obs::Instruments, engine: &EngineTelemetry
         ("sim.packets.forwarded", engine.transmits - engine.drops),
         ("sim.packets.dropped", engine.drops),
     ] {
-        handle.counter(name).add(value);
+        snapshot.counters.insert(name.to_string(), value);
     }
+    snapshot
 }
 
 #[cfg(test)]
@@ -51,11 +57,11 @@ mod tests {
     use super::*;
     use crate::{run_suite, SuiteConfig};
 
-    /// The registry's `sim.*` counters are derived from the telemetry, not
-    /// counted beside it: pins the published names and the derivations, on
-    /// the suite and against the traffic observer's own drop count.
+    /// A run snapshot's `sim.*` counters are derived from the telemetry,
+    /// not counted beside it: pins the names and the derivations, on the
+    /// suite and on a hand-driven simulator.
     #[test]
-    fn registry_sim_counters_are_published_from_engine_telemetry() {
+    fn snapshot_sim_counters_are_read_from_engine_telemetry() {
         let mut suite = SuiteConfig::quick(0.01).with_metrics().with_profile();
         suite.traces = Some(vec![4, 13]);
         let result = run_suite(&suite);
@@ -94,8 +100,7 @@ mod tests {
         }
 
         // One source flooding three packets down a chain, two of them
-        // dropped on the way: the registry, the telemetry and the
-        // per-packet traffic observer agree on the drops.
+        // dropped on the way: the snapshot counts exactly those drops.
         struct Burst;
         impl netsim::Agent for Burst {
             fn on_start(&mut self, ctx: &mut netsim::Context<'_>) {
@@ -130,17 +135,13 @@ mod tests {
             (topology::LinkId(leaf), netsim::SeqNo(2)),
         ])));
         sim.set_obs(handle.clone());
-        let collector = std::rc::Rc::new(std::cell::RefCell::new(metrics::TrafficCollector::new()));
-        sim.set_observer(Box::new(std::rc::Rc::clone(&collector)));
         sim.attach_agent(topology::NodeId::ROOT, Box::new(Burst));
         sim.run_until(netsim::SimTime::ZERO + netsim::SimDuration::from_secs(1));
-        publish_engine(&handle, &sim.telemetry());
-        let counters = handle.metrics_snapshot().counters;
+        let engine = sim.telemetry();
+        let counters = run_snapshot(&handle, &engine).counters;
         assert_eq!(counters["sim.packets.dropped"], 2);
-        assert_eq!(
-            counters["sim.packets.dropped"],
-            collector.borrow().drop_count()
-        );
+        assert_eq!(counters["sim.packets.dropped"], engine.drops);
+        assert!(run_snapshot(&obs::Instruments::off(), &engine).is_empty());
         assert_eq!(
             counters["sim.packets.forwarded"], 3,
             "3 + 2 crossings, 2 lost"

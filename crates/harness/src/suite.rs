@@ -6,7 +6,7 @@ use netsim::SimDuration;
 use traces::{table1, LossStats, Trace, TraceSpec};
 
 use crate::experiment::{infer_plan, run_planned, LossPlan};
-use crate::observe::instruments;
+use crate::observe::{instruments, run_snapshot};
 use crate::runner::{resolve_jobs, run_indexed, RunTiming, SuiteTiming};
 use crate::{ExperimentConfig, Protocol, RunMetrics};
 
@@ -37,11 +37,12 @@ pub struct SuiteConfig {
     /// worker count and the measured `pairs` stay byte-identical to a
     /// capture-off run.
     pub capture_events: bool,
-    /// When `true`, every reenactment self-profiles through its per-run
-    /// metrics registry (simulator event/timer/packet counts, SRM
-    /// suppression outcomes, CESRM cache traffic, recovery lifecycle) into
-    /// [`SuiteResult::profiles`]. Like event capture, each run owns its
-    /// registry, so profiling is race-free under any worker count and the
+    /// When `true`, every reenactment self-profiles into
+    /// [`SuiteResult::profiles`]: its event counts by kind (SRM
+    /// suppression outcomes, CESRM cache traffic, recovery lifecycle) and
+    /// the engine's event/timer/packet counts, as named counters (see
+    /// [`crate::run_snapshot`]). Like event capture, each run owns its
+    /// tally, so profiling is race-free under any worker count and the
     /// measured `pairs` stay byte-identical to a metrics-off run.
     pub collect_metrics: bool,
     /// When `true`, every reenactment streams its events through an online
@@ -346,7 +347,7 @@ pub struct SuiteResult {
 impl SuiteResult {
     /// Folds every per-run snapshot into one suite-wide snapshot, in slot
     /// order. Snapshot merging is associative and the fold order is fixed,
-    /// so the merged registry is identical at every worker count. Empty
+    /// so the merged counters are identical at every worker count. Empty
     /// when the suite ran without [`SuiteConfig::collect_metrics`].
     pub fn merged_snapshot(&self) -> obs::MetricsSnapshot {
         let mut merged = obs::MetricsSnapshot::default();
@@ -440,7 +441,7 @@ impl RunJob {
         // Each run builds its observation handle on its own worker thread
         // (the handle is `!Send` by design) and ships only plain-data
         // snapshots back through the pool, so worker threads never share
-        // event or registry state at any worker count.
+        // event or counter state at any worker count.
         let handle = instruments(
             obs::Setup {
                 sink: self
@@ -499,7 +500,7 @@ impl RunJob {
             wall,
             events_processed: metrics.events_processed,
             queue_max_len: engine.queue.max_len,
-            snapshot: handle.metrics_snapshot(),
+            snapshot: run_snapshot(&handle, &engine),
         });
         let prof_out = self.prof.then_some(RunProf {
             trace: self.spec.number,
@@ -776,14 +777,8 @@ mod tests {
             assert!(p.peak_queue_bytes() > 0);
         }
         // Only CESRM runs touch the cache; SRM runs must not.
-        assert!(!r.profiles[0]
-            .snapshot
-            .counters
-            .contains_key("cesrm.cache.hits"));
-        assert!(r.profiles[1]
-            .snapshot
-            .counters
-            .contains_key("cesrm.cache.hits"));
+        assert_eq!(r.profiles[0].snapshot.counters["cesrm.cache.hits"], 0);
+        assert!(r.profiles[1].snapshot.counters["cesrm.cache.hits"] > 0);
         assert!(r.total_events() > 0);
     }
 
@@ -840,7 +835,7 @@ mod tests {
             format!("{:?}", baseline.pairs),
             format!("{:?}", serial.pairs)
         );
-        // The merged registry is worker-count-invariant (snapshots carry
+        // The merged counters are worker-count-invariant (snapshots carry
         // no wall-clock, so Debug equality is exact).
         assert_eq!(serial.merged_snapshot(), parallel.merged_snapshot());
         assert_eq!(serial.total_events(), parallel.total_events());

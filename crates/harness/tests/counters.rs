@@ -18,7 +18,6 @@ fn merged_counters_are_pinned() {
         .merged_snapshot()
         .counters;
     let pinned = [
-        ("cesrm.cache.evictions", 1035),
         ("cesrm.cache.hits", 1165),
         ("cesrm.cache.misses", 158),
         ("cesrm.cache.updates", 1414),

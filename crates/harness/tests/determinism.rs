@@ -195,7 +195,7 @@ fn monitoring_never_perturbs_measurements() {
     );
 }
 
-/// The suite-wide registry merge is associative, so the merged snapshot
+/// The suite-wide snapshot merge is associative, so the merged snapshot
 /// — and with it the whole volatile-stripped run report, profile and
 /// health members included — is identical at every worker count.
 #[test]

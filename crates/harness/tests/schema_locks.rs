@@ -91,7 +91,8 @@ fn run_report_matches_its_lock() {
     };
     let layers = [("monitor", measured), ("digest", measured)];
     let mut suite = parse(&suite_report(&cfg, &result, &layers));
-    // Counter names are the registry's inventory — data, not schema.
+    // Counter names are `obs::tally::COUNTERS` plus `sim.*` — data, not
+    // schema.
     *suite.get_mut("counters").expect("counters member") = JsonValue::Obj(Vec::new());
     let (_, rung) = sharded_rung();
     let scale = parse(&scale_report("cesrm", 7, 12, &[rung]));

@@ -122,7 +122,7 @@ fn off_handle_and_capturing_handle_agree_on_metrics() {
 
 /// One handle, cloned into every layer: the simulator, the recovery log,
 /// the SRM core and the CESRM agent all emit into the sink the caller
-/// holds and count into the registry it snapshots.
+/// holds, and the handle's counters are the counts of that stream.
 #[test]
 fn every_layer_observes_through_the_one_handle() {
     let handle = obs::Instruments::new(obs::Setup {
@@ -136,8 +136,8 @@ fn every_layer_observes_through_the_one_handle() {
         &ExperimentConfig::paper_default(),
         &handle,
     );
-    let seen: std::collections::BTreeSet<&str> =
-        handle.drain().iter().map(|r| r.event.name()).collect();
+    let records = handle.drain();
+    let seen: std::collections::BTreeSet<&str> = records.iter().map(|r| r.event.name()).collect();
     for (layer, names) in [
         ("netsim::Simulator", &["sent", "dropped", "delivered"][..]),
         (
@@ -157,7 +157,7 @@ fn every_layer_observes_through_the_one_handle() {
             assert!(seen.contains(name), "{layer} emitted no `{name}` event");
         }
     }
-    let counters = handle.metrics_snapshot().counters;
+    let counters = harness::run_snapshot(&handle, &engine).counters;
     for name in [
         "sim.events.hop",
         "recovery.detected",
@@ -170,8 +170,15 @@ fn every_layer_observes_through_the_one_handle() {
     assert_eq!(
         counters["sim.events.hop"],
         engine.events - engine.start_events - engine.timer_events,
-        "the registry's engine counts are the returned telemetry's"
+        "the snapshot's engine counts are the returned telemetry's"
     );
+    let mut captured = obs::EventTally::default();
+    for record in records.iter() {
+        captured.observe(&record.event);
+    }
+    for (counter, event) in obs::tally::COUNTERS {
+        assert_eq!(counters[counter], captured.count(event), "`{counter}`");
+    }
 }
 
 /// The capture log packs a suite run's records into a few bytes each. A

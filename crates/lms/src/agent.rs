@@ -47,7 +47,6 @@ pub struct LmsSource {
     sent: u64,
     timers: BTreeMap<TimerToken, SourceTimer>,
     obs: obs::Instruments,
-    metrics_replies_sent: obs::Counter,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,16 +74,13 @@ impl LmsSource {
             sent: 0,
             timers: BTreeMap::new(),
             obs: obs::Instruments::off(),
-            metrics_replies_sent: obs::Counter::off(),
         }
     }
 
     /// Builder-style installation of the run's observation handle (see
     /// the `obs` crate): the source emits `rep_sent` for the full-tree
-    /// retransmissions it sends and counts them (`lms.replies_sent`). Off by
-    /// default.
+    /// retransmissions it sends. Off by default.
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
-        self.metrics_replies_sent = obs.counter("lms.replies_sent");
         self.obs = obs;
         self
     }
@@ -132,7 +128,6 @@ impl Agent for LmsSource {
                     },
                 );
                 let (me, seq, req) = (self.me, id.seq, *requestor);
-                self.metrics_replies_sent.inc();
                 // `requestor` must come from the received request, never be
                 // synthesized: the orphan-repair monitor (I2,
                 // docs/MONITORS.md) requires the named node to have a prior
@@ -192,7 +187,6 @@ pub struct LmsReceiver {
     losses: BTreeMap<u64, LmsLoss>,
     timers: BTreeMap<TimerToken, u64>,
     obs: obs::Instruments,
-    metrics_replies_sent: obs::Counter,
 }
 
 impl LmsReceiver {
@@ -217,7 +211,6 @@ impl LmsReceiver {
             losses: BTreeMap::new(),
             timers: BTreeMap::new(),
             obs: obs::Instruments::off(),
-            metrics_replies_sent: obs::Counter::off(),
         }
     }
 
@@ -225,10 +218,8 @@ impl LmsReceiver {
     /// the `obs` crate). Loss-detection, request and recovery records flow
     /// through the shared [`metrics::RecoveryLog`], which should be given a
     /// clone of the same handle; the receiver itself emits `rep_sent` for
-    /// the subcast repairs it sends and counts them (`lms.replies_sent`).
-    /// Off by default.
+    /// the subcast repairs it sends. Off by default.
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
-        self.metrics_replies_sent = obs.counter("lms.replies_sent");
         self.obs = obs;
         self
     }
@@ -349,7 +340,6 @@ impl LmsReceiver {
                 },
             );
             let me = self.me;
-            self.metrics_replies_sent.inc();
             self.obs
                 .emit(ctx.now().as_nanos(), || obs::Event::ReplySent {
                     node: me.0,

@@ -38,18 +38,6 @@ impl PacketKind {
             PacketBody::Session(_) => PacketKind::Session,
         }
     }
-
-    /// `true` for the retransmissions (payload-carrying recovery packets).
-    pub fn is_retransmission(self) -> bool {
-        matches!(self, PacketKind::Reply | PacketKind::ExpeditedReply)
-    }
-
-    /// `true` for recovery control packets (requests). Session messages are
-    /// excluded: both protocols exchange them identically, so the paper's
-    /// recovery-overhead comparison is about request traffic.
-    pub fn is_recovery_control(self) -> bool {
-        matches!(self, PacketKind::Request | PacketKind::ExpeditedRequest)
-    }
 }
 
 impl fmt::Display for PacketKind {
@@ -115,7 +103,6 @@ pub struct TrafficCollector {
     sends: BTreeMap<u32, [u64; KIND_COUNT]>,
     /// `crossings[kind][cast]`: link crossings of `kind` under `cast`.
     crossings: [[u64; CAST_COUNT]; KIND_COUNT],
-    drops: u64,
 }
 
 impl TrafficCollector {
@@ -149,7 +136,6 @@ impl TrafficCollector {
                 *m += v;
             }
         }
-        self.drops += other.drops;
     }
 
     /// Total link crossings of `kind` under `cast`.
@@ -160,11 +146,6 @@ impl TrafficCollector {
     /// Total link crossings of `kind` under any cast mode.
     pub fn crossings_any_cast(&self, kind: PacketKind) -> u64 {
         self.crossings[kind as usize].iter().sum()
-    }
-
-    /// Number of packets dropped in transit.
-    pub fn drop_count(&self) -> u64 {
-        self.drops
     }
 
     /// The Fig. 5 overhead breakdown.
@@ -187,10 +168,6 @@ impl SimObserver for TrafficCollector {
 
     fn on_link_crossing(&mut self, _now: SimTime, _link: LinkId, _dir: Direction, packet: &Packet) {
         self.crossings[PacketKind::of(packet) as usize][packet.cast as usize] += 1;
-    }
-
-    fn on_drop(&mut self, _now: SimTime, _link: LinkId, _packet: &Packet) {
-        self.drops += 1;
     }
 }
 
@@ -253,12 +230,6 @@ mod tests {
             let p = packet(kind, CastClass::Multicast);
             assert_eq!(PacketKind::of(&p), kind);
         }
-        assert!(PacketKind::Reply.is_retransmission());
-        assert!(PacketKind::ExpeditedReply.is_retransmission());
-        assert!(!PacketKind::Request.is_retransmission());
-        assert!(PacketKind::Request.is_recovery_control());
-        assert!(PacketKind::ExpeditedRequest.is_recovery_control());
-        assert!(!PacketKind::Session.is_recovery_control());
     }
 
     #[test]
@@ -298,14 +269,6 @@ mod tests {
         assert_eq!(o.retransmissions, 3);
         assert_eq!(o.sessions, 1);
         assert_eq!(o.recovery_total(), 3);
-    }
-
-    #[test]
-    fn drops_counted() {
-        let mut c = TrafficCollector::new();
-        let p = packet(PacketKind::Data, CastClass::Multicast);
-        c.on_drop(SimTime::ZERO, LinkId(NodeId(1)), &p);
-        assert_eq!(c.drop_count(), 1);
     }
 
     #[test]

@@ -59,20 +59,6 @@ pub struct RecoveryLog {
     count: usize,
     /// The run's observation handle; off by default.
     obs: obs::Instruments,
-    /// Counters pre-registered on `obs`.
-    metrics: LogMetrics,
-}
-
-/// Pre-registered counters over the recovery lifecycle the log arbitrates
-/// (first-win across agents, so these are duplicate-free). No-ops by
-/// default.
-#[derive(Clone, Default, Debug)]
-struct LogMetrics {
-    detected: obs::Counter,
-    recovered: obs::Counter,
-    recovered_expedited: obs::Counter,
-    requests: obs::Counter,
-    spurious: obs::Counter,
 }
 
 /// Shared handle to a [`RecoveryLog`]; one clone per agent plus one for the
@@ -91,20 +77,12 @@ impl RecoveryLog {
     }
 
     /// Installs the run's observation handle: the log emits
-    /// `loss_detected` / `req_sent` / `recovered` / `spurious` records and
-    /// counts `recovery.detected`, `recovery.recovered`,
-    /// `recovery.recovered_expedited`, `recovery.requests` and
-    /// `recovery.spurious` for the state transitions it arbitrates. The log
-    /// sees them first-win across all agents, so emitting and counting here
-    /// keeps both free of the duplicates the protocols would produce.
+    /// `loss_detected` / `req_sent` / `recovered` / `spurious` records for
+    /// the state transitions it arbitrates (their counts are the handle's
+    /// `recovery.*` counters). The log sees them first-win across all
+    /// agents, so emitting here keeps the stream free of the duplicates
+    /// the protocols would produce.
     pub fn set_obs(&mut self, obs: obs::Instruments) {
-        self.metrics = LogMetrics {
-            detected: obs.counter("recovery.detected"),
-            recovered: obs.counter("recovery.recovered"),
-            recovered_expedited: obs.counter("recovery.recovered_expedited"),
-            requests: obs.counter("recovery.requests"),
-            spurious: obs.counter("recovery.spurious"),
-        };
         self.obs = obs;
     }
 
@@ -135,7 +113,6 @@ impl RecoveryLog {
             }
         };
         if fresh {
-            self.metrics.detected.inc();
             self.obs.emit(now.as_nanos(), || obs::Event::LossDetected {
                 node: receiver.0,
                 seq: id.seq.value(),
@@ -157,10 +134,6 @@ impl RecoveryLog {
         if rec.recovered_at.is_none() {
             rec.recovered_at = Some(now);
             rec.expedited = expedited;
-            self.metrics.recovered.inc();
-            if expedited {
-                self.metrics.recovered_expedited.inc();
-            }
             self.obs
                 .emit(now.as_nanos(), || obs::Event::RecoveryCompleted {
                     node: receiver.0,
@@ -182,7 +155,6 @@ impl RecoveryLog {
             .expect("request without prior detection");
         rec.requests_sent += 1;
         let round = rec.requests_sent;
-        self.metrics.requests.inc();
         self.obs.emit(now.as_nanos(), || obs::Event::RequestSent {
             node: receiver.0,
             seq: id.seq.value(),
@@ -202,7 +174,6 @@ impl RecoveryLog {
             if row[pos].recovered_at.is_none() {
                 row.remove(pos);
                 self.count -= 1;
-                self.metrics.spurious.inc();
                 self.obs.emit(now.as_nanos(), || obs::Event::SpuriousLoss {
                     node: receiver.0,
                     seq: id.seq.value(),

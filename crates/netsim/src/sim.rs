@@ -156,8 +156,8 @@ struct NodeSlot {
 /// — and cheap enough (plain integer adds on already-hot cache lines) to
 /// stay enabled unconditionally. This is the one count block: it is the
 /// run report's `profile.engine` member (`docs/PROFILING.md`), and after a
-/// run the metrics registry takes its `sim.events.*`, `sim.packets.*` and
-/// `sim.timers.*` values from it (`docs/METRICS.md`), so nothing is
+/// run the harness reads a run's `sim.events.*`, `sim.packets.*` and
+/// `sim.timers.*` counters from it (`docs/METRICS.md`), so nothing is
 /// counted a second time per event.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct EngineTelemetry {
@@ -499,12 +499,12 @@ impl Simulator {
     /// into the protocol agents and the recovery log so one pipeline sees
     /// the whole run.
     ///
-    /// The simulator registers no metrics instrument: everything it counts
-    /// lives in [`telemetry`](Simulator::telemetry). Whoever drives the
-    /// run writes the registry's `sim.events.*`, `sim.packets.*` and
-    /// `sim.timers.*` counters from it when the run ends (the harness
-    /// does, for every suite and scale run), so a bare simulator's
-    /// registry does not carry them.
+    /// The simulator keeps no counter of its own beside its events:
+    /// everything it counts lives in [`telemetry`](Simulator::telemetry),
+    /// and whoever drives the run reads a run's `sim.events.*`,
+    /// `sim.packets.*` and `sim.timers.*` counters from there when the run
+    /// ends (the harness does, in `harness::run_snapshot`), so the
+    /// handle's own snapshot does not carry them.
     ///
     /// Observation never touches the rng, the event-queue order, or any
     /// protocol state, so an observed run's outputs are byte-identical to
@@ -1581,9 +1581,12 @@ mod tests {
         // The root starts first: the four receiver starts are still queued
         // when its flood pushes a hop toward each child.
         assert_eq!(engine.queue.max_len, 4 + 2);
-        // The simulator registers nothing itself; the counts above reach
-        // the registry when the driver publishes them (see `set_obs`).
-        assert!(handle.metrics_snapshot().is_empty());
+        // The handle counts events, and the simulator's `sent`/`dropped`
+        // records feed no counter: the counts above reach a run's
+        // snapshot only when the driver reads them from the telemetry.
+        let counters = handle.metrics_snapshot().counters;
+        assert!(counters.keys().all(|name| !name.starts_with("sim.")));
+        assert!(counters.values().all(|&n| n == 0), "{counters:?}");
     }
 
     #[test]

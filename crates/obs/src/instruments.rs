@@ -2,9 +2,9 @@
 //!
 //! Everything that watches a simulation — the structured event stream with
 //! its consumers (flight recorder, invariant monitors, digest, capturing
-//! sink) and the metrics registry — hangs off a single
-//! shared inner, built once per run from a [`Setup`] and cloned into the
-//! simulator, the recovery log and every protocol agent.
+//! sink, counter tally) — hangs off a single shared inner, built once per
+//! run from a [`Setup`] and cloned into the simulator, the recovery log
+//! and every protocol agent.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -14,8 +14,8 @@ use crate::event::{Event, Record};
 use crate::flight::FlightRecorder;
 use crate::log::RecordLog;
 use crate::monitor::{MonitorReport, MonitorSet};
-use crate::registry::{Counter, MetricsSnapshot, Registry};
 use crate::sink::{EventSink, MemorySink};
+use crate::tally::{EventTally, MetricsSnapshot};
 
 /// What one run wants observed; hand it to [`Instruments::new`]. The
 /// default asks for nothing and yields [`Instruments::off`].
@@ -29,38 +29,42 @@ pub struct Setup {
     pub digest: Option<DigestRecorder>,
     /// Ring the most recent records here for violation and panic dumps.
     pub flight: Option<FlightRecorder>,
-    /// Collect the counter registry.
+    /// Count every record by kind, for [`Instruments::metrics_snapshot`].
     pub metrics: bool,
 }
 
 /// The event consumers behind one `RefCell`, fed by [`Inner::feed`].
 struct Consumers {
+    tally: Option<EventTally>,
     monitors: Option<MonitorSet>,
     digest: Option<DigestRecorder>,
     sink: Option<Box<dyn EventSink>>,
 }
 
 struct Inner {
-    /// `None` when the run observes no events (metrics only), so
-    /// emit closures are never evaluated.
-    events: Option<RefCell<Consumers>>,
+    consumers: RefCell<Consumers>,
+    /// A consumer other than the tally is attached: see
+    /// [`Instruments::events_enabled`].
+    stream: bool,
     /// In its own cell, not among the consumers: the panic hook reads it
     /// (through [`crate::flight::set_current`]) while a consumer may be
     /// mid-`observe`.
     flight: Option<Rc<RefCell<FlightRecorder>>>,
-    registry: Option<RefCell<Registry>>,
 }
 
 impl Inner {
     /// Feeds one record to every consumer in the fixed order flight ring →
-    /// monitors → violation dump → digest → sink.
-    fn feed(&self, events: &RefCell<Consumers>, record: Record) {
+    /// tally → monitors → violation dump → digest → sink.
+    fn feed(&self, record: Record) {
         // The flight ring is fed first so a violation flagged on this very
         // record appears in its own dump.
         if let Some(flight) = &self.flight {
             flight.borrow_mut().push(record);
         }
-        let consumers = &mut *events.borrow_mut();
+        let consumers = &mut *self.consumers.borrow_mut();
+        if let Some(tally) = &mut consumers.tally {
+            tally.observe(&record.event);
+        }
         if let Some(monitors) = &mut consumers.monitors {
             let before = monitors.violations().len();
             monitors.observe(&record);
@@ -85,7 +89,7 @@ impl Inner {
 /// one simulation.
 ///
 /// A handle is either *off* (the default: every touch is a single `Option`
-/// branch, event closures are never evaluated, instruments are no-ops) or
+/// branch and event closures are never evaluated) or
 /// shares one inner among every clone handed to the simulator, the
 /// recovery log and the protocol agents of a single run. Observation never
 /// touches the rng, the event-queue order or any protocol state, so an
@@ -127,20 +131,19 @@ impl Instruments {
             flight,
             metrics,
         } = setup;
-        let events = sink.is_some() || monitors.is_some() || digest.is_some() || flight.is_some();
-        if !(events || metrics) {
+        let stream = sink.is_some() || monitors.is_some() || digest.is_some() || flight.is_some();
+        if !(stream || metrics) {
             return Instruments::off();
         }
         Instruments(Some(Rc::new(Inner {
-            events: events.then(|| {
-                RefCell::new(Consumers {
-                    monitors,
-                    digest,
-                    sink,
-                })
+            consumers: RefCell::new(Consumers {
+                tally: metrics.then(EventTally::default),
+                monitors,
+                digest,
+                sink,
             }),
+            stream,
             flight: flight.map(|f| Rc::new(RefCell::new(f))),
-            registry: metrics.then(RefCell::default),
         })))
     }
 
@@ -157,13 +160,8 @@ impl Instruments {
         Instruments::capture(Box::new(MemorySink::new()))
     }
 
-    fn events(&self) -> Option<(&Inner, &RefCell<Consumers>)> {
-        let inner = self.0.as_deref()?;
-        Some((inner, inner.events.as_ref()?))
-    }
-
-    fn registry(&self) -> Option<&RefCell<Registry>> {
-        self.0.as_deref()?.registry.as_ref()
+    fn consumers(&self) -> Option<&RefCell<Consumers>> {
+        Some(&self.0.as_deref()?.consumers)
     }
 
     // -----------------------------------------------------------------
@@ -171,29 +169,31 @@ impl Instruments {
     // -----------------------------------------------------------------
 
     /// True when events are being captured, monitored, digested or flight
-    /// recorded (the closure in [`Instruments::emit`] will be evaluated).
-    /// Call sites that gate optional emissions on this must produce events
-    /// for every consumer, not just a capturing sink.
+    /// recorded. Call sites that gate optional emissions on this (netsim's
+    /// `delivered`) must produce events for every such consumer, not just
+    /// a capturing sink. A metrics-only handle answers `false`: no counter
+    /// reads an optional kind, so the tally alone does not pay for it.
     pub fn events_enabled(&self) -> bool {
-        self.events().is_some()
+        self.0.as_deref().is_some_and(|inner| inner.stream)
     }
 
     /// Record the event built by `f` at simulation time `t_ns`.
     ///
-    /// The closure is only evaluated when some consumer is attached,
-    /// keeping disabled call sites to one branch.
+    /// The closure is only evaluated when some consumer is attached (the
+    /// tally of [`Setup::metrics`] included), keeping disabled call sites
+    /// to one branch.
     #[inline]
     pub fn emit<F: FnOnce() -> Event>(&self, t_ns: u64, f: F) {
-        if let Some((inner, events)) = self.events() {
-            inner.feed(events, Record { t_ns, event: f() });
+        if let Some(inner) = self.0.as_deref() {
+            inner.feed(Record { t_ns, event: f() });
         }
     }
 
     /// Drain buffered records from the sink (empty when there is none or
     /// it streams instead of buffering).
     pub fn drain(&self) -> RecordLog {
-        self.events()
-            .and_then(|(_, e)| e.borrow_mut().sink.as_mut().map(|s| s.drain()))
+        self.consumers()
+            .and_then(|c| c.borrow_mut().sink.as_mut().map(|s| s.drain()))
             .unwrap_or_default()
     }
 
@@ -201,16 +201,14 @@ impl Instruments {
     /// closes them into a [`MonitorReport`]; `None` when the handle has
     /// none. Call once, after the run completes.
     pub fn finish_monitors(&self) -> Option<MonitorReport> {
-        let monitors = self.events()?.1.borrow_mut().monitors.take()?;
+        let monitors = self.consumers()?.borrow_mut().monitors.take()?;
         Some(monitors.finish())
     }
 
     /// Snapshot of the digest recorder; `None` when the handle records no
     /// digest.
     pub fn digest_snapshot(&self) -> Option<DigestSnapshot> {
-        let (_, events) = self.events()?;
-        let consumers = events.borrow();
-        Some(consumers.digest.as_ref()?.snapshot())
+        Some(self.consumers()?.borrow().digest.as_ref()?.snapshot())
     }
 
     /// The flight recorder's shared cell, for panic-hook registration
@@ -219,27 +217,12 @@ impl Instruments {
         self.0.as_deref()?.flight.clone()
     }
 
-    // -----------------------------------------------------------------
-    // The metrics registry
-    // -----------------------------------------------------------------
-
-    fn registered<T: Default>(&self, register: impl FnOnce(&mut Registry) -> T) -> T {
-        match self.registry() {
-            Some(registry) => register(&mut registry.borrow_mut()),
-            None => T::default(),
-        }
-    }
-
-    /// The counter registered under `name` (created on first use); a no-op
-    /// counter when metrics are off.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.registered(|r| r.counter(name))
-    }
-
-    /// Extracts a plain-data snapshot of every registered counter (empty
-    /// when metrics are off).
+    /// The tally rendered into named counters ([`crate::tally::COUNTERS`]);
+    /// empty when metrics are off.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.registered(|r| r.snapshot())
+        self.consumers()
+            .and_then(|c| c.borrow().tally.as_ref().map(EventTally::snapshot))
+            .unwrap_or_default()
     }
 }
 
@@ -277,23 +260,23 @@ mod tests {
         assert!(h.finish_monitors().is_none());
         assert!(h.digest_snapshot().is_none());
         assert!(h.flight().is_none());
-
-        let c = h.counter("x");
-        c.inc();
-        assert_eq!(c.get(), 0);
         assert!(h.metrics_snapshot().is_empty());
     }
 
     #[test]
-    fn metrics_only_handle_never_evaluates_event_closures() {
+    fn metrics_only_handle_counts_events_without_enabling_the_stream() {
         let h = Instruments::new(Setup {
             metrics: true,
             ..Setup::default()
         });
-        assert!(!h.events_enabled());
-        h.emit(0, || unreachable!("no event consumer is attached"));
-        h.counter("hits").add(3);
-        assert_eq!(h.metrics_snapshot().counters["hits"], 3);
+        assert!(!h.events_enabled(), "optional kinds stay off");
+        for seq in 0..3 {
+            h.emit(seq, || loss(2, seq));
+        }
+        let counters = h.metrics_snapshot().counters;
+        assert_eq!(counters["recovery.detected"], 3);
+        assert_eq!(counters["recovery.recovered"], 0);
+        assert!(h.drain().is_empty(), "counted, not stored");
     }
 
     #[test]
@@ -311,8 +294,6 @@ mod tests {
             seq: 7,
             expedited: false,
         });
-        h.counter("n").inc();
-        h2.counter("n").inc();
         let records = h2.drain();
         assert_eq!(
             records.iter().map(|r| r.t_ns).collect::<Vec<_>>(),
@@ -320,7 +301,15 @@ mod tests {
             "one sink, in emit order"
         );
         assert!(h.drain().is_empty(), "drain empties the shared sink");
-        assert_eq!(h.metrics_snapshot().counters["n"], 2);
+        let counters = h.metrics_snapshot().counters;
+        assert_eq!(
+            (
+                counters["recovery.detected"],
+                counters["recovery.recovered"]
+            ),
+            (1, 1),
+            "one tally"
+        );
         let report = h2.finish_monitors().expect("monitors were attached");
         assert_eq!(report.stats.events, 2);
         assert_eq!(report.stats.recovered, 1);

@@ -20,8 +20,7 @@
 //! * [`Instruments`] — the one cheap, cloneable, pointer-wide handle
 //!   threaded through one simulation, built once per run from a [`Setup`].
 //!   Every emitted event feeds the run's consumers in a fixed order (flight
-//!   recorder → monitors → digest → sink); the same handle hands out the
-//!   metrics instruments. A handle is
+//!   recorder → tally → monitors → digest → sink). A handle is
 //!   **per-simulation owned state**, never a global: the parallel suite
 //!   runner builds one per worker-local run, so observation is race-free
 //!   when on and the disabled handle ([`Instruments::off`]) is a single
@@ -45,10 +44,11 @@
 //!   ([`DigestRecorder`]) and a ring of the most recent events dumped on
 //!   the first invariant violation or panic ([`FlightRecorder`]); see
 //!   `docs/DEBUGGING.md`.
-//! * [`registry`] — the *runtime* half of observability: a per-simulation
-//!   metrics registry ([`Setup::metrics`]) of named counters, snapshotted
-//!   into mergeable [`MetricsSnapshot`]s for the perf baseline
-//!   (`BENCH_*.json`, schema in `docs/METRICS.md`).
+//! * [`tally`] — the counters: a per-kind count of the emitted records
+//!   ([`EventTally`], on under [`Setup::metrics`]), rendered through the
+//!   one counter → event table ([`tally::COUNTERS`]) into mergeable
+//!   [`MetricsSnapshot`]s for the run report (`docs/METRICS.md`). The
+//!   monitors keep their per-kind totals in the same type.
 //! * [`value`] — a serde-free JSON document model ([`JsonValue`]) used by
 //!   the baseline comparator to read reports back, and [`lock`] — the
 //!   schema locks that pin each report's key paths by rendering it.
@@ -90,8 +90,8 @@ pub mod lock;
 mod log;
 pub mod monitor;
 pub mod provenance;
-pub mod registry;
 mod sink;
+pub mod tally;
 pub mod value;
 
 pub use digest::{
@@ -107,6 +107,6 @@ pub use monitor::{
     Violation,
 };
 pub use provenance::{RecoveryPath, RecoveryTimeline, TimelineBuilder};
-pub use registry::{Counter, MetricsSnapshot};
 pub use sink::{EventSink, MemorySink};
+pub use tally::{EventTally, MetricsSnapshot};
 pub use value::JsonValue;

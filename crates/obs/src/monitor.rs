@@ -29,6 +29,7 @@
 use crate::event::{Event, PacketClass, Record};
 use crate::fxhash::{FxMap, FxSet};
 use crate::provenance::{RecoveryPath, RecoveryTimeline, TimelineBuilder};
+use crate::tally::EventTally;
 
 /// Conservation tally (I5) for one (origin, class, seq) packet stream:
 /// how many copies the origin sent, and which receivers have taken their
@@ -309,6 +310,8 @@ impl MonitorReport {
 pub struct MonitorSet {
     cfg: MonitorConfig,
     stats: MonitorStats,
+    /// Records seen by kind: the per-kind [`MonitorStats`] at finish.
+    tally: EventTally,
     /// Shared per-loss state machine with `provenance::reduce`.
     timelines: TimelineBuilder,
     last_t_ns: u64,
@@ -409,7 +412,7 @@ impl MonitorSet {
 
     /// Checks one record against every invariant, in emit order.
     pub fn observe(&mut self, record: &Record) {
-        self.stats.events += 1;
+        self.tally.observe(&record.event);
         let t = record.t_ns;
 
         // I6a: timestamps never decrease in stream order.
@@ -490,19 +493,15 @@ impl MonitorSet {
                 }
             }
             Event::LossDetected { node, seq } => {
-                self.stats.losses += 1;
                 self.timelines.note_detect(node, seq, t);
             }
             Event::RequestScheduled { node, seq, .. } => {
                 self.req_suppressed.remove(&(node, seq));
             }
             Event::RequestSuppressed { node, seq, .. } => {
-                self.stats.requests_suppressed += 1;
                 self.req_suppressed.insert((node, seq));
             }
             Event::RequestSent { node, seq, .. } => {
-                self.stats.requests_sent += 1;
-
                 // I3: a suppressed request must be re-armed (req_scheduled)
                 // before this node may send for this loss again.
                 if self.req_suppressed.remove(&(node, seq)) {
@@ -524,7 +523,6 @@ impl MonitorSet {
                 self.rep_suppressed.remove(&(node, seq));
             }
             Event::ReplySuppressed { node, seq, .. } => {
-                self.stats.replies_suppressed += 1;
                 self.rep_suppressed.insert((node, seq));
             }
             Event::ReplySent {
@@ -533,8 +531,6 @@ impl MonitorSet {
                 requestor,
                 ..
             } => {
-                self.stats.replies_sent += 1;
-
                 self.note_repair(t, node, seq);
                 // I3: a cancelled reply timer must be re-armed first.
                 if self.rep_suppressed.remove(&(node, seq)) {
@@ -566,7 +562,6 @@ impl MonitorSet {
                 }
             }
             Event::ExpeditedRequestSent { node, seq, replier } => {
-                self.stats.expedited_requests += 1;
                 // I4: the unicast destination must come from a cache hit.
                 let hit = self
                     .hit_repliers
@@ -593,7 +588,6 @@ impl MonitorSet {
                 requestor,
                 ..
             } => {
-                self.stats.expedited_replies += 1;
                 self.note_repair(t, node, seq);
                 // I2, expedited flavour.
                 if !self.timelines.contains(requestor, seq) {
@@ -616,7 +610,6 @@ impl MonitorSet {
                 requestor,
                 replier,
             } => {
-                self.stats.cache_hits += 1;
                 // I4: the pair must have been announced by a cache update.
                 let known = self.cache_pairs.contains(&(node, requestor, replier));
                 if !known {
@@ -637,16 +630,12 @@ impl MonitorSet {
                     repliers.push(replier);
                 }
             }
-            Event::CacheMiss { .. } => {
-                self.stats.cache_misses += 1;
-            }
             Event::CacheUpdate {
                 node,
                 requestor,
                 replier,
                 ..
             } => {
-                self.stats.cache_updates += 1;
                 self.cache_pairs.insert((node, requestor, replier));
             }
             Event::RecoveryCompleted {
@@ -677,7 +666,7 @@ impl MonitorSet {
             Event::SpuriousLoss { node, seq } => {
                 self.timelines.note_spurious(node, seq, t);
             }
-            Event::PacketDropped { .. } => {}
+            Event::PacketDropped { .. } | Event::CacheMiss { .. } => {}
         }
     }
 
@@ -703,6 +692,21 @@ impl MonitorSet {
     /// Closes the stream: liveness (I1) is judged, recovery-latency
     /// outliers are flagged, and the final [`MonitorReport`] is built.
     pub fn finish(mut self) -> MonitorReport {
+        let n = |kind| self.tally.count(kind);
+        self.stats = MonitorStats {
+            events: self.tally.total(),
+            losses: n("loss_detected"),
+            requests_sent: n("req_sent"),
+            requests_suppressed: n("req_suppressed"),
+            replies_sent: n("rep_sent"),
+            replies_suppressed: n("rep_suppressed"),
+            expedited_requests: n("xreq_sent"),
+            expedited_replies: n("xrep_sent"),
+            cache_hits: n("cache_hit"),
+            cache_misses: n("cache_miss"),
+            cache_updates: n("cache_update"),
+            ..self.stats
+        };
         let end_ns = self.last_t_ns;
         let timelines = std::mem::take(&mut self.timelines).finish();
         let mut completed: Vec<(u32, u64, u64, u64)> = Vec::new();

@@ -127,10 +127,8 @@ impl SrmCore {
     /// Installs the run's observation handle. The core emits the
     /// scheduling/suppression decisions only it can see
     /// (`req_scheduled`/`req_suppressed`/`rep_scheduled`/`rep_suppressed`/
-    /// `rep_sent`) and counts them (`srm.request_timers_set`,
-    /// `srm.requests_sent`, `srm.request_suppressed`,
-    /// `srm.reply_timers_set`, `srm.replies_sent`, `srm.reply_suppressed`);
-    /// detection and completion records come from the shared
+    /// `rep_sent`), whose counts are the handle's `srm.*` counters;
+    /// detection, request and completion records come from the shared
     /// [`metrics::RecoveryLog`], which should be given a clone of the same
     /// handle. Per-simulation owned and observation-only.
     ///
@@ -139,7 +137,7 @@ impl SrmCore {
     /// that block, so a run with many endpoints installs it once on the
     /// factory instead ([`SrmEndpoints::with_obs`]).
     pub fn set_obs(&mut self, obs: obs::Instruments) {
-        Rc::make_mut(&mut self.shared).set_obs(obs);
+        Rc::make_mut(&mut self.shared).obs = obs;
     }
 
     /// The installed observation handle, for the agent wrapping this core
@@ -454,7 +452,6 @@ impl SrmCore {
             requestor: self.me,
             dist_req_src: dist,
         });
-        self.shared.metrics.requests_sent.inc();
         self.shared
             .log
             .borrow_mut()
@@ -488,7 +485,6 @@ impl SrmCore {
             tuple,
             expedited: false,
         });
-        self.shared.metrics.replies_sent.inc();
         self.shared
             .obs
             .emit(ctx.now().as_nanos(), || obs::Event::ReplySent {
@@ -528,7 +524,6 @@ impl SrmCore {
             // request off to the next recovery round, at most once per round
             // (back-off abstinence, §2.1).
             if state.timer.is_some() && ctx.now() >= state.backoff_abstinence_until {
-                self.shared.metrics.request_suppressed.inc();
                 // Suppress → immediately re-arm, one atomic path: the
                 // suppression-health monitor (I3, docs/MONITORS.md) treats
                 // a `req_sent` after `req_suppressed` with no intervening
@@ -578,7 +573,6 @@ impl SrmCore {
         if let Some(tok) = entry.timer.take() {
             ctx.cancel_timer(tok);
             self.timers.remove(&tok);
-            self.shared.metrics.reply_suppressed.inc();
             self.shared
                 .obs
                 .emit(ctx.now().as_nanos(), || obs::Event::ReplySuppressed {
@@ -681,7 +675,6 @@ impl SrmCore {
         } else {
             delay.as_secs_f64() / d.as_secs_f64()
         };
-        self.shared.metrics.request_timers_set.inc();
         self.shared
             .obs
             .emit(ctx.now().as_nanos(), || obs::Event::RequestScheduled {
@@ -734,7 +727,6 @@ impl SrmCore {
         entry.timer = Some(tok);
         entry.requestor = requestor;
         entry.req_dist_src = req_dist_src;
-        self.shared.metrics.reply_timers_set.inc();
         self.shared
             .obs
             .emit(ctx.now().as_nanos(), || obs::Event::ReplyScheduled {

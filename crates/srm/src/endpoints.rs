@@ -7,7 +7,7 @@ use crate::{Role, SrmAgent, SrmCore, SrmParams};
 
 /// What every endpoint made by one [`SrmEndpoints`] has in common: the
 /// stream's source, the scheduling parameters, the role, and the run's
-/// recovery log, observation handle and pre-registered counters. Held
+/// recovery log and observation handle. Held
 /// behind one `Rc` so that an endpoint carries a pointer to it instead of
 /// its own copy — at 10⁵ receivers the copies were half of every
 /// endpoint's footprint (`docs/SCALING.md`).
@@ -19,35 +19,6 @@ pub(crate) struct Shared {
     pub log: SharedRecoveryLog,
     /// The run's observation handle (see the `obs` crate); off by default.
     pub obs: obs::Instruments,
-    /// Counters pre-registered on `obs`.
-    pub metrics: SrmMetrics,
-}
-
-/// Pre-registered counters over the suppression-timer machinery — the
-/// layer the SRM retrospectives single out as where scalability costs
-/// hide. All no-ops by default.
-#[derive(Clone, Default)]
-pub(crate) struct SrmMetrics {
-    pub request_timers_set: obs::Counter,
-    pub requests_sent: obs::Counter,
-    pub request_suppressed: obs::Counter,
-    pub reply_timers_set: obs::Counter,
-    pub replies_sent: obs::Counter,
-    pub reply_suppressed: obs::Counter,
-}
-
-impl Shared {
-    pub fn set_obs(&mut self, obs: obs::Instruments) {
-        self.metrics = SrmMetrics {
-            request_timers_set: obs.counter("srm.request_timers_set"),
-            requests_sent: obs.counter("srm.requests_sent"),
-            request_suppressed: obs.counter("srm.request_suppressed"),
-            reply_timers_set: obs.counter("srm.reply_timers_set"),
-            replies_sent: obs.counter("srm.replies_sent"),
-            reply_suppressed: obs.counter("srm.reply_suppressed"),
-        };
-        self.obs = obs;
-    }
 }
 
 /// The one construction path for SRM endpoints: fixes everything the
@@ -95,7 +66,6 @@ impl SrmEndpoints {
                 role,
                 log,
                 obs: obs::Instruments::off(),
-                metrics: SrmMetrics::default(),
             }),
         }
     }
@@ -103,7 +73,7 @@ impl SrmEndpoints {
     /// Installs the run's observation handle for every endpoint made from
     /// here on (see [`SrmCore::set_obs`]).
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
-        Rc::make_mut(&mut self.shared).set_obs(obs);
+        Rc::make_mut(&mut self.shared).obs = obs;
         self
     }
 
