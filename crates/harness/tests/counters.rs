@@ -48,9 +48,9 @@ fn merged_counters_are_pinned() {
 }
 
 /// The counters and the monitors count the same recovery steps, so they
-/// must agree run for run: a counter bumped beside its event instead of by
-/// it (as `cesrm.cache.updates` once was, against a `cache_update` emitted
-/// for every tuple the cache was offered) drifts from the monitors' tally.
+/// must agree run for run: a counter kept beside its event instead of
+/// derived from it drifts from the monitors' tally as soon as one fires
+/// without the other.
 #[test]
 fn counters_equal_the_monitor_tallies() {
     let result = run_suite(&traces_2_and_4().with_metrics().with_monitor());

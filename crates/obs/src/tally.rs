@@ -65,7 +65,7 @@ pub const COUNTERS: [(&str, &str); 16] = [
 ];
 
 /// How many records of each kind one event stream carried.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct EventTally {
     /// Records by [`Event::kind`].
     by_kind: [u64; Event::NAMES.len()],
