@@ -54,10 +54,10 @@
 //! measurement lands under `totals.overhead.<layer>`.
 //!
 //! `--digest FILE` folds every run's canonical event stream into the
-//! hierarchical `cesrm-digest/1` trail (per-run → per-epoch → per-node ×
-//! time-bucket rolling digests; see `docs/DEBUGGING.md`) and writes it to
-//! `FILE`. The trail is byte-identical at any `--jobs` setting, which
-//! makes two trails a divergence oracle for `reproduce diff`.
+//! `cesrm-digest/2` trail (per run, a flat list of (100 ms window, node)
+//! leaf digests; see `docs/DEBUGGING.md`) and writes it to `FILE`. The
+//! trail is byte-identical at any `--jobs` setting, which makes two trails
+//! a divergence oracle for `reproduce diff`.
 //!
 //! # `reproduce diff` — divergence triage
 //!
@@ -66,11 +66,11 @@
 //!     [--no-replay]
 //! ```
 //!
-//! Compares two `cesrm-digest/1` trails top-down (run → shard/subtree
-//! group → epoch → node × time-bucket), reports the first divergent
-//! window, re-runs the divergent scope on both sides with event capture
-//! pinned to that window, and prints the aligned two-column event diff
-//! ending in a `first divergence: t=…s node … EV_A vs EV_B` line. Exits
+//! Compares two `cesrm-digest/2` trails leaf by leaf (one merge-join per
+//! run or rung), reports the earliest divergent (window, node) leaf,
+//! re-runs the divergent scope on both sides with event capture pinned to
+//! that leaf, and prints the aligned two-column event diff ending in a
+//! `first divergence: t=…s node … EV_A vs EV_B` line. Exits
 //! 0 when identical, 1 on divergence, 2 on unusable input. Every `main`
 //! entry also installs the flight-recorder panic hook, so a crash dumps
 //! the last ≤64 trace events with their provenance context to stderr.
@@ -98,13 +98,13 @@
 //! invariant violation or unrecovered loss, and 1 when sharded results
 //! diverge from the unsharded canon.
 //!
-//! `--digest FILE` runs every rung with the hierarchical digest on
-//! (epoch width = the sharding lookahead, so the merged trail is
+//! `--digest FILE` runs every rung with the digest on (window width = the
+//! finer of 100 ms and the sharding lookahead, so the merged trail is
 //! byte-identical at any shard count) and writes the scale-mode
-//! `cesrm-digest/1` trail. With the digest on, the identity check
-//! compares digest trails as well as the CSV rows — and on divergence
-//! prints the bisected (epoch, node, bucket) window plus the aligned
-//! event diff from a pinned replay, instead of just two differing rows.
+//! `cesrm-digest/2` trail. With the digest on, the identity check
+//! compares digest snapshots as well as the CSV rows — and on divergence
+//! prints the first divergent (window, node) leaf plus the aligned event
+//! diff from a pinned replay, instead of just two differing rows.
 //!
 //! `--profile` additionally prints each rung's per-shard busy/barrier-wait
 //! times, cross-shard packet counts and imbalance ratio, and adds them with
@@ -297,11 +297,11 @@ fn main() {
     suite_main(&argv);
 }
 
-/// `reproduce diff A B`: compares two `cesrm-digest/1` trails top-down,
-/// localizes the first divergent `(scope, epoch, node, bucket)` window,
-/// re-runs the divergent scope on both sides with event capture pinned to
-/// that window, and prints the aligned two-column event diff. Exits 0
-/// when the trails are identical, 1 on divergence, 2 on unusable input.
+/// `reproduce diff A B`: compares two `cesrm-digest/2` trails, localizes
+/// the first divergent `(scope, window, node)` leaf, re-runs the divergent
+/// scope on both sides with event capture pinned to that leaf, and prints
+/// the aligned two-column event diff. Exits 0 when the trails are
+/// identical, 1 on divergence, 2 on unusable input.
 fn diff_main(argv: &[String]) {
     let mut paths: Vec<&str> = Vec::new();
     let mut no_replay = false;
@@ -339,9 +339,7 @@ fn diff_main(argv: &[String]) {
     };
     print!("{}", div.render());
     if !no_replay {
-        if let Some(line) = replay_divergence(&div) {
-            println!("{line}");
-        }
+        println!("{}", replay_divergence(&div));
     }
     std::process::exit(1);
 }
@@ -351,40 +349,37 @@ fn replay_label(spec: &harness::ReplaySpec) -> String {
     match spec {
         harness::ReplaySpec::Suite {
             trace, protocol, ..
-        } => format!("trace {trace} / {protocol}"),
-        harness::ReplaySpec::Rung {
-            receivers, shards, ..
-        } => format!("{receivers} receivers, {shards} shard(s)"),
+        } => format!("trace {trace} / {}", protocol.name()),
+        harness::ReplaySpec::Rung(cfg) => {
+            format!("{} receivers, {} shard(s)", cfg.receivers, cfg.shards)
+        }
     }
 }
 
 /// Re-runs both sides of a localized divergence with capture pinned to
-/// the divergent `(node, bucket)` window and prints the aligned event
-/// diff. Returns the one-line "first divergence" summary.
-fn replay_divergence(div: &harness::Divergence) -> Option<String> {
-    let node = div.node? as u32;
-    let (lo, hi) = div.window_ns()?;
-    let (spec_a, spec_b) = (div.replay_a.as_ref()?, div.replay_b.as_ref()?);
+/// the divergent `(window, node)` leaf and prints the aligned event diff.
+/// Returns the one-line "first divergence" verdict.
+fn replay_divergence(div: &harness::Divergence) -> String {
+    let node = div.leaf.node;
+    let (lo, hi) = div.bounds_ns();
     eprintln!(
         "replaying the divergent window (node {node}, t={:.3}-{:.3}s) on both sides...",
         lo as f64 / 1e9,
         hi as f64 / 1e9
     );
-    let events_a = spec_a.replay_window(node, lo, hi);
-    let events_b = spec_b.replay_window(node, lo, hi);
+    let events_a = div.replay_a.replay_window(node, lo, hi);
+    let events_b = div.replay_b.replay_window(node, lo, hi);
     let (block, summary) = harness::aligned_event_diff(
         &events_a,
         &events_b,
-        &replay_label(spec_a),
-        &replay_label(spec_b),
+        &replay_label(&div.replay_a),
+        &replay_label(&div.replay_b),
     );
     print!("{block}");
-    summary.or_else(|| {
-        Some(
-            "replayed windows are identical (the nondeterminism is not reproducible \
-             from this configuration alone)"
-                .to_string(),
-        )
+    summary.unwrap_or_else(|| {
+        "replayed windows are identical (the nondeterminism is not reproducible \
+         from this configuration alone)"
+            .to_string()
     })
 }
 
@@ -624,11 +619,8 @@ fn suite_main(argv: &[String]) {
 // ---------------------------------------------------------------------------
 
 fn protocol_from_name(name: &str) -> harness::Protocol {
-    match name {
-        "srm" => harness::Protocol::Srm,
-        "cesrm" => harness::Protocol::Cesrm(harness::scale_cesrm_config()),
-        other => usage_error(&format!("unknown protocol {other:?} (use srm or cesrm)")),
-    }
+    harness::scale_protocol(name)
+        .unwrap_or_else(|| usage_error(&format!("unknown protocol {name:?} (use srm or cesrm)")))
 }
 
 /// Restarts the kernel's peak-RSS account of this process, so that the
@@ -663,19 +655,11 @@ fn run_rung(cfg: &harness::ScaleConfig) -> harness::RungOutcome {
     let mut result = harness::run_scale(cfg);
     let wall = started.elapsed();
     let peak_rss_bytes = peak_rss_bytes();
-    let digest = result
-        .digest
-        .is_some()
-        .then(|| harness::rung_digest_json(cfg, &result));
-    // The fragment replaces the snapshot: later, larger rungs should not
-    // run on top of both.
-    result.digest = None;
-    result.digest_groups = Vec::new();
     harness::RungOutcome {
+        digest: result.digest.take(),
         result,
         wall,
         peak_rss_bytes,
-        digest,
     }
 }
 
@@ -772,6 +756,7 @@ fn scale_main(argv: &[String]) {
     };
 
     let mut outcomes: Vec<harness::RungOutcome> = Vec::new();
+    let mut configs: Vec<harness::ScaleConfig> = Vec::new();
     let mut identity_failures = 0u32;
     for (i, &receivers) in rungs.iter().enumerate() {
         let mut cfg = harness::ScaleConfig::rung(receivers);
@@ -803,47 +788,28 @@ fn scale_main(argv: &[String]) {
                 alt.shards
             );
             let alt_outcome = run_rung(&alt);
-            // The digest trail is a much finer identity oracle than the
-            // aggregate CSV row: when the trails disagree, the bisector
-            // names the first divergent (epoch, node, bucket) window and
-            // a pinned replay shows the first divergent event.
+            // The digest is a much finer identity oracle than the
+            // aggregate CSV row: when the snapshots disagree, the first
+            // divergent (window, node) leaf is named and a replay pinned to
+            // it, at each side's own shard count, shows the first divergent
+            // event.
             let digests_diverge = match (&outcome.digest, &alt_outcome.digest) {
-                (Some(a), Some(b)) => {
-                    let wrap = |frag: &obs::JsonValue| {
-                        obs::JsonValue::parse(&harness::scale_digest_doc(
-                            protocol,
-                            seed,
-                            packets,
-                            vec![frag.clone()],
-                        ))
-                        .expect("scale_digest_doc emits well-formed JSON")
-                    };
-                    match harness::diff_trails(&wrap(a), &wrap(b)) {
-                        Ok(harness::DiffOutcome::Identical { .. }) => false,
-                        Ok(harness::DiffOutcome::Diverged(mut div)) => {
-                            eprint!("{}", div.render());
-                            // The trail does not record the physical
-                            // sharding; pin each replay to the side's
-                            // actual shard count so a shard-dependent
-                            // divergence reproduces.
-                            let pin = |spec: &mut Option<harness::ReplaySpec>, n: u32| {
-                                if let Some(harness::ReplaySpec::Rung { shards, .. }) = spec {
-                                    *shards = n;
-                                }
-                            };
-                            pin(&mut div.replay_a, outcome.result.shards);
-                            pin(&mut div.replay_b, alt_outcome.result.shards);
-                            if let Some(line) = replay_divergence(&div) {
-                                eprintln!("{line}");
-                            }
-                            true
-                        }
-                        Err(e) => {
-                            eprintln!("digest trails not comparable: {e}");
-                            true
-                        }
+                (Some(a), Some(b)) => match harness::localize(
+                    &format!("rung {receivers} receivers"),
+                    (a, &harness::ReplaySpec::Rung(cfg)),
+                    (b, &harness::ReplaySpec::Rung(alt)),
+                ) {
+                    Ok(None) => false,
+                    Ok(Some(div)) => {
+                        eprint!("{}", div.render());
+                        eprintln!("{}", replay_divergence(&div));
+                        true
                     }
-                }
+                    Err(e) => {
+                        eprintln!("digest snapshots not comparable: {e}");
+                        true
+                    }
+                },
                 _ => false,
             };
             let (row, alt_row) = (outcome.result.csv_row(), alt_outcome.result.csv_row());
@@ -858,6 +824,7 @@ fn scale_main(argv: &[String]) {
             }
         }
         outcomes.push(outcome);
+        configs.push(cfg);
     }
 
     println!("Scaling sweep ({protocol}, seed {seed}, {packets} data packets):");
@@ -915,19 +882,22 @@ fn scale_main(argv: &[String]) {
         eprintln!("wrote {} report to {}", harness::RUN_SCHEMA, path.display());
     }
     if let Some(path) = &digest_path {
-        let fragments: Vec<obs::JsonValue> =
-            outcomes.iter().filter_map(|o| o.digest.clone()).collect();
-        if fragments.len() < outcomes.len() {
+        let rungs: Vec<(&harness::ScaleConfig, &obs::DigestSnapshot)> = configs
+            .iter()
+            .zip(&outcomes)
+            .filter_map(|(cfg, o)| Some((cfg, o.digest.as_ref()?)))
+            .collect();
+        if rungs.len() < outcomes.len() {
             eprintln!(
-                "digest trail incomplete: {} of {} rungs shipped a fragment",
-                fragments.len(),
+                "digest trail incomplete: {} of {} rungs recorded a digest",
+                rungs.len(),
                 outcomes.len()
             );
             std::process::exit(1);
         }
         write_output(
             path,
-            harness::scale_digest_doc(protocol, seed, packets, fragments),
+            harness::scale_digest_json(protocol, seed, packets, &rungs),
         );
         eprintln!(
             "wrote {} digest trail ({} rungs) to {}",

@@ -1,20 +1,21 @@
-//! Machine-readable divergence-triage trails: `cesrm-digest/1`.
+//! Machine-readable divergence-triage trails: `cesrm-digest/2`.
 //!
 //! The digest trail turns "md5 mismatch on a finished CSV" into "first
 //! divergence: t=1.042s node 37". [`suite_digest_json`] renders a suite
-//! run's hierarchical digests ([`crate::SuiteResult::digests`]) as a
-//! schema-stable JSON document; [`rung_digest_json`] /
-//! [`scale_digest_doc`] do the same for scale rungs. [`diff_trails`]
-//! compares two trails top-down — run → shard/subtree group → epoch →
-//! node × time-bucket — and localizes the first divergent window;
-//! [`ReplaySpec::replay_window`] re-runs the smaller config with event
-//! capture pinned to that window, and [`aligned_event_diff`] prints the
-//! two captured streams side by side with the first divergent event
-//! marked. `docs/DEBUGGING.md` walks through the whole flow.
+//! run's digests ([`crate::SuiteResult::digests`]) as a schema-stable JSON
+//! document and [`scale_digest_json`] does the same for scale rungs: each
+//! run or rung carries its flat list of `(window, node)` leaves.
+//! [`diff_trails`] parses every scope back into an [`obs::DigestSnapshot`]
+//! and [`localize`]s the first divergent leaf with one merge-join
+//! ([`obs::DigestSnapshot::first_divergence`]);
+//! [`ReplaySpec::replay_window`] re-runs the divergent scope with event
+//! capture pinned to that leaf, and [`aligned_event_diff`] prints the two
+//! captured streams side by side with the first divergent event marked.
+//! `docs/DEBUGGING.md` walks through the whole flow.
 //!
-//! Schema invariants (the `cesrm-digest/1` contract; `tests/schema_locks.rs`
+//! Schema invariants (the `cesrm-digest/2` contract; `tests/schema_locks.rs`
 //! renders a suite and a scale trail and pins their key paths in
-//! `schemas/cesrm-digest-1.lock`):
+//! `schemas/cesrm-digest-2.lock`):
 //!
 //! - **Member order is fixed** (the `obs::JsonValue` object model is
 //!   ordered), so equal runs produce byte-equal documents.
@@ -24,16 +25,19 @@
 //!   clock or the worker count, so two runs of the same configuration are
 //!   byte-identical at any `--jobs`/shard setting (asserted in
 //!   `tests/digests.rs`).
+//! - **Leaves are sorted** by `(window, node)`, strictly, and every
+//!   summary (`digest`, `records`) is a function of the leaves beneath it;
+//!   the reader rejects a trail that breaks either rule.
 
-use obs::{DigestSnapshot, JsonValue, Record};
+use obs::{DigestSnapshot, JsonValue, LeafDiff, LeafDigest, Record};
 
-use crate::scale::{run_scale, scale_cesrm_config, ScaleConfig, ScaleResult};
-use crate::suite::{run_suite, SuiteConfig, SuiteResult};
-use crate::Protocol;
+use crate::scale::{run_scale, scale_protocol, ScaleConfig};
+use crate::suite::{SuiteConfig, SuiteResult};
+use crate::{run_trace_with, Protocol};
 
 /// Version tag every digest trail carries; bump on breaking schema
 /// changes.
-pub const DIGEST_SCHEMA: &str = "cesrm-digest/1";
+pub const DIGEST_SCHEMA: &str = "cesrm-digest/2";
 
 /// 64-bit digests as fixed-width hex strings: the `f64`-backed JSON
 /// number model cannot carry them losslessly.
@@ -41,73 +45,54 @@ fn hex(h: u64) -> JsonValue {
     JsonValue::Str(format!("{h:016x}"))
 }
 
-fn parse_hex(v: Option<&JsonValue>) -> Option<u64> {
-    u64::from_str_radix(v?.as_str()?, 16).ok()
-}
-
-/// The same multiply-xor fold `obs::fxhash` uses, for combining per-run
+/// The same multiply-xor fold `obs::fxhash` uses, for combining per-scope
 /// digests into the trail's top-level digest (a combiner, not a hash of
 /// raw bytes — it only ever folds already-hashed 64-bit values).
 fn fold64(acc: u64, v: u64) -> u64 {
     (acc.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-/// Renders one snapshot's digest / records / per-epoch levels, shared by
-/// the suite and scale writers. Buckets nest *inside* their node — each
-/// `buckets[]` row is one true `(epoch, node, bucket)` leaf — so the
-/// bisector always lands on a window whose replay contains the divergent
-/// records (an epoch-wide bucket rollup could diverge because of a
-/// different node's records).
-fn levels_members(snap: &DigestSnapshot) -> Vec<(&'static str, JsonValue)> {
-    let run = snap.run_digest();
-    let epochs: Vec<JsonValue> = snap
-        .epochs()
-        .into_iter()
-        .map(|e| {
-            let d = snap.epoch_digest(e);
-            let nodes: Vec<JsonValue> = snap
-                .nodes_in_epoch(e)
-                .into_iter()
-                .map(|(n, nd)| {
-                    let buckets: Vec<JsonValue> = snap
-                        .leaves
-                        .iter()
-                        .filter(|l| l.epoch == e && l.node == n)
-                        .map(|l| {
-                            JsonValue::obj(vec![
-                                ("bucket", JsonValue::uint(l.bucket)),
-                                ("digest", hex(l.hash)),
-                                ("records", JsonValue::uint(l.count)),
-                            ])
-                        })
-                        .collect();
-                    JsonValue::obj(vec![
-                        ("node", JsonValue::uint(u64::from(n))),
-                        ("digest", hex(nd.hash)),
-                        ("records", JsonValue::uint(nd.count)),
-                        ("buckets", JsonValue::Arr(buckets)),
-                    ])
-                })
-                .collect();
+/// One scope's `digest`, `records` and `leaves` members.
+fn snapshot_members(snap: &DigestSnapshot) -> Vec<(&'static str, JsonValue)> {
+    let leaves = snap
+        .leaves
+        .iter()
+        .map(|l| {
             JsonValue::obj(vec![
-                ("epoch", JsonValue::uint(e)),
-                ("digest", hex(d.hash)),
-                ("records", JsonValue::uint(d.count)),
-                ("nodes", JsonValue::Arr(nodes)),
+                ("window", JsonValue::uint(l.window)),
+                ("node", JsonValue::uint(u64::from(l.node))),
+                ("digest", hex(l.hash)),
+                ("records", JsonValue::uint(l.count)),
             ])
         })
         .collect();
     vec![
-        ("digest", hex(run.hash)),
-        ("records", JsonValue::uint(run.count)),
-        ("epochs", JsonValue::Arr(epochs)),
+        ("digest", hex(snap.run_digest())),
+        ("records", JsonValue::uint(snap.count())),
+        ("leaves", JsonValue::Arr(leaves)),
     ]
 }
 
-/// Renders a suite run's digest trail as the `cesrm-digest/1` document:
+/// The document's top-level `digest` and `records`: a fold over its
+/// scopes' snapshots, in order.
+fn top_members<'a>(
+    snaps: impl Iterator<Item = &'a DigestSnapshot>,
+) -> [(&'static str, JsonValue); 2] {
+    let (top, total) = snaps.fold((0, 0), |(top, total), s| {
+        (fold64(top, s.run_digest()), total + s.count())
+    });
+    [("digest", hex(top)), ("records", JsonValue::uint(total))]
+}
+
+fn render(members: Vec<(&str, JsonValue)>) -> String {
+    let mut text = JsonValue::obj(members).to_string_pretty();
+    text.push('\n');
+    text
+}
+
+/// Renders a suite run's digest trail as the `cesrm-digest/2` document:
 /// one entry per (trace × protocol) run in slot order, each carrying its
-/// per-epoch / per-node / per-bucket digests plus the configuration a
-/// replay needs.
+/// leaves, plus the configuration a replay needs.
 ///
 /// # Panics
 /// Panics when the suite ran without [`SuiteConfig::digest`].
@@ -116,14 +101,7 @@ pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
         !result.digests.is_empty(),
         "suite_digest_json needs a suite run with digest set"
     );
-    let mut top = 0u64;
-    let mut total = 0u64;
-    for d in &result.digests {
-        let run = d.snapshot.run_digest();
-        top = fold64(top, run.hash);
-        total += run.count;
-    }
-    let runs: Vec<JsonValue> = result
+    let runs = result
         .digests
         .iter()
         .map(|d| {
@@ -132,12 +110,11 @@ pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
                 ("name", JsonValue::str_val(d.name)),
                 ("protocol", JsonValue::str_val(d.protocol)),
             ];
-            members.extend(levels_members(&d.snapshot));
+            members.extend(snapshot_members(&d.snapshot));
             JsonValue::obj(members)
         })
         .collect();
-    let granularity = &result.digests[0].snapshot;
-    let doc = JsonValue::obj(vec![
+    let mut members = vec![
         ("schema", JsonValue::str_val(DIGEST_SCHEMA)),
         ("mode", JsonValue::str_val("suite")),
         (
@@ -157,65 +134,44 @@ pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
                 // reproduces the same events at any worker count.
             ]),
         ),
-        ("epoch_ns", JsonValue::uint(granularity.epoch_ns)),
-        ("bucket_ns", JsonValue::uint(granularity.bucket_ns)),
-        ("digest", hex(top)),
-        ("records", JsonValue::uint(total)),
-        ("runs", JsonValue::Arr(runs)),
-    ]);
-    let mut text = doc.to_string_pretty();
-    text.push('\n');
-    text
+        (
+            "window_ns",
+            JsonValue::uint(result.digests[0].snapshot.window_ns),
+        ),
+    ];
+    members.extend(top_members(result.digests.iter().map(|d| &d.snapshot)));
+    members.push(("runs", JsonValue::Arr(runs)));
+    render(members)
 }
 
-/// Renders one scale rung's digest levels as a trail fragment: the rung
-/// configuration a replay needs, the per-root-subtree group digests (the
-/// trail's "shard" level — a pure tree function, so it is identical at
-/// any physical shard count) and the per-epoch levels.
-///
-/// # Panics
-/// Panics when the rung ran without [`ScaleConfig::digest`].
-pub fn rung_digest_json(cfg: &ScaleConfig, result: &ScaleResult) -> JsonValue {
-    let snap = result
-        .digest
-        .as_ref()
-        .expect("rung_digest_json needs a rung run with digest set");
-    let groups: Vec<JsonValue> = result
-        .digest_groups
+/// Renders a scale sweep's digest trail as the `cesrm-digest/2` document:
+/// one `rungs[]` entry per `(rung configuration, merged snapshot)`, each
+/// with its own window width (the lookahead caps it, and the lookahead is
+/// a function of the rung's topology).
+pub fn scale_digest_json(
+    protocol: &str,
+    seed: u64,
+    packets: u64,
+    rungs: &[(&ScaleConfig, &DigestSnapshot)],
+) -> String {
+    let entries = rungs
         .iter()
-        .map(|&(g, d)| {
-            JsonValue::obj(vec![
-                ("group", JsonValue::uint(u64::from(g))),
-                ("digest", hex(d.hash)),
-                ("records", JsonValue::uint(d.count)),
-            ])
+        .map(|(cfg, snap)| {
+            // The physical shard count is deliberately NOT recorded: the
+            // trail must be byte-identical at any sharding — that identity
+            // is the determinism oracle. A `reproduce diff` replay runs
+            // unsharded; the scale identity check pins each side's shard
+            // count itself.
+            let mut members = vec![
+                ("receivers", JsonValue::uint(cfg.receivers)),
+                ("losses", JsonValue::uint(u64::from(cfg.losses))),
+                ("window_ns", JsonValue::uint(snap.window_ns)),
+            ];
+            members.extend(snapshot_members(snap));
+            JsonValue::obj(members)
         })
         .collect();
-    // The physical shard count is deliberately NOT recorded: the trail
-    // must be byte-identical at any sharding — that identity is the
-    // determinism oracle. A `reproduce diff` replay runs unsharded; the
-    // scale identity check pins each side's shard count itself.
     let mut members = vec![
-        ("receivers", JsonValue::uint(cfg.receivers)),
-        ("losses", JsonValue::uint(u64::from(cfg.losses))),
-        ("epoch_ns", JsonValue::uint(snap.epoch_ns)),
-        ("bucket_ns", JsonValue::uint(snap.bucket_ns)),
-    ];
-    members.extend(levels_members(snap));
-    members.push(("groups", JsonValue::Arr(groups)));
-    JsonValue::obj(members)
-}
-
-/// Wraps per-rung fragments ([`rung_digest_json`]) into the scale-mode
-/// `cesrm-digest/1` document.
-pub fn scale_digest_doc(protocol: &str, seed: u64, packets: u64, rungs: Vec<JsonValue>) -> String {
-    let mut top = 0u64;
-    let mut total = 0u64;
-    for r in &rungs {
-        top = fold64(top, parse_hex(r.get("digest")).unwrap_or(0));
-        total += r.get("records").and_then(JsonValue::as_u64).unwrap_or(0);
-    }
-    let doc = JsonValue::obj(vec![
         ("schema", JsonValue::str_val(DIGEST_SCHEMA)),
         ("mode", JsonValue::str_val("scale")),
         (
@@ -226,52 +182,19 @@ pub fn scale_digest_doc(protocol: &str, seed: u64, packets: u64, rungs: Vec<Json
                 ("packets", JsonValue::uint(packets)),
             ]),
         ),
-        ("digest", hex(top)),
-        ("records", JsonValue::uint(total)),
-        ("rungs", JsonValue::Arr(rungs)),
-    ]);
-    let mut text = doc.to_string_pretty();
-    text.push('\n');
-    text
+    ];
+    members.extend(top_members(rungs.iter().map(|(_, snap)| *snap)));
+    members.push(("rungs", JsonValue::Arr(entries)));
+    render(members)
 }
 
 // ---------------------------------------------------------------------------
-// Parsing and top-down bisection.
+// Parsing and localization.
 // ---------------------------------------------------------------------------
-
-/// `(id, digest, records)` of one entry at a named level.
-type LevelRow = (u64, u64, u64);
-
-struct NodeEntry {
-    node: u64,
-    digest: u64,
-    records: u64,
-    buckets: Vec<LevelRow>,
-}
-
-struct EpochEntry {
-    epoch: u64,
-    digest: u64,
-    records: u64,
-    nodes: Vec<NodeEntry>,
-}
-
-/// One comparable scope of a trail: a (trace × protocol) run in suite
-/// mode, a rung in scale mode.
-struct ScopeEntry {
-    label: String,
-    digest: u64,
-    records: u64,
-    epoch_ns: u64,
-    bucket_ns: u64,
-    groups: Vec<LevelRow>,
-    epochs: Vec<EpochEntry>,
-    replay: Option<ReplaySpec>,
-}
 
 /// Everything a `reproduce diff` replay needs to re-run one side's
-/// divergent scope with event capture pinned to the divergent window.
-#[derive(Clone, Debug, PartialEq)]
+/// divergent scope with event capture pinned to the divergent leaf.
+#[derive(Clone, Debug)]
 pub enum ReplaySpec {
     /// Re-run one (trace × protocol) suite reenactment.
     Suite {
@@ -280,34 +203,24 @@ pub enum ReplaySpec {
         /// Trace-synthesis seed.
         seed: u64,
         /// Table-1 trace number.
-        trace: u64,
-        /// `"SRM"` or `"CESRM"`.
-        protocol: String,
+        trace: usize,
+        /// The protocol the run reenacted.
+        protocol: Protocol,
     },
-    /// Re-run one scale rung.
-    Rung {
-        /// Receiver count of the rung.
-        receivers: u64,
-        /// Topology seed.
-        seed: u64,
-        /// `"srm"` or `"cesrm"`.
-        protocol: String,
-        /// Shard count to replay at. Trails do not record the physical
-        /// sharding (it must not affect the digests), so parsed specs
-        /// replay unsharded; the scale identity check pins each side's
-        /// actual shard count before replaying.
-        shards: u32,
-        /// Data packets multicast by the source.
-        packets: u64,
-        /// Injected losses.
-        losses: u32,
-    },
+    /// Re-run one scale rung. Trails do not record the physical sharding
+    /// (it must not affect the digests), so parsed specs replay
+    /// unsharded; the scale identity check replays each side at its own
+    /// shard count.
+    Rung(ScaleConfig),
 }
 
 impl ReplaySpec {
     /// Re-runs this spec's configuration with event capture pinned to the
     /// `(node, t_lo_ns, t_hi_ns)` window and returns the captured records
     /// in emission order.
+    ///
+    /// # Panics
+    /// Panics when a suite spec names no Table-1 trace.
     pub fn replay_window(&self, node: u32, t_lo_ns: u64, t_hi_ns: u64) -> Vec<Record> {
         match self {
             ReplaySpec::Suite {
@@ -317,356 +230,319 @@ impl ReplaySpec {
                 protocol,
             } => {
                 let mut cfg = SuiteConfig::quick(*scale);
-                cfg.seed = *seed;
-                cfg.traces = Some(vec![*trace as usize]);
-                cfg.capture_events = true;
-                let result = run_suite(&cfg);
-                result
-                    .events
-                    .iter()
-                    .find(|e| e.trace as u64 == *trace && e.protocol == protocol)
-                    .map(|e| {
-                        e.records
-                            .iter()
-                            .filter(|r| {
-                                r.event.node() == node && r.t_ns >= t_lo_ns && r.t_ns < t_hi_ns
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default()
+                cfg.traces = Some(vec![*trace]);
+                let spec = cfg
+                    .selected_specs()
+                    .pop()
+                    .expect("replays name a Table-1 trace");
+                let handle =
+                    obs::Instruments::capture(Box::new(WindowSink::new(node, t_lo_ns, t_hi_ns)));
+                run_trace_with(&spec.generate(*seed), *protocol, &cfg.experiment, &handle);
+                handle.drain().iter().collect()
             }
-            ReplaySpec::Rung {
-                receivers,
-                seed,
-                protocol,
-                shards,
-                packets,
-                losses,
-            } => {
-                let mut cfg = ScaleConfig::rung(*receivers);
-                cfg.seed = *seed;
-                cfg.shards = *shards;
-                cfg.packets = *packets;
-                cfg.losses = *losses;
-                cfg.protocol = if protocol.eq_ignore_ascii_case("srm") {
-                    Protocol::Srm
-                } else {
-                    Protocol::Cesrm(scale_cesrm_config())
+            ReplaySpec::Rung(cfg) => {
+                let cfg = ScaleConfig {
+                    monitor: false,
+                    profile: false,
+                    digest: false,
+                    capture_window: Some((node, t_lo_ns, t_hi_ns)),
+                    ..*cfg
                 };
-                cfg.capture_window = Some((node, t_lo_ns, t_hi_ns));
                 run_scale(&cfg).window_events
             }
         }
     }
 }
 
-/// The first divergent window between two digest trails, finest
-/// granularity first: `(scope, group, epoch, node, bucket)`.
+/// The first divergent `(window, node)` leaf between two digest trails.
 #[derive(Clone, Debug)]
 pub struct Divergence {
     /// Human label of the divergent scope (run or rung).
     pub scope: String,
-    /// First divergent subtree group (scale mode only).
-    pub group: Option<u64>,
-    /// First divergent epoch index.
-    pub epoch: Option<u64>,
-    /// First divergent node within the epoch.
-    pub node: Option<u64>,
-    /// First divergent time bucket within the epoch.
-    pub bucket: Option<u64>,
-    /// Epoch width of the trails, nanoseconds.
-    pub epoch_ns: u64,
-    /// Bucket width of the trails, nanoseconds.
-    pub bucket_ns: u64,
-    /// `(digest, records)` of the finest divergent window on side A
-    /// (`None`: the window is absent on that side).
-    pub a: Option<(u64, u64)>,
+    /// Window width of the scope's snapshots, nanoseconds.
+    pub window_ns: u64,
+    /// The divergent leaf, with each side's `(digest, records)`.
+    pub leaf: LeafDiff,
+    /// How to re-run side A's divergent scope.
+    pub replay_a: ReplaySpec,
     /// Same for side B.
-    pub b: Option<(u64, u64)>,
-    /// How to re-run side A's divergent scope, when the trail carried a
-    /// replayable configuration.
-    pub replay_a: Option<ReplaySpec>,
-    /// Same for side B.
-    pub replay_b: Option<ReplaySpec>,
+    pub replay_b: ReplaySpec,
 }
 
 impl Divergence {
-    /// The simulated-time window `[lo, hi)` the divergence was pinned to:
-    /// the bucket window when a bucket diverged, else the epoch window.
-    pub fn window_ns(&self) -> Option<(u64, u64)> {
-        if let Some(b) = self.bucket {
-            return Some((b * self.bucket_ns, (b + 1) * self.bucket_ns));
-        }
-        self.epoch
-            .map(|e| (e * self.epoch_ns, (e + 1) * self.epoch_ns))
+    /// The simulated-time window `[lo, hi)` of the divergent leaf
+    /// (saturating: a parsed trail never carries a window past `u64`
+    /// nanoseconds, but a snapshot from elsewhere might).
+    pub fn bounds_ns(&self) -> (u64, u64) {
+        let lo = self.leaf.window.saturating_mul(self.window_ns);
+        let hi = self
+            .leaf
+            .window
+            .saturating_add(1)
+            .saturating_mul(self.window_ns);
+        (lo, hi)
     }
 
     /// Multi-line human summary of the localization.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "digest trails diverge");
-        let _ = writeln!(out, "  scope: {}", self.scope);
-        if let Some(g) = self.group {
-            let _ = writeln!(out, "  subtree group: {g}");
-        }
-        if let Some(e) = self.epoch {
-            let _ = writeln!(
-                out,
-                "  epoch {e} (t={:.3}-{:.3}s)",
-                (e * self.epoch_ns) as f64 / 1e9,
-                ((e + 1) * self.epoch_ns) as f64 / 1e9
-            );
-        }
-        if let Some(n) = self.node {
-            let _ = writeln!(out, "  node {n}");
-        }
-        if let Some(b) = self.bucket {
-            let _ = writeln!(
-                out,
-                "  bucket {b} (t={:.3}-{:.3}s)",
-                (b * self.bucket_ns) as f64 / 1e9,
-                ((b + 1) * self.bucket_ns) as f64 / 1e9
-            );
-        }
-        let side = |s: &Option<(u64, u64)>| match s {
+        let (lo, hi) = self.bounds_ns();
+        let side = |s: Option<(u64, u64)>| match s {
             Some((h, c)) => format!("{h:016x} ({c} records)"),
             None => "absent".to_string(),
         };
-        let _ = writeln!(
-            out,
-            "  window digest: A {} vs B {}",
-            side(&self.a),
-            side(&self.b)
-        );
-        out
+        format!(
+            "digest trails diverge\n  scope: {}\n  window {} (t={:.3}-{:.3}s), node {}\n  \
+             leaf digest: A {} vs B {}\n",
+            self.scope,
+            self.leaf.window,
+            lo as f64 / 1e9,
+            hi as f64 / 1e9,
+            self.leaf.node,
+            side(self.leaf.a),
+            side(self.leaf.b)
+        )
     }
+}
+
+/// Compares two snapshots of one scope and localizes their first divergent
+/// leaf; `Ok(None)` when every leaf agrees. `Err` when the snapshots were
+/// recorded at different window widths.
+pub fn localize(
+    scope: &str,
+    (a, replay_a): (&DigestSnapshot, &ReplaySpec),
+    (b, replay_b): (&DigestSnapshot, &ReplaySpec),
+) -> Result<Option<Divergence>, String> {
+    if a.window_ns != b.window_ns {
+        return Err(format!(
+            "{scope}: different window widths ({} vs {} ns)",
+            a.window_ns, b.window_ns
+        ));
+    }
+    Ok(a.first_divergence(b).map(|leaf| Divergence {
+        scope: scope.to_string(),
+        window_ns: a.window_ns,
+        leaf,
+        replay_a: replay_a.clone(),
+        replay_b: replay_b.clone(),
+    }))
 }
 
 /// What [`diff_trails`] found.
 #[derive(Clone, Debug)]
 pub enum DiffOutcome {
-    /// Every scope's digest matches.
+    /// Every scope's leaves match.
     Identical {
         /// Total records digested across the trail.
         records: u64,
     },
-    /// The trails diverge; the first divergent window, localized.
+    /// The trails diverge; the first divergent leaf, localized.
     Diverged(Box<Divergence>),
 }
 
-fn parse_rows(v: Option<&JsonValue>, id_key: &str) -> Vec<LevelRow> {
-    v.and_then(JsonValue::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|e| {
-                    Some((
-                        e.get(id_key)?.as_u64()?,
-                        parse_hex(e.get("digest"))?,
-                        e.get("records")?.as_u64()?,
-                    ))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+/// One comparable scope of a parsed trail: a (trace × protocol) run in
+/// suite mode, a rung in scale mode.
+struct Scope {
+    label: String,
+    snapshot: DigestSnapshot,
+    replay: ReplaySpec,
 }
 
-fn parse_nodes(v: Option<&JsonValue>) -> Vec<NodeEntry> {
-    v.and_then(JsonValue::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|n| {
-                    Some(NodeEntry {
-                        node: n.get("node")?.as_u64()?,
-                        digest: parse_hex(n.get("digest"))?,
-                        records: n.get("records")?.as_u64()?,
-                        buckets: parse_rows(n.get("buckets"), "bucket"),
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+fn member<'a>(entry: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
+    entry.get(key).ok_or_else(|| format!("missing `{key}`"))
 }
 
-fn parse_epochs(v: Option<&JsonValue>) -> Vec<EpochEntry> {
-    v.and_then(JsonValue::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|e| {
-                    Some(EpochEntry {
-                        epoch: e.get("epoch")?.as_u64()?,
-                        digest: parse_hex(e.get("digest"))?,
-                        records: e.get("records")?.as_u64()?,
-                        nodes: parse_nodes(e.get("nodes")),
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+fn uint(entry: &JsonValue, key: &str) -> Result<u64, String> {
+    member(entry, key)?
+        .as_u64()
+        .ok_or_else(|| format!("`{key}` is not an unsigned integer"))
 }
 
-fn parse_scopes(doc: &JsonValue) -> Result<Vec<ScopeEntry>, String> {
+fn text<'a>(entry: &'a JsonValue, key: &str) -> Result<&'a str, String> {
+    member(entry, key)?
+        .as_str()
+        .ok_or_else(|| format!("`{key}` is not a string"))
+}
+
+fn array<'a>(entry: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
+    member(entry, key)?
+        .as_arr()
+        .ok_or_else(|| format!("`{key}` is not an array"))
+}
+
+fn digest(entry: &JsonValue, key: &str) -> Result<u64, String> {
+    let s = text(entry, key)?;
+    u64::from_str_radix(s, 16).map_err(|_| format!("`{key}` is not a hex digest: {s:?}"))
+}
+
+fn window_ns(entry: &JsonValue) -> Result<u64, String> {
+    match uint(entry, "window_ns")? {
+        0 => Err("`window_ns` is zero".to_string()),
+        w => Ok(w),
+    }
+}
+
+fn parse_leaf(entry: &JsonValue) -> Result<LeafDigest, String> {
+    let node = uint(entry, "node")?;
+    Ok(LeafDigest {
+        window: uint(entry, "window")?,
+        node: u32::try_from(node).map_err(|_| format!("`node` {node} is not a u32 node id"))?,
+        hash: digest(entry, "digest")?,
+        count: uint(entry, "records")?,
+    })
+}
+
+/// Parses one scope's `leaves` into a snapshot and checks the scope's
+/// `digest` and `records` against them.
+fn parse_leaves(scope: &JsonValue, window_ns: u64) -> Result<DigestSnapshot, String> {
+    let mut snapshot = DigestSnapshot {
+        window_ns,
+        leaves: Vec::new(),
+    };
+    let mut records = 0u64;
+    for (i, entry) in array(scope, "leaves")?.iter().enumerate() {
+        let leaf = parse_leaf(entry).map_err(|e| format!("leaves[{i}]: {e}"))?;
+        if leaf
+            .window
+            .saturating_add(1)
+            .checked_mul(window_ns)
+            .is_none()
+        {
+            return Err(format!(
+                "leaves[{i}]: window {} ends past the u64 nanosecond range",
+                leaf.window
+            ));
+        }
+        if let Some(prev) = snapshot.leaves.last().filter(|p| p.key() >= leaf.key()) {
+            return Err(format!(
+                "leaves[{i}]: (window, node) {:?} does not follow {:?}: unsorted or duplicate",
+                leaf.key(),
+                prev.key()
+            ));
+        }
+        records = records
+            .checked_add(leaf.count)
+            .ok_or_else(|| format!("leaves[{i}]: records overflow u64"))?;
+        snapshot.leaves.push(leaf);
+    }
+    if digest(scope, "digest")? != snapshot.run_digest() || uint(scope, "records")? != records {
+        return Err("`digest`/`records` do not match the leaves".to_string());
+    }
+    Ok(snapshot)
+}
+
+fn parse_run(run: &JsonValue, scale: f64, seed: u64, window_ns: u64) -> Result<Scope, String> {
+    let trace = uint(run, "trace")?;
+    let name = text(run, "name")?;
+    let protocol = match text(run, "protocol")? {
+        "SRM" => Protocol::Srm,
+        "CESRM" => Protocol::Cesrm(SuiteConfig::quick(scale).cesrm),
+        other => return Err(format!("unknown protocol {other:?}")),
+    };
+    if !(1..=14).contains(&trace) {
+        return Err(format!("`trace` {trace} is not a Table-1 trace number"));
+    }
+    Ok(Scope {
+        label: format!("trace {trace} {name} / {}", protocol.name()),
+        snapshot: parse_leaves(run, window_ns)?,
+        replay: ReplaySpec::Suite {
+            scale,
+            seed,
+            trace: trace as usize,
+            protocol,
+        },
+    })
+}
+
+fn parse_rung(rung: &JsonValue, sweep: ScaleConfig) -> Result<Scope, String> {
+    let receivers = uint(rung, "receivers")?;
+    let losses = uint(rung, "losses")?;
+    if receivers < 2 {
+        return Err(format!(
+            "`receivers` {receivers} is below the 2-receiver minimum"
+        ));
+    }
+    Ok(Scope {
+        label: format!("rung {receivers} receivers"),
+        snapshot: parse_leaves(rung, window_ns(rung)?)?,
+        replay: ReplaySpec::Rung(ScaleConfig {
+            receivers,
+            losses: u32::try_from(losses).map_err(|_| format!("`losses` {losses} exceeds u32"))?,
+            ..sweep
+        }),
+    })
+}
+
+/// Parses every entry of `doc[key]` with `parse`, prefixing errors with
+/// the entry's path.
+fn scopes(
+    doc: &JsonValue,
+    key: &str,
+    parse: impl Fn(&JsonValue) -> Result<Scope, String>,
+) -> Result<Vec<Scope>, String> {
+    array(doc, key)?
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| parse(entry).map_err(|e| format!("{key}[{i}]: {e}")))
+        .collect()
+}
+
+/// Parses a `cesrm-digest/2` trail into its scopes, rejecting any missing
+/// or ill-typed member, unsorted or duplicate leaves, a window past the
+/// `u64` nanosecond range, and summaries that disagree with their leaves.
+/// Errors name the scope and the entry (`runs[3]: leaves[17]: ...`).
+fn parse_trail(doc: &JsonValue) -> Result<Vec<Scope>, String> {
     let schema = doc.get("schema").and_then(JsonValue::as_str);
     if schema != Some(DIGEST_SCHEMA) {
         return Err(format!("not a {DIGEST_SCHEMA} trail (schema: {schema:?})"));
     }
-    match doc.get("mode").and_then(JsonValue::as_str) {
-        Some("suite") => {
-            let suite = doc.get("suite");
-            let scale = suite
-                .and_then(|s| s.get("scale"))
-                .and_then(JsonValue::as_f64);
-            let seed = suite
-                .and_then(|s| s.get("seed"))
-                .and_then(JsonValue::as_u64);
-            let epoch_ns = doc
-                .get("epoch_ns")
-                .and_then(JsonValue::as_u64)
-                .ok_or("missing epoch_ns")?;
-            let bucket_ns = doc
-                .get("bucket_ns")
-                .and_then(JsonValue::as_u64)
-                .ok_or("missing bucket_ns")?;
-            let runs = doc
-                .get("runs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("missing runs array")?;
-            runs.iter()
-                .map(|r| {
-                    let trace = r
-                        .get("trace")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("run entry missing trace")?;
-                    let name = r.get("name").and_then(JsonValue::as_str).unwrap_or("?");
-                    let protocol = r
-                        .get("protocol")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("run entry missing protocol")?;
-                    Ok(ScopeEntry {
-                        label: format!("trace {trace} {name} / {protocol}"),
-                        digest: parse_hex(r.get("digest")).ok_or("run entry missing digest")?,
-                        records: r.get("records").and_then(JsonValue::as_u64).unwrap_or(0),
-                        epoch_ns,
-                        bucket_ns,
-                        groups: Vec::new(),
-                        epochs: parse_epochs(r.get("epochs")),
-                        replay: match (scale, seed) {
-                            (Some(scale), Some(seed)) => Some(ReplaySpec::Suite {
-                                scale,
-                                seed,
-                                trace,
-                                protocol: protocol.to_string(),
-                            }),
-                            _ => None,
-                        },
-                    })
-                })
-                .collect()
+    let parsed = match text(doc, "mode")? {
+        "suite" => {
+            let suite = member(doc, "suite")?;
+            let scale = member(suite, "scale")?
+                .as_f64()
+                .filter(|s| *s > 0.0 && *s <= 1.0)
+                .ok_or("`suite.scale` is not a number in (0, 1]")?;
+            let seed = uint(suite, "seed").map_err(|e| format!("suite: {e}"))?;
+            let window_ns = window_ns(doc)?;
+            scopes(doc, "runs", |run| parse_run(run, scale, seed, window_ns))?
         }
-        Some("scale") => {
-            let sweep = doc.get("sweep");
-            let protocol = sweep
-                .and_then(|s| s.get("protocol"))
-                .and_then(JsonValue::as_str)
-                .unwrap_or("cesrm")
-                .to_string();
-            let seed = sweep
-                .and_then(|s| s.get("seed"))
-                .and_then(JsonValue::as_u64);
-            let packets = sweep
-                .and_then(|s| s.get("packets"))
-                .and_then(JsonValue::as_u64);
-            let rungs = doc
-                .get("rungs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("missing rungs array")?;
-            rungs
-                .iter()
-                .map(|r| {
-                    let receivers = r
-                        .get("receivers")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("rung entry missing receivers")?;
-                    Ok(ScopeEntry {
-                        label: format!("rung {receivers} receivers"),
-                        digest: parse_hex(r.get("digest")).ok_or("rung entry missing digest")?,
-                        records: r.get("records").and_then(JsonValue::as_u64).unwrap_or(0),
-                        epoch_ns: r
-                            .get("epoch_ns")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or("rung entry missing epoch_ns")?,
-                        bucket_ns: r
-                            .get("bucket_ns")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or("rung entry missing bucket_ns")?,
-                        groups: parse_rows(r.get("groups"), "group"),
-                        epochs: parse_epochs(r.get("epochs")),
-                        replay: match (seed, packets) {
-                            (Some(seed), Some(packets)) => Some(ReplaySpec::Rung {
-                                receivers,
-                                seed,
-                                protocol: protocol.clone(),
-                                shards: 1,
-                                packets,
-                                losses: r.get("losses").and_then(JsonValue::as_u64).unwrap_or(0)
-                                    as u32,
-                            }),
-                            _ => None,
-                        },
-                    })
-                })
-                .collect()
+        "scale" => {
+            let sweep = member(doc, "sweep")?;
+            let field = |e: String| format!("sweep: {e}");
+            let protocol = text(sweep, "protocol").map_err(field)?;
+            let sweep = ScaleConfig {
+                protocol: scale_protocol(protocol)
+                    .ok_or_else(|| format!("sweep: unknown protocol {protocol:?}"))?,
+                seed: uint(sweep, "seed").map_err(field)?,
+                packets: uint(sweep, "packets").map_err(field)?,
+                ..ScaleConfig::rung(1)
+            };
+            scopes(doc, "rungs", |rung| parse_rung(rung, sweep))?
         }
-        other => Err(format!("unknown trail mode {other:?}")),
-    }
-}
-
-/// One side of a diverging row: `(digest, records)`, absent when only the
-/// other trail has the id.
-type DivergingSide = Option<(u64, u64)>;
-
-/// Merge-join two id-sorted rows and return the first id whose
-/// `(digest, records)` differ (or that only one side has).
-fn first_diverging(a: &[LevelRow], b: &[LevelRow]) -> Option<(u64, DivergingSide, DivergingSide)> {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        match (a.get(i), b.get(j)) {
-            (Some(&(ia, ha, ca)), Some(&(ib, hb, cb))) => {
-                if ia == ib {
-                    if ha != hb || ca != cb {
-                        return Some((ia, Some((ha, ca)), Some((hb, cb))));
-                    }
-                    i += 1;
-                    j += 1;
-                } else if ia < ib {
-                    return Some((ia, Some((ha, ca)), None));
-                } else {
-                    return Some((ib, None, Some((hb, cb))));
-                }
-            }
-            (Some(&(ia, ha, ca)), None) => return Some((ia, Some((ha, ca)), None)),
-            (None, Some(&(ib, hb, cb))) => return Some((ib, None, Some((hb, cb)))),
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-    None
-}
-
-fn epoch_rows(scope: &ScopeEntry) -> Vec<LevelRow> {
-    scope
-        .epochs
+        other => return Err(format!("unknown trail mode {other:?}")),
+    };
+    let (top, total) = parsed
         .iter()
-        .map(|e| (e.epoch, e.digest, e.records))
-        .collect()
+        .try_fold((0, 0u64), |(top, total), s| {
+            let total = total.checked_add(s.snapshot.count())?;
+            Some((fold64(top, s.snapshot.run_digest()), total))
+        })
+        .ok_or("records overflow u64")?;
+    if digest(doc, "digest")? != top || uint(doc, "records")? != total {
+        return Err("top-level `digest`/`records` do not match the scopes".to_string());
+    }
+    Ok(parsed)
 }
 
-/// Compares two parsed `cesrm-digest/1` trails top-down and localizes
-/// the first divergent `(scope, group, epoch, node, bucket)` window.
-/// Returns `Err` when the trails are incomparable (different schema,
-/// mode, scope sets or granularity).
+/// Compares two parsed `cesrm-digest/2` trails scope by scope and
+/// localizes the first divergent `(window, node)` leaf. Returns `Err`
+/// when either trail is malformed (a missing or ill-typed member, unsorted
+/// or duplicate leaves, a window past the `u64` nanosecond range, or a
+/// summary that disagrees with its leaves) or the two are incomparable
+/// (different mode, scope sets or window widths).
 pub fn diff_trails(a: &JsonValue, b: &JsonValue) -> Result<DiffOutcome, String> {
-    let scopes_a = parse_scopes(a).map_err(|e| format!("trail A: {e}"))?;
-    let scopes_b = parse_scopes(b).map_err(|e| format!("trail B: {e}"))?;
+    let scopes_a = parse_trail(a).map_err(|e| format!("trail A: {e}"))?;
+    let scopes_b = parse_trail(b).map_err(|e| format!("trail B: {e}"))?;
     if scopes_a.len() != scopes_b.len() {
         return Err(format!(
             "trails cover different scope counts ({} vs {})",
@@ -674,82 +550,28 @@ pub fn diff_trails(a: &JsonValue, b: &JsonValue) -> Result<DiffOutcome, String> 
             scopes_b.len()
         ));
     }
-    for (sa, sb) in scopes_a.iter().zip(&scopes_b) {
-        if sa.label != sb.label {
-            return Err(format!(
-                "trails cover different scopes ({:?} vs {:?})",
-                sa.label, sb.label
-            ));
-        }
-        if sa.epoch_ns != sb.epoch_ns || sa.bucket_ns != sb.bucket_ns {
-            return Err(format!(
-                "{}: different granularity (epoch {} vs {} ns, bucket {} vs {} ns)",
-                sa.label, sa.epoch_ns, sb.epoch_ns, sa.bucket_ns, sb.bucket_ns
-            ));
-        }
+    if let Some((sa, sb)) = scopes_a
+        .iter()
+        .zip(&scopes_b)
+        .find(|(sa, sb)| sa.label != sb.label)
+    {
+        return Err(format!(
+            "trails cover different scopes ({:?} vs {:?})",
+            sa.label, sb.label
+        ));
     }
     for (sa, sb) in scopes_a.iter().zip(&scopes_b) {
-        if sa.digest == sb.digest && sa.records == sb.records {
-            continue;
+        let found = localize(
+            &sa.label,
+            (&sa.snapshot, &sa.replay),
+            (&sb.snapshot, &sb.replay),
+        )?;
+        if let Some(div) = found {
+            return Ok(DiffOutcome::Diverged(Box::new(div)));
         }
-        let group = first_diverging(&sa.groups, &sb.groups).map(|(id, _, _)| id);
-        let mut div = Divergence {
-            scope: sa.label.clone(),
-            group,
-            epoch: None,
-            node: None,
-            bucket: None,
-            epoch_ns: sa.epoch_ns,
-            bucket_ns: sa.bucket_ns,
-            a: Some((sa.digest, sa.records)),
-            b: Some((sb.digest, sb.records)),
-            replay_a: sa.replay.clone(),
-            replay_b: sb.replay.clone(),
-        };
-        if let Some((epoch, wa, wb)) = first_diverging(&epoch_rows(sa), &epoch_rows(sb)) {
-            div.epoch = Some(epoch);
-            div.a = wa;
-            div.b = wb;
-            let epoch_entry = |s: &'_ ScopeEntry| -> Vec<(u64, u64, u64)> {
-                s.epochs
-                    .iter()
-                    .find(|e| e.epoch == epoch)
-                    .map(|e| {
-                        e.nodes
-                            .iter()
-                            .map(|n| (n.node, n.digest, n.records))
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            };
-            if let Some((node, wa, wb)) = first_diverging(&epoch_entry(sa), &epoch_entry(sb)) {
-                div.node = Some(node);
-                div.a = wa;
-                div.b = wb;
-                // Leaf level: this node's buckets within the epoch, so the
-                // reported (node, bucket) window really holds the
-                // divergent records.
-                let node_buckets = |s: &'_ ScopeEntry| -> Vec<LevelRow> {
-                    s.epochs
-                        .iter()
-                        .find(|e| e.epoch == epoch)
-                        .and_then(|e| e.nodes.iter().find(|n| n.node == node))
-                        .map(|n| n.buckets.clone())
-                        .unwrap_or_default()
-                };
-                if let Some((bucket, wa, wb)) =
-                    first_diverging(&node_buckets(sa), &node_buckets(sb))
-                {
-                    div.bucket = Some(bucket);
-                    div.a = wa;
-                    div.b = wb;
-                }
-            }
-        }
-        return Ok(DiffOutcome::Diverged(Box::new(div)));
     }
     Ok(DiffOutcome::Identical {
-        records: scopes_a.iter().map(|s| s.records).sum(),
+        records: scopes_a.iter().map(|s| s.snapshot.count()).sum(),
     })
 }
 
@@ -797,20 +619,6 @@ impl obs::EventSink for WindowSink {
     }
 }
 
-fn fmt_record(r: &Record) -> String {
-    let seq = r
-        .event
-        .seq()
-        .map_or_else(|| "-".to_string(), |s| s.to_string());
-    format!(
-        "t={:.6}s node={} {} seq={}",
-        r.t_ns as f64 / 1e9,
-        r.event.node(),
-        r.event.name(),
-        seq
-    )
-}
-
 /// Renders two captured event streams side by side and names the first
 /// divergent position. Returns the rendered block plus the one-line
 /// summary (`None` when the streams are identical).
@@ -844,7 +652,7 @@ pub fn aligned_event_diff(
 
     let width = a
         .iter()
-        .map(|r| fmt_record(r).len())
+        .map(|r| r.to_string().len())
         .max()
         .unwrap_or(0)
         .max(label_a.len() + 5)
@@ -866,8 +674,8 @@ pub fn aligned_event_diff(
         let _ = writeln!(out, "  ... ({start} earlier aligned rows elided)");
     }
     for i in start..end {
-        let left = a.get(i).map(fmt_record).unwrap_or_default();
-        let right = b.get(i).map(fmt_record).unwrap_or_default();
+        let left = a.get(i).map(Record::to_string).unwrap_or_default();
+        let right = b.get(i).map(Record::to_string).unwrap_or_default();
         let marker = if first == Some(i) {
             "   <-- first divergence"
         } else {
@@ -901,10 +709,10 @@ mod tests {
         r.snapshot()
     }
 
-    fn suite_trail(snapshot: DigestSnapshot, jobs: Option<usize>) -> JsonValue {
+    /// A one-run suite trail over `records`, parsed.
+    fn suite_trail(records: &[Record]) -> JsonValue {
         let mut cfg = SuiteConfig::quick(0.01);
         cfg.traces = Some(vec![4]);
-        cfg.jobs = jobs;
         cfg.digest = true;
         let result = SuiteResult {
             scale: cfg.scale,
@@ -917,7 +725,7 @@ mod tests {
                 trace: 4,
                 name: "WRN950919",
                 protocol: "SRM",
-                snapshot,
+                snapshot: snapshot_of(records),
             }],
             timing: crate::runner::SuiteTiming {
                 jobs: 1,
@@ -928,12 +736,38 @@ mod tests {
         JsonValue::parse(&suite_digest_json(&cfg, &result)).expect("well-formed trail")
     }
 
+    fn diverged(a: &JsonValue, b: &JsonValue) -> Box<Divergence> {
+        match diff_trails(a, b).expect("comparable") {
+            DiffOutcome::Diverged(d) => d,
+            other => panic!("expected divergence, got {other:?}"),
+        }
+    }
+
+    /// The first leaf of the first run, mutably.
+    fn first_leaf(trail: &mut JsonValue) -> &mut JsonValue {
+        let Some(JsonValue::Arr(runs)) = trail.get_mut("runs") else {
+            panic!("trail has runs");
+        };
+        let Some(JsonValue::Arr(leaves)) = runs[0].get_mut("leaves") else {
+            panic!("run has leaves");
+        };
+        &mut leaves[0]
+    }
+
+    /// Asserts that `diff_trails` rejects `bad` against `good` with an
+    /// error naming the scope, the entry and `what`.
+    fn assert_rejected(good: &JsonValue, bad: &JsonValue, what: &str) {
+        let err = diff_trails(good, bad).expect_err("malformed trail must be an error");
+        assert!(
+            err.starts_with("trail B: runs[0]: ") && err.contains(what),
+            "{err}"
+        );
+    }
+
     #[test]
     fn identical_trails_compare_identical() {
         let records = [rec(10, 1, 0), rec(1_500_000_000, 2, 1)];
-        let a = suite_trail(snapshot_of(&records), Some(1));
-        let b = suite_trail(snapshot_of(&records), Some(4));
-        match diff_trails(&a, &b).expect("comparable") {
+        match diff_trails(&suite_trail(&records), &suite_trail(&records)).expect("comparable") {
             DiffOutcome::Identical { records } => assert_eq!(records, 2),
             other => panic!("expected identical, got {other:?}"),
         }
@@ -941,8 +775,7 @@ mod tests {
 
     #[test]
     fn a_flipped_event_is_localized_to_its_exact_window() {
-        // 1.55 s => epoch 1 (1 s epochs), bucket 15 (100 ms buckets),
-        // node 7.
+        // 1.55 s => window 15 (100 ms windows), node 7.
         let base = [
             rec(10, 1, 0),
             rec(1_550_000_000, 7, 3),
@@ -950,58 +783,123 @@ mod tests {
         ];
         let mut flipped = base;
         flipped[1] = rec(1_550_000_000, 7, 4); // same window, different seq
-        let a = suite_trail(snapshot_of(&base), None);
-        let b = suite_trail(snapshot_of(&flipped), None);
-        let div = match diff_trails(&a, &b).expect("comparable") {
-            DiffOutcome::Diverged(d) => d,
-            other => panic!("expected divergence, got {other:?}"),
-        };
+        let div = diverged(&suite_trail(&base), &suite_trail(&flipped));
         assert_eq!(div.scope, "trace 4 WRN950919 / SRM");
-        assert_eq!(div.epoch, Some(1));
-        assert_eq!(div.node, Some(7));
-        assert_eq!(div.bucket, Some(15));
-        assert_eq!(
-            div.window_ns(),
-            Some((1_500_000_000, 1_600_000_000)),
-            "window is the divergent bucket"
-        );
-        assert!(div.replay_a.is_some() && div.replay_b.is_some());
+        assert_eq!((div.leaf.window, div.leaf.node), (15, 7));
+        assert_eq!(div.bounds_ns(), (1_500_000_000, 1_600_000_000));
+        assert!(matches!(div.replay_a, ReplaySpec::Suite { trace: 4, .. }));
         let text = div.render();
-        assert!(text.contains("node 7"));
-        assert!(text.contains("bucket 15"));
+        assert!(
+            text.contains("window 15 (t=1.500-1.600s), node 7"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn the_earliest_window_wins_over_the_lowest_node() {
+        // Node 9 diverges at 1.15 s, node 2 at 1.25 s: the earlier window
+        // is reported although its node is higher.
+        let base = [rec(1_150_000_000, 9, 0), rec(1_250_000_000, 2, 1)];
+        let changed = [rec(1_150_000_000, 9, 5), rec(1_250_000_000, 2, 6)];
+        let div = diverged(&suite_trail(&base), &suite_trail(&changed));
+        assert_eq!((div.leaf.window, div.leaf.node), (11, 9));
     }
 
     #[test]
     fn an_absent_window_is_still_localized() {
         let base = [rec(10, 1, 0)];
         let extra = [rec(10, 1, 0), rec(3_250_000_000, 9, 2)];
-        let a = suite_trail(snapshot_of(&base), None);
-        let b = suite_trail(snapshot_of(&extra), None);
-        let div = match diff_trails(&a, &b).expect("comparable") {
-            DiffOutcome::Diverged(d) => d,
-            other => panic!("expected divergence, got {other:?}"),
-        };
-        assert_eq!(div.epoch, Some(3));
-        assert_eq!(div.node, Some(9));
-        assert_eq!(div.bucket, Some(32));
-        assert!(div.a.is_none(), "window absent on side A");
-        assert!(div.b.is_some());
+        let div = diverged(&suite_trail(&base), &suite_trail(&extra));
+        assert_eq!((div.leaf.window, div.leaf.node), (32, 9));
+        assert!(div.leaf.a.is_none(), "window absent on side A");
+        assert_eq!(div.leaf.b.map(|(_, records)| records), Some(1));
+        assert!(div.render().contains("A absent vs B"));
     }
 
     #[test]
     fn trails_over_different_scopes_are_incomparable() {
-        let a = suite_trail(snapshot_of(&[rec(10, 1, 0)]), None);
-        let mut b = suite_trail(snapshot_of(&[rec(10, 1, 0)]), None);
-        if let Some(JsonValue::Arr(runs)) = b.get_mut("runs") {
-            if let Some(JsonValue::Obj(members)) = runs.first_mut() {
-                for (k, v) in members.iter_mut() {
-                    if k == "protocol" {
-                        *v = JsonValue::Str("CESRM".into());
-                    }
-                }
-            }
+        let a = suite_trail(&[rec(10, 1, 0)]);
+        let mut b = a.clone();
+        let Some(JsonValue::Arr(runs)) = b.get_mut("runs") else {
+            panic!("trail has runs");
+        };
+        *runs[0].get_mut("protocol").expect("protocol") = JsonValue::str_val("CESRM");
+        let err = diff_trails(&a, &b).expect_err("different scopes");
+        assert!(err.contains("different scopes"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_leaf_field_is_an_error() {
+        let good = suite_trail(&[rec(10, 1, 0), rec(20, 2, 1)]);
+        let mut bad = good.clone();
+        if let JsonValue::Obj(members) = first_leaf(&mut bad) {
+            members.retain(|(k, _)| k != "records");
         }
-        assert!(diff_trails(&a, &b).is_err());
+        assert_rejected(&good, &bad, "leaves[0]: missing `records`");
+    }
+
+    #[test]
+    fn an_ill_typed_leaf_field_is_an_error() {
+        let good = suite_trail(&[rec(10, 1, 0), rec(20, 2, 1)]);
+        let mut bad = good.clone();
+        *first_leaf(&mut bad).get_mut("node").expect("node") = JsonValue::str_val("1");
+        assert_rejected(&good, &bad, "leaves[0]: `node` is not an unsigned integer");
+    }
+
+    #[test]
+    fn unsorted_leaves_are_an_error() {
+        let good = suite_trail(&[rec(10, 1, 0), rec(20, 2, 1)]);
+        let mut bad = good.clone();
+        let Some(JsonValue::Arr(runs)) = bad.get_mut("runs") else {
+            panic!("trail has runs");
+        };
+        let Some(JsonValue::Arr(leaves)) = runs[0].get_mut("leaves") else {
+            panic!("run has leaves");
+        };
+        leaves.swap(0, 1);
+        assert_rejected(
+            &good,
+            &bad,
+            "leaves[1]: (window, node) (0, 1) does not follow (0, 2)",
+        );
+    }
+
+    #[test]
+    fn duplicate_leaves_are_an_error() {
+        let good = suite_trail(&[rec(10, 1, 0), rec(20, 2, 1)]);
+        let mut bad = good.clone();
+        let Some(JsonValue::Arr(runs)) = bad.get_mut("runs") else {
+            panic!("trail has runs");
+        };
+        let Some(JsonValue::Arr(leaves)) = runs[0].get_mut("leaves") else {
+            panic!("run has leaves");
+        };
+        leaves[1] = leaves[0].clone();
+        assert_rejected(
+            &good,
+            &bad,
+            "leaves[1]: (window, node) (0, 1) does not follow (0, 1)",
+        );
+    }
+
+    #[test]
+    fn a_window_past_the_u64_range_is_an_error() {
+        let good = suite_trail(&[rec(10, 1, 0)]);
+        let mut bad = good.clone();
+        *first_leaf(&mut bad).get_mut("window").expect("window") = JsonValue::uint(1 << 62);
+        assert_rejected(
+            &good,
+            &bad,
+            "leaves[0]: window 4611686018427387904 ends past",
+        );
+    }
+
+    #[test]
+    fn summaries_that_disagree_with_their_leaves_are_an_error() {
+        let good = suite_trail(&[rec(10, 1, 0)]);
+        let mut bad = good.clone();
+        *first_leaf(&mut bad).get_mut("records").expect("records") = JsonValue::uint(2);
+        assert_rejected(&good, &bad, "`digest`/`records` do not match the leaves");
     }
 
     #[test]
@@ -1011,13 +909,13 @@ mod tests {
         let (text, summary) = aligned_event_diff(&a, &b, "1 job", "4 jobs");
         let summary = summary.expect("streams differ");
         assert!(summary.contains("LOSS_DETECTED"), "{summary}");
-        assert!(text.contains("<-- first divergence"));
         assert_eq!(
             text.lines()
                 .position(|l| l.contains("<-- first divergence")),
             Some(2),
             "second record row carries the marker:\n{text}"
         );
+        assert!(text.contains(&rec(20, 1, 9).to_string()));
         let (_, same) = aligned_event_diff(&a, &a, "x", "y");
         assert!(same.is_none());
     }

@@ -22,6 +22,16 @@ pub enum Protocol {
     Cesrm(CesrmConfig),
 }
 
+impl Protocol {
+    /// `"SRM"` or `"CESRM"`: the name runs, reports and trails carry.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Protocol::Srm => "SRM",
+            Protocol::Cesrm(_) => "CESRM",
+        }
+    }
+}
+
 /// Per-run simulation settings.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ExperimentConfig {

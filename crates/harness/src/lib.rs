@@ -64,8 +64,8 @@ mod sweep;
 pub mod tracing;
 
 pub use digest::{
-    aligned_event_diff, diff_trails, rung_digest_json, scale_digest_doc, suite_digest_json,
-    DiffOutcome, Divergence, ReplaySpec, WindowSink, DIGEST_SCHEMA,
+    aligned_event_diff, diff_trails, localize, scale_digest_json, suite_digest_json, DiffOutcome,
+    Divergence, ReplaySpec, WindowSink, DIGEST_SCHEMA,
 };
 pub use experiment::{
     run_trace, run_trace_with, ExperimentConfig, Protocol, RecoverySample, RunMetrics,
@@ -78,8 +78,8 @@ pub use report::{
 };
 pub use runner::{default_parallelism, resolve_jobs, run_indexed, RunTiming, SuiteTiming};
 pub use scale::{
-    build_assignment, default_losses, run_scale, scale_cesrm_config, scale_srm_params, ScaleConfig,
-    ScaleLoss, ScaleResult, ShardAccounting,
+    build_assignment, default_losses, run_scale, scale_cesrm_config, scale_protocol,
+    scale_srm_params, ScaleConfig, ScaleLoss, ScaleResult, ShardAccounting,
 };
 pub use suite::{
     run_suite, run_suites, RunDigest, RunEventLog, RunHealth, RunProf, RunProfile, SuiteConfig,

@@ -100,16 +100,16 @@ impl Overhead {
 /// driving process can read around it.
 #[derive(Clone, Debug)]
 pub struct RungOutcome {
-    /// The run's result (its digest snapshot may already be dropped in
-    /// favour of `digest`).
+    /// The run's result (its digest snapshot, if any, moved to `digest`
+    /// so one copy is kept).
     pub result: ScaleResult,
     /// Wall-clock time of the rung.
     pub wall: Duration,
     /// Peak resident set of the process during the rung, bytes.
     pub peak_rss_bytes: u64,
-    /// The rung's `cesrm-digest/1` trail fragment (one `rungs[]` entry),
-    /// when the rung ran with the digest on.
-    pub digest: Option<JsonValue>,
+    /// The rung's merged digest snapshot, when the rung ran with the
+    /// digest on.
+    pub digest: Option<obs::DigestSnapshot>,
 }
 
 impl RungOutcome {

@@ -68,6 +68,16 @@ pub fn scale_cesrm_config() -> CesrmConfig {
     }
 }
 
+/// The scale sweep's protocol by its command-line name, `"srm"` or
+/// `"cesrm"`.
+pub fn scale_protocol(name: &str) -> Option<Protocol> {
+    match name {
+        "srm" => Some(Protocol::Srm),
+        "cesrm" => Some(Protocol::Cesrm(scale_cesrm_config())),
+        _ => None,
+    }
+}
+
 /// Widens a parameter set's `default_distance` to 1 s for scale-mode
 /// *receivers*. With sessions disabled, holders have no distance estimate
 /// to a requestor and would all draw reply timers from the same
@@ -123,12 +133,12 @@ pub struct ScaleConfig {
     /// [`ScaleResult::engine`] (see `docs/PROFILING.md`). The counts are
     /// exact and keeping them touches no simulation state.
     pub profile: bool,
-    /// Fold the canonical event stream into a hierarchical digest in every
-    /// shard (see `docs/DEBUGGING.md`), with a flight recorder riding
-    /// along. The digest epoch width is the sharding lookahead — a pure
-    /// function of the topology, so the merged trail is byte-identical at
-    /// any shard count. Measurements stay byte-identical to a digest-off
-    /// run.
+    /// Fold the canonical event stream into a per-(window, node) digest in
+    /// every shard (see `docs/DEBUGGING.md`), with a flight recorder riding
+    /// along. The window width is the finer of 100 ms and the sharding
+    /// lookahead — a pure function of the topology, so the merged trail is
+    /// byte-identical at any shard count. Measurements stay byte-identical
+    /// to a digest-off run.
     pub digest: bool,
     /// Capture the raw trace events of one `(node, [t_lo_ns, t_hi_ns))`
     /// window into [`ScaleResult::window_events`] — the replay side of
@@ -256,18 +266,12 @@ pub struct ScaleResult {
     /// [`ScaleConfig::profile`] was set). Per-queue high-water figures
     /// depend on the shard count; totals do not. Not part of equality.
     pub engine: Option<netsim::EngineTelemetry>,
-    /// Merged hierarchical event-stream digest (`None` unless
+    /// Merged event-stream digest (`None` unless
     /// [`ScaleConfig::digest`] was set). Leaf merging is commutative, so
     /// the merged snapshot is byte-identical at any shard count. Not part
     /// of equality (the identity check compares it explicitly and
     /// localizes divergence instead).
     pub digest: Option<obs::DigestSnapshot>,
-    /// Per-root-subtree digests of the merged snapshot, keyed by the
-    /// subtree's top node id (`0` is the root itself), in key order. The
-    /// subtree partition is a pure function of the tree — not of the shard
-    /// count — so this level is shard-count-invariant too. Empty unless
-    /// [`ScaleConfig::digest`] was set. Not part of equality.
-    pub digest_groups: Vec<(u32, obs::LevelDigest)>,
     /// Raw trace events captured inside the pinned
     /// [`ScaleConfig::capture_window`], sorted by simulated time (a
     /// window pins one node, whose events all come from one shard, so the
@@ -584,14 +588,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
         window_events.extend(o.window.iter());
     }
     window_events.sort_by_key(|r| r.t_ns);
-    // The per-subtree digest level: group every node under the root child
-    // it hangs off (the root itself is group 0). A pure tree function, so
-    // the grouping — unlike the physical shard assignment — is identical
-    // at every shard count.
-    let digest_groups = digest.as_ref().map_or_else(Vec::new, |d| {
-        let tops = subtree_tops(&tree);
-        d.group_digests(|node| tops.get(node as usize).copied().unwrap_or(0))
-    });
     let epochs = shard_accounting.first().map_or(0, |a| a.epochs);
     records.sort_by_key(|r| (r.receiver, r.id.seq.value()));
 
@@ -640,28 +636,9 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
         shard_accounting,
         engine,
         digest,
-        digest_groups,
         window_events,
         records,
     }
-}
-
-/// For every node, the root-subtree it belongs to, identified by the top
-/// node of that subtree (the root child on the root→node path; the root
-/// itself maps to 0). BFS ids put parents before children, so one forward
-/// pass suffices — the same trick [`build_assignment`] uses.
-fn subtree_tops(tree: &MulticastTree) -> Vec<u32> {
-    let mut tops = vec![0u32; tree.len()];
-    for i in 1..tree.len() {
-        let n = NodeId(i as u32);
-        let p = tree.parent(n).expect("non-root nodes have parents");
-        tops[i] = if p == tree.root() {
-            n.0
-        } else {
-            tops[p.index()]
-        };
-    }
-    tops
 }
 
 /// Sums the per-link delays along the root→`node` path.
@@ -724,23 +701,19 @@ fn run_shard(
                 Box::new(crate::digest::WindowSink::new(node, lo, hi)) as Box<dyn obs::EventSink>
             }),
             monitors: monitored.then(obs::MonitorSet::standard),
-            // Epoch width = the sharding lookahead (a pure function of the
-            // topology, identical at any shard count); bucket width = the
-            // finer of the default bucket and one epoch, so every epoch has
-            // at least one bucket to bisect into.
-            digest: cfg.digest.then(|| {
-                obs::DigestRecorder::new(lookahead_ns, obs::DEFAULT_BUCKET_NS.min(lookahead_ns))
-            }),
+            // Window width = the finer of the default window and the
+            // sharding lookahead (a pure function of the topology,
+            // identical at any shard count).
+            digest: cfg
+                .digest
+                .then(|| obs::DigestRecorder::new(obs::DEFAULT_WINDOW_NS.min(lookahead_ns))),
             ..obs::Setup::default()
         },
         || {
             format!(
                 "scale rung {} receivers / {}, shard {}/{}, seed {}",
                 cfg.receivers,
-                match cfg.protocol {
-                    Protocol::Srm => "SRM",
-                    Protocol::Cesrm(_) => "CESRM",
-                },
+                cfg.protocol.name(),
                 me,
                 shards,
                 cfg.seed
@@ -981,16 +954,11 @@ mod tests {
         assert_eq!(plain.records, one.records);
         let d1 = one.digest.as_ref().expect("digest requested");
         assert!(d1.count() > 0, "the rung emits canonical events");
-        assert!(!one.digest_groups.is_empty());
         for shards in [2u32, 3] {
             let many = run_scale(&digest_cfg(shards));
             assert_eq!(one.csv_row(), many.csv_row(), "at {shards} shards");
             let dn = many.digest.as_ref().expect("digest requested");
             assert_eq!(d1, dn, "digest trail diverged at {shards} shards");
-            assert_eq!(
-                one.digest_groups, many.digest_groups,
-                "subtree digests diverged at {shards} shards"
-            );
         }
     }
 

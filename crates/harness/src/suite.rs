@@ -59,8 +59,8 @@ pub struct SuiteConfig {
     /// keeping them touches no simulation state.
     pub profile: bool,
     /// When `true`, every reenactment folds its canonical event stream
-    /// into a hierarchical [`obs::DigestRecorder`] (per-run → per-epoch →
-    /// per-(node, time-bucket); see `docs/DEBUGGING.md`) into
+    /// into an [`obs::DigestRecorder`] (one leaf per (100 ms window, node);
+    /// see `docs/DEBUGGING.md`) into
     /// [`SuiteResult::digests`], and rides an [`obs::FlightRecorder`] so
     /// violations and panics dump the last events. Each run owns its
     /// recorder, so digesting is race-free under any worker count and the
@@ -125,7 +125,7 @@ impl SuiteConfig {
         self
     }
 
-    /// Turns on hierarchical event-stream digests and the flight recorder
+    /// Turns on event-stream digests and the flight recorder
     /// (see [`SuiteResult::digests`] and `docs/DEBUGGING.md`).
     pub fn with_digest(mut self) -> Self {
         self.digest = true;
@@ -134,7 +134,7 @@ impl SuiteConfig {
 
     /// The (possibly scaled) specs this configuration selects, in Table-1
     /// order.
-    fn selected_specs(&self) -> Vec<TraceSpec> {
+    pub(crate) fn selected_specs(&self) -> Vec<TraceSpec> {
         table1()
             .into_iter()
             .filter(|spec| {
@@ -290,7 +290,7 @@ pub struct RunHealth {
     pub report: obs::MonitorReport,
 }
 
-/// The hierarchical event-stream digest of one (trace × protocol)
+/// The event-stream digest of one (trace × protocol)
 /// reenactment: the run's [`obs::DigestSnapshot`] plus enough context to
 /// interpret it on its own. Everything in here is derived from
 /// simulation-time events only, so two runs of equal configuration
@@ -303,8 +303,8 @@ pub struct RunDigest {
     pub name: &'static str,
     /// `"SRM"` or `"CESRM"`.
     pub protocol: &'static str,
-    /// The per-(epoch, node, bucket) leaf digests of the run's canonical
-    /// event stream.
+    /// The per-(window, node) leaf digests of the run's canonical event
+    /// stream.
     pub snapshot: obs::DigestSnapshot,
 }
 
@@ -333,7 +333,7 @@ pub struct SuiteResult {
     /// Per-run engine telemetry, one per run in slot order (SRM before
     /// CESRM per trace); empty unless [`SuiteConfig::profile`] was set.
     pub profs: Vec<RunProf>,
-    /// Per-run hierarchical digests, one per run in slot order (SRM before
+    /// Per-run digests, one per run in slot order (SRM before
     /// CESRM per trace); empty unless [`SuiteConfig::digest`] was set.
     /// Kept out of [`TracePair`] so digesting can never perturb the
     /// measurement comparisons.
@@ -417,7 +417,7 @@ struct RunOutput {
     health: Option<RunHealth>,
     /// The run's engine telemetry, when the suite asked for it.
     prof: Option<RunProf>,
-    /// The run's hierarchical digest, when the suite asked for one.
+    /// The run's digest, when the suite asked for one.
     digest: Option<RunDigest>,
     timing: RunTiming,
 }
@@ -434,10 +434,7 @@ impl RunJob {
                 trace,
             }
         });
-        let protocol_name = match self.protocol {
-            Protocol::Srm => "SRM",
-            Protocol::Cesrm(_) => "CESRM",
-        };
+        let protocol_name = self.protocol.name();
         // Each run builds its observation handle on its own worker thread
         // (the handle is `!Send` by design) and ships only plain-data
         // snapshots back through the pool, so worker threads never share

@@ -1,11 +1,12 @@
 //! The divergence-triage contract (`docs/DEBUGGING.md`): the
-//! `cesrm-digest/1` trail is byte-identical at any parallelism, and when
-//! two trails differ the bisector pinpoints the exact
-//! (epoch, node, bucket) window of the first divergent event.
+//! `cesrm-digest/2` trail is byte-identical at any parallelism, when two
+//! trails differ the merge-join pinpoints the exact (window, node) leaf of
+//! the first divergent event, and a replay of that leaf captures exactly
+//! the records the original run emitted there.
 
 use harness::{
-    diff_trails, run_scale, run_suite, rung_digest_json, suite_digest_json, DiffOutcome,
-    ScaleConfig, SuiteConfig,
+    diff_trails, run_scale, run_suite, scale_digest_json, suite_digest_json, DiffOutcome,
+    ReplaySpec, ScaleConfig, SuiteConfig,
 };
 use proptest::prelude::*;
 
@@ -42,10 +43,15 @@ proptest! {
     }
 }
 
-/// The scale-mode trail fragment is byte-identical at shard counts 1, 2
-/// and 3 — the digest epoch width is the sharding lookahead and the
-/// "shard" level is the root-subtree partition, both pure functions of
-/// the topology.
+/// Renders the scale trail of one rung.
+fn rung_trail(cfg: &ScaleConfig) -> String {
+    let snapshot = run_scale(cfg).digest.expect("digest requested");
+    scale_digest_json("cesrm", cfg.seed, cfg.packets, &[(cfg, &snapshot)])
+}
+
+/// The scale-mode trail is byte-identical at shard counts 1, 2 and 3 —
+/// the window width is capped by the sharding lookahead, a pure function
+/// of the topology, and shard snapshots merge commutatively.
 #[test]
 fn scale_trail_is_byte_identical_at_any_shard_count() {
     let rung = |shards: u32| {
@@ -53,20 +59,17 @@ fn scale_trail_is_byte_identical_at_any_shard_count() {
         cfg.shards = shards;
         cfg.packets = 8;
         cfg.digest = true;
-        rung_digest_json(&cfg, &run_scale(&cfg)).to_string_pretty()
+        rung_trail(&cfg)
     };
     let unsharded = rung(1);
     assert_eq!(unsharded, rung(2), "trail diverged between 1 and 2 shards");
     assert_eq!(unsharded, rung(3), "trail diverged between 1 and 3 shards");
-    assert!(
-        unsharded.contains("groups"),
-        "trail carries the subtree level"
-    );
+    assert!(unsharded.contains("\"leaves\""), "trail carries its leaves");
 }
 
 /// Flipping exactly one event in a real run's digested stream is
-/// localized to that event's exact (epoch, node, bucket) window — the
-/// perturbation oracle for the bisector.
+/// localized to that event's exact (window, node) leaf — the perturbation
+/// oracle for the merge-join.
 #[test]
 fn one_flipped_event_is_pinpointed_to_its_exact_window() {
     let mut cfg = digest_config(20040628);
@@ -108,15 +111,57 @@ fn one_flipped_event_is_pinpointed_to_its_exact_window() {
         Ok(DiffOutcome::Diverged(div)) => div,
         other => panic!("expected a divergence, got {other:?}"),
     };
-    assert_eq!(div.epoch, Some(t_ns / obs::DEFAULT_EPOCH_NS), "epoch");
-    assert_eq!(div.node, Some(u64::from(node)), "node");
-    assert_eq!(div.bucket, Some(t_ns / obs::DEFAULT_BUCKET_NS), "bucket");
-    let (lo, hi) = div.window_ns().expect("bucket window");
+    assert_eq!(div.leaf.window, t_ns / obs::DEFAULT_WINDOW_NS, "window");
+    assert_eq!(div.leaf.node, node, "node");
+    let (lo, hi) = div.bounds_ns();
     assert!(lo <= t_ns && t_ns < hi, "window contains the flipped event");
     assert!(
-        div.replay_a.is_some() && div.replay_b.is_some(),
+        matches!(div.replay_b, ReplaySpec::Suite { trace: 4, .. }),
         "both sides carry a replayable configuration"
     );
+}
+
+/// A suite replay reenacts one run, capture pinned to one leaf, and keeps
+/// exactly the records a full capture run emitted at that (node, window):
+/// the replay `reproduce diff` prints is the run the trail was made from.
+#[test]
+fn a_suite_replay_captures_exactly_the_runs_window() {
+    let mut cfg = SuiteConfig::quick(0.02);
+    cfg.traces = Some(vec![2, 4]);
+    cfg.capture_events = true;
+    let result = run_suite(&cfg);
+    for run in &result.events {
+        let records: Vec<obs::Record> = run.records.iter().collect();
+        let pick = records[records.len() / 2];
+        let (node, window) = (pick.event.node(), pick.t_ns / obs::DEFAULT_WINDOW_NS);
+        let (lo, hi) = (
+            window * obs::DEFAULT_WINDOW_NS,
+            (window + 1) * obs::DEFAULT_WINDOW_NS,
+        );
+        let want: Vec<obs::Record> = records
+            .iter()
+            .filter(|r| r.event.node() == node && (lo..hi).contains(&r.t_ns))
+            .copied()
+            .collect();
+        let replay = ReplaySpec::Suite {
+            scale: cfg.scale,
+            seed: cfg.seed,
+            trace: run.trace,
+            protocol: if run.protocol == "SRM" {
+                harness::Protocol::Srm
+            } else {
+                harness::Protocol::Cesrm(cfg.cesrm)
+            },
+        };
+        assert!(!want.is_empty());
+        assert_eq!(
+            replay.replay_window(node, lo, hi),
+            want,
+            "trace {} / {}: node {node}, window {window}",
+            run.trace,
+            run.protocol
+        );
+    }
 }
 
 /// The digest is observation-only: with it on, the measured pairs and
@@ -148,25 +193,20 @@ fn digest_never_perturbs_suite_csv_artifacts() {
     std::fs::remove_dir_all(&dir_on).ok();
 }
 
-/// Prunes a `cesrm-digest/1` trail below the epoch level (drops every
-/// epoch's `nodes` array) and renders it. Each epoch digest is an
-/// order-dependent fold over every (node, bucket) leaf beneath it, so the
-/// pruned trail pins the same event stream as the full one at 1 % of the
-/// size (the full trails behind the fixtures are 5.2 MB).
-fn pruned_to_epochs(trail: &str, scopes: &str) -> String {
+/// Prunes a `cesrm-digest/2` trail to each scope's `digest` and `records`
+/// (drops every `leaves` array) and renders it. Each scope digest is an
+/// order-dependent fold over every (window, node) leaf of the scope, so
+/// the pruned trail pins the same event stream as the full one at a
+/// fraction of the size.
+fn pruned_to_scopes(trail: &str, scopes: &str) -> String {
     use obs::JsonValue::{Arr, Obj};
     let mut doc = obs::JsonValue::parse(trail).expect("trails are well-formed JSON");
     let Some(Arr(scopes)) = doc.get_mut(scopes) else {
         panic!("trail has no {scopes} array");
     };
     for scope in scopes {
-        let Some(Arr(epochs)) = scope.get_mut("epochs") else {
-            panic!("trail scope has no epochs array");
-        };
-        for epoch in epochs {
-            if let Obj(members) = epoch {
-                members.retain(|(k, _)| k != "nodes");
-            }
+        if let Obj(members) = scope {
+            members.retain(|(k, _)| k != "leaves");
         }
     }
     let mut text = doc.to_string_pretty();
@@ -186,7 +226,7 @@ fn assert_matches_fixture(got: &str, want: &str, fixture: &str, how: &str) {
         .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
     panic!(
         "{how}: event stream diverged from fixtures/{fixture} at line {}:\n  fixture: {}\n  \
-         current: {}\n(fixtures/README.md says how to bisect against a parent-built trail)",
+         current: {}\n(fixtures/README.md says how to localize it against a parent-built trail)",
         line + 1,
         want.lines().nth(line).unwrap_or("<end of file>"),
         got.lines().nth(line).unwrap_or("<end of file>"),
@@ -194,8 +234,8 @@ fn assert_matches_fixture(got: &str, want: &str, fixture: &str, how: &str) {
 }
 
 /// Golden event stream, suite path: a tiny suite with monitors, digest and
-/// capture all attached reproduces the trail committed from the parent of
-/// the one-handle refactor, at `--jobs 1` and `2` — and all three
+/// capture all attached reproduces the committed golden trail
+/// (`fixtures/README.md` has its history) at `--jobs 1` and `2` — and all three
 /// consumers saw the same records. Jobs-invariance alone would still pass
 /// if an emit site lost its handle; this does not.
 #[test]
@@ -208,7 +248,7 @@ fn suite_event_stream_matches_the_committed_golden_trail() {
         cfg.jobs = Some(jobs);
         let result = run_suite(&cfg);
         assert_matches_fixture(
-            &pruned_to_epochs(&suite_digest_json(&cfg, &result), "runs"),
+            &pruned_to_scopes(&suite_digest_json(&cfg, &result), "runs"),
             want,
             "suite-scale0.02-traces2-4.digest.json",
             &format!("--jobs {jobs}"),
@@ -247,8 +287,8 @@ fn suite_event_stream_matches_the_committed_golden_trail() {
     }
 }
 
-/// Golden event stream, scale path: the 10³ rung reproduces the trail
-/// committed from the parent of the one-handle refactor at 1 and 2 shards.
+/// Golden event stream, scale path: the 10³ rung reproduces the committed
+/// golden trail at 1 and 2 shards.
 #[test]
 fn scale_event_stream_matches_the_committed_golden_trail() {
     let want = include_str!("fixtures/scale-rung1000.digest.json");
@@ -256,10 +296,8 @@ fn scale_event_stream_matches_the_committed_golden_trail() {
         let mut cfg = ScaleConfig::rung(1000);
         cfg.shards = shards;
         cfg.digest = true;
-        let fragment = rung_digest_json(&cfg, &run_scale(&cfg));
-        let trail = harness::scale_digest_doc("cesrm", cfg.seed, cfg.packets, vec![fragment]);
         assert_matches_fixture(
-            &pruned_to_epochs(&trail, "rungs"),
+            &pruned_to_scopes(&rung_trail(&cfg), "rungs"),
             want,
             "scale-rung1000.digest.json",
             &format!("{shards} shard(s)"),

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use harness::{
-    run_scale, run_suite, rung_digest_json, scale_digest_doc, scale_report, suite_digest_json,
-    suite_report, Overhead, RungOutcome, ScaleConfig, SuiteConfig, SuiteResult, VOLATILE_FIELDS,
+    run_scale, run_suite, scale_digest_json, scale_report, suite_digest_json, suite_report,
+    Overhead, RungOutcome, ScaleConfig, SuiteConfig, SuiteResult, VOLATILE_FIELDS,
 };
 use obs::{Anomaly, AnomalyKind, Invariant, JsonValue, RecoveryPath, RecoveryTimeline, Violation};
 
@@ -37,13 +37,12 @@ fn sharded_rung() -> (ScaleConfig, RungOutcome) {
         digest: true,
         ..ScaleConfig::rung(200)
     };
-    let result = run_scale(&cfg);
-    let digest = Some(rung_digest_json(&cfg, &result));
+    let mut result = run_scale(&cfg);
     let outcome = RungOutcome {
+        digest: result.digest.take(),
         result,
         wall: Duration::from_millis(10),
         peak_rss_bytes: 1 << 20,
-        digest,
     };
     (cfg, outcome)
 }
@@ -105,11 +104,12 @@ fn digest_trail_matches_its_lock() {
     let (cfg, result) = observed_suite();
     let suite = parse(&suite_digest_json(&cfg, &result));
     let (rung_cfg, rung) = sharded_rung();
-    let scale = parse(&scale_digest_doc(
+    let snapshot = rung.digest.expect("digest requested");
+    let scale = parse(&scale_digest_json(
         "cesrm",
         rung_cfg.seed,
         rung_cfg.packets,
-        rung.digest.into_iter().collect(),
+        &[(&rung_cfg, &snapshot)],
     ));
     obs::lock::check_lock(&schemas_dir(), &[suite, scale], &[]).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -1,53 +1,48 @@
-//! Hierarchical run digests over the canonical trace-event stream.
+//! Run digests over the canonical trace-event stream.
 //!
 //! A [`DigestRecorder`] rides the run's [`crate::Instruments`]
-//! ([`crate::Setup::digest`]) and folds every emitted
-//! [`Record`] into a deterministic 64-bit digest at the finest useful
-//! granularity: the *(epoch, node, time-bucket)* leaf. Coarser digests —
-//! per node, per time bucket, per epoch, per run — are derived from the
-//! leaves on demand, so a divergence between two runs can be bisected
-//! top-down (run → shard → epoch → node × bucket) instead of staring at an
-//! md5 mismatch on a finished CSV (`docs/DEBUGGING.md` walks through it).
+//! ([`crate::Setup::digest`]) and folds every emitted [`Record`] into a
+//! deterministic 64-bit digest per *(window, node)* leaf: the records one
+//! node emitted inside one fixed-width slice of simulated time. The leaves
+//! are the whole trail; the run digest is a fold over them, and two runs
+//! are compared by one merge-join over their sorted leaves
+//! ([`DigestSnapshot::first_divergence`]), which names the earliest
+//! divergent window and, within it, the lowest divergent node
+//! (`docs/DEBUGGING.md` walks through it).
 //!
 //! # Shard-count invariance
 //!
 //! Leaves combine *commutatively*: a leaf digest is the wrapping sum of
 //! the per-record hashes that landed in it, so merging the per-shard
 //! recorders of a sharded run ([`DigestSnapshot::merge`]) yields exactly
-//! the digest an unsharded run computes — the event *multiset* per (epoch,
-//! node, bucket) window is what the determinism guarantee pins down, not
-//! the interleaving of independent nodes within a window. Every derived
-//! level digest is an order-dependent `FxHasher`-fold over the leaves in
-//! canonical `(epoch, node, bucket)` order, which is itself invariant.
+//! the digest an unsharded run computes — the event *multiset* per
+//! (window, node) leaf is what the determinism guarantee pins down, not
+//! the interleaving of independent nodes within a window. The run digest
+//! is an order-dependent `FxHasher`-fold over the leaves in canonical
+//! `(window, node)` order, which is itself invariant.
 //!
 //! # Cost
 //!
 //! One [`DigestRecorder::observe`] is a record hash (a handful of
-//! multiply-xor folds) plus two threshold compares and a scan of the few
-//! nodes active in the current window — records arrive in nondecreasing
-//! sim-time order, so windows close monotonically and the canonical
-//! `(epoch, node, bucket)` sort happens once, at
-//! [`DigestRecorder::snapshot`]. This is tens of nanoseconds per
+//! multiply-xor folds) plus two threshold compares and a dense-slot
+//! update — records arrive in nondecreasing sim-time order, so windows
+//! close monotonically and the canonical `(window, node)` sort happens
+//! once, at [`DigestRecorder::snapshot`]. This is tens of nanoseconds per
 //! *emitted* trace event, never per simulator event; the budget is
 //! audited by `reproduce --overhead digest` (the same A/B loop and noise
-//! floor as the monitor gate — `docs/DEBUGGING.md` has the
-//! measured numbers).
+//! floor as the monitor gate — `docs/DEBUGGING.md` has the measured
+//! numbers).
 
 use std::hash::Hasher;
 
 use crate::event::{Field, Record};
 use crate::fxhash::FxHasher;
 
-/// Default epoch width for unsharded (suite) runs: 1 s of simulation time.
-/// Sharded scale runs use the runner's conservative lookahead instead, so
-/// epoch boundaries match the barrier cadence (and stay a pure function of
-/// the topology, independent of the shard count).
-pub const DEFAULT_EPOCH_NS: u64 = 1_000_000_000;
-
-/// Default time-bucket width: 100 ms of simulation time. Fine enough to
-/// pin a divergence to a readable window ("t=1.0–1.1 s"), coarse enough
-/// that the leaf set stays sparse.
-pub const DEFAULT_BUCKET_NS: u64 = 100_000_000;
+/// Default window width: 100 ms of simulation time. Fine enough to pin a
+/// divergence to a readable window ("t=1.0–1.1 s"), coarse enough that the
+/// leaf set stays sparse. Scale rungs use the finer of this and the
+/// sharding lookahead.
+pub const DEFAULT_WINDOW_NS: u64 = 100_000_000;
 
 /// Canonical 64-bit hash of one record: simulation time, variant tag, and
 /// every field, folded through the deterministic `FxHasher`. Any change
@@ -74,17 +69,14 @@ pub fn hash_record(record: &Record) -> u64 {
     h.finish()
 }
 
-/// One `(epoch, node, time-bucket)` leaf: the commutative digest of every
-/// record attributed to that window.
+/// One `(window, node)` leaf: the commutative digest of every record
+/// attributed to that node inside that window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LeafDigest {
-    /// Epoch index (`t_ns / epoch_ns`).
-    pub epoch: u64,
+    /// Window index (`t_ns / window_ns`).
+    pub window: u64,
     /// Node the records were attributed to ([`crate::Event::node`]).
     pub node: u32,
-    /// Time-bucket index (`t_ns / bucket_ns`; buckets are global, not
-    /// relative to the epoch).
-    pub bucket: u64,
     /// Wrapping sum of the per-record [`hash_record`] values.
     pub hash: u64,
     /// Records folded into this leaf.
@@ -92,51 +84,37 @@ pub struct LeafDigest {
 }
 
 impl LeafDigest {
-    fn key(&self) -> (u64, u32, u64) {
-        (self.epoch, self.node, self.bucket)
+    /// The canonical sort key: time-major, then node.
+    pub fn key(&self) -> (u64, u32) {
+        (self.window, self.node)
     }
 }
 
-/// A digest over one named level of the hierarchy (an epoch, a node within
-/// an epoch, a bucket within an epoch, or the whole run).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LevelDigest {
-    /// Order-dependent `FxHasher` fold over the constituent leaves in
-    /// canonical `(epoch, node, bucket)` order.
-    pub hash: u64,
-    /// Total records under this level.
-    pub count: u64,
+/// The first leaf two snapshots disagree on
+/// ([`DigestSnapshot::first_divergence`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LeafDiff {
+    /// Window index of the divergent leaf.
+    pub window: u64,
+    /// Node of the divergent leaf.
+    pub node: u32,
+    /// `(digest, records)` of the leaf on side A; `None` when only side B
+    /// has it.
+    pub a: Option<(u64, u64)>,
+    /// Same for side B.
+    pub b: Option<(u64, u64)>,
 }
 
 /// Plain-data, `Send` snapshot of a [`DigestRecorder`]: the sorted leaf
-/// digests plus the granularity they were recorded at. Snapshots from the
+/// digests plus the window width they were recorded at. Snapshots from the
 /// shards of one run merge ([`DigestSnapshot::merge`]) into exactly the
 /// snapshot an unsharded run records.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DigestSnapshot {
-    /// Epoch width the leaves were bucketed with, nanoseconds.
-    pub epoch_ns: u64,
-    /// Time-bucket width, nanoseconds.
-    pub bucket_ns: u64,
-    /// Every non-empty leaf, sorted by `(epoch, node, bucket)`.
+    /// Window width the leaves were keyed with, nanoseconds.
+    pub window_ns: u64,
+    /// Every non-empty leaf, sorted by `(window, node)`.
     pub leaves: Vec<LeafDigest>,
-}
-
-fn fold_level<'a, I: Iterator<Item = &'a LeafDigest>>(leaves: I) -> LevelDigest {
-    let mut h = FxHasher::default();
-    let mut count = 0u64;
-    for leaf in leaves {
-        h.write_u64(leaf.epoch);
-        h.write_u32(leaf.node);
-        h.write_u64(leaf.bucket);
-        h.write_u64(leaf.hash);
-        h.write_u64(leaf.count);
-        count += leaf.count;
-    }
-    LevelDigest {
-        hash: h.finish(),
-        count,
-    }
 }
 
 impl DigestSnapshot {
@@ -145,60 +123,51 @@ impl DigestSnapshot {
         self.leaves.iter().map(|l| l.count).sum()
     }
 
-    /// The whole-run digest: a fold over every leaf in canonical order.
-    pub fn run_digest(&self) -> LevelDigest {
-        fold_level(self.leaves.iter())
-    }
-
-    /// Epoch indices present, ascending.
-    pub fn epochs(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.leaves.iter().map(|l| l.epoch).collect();
-        out.dedup();
-        out
-    }
-
-    /// The digest of one epoch (identity fold when the epoch is absent).
-    pub fn epoch_digest(&self, epoch: u64) -> LevelDigest {
-        fold_level(self.leaves.iter().filter(|l| l.epoch == epoch))
-    }
-
-    /// Per-node digests within one epoch, sorted by node id.
-    pub fn nodes_in_epoch(&self, epoch: u64) -> Vec<(u32, LevelDigest)> {
-        // Leaves are (epoch, node, bucket)-sorted, so the epoch's leaves
-        // form node-contiguous spans.
-        let leaves: Vec<&LeafDigest> = self.leaves.iter().filter(|l| l.epoch == epoch).collect();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < leaves.len() {
-            let node = leaves[i].node;
-            let mut j = i;
-            while j < leaves.len() && leaves[j].node == node {
-                j += 1;
-            }
-            out.push((node, fold_level(leaves[i..j].iter().copied())));
-            i = j;
-        }
-        out
-    }
-
-    /// Digests grouped by an arbitrary node partition (e.g. the scale
-    /// runner's root-subtree groups, which are a pure function of the
-    /// topology and therefore shard-count-invariant). Nodes `group_of`
-    /// maps to the same id fold together; groups are returned sorted by
-    /// id, each folding its leaves in canonical order.
-    pub fn group_digests<F: Fn(u32) -> u32>(&self, group_of: F) -> Vec<(u32, LevelDigest)> {
-        let mut grouped: Vec<(u32, Vec<&LeafDigest>)> = Vec::new();
+    /// The whole-run digest: an order-dependent fold over every leaf in
+    /// canonical order.
+    pub fn run_digest(&self) -> u64 {
+        let mut h = FxHasher::default();
         for leaf in &self.leaves {
-            let g = group_of(leaf.node);
-            match grouped.binary_search_by_key(&g, |&(id, _)| id) {
-                Ok(i) => grouped[i].1.push(leaf),
-                Err(i) => grouped.insert(i, (g, vec![leaf])),
-            }
+            h.write_u64(leaf.window);
+            h.write_u32(leaf.node);
+            h.write_u64(leaf.hash);
+            h.write_u64(leaf.count);
         }
-        grouped
-            .into_iter()
-            .map(|(id, leaves)| (id, fold_level(leaves.into_iter())))
-            .collect()
+        h.finish()
+    }
+
+    /// The first `(window, node)` leaf, in canonical order, whose
+    /// `(digest, records)` differ between `self` (side A) and `other`
+    /// (side B) or that only one side has; `None` when every leaf agrees.
+    /// One merge-join over the two sorted leaf lists, so the earliest
+    /// divergent window is reported first. Both snapshots must share one
+    /// window width.
+    pub fn first_divergence(&self, other: &DigestSnapshot) -> Option<LeafDiff> {
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let (a, b) = (self.leaves.get(i), other.leaves.get(j));
+            let (window, node) = match (a, b) {
+                (None, None) => return None,
+                (Some(x), Some(y)) if x == y => {
+                    i += 1;
+                    j += 1;
+                    continue;
+                }
+                (Some(x), Some(y)) => x.key().min(y.key()),
+                (Some(x), None) => x.key(),
+                (None, Some(y)) => y.key(),
+            };
+            let side = |leaf: Option<&LeafDigest>| {
+                leaf.filter(|l| l.key() == (window, node))
+                    .map(|l| (l.hash, l.count))
+            };
+            return Some(LeafDiff {
+                window,
+                node,
+                a: side(a),
+                b: side(b),
+            });
+        }
     }
 
     /// Merges another snapshot (e.g. a sibling shard's) into this one.
@@ -206,17 +175,16 @@ impl DigestSnapshot {
     /// and associative — any merge order yields the same snapshot.
     ///
     /// # Panics
-    /// Panics when the two snapshots were recorded at different
-    /// granularities (there is no meaningful combination).
+    /// Panics when the two snapshots were recorded at different window
+    /// widths (there is no meaningful combination).
     pub fn merge(&mut self, other: &DigestSnapshot) {
-        if self.leaves.is_empty() && self.epoch_ns == 0 {
-            self.epoch_ns = other.epoch_ns;
-            self.bucket_ns = other.bucket_ns;
+        if self.leaves.is_empty() && self.window_ns == 0 {
+            self.window_ns = other.window_ns;
         }
-        if !other.leaves.is_empty() || other.epoch_ns != 0 {
+        if !other.leaves.is_empty() || other.window_ns != 0 {
             assert!(
-                self.epoch_ns == other.epoch_ns && self.bucket_ns == other.bucket_ns,
-                "cannot merge digests of different granularity"
+                self.window_ns == other.window_ns,
+                "cannot merge digests of different window widths"
             );
         }
         for leaf in &other.leaves {
@@ -235,21 +203,17 @@ impl DigestSnapshot {
 }
 
 /// The recorder [`crate::Instruments`] feeds: folds every emitted record
-/// into its `(epoch, node, bucket)` leaf. Per-run owned state, like every
-/// other observability attachment — never shared across runs or shards.
+/// into its `(window, node)` leaf. Per-run owned state, like every other
+/// observability attachment — never shared across runs or shards.
 #[derive(Clone, Debug)]
 pub struct DigestRecorder {
-    epoch_ns: u64,
-    bucket_ns: u64,
-    /// The `(epoch, bucket)` window currently being folded, with its
-    /// exclusive time bounds. Records arrive in nondecreasing sim-time
-    /// order, so window membership is two threshold compares — the two
-    /// `u64` divisions per record of the naive keying were a measured
+    window_ns: u64,
+    /// The window currently being folded, with its exclusive end. Records
+    /// arrive in nondecreasing sim-time order, so window membership is two
+    /// threshold compares — a `u64` division per record was a measured
     /// chunk of the digest's hot-path cost.
-    epoch: u64,
-    epoch_end_ns: u64,
-    bucket: u64,
-    bucket_end_ns: u64,
+    window: u64,
+    window_end_ns: u64,
     /// Per-node `(node, hash, count)` accumulators inside the current
     /// window, flushed into `closed` when the window advances.
     active: Vec<(u32, u64, u64)>,
@@ -269,67 +233,50 @@ pub struct DigestRecorder {
 
 impl Default for DigestRecorder {
     fn default() -> Self {
-        Self::new(DEFAULT_EPOCH_NS, DEFAULT_BUCKET_NS)
+        Self::new(DEFAULT_WINDOW_NS)
     }
 }
 
 impl DigestRecorder {
-    /// A recorder with explicit epoch and bucket widths (both clamped to
-    /// at least 1 ns).
-    pub fn new(epoch_ns: u64, bucket_ns: u64) -> Self {
+    /// A recorder keying leaves by windows `window_ns` wide (clamped to at
+    /// least 1 ns).
+    pub fn new(window_ns: u64) -> Self {
         DigestRecorder {
-            epoch_ns: epoch_ns.max(1),
-            bucket_ns: bucket_ns.max(1),
-            epoch: 0,
-            epoch_end_ns: 0, // forces window init on the first record
-            bucket: 0,
-            bucket_end_ns: 0,
+            window_ns: window_ns.max(1),
+            window: 0,
+            window_end_ns: 0, // forces window init on the first record
             active: Vec::new(),
             slots: Vec::new(),
             closed: Vec::new(),
         }
     }
 
-    /// Closes the current window, moving its per-node accumulators into
-    /// `closed`.
-    fn flush_active(&mut self) {
-        let (epoch, bucket) = (self.epoch, self.bucket);
-        for &(node, _, _) in &self.active {
-            self.slots[node as usize] = 0;
-        }
-        self.closed
-            .extend(self.active.drain(..).map(|(node, hash, count)| LeafDigest {
-                epoch,
-                node,
-                bucket,
-                hash,
-                count,
-            }));
-    }
-
-    /// Re-derives the window bounds for time `t_ns` (one division per
-    /// boundary crossed per run — not per record).
+    /// Closes the current window and re-derives the bounds for time
+    /// `t_ns` (one division per window boundary crossed — not per record).
     #[cold]
     fn advance_window(&mut self, t_ns: u64) {
-        self.flush_active();
-        self.epoch = t_ns / self.epoch_ns;
-        self.epoch_end_ns = (self.epoch + 1).saturating_mul(self.epoch_ns);
-        self.bucket = t_ns / self.bucket_ns;
-        self.bucket_end_ns = (self.bucket + 1).saturating_mul(self.bucket_ns);
+        let window = self.window;
+        for (node, hash, count) in self.active.drain(..) {
+            self.slots[node as usize] = 0;
+            self.closed.push(LeafDigest {
+                window,
+                node,
+                hash,
+                count,
+            });
+        }
+        self.window = t_ns / self.window_ns;
+        self.window_end_ns = (self.window + 1).saturating_mul(self.window_ns);
     }
 
     /// Folds one record into its leaf.
     #[inline]
     pub fn observe(&mut self, record: &Record) {
-        // A bucket can straddle an epoch boundary (scale mode uses the
-        // lookahead as the epoch width, which need not be a bucket
-        // multiple), so both thresholds gate the same window. Time going
-        // *backwards* (out-of-order input through the public API) also
-        // lands here; the duplicate leaves it can close twice are merged
-        // at snapshot time.
-        if record.t_ns >= self.bucket_end_ns
-            || record.t_ns >= self.epoch_end_ns
-            || record.t_ns < self.bucket_end_ns.saturating_sub(self.bucket_ns)
+        // Time going *backwards* (out-of-order input through the public
+        // API) also lands here; the duplicate leaves it can close twice
+        // are merged at snapshot time.
+        if record.t_ns >= self.window_end_ns
+            || record.t_ns < self.window_end_ns.saturating_sub(self.window_ns)
         {
             self.advance_window(record.t_ns);
         }
@@ -352,15 +299,14 @@ impl DigestRecorder {
         }
     }
 
-    /// The plain-data snapshot: every window folded so far, canonically
-    /// sorted by `(epoch, node, bucket)`.
+    /// The plain-data snapshot: every leaf folded so far, canonically
+    /// sorted by `(window, node)`.
     pub fn snapshot(&self) -> DigestSnapshot {
         let mut leaves = self.closed.clone();
-        let (epoch, bucket) = (self.epoch, self.bucket);
+        let window = self.window;
         leaves.extend(self.active.iter().map(|&(node, hash, count)| LeafDigest {
-            epoch,
+            window,
             node,
-            bucket,
             hash,
             count,
         }));
@@ -378,8 +324,7 @@ impl DigestRecorder {
             }
         });
         DigestSnapshot {
-            epoch_ns: self.epoch_ns,
-            bucket_ns: self.bucket_ns,
+            window_ns: self.window_ns,
             leaves,
         }
     }
@@ -395,6 +340,14 @@ mod tests {
             t_ns,
             event: Event::LossDetected { node, seq },
         }
+    }
+
+    fn snapshot_of(records: &[Record]) -> DigestSnapshot {
+        let mut r = DigestRecorder::new(100);
+        for record in records {
+            r.observe(record);
+        }
+        r.snapshot()
     }
 
     #[test]
@@ -434,76 +387,74 @@ mod tests {
     }
 
     #[test]
-    fn leaves_land_in_their_windows() {
-        let mut r = DigestRecorder::new(1_000, 100);
-        r.observe(&rec(50, 1, 0)); // epoch 0, bucket 0
-        r.observe(&rec(150, 1, 1)); // epoch 0, bucket 1
-        r.observe(&rec(1_250, 2, 2)); // epoch 1, bucket 12
-        let snap = r.snapshot();
-        let keys: Vec<(u64, u32, u64)> = snap.leaves.iter().map(LeafDigest::key).collect();
-        assert_eq!(keys, vec![(0, 1, 0), (0, 1, 1), (1, 2, 12)]);
-        assert_eq!(snap.count(), 3);
-        assert_eq!(snap.epochs(), vec![0, 1]);
-        assert_eq!(snap.nodes_in_epoch(0).len(), 1);
+    fn leaves_land_in_their_windows_time_major() {
+        let snap = snapshot_of(&[
+            rec(50, 2, 0),
+            rec(60, 1, 1),
+            rec(150, 1, 2),
+            rec(1_250, 2, 3),
+        ]);
+        let keys: Vec<(u64, u32)> = snap.leaves.iter().map(LeafDigest::key).collect();
+        assert_eq!(keys, vec![(0, 1), (0, 2), (1, 1), (12, 2)]);
+        assert_eq!(snap.count(), 4);
+        assert_eq!(snap.window_ns, 100);
+    }
+
+    #[test]
+    fn out_of_order_input_folds_into_one_leaf() {
+        let in_order = snapshot_of(&[rec(10, 1, 0), rec(20, 1, 1), rec(150, 1, 2)]);
+        let shuffled = snapshot_of(&[rec(10, 1, 0), rec(150, 1, 2), rec(20, 1, 1)]);
+        assert_eq!(in_order, shuffled);
     }
 
     #[test]
     fn merge_is_order_free_and_matches_a_single_recorder() {
-        let records = [rec(10, 1, 0), rec(20, 2, 1), rec(30, 1, 2), rec(40, 3, 3)];
-        let mut whole = DigestRecorder::new(1_000, 100);
-        for r in &records {
-            whole.observe(r);
-        }
+        let records = [rec(10, 1, 0), rec(20, 2, 1), rec(30, 1, 2), rec(140, 3, 3)];
+        let whole = snapshot_of(&records);
         // Split the stream across two "shards" by node parity.
-        let mut a = DigestRecorder::new(1_000, 100);
-        let mut b = DigestRecorder::new(1_000, 100);
-        for r in &records {
-            if r.event.node() % 2 == 0 {
-                a.observe(r);
-            } else {
-                b.observe(r);
-            }
-        }
-        let mut ab = a.snapshot();
-        ab.merge(&b.snapshot());
-        let mut ba = b.snapshot();
-        ba.merge(&a.snapshot());
-        assert_eq!(ab, whole.snapshot());
-        assert_eq!(ba, whole.snapshot());
-        assert_eq!(ab.run_digest(), whole.snapshot().run_digest());
+        let (even, odd): (Vec<Record>, Vec<Record>) =
+            records.iter().partition(|r| r.event.node() % 2 == 0);
+        let (a, b) = (snapshot_of(&even), snapshot_of(&odd));
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b;
+        ba.merge(&a);
+        assert_eq!(ab, whole);
+        assert_eq!(ba, whole);
+        assert_eq!(ab.run_digest(), whole.run_digest());
     }
 
     #[test]
-    fn a_single_flipped_record_moves_exactly_one_leaf() {
-        let mut a = DigestRecorder::new(1_000, 100);
-        let mut b = DigestRecorder::new(1_000, 100);
-        for r in [rec(10, 1, 0), rec(1_150, 2, 1), rec(2_250, 3, 2)] {
-            a.observe(&r);
-            b.observe(&r);
-        }
-        b.observe(&rec(1_160, 2, 9)); // extra event in epoch 1, node 2, bucket 11
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        assert_ne!(sa.run_digest(), sb.run_digest());
-        assert_eq!(sa.epoch_digest(0), sb.epoch_digest(0));
-        assert_ne!(sa.epoch_digest(1), sb.epoch_digest(1));
-        assert_eq!(sa.epoch_digest(2), sb.epoch_digest(2));
-        let (na, nb) = (sa.nodes_in_epoch(1), sb.nodes_in_epoch(1));
-        assert_ne!(na, nb);
-        assert_eq!(na[0].0, 2, "the divergent node is node 2");
+    fn first_divergence_names_the_earliest_window_first() {
+        let base = [rec(10, 5, 0), rec(1_150, 2, 1), rec(2_250, 3, 2)];
+        let a = snapshot_of(&base);
+        assert_eq!(a.first_divergence(&a), None);
+        // An extra event at node 9 in window 11, and a changed one at node
+        // 3 in window 22: the earlier window wins although its node is
+        // higher.
+        let mut changed = base.to_vec();
+        changed[2] = rec(2_250, 3, 7);
+        changed.insert(2, rec(1_160, 9, 9));
+        let b = snapshot_of(&changed);
+        assert_ne!(a.run_digest(), b.run_digest());
+        let diff = a.first_divergence(&b).expect("snapshots differ");
+        assert_eq!((diff.window, diff.node), (11, 9));
+        assert_eq!(diff.a, None, "the leaf exists only on side B");
+        assert_eq!(diff.b.map(|(_, records)| records), Some(1));
+        let back = b.first_divergence(&a).expect("symmetric");
+        assert_eq!(
+            (back.window, back.node, back.a, back.b),
+            (11, 9, diff.b, None)
+        );
     }
 
     #[test]
-    fn group_digests_partition_the_leaves() {
-        let mut r = DigestRecorder::new(1_000, 100);
-        for rec_ in [rec(10, 1, 0), rec(20, 2, 1), rec(30, 5, 2)] {
-            r.observe(&rec_);
-        }
-        let snap = r.snapshot();
-        let groups = snap.group_digests(|node| node / 4);
-        assert_eq!(groups.len(), 2, "nodes 1,2 in group 0; node 5 in group 1");
-        assert_eq!(groups[0].0, 0);
-        assert_eq!(groups[1].0, 1);
-        let total: u64 = groups.iter().map(|(_, d)| d.count).sum();
-        assert_eq!(total, snap.count());
+    fn first_divergence_reports_both_sides_of_a_changed_leaf() {
+        let a = snapshot_of(&[rec(10, 1, 0), rec(20, 1, 1)]);
+        let b = snapshot_of(&[rec(10, 1, 0), rec(20, 1, 2)]);
+        let diff = a.first_divergence(&b).expect("snapshots differ");
+        assert_eq!((diff.window, diff.node), (0, 1));
+        assert_eq!(diff.a, Some((a.leaves[0].hash, 2)));
+        assert_eq!(diff.b, Some((b.leaves[0].hash, 2)));
     }
 }

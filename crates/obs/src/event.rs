@@ -601,9 +601,53 @@ pub struct Record {
     pub event: Event,
 }
 
+/// The one human rendering of a record, shared by the flight-recorder dump
+/// and the `reproduce diff` event columns:
+/// `t=1.042000s node=3 ev=loss_detected seq=7` (`seq=-` for events
+/// without a sequence number).
+impl std::fmt::Display for Record {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "t={:.6}s node={} ev={} seq=",
+            self.t_ns as f64 / 1e9,
+            self.event.node(),
+            self.event.name()
+        )?;
+        match self.event.seq() {
+            Some(seq) => write!(f, "{seq}"),
+            None => f.write_str("-"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn display_is_the_one_human_rendering() {
+        let loss = Record {
+            t_ns: 1_042_000_000,
+            event: Event::LossDetected { node: 3, seq: 7 },
+        };
+        assert_eq!(
+            loss.to_string(),
+            "t=1.042000s node=3 ev=loss_detected seq=7"
+        );
+        let session = Record {
+            t_ns: 5,
+            event: Event::PacketDropped {
+                link: 1,
+                class: PacketClass::Session,
+                seq: None,
+            },
+        };
+        assert!(
+            session.to_string().ends_with("ev=dropped seq=-"),
+            "{session}"
+        );
+    }
 
     #[test]
     fn names_are_stable() {

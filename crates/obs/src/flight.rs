@@ -105,18 +105,7 @@ impl FlightRecorder {
         );
         let _ = writeln!(out, "  last {} of {} trace events:", tail.len(), self.seen);
         for r in &tail {
-            let seq = r
-                .event
-                .seq()
-                .map_or_else(|| "-".to_string(), |s| s.to_string());
-            let _ = writeln!(
-                out,
-                "  t={:.6}s node={} ev={} seq={}",
-                r.t_ns as f64 / 1e9,
-                r.event.node(),
-                r.event.name(),
-                seq
-            );
+            let _ = writeln!(out, "  {r}");
         }
         let _ = writeln!(out, "=== end flight recorder ===");
         out

@@ -25,7 +25,7 @@ pub struct Setup {
     pub sink: Option<Box<dyn EventSink>>,
     /// Check every record against these invariant monitors.
     pub monitors: Option<MonitorSet>,
-    /// Fold every record into this hierarchical digest.
+    /// Fold every record into this per-(window, node) digest.
     pub digest: Option<DigestRecorder>,
     /// Ring the most recent records here for violation and panic dumps.
     pub flight: Option<FlightRecorder>,

@@ -40,7 +40,7 @@
 //!   detection, fed at emit time ([`Setup::monitors`]) and reported as a
 //!   [`MonitorReport`] (catalogue in `docs/MONITORS.md`).
 //! * [`digest`] and [`flight`] — the divergence-triage pair: a
-//!   hierarchical (epoch, node, time-bucket) digest of the event stream
+//!   digest of the event stream per (time window, node) leaf
 //!   ([`DigestRecorder`]) and a ring of the most recent events dumped on
 //!   the first invariant violation or panic ([`FlightRecorder`]); see
 //!   `docs/DEBUGGING.md`.
@@ -94,9 +94,7 @@ mod sink;
 pub mod tally;
 pub mod value;
 
-pub use digest::{
-    DigestRecorder, DigestSnapshot, LeafDigest, LevelDigest, DEFAULT_BUCKET_NS, DEFAULT_EPOCH_NS,
-};
+pub use digest::{DigestRecorder, DigestSnapshot, LeafDiff, LeafDigest, DEFAULT_WINDOW_NS};
 pub use event::{Cast, Event, Field, PacketClass, Record};
 pub use flight::{FlightRecorder, DEFAULT_CAPACITY as FLIGHT_CAPACITY, DUMP_TAIL};
 pub use instruments::{Instruments, Setup};
