@@ -54,7 +54,7 @@
 //! measurement lands under `totals.overhead.<layer>`.
 //!
 //! `--digest FILE` folds every run's canonical event stream into the
-//! `cesrm-digest/2` trail (per run, a flat list of (100 ms window, node)
+//! `cesrm-digest/3` trail (per run, a flat list of (100 ms window, node)
 //! leaf digests; see `docs/DEBUGGING.md`) and writes it to `FILE`. The
 //! trail is byte-identical at any `--jobs` setting, which makes two trails
 //! a divergence oracle for `reproduce diff`.
@@ -66,7 +66,7 @@
 //!     [--no-replay]
 //! ```
 //!
-//! Compares two `cesrm-digest/2` trails leaf by leaf (one merge-join per
+//! Compares two `cesrm-digest/3` trails leaf by leaf (one merge-join per
 //! run or rung), reports the earliest divergent (window, node) leaf,
 //! re-runs the divergent scope on both sides with event capture pinned to
 //! that leaf, and prints the aligned two-column event diff ending in a
@@ -101,7 +101,7 @@
 //! `--digest FILE` runs every rung with the digest on (window width = the
 //! finer of 100 ms and the sharding lookahead, so the merged trail is
 //! byte-identical at any shard count) and writes the scale-mode
-//! `cesrm-digest/2` trail. With the digest on, the identity check
+//! `cesrm-digest/3` trail. With the digest on, the identity check
 //! compares digest snapshots as well as the CSV rows — and on divergence
 //! prints the first divergent (window, node) leaf plus the aligned event
 //! diff from a pinned replay, instead of just two differing rows.
@@ -297,7 +297,7 @@ fn main() {
     suite_main(&argv);
 }
 
-/// `reproduce diff A B`: compares two `cesrm-digest/2` trails, localizes
+/// `reproduce diff A B`: compares two `cesrm-digest/3` trails, localizes
 /// the first divergent `(scope, window, node)` leaf, re-runs the divergent
 /// scope on both sides with event capture pinned to that leaf, and prints
 /// the aligned two-column event diff. Exits 0 when the trails are

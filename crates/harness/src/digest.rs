@@ -1,4 +1,4 @@
-//! Machine-readable divergence-triage trails: `cesrm-digest/2`.
+//! Machine-readable divergence-triage trails: `cesrm-digest/3`.
 //!
 //! The digest trail turns "md5 mismatch on a finished CSV" into "first
 //! divergence: t=1.042s node 37". [`suite_digest_json`] renders a suite
@@ -13,9 +13,9 @@
 //! captured streams side by side with the first divergent event marked.
 //! `docs/DEBUGGING.md` walks through the whole flow.
 //!
-//! Schema invariants (the `cesrm-digest/2` contract; `tests/schema_locks.rs`
+//! Schema invariants (the `cesrm-digest/3` contract; `tests/schema_locks.rs`
 //! renders a suite and a scale trail and pins their key paths in
-//! `schemas/cesrm-digest-2.lock`):
+//! `schemas/cesrm-digest-3.lock`):
 //!
 //! - **Member order is fixed** (the `obs::JsonValue` object model is
 //!   ordered), so equal runs produce byte-equal documents.
@@ -29,15 +29,16 @@
 //!   summary (`digest`, `records`) is a function of the leaves beneath it;
 //!   the reader rejects a trail that breaks either rule.
 
+use netsim::SimDuration;
 use obs::{DigestSnapshot, JsonValue, LeafDiff, LeafDigest, Record};
 
 use crate::scale::{run_scale, scale_protocol, ScaleConfig};
 use crate::suite::{SuiteConfig, SuiteResult};
-use crate::{run_trace_with, Protocol};
+use crate::{run_trace_with, ExperimentConfig, Protocol};
 
 /// Version tag every digest trail carries; bump on breaking schema
 /// changes.
-pub const DIGEST_SCHEMA: &str = "cesrm-digest/2";
+pub const DIGEST_SCHEMA: &str = "cesrm-digest/3";
 
 /// 64-bit digests as fixed-width hex strings: the `f64`-backed JSON
 /// number model cannot carry them losslessly.
@@ -90,9 +91,10 @@ fn render(members: Vec<(&str, JsonValue)>) -> String {
     text
 }
 
-/// Renders a suite run's digest trail as the `cesrm-digest/2` document:
+/// Renders a suite run's digest trail as the `cesrm-digest/3` document:
 /// one entry per (trace × protocol) run in slot order, each carrying its
-/// leaves, plus the configuration a replay needs.
+/// leaves, plus the configuration a replay needs (the run settings a
+/// command line can change included).
 ///
 /// # Panics
 /// Panics when the suite ran without [`SuiteConfig::digest`].
@@ -128,6 +130,14 @@ pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
                         JsonValue::Arr(only.iter().map(|&t| JsonValue::uint(t as u64)).collect())
                     }),
                 ),
+                (
+                    "link_delay_ms",
+                    JsonValue::Num(cfg.experiment.net.link_delay.as_nanos() as f64 / 1e6),
+                ),
+                (
+                    "lossy_recovery",
+                    JsonValue::Bool(cfg.experiment.lossy_recovery),
+                ),
                 // Deliberately NOT recorded: the worker count (`--jobs`).
                 // The trail must be byte-identical at any parallelism —
                 // that identity is the determinism oracle — and a replay
@@ -144,7 +154,7 @@ pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
     render(members)
 }
 
-/// Renders a scale sweep's digest trail as the `cesrm-digest/2` document:
+/// Renders a scale sweep's digest trail as the `cesrm-digest/3` document:
 /// one `rungs[]` entry per `(rung configuration, merged snapshot)`, each
 /// with its own window width (the lookahead caps it, and the lookahead is
 /// a function of the rung's topology).
@@ -206,6 +216,8 @@ pub enum ReplaySpec {
         trace: usize,
         /// The protocol the run reenacted.
         protocol: Protocol,
+        /// The run's simulation settings (link delay, lossy recovery).
+        experiment: ExperimentConfig,
     },
     /// Re-run one scale rung. Trails do not record the physical sharding
     /// (it must not affect the digests), so parsed specs replay
@@ -228,6 +240,7 @@ impl ReplaySpec {
                 seed,
                 trace,
                 protocol,
+                experiment,
             } => {
                 let mut cfg = SuiteConfig::quick(*scale);
                 cfg.traces = Some(vec![*trace]);
@@ -237,7 +250,7 @@ impl ReplaySpec {
                     .expect("replays name a Table-1 trace");
                 let handle =
                     obs::Instruments::capture(Box::new(WindowSink::new(node, t_lo_ns, t_hi_ns)));
-                run_trace_with(&spec.generate(*seed), *protocol, &cfg.experiment, &handle);
+                run_trace_with(&spec.generate(*seed), *protocol, experiment, &handle);
                 handle.drain().iter().collect()
             }
             ReplaySpec::Rung(cfg) => {
@@ -430,7 +443,49 @@ fn parse_leaves(scope: &JsonValue, window_ns: u64) -> Result<DigestSnapshot, Str
     Ok(snapshot)
 }
 
-fn parse_run(run: &JsonValue, scale: f64, seed: u64, window_ns: u64) -> Result<Scope, String> {
+/// The suite-wide settings every run of a suite trail replays with.
+#[derive(Clone, Copy)]
+struct SuiteSpec {
+    scale: f64,
+    seed: u64,
+    experiment: ExperimentConfig,
+    window_ns: u64,
+}
+
+fn parse_suite(doc: &JsonValue) -> Result<SuiteSpec, String> {
+    let suite = member(doc, "suite")?;
+    let scale = member(suite, "scale")?
+        .as_f64()
+        .filter(|s| *s > 0.0 && *s <= 1.0)
+        .ok_or("`suite.scale` is not a number in (0, 1]")?;
+    let seed = uint(suite, "seed").map_err(|e| format!("suite: {e}"))?;
+    let link_delay_ms = member(suite, "link_delay_ms")
+        .map_err(|e| format!("suite: {e}"))?
+        .as_f64()
+        .filter(|ms| *ms > 0.0 && *ms * 1e6 < u64::MAX as f64)
+        .ok_or("`suite.link_delay_ms` is not a positive number")?;
+    let lossy_recovery = match member(suite, "lossy_recovery").map_err(|e| format!("suite: {e}"))? {
+        JsonValue::Bool(b) => *b,
+        _ => return Err("`suite.lossy_recovery` is not a boolean".to_string()),
+    };
+    let mut experiment = SuiteConfig::quick(scale).experiment;
+    experiment.net.link_delay = SimDuration::from_nanos((link_delay_ms * 1e6).round() as u64);
+    experiment.lossy_recovery = lossy_recovery;
+    Ok(SuiteSpec {
+        scale,
+        seed,
+        experiment,
+        window_ns: window_ns(doc)?,
+    })
+}
+
+fn parse_run(run: &JsonValue, suite: SuiteSpec) -> Result<Scope, String> {
+    let SuiteSpec {
+        scale,
+        seed,
+        experiment,
+        window_ns,
+    } = suite;
     let trace = uint(run, "trace")?;
     let name = text(run, "name")?;
     let protocol = match text(run, "protocol")? {
@@ -449,6 +504,7 @@ fn parse_run(run: &JsonValue, scale: f64, seed: u64, window_ns: u64) -> Result<S
             seed,
             trace: trace as usize,
             protocol,
+            experiment,
         },
     })
 }
@@ -486,7 +542,7 @@ fn scopes(
         .collect()
 }
 
-/// Parses a `cesrm-digest/2` trail into its scopes, rejecting any missing
+/// Parses a `cesrm-digest/3` trail into its scopes, rejecting any missing
 /// or ill-typed member, unsorted or duplicate leaves, a window past the
 /// `u64` nanosecond range, and summaries that disagree with their leaves.
 /// Errors name the scope and the entry (`runs[3]: leaves[17]: ...`).
@@ -497,14 +553,8 @@ fn parse_trail(doc: &JsonValue) -> Result<Vec<Scope>, String> {
     }
     let parsed = match text(doc, "mode")? {
         "suite" => {
-            let suite = member(doc, "suite")?;
-            let scale = member(suite, "scale")?
-                .as_f64()
-                .filter(|s| *s > 0.0 && *s <= 1.0)
-                .ok_or("`suite.scale` is not a number in (0, 1]")?;
-            let seed = uint(suite, "seed").map_err(|e| format!("suite: {e}"))?;
-            let window_ns = window_ns(doc)?;
-            scopes(doc, "runs", |run| parse_run(run, scale, seed, window_ns))?
+            let suite = parse_suite(doc)?;
+            scopes(doc, "runs", |run| parse_run(run, suite))?
         }
         "scale" => {
             let sweep = member(doc, "sweep")?;
@@ -534,7 +584,7 @@ fn parse_trail(doc: &JsonValue) -> Result<Vec<Scope>, String> {
     Ok(parsed)
 }
 
-/// Compares two parsed `cesrm-digest/2` trails scope by scope and
+/// Compares two parsed `cesrm-digest/3` trails scope by scope and
 /// localizes the first divergent `(window, node)` leaf. Returns `Err`
 /// when either trail is malformed (a missing or ill-typed member, unsorted
 /// or duplicate leaves, a window past the `u64` nanosecond range, or a
@@ -892,6 +942,45 @@ mod tests {
             &bad,
             "leaves[0]: window 4611686018427387904 ends past",
         );
+    }
+
+    #[test]
+    fn a_suite_without_its_run_settings_is_an_error() {
+        let good = suite_trail(&[rec(10, 1, 0)]);
+        for key in ["lossy_recovery", "link_delay_ms"] {
+            let mut bad = good.clone();
+            let Some(JsonValue::Obj(members)) = bad.get_mut("suite") else {
+                panic!("trail has a suite member");
+            };
+            members.retain(|(k, _)| k != key);
+            let err = diff_trails(&good, &bad).expect_err("an older trail must be an error");
+            assert_eq!(err, format!("trail B: suite: missing `{key}`"));
+        }
+    }
+
+    #[test]
+    fn a_suite_trail_replays_its_own_run_settings() {
+        let parsed = |lossy: bool| {
+            let mut trail = suite_trail(&[rec(10, 1, 0)]);
+            let Some(suite) = trail.get_mut("suite") else {
+                panic!("trail has a suite member");
+            };
+            *suite.get_mut("link_delay_ms").expect("link delay") = JsonValue::Num(10.0);
+            *suite.get_mut("lossy_recovery").expect("lossy flag") = JsonValue::Bool(lossy);
+            parse_trail(&trail)
+                .expect("well-formed trail")
+                .remove(0)
+                .replay
+        };
+        let ReplaySpec::Suite { experiment, .. } = parsed(true) else {
+            panic!("a suite trail replays suite runs");
+        };
+        assert!(experiment.lossy_recovery);
+        assert_eq!(experiment.net.link_delay, SimDuration::from_millis(10));
+        let ReplaySpec::Suite { experiment, .. } = parsed(false) else {
+            panic!("a suite trail replays suite runs");
+        };
+        assert!(!experiment.lossy_recovery);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The divergence-triage contract (`docs/DEBUGGING.md`): the
-//! `cesrm-digest/2` trail is byte-identical at any parallelism, when two
+//! `cesrm-digest/3` trail is byte-identical at any parallelism, when two
 //! trails differ the merge-join pinpoints the exact (window, node) leaf of
 //! the first divergent event, and a replay of that leaf captures exactly
 //! the records the original run emitted there.
@@ -121,12 +121,10 @@ fn one_flipped_event_is_pinpointed_to_its_exact_window() {
     );
 }
 
-/// A suite replay reenacts one run, capture pinned to one leaf, and keeps
-/// exactly the records a full capture run emitted at that (node, window):
-/// the replay `reproduce diff` prints is the run the trail was made from.
-#[test]
-fn a_suite_replay_captures_exactly_the_runs_window() {
-    let mut cfg = SuiteConfig::quick(0.02);
+/// Replays the leaf of the middle record of every run of `cfg` and
+/// asserts the replay keeps exactly the records a full capture run emitted
+/// at that (node, window).
+fn assert_replays_capture_their_runs_window(mut cfg: SuiteConfig) {
     cfg.traces = Some(vec![2, 4]);
     cfg.capture_events = true;
     let result = run_suite(&cfg);
@@ -152,6 +150,7 @@ fn a_suite_replay_captures_exactly_the_runs_window() {
             } else {
                 harness::Protocol::Cesrm(cfg.cesrm)
             },
+            experiment: cfg.experiment,
         };
         assert!(!want.is_empty());
         assert_eq!(
@@ -162,6 +161,51 @@ fn a_suite_replay_captures_exactly_the_runs_window() {
             run.protocol
         );
     }
+}
+
+/// A suite replay reenacts one run, capture pinned to one leaf, and keeps
+/// exactly the records a full capture run emitted at that (node, window):
+/// the replay `reproduce diff` prints is the run the trail was made from.
+#[test]
+fn a_suite_replay_captures_exactly_the_runs_window() {
+    assert_replays_capture_their_runs_window(SuiteConfig::quick(0.02));
+}
+
+/// The same for a `--lossy-recovery` run, whose recovery traffic draws
+/// its drops from the senders' streams: the replay carries the run's own
+/// settings, so it redraws exactly the run's drops.
+#[test]
+fn a_lossy_recovery_replay_captures_exactly_the_runs_window() {
+    let mut cfg = SuiteConfig::quick(0.02);
+    cfg.experiment.lossy_recovery = true;
+    assert_replays_capture_their_runs_window(cfg);
+}
+
+/// Two trails of runs that differ only in `--lossy-recovery` diverge, and
+/// each side's replay reenacts its own run: the replayed windows differ.
+#[test]
+fn a_plain_and_a_lossy_recovery_trail_replay_different_events() {
+    let trail = |lossy: bool| {
+        let mut cfg = SuiteConfig::quick(0.02).with_digest();
+        cfg.traces = Some(vec![2]);
+        cfg.experiment.lossy_recovery = lossy;
+        let text = suite_digest_json(&cfg, &run_suite(&cfg));
+        obs::JsonValue::parse(&text).expect("trails are well-formed JSON")
+    };
+    let div = match diff_trails(&trail(false), &trail(true)) {
+        Ok(DiffOutcome::Diverged(div)) => div,
+        other => panic!("expected a divergence, got {other:?}"),
+    };
+    let (lo, hi) = div.bounds_ns();
+    let node = div.leaf.node;
+    let a = div.replay_a.replay_window(node, lo, hi);
+    let b = div.replay_b.replay_window(node, lo, hi);
+    let (_, summary) = harness::aligned_event_diff(&a, &b, "plain", "lossy");
+    assert!(
+        summary.is_some(),
+        "window {} node {node}: both sides replayed the same events",
+        div.leaf.window
+    );
 }
 
 /// The digest is observation-only: with it on, the measured pairs and
@@ -193,7 +237,7 @@ fn digest_never_perturbs_suite_csv_artifacts() {
     std::fs::remove_dir_all(&dir_on).ok();
 }
 
-/// Prunes a `cesrm-digest/2` trail to each scope's `digest` and `records`
+/// Prunes a `cesrm-digest/3` trail to each scope's `digest` and `records`
 /// (drops every `leaves` array) and renders it. Each scope digest is an
 /// order-dependent fold over every (window, node) leaf of the scope, so
 /// the pruned trail pins the same event stream as the full one at a
@@ -233,24 +277,25 @@ fn assert_matches_fixture(got: &str, want: &str, fixture: &str, how: &str) {
     );
 }
 
-/// Golden event stream, suite path: a tiny suite with monitors, digest and
-/// capture all attached reproduces the committed golden trail
-/// (`fixtures/README.md` has its history) at `--jobs 1` and `2` — and all three
-/// consumers saw the same records. Jobs-invariance alone would still pass
-/// if an emit site lost its handle; this does not.
-#[test]
-fn suite_event_stream_matches_the_committed_golden_trail() {
-    let want = include_str!("fixtures/suite-scale0.02-traces2-4.digest.json");
+/// Runs the golden-trail recipe (`fixtures/README.md`) at `--jobs 1` and
+/// `2` and asserts it reproduces `fixture` — and that all three consumers
+/// (monitors, digest and capture) saw the same records.
+fn assert_suite_matches_golden_trail(
+    experiment: harness::ExperimentConfig,
+    fixture: &str,
+    want: &str,
+) {
     for jobs in [1, 2] {
         let mut cfg = SuiteConfig::quick(0.02).with_monitor().with_digest();
         cfg.traces = Some(vec![2, 4]);
+        cfg.experiment = experiment;
         cfg.capture_events = true;
         cfg.jobs = Some(jobs);
         let result = run_suite(&cfg);
         assert_matches_fixture(
             &pruned_to_scopes(&suite_digest_json(&cfg, &result), "runs"),
             want,
-            "suite-scale0.02-traces2-4.digest.json",
+            fixture,
             &format!("--jobs {jobs}"),
         );
         for ((digest, events), health) in result
@@ -285,6 +330,35 @@ fn suite_event_stream_matches_the_committed_golden_trail() {
             );
         }
     }
+}
+
+/// Golden event stream, suite path: a tiny suite with monitors, digest and
+/// capture all attached reproduces the committed golden trail
+/// (`fixtures/README.md` has its history) at `--jobs 1` and `2`.
+/// Jobs-invariance alone would still pass if an emit site lost its handle;
+/// this does not.
+#[test]
+fn suite_event_stream_matches_the_committed_golden_trail() {
+    assert_suite_matches_golden_trail(
+        harness::ExperimentConfig::paper_default(),
+        "suite-scale0.02-traces2-4.digest.json",
+        include_str!("fixtures/suite-scale0.02-traces2-4.digest.json"),
+    );
+}
+
+/// Golden event stream, lossy-recovery suite: the same recipe with
+/// `--lossy-recovery`, the one loss path that draws randomness (recovery
+/// traffic drops with the link's estimated rate, drawn from the sender's
+/// stream).
+#[test]
+fn lossy_recovery_event_stream_matches_the_committed_golden_trail() {
+    let mut experiment = harness::ExperimentConfig::paper_default();
+    experiment.lossy_recovery = true;
+    assert_suite_matches_golden_trail(
+        experiment,
+        "suite-lossy-scale0.02-traces2-4.digest.json",
+        include_str!("fixtures/suite-lossy-scale0.02-traces2-4.digest.json"),
+    );
 }
 
 /// Golden event stream, scale path: the 10³ rung reproduces the committed

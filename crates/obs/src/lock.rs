@@ -1,7 +1,7 @@
 //! Schema locks: the key set of a report, pinned by rendering it.
 //!
 //! Every versioned JSON document the workspace writes (`cesrm-run/2`,
-//! `cesrm-digest/2`, `simlint/3`) has a committed lock under `schemas/`:
+//! `cesrm-digest/3`, `simlint/3`) has a committed lock under `schemas/`:
 //! the sorted key paths of a document that exercises every section (e.g.
 //! `runs[].profile.engine.events`), plus the names of its volatile
 //! members. Tests render the real documents
