@@ -97,7 +97,11 @@ impl CesrmEndpoints {
     }
 
     /// Installs the run's observation handle for every endpoint made from
-    /// here on (see [`CesrmAgent::with_obs`]).
+    /// here on, held by the underlying SRM engine
+    /// ([`SrmEndpoints::with_obs`]) and read from there. The expedited
+    /// layer emits cache consults (`cache_hit`/`cache_miss`/`cache_update`)
+    /// and expedited traffic (`xreq_sent`/`xrep_sent`), whose counts are
+    /// the handle's `cesrm.*` counters. Off by default.
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
         self.srm = self.srm.with_obs(obs);
         self
@@ -187,22 +191,6 @@ impl CesrmAgent {
     /// Read access to the optimal requestor/replier cache.
     pub fn cache(&self) -> &RecoveryCache {
         &self.cache
-    }
-
-    /// Builder-style installation of the run's observation handle (see
-    /// the `obs` crate), held by the underlying SRM engine
-    /// ([`SrmCore::set_obs`]) and read from there. The expedited layer
-    /// emits cache consults (`cache_hit`/`cache_miss`/`cache_update`) and
-    /// expedited traffic (`xreq_sent`/`xrep_sent`), whose counts are the
-    /// handle's `cesrm.*` counters. Off by default.
-    ///
-    /// The handle lives in the blocks this endpoint shares with its
-    /// siblings; installing it here gives this endpoint private copies of
-    /// them, so a run with many endpoints installs it once on the factory
-    /// instead ([`CesrmEndpoints::with_obs`]).
-    pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
-        self.core.set_obs(obs);
-        self
     }
 
     /// Handles a fired timer; returns `false` when the token belongs
@@ -514,7 +502,7 @@ mod tests {
         let collector = Rc::new(RefCell::new(TrafficCollector::new()));
         let mut sim = Simulator::new(tree.clone(), net);
         sim.set_observer(Box::new(Rc::clone(&collector)));
-        sim.set_loss(Box::new(TraceLoss::new(drops)));
+        sim.set_loss(TraceLoss::new(drops));
         let src = NodeId::ROOT;
         match proto {
             Proto::Cesrm(cfg) => {
@@ -756,7 +744,7 @@ mod tests {
         let log = RecoveryLog::shared();
         log.borrow_mut().set_obs(handle.clone());
         let mut sim = Simulator::new(tree.clone(), NetConfig::default().with_seed(11));
-        sim.set_loss(Box::new(TraceLoss::new(drops)));
+        sim.set_loss(TraceLoss::new(drops));
         let src = NodeId::ROOT;
         let endpoints =
             |role| CesrmEndpoints::new(src, cfg, role, log.clone()).with_obs(handle.clone());

@@ -163,7 +163,7 @@ mod tests {
         // drops by (link, seq) regardless of source, which loses some B
         // packets below n3 too — realistic shared-fate behaviour.
         drops.extend((12..40).step_by(7).map(|i| (LinkId(NodeId(2)), SeqNo(i))));
-        sim.set_loss(Box::new(TraceLoss::new(drops)));
+        sim.set_loss(TraceLoss::new(drops));
         let cfg = CesrmConfig::paper_default();
         for n in [A, NodeId(2), NodeId(4), NodeId(5), B] {
             let streams: Vec<(NodeId, StreamRole)> = [A, B]

@@ -27,7 +27,7 @@
 //! [`CesrmAgent`] is the complete endpoint: an [`srm::SrmCore`] composed
 //! with the expedited layer.
 //!
-//! With the run's `obs::Instruments` installed ([`CesrmAgent::with_obs`]),
+//! With the run's `obs::Instruments` installed ([`CesrmEndpoints::with_obs`]),
 //! the expedited layer emits structured cache-hit/miss/update and expedited
 //! request/reply events for recovery-provenance tracing (§3 decisions made
 //! observable; see `docs/TRACING.md`).

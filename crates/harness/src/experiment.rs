@@ -8,7 +8,7 @@ use metrics::{
     per_receiver_reports, OverheadBreakdown, PacketKind, ReceiverReport, RecoveryLog,
     TrafficCollector,
 };
-use netsim::{NetConfig, ProbabilisticLoss, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
+use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
 use srm::{Role, SourceConfig, SrmEndpoints, SrmParams};
 use topology::NodeId;
 use traces::Trace;
@@ -234,14 +234,12 @@ pub(crate) fn run_planned(
     // The run's one copy of the trace's tree, shared with the simulator.
     let tree = Arc::new(trace.tree().clone());
     let mut sim = Simulator::new_shared(Arc::clone(&tree), net);
-    if cfg.lossy_recovery {
-        sim.set_loss(Box::new(ProbabilisticLoss::new(
-            plan.drops.clone(),
-            plan.rates.clone(),
-        )));
+    let loss = plan.drops.clone();
+    sim.set_loss(if cfg.lossy_recovery {
+        loss.with_recovery_rates(plan.rates.clone())
     } else {
-        sim.set_loss(Box::new(plan.drops.clone()));
-    }
+        loss
+    });
     sim.set_obs(handle.clone());
     let log = RecoveryLog::shared();
     log.borrow_mut().set_obs(handle.clone());

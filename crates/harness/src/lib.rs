@@ -79,7 +79,7 @@ pub use report::{
 pub use runner::{default_parallelism, resolve_jobs, run_indexed, RunTiming, SuiteTiming};
 pub use scale::{
     build_assignment, default_losses, run_scale, scale_cesrm_config, scale_protocol,
-    scale_srm_params, ScaleConfig, ScaleLoss, ScaleResult, ShardAccounting,
+    scale_srm_params, ScaleConfig, ScaleResult, ShardAccounting,
 };
 pub use suite::{
     run_suite, run_suites, RunDigest, RunEventLog, RunHealth, RunProf, RunProfile, SuiteConfig,

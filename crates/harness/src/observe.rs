@@ -130,10 +130,10 @@ mod tests {
         });
         let mut sim =
             netsim::Simulator::new(b.build().expect("a chain"), netsim::NetConfig::default());
-        sim.set_loss(Box::new(netsim::TraceLoss::new([
+        sim.set_loss(netsim::TraceLoss::new([
             (topology::LinkId(router), netsim::SeqNo(0)),
             (topology::LinkId(leaf), netsim::SeqNo(2)),
-        ])));
+        ]));
         sim.set_obs(handle.clone());
         sim.attach_agent(topology::NodeId::ROOT, Box::new(Burst));
         sim.run_until(netsim::SimTime::ZERO + netsim::SimDuration::from_secs(1));

@@ -40,10 +40,7 @@ use std::time::Instant;
 
 use cesrm::{CesrmAgent, CesrmConfig, CesrmEndpoints};
 use metrics::{PacketKind, RecoveryLog, RecoveryRecord, TrafficCollector};
-use netsim::{
-    CrossShardPacket, LossProcess, NetConfig, NodeRng, Packet, PacketBody, SimDuration, SimTime,
-    Simulator,
-};
+use netsim::{CrossShardPacket, NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
 use srm::{Role, SourceConfig, SrmAgent, SrmEndpoints, SrmParams};
 use topology::{scale_tree, LinkId, MulticastTree, NodeId, ScaleShape, ScaleTree};
 
@@ -363,84 +360,34 @@ impl ScaleResult {
     }
 }
 
-/// Deterministic loss injection for scale runs: `losses` receivers, evenly
-/// strided across the (contiguous, BFS-last-level) receiver id range, each
-/// lose two data packets on their access link — an early one (sequence
-/// `k mod ⌊packets/3⌋`, detected through the ordinary sequence gap) and
-/// the final packet (detected only through the source's session reports).
-/// The shared tail loss lands after every early loss has recovered, so the
+/// The rung's drop list: `losses` receivers, evenly strided across the
+/// (contiguous, BFS-last-level) receiver id range, each lose two data
+/// packets on their access link — an early one (sequence `k mod
+/// ⌊packets/3⌋`, detected through the ordinary sequence gap) and the final
+/// packet (detected only through the source's session reports). The
+/// shared tail loss lands after every early loss has recovered, so the
 /// recovery caches are warm and the cached expeditious requestor exercises
 /// CESRM's expedited unicast path.
 ///
-/// Unlike [`netsim::TraceLoss`] this holds O(1) state — a trace bitmap
-/// indexed by link would cost megabytes at 10⁶ receivers — and never
-/// consumes the shared RNG, which sharded runs require (access links are
-/// never cut links, so every drop decision happens on the owning shard).
-#[derive(Clone, Copy, Debug)]
-pub struct ScaleLoss {
-    first_receiver: u32,
-    stride: u32,
-    losses: u32,
-    packets: u64,
-}
-
-impl ScaleLoss {
-    /// Plans drops over the receiver id range
-    /// `[first_receiver, first_receiver + receivers)` of a source
-    /// transmitting `packets` data packets: `losses` strided receivers,
-    /// two lost packets each.
-    pub fn new(first_receiver: u32, receivers: u64, losses: u32, packets: u64) -> Self {
-        let losses = u64::from(losses).min(receivers) as u32;
-        let stride = if losses == 0 {
-            1
-        } else {
-            (receivers / u64::from(losses)).max(1) as u32
-        };
-        ScaleLoss {
-            first_receiver,
-            stride,
-            losses,
-            packets: packets.max(1),
+/// Every shard injects the whole list as its [`TraceLoss`], whose size
+/// does not grow with the tree. A drop decision happens on the shard that
+/// sends across the link, and access links are never cut links.
+fn rung_drops(tree: &MulticastTree, losses: u32, packets: u64) -> Vec<(LinkId, SeqNo)> {
+    let receivers = tree.receivers().len() as u64;
+    let first_receiver = tree.len() as u64 - receivers;
+    let losses = u64::from(losses).min(receivers);
+    let stride = (receivers / losses.max(1)).max(1);
+    let (third, tail) = ((packets / 3).max(1), packets.max(1) - 1);
+    let mut drops = Vec::new();
+    for k in 0..losses {
+        let link = LinkId(NodeId((first_receiver + k * stride) as u32));
+        let early = k % third;
+        drops.push((link, SeqNo(early)));
+        if tail != early {
+            drops.push((link, SeqNo(tail)));
         }
     }
-
-    /// The two sequence numbers the `k`-th strided receiver loses (equal
-    /// when `packets == 1`).
-    fn seqs_for(&self, k: u32) -> (u64, u64) {
-        let third = (self.packets / 3).max(1);
-        (u64::from(k) % third, self.packets - 1)
-    }
-
-    /// The `(receiver, sequence number)` pairs this plan will drop, in
-    /// receiver order.
-    pub fn planned(&self) -> Vec<(NodeId, u64)> {
-        let mut out = Vec::new();
-        for k in 0..self.losses {
-            let node = NodeId(self.first_receiver + k * self.stride);
-            let (early, tail) = self.seqs_for(k);
-            out.push((node, early));
-            if tail != early {
-                out.push((node, tail));
-            }
-        }
-        out
-    }
-}
-
-impl LossProcess for ScaleLoss {
-    fn should_drop(&mut self, link: LinkId, packet: &Packet, _rng: NodeRng<'_>) -> bool {
-        let PacketBody::Data { id } = &packet.body else {
-            return false;
-        };
-        let Some(idx) = link.0 .0.checked_sub(self.first_receiver) else {
-            return false;
-        };
-        if idx % self.stride != 0 || idx / self.stride >= self.losses {
-            return false;
-        }
-        let (early, tail) = self.seqs_for(idx / self.stride);
-        id.seq.value() == early || id.seq.value() == tail
-    }
+    drops
 }
 
 /// Assigns every node to a shard: the root to shard 0, each root subtree
@@ -518,6 +465,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
         .expect("scale trees have at least one root subtree");
     assert!(lookahead_ns > 0, "cut links must have positive delay");
 
+    let drops = rung_drops(&tree, cfg.losses, cfg.packets);
     let tree = Arc::new(tree);
     let delays = Arc::new(link_delay_ns);
     let barrier = Barrier::new(shards);
@@ -533,11 +481,13 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
                 let assign = Arc::clone(&assign);
                 let barrier = &barrier;
                 let mailboxes = &mailboxes;
+                let drops = &drops;
                 scope.spawn(move || {
                     run_shard(
                         cfg,
                         &tree,
                         &delays,
+                        drops,
                         &assign,
                         me as u16,
                         shards,
@@ -683,6 +633,7 @@ fn run_shard(
     cfg: &ScaleConfig,
     tree: &Arc<MulticastTree>,
     delays: &[u64],
+    drops: &[(LinkId, SeqNo)],
     assign: &Arc<Vec<u16>>,
     me: u16,
     shards: usize,
@@ -730,14 +681,7 @@ fn run_shard(
     for (i, &delay) in delays.iter().enumerate().skip(1) {
         sim.set_link_delay(LinkId(NodeId(i as u32)), SimDuration::from_nanos(delay));
     }
-    let receivers = tree.receivers().len() as u64;
-    let first_receiver = (tree.len() as u64 - receivers) as u32;
-    sim.set_loss(Box::new(ScaleLoss::new(
-        first_receiver,
-        receivers,
-        cfg.losses,
-        cfg.packets,
-    )));
+    sim.set_loss(TraceLoss::new(drops.iter().copied()));
 
     let log = RecoveryLog::shared();
     let collector = Rc::new(RefCell::new(TrafficCollector::new()));
@@ -931,13 +875,20 @@ mod tests {
 
     #[test]
     fn identical_results_at_any_shard_count() {
-        let one = run_scale(&small_cfg(100, 1));
-        for shards in [2u32, 3, 4] {
-            let many = run_scale(&small_cfg(100, shards));
-            assert_eq!(many.shards, shards, "rung has 10 root subtrees");
-            assert_eq!(one.csv_row(), many.csv_row(), "at {shards} shards");
-            assert_eq!(one.records, many.records, "at {shards} shards");
-            assert_eq!(one.events, many.events, "at {shards} shards");
+        for protocol in [Protocol::Srm, Protocol::Cesrm(scale_cesrm_config())] {
+            let cfg = |shards| ScaleConfig {
+                protocol,
+                ..small_cfg(100, shards)
+            };
+            let one = run_scale(&cfg(1));
+            let name = protocol.name();
+            for shards in [2u32, 3, 4] {
+                let many = run_scale(&cfg(shards));
+                assert_eq!(many.shards, shards, "rung has 10 root subtrees");
+                assert_eq!(one.csv_row(), many.csv_row(), "{name} at {shards} shards");
+                assert_eq!(one.records, many.records, "{name} at {shards} shards");
+                assert_eq!(one.events, many.events, "{name} at {shards} shards");
+            }
         }
     }
 
@@ -1080,41 +1031,30 @@ mod tests {
     }
 
     #[test]
-    fn scale_loss_drops_only_the_planned_pairs() {
-        let loss = ScaleLoss::new(11, 100, 4, 8);
-        let planned = loss.planned();
-        assert_eq!(planned.len(), 8, "two drops per strided receiver");
-        let mut receivers: Vec<u32> = planned.iter().map(|(n, _)| n.0).collect();
+    fn rung_drops_stride_the_access_links() {
+        let ScaleTree { tree, .. } = scale_tree(7, &ScaleShape::with_target_receivers(100));
+        let drops = rung_drops(&tree, 4, 8);
+        assert_eq!(drops.len(), 8, "two drops per strided receiver");
+        assert_eq!(TraceLoss::new(drops.iter().copied()).len(), 8, "distinct");
+        let mut receivers: Vec<NodeId> = drops.iter().map(|(l, _)| l.0).collect();
         receivers.dedup();
-        assert_eq!(receivers.len(), 4, "distinct receivers");
-        assert!(receivers.iter().all(|&n| (11..111).contains(&n)));
+        assert!(receivers.iter().all(|r| tree.receivers().contains(r)));
+        assert_eq!(
+            receivers.iter().map(|r| r.0).collect::<Vec<_>>(),
+            [11, 36, 61, 86],
+            "strided by receivers / losses from the first receiver"
+        );
         // Every strided receiver loses the final packet (tail loss).
         assert_eq!(
-            planned.iter().filter(|&&(_, seq)| seq == 7).count(),
+            drops.iter().filter(|&&(_, seq)| seq == SeqNo(7)).count(),
             4,
             "shared tail loss on every strided receiver"
         );
-        // Re-checking should_drop against the plan, for all (link, seq).
-        let mut l = loss;
-        let mut slot = None;
-        for node in 0..130u32 {
-            for seq in 0..8u64 {
-                let pkt = Packet {
-                    origin: NodeId(0),
-                    cast: netsim::CastClass::Multicast,
-                    body: PacketBody::Data {
-                        id: netsim::PacketId {
-                            source: NodeId(0),
-                            seq: netsim::SeqNo(seq),
-                        },
-                    },
-                };
-                let rng = NodeRng::new(&mut slot, 0, NodeId(0));
-                let dropped = l.should_drop(LinkId(NodeId(node)), &pkt, rng);
-                let in_plan = planned.contains(&(NodeId(node), seq));
-                assert_eq!(dropped, in_plan, "node {node} seq {seq}");
-            }
-        }
+        assert_eq!(
+            rung_drops(&tree, 4, 1).len(),
+            4,
+            "one packet: one drop each"
+        );
     }
 
     #[test]

@@ -451,7 +451,7 @@ mod tests {
         let collector = Rc::new(RefCell::new(TrafficCollector::new()));
         let mut sim = Simulator::new(tree.clone(), net);
         sim.set_observer(Box::new(Rc::clone(&collector)));
-        sim.set_loss(Box::new(TraceLoss::new(drops)));
+        sim.set_loss(TraceLoss::new(drops));
         let table = ReplierTable::closest_receiver(&tree);
         let src = NodeId::ROOT;
         sim.attach_agent(
@@ -580,7 +580,7 @@ mod tests {
         let log = RecoveryLog::shared();
         let mut sim = Simulator::new(tree.clone(), net);
         let drops: Vec<(LinkId, SeqNo)> = (60..90).map(|i| (LinkId(NodeId(3)), SeqNo(i))).collect();
-        sim.set_loss(Box::new(TraceLoss::new(drops)));
+        sim.set_loss(TraceLoss::new(drops));
         let mut table = ReplierTable::closest_receiver(&tree);
         table.set_replier(NodeId(3), NodeId(5));
         let src = NodeId::ROOT;

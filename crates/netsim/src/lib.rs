@@ -4,8 +4,10 @@
 //! This crate plays the role NS2 plays in the CESRM paper (Livadas & Keidar,
 //! DSN 2004): it disseminates packets over a source-rooted IP multicast tree
 //! ([`topology::MulticastTree`]) with per-link delay and bandwidth, injects
-//! per-`(link, sequence-number)` losses from a trace, and drives protocol
-//! agents attached to the source and the receivers.
+//! per-`(link, sequence-number)` losses from one drop plan ([`TraceLoss`],
+//! optionally with per-link loss of recovery traffic) whose size does not
+//! grow with the tree, and drives protocol agents attached to the source
+//! and the receivers.
 //!
 //! # Model
 //!
@@ -91,7 +93,7 @@ mod time;
 pub use agent::{Agent, Context, DeliveryMeta, TimerToken};
 pub use arena::{ArenaTelemetry, PacketArena, PacketHandle};
 pub use config::NetConfig;
-pub use loss::{LossProcess, NoLoss, NodeRng, ProbabilisticLoss, TraceLoss};
+pub use loss::TraceLoss;
 pub use observer::{Direction, NullObserver, SimObserver};
 pub use packet::{
     CastClass, Packet, PacketBody, PacketId, RecoveryTuple, SeqNo, SessionData, SessionEcho,

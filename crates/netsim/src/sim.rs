@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 use topology::{LinkId, MulticastTree, NodeId};
 
@@ -9,9 +9,17 @@ use crate::agent::{Agent, Context, DeliveryMeta, TimerToken};
 use crate::arena::{ArenaTelemetry, PacketArena, PacketHandle};
 use crate::observer::{Direction, NullObserver, SimObserver};
 use crate::queue::{CalendarQueue, Entry, QueueTelemetry};
-use crate::{
-    CastClass, LossProcess, NetConfig, NoLoss, NodeRng, Packet, PacketBody, SimDuration, SimTime,
-};
+use crate::{CastClass, NetConfig, Packet, PacketBody, SimDuration, SimTime, TraceLoss};
+
+/// The random stream of `node` in a run seeded `run_seed`
+/// ([`NetConfig::seed`]), stored in `slot` and seeded on its first draw: a
+/// node that never draws costs nothing and leaves its stream unseeded.
+fn node_rng(slot: &mut Option<StdRng>, run_seed: u64, node: NodeId) -> &mut StdRng {
+    slot.get_or_insert_with(|| {
+        let stride = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(node.0) + 1);
+        StdRng::seed_from_u64(run_seed.wrapping_add(stride))
+    })
+}
 
 /// Maps a packet onto the dependency-free tracing vocabulary of the `obs`
 /// crate: a body classification plus the data sequence number it concerns.
@@ -180,7 +188,7 @@ pub struct EngineTelemetry {
     /// Of [`events`](Self::events), timer expiries (voided ones included);
     /// every other event is a link hop.
     pub timer_events: u64,
-    /// Of [`transmits`](Self::transmits), crossings the loss process
+    /// Of [`transmits`](Self::transmits), crossings the loss plan
     /// dropped; every other one was forwarded.
     pub drops: u64,
     /// Timers scheduled.
@@ -215,12 +223,12 @@ impl EngineTelemetry {
 }
 
 /// The discrete-event simulator: a multicast tree, per-direction link
-/// queues, a totally-ordered event queue, protocol agents, a loss process
+/// queues, a totally-ordered event queue, protocol agents, a loss plan
 /// and an observer.
 ///
-/// See the [crate docs](crate) for the network model. Construction wires a
-/// [`NoLoss`] process and a [`NullObserver`]; replace them with
-/// [`set_loss`](Simulator::set_loss) and
+/// See the [crate docs](crate) for the network model. Construction wires an
+/// empty [`TraceLoss`] plan (nothing is dropped) and a [`NullObserver`];
+/// replace them with [`set_loss`](Simulator::set_loss) and
 /// [`set_observer`](Simulator::set_observer) before running.
 ///
 /// # Engine layout
@@ -244,7 +252,7 @@ pub struct Simulator {
     queue: CalendarQueue<EventKind>,
     /// Per-node hot state indexed by node id; see [`NodeSlot`].
     nodes: Vec<NodeSlot>,
-    /// Lazily-seeded per-node generators ([`NodeRng`]): agent draws, loss
+    /// Lazily-seeded per-node generators ([`node_rng`]): agent draws, loss
     /// draws and link jitter all come from the stream of the node that
     /// acts, so randomness too is a function of the node's own history.
     node_rngs: Vec<Option<StdRng>>,
@@ -267,7 +275,7 @@ pub struct Simulator {
     payload_tx: SimDuration,
     control_tx: SimDuration,
     arena: PacketArena,
-    loss: Box<dyn LossProcess>,
+    loss: TraceLoss,
     observer: Box<dyn SimObserver>,
     /// The run's observation handle; [`obs::Instruments::off`] by default.
     obs: obs::Instruments,
@@ -338,7 +346,7 @@ impl Simulator {
             payload_tx: cfg.transmission_time(cfg.payload_bytes),
             control_tx: cfg.transmission_time(cfg.control_bytes),
             arena: PacketArena::new(),
-            loss: Box::new(NoLoss),
+            loss: TraceLoss::default(),
             observer: Box::new(NullObserver),
             obs: obs::Instruments::off(),
             transmits: 0,
@@ -385,8 +393,8 @@ impl Simulator {
         self.arena.live()
     }
 
-    /// Installs the loss process consulted on every link crossing.
-    pub fn set_loss(&mut self, loss: Box<dyn LossProcess>) {
+    /// Installs the loss plan consulted on every link crossing.
+    pub fn set_loss(&mut self, loss: TraceLoss) {
         self.loss = loss;
     }
 
@@ -700,7 +708,7 @@ impl Simulator {
     /// own lazily-seeded stream, so its draw sequence is a function of its
     /// own event history and survives re-attaching or resharding unchanged.
     pub(crate) fn rng_at(&mut self, node: NodeId) -> &mut StdRng {
-        NodeRng::new(&mut self.node_rngs[node.index()], self.cfg.seed, node).get()
+        node_rng(&mut self.node_rngs[node.index()], self.cfg.seed, node)
     }
 
     /// Emits a `sent` trace record for a packet entering the network.
@@ -849,7 +857,7 @@ impl Simulator {
     }
 
     /// Serializes the packet onto the link from `a` to its neighbour `b`
-    /// in direction `dir`, consults the loss process, and schedules the
+    /// in direction `dir`, consults the loss plan, and schedules the
     /// arrival hop.
     fn transmit(
         &mut self,
@@ -880,8 +888,11 @@ impl Simulator {
         self.observer.on_link_crossing(self.now, link, dir, packet);
         // Loss and jitter draw from the transmitting node's stream, which
         // the shard executing this transmit owns.
-        let rng = NodeRng::new(&mut self.node_rngs[a.index()], self.cfg.seed, a);
-        if self.loss.should_drop(link, packet, rng) {
+        let (slot, seed) = (&mut self.node_rngs[a.index()], self.cfg.seed);
+        if self
+            .loss
+            .should_drop(link, packet, || node_rng(slot, seed, a))
+        {
             self.observer.on_drop(self.now, link, packet);
             self.drops += 1;
             self.obs.emit(self.now.as_nanos(), || {
@@ -1221,7 +1232,7 @@ mod tests {
         let log: Log = Default::default();
         let mut sim = Simulator::new(sample_tree(), NetConfig::default());
         // Drop seq 0 on the link into n3: receivers 4 and 5 miss it.
-        sim.set_loss(Box::new(TraceLoss::new([(LinkId(NodeId(3)), SeqNo(0))])));
+        sim.set_loss(TraceLoss::new([(LinkId(NodeId(3)), SeqNo(0))]));
         attach_all_receivers(&mut sim, &log);
         sim.attach_agent(NodeId::ROOT, sender(&log, CastKind::Multi, data_body(0)));
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
@@ -1554,7 +1565,7 @@ mod tests {
         let run = |obs: &obs::Instruments| {
             let log: Log = Default::default();
             let mut sim = Simulator::new(sample_tree(), NetConfig::default().with_seed(5));
-            sim.set_loss(Box::new(TraceLoss::new([(LinkId(NodeId(3)), SeqNo(0))])));
+            sim.set_loss(TraceLoss::new([(LinkId(NodeId(3)), SeqNo(0))]));
             sim.set_obs(obs.clone());
             attach_all_receivers(&mut sim, &log);
             sim.attach_agent(NodeId::ROOT, sender(&log, CastKind::Multi, data_body(0)));
@@ -1715,7 +1726,7 @@ mod tests {
         let log: Log = Default::default();
         let cfg = NetConfig::default().with_router_assist(true);
         let mut sim = Simulator::new(sample_tree(), cfg);
-        sim.set_loss(Box::new(TraceLoss::new([(LinkId(NodeId(3)), SeqNo(0))])));
+        sim.set_loss(TraceLoss::new([(LinkId(NodeId(3)), SeqNo(0))]));
         attach_all_receivers(&mut sim, &log);
         sim.attach_agent(NodeId::ROOT, sender(&log, CastKind::Multi, data_body(0)));
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(1));

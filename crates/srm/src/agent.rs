@@ -100,13 +100,6 @@ impl SrmAgent {
     pub fn state_bytes(&self) -> usize {
         self.core.state_bytes()
     }
-
-    /// Builder-style installation of the run's observation handle (see
-    /// [`SrmCore::set_obs`]). Off by default.
-    pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
-        self.core.set_obs(obs);
-        self
-    }
 }
 
 impl Agent for SrmAgent {
@@ -158,7 +151,7 @@ mod tests {
         let collector = Rc::new(RefCell::new(TrafficCollector::new()));
         let mut sim = Simulator::new(tree, NetConfig::default().with_seed(seed));
         sim.set_observer(Box::new(Rc::clone(&collector)));
-        sim.set_loss(Box::new(TraceLoss::new(drops)));
+        sim.set_loss(TraceLoss::new(drops));
         let source = topology::NodeId::ROOT;
         let cfg = SourceConfig {
             packets,

@@ -124,23 +124,7 @@ impl SrmCore {
         }
     }
 
-    /// Installs the run's observation handle. The core emits the
-    /// scheduling/suppression decisions only it can see
-    /// (`req_scheduled`/`req_suppressed`/`rep_scheduled`/`rep_suppressed`/
-    /// `rep_sent`), whose counts are the handle's `srm.*` counters;
-    /// detection, request and completion records come from the shared
-    /// [`metrics::RecoveryLog`], which should be given a clone of the same
-    /// handle. Per-simulation owned and observation-only.
-    ///
-    /// The handle lives in the block this endpoint shares with its
-    /// siblings; installing it here gives this endpoint a private copy of
-    /// that block, so a run with many endpoints installs it once on the
-    /// factory instead ([`SrmEndpoints::with_obs`]).
-    pub fn set_obs(&mut self, obs: obs::Instruments) {
-        Rc::make_mut(&mut self.shared).obs = obs;
-    }
-
-    /// The installed observation handle, for the agent wrapping this core
+    /// The installed observation handle ([`SrmEndpoints::with_obs`]), for the agent wrapping this core
     /// to emit and profile through.
     #[inline]
     pub fn obs(&self) -> &obs::Instruments {

@@ -71,7 +71,13 @@ impl SrmEndpoints {
     }
 
     /// Installs the run's observation handle for every endpoint made from
-    /// here on (see [`SrmCore::set_obs`]).
+    /// here on, in the one block they share. Each core emits the
+    /// scheduling/suppression decisions only it can see
+    /// (`req_scheduled`/`req_suppressed`/`rep_scheduled`/`rep_suppressed`/
+    /// `rep_sent`), whose counts are the handle's `srm.*` counters;
+    /// detection, request and completion records come from the shared
+    /// [`metrics::RecoveryLog`], which should be given a clone of the same
+    /// handle. Per-simulation owned and observation-only; off by default.
     pub fn with_obs(mut self, obs: obs::Instruments) -> Self {
         Rc::make_mut(&mut self.shared).obs = obs;
         self

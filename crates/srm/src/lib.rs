@@ -23,7 +23,7 @@
 //! [`SourceConfig`]/[`Role`] configure the transmission source, which sends
 //! the data stream and participates in recovery as a replier.
 //!
-//! With the run's `obs::Instruments` installed ([`SrmAgent::with_obs`]),
+//! With the run's `obs::Instruments` installed ([`SrmEndpoints::with_obs`]),
 //! the engine emits structured request/reply scheduling, suppression and
 //! send events for recovery-provenance tracing (see `docs/TRACING.md`) and
 //! counts them (`docs/METRICS.md`).

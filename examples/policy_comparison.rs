@@ -56,9 +56,9 @@ fn run_policy(
     let tree = trace.tree().clone();
     let net = NetConfig::paper_default();
     let mut sim = Simulator::new(tree.clone(), net);
-    sim.set_loss(Box::new(TraceLoss::new(
+    sim.set_loss(TraceLoss::new(
         drops.pairs().map(|(l, s)| (l, SeqNo(s as u64))),
-    )));
+    ));
     let log = RecoveryLog::shared();
     let collector = Rc::new(RefCell::new(TrafficCollector::new()));
     sim.set_observer(Box::new(Rc::clone(&collector)));

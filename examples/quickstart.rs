@@ -39,7 +39,7 @@ fn main() -> Result<(), topology::TreeError> {
 
     let net = NetConfig::paper_default();
     let mut sim = Simulator::new(tree.clone(), net);
-    sim.set_loss(Box::new(TraceLoss::new(drops)));
+    sim.set_loss(TraceLoss::new(drops));
     let log = RecoveryLog::shared();
     let collector = Rc::new(RefCell::new(TrafficCollector::new()));
     sim.set_observer(Box::new(Rc::clone(&collector)));

@@ -73,7 +73,7 @@ fn run_lms() -> SharedRecoveryLog {
     let net = NetConfig::default().with_router_assist(true).with_seed(1);
     let log = RecoveryLog::shared();
     let mut sim = Simulator::new(tree.clone(), net);
-    sim.set_loss(Box::new(TraceLoss::new(drops())));
+    sim.set_loss(TraceLoss::new(drops()));
     let table = ReplierTable::closest_receiver(&tree);
     let src = NodeId::ROOT;
     sim.attach_agent(
@@ -111,7 +111,7 @@ fn run_cesrm() -> SharedRecoveryLog {
     let collector = Rc::new(RefCell::new(TrafficCollector::new()));
     let mut sim = Simulator::new(tree.clone(), net);
     sim.set_observer(Box::new(Rc::clone(&collector)));
-    sim.set_loss(Box::new(TraceLoss::new(drops())));
+    sim.set_loss(TraceLoss::new(drops()));
     let cfg = CesrmConfig::paper_default();
     let src = NodeId::ROOT;
     sim.attach_agent(

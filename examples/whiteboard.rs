@@ -44,7 +44,7 @@ fn main() -> Result<(), topology::TreeError> {
         .map(|i| (LinkId(NodeId(3)), SeqNo(i)))
         .collect();
     drops.extend((15..70).step_by(6).map(|i| (LinkId(NodeId(6)), SeqNo(i))));
-    sim.set_loss(Box::new(TraceLoss::new(drops)));
+    sim.set_loss(TraceLoss::new(drops));
 
     let cfg = CesrmConfig::paper_default();
     for &m in &members {

@@ -47,7 +47,7 @@ fn adaptive_timers_recover_everything_and_move_weights() {
     let tree = tree();
     let log = RecoveryLog::shared();
     let mut sim = Simulator::new(tree.clone(), NetConfig::default().with_seed(3));
-    sim.set_loss(Box::new(TraceLoss::new(shared_drops())));
+    sim.set_loss(TraceLoss::new(shared_drops()));
     let src = NodeId::ROOT;
     let params = SrmParams::paper_default();
     sim.attach_agent(
@@ -93,12 +93,12 @@ fn reorder_delay_suppresses_spurious_expedited_requests_under_jitter() {
         let mut sim = Simulator::new(tree.clone(), net);
         sim.set_observer(Box::new(Rc::clone(&collector)));
         // Real losses too, so caches warm up and expedition is armed.
-        sim.set_loss(Box::new(TraceLoss::new(
+        sim.set_loss(TraceLoss::new(
             (10..60)
                 .step_by(5)
                 .map(|i| (LinkId(NodeId(3)), SeqNo(i)))
                 .collect::<Vec<_>>(),
-        )));
+        ));
         let src = NodeId::ROOT;
         let cfg = CesrmConfig {
             reorder_delay: SimDuration::from_millis(reorder_ms),
@@ -141,7 +141,7 @@ fn lms_is_fast_but_cesrm_survives_churn() {
             tree.clone(),
             NetConfig::default().with_router_assist(true).with_seed(4),
         );
-        sim.set_loss(Box::new(TraceLoss::new(drops.clone())));
+        sim.set_loss(TraceLoss::new(drops.clone()));
         let table = ReplierTable::closest_receiver(&tree);
         let src = NodeId::ROOT;
         sim.attach_agent(
@@ -176,7 +176,7 @@ fn lms_is_fast_but_cesrm_survives_churn() {
         let tree = tree();
         let log = RecoveryLog::shared();
         let mut sim = Simulator::new(tree.clone(), NetConfig::default().with_seed(4));
-        sim.set_loss(Box::new(TraceLoss::new(drops)));
+        sim.set_loss(TraceLoss::new(drops));
         let src = NodeId::ROOT;
         let cfg = CesrmConfig::paper_default();
         sim.attach_agent(
@@ -214,12 +214,12 @@ fn policies_compose_with_agents() {
     let tree = tree();
     let log = RecoveryLog::shared();
     let mut sim = Simulator::new(tree.clone(), NetConfig::default().with_seed(6));
-    sim.set_loss(Box::new(TraceLoss::new(
+    sim.set_loss(TraceLoss::new(
         (10..60)
             .step_by(5)
             .map(|i| (LinkId(NodeId(3)), SeqNo(i)))
             .collect::<Vec<_>>(),
-    )));
+    ));
     let src = NodeId::ROOT;
     let cfg = CesrmConfig::paper_default();
     sim.attach_agent(

@@ -46,7 +46,7 @@ fn run(
     let collector = Rc::new(RefCell::new(TrafficCollector::new()));
     let mut sim = Simulator::new(tree.clone(), net);
     sim.set_observer(Box::new(Rc::clone(&collector)));
-    sim.set_loss(Box::new(TraceLoss::new(drops.to_vec())));
+    sim.set_loss(TraceLoss::new(drops.to_vec()));
     let source = tree.root();
     let source_cfg = SourceConfig {
         packets: PACKETS,
