@@ -443,49 +443,13 @@ fn parse_leaves(scope: &JsonValue, window_ns: u64) -> Result<DigestSnapshot, Str
     Ok(snapshot)
 }
 
-/// The suite-wide settings every run of a suite trail replays with.
-#[derive(Clone, Copy)]
-struct SuiteSpec {
+fn parse_run(
+    run: &JsonValue,
     scale: f64,
     seed: u64,
     experiment: ExperimentConfig,
     window_ns: u64,
-}
-
-fn parse_suite(doc: &JsonValue) -> Result<SuiteSpec, String> {
-    let suite = member(doc, "suite")?;
-    let scale = member(suite, "scale")?
-        .as_f64()
-        .filter(|s| *s > 0.0 && *s <= 1.0)
-        .ok_or("`suite.scale` is not a number in (0, 1]")?;
-    let seed = uint(suite, "seed").map_err(|e| format!("suite: {e}"))?;
-    let link_delay_ms = member(suite, "link_delay_ms")
-        .map_err(|e| format!("suite: {e}"))?
-        .as_f64()
-        .filter(|ms| *ms > 0.0 && *ms * 1e6 < u64::MAX as f64)
-        .ok_or("`suite.link_delay_ms` is not a positive number")?;
-    let lossy_recovery = match member(suite, "lossy_recovery").map_err(|e| format!("suite: {e}"))? {
-        JsonValue::Bool(b) => *b,
-        _ => return Err("`suite.lossy_recovery` is not a boolean".to_string()),
-    };
-    let mut experiment = SuiteConfig::quick(scale).experiment;
-    experiment.net.link_delay = SimDuration::from_nanos((link_delay_ms * 1e6).round() as u64);
-    experiment.lossy_recovery = lossy_recovery;
-    Ok(SuiteSpec {
-        scale,
-        seed,
-        experiment,
-        window_ns: window_ns(doc)?,
-    })
-}
-
-fn parse_run(run: &JsonValue, suite: SuiteSpec) -> Result<Scope, String> {
-    let SuiteSpec {
-        scale,
-        seed,
-        experiment,
-        window_ns,
-    } = suite;
+) -> Result<Scope, String> {
     let trace = uint(run, "trace")?;
     let name = text(run, "name")?;
     let protocol = match text(run, "protocol")? {
@@ -553,8 +517,33 @@ fn parse_trail(doc: &JsonValue) -> Result<Vec<Scope>, String> {
     }
     let parsed = match text(doc, "mode")? {
         "suite" => {
-            let suite = parse_suite(doc)?;
-            scopes(doc, "runs", |run| parse_run(run, suite))?
+            let suite = member(doc, "suite")?;
+            let field = |e: String| format!("suite: {e}");
+            let scale = member(suite, "scale")?
+                .as_f64()
+                .filter(|s| *s > 0.0 && *s <= 1.0)
+                .ok_or("`suite.scale` is not a number in (0, 1]")?;
+            let seed = uint(suite, "seed").map_err(field)?;
+            // The run settings a command line can change: a replay must
+            // reenact the run, not the paper defaults.
+            let link_delay_ms = member(suite, "link_delay_ms")
+                .map_err(field)?
+                .as_f64()
+                .filter(|ms| *ms > 0.0 && *ms * 1e6 < u64::MAX as f64)
+                .ok_or("`suite.link_delay_ms` is not a positive number")?;
+            let &JsonValue::Bool(lossy_recovery) =
+                member(suite, "lossy_recovery").map_err(field)?
+            else {
+                return Err("`suite.lossy_recovery` is not a boolean".to_string());
+            };
+            let mut experiment = SuiteConfig::quick(scale).experiment;
+            experiment.net.link_delay =
+                SimDuration::from_nanos((link_delay_ms * 1e6).round() as u64);
+            experiment.lossy_recovery = lossy_recovery;
+            let window_ns = window_ns(doc)?;
+            scopes(doc, "runs", |run| {
+                parse_run(run, scale, seed, experiment, window_ns)
+            })?
         }
         "scale" => {
             let sweep = member(doc, "sweep")?;
