@@ -632,19 +632,56 @@ fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
+/// The `key:` line of a procfs file that reports kB (`/proc/self/status`,
+/// `/proc/meminfo`), in bytes; `None` where procfs is unavailable.
+fn procfs_bytes(path: &str, key: &str) -> Option<u64> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let line = text.lines().find(|l| {
+        l.strip_prefix(key)
+            .is_some_and(|rest| rest.starts_with(':'))
+    })?;
+    let kb = line.split_whitespace().nth(1)?.parse::<u64>().ok()?;
+    Some(kb * 1024)
+}
+
 /// `VmHWM` from `/proc/self/status` in bytes — the process peak resident
 /// set. Returns 0 where procfs is unavailable.
 fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<u64>().ok())
-        })
-        .map_or(0, |kb| kb * 1024)
+    procfs_bytes("/proc/self/status", "VmHWM").unwrap_or(0)
+}
+
+/// Peak-RSS estimate per receiver for admitting a rung: the 10⁶ rung's
+/// ≈ 1.05 GiB on two shards (`docs/SCALING.md`), over 10⁶ receivers.
+const RUNG_BYTES_PER_RECEIVER: u64 = 1_127;
+
+/// Why a `--rungs` entry cannot run on this host, checked before anything
+/// is built: its tree would need more nodes than `u32` node ids name, or
+/// its estimated peak RSS ([`RUNG_BYTES_PER_RECEIVER`]) exceeds the
+/// host's `MemTotal` (skipped where `/proc/meminfo` is unreadable).
+fn rung_unfit(receivers: u64) -> Option<String> {
+    let shape = topology::ScaleShape::with_target_receivers(receivers);
+    // Depth by depth: the nodes at depth d are the product of the fanouts
+    // above it (the canonical shape's ranges are fixed, min = max).
+    let (mut width, mut nodes) = (1u64, 1u64);
+    for level in shape.levels() {
+        width = width.saturating_mul(u64::from(level.fanout.1));
+        nodes = nodes.saturating_add(width);
+    }
+    if nodes > u64::from(u32::MAX) {
+        return Some(format!(
+            "--rungs {receivers}: its tree has {nodes} nodes, more than u32 node ids can name"
+        ));
+    }
+    let need = width.saturating_mul(RUNG_BYTES_PER_RECEIVER);
+    let total = procfs_bytes("/proc/meminfo", "MemTotal")?;
+    (need > total).then(|| {
+        let gib = |b: u64| b as f64 / f64::from(1u32 << 30);
+        format!(
+            "--rungs {receivers}: needs about {:.1} GiB ({RUNG_BYTES_PER_RECEIVER} B per receiver), more than this host's {:.1} GiB",
+            gib(need),
+            gib(total)
+        )
+    })
 }
 
 /// Runs one rung and measures it.
@@ -719,6 +756,9 @@ fn scale_main(argv: &[String]) {
                 rungs = args.list(flag, "receiver counts, e.g. 1000,10000");
                 if rungs.iter().any(|&r| r < 2) {
                     usage_error("--rungs requires receiver counts of at least 2");
+                }
+                if let Some(why) = rungs.iter().find_map(|&r| rung_unfit(r)) {
+                    usage_error(&why);
                 }
             }
             "--shards" => shards = Some(args.positive(flag, "a positive count")),

@@ -123,6 +123,25 @@ fn argument_errors_exit_2_with_usage_and_never_panic() {
     assert_usage_errors(env!("CARGO_BIN_EXE_reproduce"), "usage: reproduce", cases);
 }
 
+/// A rung too large for the host is refused before its tree is built, so
+/// the process exits 2 at once instead of being killed mid-allocation.
+#[test]
+fn oversized_scale_rungs_exit_2_before_building_anything() {
+    let mut cases: Vec<(&[&str], &str)> = vec![(
+        &["scale", "--rungs", "1000,99999999999"],
+        "more than u32 node ids can name",
+    )];
+    // About 3.5·10⁹ receivers fit u32 node ids but no host's memory; the
+    // estimate needs `/proc/meminfo`, and without it the rung would run.
+    if std::path::Path::new("/proc/meminfo").exists() {
+        cases.push((
+            &["scale", "--rungs", "3000000000"],
+            "B per receiver), more than this host's",
+        ));
+    }
+    assert_usage_errors(env!("CARGO_BIN_EXE_reproduce"), "usage: reproduce", &cases);
+}
+
 #[test]
 fn bench_compare_argument_errors_exit_2_with_usage_and_never_panic() {
     let cases: &[(&[&str], &str)] = &[

@@ -16,7 +16,7 @@
 //! panics deterministically instead of silently aliasing another live
 //! packet. Generations are never zero, which gives a handle a niche: the
 //! simulator's event enum stores its discriminant there instead of in a
-//! separate tag word. No `unsafe` is involved anywhere — the slab is a
+//! separate tag word. The arena involves no `unsafe` — the slab is a
 //! plain `Vec` and the free list a `Vec<u32>`.
 //!
 //! # Lifecycle

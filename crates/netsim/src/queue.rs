@@ -490,6 +490,17 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// The entry `k` pops from now (`ahead(0)` pops next), while it is
+    /// still in the activated tick's sorted buffer; `None` once the tick
+    /// holds `k` or fewer entries, since later ticks are not sorted yet.
+    /// A read-only look for prefetch hints: a push into the active tick
+    /// before those pops can shift it.
+    #[inline]
+    pub(crate) fn ahead(&self, k: usize) -> Option<&Entry<T>> {
+        let i = self.active.len().checked_sub(k + 1)?;
+        self.active.get(i)
+    }
+
     /// Timestamp of the earliest queued event without popping it.
     pub fn peek_at(&self) -> Option<u64> {
         if let Some(entry) = self.active.last() {

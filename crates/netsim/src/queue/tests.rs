@@ -302,6 +302,10 @@ impl<T> CalendarQueue<T> {
     }
 }
 
+/// The look-ahead distances the shadow checks `ahead` at: the next pop,
+/// the simulator's two prefetch distances, and ones that span a chunk.
+const AHEAD_KS: [usize; 6] = [0, 1, 8, 16, CHUNK - 1, CHUNK + 3];
+
 /// The queue next to a trivially-correct model. `check` holds the queue
 /// to the model and the pool to its invariants; pops compare as they go.
 struct Shadow {
@@ -352,14 +356,30 @@ impl Shadow {
         self.check();
     }
 
-    /// Pops everything up to `limit`, like `Simulator::run_until`.
+    /// Pops everything up to `limit`, like `Simulator::run_until`, and
+    /// holds every `ahead(k)` answered on the way to the entry that
+    /// actually pops `k` pops later (no push intervenes in here).
     fn pop_until(&mut self, limit: u64) -> usize {
         let mut popped = 0;
+        let mut promised: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
         loop {
+            for k in AHEAD_KS {
+                if let Some(e) = self.q.ahead(k) {
+                    let key = (e.at, e.seq);
+                    let earlier = promised.insert(popped + k, key);
+                    assert!(
+                        earlier.is_none_or(|p| p == key),
+                        "ahead({k}) changed its answer"
+                    );
+                }
+            }
             let expect = self.model.first().copied().filter(|&(at, _)| at <= limit);
             let got = self.q.pop_at_most(limit).map(|e| (e.at, e.seq));
             assert_eq!(got, expect, "pop order diverged from the model");
             let Some(key) = got else { break };
+            if let Some(p) = promised.remove(&popped) {
+                assert_eq!(p, key, "ahead() named an entry that did not pop there");
+            }
             self.model.remove(&key);
             self.now = key.0;
             popped += 1;
@@ -381,7 +401,36 @@ impl Shadow {
         assert_eq!(self.q.len(), self.model.len());
         assert_eq!(self.q.telemetry().outstanding(), self.model.len() as u64);
         assert_eq!(self.q.peek_at(), self.model.first().map(|&(at, _)| at));
+        self.check_ahead();
         self.q.check_pool()
+    }
+
+    /// `ahead(k)` against the model: the model's `k`-th entry while the
+    /// activated tick still holds more than `k` entries, `None` after.
+    fn check_ahead(&self) {
+        let in_tick = if self.q.activated {
+            let tick = self.q.cur_tick;
+            self.model
+                .iter()
+                .take_while(|&&(at, _)| at >> BUCKET_SHIFT == tick)
+                .count()
+        } else {
+            0
+        };
+        for k in AHEAD_KS
+            .into_iter()
+            .chain([in_tick.saturating_sub(1), in_tick])
+        {
+            let got = self.q.ahead(k).map(|e| (e.at, e.seq));
+            if k < in_tick {
+                assert_eq!(got, self.model.iter().nth(k).copied(), "ahead({k})");
+            } else {
+                assert_eq!(
+                    got, None,
+                    "ahead({k}) past the {in_tick} entries of the tick"
+                );
+            }
+        }
     }
 
     /// Drains the rest and asserts every chunk went back to the free list.
@@ -441,6 +490,30 @@ fn pop_limit_stops_inside_the_active_buffer_then_resumes() {
         s.burst(s.now_tick(), 40, round);
         s.burst(s.now_tick() + 1 + round, CHUNK + 9, round);
     }
+    s.finish();
+}
+
+#[test]
+fn ahead_looks_into_a_multi_chunk_tick_and_sees_pushes_into_it() {
+    let mut s = Shadow::new();
+    s.burst(4, 2 * CHUNK + 5, 29);
+    s.burst(6, 3, 31);
+    assert_eq!(s.q.ahead(0).map(|e| e.at), None, "no tick is activated yet");
+    // Stop after a few pops of tick 4: it is activated and sorted.
+    let limit = s.kth_at(2).unwrap();
+    s.pop_until(limit);
+    let left = 2 * CHUNK + 5 - 3;
+    assert_eq!(s.q.active.len(), left);
+    assert!(s.q.ahead(left - 1).is_some());
+    assert!(s.q.ahead(left).is_none(), "tick 6 is not sorted yet");
+    // A push landing in the active tick, ahead of everything left in it,
+    // shifts every answer by one.
+    let next = s.q.ahead(0).map(|e| (e.at, e.seq)).unwrap();
+    s.push(s.now);
+    s.check();
+    assert_eq!(s.q.ahead(0).map(|e| e.at), Some(s.now));
+    assert_eq!(s.q.ahead(1).map(|e| (e.at, e.seq)), Some(next));
+    assert!(s.q.ahead(left).is_some() && s.q.ahead(left + 1).is_none());
     s.finish();
 }
 

@@ -187,18 +187,35 @@ impl DigestSnapshot {
                 "cannot merge digests of different window widths"
             );
         }
-        for leaf in &other.leaves {
-            match self
-                .leaves
-                .binary_search_by_key(&leaf.key(), LeafDigest::key)
-            {
-                Ok(i) => {
-                    self.leaves[i].hash = self.leaves[i].hash.wrapping_add(leaf.hash);
-                    self.leaves[i].count += leaf.count;
+        // One merge-join of the two sorted leaf lists, the walk
+        // `first_divergence` makes: linear in the leaves of both sides.
+        let (mine, theirs) = (std::mem::take(&mut self.leaves), &other.leaves);
+        let mut merged = Vec::with_capacity(mine.len() + theirs.len());
+        let (mut i, mut j) = (0, 0);
+        while let (Some(x), Some(y)) = (mine.get(i), theirs.get(j)) {
+            match x.key().cmp(&y.key()) {
+                std::cmp::Ordering::Less => {
+                    merged.push(*x);
+                    i += 1;
                 }
-                Err(i) => self.leaves.insert(i, *leaf),
+                std::cmp::Ordering::Greater => {
+                    merged.push(*y);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    merged.push(LeafDigest {
+                        hash: x.hash.wrapping_add(y.hash),
+                        count: x.count + y.count,
+                        ..*x
+                    });
+                    i += 1;
+                    j += 1;
+                }
             }
         }
+        merged.extend_from_slice(&mine[i..]);
+        merged.extend_from_slice(&theirs[j..]);
+        self.leaves = merged;
     }
 }
 

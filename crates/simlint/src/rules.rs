@@ -258,9 +258,9 @@ pub fn token_findings(rel_path: &str, toks: &[Tok], config: &Config) -> Vec<Find
                 push(
                     RuleId::D004,
                     tok.line,
-                    "`unsafe` block/impl/fn: the workspace is 100% safe Rust; \
-                         allowlist the file with a reviewed justification if this is \
-                         load-bearing"
+                    "`unsafe` block/impl/fn outside the allowlist: if this is \
+                         load-bearing, justify it with an inline \
+                         `simlint: allow(D004, reason = ...)`"
                         .to_string(),
                 );
             }

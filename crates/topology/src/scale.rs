@@ -170,7 +170,9 @@ pub fn scale_tree(seed: u64, shape: &ScaleShape) -> ScaleTree {
         for &p in &frontier {
             let children = rng.gen_range(spec.fanout.0..=spec.fanout.1);
             for _ in 0..children {
-                let id = crate::NodeId(parent.len() as u32);
+                let id = crate::NodeId(
+                    u32::try_from(parent.len()).expect("scale tree outgrew u32 node ids"),
+                );
                 parent.push(Some(p));
                 kind.push(child_kind);
                 delay.push(rng.gen_range(spec.delay_ns.0..=spec.delay_ns.1));
