@@ -106,8 +106,8 @@
 //! prints the first divergent (window, node) leaf plus the aligned event
 //! diff from a pinned replay, instead of just two differing rows.
 //!
-//! `--profile` additionally prints each rung's per-shard busy/barrier-wait
-//! times, cross-shard packet counts and imbalance ratio, and adds them with
+//! `--profile` additionally prints each rung's per-shard busy and
+//! peer-wait times (`barrier_ns`), cross-shard packet counts and imbalance ratio, and adds them with
 //! the rung's engine telemetry to its report row as its `profile` member
 //! (`docs/SCALING.md` explains how to read it); it needs `--report`.
 
@@ -700,8 +700,9 @@ fn run_rung(cfg: &harness::ScaleConfig) -> harness::RungOutcome {
     }
 }
 
-/// Prints each profiled rung's per-shard accounting summary: busy and
-/// barrier-wait time, cross-shard packets and the imbalance ratio.
+/// Prints each profiled rung's per-shard accounting summary: busy time,
+/// time spent waiting on peers' progress, cross-shard packets and the
+/// imbalance ratio.
 fn print_shard_accounting(outcomes: &[harness::RungOutcome]) {
     for r in outcomes
         .iter()
@@ -709,7 +710,7 @@ fn print_shard_accounting(outcomes: &[harness::RungOutcome]) {
         .filter(|r| r.engine.is_some())
     {
         eprintln!(
-            "scale rung {}: per-shard accounting over {} epoch(s), imbalance ratio {}:",
+            "scale rung {}: per-shard accounting over {} window(s), imbalance ratio {}:",
             r.receivers,
             r.epochs,
             if r.shard_accounting.len() > 1 {
@@ -720,7 +721,7 @@ fn print_shard_accounting(outcomes: &[harness::RungOutcome]) {
         );
         for a in &r.shard_accounting {
             eprintln!(
-                "  shard {}: busy {:.1} ms, barrier wait {:.1} ms, \
+                "  shard {}: busy {:.1} ms, peer wait {:.1} ms, \
                  {} sent / {} received cross-shard",
                 a.shard,
                 a.busy_ns as f64 / 1e6,

@@ -11,13 +11,18 @@
 //!   wholly by one shard (greedy min-load binning by receiver count, in
 //!   deterministic order); the root itself lives on shard 0. The only
 //!   links crossing shards are therefore the root's own links.
-//! - **Conservative lookahead.** All cut links have positive delay, so a
-//!   packet sent during epoch `[kL, (k+1)L)` — `L` being the minimum
-//!   cut-link delay — arrives no earlier than `(k+1)L`. Each shard runs
-//!   one epoch, exchanges cross-shard packets at a barrier (drained in
-//!   shard order, the same slot-merge discipline the suite runner uses),
-//!   and repeats. The epoch count is fixed up front from the simulation
-//!   horizon, so no termination consensus is needed.
+//! - **Windowed conservative sync.** All cut links have positive delay,
+//!   so a packet sent at `t` arrives no earlier than `t + L`, `L` being
+//!   the minimum cut-link delay. Simulated time is cut into fixed windows
+//!   of width `L / K`. Each shard publishes a progress clock, the end of
+//!   the last window it has run and posted the cross-shard packets of; it
+//!   runs its next window as soon as every peer's clock `c` satisfies
+//!   `c + L ≥ end`, so a shard runs up to one lookahead ahead of its
+//!   slowest peer instead of meeting every peer at a barrier. Received
+//!   packets are injected, in shard order (the same slot-merge discipline
+//!   the suite runner uses), at the start of the window they arrive in.
+//!   The window count is fixed up front from the simulation horizon, so
+//!   no termination consensus is needed.
 //! - **Per-node event keys.** The simulator keys every event `(time,
 //!   owner-node, per-node counter)` and draws randomness from per-node
 //!   streams — the same order the suite runs on — which makes the event
@@ -35,8 +40,11 @@
 use std::cell::RefCell;
 use std::mem;
 use std::rc::Rc;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+mod progress;
+use progress::Progress;
 
 use cesrm::{CesrmAgent, CesrmConfig, CesrmEndpoints};
 use metrics::{PacketKind, RecoveryLog, RecoveryRecord, TrafficCollector};
@@ -177,7 +185,7 @@ impl ScaleConfig {
 
 /// Per-shard accounting of one sharded run: where each worker spent its
 /// wall-clock time and how much traffic crossed its cut links. The packet
-/// counts and epoch count are deterministic for a given `(config, shard
+/// counts and window count are deterministic for a given `(config, shard
 /// count)`; `busy_ns` and `barrier_ns` are wall-clock and excluded from
 /// every determinism comparison (see `docs/PROFILING.md` and the
 /// shard-imbalance section of `docs/SCALING.md`).
@@ -185,14 +193,18 @@ impl ScaleConfig {
 pub struct ShardAccounting {
     /// Shard index (mailbox/slot order).
     pub shard: u32,
-    /// Lookahead epochs this shard executed (equal across shards).
+    /// Sync windows this shard executed (`1` when unsharded): one per
+    /// `lookahead / K` of simulated time up to the horizon, equal across
+    /// shards.
     pub epochs: u64,
-    /// Wall-clock nanoseconds spent simulating (inside `run_until` and the
-    /// outbox drain), summed over epochs.
+    /// Wall-clock nanoseconds spent simulating (injecting received
+    /// packets, inside `run_until` and posting the outbox), summed over
+    /// windows.
     pub busy_ns: u64,
-    /// Wall-clock nanoseconds spent blocked on the two per-epoch barriers,
-    /// summed over epochs. High barrier share on some shards with low on
-    /// others means the root-cut binning left the work unbalanced.
+    /// Wall-clock nanoseconds spent waiting for peers' published progress
+    /// to admit the next window, summed over windows. High share on some
+    /// shards with low on others means the root-cut binning left the work
+    /// unbalanced; see `docs/SCALING.md` for reading it.
     pub barrier_ns: u64,
     /// Cross-shard packets this shard posted to other shards' mailboxes.
     pub packets_sent: u64,
@@ -249,10 +261,10 @@ pub struct ScaleResult {
     /// Invariant violations when monitored (`None` when monitors were
     /// off; not part of the deterministic row).
     pub violations: Option<u64>,
-    /// Lookahead epochs executed per shard (`1` when unsharded). A pure
+    /// Sync windows executed per shard (`1` when unsharded). A pure
     /// function of the horizon, the topology's minimum cut-link delay and
-    /// the shard count; not part of the deterministic row because it
-    /// changes with `shards`.
+    /// whether the run is sharded; not part of the deterministic row
+    /// because it changes with `shards`.
     pub epochs: u64,
     /// Per-shard busy/barrier/traffic accounting, in shard order. The
     /// `busy_ns`/`barrier_ns` members are wall-clock; everything else is
@@ -335,7 +347,7 @@ impl ScaleResult {
     /// Shard busy-time imbalance: the busiest shard's wall-clock busy time
     /// over the mean across shards. `1.0` means perfectly balanced; `2.0`
     /// means the slowest shard did twice the mean work while the others
-    /// waited at the barrier. Returns `1.0` for unsharded or untimed runs.
+    /// waited on its progress. Returns `1.0` for unsharded or untimed runs.
     /// See the shard-imbalance section of `docs/SCALING.md` for how to
     /// read this figure.
     pub fn imbalance_ratio(&self) -> f64 {
@@ -438,9 +450,34 @@ struct ShardOutcome {
     window: obs::RecordLog,
 }
 
-/// Mailboxes for the barrier exchange, indexed `[destination][sender]` so
-/// receivers drain senders in shard order (slot-merge discipline).
+/// Mailboxes for the cross-shard exchange, indexed `[destination][sender]`
+/// so receivers drain senders in shard order (slot-merge discipline).
 type Mailboxes = Vec<Vec<Mutex<Vec<CrossShardPacket>>>>;
+
+/// Sync windows per lookahead, `K` in `docs/SCALING.md`: a window is
+/// `lookahead / K` wide, so a shard may run up to `K` windows ahead of its
+/// slowest peer. Picked by a sweep over {1, 2, 4, 8, 16} on the 10⁵ rung
+/// (`docs/SCALING.md`, Round 5).
+const WINDOWS_PER_LOOKAHEAD: u64 = 4;
+
+/// Width of one sync window for a run with this lookahead.
+fn window_ns(lookahead_ns: u64) -> u64 {
+    (lookahead_ns / WINDOWS_PER_LOOKAHEAD).max(1)
+}
+
+/// The minimum delay of the links cut by the root-cut sharding — the
+/// root's own links — which bounds how soon a cross-shard packet can
+/// arrive after it was sent.
+fn lookahead_ns(tree: &MulticastTree, link_delay_ns: &[u64]) -> u64 {
+    let lookahead = tree
+        .children(tree.root())
+        .iter()
+        .map(|c| link_delay_ns[c.index()])
+        .min()
+        .expect("scale trees have at least one root subtree");
+    assert!(lookahead > 0, "cut links must have positive delay");
+    lookahead
+}
 
 /// Generates the rung's topology and runs it, sharded across
 /// `cfg.shards` worker threads (clamped to the number of root subtrees).
@@ -455,20 +492,12 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
 
     let shards = (cfg.shards.max(1) as usize).min(tree.children(tree.root()).len().max(1));
     let assign = Arc::new(build_assignment(&tree, shards as u16));
-    // All cut links are root links; their minimum delay bounds how soon a
-    // cross-shard packet can arrive after it was sent.
-    let lookahead_ns = tree
-        .children(tree.root())
-        .iter()
-        .map(|c| link_delay_ns[c.index()])
-        .min()
-        .expect("scale trees have at least one root subtree");
-    assert!(lookahead_ns > 0, "cut links must have positive delay");
+    let lookahead_ns = lookahead_ns(&tree, &link_delay_ns);
 
     let drops = rung_drops(&tree, cfg.losses, cfg.packets);
     let tree = Arc::new(tree);
     let delays = Arc::new(link_delay_ns);
-    let barrier = Barrier::new(shards);
+    let progress = Progress::new(shards);
     let mailboxes: Mailboxes = (0..shards)
         .map(|_| (0..shards).map(|_| Mutex::new(Vec::new())).collect())
         .collect();
@@ -479,10 +508,13 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
                 let tree = Arc::clone(&tree);
                 let delays = Arc::clone(&delays);
                 let assign = Arc::clone(&assign);
-                let barrier = &barrier;
+                let progress = &progress;
                 let mailboxes = &mailboxes;
                 let drops = &drops;
                 scope.spawn(move || {
+                    // Dropped while unwinding, the guard tells the peers
+                    // to stop waiting on this shard.
+                    let _failed = progress.guard(me);
                     run_shard(
                         cfg,
                         &tree,
@@ -492,15 +524,19 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
                         me as u16,
                         shards,
                         lookahead_ns,
-                        barrier,
+                        progress,
                         mailboxes,
                     )
                 })
             })
             .collect();
-        handles
+        let joined: Vec<Option<ShardOutcome>> = handles
             .into_iter()
             .map(|h| h.join().expect("shard worker panicked"))
+            .collect();
+        joined
+            .into_iter()
+            .map(|o| o.expect("a shard stops early only when a peer panicked"))
             .collect()
     });
 
@@ -638,9 +674,9 @@ fn run_shard(
     me: u16,
     shards: usize,
     lookahead_ns: u64,
-    barrier: &Barrier,
+    progress: &Progress,
     mailboxes: &Mailboxes,
-) -> ShardOutcome {
+) -> Option<ShardOutcome> {
     // Monitors replay the structured event stream and assume the global
     // event order, which only the unsharded runner produces.
     let monitored = cfg.monitor && shards == 1;
@@ -749,47 +785,55 @@ fn run_shard(
         accounting.busy_ns = busy.elapsed().as_nanos() as u64;
         accounting.epochs = 1;
     } else {
-        let mut epoch: u64 = 0;
-        loop {
-            let end = (epoch + 1).saturating_mul(lookahead_ns).min(horizon_ns + 1);
-            // simlint: allow(D002, reason = "per-shard busy/barrier-time accounting for the imbalance report; never feeds simulation state")
-            let busy = Instant::now();
+        let me = usize::from(me);
+        let width = window_ns(lookahead_ns);
+        // Packets drained from each sender's mailbox that arrive in a
+        // later window. Holding them until then makes what this shard's
+        // queue holds, and when, independent of how far ahead a peer
+        // ran, so the engine telemetry stays deterministic; holding them
+        // per sender keeps the injection order the slot-merge order.
+        let mut held: Vec<Vec<CrossShardPacket>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut end = 0u64;
+        // simlint: allow(D002, reason = "per-shard busy/wait-time accounting for the imbalance report; never feeds simulation state")
+        let mut clock = Instant::now();
+        while end <= horizon_ns {
+            end = end.saturating_add(width).min(horizon_ns + 1);
+            if progress.wait_for_peers(me, end, lookahead_ns).is_err() {
+                return None;
+            }
+            // simlint: allow(D002, reason = "per-shard busy/wait-time accounting for the imbalance report; never feeds simulation state")
+            let start = Instant::now();
+            accounting.barrier_ns += (start - clock).as_nanos() as u64;
+            for (slot, held) in mailboxes[me].iter().zip(&mut held) {
+                held.append(&mut slot.lock().expect("mailbox lock poisoned"));
+                // The final window ends at the horizon plus one, so a
+                // packet arriving past the horizon is never injected —
+                // exactly the events an unsharded run leaves unprocessed
+                // in its queue.
+                let (due, later): (Vec<_>, Vec<_>) = mem::take(held)
+                    .into_iter()
+                    .partition(|p| p.arrive_ns() < end);
+                *held = later;
+                for p in due {
+                    sim.inject_cross_shard(p);
+                    accounting.packets_received += 1;
+                }
+            }
             sim.run_until(SimTime::from_nanos(end - 1));
             for p in sim.take_outbox() {
                 let dest = usize::from(assign[p.dest().index()]);
-                mailboxes[dest][usize::from(me)]
+                mailboxes[dest][me]
                     .lock()
                     .expect("mailbox lock poisoned")
                     .push(p);
                 accounting.packets_sent += 1;
             }
-            accounting.busy_ns += busy.elapsed().as_nanos() as u64;
-            // simlint: allow(D002, reason = "per-shard barrier-wait accounting; never feeds simulation state")
-            let wait = Instant::now();
-            barrier.wait();
-            accounting.barrier_ns += wait.elapsed().as_nanos() as u64;
-            for slot in &mailboxes[usize::from(me)] {
-                let batch = mem::take(&mut *slot.lock().expect("mailbox lock poisoned"));
-                for p in batch {
-                    // A packet sent during the final epoch arrives past the
-                    // horizon — exactly the events an unsharded run leaves
-                    // unprocessed in its queue.
-                    if p.arrive_ns() <= horizon_ns {
-                        sim.inject_cross_shard(p);
-                        accounting.packets_received += 1;
-                    }
-                }
-            }
-            // simlint: allow(D002, reason = "per-shard barrier-wait accounting; never feeds simulation state")
-            let wait = Instant::now();
-            barrier.wait();
-            accounting.barrier_ns += wait.elapsed().as_nanos() as u64;
-            epoch += 1;
-            if end > horizon_ns {
-                break;
-            }
+            progress.publish(me, end);
+            // simlint: allow(D002, reason = "per-shard busy/wait-time accounting for the imbalance report; never feeds simulation state")
+            clock = Instant::now();
+            accounting.busy_ns += (clock - start).as_nanos() as u64;
+            accounting.epochs += 1;
         }
-        accounting.epochs = epoch;
     }
 
     let violations = handle
@@ -812,7 +856,7 @@ fn run_shard(
     let digest = handle.digest_snapshot();
     let window = handle.drain();
     obs::flight::clear_current();
-    ShardOutcome {
+    Some(ShardOutcome {
         events: sim.events_processed(),
         records,
         traffic,
@@ -822,7 +866,7 @@ fn run_shard(
         engine: cfg.profile.then(|| sim.telemetry()),
         digest,
         window,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -935,6 +979,40 @@ mod tests {
         assert_eq!(solo.shard_accounting.len(), 1);
         assert_eq!(solo.imbalance_ratio(), 1.0);
         assert_eq!(solo.cross_shard_packets(), 0);
+    }
+
+    #[test]
+    fn window_count_is_deterministic_and_closed_form() {
+        let ScaleTree {
+            tree,
+            link_delay_ns,
+        } = scale_tree(7, &ScaleShape::with_target_receivers(100));
+        let cfg = small_cfg(100, 3);
+        let windows =
+            (cfg.horizon().as_nanos() + 1).div_ceil(window_ns(lookahead_ns(&tree, &link_delay_ns)));
+        let (a, b) = (run_scale(&cfg), run_scale(&cfg));
+        assert_eq!(a.epochs, windows, "one epoch per sync window");
+        assert_eq!(b.epochs, windows, "the same on a second run");
+        for r in [&a, &b] {
+            assert!(r.shard_accounting.iter().all(|s| s.epochs == windows));
+        }
+    }
+
+    #[test]
+    fn concurrent_sharded_runs_share_no_sync_state() {
+        // Runs in one process (as `cargo test` runs its tests) must not
+        // see each other's progress clocks or mailboxes.
+        let solo = run_scale(&small_cfg(1_000, 1));
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| run_scale(&small_cfg(1_000, 2)));
+            let b = scope.spawn(|| run_scale(&small_cfg(1_000, 2)));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for r in [&a, &b] {
+            assert_eq!(r.shards, 2);
+            assert_eq!(r.csv_row(), solo.csv_row());
+            assert_eq!(r.records, solo.records);
+        }
     }
 
     #[test]

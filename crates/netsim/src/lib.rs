@@ -74,7 +74,7 @@
 //! remote node surface in an outbox ([`Simulator::take_outbox`], as
 //! [`CrossShardPacket`]) and are injected on the owning shard
 //! ([`Simulator::inject_cross_shard`]); the harness exchanges them in
-//! conservative-lookahead epochs. Event keys and RNG streams are per
+//! conservative-lookahead windows. Event keys and RNG streams are per
 //! node (see the model above) and each node lives on exactly one shard,
 //! so event order — and therefore every result — is byte-identical at any
 //! shard count. The sharding model and determinism argument are

@@ -477,7 +477,7 @@ fn same_tick_pushes_while_a_multi_chunk_bucket_is_mid_drain() {
 
 #[test]
 fn pop_limit_stops_inside_the_active_buffer_then_resumes() {
-    // What the sharded runner does at every epoch barrier: stop on a
+    // What the sharded runner does at every sync window: stop on a
     // horizon mid-tick, take pushes (mailbox deliveries), carry on.
     let mut s = Shadow::new();
     s.burst(2, 4 * CHUNK, 5);

@@ -68,9 +68,9 @@ impl CrossShardPacket {
         self.to
     }
 
-    /// Arrival time in nanoseconds — always at least one cut-link delay in
-    /// the future of the epoch it was produced in, which is what makes the
-    /// conservative epoch barrier safe (see `docs/SCALING.md`).
+    /// Arrival time in nanoseconds — always at least one cut-link delay
+    /// after the packet was sent, which is what makes the runner's
+    /// conservative lookahead sync safe (see `docs/SCALING.md`).
     pub fn arrive_ns(&self) -> u64 {
         self.arrive_ns
     }
@@ -296,7 +296,7 @@ pub struct Simulator {
     /// Sharded mode: which shard each node lives on, and which one we are.
     shard: Option<ShardView>,
     /// Packets bound for nodes owned by other shards, drained by the
-    /// sharded runner at the epoch barrier.
+    /// sharded runner after each sync window.
     outbox: Vec<CrossShardPacket>,
     next_timer: u64,
     /// Cancelled-timer bitset indexed by token. Tokens are sequential, so
@@ -469,24 +469,27 @@ impl Simulator {
     /// Enqueues a packet handed over from another shard, reconstructing the
     /// arrival `Hop` under its original event key so it sorts exactly where
     /// the unsharded run would have placed it. The sharded runner calls
-    /// this at the epoch barrier, in deterministic slot-merge order.
+    /// this at the start of the window the packet arrives in, in
+    /// deterministic slot-merge order.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if this shard does not own the destination node, or
-    /// if the arrival time is in this shard's past — the runner's epoch
-    /// lookahead (one minimum cut-link delay) is supposed to make that
-    /// impossible.
+    /// Panics if this shard does not own the destination node, or if the
+    /// arrival time is in this shard's past — the runner's lookahead sync
+    /// (one minimum cut-link delay) is supposed to make that impossible.
+    /// Both are checked in release builds too: a violation would otherwise
+    /// reorder events silently, and injections are rare (a few hundred per
+    /// 10⁵-receiver rung).
     pub fn inject_cross_shard(&mut self, p: CrossShardPacket) {
-        debug_assert!(
+        assert!(
             self.shard
                 .as_ref()
                 .is_some_and(|s| s.assign[p.to.index()] == s.me),
             "cross-shard packet injected on a non-owner shard"
         );
-        debug_assert!(
+        assert!(
             p.arrive_ns >= self.now.as_nanos(),
-            "cross-shard packet arrived in the past: epoch lookahead violated"
+            "cross-shard packet arrived in the past: lookahead violated"
         );
         let handle = self.arena.alloc(p.route);
         self.arena.retain(handle);

@@ -19,7 +19,7 @@ pub struct Config {
     pub state_crates: Vec<String>,
     /// Crates running *inside* a simulation (protocol + engine code):
     /// D007/D008 reachability is rooted at entry points in these crates,
-    /// which excludes the harness-side epoch loop by construction.
+    /// which excludes the harness-side window loop by construction.
     pub sim_crates: Vec<String>,
     /// Call-graph roots for D007/D008, as `Type::method` or bare method
     /// names (`on_packet` matches every trait impl of that name).

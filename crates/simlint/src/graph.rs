@@ -21,7 +21,7 @@
 //!   return-type resolution.
 //! - **D007** — shared mutable state (`static mut`, `Mutex`, `RwLock`,
 //!   `Atomic*`, thread `spawn`) in simulation crates, reachable from a
-//!   configured simulation entry point. The harness-side epoch loop is
+//!   configured simulation entry point. The harness-side window loop is
 //!   outside `sim_crates` and therefore exempt by construction.
 //! - **D008** — transitive wall-clock/entropy reachability: a call chain
 //!   from an entry point to an `Instant::now`/`SystemTime::now`/OS-entropy
@@ -341,7 +341,7 @@ pub fn check_workspace(ws: &Workspace, config: &Config) -> Vec<Finding> {
                 line,
                 format!(
                     "`{name}` reachable from simulation entry point ({}): shard-side \
-                     code must not share mutable state (the epoch loop lives in the \
+                     code must not share mutable state (the window loop lives in the \
                      harness, outside `sim_crates`)",
                     ws.chain_to(&parents, id)
                 ),
