@@ -10,7 +10,9 @@
 //! The pairwise comparison reads `totals.wall_s` and
 //! `totals.events_per_sec` of two reports of the same workload mode (a
 //! suite run against a scale sweep compares unlike workloads and is
-//! refused).
+//! refused). Two scale reports must also have run the same rungs on the
+//! same shard counts: events/s at another `(receivers, shards)` is another
+//! workload.
 //!
 //! `--history` reads every committed `BENCH_*.json` in `DIR` (default:
 //! the working directory), sorts them oldest → newest by file name (the
@@ -25,7 +27,8 @@
 //!
 //! Exit status: 0 when within thresholds, 3 on a perf regression (unless
 //! `--warn-only`), 1 on an unreadable file or a report of the wrong shape,
-//! 2 on bad usage or a file that is not JSON.
+//! 2 on bad usage, a file that is not JSON, or two scale reports whose runs
+//! differ in `(receivers, shards)`.
 
 use obs::JsonValue;
 
@@ -139,6 +142,39 @@ fn compare_reports(
     }
 
     Ok(Comparison { lines, regressions })
+}
+
+/// The `(receivers, shards)` of each run of a report, in order, as text.
+fn run_shapes(doc: &JsonValue) -> Vec<String> {
+    let field = |run: &JsonValue, name: &str| {
+        run.get(name)
+            .and_then(JsonValue::as_u64)
+            .map_or("?".to_string(), |n| n.to_string())
+    };
+    doc.get("runs")
+        .and_then(JsonValue::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .map(|run| format!("({}, {})", field(run, "receivers"), field(run, "shards")))
+        .collect()
+}
+
+/// Refuses two scale reports whose runs differ in `(receivers, shards)`,
+/// naming both sides; any other pair passes.
+fn same_scale_runs(base: &JsonValue, cand: &JsonValue) -> Result<(), String> {
+    if mode(base) != "scale" || mode(cand) != "scale" {
+        return Ok(());
+    }
+    let (b, c) = (run_shapes(base), run_shapes(cand));
+    if b == c {
+        return Ok(());
+    }
+    Err(format!(
+        "the baseline ran (receivers, shards) [{}] but the candidate ran [{}]: rerun the \
+         candidate with the baseline's --rungs and --shards, or regenerate the baseline",
+        b.join(", "),
+        c.join(", ")
+    ))
 }
 
 /// One row of the `--history` trajectory, parsed from a report's
@@ -304,6 +340,10 @@ fn main() {
             eprintln!("comparison failed: {e}");
             std::process::exit(1);
         });
+    if let Err(e) = same_scale_runs(&base, &cand) {
+        eprintln!("bench_compare: {e}");
+        std::process::exit(2);
+    }
     for line in &verdict.lines {
         println!("{line}");
     }
@@ -383,6 +423,43 @@ mod tests {
             err.contains("candidate report lacks totals.events_per_sec"),
             "{err}"
         );
+    }
+
+    /// A scale report of one run per `(receivers, shards)` pair.
+    fn scale_report(runs: &[(u64, u64)]) -> JsonValue {
+        let runs: Vec<String> = runs
+            .iter()
+            .map(|(r, s)| format!(r#"{{"receivers":{r},"shards":{s}}}"#))
+            .collect();
+        let mut doc = report("scale", 1.0, 1000.0);
+        let JsonValue::Obj(members) = &mut doc else {
+            unreachable!("a report is an object")
+        };
+        members.push((
+            "runs".into(),
+            JsonValue::parse(&format!("[{}]", runs.join(","))).unwrap(),
+        ));
+        doc
+    }
+
+    #[test]
+    fn scale_reports_of_other_rungs_or_shard_counts_are_refused() {
+        let base = scale_report(&[(100_000, 1)]);
+        assert_eq!(
+            same_scale_runs(&base, &scale_report(&[(100_000, 1)])),
+            Ok(())
+        );
+        let err = same_scale_runs(&base, &scale_report(&[(100_000, 2)])).unwrap_err();
+        assert!(
+            err.contains("baseline ran (receivers, shards) [(100000, 1)]")
+                && err.contains("candidate ran [(100000, 2)]"),
+            "{err}"
+        );
+        let err = same_scale_runs(&base, &scale_report(&[(1_000, 1), (100_000, 1)])).unwrap_err();
+        assert!(err.contains("[(1000, 1), (100000, 1)]"), "{err}");
+        // Suite reports carry no shard counts and are not checked here.
+        let suite = report("suite", 1.0, 1000.0);
+        assert_eq!(same_scale_runs(&suite, &suite), Ok(()));
     }
 
     #[test]

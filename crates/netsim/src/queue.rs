@@ -15,11 +15,16 @@
 //! * Pushes append to their tick's bucket unsorted (O(1)) and set a bit in
 //!   an occupancy bitmap so the pop path can skip empty buckets 64 at a
 //!   time.
-//! * Pops activate the current tick by gathering its bucket into the one
-//!   reusable `active` buffer, sorting that *descending* by `(at, seq)`
-//!   once, then popping from the back (O(1) each). Events pushed into the
-//!   active tick insert at their sorted position — rare, since most
-//!   same-time work lands in later ticks.
+//! * Pops activate the current tick by moving its bucket into the one
+//!   reusable `active` buffer sorted *descending* by `(at, seq)`, then
+//!   popping from the back (O(1) each). A tick of fewer than
+//!   `SCATTER_MIN` entries is gathered and comparison-sorted. A larger one
+//!   is scattered straight into `active` by the high bits of its in-tick
+//!   time: one counting pass over the chain (about one bucket per entry,
+//!   at most 4 096), one scatter, then a sort of each bucket, so it costs
+//!   about n instead of n log n. Events pushed into the active tick insert
+//!   at their sorted position — rare, since most same-time work lands in
+//!   later ticks.
 //!
 //! # Bucket storage: one chunk pool
 //!
@@ -49,11 +54,11 @@
 //! *Why 128.* A chunk caps at 128 × 32 B = 4 KiB for the simulator's
 //! event type. The partial chunk each non-empty tick strands wastes
 //! `CHUNK / 2` entries per tick on average, so smaller is tighter; but
-//! every chunk boundary costs a link hop on push and one `append` call on
-//! activation. The paper suite's buckets (≤ 75 entries) fit one chunk,
-//! so its push path never links; the 10⁵ rung's flood buckets (up to
-//! 18.7k entries) take up to 147 chunks, few enough that activation
-//! stays one sequential gather. 32 and 64 measured no smaller at 10⁵
+//! every chunk boundary costs a link hop on push and one more chunk to
+//! walk on activation. The paper suite's buckets (≤ 97 entries) fit one
+//! chunk, so its push path never links; the 10⁵ rung's flood buckets (up
+//! to 18.7k entries) take up to 147 chunks, few enough that activation
+//! walks them in order. 32 and 64 measured no smaller at 10⁵
 //! receivers (228 and 229 MiB against 231, with 48-byte entries) and no
 //! faster.
 //!
@@ -65,6 +70,23 @@
 //! queueing 1 000 packets on one link) then first-touches a whole chunk
 //! per tick (6 KiB with the 48-byte entries of the time) instead of
 //! 192 B, and page-faulted seven times as often as per-slot `Vec`s did.
+//!
+//! *Why scatter.* A tick's entries arrive unsorted, and on the 10⁵ rung a
+//! flood tick holds 1 887 of them on average (up to 18.7 k), so a
+//! comparison sort at activation paid about n log n — 18–19 % of a
+//! sampled pass. Its timestamps are spread over the tick, so their top
+//! in-tick bits split it into buckets of one or two entries, and
+//! counting, scattering and sorting those is about n. Replaying the
+//! recorded queue traffic of one 10⁵ pass (pushes, pops and peeks,
+//! 32-byte entries): 0.48 s before, 0.31 s after (medians of ten
+//! alternated replays). The paper suite's ticks stay below `SCATTER_MIN`
+//! and replay at the same speed. The scatter writes straight into
+//! `active` (filled first with copies of one entry, since safe code
+//! cannot write into spare capacity), because a second tick-sized buffer
+//! would add the largest tick — the t = 0 start burst, one entry per
+//! receiver — to the peak footprint. `SCATTER_MIN` = 256 comes from a
+//! sweep over {64, 128, 256, 512} on that replay and on the 10⁵ rung
+//! (docs/SCALING.md, Round 6).
 //!
 //! The reference implementation lives with the tests: `queue/tests.rs`
 //! checks every pop against a `BinaryHeap` and a shadow model, and the
@@ -86,12 +108,20 @@ const NUM_BUCKETS: u64 = 4096;
 const BUCKET_MASK: u64 = NUM_BUCKETS - 1;
 /// Entries per pool chunk (see the module docs for the sizing argument).
 const CHUNK: usize = 128;
+/// The in-tick part of a timestamp.
+const TICK_MASK: u64 = (1 << BUCKET_SHIFT) - 1;
+/// Ticks of at least this many entries activate by scatter, smaller ones
+/// by gather and sort (see the module docs for the sweep).
+const SCATTER_MIN: usize = 256;
+/// log2 of the most scatter buckets one activation uses: 4 096 `u32`
+/// offsets, 16 KiB.
+const SCATTER_MAX_BITS: u32 = 12;
 /// The "no chunk" link value.
 const NIL: u32 = u32::MAX;
 
 /// One scheduled event: a nanosecond timestamp, the key that breaks ties,
 /// and the payload.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Entry<T> {
     /// Absolute simulated time in nanoseconds.
     pub at: u64,
@@ -215,11 +245,14 @@ pub struct CalendarQueue<T> {
     /// Whether `cur_tick` has been gathered into `active`; pushes into it
     /// then insert there, sorted, instead of chaining onto the ring slot.
     activated: bool,
+    /// The scatter buckets' offsets into `active`: allocated once, at
+    /// their most (`2^SCATTER_MAX_BITS`, 16 KiB), and kept.
+    offsets: Vec<u32>,
     len: usize,
     telemetry: QueueTelemetry,
 }
 
-impl<T> CalendarQueue<T> {
+impl<T: Copy> CalendarQueue<T> {
     /// Creates an empty queue with its window starting at tick 0.
     pub fn new() -> Self {
         CalendarQueue {
@@ -231,6 +264,7 @@ impl<T> CalendarQueue<T> {
             cur_tick: 0,
             active: Vec::new(),
             activated: false,
+            offsets: Vec::with_capacity(1 << SCATTER_MAX_BITS),
             len: 0,
             telemetry: QueueTelemetry::default(),
         }
@@ -256,8 +290,9 @@ impl<T> CalendarQueue<T> {
     /// Bytes of event storage the queue currently holds, used or not:
     /// every pool chunk's capacity (linked or free) with its header, the
     /// active buffer's capacity and the far-future heap's capacity. The
-    /// fixed ring of heads and the occupancy bitmap (~48 KiB) are not
-    /// counted. For tests and sizing notes; not part of any report.
+    /// fixed ring of heads, the occupancy bitmap (~48 KiB) and the scatter
+    /// offsets (16 KiB) are not counted. For tests and sizing notes; not
+    /// part of any report.
     pub fn storage_bytes(&self) -> usize {
         let pooled: usize = self.chunks.iter().map(|c| c.items.capacity()).sum();
         (pooled + self.active.capacity() + self.far.capacity()) * std::mem::size_of::<Entry<T>>()
@@ -342,6 +377,63 @@ impl<T> CalendarQueue<T> {
             c = next;
         }
         self.clear_occupied(tick);
+    }
+
+    /// Moves the chain on `tick`'s slot into `out` sorted descending by
+    /// `(at, seq)` and returns its chunks to the free list, in time linear
+    /// in the chain: one counting pass keyed by the high in-tick bits of
+    /// `at` (about one bucket per entry), one scatter from the chunks
+    /// straight into `out`, then a sort of each bucket. Bucket 0 takes the
+    /// latest in-tick range, so `out` comes out descending.
+    fn chain_scatter(&mut self, tick: u64, out: &mut Vec<Entry<T>>) {
+        let idx = (tick & BUCKET_MASK) as usize;
+        let head = std::mem::replace(&mut self.heads[idx], EMPTY_HEAD);
+        self.clear_occupied(tick);
+        let n = head.len as usize;
+        let bits = n.ilog2().min(SCATTER_MAX_BITS);
+        let shift = BUCKET_SHIFT - bits;
+        let last = (1usize << bits) - 1;
+        let bucket = |e: &Entry<T>| last - ((e.at & TICK_MASK) >> shift) as usize;
+        // Count, then turn the counts into each bucket's first offset.
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(last + 1, 0);
+        let mut c = head.first;
+        while c != NIL {
+            let chunk = &self.chunks[c as usize];
+            for e in &chunk.items {
+                debug_assert_eq!(Self::tick_of(e.at), tick, "entry chained on another tick");
+                offsets[bucket(e)] += 1;
+            }
+            c = chunk.next;
+        }
+        let mut sum = 0;
+        for o in offsets.iter_mut() {
+            (*o, sum) = (sum, sum + *o);
+        }
+        // Scatter; each offset then ends where its bucket ends.
+        out.resize(n, self.chunks[head.first as usize].items[0]);
+        let mut c = head.first;
+        while c != NIL {
+            let chunk = &mut self.chunks[c as usize];
+            for e in chunk.items.drain(..) {
+                let o = &mut offsets[bucket(&e)];
+                out[*o as usize] = e;
+                *o += 1;
+            }
+            let next = chunk.next;
+            chunk.next = self.free;
+            self.free = c;
+            c = next;
+        }
+        let mut start = 0;
+        for &end in offsets.iter() {
+            let end = end as usize;
+            if end - start > 1 {
+                out[start..end].sort_unstable_by_key(|e| Reverse((e.at, e.seq)));
+            }
+            start = end;
+        }
     }
 
     /// The entries chained on `tick`'s slot, in push order. `NIL` indexes
@@ -444,10 +536,14 @@ impl<T> CalendarQueue<T> {
             self.chain_push(Self::tick_of(entry.at), entry);
         }
         let mut active = std::mem::take(&mut self.active);
-        self.chain_take(tick, &mut active);
-        // (at, seq) keys are unique, so unstable sorting cannot reorder
-        // equal elements — and it skips the merge-buffer allocation.
-        active.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+        if self.heads[(tick & BUCKET_MASK) as usize].len as usize >= SCATTER_MIN {
+            self.chain_scatter(tick, &mut active);
+        } else {
+            self.chain_take(tick, &mut active);
+            // (at, seq) keys are unique, so unstable sorting cannot reorder
+            // equal elements — and it skips the merge-buffer allocation.
+            active.sort_unstable_by_key(|e| Reverse((e.at, e.seq)));
+        }
         self.active = active;
         self.activated = true;
     }
@@ -513,7 +609,7 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-impl<T> Default for CalendarQueue<T> {
+impl<T: Copy> Default for CalendarQueue<T> {
     fn default() -> Self {
         CalendarQueue::new()
     }

@@ -190,7 +190,7 @@ fn matches_binary_heap_on_random_storm() {
                 item: round,
             };
             seq += 1;
-            cal.push(e.clone(), now);
+            cal.push(e, now);
             heap.push(Reverse(e));
             peak = peak.max(cal.telemetry().outstanding());
         }
@@ -346,6 +346,17 @@ impl Shadow {
         );
         self.model.insert((at, self.seq));
         self.seq += 1;
+    }
+
+    /// `n` pushes into one tick, cycling over `k` timestamps in it.
+    fn burst_ties(&mut self, tick: u64, n: usize, k: usize, r: u64) {
+        let ats: Vec<u64> = (0..k as u64)
+            .map(|j| self.at_in(tick, r.wrapping_add(j << 40)))
+            .collect();
+        for i in 0..n {
+            self.push(ats[i % k]);
+        }
+        self.check();
     }
 
     /// `n` pushes scattered over one tick.
@@ -546,7 +557,7 @@ proptest! {
     /// the shadow model, with chunk conservation checked after every op.
     #[test]
     fn multi_chunk_tapes_match_the_shadow_model(
-        tape in proptest::collection::vec((0u8..7, any::<u64>()), 1..if cfg!(miri) { 8 } else { 40 })
+        tape in proptest::collection::vec((0u8..8, any::<u64>()), 1..if cfg!(miri) { 8 } else { 40 })
     ) {
         let mut s = Shadow::new();
         for &(op, x) in &tape {
@@ -574,7 +585,9 @@ proptest! {
                 // Run ahead by up to two windows, promoting far bursts.
                 5 => { s.pop_until(s.now + ((x % (2 * NUM_BUCKETS)) << BUCKET_SHIFT)); }
                 // A horizon that reaches nothing new.
-                _ => { s.pop_until(s.now); }
+                6 => { s.pop_until(s.now); }
+                // A scattered tick of heavy ties: a few timestamps only.
+                _ => s.burst_ties(s.now_tick() + hi % 64, SCATTER_MIN + lo as usize % (2 * CHUNK), 1 + hi as usize % 4, x),
             }
         }
         s.finish();
@@ -638,4 +651,91 @@ fn storage_follows_live_events_not_ticks_touched() {
         peak_live,
         peak_ticks,
     );
+}
+
+// ---- scatter activation --------------------------------------------
+//
+// A tick of at least `SCATTER_MIN` entries activates by counting and
+// scattering on its in-tick time bits; each test holds the result to the
+// comparison sort every smaller tick still uses. The shadow tapes above
+// scatter too (their multi-chunk bursts exceed `SCATTER_MIN`).
+
+/// Chains `offsets` (in-tick times, push order) onto one tick with keys
+/// that are not in push order, activates it, and holds `active` to the
+/// reference sort and the pool to its invariants.
+fn assert_activates_sorted(offsets: &[u64]) {
+    const TICK: u64 = 3;
+    let mut q: CalendarQueue<u32> = CalendarQueue::new();
+    let mut want = Vec::new();
+    for (i, &off) in offsets.iter().enumerate() {
+        assert!(off <= TICK_MASK);
+        // An odd multiplier permutes the keys, so seq order is not push order.
+        let e = Entry {
+            at: (TICK << BUCKET_SHIFT) + off,
+            seq: (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            item: i as u32,
+        };
+        q.push(e, 0);
+        want.push(e);
+    }
+    q.advance_to(TICK);
+    assert_eq!(
+        q.offsets.is_empty(),
+        offsets.len() < SCATTER_MIN,
+        "scattered iff large"
+    );
+    assert!(q.offsets.len() <= 1 << SCATTER_MAX_BITS);
+    want.sort_unstable_by_key(|e| Reverse((e.at, e.seq)));
+    let keys = |v: &[Entry<u32>]| v.iter().map(|e| (e.at, e.seq, e.item)).collect::<Vec<_>>();
+    assert_eq!(keys(&q.active), keys(&want), "{} entries", offsets.len());
+    assert_eq!(q.check_pool(), (0, offsets.len().div_ceil(CHUNK)));
+}
+
+/// `n` pseudo-random in-tick offsets (splitmix64 of `r + i`).
+fn spread(n: usize, r: u64) -> Vec<u64> {
+    (0..n as u64)
+        .map(|i| {
+            let mut x = r.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            x = (x ^ x >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ x >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (x ^ x >> 31) & TICK_MASK
+        })
+        .collect()
+}
+
+#[test]
+fn ticks_around_the_scatter_threshold_activate_in_sorted_order() {
+    for n in [SCATTER_MIN - 1, SCATTER_MIN, SCATTER_MIN + 1] {
+        assert_activates_sorted(&spread(n, n as u64));
+    }
+}
+
+#[test]
+fn a_tick_of_one_timestamp_activates_in_seq_order() {
+    // The t = 0 start burst: every entry at one time, so one bucket holds
+    // the whole tick and its sort alone orders it.
+    assert_activates_sorted(&[0; 5 * CHUNK + 3]);
+    assert_activates_sorted(&[TICK_MASK; 2 * SCATTER_MIN]);
+}
+
+#[test]
+fn both_ends_of_the_tick_scatter_into_place() {
+    let mut offsets = spread(3 * SCATTER_MIN, 17);
+    for i in (0..offsets.len()).step_by(7) {
+        offsets[i] = if i % 2 == 0 { 0 } else { TICK_MASK };
+    }
+    assert_activates_sorted(&offsets);
+    // Past the bucket cap: more entries than buckets.
+    let big = spread(3 << SCATTER_MAX_BITS, 5);
+    assert_activates_sorted(&big);
+}
+
+#[test]
+fn heavy_ties_across_chunk_boundaries_keep_seq_order() {
+    // Three timestamps, in runs that straddle every chunk boundary.
+    let ats = [9, 1 << 19, TICK_MASK - 1];
+    let offsets: Vec<u64> = (0..5 * CHUNK)
+        .map(|i| ats[i / (CHUNK / 2 + 5) % 3])
+        .collect();
+    assert_activates_sorted(&offsets);
 }
