@@ -3,9 +3,6 @@
 //! lossy-recovery mode and router assistance. Each prints its comparison,
 //! then times the configuration.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use bench::{timing_trace, PRINT_SCALE};
 use cesrm::{
     CesrmAgent, CesrmConfig, ExpeditionPolicy, MostFrequentLoss, MostRecentLoss, RecencyWeighted,
@@ -13,8 +10,9 @@ use cesrm::{
 use criterion::{criterion_group, criterion_main, Criterion};
 use harness::{run_trace, ExperimentConfig, Protocol, RunMetrics};
 use lossmap::{infer_link_drops, yajnik_rates};
-use metrics::{PacketKind, RecoveryLog, TrafficCollector};
+use metrics::RecoveryLog;
 use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
+use obs::PacketClass;
 use srm::{AdaptiveTimers, SourceConfig, SrmAgent, SrmParams};
 use traces::{table1, Trace};
 
@@ -30,8 +28,6 @@ fn run_with_policy(trace: &Trace, make: fn() -> Box<dyn ExpeditionPolicy>) -> (f
         drops.pairs().map(|(l, s)| (l, SeqNo(s as u64))),
     ));
     let log = RecoveryLog::shared();
-    let collector = Rc::new(RefCell::new(TrafficCollector::new()));
-    sim.set_observer(Box::new(Rc::clone(&collector)));
     let cfg = CesrmConfig::paper_default();
     let src = tree.root();
     let period = SimDuration::from_millis(trace.meta().period_ms);
@@ -66,12 +62,12 @@ fn run_with_policy(trace: &Trace, make: fn() -> Box<dyn ExpeditionPolicy>) -> (f
         + SimDuration::from_secs(40);
     sim.run_until(end);
     let log = log.borrow();
-    let c = collector.borrow();
+    let c = sim.sends();
     let reports = metrics::per_receiver_reports(&log, &tree, &net);
     let with: Vec<_> = reports.iter().filter(|r| r.recovered > 0).collect();
     let latency = with.iter().map(|r| r.avg_norm_recovery).sum::<f64>() / with.len().max(1) as f64;
-    let ereq = c.total_sends(PacketKind::ExpeditedRequest);
-    let erepl = c.total_sends(PacketKind::ExpeditedReply);
+    let ereq = c.total(PacketClass::ExpeditedRequest);
+    let erepl = c.total(PacketClass::ExpeditedReply);
     (
         latency,
         if ereq == 0 {
@@ -111,8 +107,6 @@ fn run_srm_with_timers(trace: &Trace, adaptive: bool) -> (f64, u64) {
         drops.pairs().map(|(l, s)| (l, SeqNo(s as u64))),
     ));
     let log = RecoveryLog::shared();
-    let collector = Rc::new(RefCell::new(TrafficCollector::new()));
-    sim.set_observer(Box::new(Rc::clone(&collector)));
     let params = SrmParams::paper_default();
     let src = tree.root();
     let period = SimDuration::from_millis(trace.meta().period_ms);
@@ -149,11 +143,11 @@ fn run_srm_with_timers(trace: &Trace, adaptive: bool) -> (f64, u64) {
         + SimDuration::from_secs(40);
     sim.run_until(end);
     let log = log.borrow();
-    let c = collector.borrow();
+    let c = sim.sends();
     let reports = metrics::per_receiver_reports(&log, &tree, &net);
     let with: Vec<_> = reports.iter().filter(|r| r.recovered > 0).collect();
     let latency = with.iter().map(|r| r.avg_norm_recovery).sum::<f64>() / with.len().max(1) as f64;
-    (latency, c.total_sends(PacketKind::Request))
+    (latency, c.total(PacketClass::Request))
 }
 
 fn print_adaptive_comparison(trace: &Trace) {

@@ -447,11 +447,12 @@ impl CesrmAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metrics::{per_receiver_reports, PacketKind, RecoveryLog, TrafficCollector};
-    use netsim::{CastClass, NetConfig, SimTime, Simulator, TraceLoss};
+    use metrics::{per_receiver_reports, RecoveryLog};
+    use netsim::{
+        CastClass, EngineTelemetry, NetConfig, SendCounts, SimTime, Simulator, TraceLoss,
+    };
+    use obs::PacketClass;
     use srm::SrmAgent;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use topology::{LinkId, MulticastTree, TreeBuilder};
 
     /// n0 (source) -> n1 -> {n2, n3(router) -> {n4, n5}}, n0 -> n6.
@@ -468,9 +469,16 @@ mod tests {
 
     struct Run {
         log: metrics::SharedRecoveryLog,
-        collector: Rc<RefCell<TrafficCollector>>,
+        engine: EngineTelemetry,
+        sends: SendCounts,
         tree: MulticastTree,
         net: NetConfig,
+    }
+
+    impl Run {
+        fn crossings(&self, class: PacketClass, cast: CastClass) -> u64 {
+            self.engine.crossings[class as usize][cast as usize]
+        }
     }
 
     fn source_cfg(packets: u64) -> SourceConfig {
@@ -499,9 +507,7 @@ mod tests {
             .with_seed(11)
             .with_router_assist(assist);
         let log = RecoveryLog::shared();
-        let collector = Rc::new(RefCell::new(TrafficCollector::new()));
         let mut sim = Simulator::new(tree.clone(), net);
-        sim.set_observer(Box::new(Rc::clone(&collector)));
         sim.set_loss(TraceLoss::new(drops));
         let src = NodeId::ROOT;
         match proto {
@@ -538,7 +544,8 @@ mod tests {
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(secs));
         Run {
             log,
-            collector,
+            engine: sim.telemetry(),
+            sends: sim.sends().clone(),
             tree,
             net,
         }
@@ -574,9 +581,8 @@ mod tests {
             expedited >= 12,
             "most recoveries should be expedited, got {expedited}/20"
         );
-        let c = run.collector.borrow();
-        assert!(c.total_sends(PacketKind::ExpeditedRequest) > 0);
-        assert!(c.total_sends(PacketKind::ExpeditedReply) > 0);
+        assert!(run.sends.total(PacketClass::ExpeditedRequest) > 0);
+        assert!(run.sends.total(PacketClass::ExpeditedReply) > 0);
     }
 
     #[test]
@@ -647,21 +653,20 @@ mod tests {
     #[test]
     fn expedited_requests_are_unicast_and_replies_multicast() {
         let run = run_cesrm(spaced_drops(), 70, 60, CesrmConfig::paper_default());
-        let c = run.collector.borrow();
         assert_eq!(
-            c.crossings(PacketKind::ExpeditedRequest, CastClass::Multicast),
+            run.crossings(PacketClass::ExpeditedRequest, CastClass::Multicast),
             0
         );
-        assert!(c.crossings(PacketKind::ExpeditedRequest, CastClass::Unicast) > 0);
-        assert!(c.crossings(PacketKind::ExpeditedReply, CastClass::Multicast) > 0);
+        assert!(run.crossings(PacketClass::ExpeditedRequest, CastClass::Unicast) > 0);
+        assert!(run.crossings(PacketClass::ExpeditedReply, CastClass::Multicast) > 0);
     }
 
     #[test]
     fn cesrm_sends_fewer_multicast_requests_than_srm() {
         let cesrm = run_cesrm(spaced_drops(), 70, 60, CesrmConfig::paper_default());
         let srm = run_srm(spaced_drops(), 70, 60);
-        let c_req = cesrm.collector.borrow().total_sends(PacketKind::Request);
-        let s_req = srm.collector.borrow().total_sends(PacketKind::Request);
+        let c_req = cesrm.sends.total(PacketClass::Request);
+        let s_req = srm.sends.total(PacketClass::Request);
         assert!(
             c_req < s_req,
             "CESRM multicast requests {c_req} should undercut SRM {s_req}"
@@ -706,17 +711,16 @@ mod tests {
             Proto::Cesrm(CesrmConfig::paper_default()),
         );
         assert_eq!(assisted.log.borrow().unrecovered(), 0);
-        let a = assisted.collector.borrow();
-        let p = plain.collector.borrow();
         assert!(
-            a.crossings(PacketKind::ExpeditedReply, CastClass::Subcast) > 0,
+            assisted.crossings(PacketClass::ExpeditedReply, CastClass::Subcast) > 0,
             "router assist should subcast expedited replies"
         );
         // Subcasting confines retransmissions: fewer crossings per reply.
-        let a_cross = a.crossings_any_cast(PacketKind::ExpeditedReply) as f64
-            / a.total_sends(PacketKind::ExpeditedReply).max(1) as f64;
-        let p_cross = p.crossings_any_cast(PacketKind::ExpeditedReply) as f64
-            / p.total_sends(PacketKind::ExpeditedReply).max(1) as f64;
+        let per_reply = |run: &Run| {
+            run.engine.class_crossings(PacketClass::ExpeditedReply) as f64
+                / run.sends.total(PacketClass::ExpeditedReply).max(1) as f64
+        };
+        let (a_cross, p_cross) = (per_reply(&assisted), per_reply(&plain));
         assert!(
             a_cross < p_cross,
             "assisted exposure {a_cross:.2} should undercut plain {p_cross:.2}"

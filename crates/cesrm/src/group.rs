@@ -111,10 +111,9 @@ impl Agent for GroupMember {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metrics::{PacketKind, RecoveryLog, TrafficCollector};
+    use metrics::RecoveryLog;
     use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use obs::PacketClass;
     use topology::{LinkId, MulticastTree, TreeBuilder};
 
     /// n0 (source A) -> n1 -> { n2, n3 -> { n4, n5 } }, n0 -> n6 (source B).
@@ -143,7 +142,6 @@ mod tests {
     struct Run {
         sim: Simulator,
         log: metrics::SharedRecoveryLog,
-        collector: Rc<RefCell<TrafficCollector>>,
     }
 
     /// Two concurrent streams: A (the root) and B (receiver n6). Everyone
@@ -152,9 +150,7 @@ mod tests {
     fn run() -> Run {
         let tree = tree();
         let log = RecoveryLog::shared();
-        let collector = Rc::new(RefCell::new(TrafficCollector::new()));
         let mut sim = Simulator::new(tree, NetConfig::default().with_seed(8));
-        sim.set_observer(Box::new(Rc::clone(&collector)));
         let mut drops: Vec<(LinkId, SeqNo)> = (10..40)
             .step_by(5)
             .map(|i| (LinkId(NodeId(3)), SeqNo(i)))
@@ -179,11 +175,7 @@ mod tests {
             sim.attach_agent(n, Box::new(GroupMember::new(n, cfg, &log, &streams)));
         }
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-        Run {
-            sim,
-            log,
-            collector,
-        }
+        Run { sim, log }
     }
 
     #[test]
@@ -196,7 +188,7 @@ mod tests {
         assert!(log.records().any(|rec| rec.id.source == A));
         assert!(log.records().any(|rec| rec.id.source == B));
         // Both streams produced original data.
-        assert_eq!(r.collector.borrow().total_sends(PacketKind::Data), 100);
+        assert_eq!(r.sim.sends().total(PacketClass::Data), 100);
     }
 
     #[test]
@@ -229,7 +221,7 @@ mod tests {
         let r = run();
         let expedited = r.log.borrow().records().filter(|x| x.expedited).count();
         assert!(expedited > 0, "caching must still expedite");
-        assert!(r.collector.borrow().total_sends(PacketKind::ExpeditedReply) > 0);
+        assert!(r.sim.sends().total(PacketClass::ExpeditedReply) > 0);
     }
 
     #[test]

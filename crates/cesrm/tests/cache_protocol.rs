@@ -5,12 +5,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cesrm::{CesrmAgent, CesrmConfig};
-use metrics::{PacketKind, RecoveryLog};
+use metrics::RecoveryLog;
 use netsim::{
-    CastClass, Direction, NetConfig, Packet, PacketBody, PacketId, RecoveryTuple, SeqNo,
-    SimDuration, SimObserver, SimTime, Simulator,
+    Agent, CastClass, Context, DeliveryMeta, NetConfig, Packet, PacketBody, PacketId,
+    RecoveryTuple, SeqNo, SimDuration, SimTime, Simulator, TimerToken,
 };
-use topology::{LinkId, MulticastTree, NodeId, TreeBuilder};
+use obs::{Cast, PacketClass};
+use topology::{MulticastTree, NodeId, TreeBuilder};
 
 /// n0 (source) -> n1 (router) -> { n2 (agent under test), n3 }.
 fn tree() -> MulticastTree {
@@ -25,38 +26,57 @@ const ME: NodeId = NodeId(2);
 const PEER: NodeId = NodeId(3);
 const SOURCE: NodeId = NodeId(0);
 
-#[derive(Default)]
-struct Wire {
-    sends: Vec<(SimTime, NodeId, PacketKind, CastClass)>,
-    crossings: Vec<(LinkId, Direction, PacketKind)>,
-}
-
-impl SimObserver for Wire {
-    fn on_send(&mut self, now: SimTime, node: NodeId, packet: &Packet) {
-        self.sends
-            .push((now, node, PacketKind::of(packet), packet.cast));
-    }
-    fn on_link_crossing(&mut self, _now: SimTime, link: LinkId, dir: Direction, packet: &Packet) {
-        self.crossings.push((link, dir, PacketKind::of(packet)));
-    }
-}
-
 struct Fixture {
     sim: Simulator,
-    wire: Rc<RefCell<Wire>>,
+    /// The simulator's observation handle: it captures the `sent` record
+    /// of every packet but a session message.
+    sent: obs::Instruments,
     log: metrics::SharedRecoveryLog,
+}
+
+impl Fixture {
+    /// `(time, class, cast)` of every packet [`ME`] sent since the last
+    /// call, sessions excepted.
+    fn sends(&self) -> Vec<(SimTime, PacketClass, Cast)> {
+        self.sent
+            .drain()
+            .iter()
+            .filter_map(|r| match r.event {
+                obs::Event::PacketSent {
+                    node, class, cast, ..
+                } if NodeId(node) == ME => Some((SimTime::from_nanos(r.t_ns), class, cast)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Whether [`ME`] sent a packet of `class` since the last call.
+    fn has_sent(&self, class: PacketClass) -> bool {
+        self.sends().iter().any(|&(_, k, _)| k == class)
+    }
 }
 
 fn fixture(cfg: CesrmConfig) -> Fixture {
     let log = RecoveryLog::shared();
-    let wire = Rc::new(RefCell::new(Wire::default()));
+    let sent = obs::Instruments::memory();
     let mut sim = Simulator::new(tree(), NetConfig::default().with_seed(5));
-    sim.set_observer(Box::new(Rc::clone(&wire)));
+    sim.set_obs(sent.clone());
     sim.attach_agent(
         ME,
         Box::new(CesrmAgent::receiver(ME, SOURCE, cfg, log.clone())),
     );
-    Fixture { sim, wire, log }
+    Fixture { sim, sent, log }
+}
+
+/// Records every packet delivered to the node it sits at, with the
+/// neighbour it arrived from.
+struct Sink(Rc<RefCell<Vec<(Packet, NodeId)>>>);
+
+impl Agent for Sink {
+    fn on_packet(&mut self, _: &mut Context<'_>, packet: &Packet, meta: &DeliveryMeta) {
+        self.0.borrow_mut().push((packet.clone(), meta.prev_hop));
+    }
+    fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
 }
 
 fn pid(seq: u64) -> PacketId {
@@ -154,6 +174,9 @@ fn cache_keeps_optimal_pair_per_packet() {
 #[test]
 fn expeditious_requestor_unicasts_to_cached_replier() {
     let mut f = fixture(CesrmConfig::paper_default());
+    let at_peer = Rc::new(RefCell::new(Vec::new()));
+    f.sim
+        .attach_agent(PEER, Box::new(Sink(Rc::clone(&at_peer))));
     f.sim.inject_packet(ME, NodeId(1), &data(0), None);
     f.sim.inject_packet(ME, NodeId(1), &data(2), None);
     // Teach the cache that WE are the requestor and PEER the replier.
@@ -165,21 +188,18 @@ fn expeditious_requestor_unicasts_to_cached_replier() {
     // little longer so its hops propagate to the replier.
     let sent_at = f.sim.now();
     f.sim.run_until(sent_at + SimDuration::from_millis(100));
-    let wire = f.wire.borrow();
-    let expedited: Vec<_> = wire
-        .sends
-        .iter()
-        .filter(|(_, n, k, _)| *n == ME && *k == PacketKind::ExpeditedRequest)
+    let expedited: Vec<_> = f
+        .sends()
+        .into_iter()
+        .filter(|&(_, k, _)| k == PacketClass::ExpeditedRequest)
         .collect();
     assert_eq!(expedited.len(), 1, "one expedited request for loss 3");
-    assert_eq!(expedited[0].3, CastClass::Unicast);
-    // The unicast is routed towards PEER (link into n3, downward).
+    assert_eq!(expedited[0].2, Cast::Unicast);
+    // The unicast is routed towards PEER: down the link from n1 into n3.
     assert!(
-        wire.crossings
-            .iter()
-            .any(|(l, d, k)| *k == PacketKind::ExpeditedRequest
-                && *l == LinkId(PEER)
-                && *d == Direction::Down),
+        at_peer.borrow().iter().any(|(p, prev_hop)| {
+            p.body.class() == PacketClass::ExpeditedRequest && *prev_hop == NodeId(1)
+        }),
         "request must travel to the cached replier"
     );
 }
@@ -195,12 +215,8 @@ fn no_expedition_when_cached_requestor_is_someone_else() {
     f.sim.inject_packet(ME, NodeId(1), &data(4), None);
     f.sim
         .run_until(SimTime::ZERO + SimDuration::from_millis(10));
-    let wire = f.wire.borrow();
     assert!(
-        !wire
-            .sends
-            .iter()
-            .any(|(_, n, k, _)| *n == ME && *k == PacketKind::ExpeditedRequest),
+        !f.has_sent(PacketClass::ExpeditedRequest),
         "only the cached requestor expedites"
     );
 }
@@ -212,18 +228,17 @@ fn expeditious_replier_answers_immediately_when_it_holds_the_packet() {
     let before = f.sim.now();
     f.sim
         .inject_packet(ME, NodeId(1), &expedited_request(0, PEER), None);
-    let wire = f.wire.borrow();
-    let sent: Vec<_> = wire
-        .sends
-        .iter()
-        .filter(|(_, n, k, _)| *n == ME && *k == PacketKind::ExpeditedReply)
+    let sent: Vec<_> = f
+        .sends()
+        .into_iter()
+        .filter(|&(_, k, _)| k == PacketClass::ExpeditedReply)
         .collect();
     assert_eq!(sent.len(), 1, "expedited reply expected");
     assert_eq!(
         sent[0].0, before,
         "no suppression delay on expedited replies"
     );
-    assert_eq!(sent[0].3, CastClass::Multicast);
+    assert_eq!(sent[0].2, Cast::Multicast);
 }
 
 #[test]
@@ -234,12 +249,8 @@ fn expeditious_replier_stays_silent_when_it_shares_the_loss() {
         .inject_packet(ME, NodeId(1), &expedited_request(0, PEER), None);
     f.sim
         .run_until(SimTime::ZERO + SimDuration::from_millis(500));
-    let wire = f.wire.borrow();
     assert!(
-        !wire
-            .sends
-            .iter()
-            .any(|(_, n, k, _)| *n == ME && *k == PacketKind::ExpeditedReply),
+        !f.has_sent(PacketClass::ExpeditedReply),
         "cannot retransmit what we do not have"
     );
 }
@@ -263,12 +274,8 @@ fn expedited_reply_blocked_while_normal_reply_pending() {
     // "a reply for packet i is neither scheduled nor pending").
     f.sim
         .inject_packet(ME, NodeId(1), &expedited_request(0, PEER), None);
-    let wire = f.wire.borrow();
     assert!(
-        !wire
-            .sends
-            .iter()
-            .any(|(_, n, k, _)| *n == ME && *k == PacketKind::ExpeditedReply),
+        !f.has_sent(PacketClass::ExpeditedReply),
         "expedited reply must be suppressed while a reply is scheduled"
     );
 }
@@ -292,12 +299,8 @@ fn reorder_delay_cancels_on_late_arrival() {
     f.sim.inject_packet(ME, NodeId(1), &data(3), None);
     f.sim
         .run_until(SimTime::ZERO + SimDuration::from_millis(500));
-    let wire = f.wire.borrow();
     assert!(
-        !wire
-            .sends
-            .iter()
-            .any(|(_, n, k, _)| *n == ME && *k == PacketKind::ExpeditedRequest),
+        !f.has_sent(PacketClass::ExpeditedRequest),
         "REORDER-DELAY must cancel the extraneous expedited request"
     );
 }

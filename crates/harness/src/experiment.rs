@@ -1,14 +1,10 @@
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use cesrm::{CesrmConfig, CesrmEndpoints};
 use lossmap::{infer_link_drops, yajnik_rates, AttributionStats};
-use metrics::{
-    per_receiver_reports, OverheadBreakdown, PacketKind, ReceiverReport, RecoveryLog,
-    TrafficCollector,
-};
+use metrics::{per_receiver_reports, OverheadBreakdown, ReceiverReport, RecoveryLog};
 use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
+use obs::PacketClass;
 use srm::{Role, SourceConfig, SrmEndpoints, SrmParams};
 use topology::NodeId;
 use traces::Trace;
@@ -243,8 +239,6 @@ pub(crate) fn run_planned(
     sim.set_obs(handle.clone());
     let log = RecoveryLog::shared();
     log.borrow_mut().set_obs(handle.clone());
-    let collector = Rc::new(RefCell::new(TrafficCollector::new()));
-    sim.set_observer(Box::new(Rc::clone(&collector)));
 
     let source = tree.root();
     let period = SimDuration::from_millis(trace.meta().period_ms);
@@ -285,7 +279,7 @@ pub(crate) fn run_planned(
     let telemetry = sim.telemetry();
 
     let log = log.borrow();
-    let collector = collector.borrow();
+    let sends = sim.sends();
     let mut nodes = vec![source];
     nodes.extend_from_slice(tree.receivers());
     let requests_by_node = nodes
@@ -293,8 +287,8 @@ pub(crate) fn run_planned(
         .map(|&n| {
             (
                 n,
-                collector.sends_by(n, PacketKind::Request),
-                collector.sends_by(n, PacketKind::ExpeditedRequest),
+                sends.by(n, PacketClass::Request),
+                sends.by(n, PacketClass::ExpeditedRequest),
             )
         })
         .collect();
@@ -303,8 +297,8 @@ pub(crate) fn run_planned(
         .map(|&n| {
             (
                 n,
-                collector.sends_by(n, PacketKind::Reply),
-                collector.sends_by(n, PacketKind::ExpeditedReply),
+                sends.by(n, PacketClass::Reply),
+                sends.by(n, PacketClass::ExpeditedReply),
             )
         })
         .collect();
@@ -324,14 +318,14 @@ pub(crate) fn run_planned(
         reports: per_receiver_reports(&log, &tree, &net),
         requests_by_node,
         replies_by_node,
-        overhead: collector.overhead(),
-        expedited_requests: collector.total_sends(PacketKind::ExpeditedRequest),
-        expedited_replies: collector.total_sends(PacketKind::ExpeditedReply),
+        overhead: OverheadBreakdown::from_crossings(&telemetry.crossings),
+        expedited_requests: sends.total(PacketClass::ExpeditedRequest),
+        expedited_replies: sends.total(PacketClass::ExpeditedReply),
         unrecovered: log.unrecovered(),
         losses: log.len(),
         attribution: plan.attribution,
         samples,
-        expedited_reply_crossings: collector.crossings_any_cast(PacketKind::ExpeditedReply),
+        expedited_reply_crossings: telemetry.class_crossings(PacketClass::ExpeditedReply),
         events_processed,
     };
     (metrics_out, telemetry)

@@ -770,6 +770,28 @@ mod tests {
         let total: u64 = result.profs.iter().map(|p| p.engine.queue.pops).sum();
         assert!(total > 0);
         assert_eq!(pops, Some(total));
+        // The merge sums the crossing array cell by cell; it is not
+        // rendered (the schema lock pins `profile.engine`), but Fig. 5
+        // reads it.
+        let mut merged = netsim::EngineTelemetry::default();
+        for p in &result.profs {
+            merged.merge(&p.engine);
+        }
+        for (class, row) in merged.crossings.iter().enumerate() {
+            for (cast, &n) in row.iter().enumerate() {
+                let sum: u64 = result
+                    .profs
+                    .iter()
+                    .map(|p| p.engine.crossings[class][cast])
+                    .sum();
+                assert_eq!(n, sum, "crossings[{class}][{cast}]");
+            }
+        }
+        assert_eq!(
+            merged.crossings.iter().flatten().sum::<u64>(),
+            merged.transmits
+        );
+        assert!(merged.class_crossings(obs::PacketClass::Request) > 0);
         // A suite profile has no shards.
         assert!(profile.get("shards").unwrap().as_arr().unwrap().is_empty());
         assert_eq!(profile.get("imbalance_ratio"), Some(&JsonValue::Null));

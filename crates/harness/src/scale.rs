@@ -37,9 +37,7 @@
 //! from the topology's true path delay; only the source multicasts session
 //! messages, which is what tail-loss detection needs.
 
-use std::cell::RefCell;
 use std::mem;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -47,7 +45,7 @@ mod progress;
 use progress::Progress;
 
 use cesrm::{CesrmAgent, CesrmConfig, CesrmEndpoints};
-use metrics::{PacketKind, RecoveryLog, RecoveryRecord, TrafficCollector};
+use metrics::{OverheadBreakdown, RecoveryLog, RecoveryRecord};
 use netsim::{CrossShardPacket, NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
 use srm::{Role, SourceConfig, SrmAgent, SrmEndpoints, SrmParams};
 use topology::{scale_tree, LinkId, MulticastTree, NodeId, ScaleShape, ScaleTree};
@@ -439,13 +437,11 @@ pub fn build_assignment(tree: &MulticastTree, shards: u16) -> Vec<u16> {
 /// agents and the recovery log hold the `Rc`-based observation handle and
 /// are not `Send`, so workers extract the plain-data measurements before exiting.
 struct ShardOutcome {
-    events: u64,
     records: Vec<RecoveryRecord>,
-    traffic: TrafficCollector,
     state_bytes: u64,
     violations: Option<u64>,
     accounting: ShardAccounting,
-    engine: Option<netsim::EngineTelemetry>,
+    engine: netsim::EngineTelemetry,
     digest: Option<obs::DigestSnapshot>,
     window: obs::RecordLog,
 }
@@ -540,30 +536,21 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
             .collect()
     });
 
-    let mut events = 0u64;
     let mut state_bytes = 0u64;
     let mut records: Vec<RecoveryRecord> = Vec::new();
-    let mut traffic = TrafficCollector::new();
     let mut violations: Option<u64> = None;
     let mut shard_accounting: Vec<ShardAccounting> = Vec::with_capacity(shards);
-    let mut engine: Option<netsim::EngineTelemetry> = None;
+    let mut engine = netsim::EngineTelemetry::default();
     let mut digest: Option<obs::DigestSnapshot> = None;
     let mut window_events: Vec<obs::Record> = Vec::new();
     for o in outcomes {
-        events += o.events;
         state_bytes += o.state_bytes;
         records.extend(o.records);
-        traffic.merge(o.traffic);
         if let Some(v) = o.violations {
             violations = Some(violations.unwrap_or(0) + v);
         }
         shard_accounting.push(o.accounting);
-        if let Some(e) = o.engine {
-            match &mut engine {
-                Some(merged) => merged.merge(&e),
-                None => engine = Some(e),
-            }
-        }
+        engine.merge(&o.engine);
         if let Some(d) = o.digest {
             // Leaf merging is commutative and associative, so the fold
             // order (shard order here) cannot affect the merged snapshot.
@@ -597,14 +584,14 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
     } else {
         0
     };
-    let overhead = traffic.overhead();
+    let overhead = OverheadBreakdown::from_crossings(&engine.crossings);
 
     ScaleResult {
         receivers: tree.receivers().len() as u64,
         nodes: tree.len() as u64,
         links: (tree.len() - 1) as u64,
         shards: shards as u32,
-        events,
+        events: engine.events,
         detected,
         recovered,
         expedited,
@@ -615,12 +602,12 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
         retransmission_crossings: overhead.retransmissions,
         control_crossings: overhead.control_total(),
         session_crossings: overhead.sessions,
-        data_crossings: traffic.crossings_any_cast(PacketKind::Data),
+        data_crossings: engine.class_crossings(obs::PacketClass::Data),
         state_bytes,
         violations,
         epochs,
         shard_accounting,
-        engine,
+        engine: cfg.profile.then_some(engine),
         digest,
         window_events,
         records,
@@ -720,8 +707,6 @@ fn run_shard(
     sim.set_loss(TraceLoss::new(drops.iter().copied()));
 
     let log = RecoveryLog::shared();
-    let collector = Rc::new(RefCell::new(TrafficCollector::new()));
-    sim.set_observer(Box::new(Rc::clone(&collector)));
     log.borrow_mut().set_obs(handle.clone());
 
     let source = tree.root();
@@ -852,18 +837,15 @@ fn run_shard(
         }
     }
     let records: Vec<RecoveryRecord> = log.borrow().records().copied().collect();
-    let traffic = mem::replace(&mut *collector.borrow_mut(), TrafficCollector::new());
     let digest = handle.digest_snapshot();
     let window = handle.drain();
     obs::flight::clear_current();
     Some(ShardOutcome {
-        events: sim.events_processed(),
         records,
-        traffic,
         state_bytes,
         violations,
         accounting,
-        engine: cfg.profile.then(|| sim.telemetry()),
+        engine: sim.telemetry(),
         digest,
         window,
     })

@@ -414,10 +414,9 @@ impl Agent for LmsReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metrics::{PacketKind, RecoveryLog, TrafficCollector};
+    use metrics::RecoveryLog;
     use netsim::{CastClass, NetConfig, Simulator, TraceLoss};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use obs::PacketClass;
     use topology::{LinkId, MulticastTree, TreeBuilder};
 
     /// n0 (source) -> n1 -> { n2, n3 -> { n4, n5 } }, n0 -> n6.
@@ -434,8 +433,13 @@ mod tests {
 
     struct Run {
         log: metrics::SharedRecoveryLog,
-        collector: Rc<RefCell<TrafficCollector>>,
         sim: Simulator,
+    }
+
+    impl Run {
+        fn crossings(&self, class: PacketClass, cast: CastClass) -> u64 {
+            self.sim.telemetry().crossings[class as usize][cast as usize]
+        }
     }
 
     fn run_lms(
@@ -448,9 +452,7 @@ mod tests {
         // LMS is a router-assisted protocol: subcast must be available.
         let net = NetConfig::default().with_router_assist(true).with_seed(2);
         let log = RecoveryLog::shared();
-        let collector = Rc::new(RefCell::new(TrafficCollector::new()));
         let mut sim = Simulator::new(tree.clone(), net);
-        sim.set_observer(Box::new(Rc::clone(&collector)));
         sim.set_loss(TraceLoss::new(drops));
         let table = ReplierTable::closest_receiver(&tree);
         let src = NodeId::ROOT;
@@ -481,11 +483,7 @@ mod tests {
             sim.detach_agent(node);
         }
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(secs));
-        Run {
-            log,
-            collector,
-            sim,
-        }
+        Run { log, sim }
     }
 
     #[test]
@@ -498,11 +496,10 @@ mod tests {
         let log = run.log.borrow();
         assert_eq!(log.len(), 2);
         assert_eq!(log.unrecovered(), 0);
-        let c = run.collector.borrow();
-        assert!(c.crossings(PacketKind::Reply, CastClass::Subcast) > 0);
+        assert!(run.crossings(PacketClass::Reply, CastClass::Subcast) > 0);
         // No multicast requests ever: LMS requests are unicast.
         assert_eq!(
-            c.crossings(PacketKind::ExpeditedRequest, CastClass::Multicast),
+            run.crossings(PacketClass::ExpeditedRequest, CastClass::Multicast),
             0
         );
     }
@@ -515,9 +512,8 @@ mod tests {
         let log = run.log.borrow();
         assert_eq!(log.len(), 1);
         assert_eq!(log.unrecovered(), 0);
-        let c = run.collector.borrow();
         // Reply crossings: n4 -> n3 (up) + subcast down to n4 and n5 = 3.
-        assert_eq!(c.crossings_any_cast(PacketKind::Reply), 3);
+        assert_eq!(run.sim.telemetry().class_crossings(PacketClass::Reply), 3);
     }
 
     #[test]
@@ -621,9 +617,9 @@ mod tests {
     fn lossless_run_is_quiet() {
         let run = run_lms(vec![], 40, 30, None);
         assert!(run.log.borrow().is_empty());
-        let c = run.collector.borrow();
-        assert_eq!(c.total_sends(PacketKind::ExpeditedRequest), 0);
-        assert_eq!(c.total_sends(PacketKind::Reply), 0);
-        assert_eq!(c.total_sends(PacketKind::Data), 40);
+        let c = run.sim.sends();
+        assert_eq!(c.total(PacketClass::ExpeditedRequest), 0);
+        assert_eq!(c.total(PacketClass::Reply), 0);
+        assert_eq!(c.total(PacketClass::Data), 40);
     }
 }

@@ -63,8 +63,9 @@
 //! recovery-relevant packets (`docs/TRACING.md`) when the handle has an
 //! event consumer. With the default off-handle every call site is one
 //! branch. What the engine counts is always on and exact
-//! ([`Simulator::telemetry`], `docs/PROFILING.md`); it never reads the
-//! host clock.
+//! ([`Simulator::telemetry`], `docs/PROFILING.md`, including the link
+//! crossings per packet class and cast; [`Simulator::sends`], the packets
+//! each node sent); it never reads the host clock.
 //!
 //! # Sharded execution (million-node runs)
 //!
@@ -84,7 +85,6 @@ mod agent;
 mod arena;
 mod config;
 mod loss;
-mod observer;
 mod packet;
 mod queue;
 mod sim;
@@ -94,10 +94,11 @@ pub use agent::{Agent, Context, DeliveryMeta, TimerToken};
 pub use arena::{ArenaTelemetry, PacketArena, PacketHandle};
 pub use config::NetConfig;
 pub use loss::TraceLoss;
-pub use observer::{Direction, NullObserver, SimObserver};
 pub use packet::{
     CastClass, Packet, PacketBody, PacketId, RecoveryTuple, SeqNo, SessionData, SessionEcho,
 };
 pub use queue::{CalendarQueue, Entry, QueueTelemetry};
-pub use sim::{scheduled_event_footprint_bytes, CrossShardPacket, EngineTelemetry, Simulator};
+pub use sim::{
+    scheduled_event_footprint_bytes, CrossShardPacket, EngineTelemetry, SendCounts, Simulator,
+};
 pub use time::{SimDuration, SimTime};

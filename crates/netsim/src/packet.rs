@@ -1,5 +1,6 @@
 use std::fmt;
 
+use obs::PacketClass;
 use topology::NodeId;
 
 use crate::{NetConfig, SimDuration, SimTime};
@@ -200,6 +201,22 @@ impl PacketBody {
         }
     }
 
+    /// The body's class in the one packet vocabulary, `obs::PacketClass`:
+    /// what the engine counts sends and link crossings by, and what its
+    /// trace records name.
+    pub fn class(&self) -> PacketClass {
+        match self {
+            PacketBody::Data { .. } => PacketClass::Data,
+            PacketBody::Request { .. } => PacketClass::Request,
+            PacketBody::Reply {
+                expedited: true, ..
+            } => PacketClass::ExpeditedReply,
+            PacketBody::Reply { .. } => PacketClass::Reply,
+            PacketBody::ExpeditedRequest { .. } => PacketClass::ExpeditedRequest,
+            PacketBody::Session(_) => PacketClass::Session,
+        }
+    }
+
     /// Size on the wire in bytes under the paper's model: payload-carrying
     /// packets (original data and retransmissions) are `payload_bytes`;
     /// control packets (requests and session messages) are `control_bytes`.
@@ -357,6 +374,43 @@ mod tests {
         assert_eq!(req.subject(), Some(pid(9)));
         let sess = PacketBody::session(NodeId(1), SimTime::ZERO, None, Vec::new());
         assert_eq!(sess.subject(), None);
+    }
+
+    #[test]
+    fn class_covers_every_body() {
+        let tuple = RecoveryTuple {
+            id: pid(0),
+            requestor: NodeId(1),
+            dist_req_src: SimDuration::ZERO,
+            replier: NodeId(2),
+            dist_rep_req: SimDuration::ZERO,
+            turning_point: None,
+        };
+        let bodies = [
+            PacketBody::Data { id: pid(0) },
+            PacketBody::Request {
+                id: pid(0),
+                requestor: NodeId(1),
+                dist_req_src: SimDuration::ZERO,
+            },
+            PacketBody::Reply {
+                tuple,
+                expedited: false,
+            },
+            PacketBody::ExpeditedRequest {
+                id: pid(0),
+                requestor: NodeId(1),
+                dist_req_src: SimDuration::ZERO,
+                turning_point: None,
+            },
+            PacketBody::Reply {
+                tuple,
+                expedited: true,
+            },
+            PacketBody::session(NodeId(1), SimTime::ZERO, None, Vec::new()),
+        ];
+        let classes: Vec<PacketClass> = bodies.iter().map(PacketBody::class).collect();
+        assert_eq!(classes, PacketClass::ALL);
     }
 
     #[test]

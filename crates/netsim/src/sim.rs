@@ -1,5 +1,7 @@
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use obs::PacketClass;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -7,7 +9,6 @@ use topology::{LinkId, MulticastTree, NodeId};
 
 use crate::agent::{Agent, Context, DeliveryMeta, TimerToken};
 use crate::arena::{ArenaTelemetry, PacketArena, PacketHandle};
-use crate::observer::{Direction, NullObserver, SimObserver};
 use crate::queue::{CalendarQueue, Entry, QueueTelemetry};
 use crate::{CastClass, NetConfig, Packet, PacketBody, SimDuration, SimTime, TraceLoss};
 
@@ -21,20 +22,17 @@ fn node_rng(slot: &mut Option<StdRng>, run_seed: u64, node: NodeId) -> &mut StdR
     })
 }
 
-/// Maps a packet onto the dependency-free tracing vocabulary of the `obs`
-/// crate: a body classification plus the data sequence number it concerns.
-fn trace_class(packet: &Packet) -> (obs::PacketClass, Option<u64>) {
-    let class = match &packet.body {
-        PacketBody::Data { .. } => obs::PacketClass::Data,
-        PacketBody::Request { .. } => obs::PacketClass::Request,
-        PacketBody::Reply {
-            expedited: true, ..
-        } => obs::PacketClass::ExpeditedReply,
-        PacketBody::Reply { .. } => obs::PacketClass::Reply,
-        PacketBody::ExpeditedRequest { .. } => obs::PacketClass::ExpeditedRequest,
-        PacketBody::Session(_) => obs::PacketClass::Session,
-    };
-    (class, packet.body.subject().map(|id| id.seq.value()))
+/// The data sequence number a trace record about `packet` names.
+fn trace_seq(packet: &Packet) -> Option<u64> {
+    packet.body.subject().map(|id| id.seq.value())
+}
+
+/// Direction of travel across a link: `Up` is from child towards the
+/// root, `Down` from parent towards the leaves.
+#[derive(Clone, Copy)]
+enum Direction {
+    Up,
+    Down,
 }
 
 fn trace_cast(cast: CastClass) -> obs::Cast {
@@ -197,7 +195,8 @@ struct NodeSlot {
 /// stay enabled unconditionally. This is the one count block: it is the
 /// run report's `profile.engine` member (`docs/PROFILING.md`), and after a
 /// run the harness reads a run's `sim.events.*`, `sim.packets.*` and
-/// `sim.timers.*` counters from it (`docs/METRICS.md`), so nothing is
+/// `sim.timers.*` counters from it (`docs/METRICS.md`), and the link
+/// crossings behind the paper's Fig. 5 overhead split, so nothing is
 /// counted a second time per event.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct EngineTelemetry {
@@ -223,6 +222,10 @@ pub struct EngineTelemetry {
     /// Of [`transmits`](Self::transmits), crossings the loss plan
     /// dropped; every other one was forwarded.
     pub drops: u64,
+    /// [`transmits`](Self::transmits) split by packet class and cast,
+    /// indexed `[class as usize][cast as usize]`: one cost unit per link
+    /// traversal (paper §4.4), dropped crossings included.
+    pub crossings: [[u64; CASTS]; PacketClass::ALL.len()],
     /// Timers scheduled.
     pub timers: u64,
     /// Timer cancellations requested by agents.
@@ -248,20 +251,70 @@ impl EngineTelemetry {
         self.start_events += other.start_events;
         self.timer_events += other.timer_events;
         self.drops += other.drops;
+        for (mine, theirs) in self.crossings.iter_mut().zip(&other.crossings) {
+            for (m, v) in mine.iter_mut().zip(theirs) {
+                *m += v;
+            }
+        }
         self.timers += other.timers;
         self.timers_cancelled += other.timers_cancelled;
         self.timers_voided += other.timers_voided;
     }
+
+    /// Link crossings of `class` under any cast.
+    pub fn class_crossings(&self, class: PacketClass) -> u64 {
+        self.crossings[class as usize].iter().sum()
+    }
+}
+
+/// Number of [`CastClass`] variants, the inner index of
+/// [`EngineTelemetry::crossings`].
+const CASTS: usize = 3;
+
+/// Packets sent per node and class, read through [`Simulator::sends`]
+/// (the per-receiver request and reply counts of the paper's Fig. 3–4).
+/// Sparse: only a node that sent owns a row. Sends are orders of magnitude
+/// rarer than link crossings, so the map lookup stays off the hot path,
+/// where a dense per-node table would grow with the million-receiver rung.
+#[derive(Clone, PartialEq, Eq, Default, Debug)]
+pub struct SendCounts(BTreeMap<u32, [u64; PacketClass::ALL.len()]>);
+
+impl SendCounts {
+    /// Packets of `class` sent by `node`.
+    pub fn by(&self, node: NodeId, class: PacketClass) -> u64 {
+        self.0.get(&node.0).map_or(0, |row| row[class as usize])
+    }
+
+    /// Packets of `class` sent by any node.
+    pub fn total(&self, class: PacketClass) -> u64 {
+        self.0.values().map(|row| row[class as usize]).sum()
+    }
+
+    /// Folds `other`'s rows in, elementwise. The counts are exact sums, so
+    /// folding a sharded run's per-shard counts in any order gives the
+    /// unsharded counts.
+    pub fn merge(&mut self, other: &SendCounts) {
+        for (node, row) in &other.0 {
+            let mine = self.0.entry(*node).or_default();
+            for (m, v) in mine.iter_mut().zip(row) {
+                *m += v;
+            }
+        }
+    }
+
+    fn count(&mut self, node: NodeId, class: PacketClass) {
+        self.0.entry(node.0).or_default()[class as usize] += 1;
+    }
 }
 
 /// The discrete-event simulator: a multicast tree, per-direction link
-/// queues, a totally-ordered event queue, protocol agents, a loss plan
-/// and an observer.
+/// queues, a totally-ordered event queue, protocol agents and a loss plan.
 ///
 /// See the [crate docs](crate) for the network model. Construction wires an
-/// empty [`TraceLoss`] plan (nothing is dropped) and a [`NullObserver`];
-/// replace them with [`set_loss`](Simulator::set_loss) and
-/// [`set_observer`](Simulator::set_observer) before running.
+/// empty [`TraceLoss`] plan (nothing is dropped); replace it with
+/// [`set_loss`](Simulator::set_loss) before running. What the engine
+/// counts — link crossings in [`telemetry`](Simulator::telemetry), packet
+/// sends per node in [`sends`](Simulator::sends) — is always on.
 ///
 /// # Engine layout
 ///
@@ -313,7 +366,6 @@ pub struct Simulator {
     control_tx: SimDuration,
     arena: PacketArena,
     loss: TraceLoss,
-    observer: Box<dyn SimObserver>,
     /// The run's observation handle; [`obs::Instruments::off`] by default.
     obs: obs::Instruments,
     /// Always-on engine counters; see [`EngineTelemetry`].
@@ -324,8 +376,10 @@ pub struct Simulator {
     start_events: u64,
     timer_events: u64,
     drops: u64,
+    crossings: [[u64; CASTS]; PacketClass::ALL.len()],
     timers_cancelled: u64,
     timers_voided: u64,
+    sends: SendCounts,
 }
 
 /// Node-to-shard assignment view of one worker in a sharded run.
@@ -384,7 +438,6 @@ impl Simulator {
             control_tx: cfg.transmission_time(cfg.control_bytes),
             arena: PacketArena::new(),
             loss: TraceLoss::default(),
-            observer: Box::new(NullObserver),
             obs: obs::Instruments::off(),
             transmits: 0,
             deliveries: 0,
@@ -393,8 +446,10 @@ impl Simulator {
             start_events: 0,
             timer_events: 0,
             drops: 0,
+            crossings: Default::default(),
             timers_cancelled: 0,
             timers_voided: 0,
+            sends: SendCounts::default(),
             tree,
             cfg,
         }
@@ -535,11 +590,6 @@ impl Simulator {
         self.links[link.index()].delay = delay;
     }
 
-    /// Installs the traffic observer.
-    pub fn set_observer(&mut self, observer: Box<dyn SimObserver>) {
-        self.observer = observer;
-    }
-
     /// Installs the run's observation handle (the default is
     /// [`obs::Instruments::off`]). Depending on what the handle was built
     /// with, the simulator then emits `sent`/`dropped`/`delivered` trace
@@ -573,10 +623,16 @@ impl Simulator {
             start_events: self.start_events,
             timer_events: self.timer_events,
             drops: self.drops,
+            crossings: self.crossings,
             timers: self.next_timer,
             timers_cancelled: self.timers_cancelled,
             timers_voided: self.timers_voided,
         }
+    }
+
+    /// Packets sent so far, per node and class.
+    pub fn sends(&self) -> &SendCounts {
+        &self.sends
     }
 
     /// Attaches a protocol agent to `node`; its
@@ -787,19 +843,22 @@ impl Simulator {
         node_rng(&mut self.node_rngs[node.index()], self.cfg.seed, node)
     }
 
-    /// Emits a `sent` trace record for a packet entering the network.
-    /// Session traffic is excluded to bound trace volume: it is periodic
-    /// background chatter with no per-loss provenance value.
-    fn trace_send(&self, origin: NodeId, packet: &Packet) {
-        self.obs.emit(self.now.as_nanos(), || {
-            let (class, seq) = trace_class(packet);
-            obs::Event::PacketSent {
-                node: origin.0,
-                class,
-                seq,
-                cast: trace_cast(packet.cast),
-            }
-        });
+    /// Counts a packet entering the network and emits its `sent` trace
+    /// record. Session traffic is counted but not traced, to bound trace
+    /// volume: it is periodic background chatter with no per-loss
+    /// provenance value.
+    fn note_send(&mut self, packet: &Packet) {
+        let class = packet.body.class();
+        self.sends.count(packet.origin, class);
+        if class != PacketClass::Session {
+            self.obs
+                .emit(self.now.as_nanos(), || obs::Event::PacketSent {
+                    node: packet.origin.0,
+                    class,
+                    seq: trace_seq(packet),
+                    cast: trace_cast(packet.cast),
+                });
+        }
     }
 
     pub(crate) fn send_multicast(&mut self, origin: NodeId, body: PacketBody) {
@@ -808,10 +867,7 @@ impl Simulator {
             cast: CastClass::Multicast,
             body,
         };
-        self.observer.on_send(self.now, origin, &packet);
-        if !matches!(packet.body, PacketBody::Session(_)) {
-            self.trace_send(origin, &packet);
-        }
+        self.note_send(&packet);
         let handle = self.arena.alloc(origin);
         self.fan_out(origin, None, &packet, handle, None);
         self.arena.fill(handle, packet);
@@ -825,10 +881,7 @@ impl Simulator {
             cast: CastClass::Unicast,
             body,
         };
-        self.observer.on_send(self.now, origin, &packet);
-        if !matches!(packet.body, PacketBody::Session(_)) {
-            self.trace_send(origin, &packet);
-        }
+        self.note_send(&packet);
         let next = self.tree.next_hop(origin, dest);
         let handle = self.arena.alloc(dest);
         self.transmit_leg(origin, next, &packet, handle, None);
@@ -842,10 +895,7 @@ impl Simulator {
             cast: CastClass::Subcast,
             body,
         };
-        self.observer.on_send(self.now, origin, &packet);
-        if !matches!(packet.body, PacketBody::Session(_)) {
-            self.trace_send(origin, &packet);
-        }
+        self.note_send(&packet);
         let handle = self.arena.alloc(via);
         if origin == via {
             self.flood_down(via, &packet, handle, Some(via));
@@ -961,7 +1011,8 @@ impl Simulator {
             *free = depart;
             (depart, state.delay)
         };
-        self.observer.on_link_crossing(self.now, link, dir, packet);
+        let class = packet.body.class();
+        self.crossings[class as usize][packet.cast as usize] += 1;
         // Loss and jitter draw from the transmitting node's stream, which
         // the shard executing this transmit owns.
         let (slot, seed) = (&mut self.node_rngs[a.index()], self.cfg.seed);
@@ -969,16 +1020,13 @@ impl Simulator {
             .loss
             .should_drop(link, packet, || node_rng(slot, seed, a))
         {
-            self.observer.on_drop(self.now, link, packet);
             self.drops += 1;
-            self.obs.emit(self.now.as_nanos(), || {
-                let (class, seq) = trace_class(packet);
-                obs::Event::PacketDropped {
+            self.obs
+                .emit(self.now.as_nanos(), || obs::Event::PacketDropped {
                     link: link.0 .0,
                     class,
-                    seq,
-                }
-            });
+                    seq: trace_seq(packet),
+                });
             return;
         }
         let jitter = if self.cfg.jitter.is_zero() {
@@ -1066,7 +1114,6 @@ impl Simulator {
             return;
         }
         self.deliveries += 1;
-        self.observer.on_delivery(self.now, node, packet);
         if self.obs.events_enabled() {
             // Recovery-class deliveries only: original-data and session
             // deliveries are O(receivers × packets) noise for provenance
@@ -1075,13 +1122,13 @@ impl Simulator {
             // the node the matching `sent` record named — the conservation
             // monitor (I5, docs/MONITORS.md) joins deliveries to sends on
             // (origin, class, seq).
-            let (class, seq) = trace_class(packet);
-            if !matches!(class, obs::PacketClass::Data | obs::PacketClass::Session) {
+            let class = packet.body.class();
+            if !matches!(class, PacketClass::Data | PacketClass::Session) {
                 self.obs
                     .emit(self.now.as_nanos(), || obs::Event::PacketDelivered {
                         node: node.0,
                         class,
-                        seq,
+                        seq: trace_seq(packet),
                         origin: packet.origin.0,
                     });
             }
@@ -1647,7 +1694,7 @@ mod tests {
             sim.attach_agent(NodeId::ROOT, sender(&log, CastKind::Multi, data_body(0)));
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
             let deliveries: Vec<_> = log.borrow().iter().map(|e| (e.0, e.1)).collect();
-            (sim.telemetry(), deliveries)
+            (sim.telemetry(), deliveries, sim.sends().clone())
         };
         let bare = run(&obs::Instruments::off());
         let handle = obs::Instruments::new(obs::Setup {
@@ -1664,6 +1711,15 @@ mod tests {
         // n1→n3 is the drop, so the n3 subtree never sees the packet.
         assert_eq!(engine.transmits, 4);
         assert_eq!(engine.drops, 1);
+        // All four crossings are data multicast, the dropped one included.
+        let mut crossings = [[0; CASTS]; PacketClass::ALL.len()];
+        crossings[PacketClass::Data as usize][CastClass::Multicast as usize] = 4;
+        assert_eq!(engine.crossings, crossings);
+        assert_eq!(engine.class_crossings(PacketClass::Data), 4);
+        let sends = &bare.2;
+        assert_eq!(sends.by(NodeId::ROOT, PacketClass::Data), 1);
+        assert_eq!(sends.total(PacketClass::Data), 1);
+        assert_eq!(sends.by(NodeId(2), PacketClass::Data), 0);
         assert_eq!(engine.events, 5 + 3, "all non-start events are hops");
         // The root starts first: the four receiver starts are still queued
         // when its flood pushes a hop toward each child.
@@ -1674,6 +1730,21 @@ mod tests {
         let counters = handle.metrics_snapshot().counters;
         assert!(counters.keys().all(|name| !name.starts_with("sim.")));
         assert!(counters.values().all(|&n| n == 0), "{counters:?}");
+    }
+
+    #[test]
+    fn send_counts_merge_row_by_row() {
+        let mut a = SendCounts::default();
+        a.count(NodeId(1), PacketClass::Request);
+        a.count(NodeId(1), PacketClass::Request);
+        let mut b = SendCounts::default();
+        b.count(NodeId(1), PacketClass::Request);
+        b.count(NodeId(2), PacketClass::ExpeditedRequest);
+        a.merge(&b);
+        assert_eq!(a.by(NodeId(1), PacketClass::Request), 3);
+        assert_eq!(a.by(NodeId(2), PacketClass::ExpeditedRequest), 1);
+        assert_eq!(a.by(NodeId(2), PacketClass::Request), 0);
+        assert_eq!(a.total(PacketClass::Request), 3);
     }
 
     #[test]

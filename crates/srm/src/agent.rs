@@ -121,10 +121,9 @@ impl Agent for SrmAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metrics::{per_receiver_reports, PacketKind, RecoveryLog, TrafficCollector};
+    use metrics::{per_receiver_reports, RecoveryLog};
     use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use obs::PacketClass;
     use topology::{LinkId, MulticastTree, TreeBuilder};
 
     /// n0 (source) -> n1 -> {n2, n3(router) -> {n4, n5}}, n0 -> n6.
@@ -142,15 +141,12 @@ mod tests {
     struct Setup {
         sim: Simulator,
         log: metrics::SharedRecoveryLog,
-        collector: Rc<RefCell<TrafficCollector>>,
     }
 
     fn setup(drops: Vec<(LinkId, SeqNo)>, packets: u64, seed: u64) -> Setup {
         let tree = tree();
         let log = RecoveryLog::shared();
-        let collector = Rc::new(RefCell::new(TrafficCollector::new()));
         let mut sim = Simulator::new(tree, NetConfig::default().with_seed(seed));
-        sim.set_observer(Box::new(Rc::clone(&collector)));
         sim.set_loss(TraceLoss::new(drops));
         let source = topology::NodeId::ROOT;
         let cfg = SourceConfig {
@@ -178,11 +174,7 @@ mod tests {
                 )),
             );
         }
-        Setup {
-            sim,
-            log,
-            collector,
-        }
+        Setup { sim, log }
     }
 
     fn run(setup: &mut Setup, secs: u64) {
@@ -196,11 +188,11 @@ mod tests {
         let mut s = setup(vec![], 50, 1);
         run(&mut s, 30);
         assert!(s.log.borrow().is_empty());
-        let c = s.collector.borrow();
-        assert_eq!(c.total_sends(PacketKind::Request), 0);
-        assert_eq!(c.total_sends(PacketKind::Reply), 0);
-        assert_eq!(c.total_sends(PacketKind::Data), 50);
-        assert!(c.total_sends(PacketKind::Session) > 0);
+        let c = s.sim.sends();
+        assert_eq!(c.total(PacketClass::Request), 0);
+        assert_eq!(c.total(PacketClass::Reply), 0);
+        assert_eq!(c.total(PacketClass::Data), 50);
+        assert!(c.total(PacketClass::Session) > 0);
     }
 
     #[test]
@@ -253,9 +245,9 @@ mod tests {
         let log = s.log.borrow();
         assert_eq!(log.len(), 4);
         assert_eq!(log.unrecovered(), 0);
-        let c = s.collector.borrow();
-        let requests = c.total_sends(PacketKind::Request);
-        let replies = c.total_sends(PacketKind::Reply);
+        let c = s.sim.sends();
+        let requests = c.total(PacketClass::Request);
+        let replies = c.total(PacketClass::Reply);
         // Without suppression each of 4 receivers would request and the
         // source + every holder would reply; suppression should keep both
         // counts small.

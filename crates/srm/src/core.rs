@@ -835,8 +835,9 @@ fn reply_entry(
 mod tests {
     use super::*;
     use crate::SrmAgent;
-    use metrics::{PacketKind, RecoveryLog};
-    use netsim::{CastClass, NetConfig, SimObserver, Simulator};
+    use metrics::RecoveryLog;
+    use netsim::{Agent, CastClass, Context, DeliveryMeta, NetConfig, Simulator};
+    use obs::PacketClass;
     use proptest::prelude::*;
     use std::cell::{Cell, RefCell};
     use topology::{MulticastTree, TreeBuilder};
@@ -862,20 +863,40 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[derive(Default)]
-    struct Sends(Vec<(SimTime, PacketKind)>);
+    /// Everything the endpoint under test sent. Its `sent` trace records
+    /// carry exact send times but leave session messages out; those are
+    /// heard by a [`SessionSink`] and stamped with their own `sent_at`.
+    #[derive(Default, PartialEq, Debug)]
+    struct Sent {
+        records: Vec<(SimTime, PacketClass)>,
+        sessions: Rc<RefCell<Vec<SimTime>>>,
+    }
 
-    impl SimObserver for Sends {
-        fn on_send(&mut self, now: SimTime, _: NodeId, packet: &Packet) {
-            self.0.push((now, PacketKind::of(packet)));
+    impl Sent {
+        fn len(&self) -> usize {
+            self.records.len() + self.sessions.borrow().len()
         }
     }
 
-    /// A lone receiver at [`ME`] that already holds packets `0..held`.
-    fn lone_receiver(sessions: bool, held: u64) -> (Simulator, Rc<RefCell<Sends>>) {
-        let sends = Rc::new(RefCell::new(Sends::default()));
+    /// Sits at [`PEER`], where every multicast of the endpoint under test
+    /// arrives, and notes the send time of each session message.
+    struct SessionSink(Rc<RefCell<Vec<SimTime>>>);
+
+    impl Agent for SessionSink {
+        fn on_packet(&mut self, _: &mut Context<'_>, packet: &Packet, _: &DeliveryMeta) {
+            if let PacketBody::Session(s) = &packet.body {
+                self.0.borrow_mut().push(s.sent_at);
+            }
+        }
+        fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
+    }
+
+    /// A lone receiver at [`ME`] that already holds packets `0..held`, with
+    /// the handle its `sent` records go to.
+    fn lone_receiver(sessions: bool, held: u64) -> (Simulator, obs::Instruments) {
+        let sent = obs::Instruments::memory();
         let mut sim = Simulator::new(tree(), NetConfig::default().with_seed(5));
-        sim.set_observer(Box::new(Rc::clone(&sends)));
+        sim.set_obs(sent.clone());
         let mut agent = SrmAgent::receiver(
             ME,
             SOURCE,
@@ -887,7 +908,16 @@ mod tests {
         for seq in 0..held {
             inject(&mut sim, SOURCE, PacketBody::Data { id: pid(seq) });
         }
-        (sim, sends)
+        (sim, sent)
+    }
+
+    /// Moves the `sent` records buffered in `handle` into `sent`.
+    fn collect_sent(handle: &obs::Instruments, sent: &mut Sent) {
+        for r in handle.drain().iter() {
+            if let obs::Event::PacketSent { class, .. } = r.event {
+                sent.records.push((SimTime::from_nanos(r.t_ns), class));
+            }
+        }
     }
 
     fn core(sim: &Simulator) -> &SrmCore {
@@ -974,15 +1004,17 @@ mod tests {
         now: SimTime,
         blocked: Vec<bool>,
         timers: Vec<(TimerToken, TimerKind)>,
-        sends: usize,
+        sent: usize,
     }
 
     /// Runs `tape` — (op, seq, gap ms) — against a receiver with sessions
     /// on, collecting dead reply entries eagerly or only at session ticks.
-    fn observe(tape: &[(u8, u64, u64)], lazy: bool) -> (Vec<Observed>, Vec<(SimTime, PacketKind)>) {
+    fn observe(tape: &[(u8, u64, u64)], lazy: bool) -> (Vec<Observed>, Sent) {
         const SEQS: u64 = 12;
         COLLECT_AT_SESSION_TICKS_ONLY.set(lazy);
-        let (mut sim, sends) = lone_receiver(true, SEQS);
+        let (mut sim, handle) = lone_receiver(true, SEQS);
+        let mut sent = Sent::default();
+        sim.attach_agent(PEER, Box::new(SessionSink(Rc::clone(&sent.sessions))));
         let mut seen = Vec::new();
         for &(op, seq, gap_ms) in tape {
             match op {
@@ -992,6 +1024,7 @@ mod tests {
             }
             // Timers (reply, session) fire inside the gap.
             advance(&mut sim, SimDuration::from_millis(gap_ms));
+            collect_sent(&handle, &mut sent);
             let core = core(&sim);
             seen.push(Observed {
                 now: sim.now(),
@@ -999,12 +1032,11 @@ mod tests {
                     .map(|s| core.reply_blocked(SeqNo(s), sim.now()))
                     .collect(),
                 timers: core.timers.iter().map(|(t, k)| (*t, *k)).collect(),
-                sends: sends.borrow().0.len(),
+                sent: sent.len(),
             });
         }
         COLLECT_AT_SESSION_TICKS_ONLY.set(false);
-        let sends = sends.borrow().0.clone();
-        (seen, sends)
+        (seen, sent)
     }
 
     proptest! {

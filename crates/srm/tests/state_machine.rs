@@ -8,14 +8,15 @@
 //! `= 2^k · [200 ms, 400 ms]`, replies within `[D1·d, (D1+D2)·d]`
 //! `= [100 ms, 200 ms]`.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
-use metrics::{PacketKind, RecoveryLog};
+use metrics::RecoveryLog;
 use netsim::{
-    CastClass, NetConfig, Packet, PacketBody, PacketId, RecoveryTuple, SeqNo, SimDuration,
-    SimObserver, SimTime, Simulator,
+    Agent, CastClass, Context, DeliveryMeta, NetConfig, Packet, PacketBody, PacketId,
+    RecoveryTuple, SeqNo, SimDuration, SimTime, Simulator, TimerToken,
 };
+use obs::{Cast, PacketClass};
 use srm::{SrmAgent, SrmParams};
 use topology::{MulticastTree, NodeId, TreeBuilder};
 
@@ -29,22 +30,32 @@ fn tree() -> MulticastTree {
     b.build().unwrap()
 }
 
-#[derive(Default)]
-struct SendLog {
-    sends: Vec<(SimTime, NodeId, PacketKind, CastClass)>,
-}
-
-impl SimObserver for SendLog {
-    fn on_send(&mut self, now: SimTime, node: NodeId, packet: &Packet) {
-        self.sends
-            .push((now, node, PacketKind::of(packet), packet.cast));
-    }
-}
-
 struct Fixture {
     sim: Simulator,
-    sends: Rc<RefCell<SendLog>>,
+    /// The simulator's observation handle: it captures the `sent` record
+    /// of every packet but a session message.
+    sent: obs::Instruments,
+    /// Every `sent` record drained from it so far.
+    sends: RefCell<Vec<(SimTime, NodeId, PacketClass, Cast)>>,
     log: metrics::SharedRecoveryLog,
+}
+
+impl Fixture {
+    /// `(time, node, class, cast)` of every packet sent so far, sessions
+    /// excepted.
+    fn sends(&self) -> Ref<'_, Vec<(SimTime, NodeId, PacketClass, Cast)>> {
+        let mut sends = self.sends.borrow_mut();
+        for r in self.sent.drain().iter() {
+            if let obs::Event::PacketSent {
+                node, class, cast, ..
+            } = r.event
+            {
+                sends.push((SimTime::from_nanos(r.t_ns), NodeId(node), class, cast));
+            }
+        }
+        drop(sends);
+        self.sends.borrow()
+    }
 }
 
 const ME: NodeId = NodeId(2);
@@ -53,9 +64,9 @@ const SOURCE: NodeId = NodeId(0);
 /// One lone SRM receiver at n2; nothing else runs, so every event is ours.
 fn fixture() -> Fixture {
     let log = RecoveryLog::shared();
-    let sends = Rc::new(RefCell::new(SendLog::default()));
+    let sent = obs::Instruments::memory();
     let mut sim = Simulator::new(tree(), NetConfig::default().with_seed(42));
-    sim.set_observer(Box::new(Rc::clone(&sends)));
+    sim.set_obs(sent.clone());
     sim.attach_agent(
         ME,
         Box::new(SrmAgent::receiver(
@@ -65,7 +76,12 @@ fn fixture() -> Fixture {
             log.clone(),
         )),
     );
-    Fixture { sim, sends, log }
+    Fixture {
+        sim,
+        sent,
+        sends: RefCell::default(),
+        log,
+    }
 }
 
 fn pid(seq: u64) -> PacketId {
@@ -119,21 +135,17 @@ fn ms(t: SimTime) -> f64 {
 }
 
 fn request_times(f: &Fixture) -> Vec<f64> {
-    f.sends
-        .borrow()
-        .sends
+    f.sends()
         .iter()
-        .filter(|(_, n, k, _)| *n == ME && *k == PacketKind::Request)
+        .filter(|(_, n, k, _)| *n == ME && *k == PacketClass::Request)
         .map(|(t, ..)| ms(*t))
         .collect()
 }
 
 fn reply_times(f: &Fixture) -> Vec<f64> {
-    f.sends
-        .borrow()
-        .sends
+    f.sends()
         .iter()
-        .filter(|(_, n, k, _)| *n == ME && *k == PacketKind::Reply)
+        .filter(|(_, n, k, _)| *n == ME && *k == PacketClass::Reply)
         .map(|(t, ..)| ms(*t))
         .collect()
 }
@@ -220,14 +232,13 @@ fn reply_scheduled_within_reply_window_and_annotated() {
         replies[0]
     );
     // The reply is annotated with the requestor's advertised distance.
-    let sends = f.sends.borrow();
-    let reply_cast = sends
-        .sends
+    let reply_cast = f
+        .sends()
         .iter()
-        .find(|(_, n, k, _)| *n == ME && *k == PacketKind::Reply)
+        .find(|(_, n, k, _)| *n == ME && *k == PacketClass::Reply)
         .map(|(_, _, _, c)| *c)
         .unwrap();
-    assert_eq!(reply_cast, CastClass::Multicast);
+    assert_eq!(reply_cast, Cast::Multicast);
 }
 
 #[test]
@@ -305,21 +316,35 @@ fn session_report_detects_tail_loss() {
     assert!(!f.log.borrow().detected(ME, pid(0)));
 }
 
+/// Sits at n3, where every multicast of the agent under test arrives,
+/// and notes the send time of each session message it hears from [`ME`].
+struct SessionSink(Rc<RefCell<Vec<SimTime>>>);
+
+impl Agent for SessionSink {
+    fn on_packet(&mut self, _: &mut Context<'_>, packet: &Packet, _: &DeliveryMeta) {
+        if let PacketBody::Session(s) = &packet.body {
+            if s.member == ME {
+                self.0.borrow_mut().push(s.sent_at);
+            }
+        }
+    }
+    fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
+}
+
 #[test]
 fn session_echo_establishes_distance() {
     let mut f = fixture();
+    let sessions = Rc::new(RefCell::new(Vec::new()));
+    f.sim
+        .attach_agent(NodeId(3), Box::new(SessionSink(Rc::clone(&sessions))));
     // Let our own session message go out first (jittered within 1 s), then
     // run a further full period so the send is comfortably in the past —
     // the jitter draw may land arbitrarily close to the 1 s mark, and the
     // held_for arithmetic below needs at least 80 ms of elapsed time.
     f.sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-    let our_session_at = f
-        .sends
+    let our_session_at = *sessions
         .borrow()
-        .sends
-        .iter()
-        .find(|(_, n, k, _)| *n == ME && *k == PacketKind::Session)
-        .map(|(t, ..)| *t)
+        .first()
         .expect("agent sent a session message");
     // The source echoes it back, claiming to have held our message just
     // long enough that the unaccounted time is 80 ms → RTT 80 ms →

@@ -10,13 +10,11 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cesrm::{CesrmAgent, CesrmConfig, ExpeditionPolicy, MostFrequentLoss, MostRecentLoss};
 use lossmap::{infer_link_drops, yajnik_rates};
-use metrics::{per_receiver_reports, PacketKind, RecoveryLog, TrafficCollector};
+use metrics::{per_receiver_reports, RecoveryLog};
 use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
+use obs::PacketClass;
 use srm::SourceConfig;
 use traces::table1;
 
@@ -60,8 +58,6 @@ fn run_policy(
         drops.pairs().map(|(l, s)| (l, SeqNo(s as u64))),
     ));
     let log = RecoveryLog::shared();
-    let collector = Rc::new(RefCell::new(TrafficCollector::new()));
-    sim.set_observer(Box::new(Rc::clone(&collector)));
     let cfg = CesrmConfig::paper_default();
     let source = tree.root();
     let period = SimDuration::from_millis(trace.meta().period_ms);
@@ -96,9 +92,8 @@ fn run_policy(
         + SimDuration::from_secs(40);
     sim.run_until(end);
     let log = log.borrow();
-    let collector = collector.borrow();
-    let ereq = collector.total_sends(PacketKind::ExpeditedRequest);
-    let erepl = collector.total_sends(PacketKind::ExpeditedReply);
+    let ereq = sim.sends().total(PacketClass::ExpeditedRequest);
+    let erepl = sim.sends().total(PacketClass::ExpeditedReply);
     let success = if ereq == 0 {
         0.0
     } else {

@@ -6,11 +6,10 @@
 //! ```
 
 use cesrm::{CesrmAgent, CesrmConfig};
-use metrics::{per_receiver_reports, PacketKind, RecoveryLog, TrafficCollector};
+use metrics::{per_receiver_reports, RecoveryLog};
 use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
+use obs::PacketClass;
 use srm::SourceConfig;
-use std::cell::RefCell;
-use std::rc::Rc;
 use topology::{LinkId, NodeId, TreeBuilder};
 
 fn main() -> Result<(), topology::TreeError> {
@@ -41,8 +40,6 @@ fn main() -> Result<(), topology::TreeError> {
     let mut sim = Simulator::new(tree.clone(), net);
     sim.set_loss(TraceLoss::new(drops));
     let log = RecoveryLog::shared();
-    let collector = Rc::new(RefCell::new(TrafficCollector::new()));
-    sim.set_observer(Box::new(Rc::clone(&collector)));
 
     // One CESRM source plus one CESRM receiver per leaf.
     let cfg = CesrmConfig::paper_default();
@@ -66,15 +63,14 @@ fn main() -> Result<(), topology::TreeError> {
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
 
     let log = log.borrow();
-    let collector = collector.borrow();
     println!("losses detected: {}", log.len());
     println!("losses unrecovered: {}", log.unrecovered());
     let expedited = log.records().filter(|r| r.expedited).count();
     println!("recovered via expedited scheme: {expedited}/{}", log.len());
     println!(
         "expedited requests (unicast): {}, expedited replies: {}",
-        collector.total_sends(PacketKind::ExpeditedRequest),
-        collector.total_sends(PacketKind::ExpeditedReply),
+        sim.sends().total(PacketClass::ExpeditedRequest),
+        sim.sends().total(PacketClass::ExpeditedReply),
     );
     println!("\nper-receiver average normalized recovery time (in RTTs):");
     for rep in per_receiver_reports(&log, &tree, &net) {

@@ -13,12 +13,9 @@
 //! cargo run --release --example replier_churn
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cesrm::{CesrmAgent, CesrmConfig};
 use lms::{LmsConfig, LmsReceiver, LmsSource, ReplierTable};
-use metrics::{RecoveryLog, SharedRecoveryLog, TrafficCollector};
+use metrics::{RecoveryLog, SharedRecoveryLog};
 use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
 use srm::SourceConfig;
 use topology::{LinkId, MulticastTree, NodeId, TreeBuilder};
@@ -108,9 +105,7 @@ fn run_cesrm() -> SharedRecoveryLog {
     let tree = tree();
     let net = NetConfig::default().with_seed(1);
     let log = RecoveryLog::shared();
-    let collector = Rc::new(RefCell::new(TrafficCollector::new()));
     let mut sim = Simulator::new(tree.clone(), net);
-    sim.set_observer(Box::new(Rc::clone(&collector)));
     sim.set_loss(TraceLoss::new(drops()));
     let cfg = CesrmConfig::paper_default();
     let src = NodeId::ROOT;

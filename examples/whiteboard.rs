@@ -9,13 +9,11 @@
 //! ```
 
 use cesrm::{CesrmConfig, GroupMember, StreamRole};
-use metrics::{PacketKind, RecoveryLog, TrafficCollector};
+use metrics::RecoveryLog;
 use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
+use obs::PacketClass;
 use srm::SourceConfig;
 use topology::{LinkId, NodeId, TreeBuilder};
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn main() -> Result<(), topology::TreeError> {
     // n0 (member A, also the tree root) -> n1 -> { n2, n3 -> { n4, n5 } },
@@ -34,9 +32,7 @@ fn main() -> Result<(), topology::TreeError> {
     const PACKETS: u64 = 80;
 
     let log = RecoveryLog::shared();
-    let collector = Rc::new(RefCell::new(TrafficCollector::new()));
     let mut sim = Simulator::new(tree, NetConfig::paper_default().with_seed(2));
-    sim.set_observer(Box::new(Rc::clone(&collector)));
     // Bursty losses on the backbone link into n3 and on n6's tail link;
     // these hit every stream crossing them.
     let mut drops: Vec<(LinkId, SeqNo)> = (10..70)
@@ -70,16 +66,13 @@ fn main() -> Result<(), topology::TreeError> {
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
 
     let log = log.borrow();
-    let collector = collector.borrow();
+    let sends = sim.sends();
     println!(
         "whiteboard session: {} members, {} streams x {PACKETS} packets",
         members.len(),
         sources.len()
     );
-    println!(
-        "original data sent: {}",
-        collector.total_sends(PacketKind::Data)
-    );
+    println!("original data sent: {}", sends.total(PacketClass::Data));
     for &s in &sources {
         let losses = log.records().filter(|r| r.id.source == s).count();
         let expedited = log
@@ -96,8 +89,8 @@ fn main() -> Result<(), topology::TreeError> {
     }
     println!(
         "expedited requests {} / replies {}",
-        collector.total_sends(PacketKind::ExpeditedRequest),
-        collector.total_sends(PacketKind::ExpeditedReply),
+        sends.total(PacketClass::ExpeditedRequest),
+        sends.total(PacketClass::ExpeditedReply),
     );
     assert_eq!(log.unrecovered(), 0, "all streams must fully recover");
     println!("\nevery member holds every packet of every stream ✓");

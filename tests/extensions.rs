@@ -2,13 +2,11 @@
 //! evaluation: adaptive SRM timers, packet reordering with `REORDER-DELAY`,
 //! the LMS baseline and the churn comparison.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cesrm::{CesrmAgent, CesrmConfig};
 use lms::{LmsConfig, LmsReceiver, LmsSource, ReplierTable};
-use metrics::{PacketKind, RecoveryLog, TrafficCollector};
+use metrics::RecoveryLog;
 use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
+use obs::PacketClass;
 use srm::{AdaptiveTimers, SourceConfig, SrmAgent, SrmParams};
 use topology::{LinkId, MulticastTree, NodeId, TreeBuilder};
 
@@ -86,12 +84,10 @@ fn reorder_delay_suppresses_spurious_expedited_requests_under_jitter() {
     let run = |reorder_ms: u64, seed: u64| -> u64 {
         let tree = tree();
         let log = RecoveryLog::shared();
-        let collector = Rc::new(RefCell::new(TrafficCollector::new()));
         let net = NetConfig::default()
             .with_seed(seed)
             .with_jitter(SimDuration::from_millis(150));
         let mut sim = Simulator::new(tree.clone(), net);
-        sim.set_observer(Box::new(Rc::clone(&collector)));
         // Real losses too, so caches warm up and expedition is armed.
         sim.set_loss(TraceLoss::new(
             (10..60)
@@ -113,8 +109,7 @@ fn reorder_delay_suppresses_spurious_expedited_requests_under_jitter() {
         }
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
         assert_eq!(log.borrow().unrecovered(), 0, "reorder_ms={reorder_ms}");
-        let c = collector.borrow();
-        c.total_sends(PacketKind::ExpeditedRequest)
+        sim.sends().total(PacketClass::ExpeditedRequest)
     };
     let seeds = [1u64, 2, 3, 4, 5, 6, 7, 8];
     let eager: u64 = seeds.iter().map(|&s| run(0, s)).sum();

@@ -1,14 +1,15 @@
 //! Contract tests of the simulator's agent-facing API: panics on misuse,
-//! timing guarantees, and observer completeness.
+//! timing guarantees, and complete engine counts.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use netsim::{
     Agent, Context, DeliveryMeta, NetConfig, Packet, PacketBody, PacketId, SeqNo, SimDuration,
-    SimObserver, SimTime, Simulator, TimerToken,
+    SimTime, Simulator, TimerToken,
 };
-use topology::{LinkId, MulticastTree, NodeId, TreeBuilder};
+use obs::PacketClass;
+use topology::{MulticastTree, NodeId, TreeBuilder};
 
 fn tree() -> MulticastTree {
     let mut b = TreeBuilder::new();
@@ -43,27 +44,12 @@ fn subcast_without_router_assist_panics() {
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
 }
 
-/// Every delivery must have been preceded by a send and by at least one
-/// crossing of the final link — the observer never misses an event.
+/// The engine counts every link crossing by class and cast, every send at
+/// the node that sent it, and every delivery to an attached agent: one
+/// flood over a 4-node tree is one send, three crossings, and one copy
+/// per listening node, each from its parent.
 #[test]
-fn observer_sees_complete_causal_chains() {
-    #[derive(Default)]
-    struct Audit {
-        sends: usize,
-        crossings: Vec<LinkId>,
-        deliveries: usize,
-    }
-    impl SimObserver for Audit {
-        fn on_send(&mut self, _: SimTime, _: NodeId, _: &Packet) {
-            self.sends += 1;
-        }
-        fn on_link_crossing(&mut self, _: SimTime, link: LinkId, _: netsim::Direction, _: &Packet) {
-            self.crossings.push(link);
-        }
-        fn on_delivery(&mut self, _: SimTime, _: NodeId, _: &Packet) {
-            self.deliveries += 1;
-        }
-    }
+fn engine_counts_complete_causal_chains() {
     struct Sender;
     impl Agent for Sender {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
@@ -77,27 +63,53 @@ fn observer_sees_complete_causal_chains() {
         fn on_packet(&mut self, _: &mut Context<'_>, _: &Packet, _: &DeliveryMeta) {}
         fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
     }
-    struct Sink;
+    /// Records `(node, previous hop)` of every copy it receives.
+    struct Sink(Rc<RefCell<Vec<(NodeId, NodeId)>>>);
     impl Agent for Sink {
-        fn on_packet(&mut self, _: &mut Context<'_>, _: &Packet, _: &DeliveryMeta) {}
+        fn on_packet(&mut self, ctx: &mut Context<'_>, _: &Packet, meta: &DeliveryMeta) {
+            self.0.borrow_mut().push((ctx.me(), meta.prev_hop));
+        }
         fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
     }
-    let audit = Rc::new(RefCell::new(Audit::default()));
-    let mut sim = Simulator::new(tree(), NetConfig::default());
-    sim.set_observer(Box::new(Rc::clone(&audit)));
-    sim.attach_agent(NodeId::ROOT, Box::new(Sender));
-    sim.attach_agent(NodeId(2), Box::new(Sink));
-    sim.attach_agent(NodeId(3), Box::new(Sink));
-    sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-    let audit = audit.borrow();
-    assert_eq!(audit.sends, 1);
-    assert_eq!(audit.deliveries, 2);
-    // A 4-node tree has 3 links; the flood crosses each exactly once.
-    assert_eq!(audit.crossings.len(), 3);
-    let mut links = audit.crossings.clone();
-    links.sort();
-    links.dedup();
-    assert_eq!(links.len(), 3, "each link crossed exactly once");
+    let run = |listeners: &[NodeId]| {
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(tree(), NetConfig::default());
+        sim.attach_agent(NodeId::ROOT, Box::new(Sender));
+        for &n in listeners {
+            sim.attach_agent(n, Box::new(Sink(Rc::clone(&heard))));
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        let mut heard = heard.take();
+        heard.sort();
+        (sim.telemetry(), sim.sends().clone(), heard)
+    };
+
+    let (engine, sends, _) = run(&[NodeId(2), NodeId(3)]);
+    let crossed: u64 = engine.crossings.iter().flatten().sum();
+    assert_eq!(crossed, engine.transmits, "every transmit is one crossing");
+    // A 4-node tree has 3 links; the flood crosses each once.
+    assert_eq!(engine.transmits, 3);
+    assert_eq!(engine.class_crossings(PacketClass::Data), 3);
+    assert_eq!(sends.by(NodeId::ROOT, PacketClass::Data), 1);
+    for class in PacketClass::ALL {
+        let expected = u64::from(class == PacketClass::Data);
+        assert_eq!(sends.total(class), expected, "{class:?} sends");
+    }
+    assert_eq!(engine.deliveries, 2);
+
+    // With the router listening too, every node hears exactly one copy,
+    // from its parent.
+    let (engine, _, heard) = run(&[NodeId(1), NodeId(2), NodeId(3)]);
+    assert_eq!(
+        heard,
+        [
+            (NodeId(1), NodeId::ROOT),
+            (NodeId(2), NodeId(1)),
+            (NodeId(3), NodeId(1))
+        ]
+    );
+    assert_eq!(engine.deliveries, 3);
+    assert_eq!(engine.transmits, 3);
 }
 
 /// Timers always fire at exactly `now + delay`, and the event tracer

@@ -1,12 +1,10 @@
 //! Property-based tests of the protocol stack: random topologies and
 //! random loss plans, with reliability and determinism as invariants.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cesrm::{CesrmAgent, CesrmConfig};
-use metrics::{PacketKind, RecoveryLog, TrafficCollector};
+use metrics::RecoveryLog;
 use netsim::{NetConfig, SeqNo, SimDuration, SimTime, Simulator, TraceLoss};
+use obs::PacketClass;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,9 +41,7 @@ fn run(
 ) -> (Outcome, Simulator) {
     let net = NetConfig::default().with_seed(seed);
     let log = RecoveryLog::shared();
-    let collector = Rc::new(RefCell::new(TrafficCollector::new()));
     let mut sim = Simulator::new(tree.clone(), net);
-    sim.set_observer(Box::new(Rc::clone(&collector)));
     sim.set_loss(TraceLoss::new(drops.to_vec()));
     let source = tree.root();
     let source_cfg = SourceConfig {
@@ -98,7 +94,7 @@ fn run(
         detected: log.len(),
         unrecovered: log.unrecovered(),
         injected,
-        expedited_replies: collector.borrow().total_sends(PacketKind::ExpeditedReply),
+        expedited_replies: sim.sends().total(PacketClass::ExpeditedReply),
     };
     drop(log);
     (outcome, sim)
